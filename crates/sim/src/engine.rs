@@ -23,7 +23,7 @@
 //! ```
 
 use crate::pfd::TriStatePfd;
-use crate::state_space::StateSpace;
+use crate::state_space::{rk4_step, StateSpace, RK4_SCRATCH_PER_STATE};
 use htmpll_core::PllDesign;
 use htmpll_lti::Tf;
 use htmpll_num::rng::Rng;
@@ -221,6 +221,10 @@ pub struct PllSim {
     rng: Rng,
     /// Jitter of the upcoming reference edge (drawn once per edge).
     pending_jitter: f64,
+    /// Time of the upcoming reference edge under the current run's
+    /// modulation: solved when a run starts and after each edge fires,
+    /// the only points where its inputs change.
+    next_ref: f64,
     /// Current VCO frequency-noise offset (Hz), redrawn per segment.
     fm_noise: f64,
     /// Absolute time of a scheduled delayed PFD reset, if any.
@@ -231,6 +235,10 @@ pub struct PllSim {
     down_since: Option<f64>,
     /// Count of divided edges fired (indexes the divider sequence).
     div_edge_index: usize,
+    /// Event-loop work space, `[x₀ | x | RK4 stages]`, each slot the
+    /// combined state length `filter order + 1`: the segment's start
+    /// state, the trial state, and the [`rk4_step`] scratch.
+    scratch: Vec<f64>,
 }
 
 impl PllSim {
@@ -254,6 +262,7 @@ impl PllSim {
         let mut rng = Rng::seed_from_u64(config.jitter_seed);
         let pending_jitter = draw_jitter(&mut rng, config.ref_jitter_rms);
         let divider = params.divider;
+        let scratch = vec![0.0; (2 + RK4_SCRATCH_PER_STATE) * (filter.order() + 1)];
         PllSim {
             params,
             config,
@@ -267,11 +276,14 @@ impl PllSim {
             next_div_cycles: divider,
             rng,
             pending_jitter,
+            // Solved against the modulation at the start of each run.
+            next_ref: f64::INFINITY,
             fm_noise: 0.0,
             pending_reset: None,
             up_since: None,
             down_since: None,
             div_edge_index: 0,
+            scratch,
         }
     }
 
@@ -417,40 +429,6 @@ impl PllSim {
             + self.params.kvco * gain / (2.0 * std::f64::consts::PI) * v;
     }
 
-    /// One RK4 step of size `h` from state `x` with constant current.
-    fn rk4(&self, x: &[f64], i_cp: f64, h: f64) -> Vec<f64> {
-        let n = x.len();
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        self.deriv(x, i_cp, &mut k1);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * h * k1[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k2);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * h * k2[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k3);
-        for i in 0..n {
-            tmp[i] = x[i] + h * k3[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k4);
-        let mut out = x.to_vec();
-        for i in 0..n {
-            out[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        out
-    }
-
-    fn combined_state(&self) -> Vec<f64> {
-        let mut x = self.filter.state().to_vec();
-        x.push(self.phi);
-        x
-    }
-
     fn set_combined_state(&mut self, x: &[f64]) {
         let nf = self.filter.order();
         self.filter.set_state(&x[..nf]);
@@ -458,15 +436,24 @@ impl PllSim {
     }
 
     /// Advances exactly to `t_target`, firing PFD events on the way.
+    /// Expects `next_ref` to be solved under `modulation`.
     fn advance_to(&mut self, t_target: f64, modulation: &dyn Fn(f64) -> f64) {
         let hs = self.params.t_ref / (self.config.samples_per_ref * self.config.substeps) as f64;
         let time_eps = 1e-13 * self.params.t_ref;
         let mut guard = 0usize;
         let guard_max = 1000 * (((t_target - self.t) / hs).abs() as usize + 10);
+        let mut steps = 0u64;
+        // Moved out for the loop so the derivative closure can borrow
+        // `self`; moving a `Vec` does not allocate.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let n = self.filter.order() + 1;
+        let phi_idx = n - 1;
+        let (x0, rest) = scratch.split_at_mut(n);
+        let (x, rk4_scratch) = rest.split_at_mut(n);
         while self.t < t_target - time_eps {
             guard += 1;
             assert!(guard < guard_max, "event loop failed to make progress");
-            let next_ref = self.ref_edge_time(self.next_ref_index, modulation);
+            let next_ref = self.next_ref;
             let next_reset = self.pending_reset.unwrap_or(f64::INFINITY);
             let seg_end = (self.t + hs)
                 .min(t_target)
@@ -489,7 +476,7 @@ impl PllSim {
                     continue;
                 }
                 if (next_ref - self.t).abs() <= 2.0 * time_eps.max(1e-300) || next_ref <= self.t {
-                    self.fire_ref_edge();
+                    self.fire_ref_edge(modulation);
                     continue;
                 }
                 self.t = seg_end;
@@ -502,20 +489,24 @@ impl PllSim {
                 let sigma = (self.config.vco_fm_psd / (2.0 * h)).sqrt();
                 self.fm_noise = sigma * draw_gaussian(&mut self.rng);
             }
-            let x0 = self.combined_state();
+            x0[..phi_idx].copy_from_slice(self.filter.state());
+            x0[phi_idx] = self.phi;
             let i_now = self.filter_current();
-            htmpll_obs::counter!("sim", "engine.rk4_steps").inc();
-            let trial = self.rk4(&x0, i_now, h);
-            let phi_idx = x0.len() - 1;
-            if trial[phi_idx] >= self.next_div_cycles {
+            steps += 1;
+            let mut rk4 = |x: &mut [f64], h: f64| {
+                x.copy_from_slice(x0);
+                rk4_step(x, h, rk4_scratch, |x, out| self.deriv(x, i_now, out));
+            };
+            rk4(x, h);
+            if x[phi_idx] >= self.next_div_cycles {
                 // Divided-VCO edge inside the segment: bisect for the
                 // crossing time.
                 let mut lo = 0.0;
                 let mut hi = h;
                 for _ in 0..60 {
                     let mid = 0.5 * (lo + hi);
-                    let xm = self.rk4(&x0, i_now, mid);
-                    if xm[phi_idx] >= self.next_div_cycles {
+                    rk4(x, mid);
+                    if x[phi_idx] >= self.next_div_cycles {
                         hi = mid;
                     } else {
                         lo = mid;
@@ -524,8 +515,8 @@ impl PllSim {
                         break;
                     }
                 }
-                let x_edge = self.rk4(&x0, i_now, hi);
-                self.set_combined_state(&x_edge);
+                rk4(x, hi);
+                self.set_combined_state(x);
                 self.phi = self.next_div_cycles; // pin against drift
                 self.t += hi;
                 self.pfd_edge(false);
@@ -536,20 +527,25 @@ impl PllSim {
                 self.div_edge_index += 1;
                 self.next_div_cycles += self.params.divider + offset;
             } else {
-                self.set_combined_state(&trial);
+                self.set_combined_state(x);
                 self.t += h;
                 if (self.t - next_ref).abs() <= time_eps {
-                    self.fire_ref_edge();
+                    self.fire_ref_edge(modulation);
                 }
             }
+        }
+        self.scratch = scratch;
+        if steps > 0 {
+            htmpll_obs::counter!("sim", "engine.rk4_steps").add(steps);
         }
         self.t = t_target;
     }
 
-    fn fire_ref_edge(&mut self) {
+    fn fire_ref_edge(&mut self, modulation: &dyn Fn(f64) -> f64) {
         self.pfd_edge(true);
         self.next_ref_index += 1;
         self.pending_jitter = draw_jitter(&mut self.rng, self.config.ref_jitter_rms);
+        self.next_ref = self.ref_edge_time(self.next_ref_index, modulation);
     }
 
     /// Runs for `duration` seconds under the reference phase modulation
@@ -571,6 +567,8 @@ impl PllSim {
         let mut theta_ref = Vec::with_capacity(n);
         let mut theta_vco = Vec::with_capacity(n);
         let mut v_ctrl = Vec::with_capacity(n);
+        // The modulation may differ from the previous run's.
+        self.next_ref = self.ref_edge_time(self.next_ref_index, modulation);
         for k in 1..=n {
             self.advance_to(t0 + k as f64 * dt, modulation);
             theta_ref.push(modulation(self.t));

@@ -151,30 +151,50 @@ impl StateSpace {
             return;
         }
         let hs = h / substeps as f64;
-        let n = self.x.len();
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
+        let mut x = std::mem::take(&mut self.x);
+        let mut scratch = vec![0.0; RK4_SCRATCH_PER_STATE * x.len()];
         for _ in 0..substeps {
-            self.deriv(&self.x, u, &mut k1);
-            for i in 0..n {
-                tmp[i] = self.x[i] + 0.5 * hs * k1[i];
-            }
-            self.deriv(&tmp, u, &mut k2);
-            for i in 0..n {
-                tmp[i] = self.x[i] + 0.5 * hs * k2[i];
-            }
-            self.deriv(&tmp, u, &mut k3);
-            for i in 0..n {
-                tmp[i] = self.x[i] + hs * k3[i];
-            }
-            self.deriv(&tmp, u, &mut k4);
-            for i in 0..n {
-                self.x[i] += hs / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
+            rk4_step(&mut x, hs, &mut scratch, |x, out| self.deriv(x, u, out));
         }
+        self.x = x;
+    }
+}
+
+/// Scratch slots per state that [`rk4_step`] needs: the four stage
+/// derivatives and the stage argument.
+pub(crate) const RK4_SCRATCH_PER_STATE: usize = 5;
+
+/// One classic RK4 step of size `h` on `ẋ = f(x)`, in place and without
+/// allocating. `deriv(x, out)` writes `f(x)` into `out`; `scratch` must
+/// hold at least [`RK4_SCRATCH_PER_STATE`]`·x.len()` values and its
+/// contents on entry are ignored.
+pub(crate) fn rk4_step(
+    x: &mut [f64],
+    h: f64,
+    scratch: &mut [f64],
+    mut deriv: impl FnMut(&[f64], &mut [f64]),
+) {
+    let n = x.len();
+    let (k1, rest) = scratch.split_at_mut(n);
+    let (k2, rest) = rest.split_at_mut(n);
+    let (k3, rest) = rest.split_at_mut(n);
+    let (k4, rest) = rest.split_at_mut(n);
+    let tmp = &mut rest[..n];
+    deriv(x, k1);
+    for i in 0..n {
+        tmp[i] = x[i] + 0.5 * h * k1[i];
+    }
+    deriv(tmp, k2);
+    for i in 0..n {
+        tmp[i] = x[i] + 0.5 * h * k2[i];
+    }
+    deriv(tmp, k3);
+    for i in 0..n {
+        tmp[i] = x[i] + h * k3[i];
+    }
+    deriv(tmp, k4);
+    for i in 0..n {
+        x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
 }
 

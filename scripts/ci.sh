@@ -4,7 +4,8 @@
 #   scripts/ci.sh            # build, test, clippy, fmt check, metrics smoke
 #
 # The bench crate is excluded from the workspace (needs the registry);
-# this script covers the offline workspace only.
+# this script covers the offline workspace plus the standalone
+# `benchmark/` package's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +20,9 @@ HTMPLL_THREADS=4 cargo test --workspace -q
 
 echo "==> cargo test -q (workspace, HTMPLL_SIMD=0 forced-scalar)"
 HTMPLL_SIMD=0 cargo test --workspace -q
+
+echo "==> benchmark package tests (unit tests + --quick smoke of every workload)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
