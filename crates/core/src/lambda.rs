@@ -36,22 +36,22 @@
 use crate::error::{positive, CoreError};
 use htmpll_lti::{Pfe, Tf};
 use htmpll_num::hash::Fnv1a;
-use htmpll_num::simd;
 use htmpll_num::special::{lattice_poly, lattice_sum, MAX_LATTICE_ORDER};
 use htmpll_num::Complex;
 
-/// Per-pole data hoisted out of the λ evaluation loop: the lattice
-/// polynomial `P_r` and the `(π/ω₀)^r` prefactor are functions of the
-/// pole order alone, so the batch path computes them once at
-/// construction instead of on every grid point. The values are produced
-/// by the exact expressions `lattice_sum` uses, keeping the batch
-/// result bitwise identical to the scalar path.
+/// Per-term data hoisted out of the λ kernel: the lattice polynomial
+/// `P_r` and the `(π/ω₀)^r` prefactor depend on the pole order alone,
+/// so construction computes them once with the exact expressions
+/// `lattice_sum` uses. `shares_coth` marks a term whose pole is bitwise
+/// equal to the previous term's: its `coth` argument is then identical,
+/// so the kernel reuses the previous `coth` value.
 #[derive(Debug, Clone)]
 struct PreTerm {
     pole: Complex,
     coeff: Complex,
     poly: Vec<f64>,
     factor: Complex,
+    shares_coth: bool,
 }
 
 /// The effective open-loop gain `λ(s) = Σ_m A(s + jmω₀)`.
@@ -106,14 +106,19 @@ impl EffectiveGain {
         for &c in a.den().coeffs() {
             h.write_f64(c);
         }
+        let same_bits = |a: Complex, b: Complex| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        };
         let pre = pfe
             .terms
             .iter()
-            .map(|t| PreTerm {
+            .enumerate()
+            .map(|(k, t)| PreTerm {
                 pole: t.pole,
                 coeff: t.coeff,
                 poly: lattice_poly(t.order),
                 factor: Complex::from_re(std::f64::consts::PI / omega0).powi(t.order as i32),
+                shares_coth: k > 0 && same_bits(pfe.terms[k - 1].pole, t.pole),
             })
             .collect();
         Ok(EffectiveGain {
@@ -154,9 +159,29 @@ impl EffectiveGain {
     /// `S₁(z) = (π/ω₀)·coth(πz/ω₀)`.
     pub fn eval(&self, s: Complex) -> Complex {
         htmpll_obs::counter!("core", "lambda.eval").inc();
+        self.kernel(s)
+    }
+
+    /// The one λ evaluation kernel behind [`eval`](EffectiveGain::eval)
+    /// and [`eval_jw_batch`](EffectiveGain::eval_jw_batch). Per term it
+    /// performs exactly the operations of `c·lattice_sum(s − p, ω₀, r)`
+    /// in the same order — `coth`, Horner from zero, `factor·h`,
+    /// `coeff·(…)`, accumulate — so its output is bitwise identical to
+    /// that reference; it only skips the per-call polynomial build and
+    /// the `coth` of a repeated pole.
+    fn kernel(&self, s: Complex) -> Complex {
+        let scale = std::f64::consts::PI / self.omega0;
         let mut acc = Complex::ZERO;
-        for term in &self.pfe.terms {
-            acc += term.coeff * lattice_sum(s - term.pole, self.omega0, term.order);
+        let mut c = Complex::ZERO;
+        for term in &self.pre {
+            if !term.shares_coth {
+                c = (s - term.pole).scale(scale).coth();
+            }
+            let mut h = Complex::ZERO;
+            for &a in term.poly.iter().rev() {
+                h = h * c + a;
+            }
+            acc += term.coeff * (term.factor * h);
         }
         acc
     }
@@ -168,13 +193,9 @@ impl EffectiveGain {
 
     /// Exact `λ(jω)` at a batch of frequencies, written into `out`.
     ///
-    /// The per-pole lattice polynomial and prefactor come precomputed
-    /// from construction, the `coth` kernel is evaluated per lane, and
-    /// the Horner/accumulate stage runs through the SIMD dispatch in
-    /// [`htmpll_num::simd`]. Every lane performs exactly the operation
-    /// sequence of [`eval_jw`](EffectiveGain::eval_jw), so the batch is
-    /// **bitwise identical** to the pointwise path — grids may switch
-    /// between them freely.
+    /// A loop over the same kernel as [`eval_jw`](EffectiveGain::eval_jw),
+    /// so the batch is **bitwise identical** to the pointwise path —
+    /// grids may switch between them freely.
     ///
     /// # Panics
     ///
@@ -182,34 +203,8 @@ impl EffectiveGain {
     pub fn eval_jw_batch(&self, omegas: &[f64], out: &mut [Complex]) {
         assert_eq!(omegas.len(), out.len(), "batch length mismatch");
         htmpll_obs::counter!("core", "lambda.eval").add(omegas.len() as u64);
-        const LANES: usize = 16;
-        let scale = std::f64::consts::PI / self.omega0;
-        for (ws, os) in omegas.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            let n = ws.len();
-            let mut acc_re = [0.0_f64; LANES];
-            let mut acc_im = [0.0_f64; LANES];
-            let mut c_re = [0.0_f64; LANES];
-            let mut c_im = [0.0_f64; LANES];
-            for term in &self.pre {
-                for (l, &w) in ws.iter().enumerate() {
-                    let x = (Complex::from_im(w) - term.pole).scale(scale);
-                    let c = x.coth();
-                    c_re[l] = c.re;
-                    c_im[l] = c.im;
-                }
-                simd::lambda_term_acc(
-                    &mut acc_re[..n],
-                    &mut acc_im[..n],
-                    &c_re[..n],
-                    &c_im[..n],
-                    &term.poly,
-                    term.factor,
-                    term.coeff,
-                );
-            }
-            for (l, o) in os.iter_mut().enumerate() {
-                *o = Complex::new(acc_re[l], acc_im[l]);
-            }
+        for (o, &w) in out.iter_mut().zip(omegas) {
+            *o = self.kernel(Complex::from_im(w));
         }
     }
 
@@ -430,6 +425,33 @@ mod tests {
             let direct = lam.eval_jw(w);
             assert_eq!(direct.re.to_bits(), v.re.to_bits(), "w={w}");
             assert_eq!(direct.im.to_bits(), v.im.to_bits(), "w={w}");
+        }
+    }
+
+    #[test]
+    fn kernel_bitwise_matches_lattice_sum_reference() {
+        // Type-II reference loop and a triple pole at the origin; points
+        // on and off the axis, at the aliases k·ω₀ and on the poles.
+        let triple = Tf::from_coeffs(vec![0.5, 1.0], vec![0.0, 0.0, 0.0, 2.0, 1.0]).unwrap();
+        for lam in [
+            reference_lambda(0.3),
+            EffectiveGain::new(&triple, 5.0).unwrap(),
+        ] {
+            let w0 = lam.omega0();
+            let mut pts: Vec<Complex> = (0..40)
+                .map(|i| Complex::new(0.05 * (i % 3) as f64 - 0.05, 0.11 * i as f64 - 2.0))
+                .collect();
+            pts.extend([0.0, w0, -2.0 * w0].map(Complex::from_im));
+            pts.extend(lam.pfe().terms.iter().map(|t| t.pole));
+            for s in pts {
+                let mut reference = Complex::ZERO;
+                for t in &lam.pfe().terms {
+                    reference += t.coeff * lattice_sum(s - t.pole, w0, t.order);
+                }
+                let v = lam.eval(s);
+                assert_eq!(v.re.to_bits(), reference.re.to_bits(), "s={s}");
+                assert_eq!(v.im.to_bits(), reference.im.to_bits(), "s={s}");
+            }
         }
     }
 

@@ -687,16 +687,16 @@ pub fn bode_grid<F: Fn(f64) -> Complex + Sync>(f: F, spec: &SweepSpec) -> Vec<Bo
     bode_from_values(spec.grid.points(), &values)
 }
 
-/// Grid-point block size for the batched λ sweep: large enough to fill
-/// the SIMD lanes of [`EffectiveGain::eval_jw_batch`], small enough to
-/// keep the parallel pool load-balanced. Chunk boundaries are fixed by
-/// index, so the partition — and with it every block result — is
-/// independent of the thread count.
+/// Grid-point block size for the batched λ sweep: large enough to
+/// amortize one pool task over many [`EffectiveGain::eval_jw_batch`]
+/// points, small enough to keep the parallel pool load-balanced. Chunk
+/// boundaries are fixed by index, so the partition — and with it every
+/// block result — is independent of the thread count.
 const LAMBDA_CHUNK: usize = 32;
 
 impl EffectiveGain {
     /// Exact λ(jω) over `spec.grid`, evaluated on the parallel pool in
-    /// [`LAMBDA_CHUNK`]-point blocks through the SIMD batch path.
+    /// [`LAMBDA_CHUNK`]-point blocks through the batch path.
     /// Bitwise identical to pointwise [`EffectiveGain::eval_jw`] calls
     /// at any thread count.
     pub fn eval_grid(&self, spec: &SweepSpec) -> Vec<Complex> {

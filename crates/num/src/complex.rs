@@ -256,7 +256,10 @@ impl Complex {
             let twiddle = Complex::new(e * (2.0 * self.im).cos(), s * e * (2.0 * self.im).sin());
             return (Complex::ONE + twiddle) / (Complex::ONE - twiddle) * s;
         }
-        self.cosh() / self.sinh()
+        // `cosh() / sinh()` with each real transcendental evaluated once.
+        let (ch, sh) = (self.re.cosh(), self.re.sinh());
+        let (sin, cos) = self.im.sin_cos();
+        Complex::new(ch * cos, sh * sin) / Complex::new(sh * cos, ch * sin)
     }
 
     /// Returns true when either component is NaN.

@@ -204,55 +204,6 @@ pub unsafe fn butterfly(
     );
 }
 
-/// See [`super::scalar::lambda_term_acc`].
-#[target_feature(enable = "avx2")]
-pub unsafe fn lambda_term_acc(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    poly: &[f64],
-    factor: Complex,
-    coeff: Complex,
-) {
-    let n = acc_re.len();
-    let f_re = _mm256_set1_pd(factor.re);
-    let f_im = _mm256_set1_pd(factor.im);
-    let k_re = _mm256_set1_pd(coeff.re);
-    let k_im = _mm256_set1_pd(coeff.im);
-    let mut i = 0;
-    while i + W <= n {
-        let cr = _mm256_loadu_pd(c_re.as_ptr().add(i));
-        let ci = _mm256_loadu_pd(c_im.as_ptr().add(i));
-        let mut h_re = _mm256_setzero_pd();
-        let mut h_im = _mm256_setzero_pd();
-        for &a in poly.iter().rev() {
-            let t_re = _mm256_sub_pd(_mm256_mul_pd(h_re, cr), _mm256_mul_pd(h_im, ci));
-            let t_im = _mm256_add_pd(_mm256_mul_pd(h_re, ci), _mm256_mul_pd(h_im, cr));
-            h_re = _mm256_add_pd(t_re, _mm256_set1_pd(a));
-            h_im = t_im;
-        }
-        let p_re = _mm256_sub_pd(_mm256_mul_pd(f_re, h_re), _mm256_mul_pd(f_im, h_im));
-        let p_im = _mm256_add_pd(_mm256_mul_pd(f_re, h_im), _mm256_mul_pd(f_im, h_re));
-        let g_re = _mm256_sub_pd(_mm256_mul_pd(k_re, p_re), _mm256_mul_pd(k_im, p_im));
-        let g_im = _mm256_add_pd(_mm256_mul_pd(k_re, p_im), _mm256_mul_pd(k_im, p_re));
-        let a_re = _mm256_loadu_pd(acc_re.as_ptr().add(i));
-        let a_im = _mm256_loadu_pd(acc_im.as_ptr().add(i));
-        _mm256_storeu_pd(acc_re.as_mut_ptr().add(i), _mm256_add_pd(a_re, g_re));
-        _mm256_storeu_pd(acc_im.as_mut_ptr().add(i), _mm256_add_pd(a_im, g_im));
-        i += W;
-    }
-    super::scalar::lambda_term_acc(
-        &mut acc_re[i..],
-        &mut acc_im[i..],
-        &c_re[i..],
-        &c_im[i..],
-        poly,
-        factor,
-        coeff,
-    );
-}
-
 /// See [`super::scalar::band_diag_madd`].
 #[target_feature(enable = "avx2")]
 pub unsafe fn band_diag_madd(out: &mut [Complex], d_re: &[f64], d_im: &[f64], x: &[Complex]) {

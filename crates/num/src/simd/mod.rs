@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels over split-complex (SoA) planes.
 //!
 //! The numerical hot loops of the workspace — the banded-LU factor and
-//! solve inner kernels, the λ(s) grid evaluation, the radix-2 FFT
-//! butterflies and the banded-Toeplitz mat-vec — all reduce to a small
-//! set of elementwise complex primitives. This module provides those
+//! solve inner kernels, the radix-2 FFT butterflies and the
+//! banded-Toeplitz mat-vec — all reduce to a small set of elementwise
+//! complex primitives. This module provides those
 //! primitives three ways: a scalar reference ([`scalar`]-equivalent
 //! semantics), an AVX2 backend (x86_64, 4 lanes) and a NEON backend
 //! (aarch64, 2 lanes), selected once at runtime behind a single
@@ -315,56 +315,6 @@ pub fn butterfly_with(
         "butterfly plane length mismatch"
     );
     dispatch!(clamp(level), butterfly(u_re, u_im, v_re, v_im, w_re, w_im));
-}
-
-/// One λ(s) partial-fraction term accumulated over a batch of grid
-/// points: `acc[i] += coeff · (factor · horner(poly, c[i]))`.
-///
-/// # Panics
-///
-/// The accumulator and argument planes must share one length.
-pub fn lambda_term_acc(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    poly: &[f64],
-    factor: Complex,
-    coeff: Complex,
-) {
-    lambda_term_acc_with(
-        active_level(),
-        acc_re,
-        acc_im,
-        c_re,
-        c_im,
-        poly,
-        factor,
-        coeff,
-    );
-}
-
-/// [`lambda_term_acc`] with an explicit backend (clamped to hardware).
-#[allow(clippy::too_many_arguments)]
-pub fn lambda_term_acc_with(
-    level: SimdLevel,
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    poly: &[f64],
-    factor: Complex,
-    coeff: Complex,
-) {
-    let n = acc_re.len();
-    assert!(
-        acc_im.len() == n && c_re.len() == n && c_im.len() == n,
-        "lambda_term_acc plane length mismatch"
-    );
-    dispatch!(
-        clamp(level),
-        lambda_term_acc(acc_re, acc_im, c_re, c_im, poly, factor, coeff)
-    );
 }
 
 /// `out[i] += d[i] · x[i]` with the diagonal in split planes and the

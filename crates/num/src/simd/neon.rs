@@ -172,55 +172,6 @@ pub unsafe fn butterfly(
     );
 }
 
-/// See [`super::scalar::lambda_term_acc`].
-#[target_feature(enable = "neon")]
-pub unsafe fn lambda_term_acc(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    poly: &[f64],
-    factor: Complex,
-    coeff: Complex,
-) {
-    let n = acc_re.len();
-    let f_re = vdupq_n_f64(factor.re);
-    let f_im = vdupq_n_f64(factor.im);
-    let k_re = vdupq_n_f64(coeff.re);
-    let k_im = vdupq_n_f64(coeff.im);
-    let mut i = 0;
-    while i + W <= n {
-        let cr = vld1q_f64(c_re.as_ptr().add(i));
-        let ci = vld1q_f64(c_im.as_ptr().add(i));
-        let mut h_re = vdupq_n_f64(0.0);
-        let mut h_im = vdupq_n_f64(0.0);
-        for &a in poly.iter().rev() {
-            let t_re = vsubq_f64(vmulq_f64(h_re, cr), vmulq_f64(h_im, ci));
-            let t_im = vaddq_f64(vmulq_f64(h_re, ci), vmulq_f64(h_im, cr));
-            h_re = vaddq_f64(t_re, vdupq_n_f64(a));
-            h_im = t_im;
-        }
-        let p_re = vsubq_f64(vmulq_f64(f_re, h_re), vmulq_f64(f_im, h_im));
-        let p_im = vaddq_f64(vmulq_f64(f_re, h_im), vmulq_f64(f_im, h_re));
-        let g_re = vsubq_f64(vmulq_f64(k_re, p_re), vmulq_f64(k_im, p_im));
-        let g_im = vaddq_f64(vmulq_f64(k_re, p_im), vmulq_f64(k_im, p_re));
-        let a_re = vld1q_f64(acc_re.as_ptr().add(i));
-        let a_im = vld1q_f64(acc_im.as_ptr().add(i));
-        vst1q_f64(acc_re.as_mut_ptr().add(i), vaddq_f64(a_re, g_re));
-        vst1q_f64(acc_im.as_mut_ptr().add(i), vaddq_f64(a_im, g_im));
-        i += W;
-    }
-    super::scalar::lambda_term_acc(
-        &mut acc_re[i..],
-        &mut acc_im[i..],
-        &c_re[i..],
-        &c_im[i..],
-        poly,
-        factor,
-        coeff,
-    );
-}
-
 /// See [`super::scalar::band_diag_madd`].
 #[target_feature(enable = "neon")]
 pub unsafe fn band_diag_madd(out: &mut [Complex], d_re: &[f64], d_im: &[f64], x: &[Complex]) {

@@ -102,39 +102,6 @@ pub fn butterfly(
     }
 }
 
-/// One λ(s) lattice-sum term over a batch of grid points:
-/// Horner in `c[i]` over `poly` (highest coefficient first after the
-/// internal reversal), times `factor`, times `coeff`, accumulated into
-/// `acc[i]`. Per lane this is exactly
-/// `acc += coeff · (factor · horner(poly, c))` with the scalar
-/// operation order of `special::lattice_sum`.
-pub fn lambda_term_acc(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    poly: &[f64],
-    factor: Complex,
-    coeff: Complex,
-) {
-    for i in 0..acc_re.len() {
-        let mut h_re = 0.0f64;
-        let mut h_im = 0.0f64;
-        for &a in poly.iter().rev() {
-            let t_re = h_re * c_re[i] - h_im * c_im[i];
-            let t_im = h_re * c_im[i] + h_im * c_re[i];
-            h_re = t_re + a;
-            h_im = t_im;
-        }
-        let f_re = factor.re * h_re - factor.im * h_im;
-        let f_im = factor.re * h_im + factor.im * h_re;
-        let g_re = coeff.re * f_re - coeff.im * f_im;
-        let g_im = coeff.re * f_im + coeff.im * f_re;
-        acc_re[i] += g_re;
-        acc_im[i] += g_im;
-    }
-}
-
 /// `out[i] += d[i] · x[i]` with `d` in split planes and `out`/`x`
 /// interleaved — one diagonal pass of the banded mat-vec.
 pub fn band_diag_madd(out: &mut [Complex], d_re: &[f64], d_im: &[f64], x: &[Complex]) {

@@ -34,9 +34,9 @@ pub const MAX_LATTICE_ORDER: usize = 12;
 /// Coefficients (ascending powers of `c = coth`) of the polynomial `P_r`
 /// with `S_r(z) = (π/ω₀)^r · P_r(coth(πz/ω₀))`.
 ///
-/// Public so batch evaluators (the λ-grid SIMD path) can precompute the
-/// polynomial once per pole instead of rebuilding it on every call;
-/// [`lattice_sum`] evaluates exactly `(π/ω₀)^r · Horner(P_r, coth)`.
+/// Public so the λ kernel can precompute the polynomial once per pole
+/// instead of rebuilding it on every call; [`lattice_sum`] evaluates
+/// exactly `(π/ω₀)^r · Horner(P_r, coth)`.
 ///
 /// # Panics
 ///

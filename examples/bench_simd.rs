@@ -12,8 +12,6 @@
 //! * `bt_mul` — banded-Toeplitz [`HtmRepr::mul_vec`] (the
 //!   diagonal-broadcast kernel).
 //! * `fft` — radix-2 [`fft`] (SoA butterfly passes).
-//! * `lambda_grid` — [`EffectiveGain::eval_jw_batch`] (the Horner
-//!   lattice-sum kernel).
 //!
 //! Both passes produce bitwise-identical outputs — the dispatch
 //! contract — so the ratio is pure data-layout/ILP gain. Prints one
@@ -25,7 +23,6 @@
 
 use std::time::Instant;
 
-use htmpll::core::{EffectiveGain, PllDesign};
 use htmpll::htm::HtmRepr;
 use htmpll::num::rng::Rng;
 use htmpll::num::simd::{self, SimdLevel};
@@ -84,11 +81,6 @@ fn main() {
         .map(|_| Complex::new(rng.range(-1.0, 1.0), rng.range(-1.0, 1.0)))
         .collect();
 
-    let design = PllDesign::reference_design(0.1).expect("reference design");
-    let lam = EffectiveGain::new(&design.open_loop_gain(), design.omega_ref()).expect("lambda");
-    let n_lam = 4096usize;
-    let omegas: Vec<f64> = (0..n_lam).map(|i| 0.01 + 0.002 * i as f64).collect();
-
     // Best-of-R wall time for one closure, milliseconds.
     let best_ms = |level: SimdLevel, f: &mut dyn FnMut()| {
         let prev = simd::set_active_level(level);
@@ -137,11 +129,6 @@ fn main() {
             std::hint::black_box(&x);
         }
     });
-    bench("lambda_grid", &mut legs, &mut || {
-        let mut out = vec![Complex::ZERO; omegas.len()];
-        lam.eval_jw_batch(&omegas, &mut out);
-        std::hint::black_box(&out);
-    });
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -149,8 +136,8 @@ fn main() {
     println!("{{");
     println!(
         "  \"workload\": {{\"band_n\": {n_band}, \"band_b\": {b_band}, \"nrhs\": {nrhs}, \
-         \"bt_n\": {n_bt}, \"fft_n\": {n_fft}, \"lambda_points\": {n_lam}, \
-         \"reps\": {reps}, \"timing\": \"best-of-reps, ms\"}},"
+         \"bt_n\": {n_bt}, \"fft_n\": {n_fft}, \"reps\": {reps}, \
+         \"timing\": \"best-of-reps, ms\"}},"
     );
     println!("  \"detected_level\": \"{}\",", hw.name());
     println!("  \"host_cores\": {cores},");

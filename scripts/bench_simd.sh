@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_simd_kernels.json: per-kernel scalar-vs-SIMD wall
 # clock for the vectorized hot loops (examples/bench_simd.rs) — banded
-# LU factor/solve, banded-Toeplitz mat-vec, radix-2 FFT, and the λ(jω)
-# lattice-sum grid — timed through their real entry points with the
-# backend forced to scalar and then to the detected hardware level.
+# LU factor/solve, banded-Toeplitz mat-vec and radix-2 FFT — timed
+# through their real entry points with the backend forced to scalar and
+# then to the detected hardware level.
 #
 #   scripts/bench_simd.sh [--reps R]       # default: 9
 set -euo pipefail

@@ -136,10 +136,16 @@ esac
 echo "SIMD smoke ok ($detected)"
 
 echo "==> xcheck determinism leg (quick corpus, threads 1 vs 4)"
-x1=$(mktemp); x4=$(mktemp)
+# The --bench timings go to a scratch file: CI must not rewrite the
+# committed BENCH_xcheck_corpus.json.
+x1=$(mktemp); x4=$(mktemp); xb=$(mktemp)
 HTMPLL_THREADS=1 ./target/release/plltool xcheck --corpus quick --threads 1 --json "$x1" > /dev/null
 HTMPLL_THREADS=4 ./target/release/plltool xcheck --corpus quick --threads 4 --json "$x4" \
-    --bench BENCH_xcheck_corpus.json > /dev/null
+    --bench "$xb" > /dev/null
+test -s "$xb" || {
+    echo "xcheck leg failed: --bench wrote no timings" >&2
+    exit 1
+}
 cmp -s "$x1" "$x4" || {
     echo "xcheck determinism failed: quick-corpus reports differ across thread counts" >&2
     diff "$x1" "$x4" | head -5 >&2
@@ -157,7 +163,7 @@ grep -q 'structured-vs-dense' "$x1" || {
     exit 1
 }
 digest=$(grep -o '"digest":"[0-9a-f]*"' "$x1" | head -1)
-rm -f "$x1" "$x4"
+rm -f "$x1" "$x4" "$xb"
 echo "xcheck determinism ok (bitwise-identical across thread counts, $digest)"
 
 echo "==> xcheck full corpus (exit 2 on any mismatch)"

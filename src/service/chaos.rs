@@ -22,6 +22,7 @@
 //! [`serve_lines`]: super::serve_lines
 
 use std::io::Cursor;
+use std::sync::Mutex;
 
 use super::server::{serve_lines, ServeOptions, ServeSummary};
 use crate::requests::Request;
@@ -33,6 +34,11 @@ use htmpll_fault::{fnv64, FaultPlan};
 /// baseline byte-comparison; everything else must match exactly.
 const VALUE_CHANGING_SITES: &[&str] =
     &["lu.pivot_fail", "handler.panic", "sweep.nan", "sweep.panic"];
+
+/// Serializes [`run_chaos`] calls: each run installs the process-global
+/// fault plan and panic hook, so two concurrent runs would corrupt each
+/// other's fault-free baseline.
+static CHAOS_RUN: Mutex<()> = Mutex::new(());
 
 /// Knobs for one chaos run. `Default` matches the CLI defaults.
 #[derive(Clone, Debug)]
@@ -203,9 +209,10 @@ fn serve_once(corpus: &[String], workers: usize) -> Result<(Vec<String>, ServeSu
 
 /// Runs the three-legged replay and checks every invariant. The
 /// process-global fault plan is installed for the faulted legs and
-/// cleared before returning; callers must not run concurrent
-/// fault-sensitive work.
+/// cleared before returning; concurrent `run_chaos` calls wait for each
+/// other, but callers must not run other fault-sensitive work alongside.
 pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
+    let _run = CHAOS_RUN.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = build_corpus(opts.requests.max(8));
     let plan_text = opts.plan.clone().unwrap_or_else(|| default_plan(opts.seed));
     let plan = FaultPlan::parse(&plan_text).map_err(|e| format!("chaos: bad fault plan: {e}"))?;

@@ -16,7 +16,6 @@
 
 use htmpll::num::rng::Rng;
 use htmpll::num::simd::{self, SimdLevel};
-use htmpll::num::special::lattice_poly;
 use htmpll::num::Complex;
 use htmpll::par::ThreadBudget;
 use htmpll::prelude::*;
@@ -212,41 +211,6 @@ fn butterfly_bitwise_matches_scalar() {
         assert_bits_eq(&au_im, &bu_im, &what);
         assert_bits_eq(&av_re, &bv_re, &what);
         assert_bits_eq(&av_im, &bv_im, &what);
-    }
-}
-
-#[test]
-fn lambda_term_acc_bitwise_matches_scalar() {
-    let hw = simd::hardware_level();
-    let mut rng = Rng::seed_from_u64(0x1A77);
-    for &len in &LENGTHS {
-        for order in [1usize, 2, 3, 6] {
-            let poly = lattice_poly(order);
-            let factor = Complex::new(std::f64::consts::PI, 0.0).powi(order as i32);
-            let coeff = Complex::new(rng.range(-2.0, 2.0), rng.range(-2.0, 2.0));
-            let c_re = plane(len, &mut rng, order);
-            let c_im = plane(len, &mut rng, order + 1);
-            let acc_re0 = plane(len, &mut rng, order + 2);
-            let acc_im0 = plane(len, &mut rng, order + 3);
-            let (mut a_re, mut a_im) = (acc_re0.clone(), acc_im0.clone());
-            let (mut b_re, mut b_im) = (acc_re0, acc_im0);
-            simd::lambda_term_acc_with(
-                SimdLevel::Scalar,
-                &mut a_re,
-                &mut a_im,
-                &c_re,
-                &c_im,
-                &poly,
-                factor,
-                coeff,
-            );
-            simd::lambda_term_acc_with(
-                hw, &mut b_re, &mut b_im, &c_re, &c_im, &poly, factor, coeff,
-            );
-            let what = format!("lambda_term_acc len={len} order={order}");
-            assert_bits_eq(&a_re, &b_re, &what);
-            assert_bits_eq(&a_im, &b_im, &what);
-        }
     }
 }
 
