@@ -138,12 +138,9 @@ pub fn analyze_cached(
 
 /// Collapses one cancellable scan into its values, or the deadline
 /// error naming the phase that ran out of budget.
-fn scan_or_deadline(
-    slots: Vec<Option<Complex>>,
-    phase: &'static str,
-) -> Result<Vec<Complex>, CoreError> {
+fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec<T>, CoreError> {
     let n = slots.len();
-    let vals: Vec<Complex> = slots.into_iter().flatten().collect();
+    let vals: Vec<T> = slots.into_iter().flatten().collect();
     if vals.len() < n {
         Err(CoreError::DeadlineExceeded { phase })
     } else {
@@ -186,12 +183,15 @@ pub fn analyze_deadline(
     )?;
     let lti = stability_margins_precomputed(|w| a.eval_jw(w), &lti_grid, &lti_vals)?;
     // λ has a pole at every multiple of ω₀ on the jω axis (the aliased
-    // integrators); stay strictly inside the first band.
+    // integrators); stay strictly inside the first band. Every λ scan
+    // runs on a vertical line (the axis here, `Re s = ε` for the
+    // contour), so each computes the Re halves of its coth terms once.
     let lam = model.lambda();
+    let axis = lam.line(0.0);
     let band_edge = 0.499_999 * w0;
     let lam_grid = margin_scan_grid(lti.omega_ug * SCAN_DECADES_DOWN, band_edge);
     let lam_vals = scan_or_deadline(
-        par_map_cancellable(threads, &lam_grid, deadline, |_, &w| lam.eval_jw(w)),
+        par_map_cancellable(threads, &lam_grid, deadline, |_, &w| axis.eval(w)),
         "effective-gain margin",
     )?;
     let (eff, beyond_limit) =
@@ -222,17 +222,26 @@ pub fn analyze_deadline(
     // wideband fast loops still report a −3 dB point. One grid, one
     // parallel evaluation, shared by the bandwidth and peaking
     // extractors (the legacy path evaluated it once per extractor).
+    // The scan keeps each A(jω) — the same bits as `model.h00(ω)`'s
+    // numerator — for the LTI closed loop A/(1+A) on the same grid.
     let w_ref = lti.omega_ug * SCAN_DECADES_DOWN;
     let h00_scan_hi = 100.0 * lti.omega_ug;
     let h_grid = margin_scan_grid(w_ref, h00_scan_hi);
-    let h_vals = scan_or_deadline(
-        par_map_cancellable(threads, &h_grid, deadline, |_, &w| model.h00(w)),
+    let (a_vals, h_vals): (Vec<Complex>, Vec<Complex>) = scan_or_deadline(
+        par_map_cancellable(threads, &h_grid, deadline, |_, &w| {
+            let aw = a.eval_jw(w);
+            (aw, aw / (Complex::ONE + axis.eval(w)))
+        }),
         "closed-loop",
-    )?;
+    )?
+    .into_iter()
+    .unzip();
     let bw = bandwidth_3db_precomputed(|w| model.h00(w), w_ref, &h_grid, &h_vals);
     let pk = peaking_db_precomputed(|w| model.h00(w), w_ref, &h_vals);
     let hlti_vals = scan_or_deadline(
-        par_map_cancellable(threads, &h_grid, deadline, |_, &w| model.h00_lti(w)),
+        par_map_cancellable(threads, &a_vals, deadline, |_, &aw| {
+            aw / (Complex::ONE + aw)
+        }),
         "LTI closed-loop",
     )?;
     let pk_lti = peaking_db_precomputed(|w| model.h00_lti(w), w_ref, &hlti_vals);
@@ -240,9 +249,11 @@ pub fn analyze_deadline(
     // contour offset slightly right of the jω-axis integrator poles.
     // The contour gains are evaluated on the pool; the winding count
     // depends only on the value sequence.
-    let contour = strip_contour(w0, 1e-4 * lti.omega_ug, 4096);
+    let eps = 1e-4 * lti.omega_ug;
+    let contour = strip_contour(w0, eps, 4096);
+    let contour_line = lam.line(eps);
     let contour_vals = scan_or_deadline(
-        par_map_cancellable(threads, &contour, deadline, |_, &s| lam.eval(s)),
+        par_map_cancellable(threads, &contour, deadline, |_, &s| contour_line.eval(s.im)),
         "Nyquist contour",
     )?;
     let stable = strip_zero_count_from_values(&contour_vals) == 0;

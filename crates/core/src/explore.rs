@@ -411,13 +411,13 @@ pub struct ExploreWorkspace {
     phase: Vec<f64>,
 }
 
-/// Coarse closed-form screen: scan `|λ(jω)|` on [`SCREEN_POINTS`] log
+/// Coarse closed-form screen: scan `|λ(jω)|` on `SCREEN_POINTS` (32) log
 /// points across the first Nyquist band, estimate the unity crossing
 /// and its phase margin by interpolation. Returns `false` (reject)
 /// when the loop is beyond the sampling limit (no crossing), the
-/// estimated margin is below the floor minus [`SCREEN_SLACK_DEG`], or
-/// the gain goes non-finite.
-fn screen_passes(
+/// estimated margin is below `min_pm` minus `SCREEN_SLACK_DEG` (6°), or
+/// the gain goes non-finite. `ws` is scratch.
+pub fn screen_passes(
     model: &PllModel,
     p: &DesignParams,
     min_pm: f64,
@@ -431,13 +431,13 @@ fn screen_passes(
     if !lo.is_finite() || !hi.is_finite() || lo >= hi {
         return false;
     }
-    let lam = model.lambda();
+    let axis = model.lambda().line(0.0);
     ws.mag.clear();
     ws.phase.clear();
     let step = (hi / lo).ln() / (SCREEN_POINTS - 1) as f64;
     for i in 0..SCREEN_POINTS {
         let w = (lo.ln() + i as f64 * step).exp();
-        let v = lam.eval_jw(w);
+        let v = axis.eval(w);
         if !(v.re.is_finite() && v.im.is_finite()) {
             return false;
         }

@@ -17,6 +17,9 @@
 //! * **Exact** ([`EffectiveGain::eval`]): partial fractions of `A` plus
 //!   the `coth` lattice-sum closed forms — this is the paper's "symbolic
 //!   expressions" capability, exact for any rational strictly proper `A`.
+//!   Scans along a vertical line `Re s = x` (the jω axis, the Nyquist
+//!   contour) use [`EffectiveGain::line`], which computes the `x` half
+//!   of every `coth` once per line and returns the same bits.
 //! * **Truncated** ([`EffectiveGain::eval_truncated`]): brute-force
 //!   `Σ_{|m| ≤ M}`, the numerical cross-check and the path that
 //!   generalizes to non-rational gains.
@@ -37,14 +40,18 @@ use crate::error::{positive, CoreError};
 use htmpll_lti::{Pfe, Tf};
 use htmpll_num::hash::Fnv1a;
 use htmpll_num::special::{lattice_poly, lattice_sum, MAX_LATTICE_ORDER};
-use htmpll_num::Complex;
+use htmpll_num::{Complex, CothRe};
 
 /// Per-term data hoisted out of the λ kernel: the lattice polynomial
 /// `P_r` and the `(π/ω₀)^r` prefactor depend on the pole order alone,
 /// so construction computes them once with the exact expressions
 /// `lattice_sum` uses. `shares_coth` marks a term whose pole is bitwise
 /// equal to the previous term's: its `coth` argument is then identical,
-/// so the kernel reuses the previous `coth` value.
+/// so the kernel reuses the previous `coth` value. `shares_sin_cos`
+/// marks a new pole whose `Im` is bitwise equal to the previous pole's
+/// (every real pole after a real pole): the `Im` of its `coth` argument
+/// is then identical, so the kernel reuses the previous `sin_cos` when
+/// both `Re` halves take the same [`CothRe`] branch.
 #[derive(Debug, Clone)]
 struct PreTerm {
     pole: Complex,
@@ -52,6 +59,28 @@ struct PreTerm {
     poly: Vec<f64>,
     factor: Complex,
     shares_coth: bool,
+    shares_sin_cos: bool,
+}
+
+/// The kernel's [`PreTerm`]s for `pfe`, in PFE term order.
+fn pre_terms(pfe: &Pfe, omega0: f64) -> Vec<PreTerm> {
+    pfe.terms
+        .iter()
+        .enumerate()
+        .map(|(k, t)| {
+            let prev = k.checked_sub(1).map(|j| pfe.terms[j].pole);
+            let same_re = prev.is_some_and(|p| p.re.to_bits() == t.pole.re.to_bits());
+            let same_im = prev.is_some_and(|p| p.im.to_bits() == t.pole.im.to_bits());
+            PreTerm {
+                pole: t.pole,
+                coeff: t.coeff,
+                poly: lattice_poly(t.order),
+                factor: Complex::from_re(std::f64::consts::PI / omega0).powi(t.order as i32),
+                shares_coth: same_re && same_im,
+                shares_sin_cos: same_im,
+            }
+        })
+        .collect()
 }
 
 /// The effective open-loop gain `λ(s) = Σ_m A(s + jmω₀)`.
@@ -62,6 +91,33 @@ pub struct EffectiveGain {
     pre: Vec<PreTerm>,
     omega0: f64,
     fingerprint: u64,
+}
+
+/// `λ(s)` along one vertical line `Re s = x`, from
+/// [`EffectiveGain::line`]: holds the `Re` half of every term's `coth`,
+/// so a point costs only the `sin_cos` and the quotient of each distinct
+/// pole. Scans build one per line (the jω axis, the Nyquist contour, a
+/// grid row) and share it across workers.
+#[derive(Debug, Clone)]
+pub struct LambdaLine<'a> {
+    gain: &'a EffectiveGain,
+    x: f64,
+    halves: Vec<CothRe>,
+}
+
+impl LambdaLine<'_> {
+    /// Exact `λ(x + j·y)`, bitwise identical to
+    /// [`EffectiveGain::eval`] at `Complex::new(x, y)`. Counts one
+    /// `core.lambda.eval`, like every pointwise evaluation.
+    pub fn eval(&self, y: f64) -> Complex {
+        htmpll_obs::counter!("core", "lambda.eval").inc();
+        self.value(y)
+    }
+
+    fn value(&self, y: f64) -> Complex {
+        self.gain
+            .kernel(Complex::new(self.x, y), |k, _| self.halves[k])
+    }
 }
 
 /// Relative distance below which an alias point `s ± jmω₀` counts as
@@ -106,25 +162,10 @@ impl EffectiveGain {
         for &c in a.den().coeffs() {
             h.write_f64(c);
         }
-        let same_bits = |a: Complex, b: Complex| {
-            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-        };
-        let pre = pfe
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(k, t)| PreTerm {
-                pole: t.pole,
-                coeff: t.coeff,
-                poly: lattice_poly(t.order),
-                factor: Complex::from_re(std::f64::consts::PI / omega0).powi(t.order as i32),
-                shares_coth: k > 0 && same_bits(pfe.terms[k - 1].pole, t.pole),
-            })
-            .collect();
         Ok(EffectiveGain {
             a: a.clone(),
+            pre: pre_terms(&pfe, omega0),
             pfe,
-            pre,
             omega0,
             fingerprint: h.finish(),
         })
@@ -159,23 +200,56 @@ impl EffectiveGain {
     /// `S₁(z) = (π/ω₀)·coth(πz/ω₀)`.
     pub fn eval(&self, s: Complex) -> Complex {
         htmpll_obs::counter!("core", "lambda.eval").inc();
-        self.kernel(s)
+        let scale = std::f64::consts::PI / self.omega0;
+        self.kernel(s, |_, t| CothRe::new((s.re - t.pole.re) * scale))
     }
 
-    /// The one λ evaluation kernel behind [`eval`](EffectiveGain::eval)
-    /// and [`eval_jw_batch`](EffectiveGain::eval_jw_batch). Per term it
-    /// performs exactly the operations of `c·lattice_sum(s − p, ω₀, r)`
-    /// in the same order — `coth`, Horner from zero, `factor·h`,
-    /// `coeff·(…)`, accumulate — so its output is bitwise identical to
-    /// that reference; it only skips the per-call polynomial build and
-    /// the `coth` of a repeated pole.
-    fn kernel(&self, s: Complex) -> Complex {
+    /// The evaluator of `λ(x + jy)` along the vertical line `Re s = x`:
+    /// it computes the `x` half of each term's `coth` ([`CothRe`]) once,
+    /// here, and per point only the `y` half. Every value is bitwise
+    /// identical to [`eval`](EffectiveGain::eval) at the same `s`.
+    pub fn line(&self, x: f64) -> LambdaLine<'_> {
+        let scale = std::f64::consts::PI / self.omega0;
+        LambdaLine {
+            gain: self,
+            x,
+            halves: self
+                .pre
+                .iter()
+                .map(|t| CothRe::new((x - t.pole.re) * scale))
+                .collect(),
+        }
+    }
+
+    /// The one λ evaluation kernel behind [`eval`](EffectiveGain::eval),
+    /// [`LambdaLine::eval`] and [`eval_jw_batch`](EffectiveGain::eval_jw_batch);
+    /// they differ only in where the `Re` half of each `coth` comes from
+    /// (`half(k, term)`, always `CothRe::new` of the `Re` part of the
+    /// term's `coth` argument). Per term it performs exactly the
+    /// operations of `c·lattice_sum(s − p, ω₀, r)` in the same order —
+    /// `coth`, Horner from zero, `factor·h`, `coeff·(…)`, accumulate — so
+    /// its output is bitwise identical to that reference; it only skips
+    /// the per-call polynomial build, the `coth` of a repeated pole and
+    /// the `sin_cos` of a pole with the previous pole's `Im`.
+    #[inline]
+    fn kernel(&self, s: Complex, half: impl Fn(usize, &PreTerm) -> CothRe) -> Complex {
         let scale = std::f64::consts::PI / self.omega0;
         let mut acc = Complex::ZERO;
         let mut c = Complex::ZERO;
-        for term in &self.pre {
+        // Never compared on the first term: its `shares_*` flags are off.
+        let mut re_half = CothRe::Near {
+            cosh: 1.0,
+            sinh: 0.0,
+        };
+        let mut trig = (0.0, 1.0);
+        for (k, term) in self.pre.iter().enumerate() {
             if !term.shares_coth {
-                c = (s - term.pole).scale(scale).coth();
+                let prev = re_half;
+                re_half = half(k, term);
+                if !(term.shares_sin_cos && re_half.same_branch(prev)) {
+                    trig = re_half.sin_cos((s.im - term.pole.im) * scale);
+                }
+                c = re_half.coth(trig);
             }
             let mut h = Complex::ZERO;
             for &a in term.poly.iter().rev() {
@@ -203,8 +277,9 @@ impl EffectiveGain {
     pub fn eval_jw_batch(&self, omegas: &[f64], out: &mut [Complex]) {
         assert_eq!(omegas.len(), out.len(), "batch length mismatch");
         htmpll_obs::counter!("core", "lambda.eval").add(omegas.len() as u64);
+        let axis = self.line(0.0);
         for (o, &w) in out.iter_mut().zip(omegas) {
-            *o = self.kernel(Complex::from_im(w));
+            *o = axis.value(w);
         }
     }
 
@@ -448,9 +523,39 @@ mod tests {
                 for t in &lam.pfe().terms {
                     reference += t.coeff * lattice_sum(s - t.pole, w0, t.order);
                 }
-                let v = lam.eval(s);
-                assert_eq!(v.re.to_bits(), reference.re.to_bits(), "s={s}");
-                assert_eq!(v.im.to_bits(), reference.im.to_bits(), "s={s}");
+                for v in [lam.eval(s), lam.line(s.re).eval(s.im)] {
+                    assert_eq!(v.re.to_bits(), reference.re.to_bits(), "s={s}");
+                    assert_eq!(v.im.to_bits(), reference.im.to_bits(), "s={s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_pole_im_keeps_its_own_sin_cos() {
+        // Root snapping makes every real pole's Im +0.0, so a −0.0 can
+        // only be planted: `s.im − (−0.0)` and `s.im − 0.0` differ at
+        // s.im = −0.0, so the pole must not reuse its neighbour's
+        // sin_cos. Poles 0 and −30 on ω₀ = 2π also put the two terms on
+        // different coth branches on the far-left line.
+        let a = Tf::from_coeffs(vec![1.0], vec![0.0, 30.0, 1.0]).unwrap();
+        let mut lam = EffectiveGain::new(&a, 2.0 * std::f64::consts::PI).unwrap();
+        let k = lam.pfe.terms.iter().position(|t| t.pole.re != 0.0).unwrap();
+        lam.pfe.terms[k].pole.im = -0.0;
+        lam.pre = pre_terms(&lam.pfe, lam.omega0);
+        assert!(lam.pre.iter().all(|t| !t.shares_sin_cos));
+        for x in [0.0, -3.0, -45.0] {
+            let line = lam.line(x);
+            for y in [-0.0, 0.0, 0.3, -1.7] {
+                let s = Complex::new(x, y);
+                let mut reference = Complex::ZERO;
+                for t in &lam.pfe().terms {
+                    reference += t.coeff * lattice_sum(s - t.pole, lam.omega0(), t.order);
+                }
+                for v in [lam.eval(s), line.eval(y)] {
+                    assert_eq!(v.re.to_bits(), reference.re.to_bits(), "s={s}");
+                    assert_eq!(v.im.to_bits(), reference.im.to_bits(), "s={s}");
+                }
             }
         }
     }

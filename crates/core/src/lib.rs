@@ -62,7 +62,7 @@ pub use explore::{
     ExploreSpec, ParetoFront, EXPLORE_BLOCK, EXPLORE_F_REF,
 };
 pub use hold::SampleHoldModel;
-pub use lambda::EffectiveGain;
+pub use lambda::{EffectiveGain, LambdaLine};
 pub use noise::{NoiseModel, NoiseShape};
 pub use optimize::{optimize_loop, Candidate, NoiseSpec, OptimizeSpec};
 pub use poles::{damping_ratio, dominant_poles};

@@ -95,8 +95,9 @@ pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
     let re_at = |i: usize| -3.0 + 4.0 * i as f64 / (NR - 1) as f64;
     let im_at = |j: usize| w0 * (-0.1 + 0.7 * j as f64 / (NI - 1) as f64);
     for (i, row) in grid.iter_mut().enumerate() {
+        let line = lam.line(re_at(i));
         for (j, cell) in row.iter_mut().enumerate() {
-            *cell = (Complex::ONE + lam.eval(Complex::new(re_at(i), im_at(j)))).abs();
+            *cell = (Complex::ONE + line.eval(im_at(j))).abs();
         }
     }
     for i in 1..NR - 1 {

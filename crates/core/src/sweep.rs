@@ -687,26 +687,25 @@ pub fn bode_grid<F: Fn(f64) -> Complex + Sync>(f: F, spec: &SweepSpec) -> Vec<Bo
     bode_from_values(spec.grid.points(), &values)
 }
 
-/// Grid-point block size for the batched λ sweep: large enough to
-/// amortize one pool task over many [`EffectiveGain::eval_jw_batch`]
-/// points, small enough to keep the parallel pool load-balanced. Chunk
-/// boundaries are fixed by index, so the partition — and with it every
-/// block result — is independent of the thread count.
+/// Grid-point block size for the λ sweep: large enough to amortize one
+/// pool task over many points, small enough to keep the parallel pool
+/// load-balanced. Chunk boundaries are fixed by index, so the
+/// partition — and with it every block result — is independent of the
+/// thread count.
 const LAMBDA_CHUNK: usize = 32;
 
 impl EffectiveGain {
     /// Exact λ(jω) over `spec.grid`, evaluated on the parallel pool in
-    /// [`LAMBDA_CHUNK`]-point blocks through the batch path.
-    /// Bitwise identical to pointwise [`EffectiveGain::eval_jw`] calls
-    /// at any thread count.
+    /// [`LAMBDA_CHUNK`]-point blocks along one axis
+    /// [`line`](EffectiveGain::line). Bitwise identical to pointwise
+    /// [`EffectiveGain::eval_jw`] calls at any thread count.
     pub fn eval_grid(&self, spec: &SweepSpec) -> Vec<Complex> {
         let _span =
             htmpll_obs::span_labeled("core", "sweep.lambda", || format!("n={}", spec.grid.len()));
+        let axis = self.line(0.0);
         let chunks: Vec<&[f64]> = spec.grid.points().chunks(LAMBDA_CHUNK).collect();
         let blocks = par_map(spec.threads, &chunks, |_, ws| {
-            let mut out = vec![Complex::ZERO; ws.len()];
-            self.eval_jw_batch(ws, &mut out);
-            out
+            ws.iter().map(|&w| axis.eval(w)).collect::<Vec<_>>()
         });
         blocks.into_iter().flatten().collect()
     }

@@ -249,17 +249,13 @@ impl Complex {
     }
 
     /// Complex hyperbolic cotangent `1/tanh z`, stable for large `|Re z|`.
+    /// Evaluated as its two halves, [`CothRe`] of `Re z` and the
+    /// `sin_cos` of `Im z`, so callers holding `Re z` fixed can reuse
+    /// the first half with identical bits.
+    #[inline]
     pub fn coth(self) -> Self {
-        if self.re.abs() > 20.0 {
-            let s = self.re.signum();
-            let e = (-2.0 * self.re.abs()).exp();
-            let twiddle = Complex::new(e * (2.0 * self.im).cos(), s * e * (2.0 * self.im).sin());
-            return (Complex::ONE + twiddle) / (Complex::ONE - twiddle) * s;
-        }
-        // `cosh() / sinh()` with each real transcendental evaluated once.
-        let (ch, sh) = (self.re.cosh(), self.re.sinh());
-        let (sin, cos) = self.im.sin_cos();
-        Complex::new(ch * cos, sh * sin) / Complex::new(sh * cos, ch * sin)
+        let half = CothRe::new(self.re);
+        half.coth(half.sin_cos(self.im))
     }
 
     /// Returns true when either component is NaN.
@@ -278,6 +274,84 @@ impl Complex {
     #[inline]
     pub fn approx_eq(self, other: Complex, tol: f64) -> bool {
         (self - other).abs() <= tol
+    }
+}
+
+/// The half of `coth(x + jy)` that depends on `x` alone: `(cosh x,
+/// sinh x)`, or — for `|x| > 20`, where those overflow — `sign(x)` and
+/// `e^{−2|x|}`. Computing it once serves every `y` on the vertical line
+/// `Re z = x`; [`Complex::coth`] is exactly
+/// `h.coth(h.sin_cos(y))` with `h = CothRe::new(x)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CothRe {
+    /// `|x| ≤ 20` (or NaN): `coth = (cosh x·cos y + j·sinh x·sin y) /
+    /// (sinh x·cos y + j·cosh x·sin y)`.
+    Near {
+        /// `cosh x`.
+        cosh: f64,
+        /// `sinh x`.
+        sinh: f64,
+    },
+    /// `|x| > 20`: `coth = sign·(1 + t)/(1 − t)` with
+    /// `t = e^{−2|x|}·(cos 2y + j·sign·sin 2y)`.
+    Far {
+        /// `sign(x)`.
+        sign: f64,
+        /// `e^{−2|x|}`.
+        exp: f64,
+    },
+}
+
+impl CothRe {
+    /// The `x` half of `coth(x + jy)`.
+    #[inline]
+    pub fn new(x: f64) -> CothRe {
+        if x.abs() > 20.0 {
+            CothRe::Far {
+                sign: x.signum(),
+                exp: (-2.0 * x.abs()).exp(),
+            }
+        } else {
+            CothRe::Near {
+                cosh: x.cosh(),
+                sinh: x.sinh(),
+            }
+        }
+    }
+
+    /// `(sin, cos)` of the angle this branch needs: `y`, or `2y` on the
+    /// far branch. Two halves on the same branch (see
+    /// [`same_branch`](CothRe::same_branch)) need the same value for
+    /// the same `y`.
+    #[inline]
+    pub fn sin_cos(self, y: f64) -> (f64, f64) {
+        match self {
+            CothRe::Near { .. } => y.sin_cos(),
+            CothRe::Far { .. } => (2.0 * y).sin_cos(),
+        }
+    }
+
+    /// True when both halves take the same branch.
+    #[inline]
+    pub fn same_branch(self, other: CothRe) -> bool {
+        matches!(
+            (self, other),
+            (CothRe::Near { .. }, CothRe::Near { .. }) | (CothRe::Far { .. }, CothRe::Far { .. })
+        )
+    }
+
+    /// `coth(x + jy)` from this half and `(sin, cos) = self.sin_cos(y)`.
+    #[inline]
+    pub fn coth(self, (sin, cos): (f64, f64)) -> Complex {
+        match self {
+            CothRe::Near { cosh, sinh } => {
+                Complex::new(cosh * cos, sinh * sin) / Complex::new(sinh * cos, cosh * sin)
+            }
+            CothRe::Far { sign, exp } => {
+                let twiddle = Complex::new(exp * cos, sign * exp * sin);
+                (Complex::ONE + twiddle) / (Complex::ONE - twiddle) * sign
+            }
+        }
     }
 }
 

@@ -58,7 +58,7 @@ pub mod solve;
 pub mod special;
 
 pub use band_lu::{BandLu, BandMat};
-pub use complex::Complex;
+pub use complex::{Complex, CothRe};
 pub use eig::{eigenvalues, EigError};
 pub use lu::{Lu, LuError};
 pub use mat::{expm, CMat};

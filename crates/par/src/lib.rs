@@ -159,93 +159,15 @@ where
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let threads = budget.resolve().min(n.max(1));
-    htmpll_obs::counter!("par", "tasks").add(n as u64);
-    if threads <= 1 {
-        // Same span as the threaded path so traces carry a `par` timeline
-        // at every thread count; children still nest under the caller.
-        let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads=1"));
-        let mut ws = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut ws, i, t))
-            .collect();
-    }
-
-    let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads={threads}"));
-    let telemetry = htmpll_obs::record!("par", "worker_busy_ns").is_enabled();
-    // Fault scopes are thread-local; spawned workers must re-establish
-    // the caller's ambient scope or scope-gated injection sites would
-    // silently stop firing above one thread (breaking the chaos
-    // harness's thread-count invariance).
-    let fault_scope = htmpll_fault::current_scope();
-    let chunk = chunk_size(n, threads);
-    let cursor = AtomicUsize::new(0);
-    // Workers publish (start_index, results) per chunk; the merge below
-    // reorders by start index, so placement is deterministic no matter
-    // which worker computed which chunk.
-    let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n / chunk + threads));
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let parts = &parts;
-        let init = &init;
-        let f = &f;
-        for widx in 0..threads {
-            scope.spawn(move || {
-                let _fault = htmpll_fault::scope_guard(fault_scope);
-                // Busy/steal timeline: the worker span brackets this
-                // worker's busy life; each chunk is a child span; every
-                // grab after the first is a steal marker. All trace-only
-                // (high cardinality would pollute the metric registry).
-                let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));
-                let started = telemetry.then(Instant::now);
-                let mut ws = init();
-                let mut grabbed = 0usize;
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    if grabbed > 0 {
-                        htmpll_obs::instant("par", || format!("steal{{w{widx}@{start}}}"));
-                    }
-                    let _cspan =
-                        htmpll_obs::trace_span("par", || format!("chunk{{{start}..{end}}}"));
-                    let out: Vec<R> = items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(&mut ws, start + i, t))
-                        .collect();
-                    parts
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((start, out));
-                    grabbed += 1;
-                }
-                if grabbed > 0 {
-                    htmpll_obs::counter!("par", "chunks").add(grabbed as u64);
-                    // Everything beyond a worker's first grab came off the
-                    // shared cursor while other workers were busy: steals.
-                    htmpll_obs::counter!("par", "steals").add((grabbed - 1) as u64);
-                }
-                if let Some(t0) = started {
-                    htmpll_obs::record!("par", "worker_busy_ns")
-                        .record(t0.elapsed().as_secs_f64() * 1e9);
-                }
-            });
-        }
-    });
-
-    let mut parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut parts = map_chunks(budget, items, &Deadline::none(), init, f);
     parts.sort_unstable_by_key(|&(start, _)| start);
-    let mut out = Vec::with_capacity(n);
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().map(|(_, p)| p).unwrap_or_default();
+    out.reserve(items.len() - out.len());
     for (_, mut p) in parts {
         out.append(&mut p);
     }
-    debug_assert_eq!(out.len(), n);
+    debug_assert_eq!(out.len(), items.len());
     out
 }
 
@@ -292,35 +214,70 @@ where
     F: Fn(&mut W, usize, &T) -> R + Sync,
 {
     let n = items.len();
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut completed = 0usize;
+    for (start, part) in map_chunks(budget, items, deadline, init, f) {
+        completed += part.len();
+        for (slot, r) in slots[start..].iter_mut().zip(part) {
+            *slot = Some(r);
+        }
+    }
+    if completed < n {
+        htmpll_obs::counter!("par", "cancelled_tasks").add((n - completed) as u64);
+    }
+    slots
+}
+
+/// The one worker loop behind every scoped map: runs `f` over `items`
+/// until `deadline` expires and returns `(start_index, results)` per
+/// chunk, in completion order. A chunk's results are a prefix of its
+/// items (shorter only when the deadline expired mid-chunk); chunks
+/// never grabbed are absent. With a resolved budget of 1 (or ≤ 1 items)
+/// it runs inline as a single chunk.
+fn map_chunks<T, R, W, I, F>(
+    budget: ThreadBudget,
+    items: &[T],
+    deadline: &Deadline,
+    init: I,
+    f: F,
+) -> Vec<(usize, Vec<R>)>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &T) -> R + Sync,
+{
+    let n = items.len();
     let threads = budget.resolve().min(n.max(1));
     htmpll_obs::counter!("par", "tasks").add(n as u64);
     if threads <= 1 {
+        // Same span as the threaded path so traces carry a `par` timeline
+        // at every thread count; children still nest under the caller.
         let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads=1"));
         let mut ws = init();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n);
         for (i, t) in items.iter().enumerate() {
             if deadline.expired() {
                 break;
             }
-            out.push(Some(f(&mut ws, i, t)));
+            out.push(f(&mut ws, i, t));
         }
-        let skipped = n - out.len();
-        out.resize_with(n, || None);
-        if skipped > 0 {
-            htmpll_obs::counter!("par", "cancelled_tasks").add(skipped as u64);
-        }
-        return out;
+        return vec![(0, out)];
     }
 
     let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads={threads}"));
+    let telemetry = htmpll_obs::record!("par", "worker_busy_ns").is_enabled();
+    // Fault scopes are thread-local; spawned workers must re-establish
+    // the caller's ambient scope or scope-gated injection sites would
+    // silently stop firing above one thread (breaking the chaos
+    // harness's thread-count invariance).
     let fault_scope = htmpll_fault::current_scope();
     let chunk = chunk_size(n, threads);
     let cursor = AtomicUsize::new(0);
-    // Chunks may complete partially (expiry mid-chunk), so workers
-    // publish per-chunk Option vectors; unpublished tail items of a
-    // chunk — and whole chunks never grabbed — stay None in the merge.
-    let parts: Mutex<Vec<(usize, Vec<Option<R>>)>> =
-        Mutex::new(Vec::with_capacity(n / chunk + threads));
+    // Workers publish (start_index, results) per chunk; callers place
+    // them by start index, so placement is deterministic no matter
+    // which worker computed which chunk.
+    let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n / chunk + threads));
     std::thread::scope(|scope| {
         let cursor = &cursor;
         let parts = &parts;
@@ -329,8 +286,14 @@ where
         for widx in 0..threads {
             scope.spawn(move || {
                 let _fault = htmpll_fault::scope_guard(fault_scope);
+                // Busy/steal timeline: the worker span brackets this
+                // worker's busy life; each chunk is a child span; every
+                // grab after the first is a steal marker. All trace-only
+                // (high cardinality would pollute the metric registry).
                 let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));
+                let started = telemetry.then(Instant::now);
                 let mut ws = init();
+                let mut grabbed = 0usize;
                 loop {
                     if deadline.expired() {
                         break;
@@ -340,38 +303,38 @@ where
                         break;
                     }
                     let end = (start + chunk).min(n);
+                    if grabbed > 0 {
+                        htmpll_obs::instant("par", || format!("steal{{w{widx}@{start}}}"));
+                    }
                     let _cspan =
                         htmpll_obs::trace_span("par", || format!("chunk{{{start}..{end}}}"));
-                    let mut out: Vec<Option<R>> = Vec::with_capacity(end - start);
+                    let mut out = Vec::with_capacity(end - start);
                     for (i, t) in items[start..end].iter().enumerate() {
                         if !out.is_empty() && deadline.expired() {
                             break;
                         }
-                        out.push(Some(f(&mut ws, start + i, t)));
+                        out.push(f(&mut ws, start + i, t));
                     }
                     parts
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push((start, out));
+                    grabbed += 1;
+                }
+                if grabbed > 0 {
+                    htmpll_obs::counter!("par", "chunks").add(grabbed as u64);
+                    // Everything beyond a worker's first grab came off the
+                    // shared cursor while other workers were busy: steals.
+                    htmpll_obs::counter!("par", "steals").add((grabbed - 1) as u64);
+                }
+                if let Some(t0) = started {
+                    htmpll_obs::record!("par", "worker_busy_ns")
+                        .record(t0.elapsed().as_secs_f64() * 1e9);
                 }
             });
         }
     });
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut completed = 0usize;
-    for (start, part) in parts.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        for (i, r) in part.into_iter().enumerate() {
-            if r.is_some() {
-                completed += 1;
-            }
-            slots[start + i] = r;
-        }
-    }
-    if completed < n {
-        htmpll_obs::counter!("par", "cancelled_tasks").add((n - completed) as u64);
-    }
-    slots
+    parts.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -539,10 +502,25 @@ mod tests {
     fn trace_timeline_has_worker_and_chunk_events() {
         htmpll_obs::trace_start(1 << 14);
         let xs: Vec<usize> = (0..64).collect();
-        let _ = par_map(ThreadBudget::Fixed(2), &xs, |_, &x| x + 1);
+        let _ = par_map(ThreadBudget::Fixed(2), &xs, |_, &x| {
+            // Tags this map's worker threads: the other tests of this
+            // binary run maps concurrently, and their workers record
+            // into the same process-global trace session.
+            htmpll_obs::instant("par_test", || "item".to_string());
+            x + 1
+        });
         let t = htmpll_obs::trace_stop();
-        let par_events: Vec<&htmpll_obs::TraceEvent> =
-            t.events.iter().filter(|e| e.cat == "par").collect();
+        let own: std::collections::HashSet<u64> = t
+            .events
+            .iter()
+            .filter(|e| e.cat == "par_test")
+            .map(|e| e.tid)
+            .collect();
+        let par_events: Vec<&htmpll_obs::TraceEvent> = t
+            .events
+            .iter()
+            .filter(|e| e.cat == "par" && own.contains(&e.tid))
+            .collect();
         assert!(
             par_events.iter().any(|e| e.name.starts_with("worker{")),
             "missing worker timeline: {par_events:?}"
@@ -567,18 +545,25 @@ mod tests {
     #[test]
     fn telemetry_counts_tasks_and_steals() {
         htmpll_obs::override_filter("par=debug");
-        htmpll_obs::reset();
         let xs: Vec<usize> = (0..256).collect();
-        let _ = par_map(ThreadBudget::Fixed(4), &xs, |_, &x| x + 1);
-        let snap = htmpll_obs::snapshot();
-        let get = |name: &str| {
-            snap.iter()
-                .find(|m| m.key == name)
-                .unwrap_or_else(|| panic!("missing metric {name}"))
-        };
-        assert!(get("par.tasks").count >= 256);
-        assert!(get("par.chunks").count >= 1);
-        let _ = get("par.worker_busy_ns");
+        for cancellable in [false, true] {
+            htmpll_obs::reset();
+            if cancellable {
+                let d = Deadline::none();
+                let _ = par_map_cancellable(ThreadBudget::Fixed(4), &xs, &d, |_, &x| x + 1);
+            } else {
+                let _ = par_map(ThreadBudget::Fixed(4), &xs, |_, &x| x + 1);
+            }
+            let snap = htmpll_obs::snapshot();
+            let get = |name: &str| {
+                snap.iter()
+                    .find(|m| m.key == name)
+                    .unwrap_or_else(|| panic!("cancellable={cancellable}: missing metric {name}"))
+            };
+            assert!(get("par.tasks").count >= 256);
+            assert!(get("par.chunks").count >= 1);
+            let _ = get("par.worker_busy_ns");
+        }
         htmpll_obs::override_filter("off");
     }
 }

@@ -42,6 +42,17 @@ if [ "$sites" -lt 10 ]; then
     exit 1
 fi
 echo "metrics smoke ok ($sites instrumented sites)"
+# One core.lambda.eval per λ point, however the scans are split into
+# lines, chunks or workers.
+for t in 1 4; do
+    evals=$(HTMPLL_THREADS=$t ./target/release/plltool metrics --ratio 0.1 |
+        awk '$1 == "core.lambda.eval" { print $3 }')
+    if [ "$evals" != "11194" ]; then
+        echo "metrics smoke failed: core.lambda.eval = '$evals' at HTMPLL_THREADS=$t, want 11194" >&2
+        exit 1
+    fi
+done
+echo "lambda eval count ok (11194 at HTMPLL_THREADS=1 and 4)"
 
 echo "==> panic audit (library paths)"
 audit_fail=0

@@ -314,7 +314,8 @@ fn bode(
         // λ is only meaningful inside the first band.
         let spec =
             SweepSpec::new(grid.retain(|w| w < 0.4999 * design.omega_ref())).with_threads(threads);
-        bode_grid(|w| lam.eval_jw(w), &spec)
+        let axis = lam.line(0.0);
+        bode_grid(|w| axis.eval(w), &spec)
     } else {
         let a = design.open_loop_gain();
         let spec = SweepSpec::new(grid).with_threads(threads);

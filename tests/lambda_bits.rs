@@ -8,16 +8,23 @@
 //! the Nyquist contour (`Re s = ε`), off-axis points, the aliases of the
 //! double pole at the origin (`s = j·m·ω₀`) and the poles themselves,
 //! over a type-II loop (double pole at 0), a loop with distinct poles
-//! only, and a loop with a triple pole (lattice order 3). The analysis
-//! leg pins every `AnalysisReport` field over explore candidates and
-//! reference designs.
+//! only, and a loop with a triple pole (lattice order 3). The line leg
+//! checks `EffectiveGain::line` against `Σ c·lattice_sum` bit for bit on
+//! the scan lines (axis, contour, left of the origin, far left on the
+//! `|Re| > 20` branch of `coth`) over conjugate, repeated and mixed-branch
+//! pole layouts, and pins `coth` itself. The analysis leg pins every
+//! `AnalysisReport` field over explore candidates and reference designs,
+//! the strip poles of `dominant_poles` and the explorer's screen verdicts.
+//! Every digest was computed before the line evaluator existed.
 
+use htmpll::core::explore::{screen_passes, ExploreWorkspace};
 use htmpll::core::{
-    analyze_with, candidate_params, AnalysisReport, CoreError, DesignParams, EffectiveGain,
-    PllDesign, PllModel, EXPLORE_F_REF,
+    analyze_with, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
+    EffectiveGain, PllDesign, PllModel, EXPLORE_F_REF,
 };
 use htmpll::lti::Tf;
 use htmpll::num::hash::Fnv1a;
+use htmpll::num::special::lattice_sum;
 use htmpll::num::Complex;
 use htmpll::par::ThreadBudget;
 use std::f64::consts::PI;
@@ -165,4 +172,138 @@ fn analysis_report_bits() {
     }
     assert!(ok >= 12, "only {ok} of 20 analyses succeeded");
     assert_eq!(format!("{:016x}", h.finish()), "f0cf6de8e6d3f3e1");
+}
+
+/// Models whose pole layouts exercise every sharing rule of the line
+/// evaluator: the type-II loop (double pole at 0 after a real pole, all
+/// on `Im = 0`), a complex-conjugate pair beside an integrator, a
+/// repeated off-origin pole (cluster mean with a tiny nonzero `Im`)
+/// beside a real pole, and two real poles far enough apart that one
+/// line puts one term on each `coth` branch.
+fn line_models() -> Vec<EffectiveGain> {
+    let d = PllDesign::reference_design(0.1).unwrap();
+    let tfs = [
+        // (s/2 + 1)/(s·(s² + 2s + 5)): poles 0 and −1 ± 2j.
+        Tf::from_coeffs(vec![1.0, 0.5], vec![0.0, 5.0, 2.0, 1.0]).unwrap(),
+        // (s + 3)/((s + 2)²·(s + 1)).
+        Tf::from_coeffs(vec![3.0, 1.0], vec![4.0, 8.0, 5.0, 1.0]).unwrap(),
+        // 1/(s·(s + 60)).
+        Tf::from_coeffs(vec![1.0], vec![0.0, 60.0, 1.0]).unwrap(),
+    ];
+    let mut models = vec![EffectiveGain::new(&d.open_loop_gain(), d.omega_ref()).unwrap()];
+    models.extend(tfs.iter().map(|a| EffectiveGain::new(a, 2.0 * PI).unwrap()));
+    models
+}
+
+/// The vertical lines `Re s = x` of the scans: the jω axis, the Nyquist
+/// contour offset, a line left of the origin, and a line so far left
+/// that every term's `coth` argument has `|Re| > 20`.
+fn scan_lines(lam: &EffectiveGain) -> [f64; 4] {
+    let w0 = lam.omega0();
+    let leftmost = lam
+        .pfe()
+        .terms
+        .iter()
+        .map(|t| t.pole.re)
+        .fold(0.0, f64::min);
+    [0.0, 1e-4 * w0, -3.0, leftmost - 8.0 * w0]
+}
+
+/// Imaginary parts probed on each line: a grid across 1.3 bands, both
+/// signed zeros, the aliases `m·ω₀` and every pole's `Im`.
+fn line_ims(lam: &EffectiveGain) -> Vec<f64> {
+    let w0 = lam.omega0();
+    let mut ims: Vec<f64> = (0..=48)
+        .map(|k| w0 * 1.3 * (k as f64 / 48.0 - 0.5))
+        .collect();
+    ims.extend([0.0, -0.0, w0, -2.0 * w0]);
+    ims.extend(lam.pfe().terms.iter().map(|t| t.pole.im));
+    ims
+}
+
+#[test]
+fn line_evaluator_matches_lattice_sum_reference() {
+    let mut h = Fnv1a::new();
+    for lam in line_models() {
+        let w0 = lam.omega0();
+        for re in scan_lines(&lam) {
+            let line = lam.line(re);
+            for im in line_ims(&lam) {
+                let s = Complex::new(re, im);
+                let mut reference = Complex::ZERO;
+                for t in &lam.pfe().terms {
+                    reference += t.coeff * lattice_sum(s - t.pole, w0, t.order);
+                }
+                let point = lam.eval(s);
+                let on_line = line.eval(im);
+                for v in [point, on_line] {
+                    assert_eq!(v.re.to_bits(), reference.re.to_bits(), "s={s}");
+                    assert_eq!(v.im.to_bits(), reference.im.to_bits(), "s={s}");
+                }
+                write_c(&mut h, point);
+            }
+        }
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "94acfb8f66347b9c");
+}
+
+#[test]
+fn coth_bits() {
+    // Both branches, the switchover at |Re| = 20 and signed zeros.
+    let xs = [
+        0.0, -0.0, 1e-3, -0.7, 3.5, 19.999, 20.0, 20.001, -20.5, 300.0,
+    ];
+    let ys = [0.0, -0.0, 0.4, -2.9, 1e3, std::f64::consts::FRAC_PI_2];
+    let mut h = Fnv1a::new();
+    for x in xs {
+        for y in ys {
+            write_c(&mut h, Complex::new(x, y).coth());
+        }
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "83495f30d4f4e827");
+}
+
+#[test]
+fn dominant_poles_bits() {
+    let mut h = Fnv1a::new();
+    let mut found = 0;
+    for i in 0..16 {
+        let p = candidate_params(1, i, false);
+        let poles = candidate_design(&p)
+            .and_then(|d| PllModel::builder(d).build())
+            .and_then(|m| dominant_poles(&m));
+        match poles {
+            Ok(poles) => {
+                found += poles.len();
+                h.write_u64(poles.len() as u64);
+                for z in poles {
+                    write_c(&mut h, z);
+                }
+            }
+            Err(e) => h.write_str(&format!("err:{e}")),
+        }
+    }
+    assert!(found >= 16, "only {found} poles over 16 designs");
+    assert_eq!(format!("{:016x}", h.finish()), "03d1449bc69f3eda");
+}
+
+#[test]
+fn explore_screen_verdict_bits() {
+    let mut h = Fnv1a::new();
+    let mut ws = ExploreWorkspace::default();
+    let mut passed = 0;
+    for i in 0..96 {
+        let p = candidate_params(1, i, false);
+        let Ok(model) = candidate_design(&p).and_then(|d| PllModel::builder(d).build()) else {
+            h.write_str("failed");
+            continue;
+        };
+        for min_pm in [30.0, 50.0, 65.0] {
+            let pass = screen_passes(&model, &p, min_pm, &mut ws);
+            passed += pass as usize;
+            h.write_u64(pass as u64);
+        }
+    }
+    assert!(passed > 0 && passed < 3 * 96, "{passed} verdicts passed");
+    assert_eq!(format!("{:016x}", h.finish()), "0361e067283775c4");
 }

@@ -184,3 +184,33 @@ fn thousand_request_stream_is_lossless_and_runs_warm() {
         "repeated-spec workload must run warm (hit rate {hit_rate:.2}): {summary:?}"
     );
 }
+
+#[test]
+fn served_bytes_are_pinned() {
+    // The λ-heavy commands: analyze (with its strip poles), the λ Bode
+    // plot, a ratio sweep and a spur scan. The digest covers every
+    // response byte, so any rounding change in the λ scans shows here.
+    let mut input = String::new();
+    for (i, ratio) in [0.05, 0.1, 0.2, 0.3, 0.45].iter().enumerate() {
+        input.push_str(&format!(
+            "{{\"id\":{i},\"command\":\"analyze\",\"params\":{{\"ratio\":{ratio}}}}}\n"
+        ));
+    }
+    for ratio in [0.1, 0.3] {
+        input.push_str(&format!(
+            "{{\"id\":\"b{ratio}\",\"command\":\"bode\",\"params\":{{\"ratio\":{ratio},\"points\":41,\"lambda\":true}}}}\n"
+        ));
+    }
+    input.push_str(
+        "{\"id\":\"w\",\"command\":\"sweep\",\"params\":{\"from\":0.05,\"to\":0.3,\"points\":6}}\n",
+    );
+    input.push_str("{\"id\":\"p\",\"command\":\"spur\",\"params\":{\"ratio\":0.25}}\n");
+
+    let (out, _) = run_inproc(&input, 2);
+    assert_eq!(out.lines().count(), 9, "{out}");
+    assert!(out.contains("\"strip_poles\":["), "{out}");
+    assert_eq!(
+        format!("{:016x}", htmpll::num::hash::fnv1a(out.as_bytes())),
+        "4b982ab6c7d75992"
+    );
+}
