@@ -26,7 +26,7 @@ use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::lambda::EffectiveGain;
 use htmpll_htm::{
-    closed_loop_rank_one, Htm, HtmBlock, LtiHtm, SamplerHtm, Truncation, TruncationSpec, VcoHtm,
+    closed_loop_rank_one, Htm, HtmBlock, HtmRepr, SamplerHtm, Truncation, TruncationSpec, VcoHtm,
 };
 use htmpll_num::Complex;
 
@@ -40,8 +40,11 @@ pub struct PllModel {
     lambda: EffectiveGain,
     /// Extra LTI factor in the forward path (e.g. a Padé delay block);
     /// unity when absent. Folded into `lambda` at construction and
-    /// applied explicitly by the matrix-assembly paths.
+    /// applied explicitly by [`v_column`](PllModel::v_column).
     extra_lti: Option<htmpll_lti::Tf>,
+    /// The forward path `H_LF(s)·extra(s)` as one product, built once
+    /// for [`open_loop_htm`](PllModel::open_loop_htm).
+    fwd_tf: htmpll_lti::Tf,
     /// Identity hash over everything the HTM assembly reads; see
     /// [`PllModel::fingerprint`].
     fingerprint: u64,
@@ -173,11 +176,16 @@ impl PllModelBuilder {
                 h.write_f64(c);
             }
         }
+        let fwd_tf = match &extra_lti {
+            Some(extra) => &hlf * extra,
+            None => hlf,
+        };
         Ok(PllModel {
             design,
             vco_isf,
             lambda,
             extra_lti,
+            fwd_tf,
             fingerprint: h.finish(),
         })
     }
@@ -324,22 +332,28 @@ impl PllModel {
 
     /// Assembles the **open-loop** HTM `G̃(s) = H̃_VCO·(H̃_LF·H̃_PFD)`
     /// — the input to the reference closed-loop solve, exposed so sweep
-    /// caches can factor it once per Laplace point. The association
-    /// order is chosen for structure propagation: the rank-one PFD is
-    /// absorbed first (`Diag·RankOne` and `BT·RankOne` both stay rank
-    /// one), so the whole product is assembled in O(n·b) and the repr
-    /// the closed-loop solver sees admits the Sherman–Morrison closed
-    /// form.
+    /// caches can factor it once per Laplace point. The rank-one PFD is
+    /// absorbed first, so `G̃ = u·𝟙ᵀ` is built from its factors in
+    /// O(n·b): `x_n = H_fwd(s + jnω₀)·(ω₀/2π)` is the column of
+    /// `H̃_LF·H̃_PFD` and `u = H̃_VCO·x` one banded mat-vec. These are the
+    /// operations the block product `Diag·RankOne` then `BT·RankOne`
+    /// performs, in the same order, so the bits match it.
     pub fn open_loop_htm(&self, s: Complex, trunc: Truncation) -> Htm {
         let w0 = self.design.omega_ref();
-        let pfd = SamplerHtm::new(w0);
-        let mut fwd_tf = self.design.loop_filter_tf();
-        if let Some(extra) = &self.extra_lti {
-            fwd_tf = &fwd_tf * extra;
-        }
-        let lf = LtiHtm::new(fwd_tf, w0);
-        let vco = VcoHtm::new(self.vco_isf.clone(), w0);
-        &vco.htm(s, trunc) * &(&lf.htm(s, trunc) * &pfd.htm(s, trunc))
+        let n = trunc.dim();
+        let weight = Complex::from_re(SamplerHtm::new(w0).weight());
+        let x: Vec<Complex> = trunc
+            .harmonics()
+            .map(|k| self.fwd_tf.eval(s + Complex::from_im(k as f64 * w0)) * weight)
+            .collect();
+        let vco = VcoHtm::new(self.vco_isf.clone(), w0).htm(s, trunc);
+        let u = vco.repr().mul_vec(n, &x);
+        let open = HtmRepr::RankOnePlus {
+            u,
+            v: vec![Complex::ONE; n],
+            shift: Complex::ZERO,
+        };
+        Htm::from_repr(trunc, w0, open)
     }
 
     /// Full closed-loop HTM via dense block assembly and LU solve — the

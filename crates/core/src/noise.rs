@@ -72,9 +72,12 @@ impl<'a> NoiseModel<'a> {
         vco_psd: &dyn Fn(f64) -> f64,
     ) -> f64 {
         let w0 = self.model.design().omega_ref();
-        let h00_sq = self.reference_gain(omega).norm_sqr();
-        let vco_bb_sq = self.vco_gain_baseband(omega).norm_sqr();
-        let vco_fold_sq = self.vco_gain_folded(omega).norm_sqr();
+        // One closed-loop evaluation serves all three gains (see
+        // `reference_gain`, `vco_gain_baseband`, `vco_gain_folded`).
+        let h = self.model.h00(omega);
+        let h00_sq = h.norm_sqr();
+        let vco_bb_sq = (Complex::ONE - h).norm_sqr();
+        let vco_fold_sq = (-h).norm_sqr();
 
         let mut acc = h00_sq * ref_psd(omega.abs()) + vco_bb_sq * vco_psd(omega.abs());
         for m in 1..=self.fold_bands as i64 {

@@ -2,7 +2,7 @@
 //!
 //! A [`Deadline`] is a cheap, cloneable budget handle checked at
 //! per-point granularity by the cancellable map variants
-//! ([`crate::par_map_with_cancel`], [`crate::Pool::map_cancellable`])
+//! ([`crate::par_map_cancellable`], [`crate::par_map_with_cancel`])
 //! and by `core::sweep`'s grid loops. Expiry is **cooperative**: a
 //! worker finishes the point it is on, then stops taking new points, so
 //! an expired budget yields a partial result instead of a wedged

@@ -7,12 +7,16 @@
 //! multi-core sweeps **without leaving `std`** (the workspace builds
 //! offline, so `rayon`/`crossbeam` are not options):
 //!
-//! * [`par_map`] — map a pure function over a slice using scoped worker
-//!   threads that pull **chunks of work from a shared atomic cursor**
+//! * [`par_map`] — map a pure function over a slice. The caller and up
+//!   to `threads − 1` threads of **one persistent, process-wide pool**
+//!   pull **chunks of work from a shared atomic cursor**
 //!   (self-balancing: a worker that finishes its chunk steals the next
 //!   one, so uneven per-point cost does not serialize the sweep), and
 //!   [`par_map_with`] — the same engine with a per-worker scratch
-//!   workspace so hot loops can run allocation-free,
+//!   workspace so hot loops can run allocation-free. The pool grows to
+//!   the largest budget any map asks for and keeps its threads warm
+//!   across maps; because the caller always works, a map nested inside
+//!   a map item cannot starve,
 //! * [`ThreadBudget`] — where the thread count comes from: an explicit
 //!   request, the `HTMPLL_THREADS` environment variable, or the
 //!   machine's available parallelism,
@@ -41,10 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod pool;
+mod pool;
 
 pub use cancel::{CancelToken, Deadline, WeakDeadline};
-pub use pool::Pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -121,13 +124,14 @@ pub(crate) fn chunk_size(n: usize, threads: usize) -> usize {
 /// regardless of thread count).
 ///
 /// With a resolved budget of 1 (or ≤ 1 items) the map runs inline on the
-/// calling thread — no spawn, no synchronization, and `htmpll-obs` span
-/// nesting stays attached to the caller.
+/// calling thread — no pool, no synchronization, and `htmpll-obs` span
+/// nesting stays attached to the caller. Otherwise the caller works as
+/// one of the map's threads and the shared pool supplies the rest.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the scope unwinds after all workers
-/// stop).
+/// Propagates a panic from `f` on the calling thread, after every pool
+/// thread working on this map has left it; the pool threads survive.
 pub fn par_map<T, R, F>(budget: ThreadBudget, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -150,8 +154,7 @@ where
 ///
 /// # Panics
 ///
-/// Propagates a panic from `init` or `f` (the scope unwinds after all
-/// workers stop).
+/// Propagates a panic from `init` or `f`, as [`par_map`] does.
 pub fn par_map_with<T, R, W, I, F>(budget: ThreadBudget, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -228,12 +231,13 @@ where
     slots
 }
 
-/// The one worker loop behind every scoped map: runs `f` over `items`
+/// The one worker loop behind every map: runs `f` over `items`
 /// until `deadline` expires and returns `(start_index, results)` per
 /// chunk, in completion order. A chunk's results are a prefix of its
 /// items (shorter only when the deadline expired mid-chunk); chunks
 /// never grabbed are absent. With a resolved budget of 1 (or ≤ 1 items)
-/// it runs inline as a single chunk.
+/// it runs inline as a single chunk; otherwise on the caller plus up to
+/// `threads − 1` pool threads.
 fn map_chunks<T, R, W, I, F>(
     budget: ThreadBudget,
     items: &[T],
@@ -267,7 +271,7 @@ where
 
     let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads={threads}"));
     let telemetry = htmpll_obs::record!("par", "worker_busy_ns").is_enabled();
-    // Fault scopes are thread-local; spawned workers must re-establish
+    // Fault scopes are thread-local; pool workers must re-establish
     // the caller's ambient scope or scope-gated injection sites would
     // silently stop firing above one thread (breaking the chaos
     // harness's thread-count invariance).
@@ -278,60 +282,50 @@ where
     // them by start index, so placement is deterministic no matter
     // which worker computed which chunk.
     let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n / chunk + threads));
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let parts = &parts;
-        let init = &init;
-        let f = &f;
-        for widx in 0..threads {
-            scope.spawn(move || {
-                let _fault = htmpll_fault::scope_guard(fault_scope);
-                // Busy/steal timeline: the worker span brackets this
-                // worker's busy life; each chunk is a child span; every
-                // grab after the first is a steal marker. All trace-only
-                // (high cardinality would pollute the metric registry).
-                let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));
-                let started = telemetry.then(Instant::now);
-                let mut ws = init();
-                let mut grabbed = 0usize;
-                loop {
-                    if deadline.expired() {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    if grabbed > 0 {
-                        htmpll_obs::instant("par", || format!("steal{{w{widx}@{start}}}"));
-                    }
-                    let _cspan =
-                        htmpll_obs::trace_span("par", || format!("chunk{{{start}..{end}}}"));
-                    let mut out = Vec::with_capacity(end - start);
-                    for (i, t) in items[start..end].iter().enumerate() {
-                        if !out.is_empty() && deadline.expired() {
-                            break;
-                        }
-                        out.push(f(&mut ws, start + i, t));
-                    }
-                    parts
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((start, out));
-                    grabbed += 1;
+    pool::run(threads - 1, |widx| {
+        let _fault = htmpll_fault::scope_guard(fault_scope);
+        // Busy/steal timeline: the worker span brackets this worker's
+        // busy life; each chunk is a child span; every grab after the
+        // first is a steal marker. All trace-only (high cardinality
+        // would pollute the metric registry).
+        let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));
+        let started = telemetry.then(Instant::now);
+        let mut ws = init();
+        let mut grabbed = 0usize;
+        loop {
+            if deadline.expired() {
+                break;
+            }
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + chunk).min(n);
+            if grabbed > 0 {
+                htmpll_obs::instant("par", || format!("steal{{w{widx}@{start}}}"));
+            }
+            let _cspan = htmpll_obs::trace_span("par", || format!("chunk{{{start}..{end}}}"));
+            let mut out = Vec::with_capacity(end - start);
+            for (i, t) in items[start..end].iter().enumerate() {
+                if !out.is_empty() && deadline.expired() {
+                    break;
                 }
-                if grabbed > 0 {
-                    htmpll_obs::counter!("par", "chunks").add(grabbed as u64);
-                    // Everything beyond a worker's first grab came off the
-                    // shared cursor while other workers were busy: steals.
-                    htmpll_obs::counter!("par", "steals").add((grabbed - 1) as u64);
-                }
-                if let Some(t0) = started {
-                    htmpll_obs::record!("par", "worker_busy_ns")
-                        .record(t0.elapsed().as_secs_f64() * 1e9);
-                }
-            });
+                out.push(f(&mut ws, start + i, t));
+            }
+            parts
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((start, out));
+            grabbed += 1;
+        }
+        if grabbed > 0 {
+            htmpll_obs::counter!("par", "chunks").add(grabbed as u64);
+            // Everything beyond a worker's first grab came off the
+            // shared cursor while other workers were busy: steals.
+            htmpll_obs::counter!("par", "steals").add((grabbed - 1) as u64);
+        }
+        if let Some(t0) = started {
+            htmpll_obs::record!("par", "worker_busy_ns").record(t0.elapsed().as_secs_f64() * 1e9);
         }
     });
     parts.into_inner().unwrap_or_else(|e| e.into_inner())
@@ -500,27 +494,50 @@ mod tests {
 
     #[test]
     fn trace_timeline_has_worker_and_chunk_events() {
+        // Pool threads are shared: the other tests of this binary run
+        // their maps on the same threads while the process-global trace
+        // session is open. Each item of this map emits a tag, and only
+        // the worker spans that enclose a tag — this map's workers — are
+        // checked.
+        const TAG: &str = "item{trace_timeline}";
         htmpll_obs::trace_start(1 << 14);
         let xs: Vec<usize> = (0..64).collect();
         let _ = par_map(ThreadBudget::Fixed(2), &xs, |_, &x| {
-            // Tags this map's worker threads: the other tests of this
-            // binary run maps concurrently, and their workers record
-            // into the same process-global trace session.
-            htmpll_obs::instant("par_test", || "item".to_string());
+            htmpll_obs::instant("par_test", || TAG.to_string());
             x + 1
         });
         let t = htmpll_obs::trace_stop();
-        let own: std::collections::HashSet<u64> = t
+        let is_worker =
+            |e: &htmpll_obs::TraceEvent| e.cat == "par" && e.name.starts_with("worker{");
+        let tids: std::collections::BTreeSet<u64> = t
             .events
             .iter()
-            .filter(|e| e.cat == "par_test")
+            .filter(|e| e.cat == "par_test" && e.name == TAG)
             .map(|e| e.tid)
             .collect();
-        let par_events: Vec<&htmpll_obs::TraceEvent> = t
-            .events
-            .iter()
-            .filter(|e| e.cat == "par" && own.contains(&e.tid))
-            .collect();
+        let mut par_events: Vec<&htmpll_obs::TraceEvent> = Vec::new();
+        for tid in tids {
+            // The `par` events of the worker span open on this thread,
+            // and whether a tag fell inside it.
+            let mut open: Option<(Vec<&htmpll_obs::TraceEvent>, bool)> = None;
+            for e in t.events.iter().filter(|e| e.tid == tid) {
+                if is_worker(e) && e.phase == htmpll_obs::TracePhase::Begin {
+                    open = Some((vec![e], false));
+                } else if let Some((span, tagged)) = open.as_mut() {
+                    if e.cat == "par_test" && e.name == TAG {
+                        *tagged = true;
+                    } else if e.cat == "par" {
+                        span.push(e);
+                    }
+                    if is_worker(e) && e.phase == htmpll_obs::TracePhase::End {
+                        let (span, tagged) = open.take().expect("a worker span is open");
+                        if tagged {
+                            par_events.extend(span);
+                        }
+                    }
+                }
+            }
+        }
         assert!(
             par_events.iter().any(|e| e.name.starts_with("worker{")),
             "missing worker timeline: {par_events:?}"
@@ -532,14 +549,100 @@ mod tests {
         // Every worker begin has a matching end.
         let begins = par_events
             .iter()
-            .filter(|e| e.name.starts_with("worker{") && e.phase == htmpll_obs::TracePhase::Begin)
+            .filter(|e| is_worker(e) && e.phase == htmpll_obs::TracePhase::Begin)
             .count();
         let ends = par_events
             .iter()
-            .filter(|e| e.name.starts_with("worker{") && e.phase == htmpll_obs::TracePhase::End)
+            .filter(|e| is_worker(e) && e.phase == htmpll_obs::TracePhase::End)
             .count();
         assert_eq!(begins, ends);
         assert!(begins >= 1);
+    }
+
+    /// The widest budget any test in this binary asks for, less the
+    /// caller: the most pool threads the binary ever needs.
+    const MAX_HELPERS: usize = 8;
+
+    #[test]
+    fn nested_maps_deeper_than_the_pool_complete() {
+        // Every level asks for helpers while the levels above hold
+        // them; the callers' own work carries each level through.
+        fn level(depth: usize) -> u64 {
+            if depth == 0 {
+                return 1;
+            }
+            par_map(ThreadBudget::Fixed(3), &[0u8, 1], |_, _| level(depth - 1))
+                .into_iter()
+                .sum()
+        }
+        let depth = MAX_HELPERS + 2;
+        assert!(depth > pool::threads());
+        assert_eq!(level(depth), 1 << depth);
+    }
+
+    #[test]
+    fn helper_panic_reraises_on_caller_and_pool_keeps_serving() {
+        // Two one-item chunks, and each worker that takes one waits for
+        // the other: the caller takes one item and a pool thread the
+        // other, and only the pool thread panics.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(ThreadBudget::Fixed(2), &[0u8, 1], |_, &x| {
+                barrier.wait();
+                assert!(std::thread::current().id() == caller, "boom on a helper");
+                x
+            })
+        }))
+        .expect_err("the helper's panic reaches the caller");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("boom on a helper"), "payload: {msg:?}");
+        // A pool thread still serves the next map: the barrier only
+        // opens once a helper joins the caller.
+        let barrier = std::sync::Barrier::new(2);
+        let out = par_map(ThreadBudget::Fixed(2), &[3u8, 4], |_, &x| {
+            barrier.wait();
+            x * 2
+        });
+        assert_eq!(out, vec![6, 8]);
+    }
+
+    #[test]
+    fn pool_threads_are_spawned_once() {
+        fn os_threads() -> Option<usize> {
+            let status = std::fs::read_to_string("/proc/self/status").ok()?;
+            let line = status.lines().find(|l| l.starts_with("Threads:"))?;
+            line[8..].trim().parse().ok()
+        }
+        let before = os_threads();
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let xs: Vec<usize> = (0..16).collect();
+        for _ in 0..1000 {
+            let out = par_map(ThreadBudget::Fixed(4), &xs, |_, &x| {
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                x + 1
+            });
+            assert_eq!(out[15], 16);
+        }
+        // A thread per map would show thousands of distinct threads.
+        let ran_on = ran_on.into_inner().unwrap().len();
+        assert!(ran_on <= 1 + MAX_HELPERS, "items ran on {ran_on} threads");
+        assert!(
+            pool::threads() <= MAX_HELPERS,
+            "{} pool threads",
+            pool::threads()
+        );
+        if let (Some(before), Some(after)) = (before, os_threads()) {
+            // Room for the pool plus the test harness's own threads.
+            assert!(
+                after <= before + MAX_HELPERS + 16,
+                "{before} -> {after} OS threads"
+            );
+        }
     }
 
     #[test]

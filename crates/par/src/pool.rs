@@ -1,468 +1,206 @@
-//! Long-lived worker pool for request-serving workloads.
+//! The one process-wide worker pool behind every parallel map.
 //!
-//! [`par_map`](crate::par_map) spawns scoped threads per call — the
-//! right trade for one-shot sweeps, but a serving loop dispatching
-//! thousands of small batches would pay thread spawn/join on every
-//! batch. [`Pool`] keeps a fixed set of workers alive for the life of
-//! the process and feeds them jobs through a condvar queue, so
-//! consecutive batches reuse warm threads (and whatever thread-local
-//! state the OS keeps warm with them).
+//! [`run`] executes a worker body on the calling thread (worker 0) and
+//! on up to `helpers` long-lived pool threads (workers 1..). The pool
+//! grows lazily to the largest helper count any call has asked for and
+//! never shrinks; a call spawns a thread only when the pool is smaller
+//! than it needs, never one per call. Fresh threads start with cold
+//! allocator arenas and must fault in new pages, so keeping them warm
+//! across maps is most of what this module buys (DESIGN.md §11).
 //!
-//! [`Pool::map`] carries the same determinism contract as
-//! [`par_map`](crate::par_map): `f` is called exactly once per item and
-//! each result is placed by item index, so for a pure `f` the output is
-//! bitwise-identical for every worker count, including 1.
+//! Because the caller always works, a map makes progress even when
+//! every pool thread is busy — a map nested inside a map item simply
+//! runs on its caller. That removes the old "never map from inside a
+//! pool job" hazard.
+//!
+//! ## Soundness
+//!
+//! The worker body borrows the caller's stack (items, closures,
+//! results), so a helper may touch it only while the caller is inside
+//! [`run`]. Each call owns a heap [`Gate`] with an `in_flight` counter
+//! and a `closed` flag, both `SeqCst`. A helper increments `in_flight`
+//! and only then reads `closed`; the caller sets `closed` and only then
+//! waits for `in_flight` to reach zero. In the single `SeqCst` order one
+//! of the two sees the other's write: either the helper sees `closed`
+//! and leaves without touching the call, or the caller sees the helper
+//! in flight and waits for it. The caller waits on every path,
+//! including when its own share of the work panicked.
 
-use crate::{cancel::Deadline, chunk_size, ThreadBudget};
+use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
-/// Locks a pool mutex, recovering from poisoning: every protected
-/// structure is either a job queue (a lost job surfaces as a panicked
-/// map, never a torn entry) or completion bookkeeping updated by drop
-/// guards, so continuing after a worker panic is safe.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Per-call handshake between the caller and the helpers that picked up
+/// its jobs. Lives on the heap so a helper that starts after the call
+/// returned can still read it.
+struct Gate {
+    in_flight: AtomicUsize,
+    closed: AtomicBool,
+    caller: Thread,
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
+/// The caller's worker body plus the first panic a helper raised in it.
+struct Task<F> {
+    work: F,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-struct PoolShared {
-    state: Mutex<PoolState>,
-    cv: Condvar,
+/// One helper's share of a call: run `task` as worker `widx`.
+struct Job {
+    gate: Arc<Gate>,
+    /// A `&Task<F>` on the caller's stack, type- and lifetime-erased.
+    task: *const (),
+    /// `call_task::<F>`, the erased `F`'s entry point.
+    call: unsafe fn(*const (), usize),
+    widx: usize,
 }
 
-/// A fixed-size set of long-lived worker threads fed through a shared
-/// job queue. Workers are spawned at construction and joined on drop;
-/// between those points any number of [`Pool::execute`] and
-/// [`Pool::map`] calls reuse them.
-///
-/// A panic inside a job is contained to that job (the worker survives
-/// and keeps serving); [`Pool::map`] re-raises it on the calling thread
-/// so the contract matches [`par_map`](crate::par_map).
-///
-/// Do **not** call [`Pool::map`] from inside a pool job of the same
-/// pool: the inner map would wait for workers that are all busy running
-/// the outer jobs.
-pub struct Pool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-}
+// SAFETY: `task` points to a `Task<F>` with `F: Sync` (enforced by
+// `run`'s bound), and `Task`'s other field is a `Mutex`, so the `Task`
+// may be shared with any thread. The pointer is only dereferenced under
+// the gate protocol, which keeps the `Task` alive while it is in use.
+// `gate` is an `Arc` of atomics and a `Thread` handle, all `Send + Sync`.
+unsafe impl Send for Job {}
 
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads)
-            .finish()
+impl Job {
+    fn execute(self) {
+        let gate = self.gate;
+        gate.in_flight.fetch_add(1, SeqCst);
+        if !gate.closed.load(SeqCst) {
+            // SAFETY: `closed` read false after this helper counted
+            // itself in flight, so the caller has not yet seen
+            // `in_flight == 0` and is still blocked in `run`, keeping
+            // the `Task<F>` behind `task` alive until the decrement
+            // below; `call` is the `call_task::<F>` of that same `F`.
+            unsafe { (self.call)(self.task, self.widx) };
+        }
+        if gate.in_flight.fetch_sub(1, SeqCst) == 1 {
+            gate.caller.unpark();
+        }
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>) {
+/// Runs the erased task as worker `widx`, parking any panic in the task
+/// for the caller to re-raise; never unwinds into the pool thread.
+///
+/// # Safety
+///
+/// `task` must point to a live `Task<F>` for the whole call.
+unsafe fn call_task<F: Fn(usize) + Sync>(task: *const (), widx: usize) {
+    // SAFETY: guaranteed by the caller (see `Job::execute`).
+    let task = unsafe { &*task.cast::<Task<F>>() };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (task.work)(widx))) {
+        lock(&task.panic).get_or_insert(payload);
+    }
+}
+
+struct State {
+    queue: VecDeque<Job>,
+    /// Pool threads spawned so far; they live for the whole process.
+    threads: usize,
+}
+
+static STATE: Mutex<State> = Mutex::new(State {
+    queue: VecDeque::new(),
+    threads: 0,
+});
+static WORK_READY: Condvar = Condvar::new();
+
+/// Locks a pool mutex, recovering from poisoning: nothing panics while
+/// one is held (jobs run outside the queue lock and catch their own
+/// panics), and every update leaves the queue or the panic slot whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn pool_thread() {
     loop {
         let job = {
-            let mut st = lock(&shared.state);
+            let mut st = lock(&STATE);
             loop {
                 if let Some(job) = st.queue.pop_front() {
                     break job;
                 }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = WORK_READY.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Contain job panics so one poisoned request cannot take a
-        // worker (and with it the whole service) down. Map jobs carry
-        // their own completion guards, so the caller still observes the
-        // failure.
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        job.execute();
     }
 }
 
-/// Completion bookkeeping for one [`Pool::map`] call.
-struct MapSync {
-    remaining: usize,
-    panicked: bool,
-}
-
-struct MapState<T, R> {
-    items: Vec<T>,
-    chunk: usize,
-    cursor: AtomicUsize,
-    slots: Mutex<Vec<Option<R>>>,
-    sync: Mutex<MapSync>,
-    done: Condvar,
-}
-
-/// Decrements the job counter when a map job exits — normally or by
-/// panic — so the waiting caller can never hang on a dead worker.
-struct JobGuard<'a, T, R> {
-    state: &'a MapState<T, R>,
-}
-
-impl<T, R> Drop for JobGuard<'_, T, R> {
-    fn drop(&mut self) {
-        let mut sync = lock(&self.state.sync);
-        sync.remaining -= 1;
-        if std::thread::panicking() {
-            sync.panicked = true;
-        }
-        drop(sync);
-        self.state.done.notify_all();
-    }
-}
-
-impl Pool {
-    /// Spawns `budget.resolve()` workers that live until the pool is
-    /// dropped.
-    pub fn new(budget: ThreadBudget) -> Pool {
-        let threads = budget.resolve();
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let workers = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared))
-            })
-            .collect();
-        htmpll_obs::counter!("par", "pool.workers").add(threads as u64);
-        Pool {
-            shared,
-            workers,
-            threads,
-        }
-    }
-
-    /// The worker count this pool was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Enqueues one fire-and-forget job.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        htmpll_obs::counter!("par", "pool.jobs").inc();
-        lock(&self.shared.state).queue.push_back(Box::new(job));
-        self.shared.cv.notify_one();
-    }
-
-    /// Maps `f` over `items` on the pool, preserving item order in the
-    /// output. Work is pulled in chunks from a shared atomic cursor
-    /// (the same self-balancing scheme as
-    /// [`par_map`](crate::par_map)); results are placed by item index,
-    /// so a pure `f` yields bitwise-identical output for every pool
-    /// size.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `f` on the calling thread after all
-    /// workers have left the call.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> R + Send + Sync + 'static,
+/// Runs `work(0)` on the calling thread and `work(1..=helpers)` on pool
+/// threads that are free to take them, and returns once every helper
+/// that started has finished. A worker index whose job no pool thread
+/// picked up before the caller finished is never run, so `work` must
+/// share its items through something like an atomic cursor that the
+/// workers that do run drain completely.
+///
+/// # Panics
+///
+/// Re-raises on the caller the caller's own panic or, failing that, the
+/// first helper panic, after every helper has left. Pool threads
+/// survive a panic in `work`.
+pub(crate) fn run<F: Fn(usize) + Sync>(helpers: usize, work: F) {
+    let task = Task {
+        work,
+        panic: Mutex::new(None),
+    };
+    let gate = Arc::new(Gate {
+        in_flight: AtomicUsize::new(0),
+        closed: AtomicBool::new(false),
+        caller: thread::current(),
+    });
     {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        htmpll_obs::counter!("par", "pool.tasks").add(n as u64);
-        let jobs = self.threads.min(n);
-        let state = Arc::new(MapState {
-            items,
-            chunk: chunk_size(n, jobs),
-            cursor: AtomicUsize::new(0),
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            sync: Mutex::new(MapSync {
-                remaining: jobs,
-                panicked: false,
-            }),
-            done: Condvar::new(),
-        });
-        let f = Arc::new(f);
-        // Carry the caller's ambient fault scope into the long-lived
-        // workers (thread-locals do not cross the queue).
-        let fault_scope = htmpll_fault::current_scope();
-        for _ in 0..jobs {
-            let state = Arc::clone(&state);
-            let f = Arc::clone(&f);
-            self.execute(move || {
-                let _fault = htmpll_fault::scope_guard(fault_scope);
-                let _guard = JobGuard { state: &*state };
-                loop {
-                    let start = state.cursor.fetch_add(state.chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + state.chunk).min(n);
-                    let out: Vec<R> = state.items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(start + i, t))
-                        .collect();
-                    let mut slots = lock(&state.slots);
-                    for (i, r) in out.into_iter().enumerate() {
-                        slots[start + i] = Some(r);
-                    }
-                }
+        let mut st = lock(&STATE);
+        for widx in 1..=helpers {
+            st.queue.push_back(Job {
+                gate: Arc::clone(&gate),
+                task: (&raw const task).cast(),
+                call: call_task::<F>,
+                widx,
             });
         }
-        let mut sync = lock(&state.sync);
-        while sync.remaining > 0 {
-            sync = state.done.wait(sync).unwrap_or_else(|e| e.into_inner());
-        }
-        let panicked = sync.panicked;
-        drop(sync);
-        assert!(!panicked, "pool map job panicked");
-        let mut slots = lock(&state.slots);
-        slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("every map slot filled"))
-            .collect()
-    }
-
-    /// [`Pool::map`] with a cooperative [`Deadline`]: the budget is
-    /// checked before every chunk grab and between items, and once it
-    /// expires no further item is started. Returns one slot per item —
-    /// `Some(r)` for items computed before expiry, `None` for items
-    /// skipped after it.
-    ///
-    /// A `Some` slot holds exactly the bits [`Pool::map`] would have
-    /// produced for that item, for any pool size (cancellation decides
-    /// *whether* an item runs, never *what* it computes).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `f` on the calling thread after all
-    /// workers have left the call.
-    pub fn map_cancellable<T, R, F>(
-        &self,
-        items: Vec<T>,
-        deadline: &Deadline,
-        f: F,
-    ) -> Vec<Option<R>>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        htmpll_obs::counter!("par", "pool.tasks").add(n as u64);
-        let jobs = self.threads.min(n);
-        let state = Arc::new(MapState {
-            items,
-            chunk: chunk_size(n, jobs),
-            cursor: AtomicUsize::new(0),
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            sync: Mutex::new(MapSync {
-                remaining: jobs,
-                panicked: false,
-            }),
-            done: Condvar::new(),
-        });
-        let f = Arc::new(f);
-        // Pool workers are long-lived process threads with no ambient
-        // fault scope of their own; carry the caller's scope into each
-        // job so scope-gated injection sites behave as if inline.
-        let fault_scope = htmpll_fault::current_scope();
-        for _ in 0..jobs {
-            let state = Arc::clone(&state);
-            let f = Arc::clone(&f);
-            let deadline = deadline.clone();
-            self.execute(move || {
-                let _fault = htmpll_fault::scope_guard(fault_scope);
-                let _guard = JobGuard { state: &*state };
-                loop {
-                    if deadline.expired() {
-                        break;
-                    }
-                    let start = state.cursor.fetch_add(state.chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + state.chunk).min(n);
-                    let mut out: Vec<Option<R>> = Vec::with_capacity(end - start);
-                    for (i, t) in state.items[start..end].iter().enumerate() {
-                        // Always finish the first item of a grabbed
-                        // chunk so every grab makes progress.
-                        if !out.is_empty() && deadline.expired() {
-                            break;
-                        }
-                        out.push(Some(f(start + i, t)));
-                    }
-                    let mut slots = lock(&state.slots);
-                    for (i, r) in out.into_iter().enumerate() {
-                        slots[start + i] = r;
-                    }
-                }
-            });
-        }
-        let mut sync = lock(&state.sync);
-        while sync.remaining > 0 {
-            sync = state.done.wait(sync).unwrap_or_else(|e| e.into_inner());
-        }
-        let panicked = sync.panicked;
-        drop(sync);
-        assert!(!panicked, "pool map job panicked");
-        let mut slots = lock(&state.slots);
-        let done: Vec<Option<R>> = slots.iter_mut().map(|slot| slot.take()).collect();
-        let skipped = done.iter().filter(|s| s.is_none()).count();
-        if skipped > 0 {
-            htmpll_obs::counter!("par", "cancelled_tasks").add(skipped as u64);
-        }
-        done
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn map_matches_serial_and_is_pool_size_invariant() {
-        let xs: Vec<f64> = (1..400).map(|i| i as f64 * 0.73).collect();
-        let expect: Vec<u64> = xs.iter().map(|&x| (x.sin() * x.sqrt()).to_bits()).collect();
-        for t in [1usize, 2, 4, 7] {
-            let pool = Pool::new(ThreadBudget::Fixed(t));
-            let got = pool.map(xs.clone(), |_, &x: &f64| (x.sin() * x.sqrt()).to_bits());
-            assert_eq!(got, expect, "pool size {t}");
-        }
-    }
-
-    #[test]
-    fn pool_survives_many_batches() {
-        let pool = Pool::new(ThreadBudget::Fixed(3));
-        for rep in 0..50 {
-            let xs: Vec<usize> = (0..17).collect();
-            let got = pool.map(xs, move |i, &x| {
-                assert_eq!(i, x);
-                x + rep
-            });
-            assert_eq!(got.len(), 17);
-            assert_eq!(got[5], 5 + rep);
-        }
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let pool = Pool::new(ThreadBudget::Fixed(2));
-        let empty: Vec<u8> = vec![];
-        assert!(pool.map(empty, |_, &x: &u8| x).is_empty());
-        assert_eq!(pool.map(vec![9u8], |_, &x| x), vec![9]);
-    }
-
-    #[test]
-    fn execute_runs_jobs() {
-        let pool = Pool::new(ThreadBudget::Fixed(2));
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool); // joins workers, so all jobs have run
-        assert_eq!(hits.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn map_panic_propagates_but_pool_survives() {
-        let pool = Pool::new(ThreadBudget::Fixed(2));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map(vec![0usize, 1, 2, 3], |_, &x| {
-                assert!(x != 2, "boom");
-                x
-            })
-        }));
-        assert!(result.is_err());
-        // The pool keeps serving after a job panicked.
-        let ok = pool.map(vec![1usize, 2, 3], |_, &x| x * 2);
-        assert_eq!(ok, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn map_cancellable_unbounded_matches_map() {
-        let pool = Pool::new(ThreadBudget::Fixed(3));
-        let xs: Vec<f64> = (1..150).map(|i| i as f64 * 0.59).collect();
-        let f = |_: usize, &x: &f64| (x.sin() + x.cbrt()).to_bits();
-        let plain = pool.map(xs.clone(), f);
-        let cancellable = pool.map_cancellable(xs, &Deadline::none(), f);
-        assert_eq!(cancellable.len(), plain.len());
-        for (a, b) in plain.iter().zip(&cancellable) {
-            assert_eq!(Some(*a), *b);
-        }
-    }
-
-    #[test]
-    fn map_cancellable_partial_is_bitwise_stable() {
-        let xs: Vec<f64> = (1..120).map(|i| i as f64 * 0.31).collect();
-        let f = |_: usize, &x: &f64| (x.tan() * x.sqrt()).to_bits();
-        let full: Vec<u64> = xs.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        for t in [1usize, 4] {
-            let pool = Pool::new(ThreadBudget::Fixed(t));
-            let d = Deadline::after_checks(20);
-            let part = pool.map_cancellable(xs.clone(), &d, f);
-            let completed = part.iter().filter(|s| s.is_some()).count();
-            assert!(completed > 0, "pool size {t}");
-            assert!(
-                completed < xs.len(),
-                "pool size {t}: 20 checks must expire mid-map"
-            );
-            for (i, slot) in part.iter().enumerate() {
-                if let Some(bits) = slot {
-                    assert_eq!(*bits, full[i], "pool size {t} item {i}");
-                }
+        while st.threads < helpers {
+            // Pool threads are detached on purpose: they serve every
+            // later call and end with the process. If the OS refuses a
+            // thread the pool stays smaller; the caller still finishes
+            // the work itself.
+            let spawned = thread::Builder::new()
+                .name(format!("htmpll-par-{}", st.threads + 1))
+                .spawn(pool_thread);
+            if spawned.is_err() {
+                break;
             }
+            st.threads += 1;
         }
     }
-
-    #[test]
-    fn map_cancellable_cancelled_up_front_skips_all() {
-        let pool = Pool::new(ThreadBudget::Fixed(2));
-        let d = Deadline::token();
-        d.cancel();
-        let out = pool.map_cancellable((0..40usize).collect(), &d, |_, &x| x);
-        assert!(out.iter().all(|s| s.is_none()));
-        // The pool still serves normal maps afterwards.
-        assert_eq!(pool.map(vec![1usize, 2], |_, &x| x + 1), vec![2, 3]);
+    for _ in 0..helpers {
+        WORK_READY.notify_one();
     }
-
-    #[test]
-    fn uneven_work_lands_in_slots() {
-        let pool = Pool::new(ThreadBudget::Fixed(5));
-        let xs: Vec<usize> = (0..97).collect();
-        let out = pool.map(xs, |_, &x| {
-            let iters = if x % 10 == 0 { 20_000 } else { 10 };
-            (0..iters).fold(x as f64, |a, _| a + (a * 1e-9).sin())
-        });
-        assert_eq!(out.len(), 97);
-        assert!(out.iter().all(|v| v.is_finite()));
+    let own = catch_unwind(AssertUnwindSafe(|| (task.work)(0)));
+    gate.closed.store(true, SeqCst);
+    // Jobs nobody picked up are dead now; drop them so the queue only
+    // ever holds work of calls still running.
+    lock(&STATE)
+        .queue
+        .retain(|job| !Arc::ptr_eq(&job.gate, &gate));
+    while gate.in_flight.load(SeqCst) != 0 {
+        thread::park();
     }
+    let helper_panic = lock(&task.panic).take();
+    if let Err(payload) = own {
+        resume_unwind(payload);
+    }
+    if let Some(payload) = helper_panic {
+        resume_unwind(payload);
+    }
+}
+
+/// Pool threads spawned so far (tests only: the pool never shrinks).
+#[cfg(test)]
+pub(crate) fn threads() -> usize {
+    lock(&STATE).threads
 }

@@ -12,7 +12,7 @@
 //!  stdin ──► parse line ──► bounded ──► admission batch (≤ batch_max)
 //!            + request id    queue        │  sort by (command, spec)
 //!                            │            ▼
-//!                     full? ─┤        Pool::map ──► envelope tails
+//!                     full? ─┤        par_map ──► envelope tails
 //!              block (default)            │    (shared SweepCache +
 //!              or shed (--shed)           │     response-tail cache)
 //!                                         ▼
@@ -56,18 +56,19 @@ use std::time::{Duration, Instant};
 use super::response::{envelope_tail, error_envelope, Response, ServiceError};
 use super::{handlers, json, ServiceCtx};
 use crate::obs::JsonValue;
-use crate::par::{Pool, ThreadBudget};
+use crate::par::{par_map, ThreadBudget};
 use crate::requests::{Request, RequestId};
 use htmpll_obs::counter;
 
 /// Tuning knobs for one serve run. `Default` matches the CLI defaults.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads for the dispatch pool (`0` = auto-detect).
+    /// Worker threads per admission batch, the dispatcher included
+    /// (`0` = auto-detect).
     pub workers: usize,
     /// Parsed requests admitted into the queue before backpressure.
     pub queue_max: usize,
-    /// Largest admission batch handed to the pool at once.
+    /// Largest admission batch handed to the workers at once.
     pub batch_max: usize,
     /// `true`: shed on a full queue (bounded latency); `false`
     /// (default): block the reader (lossless backpressure).
@@ -274,8 +275,8 @@ fn id_of_line(line: &str) -> RequestId {
 
 /// Runs the service over a line-delimited input until EOF, writing one
 /// envelope line per request to `output` in input order. Creates a
-/// fresh context and pool; see [`serve_unix`] for the socket front-end
-/// that keeps both warm across connections.
+/// fresh context; see [`serve_unix`] for the socket front-end that
+/// keeps it warm across connections.
 pub fn serve_lines<R, W>(
     input: R,
     output: &mut W,
@@ -286,15 +287,13 @@ where
     W: Write,
 {
     let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
-    let pool = Pool::new(ThreadBudget::from(opts.workers));
-    serve_on(&ctx, &pool, input, output, opts)
+    serve_on(&ctx, input, output, opts)
 }
 
-/// The serve core: one connection/stream against a shared context and
-/// pool (both outlive the call, carrying warm caches to the next one).
+/// The serve core: one connection/stream against a shared context
+/// (it outlives the call, carrying warm caches to the next one).
 fn serve_on<R, W>(
     ctx: &Arc<ServiceCtx>,
-    pool: &Pool,
     input: R,
     output: &mut W,
     opts: &ServeOptions,
@@ -465,7 +464,7 @@ where
                     counter!("serve", "batches").inc();
 
                     // Partition: inline answers (errors, stats, cache
-                    // hits) vs. jobs for the pool.
+                    // hits) vs. jobs for the workers.
                     let mut work: Vec<(u64, RequestId, Request, Instant, String)> = Vec::new();
                     let mut stats_jobs: Vec<(u64, RequestId, Instant)> = Vec::new();
                     for job in batch {
@@ -546,9 +545,7 @@ where
                         dup
                     });
 
-                    let worker_ctx = Arc::clone(ctx);
-                    let worker_stats = Arc::clone(&stats);
-                    let results = pool.map(work, move |_, item| {
+                    let results = par_map(ThreadBudget::from(opts.workers), &work, |_, item| {
                         let (seq, id, req, t0, key) = item;
                         // Pin the ambient fault scope to the request's
                         // canonical spec: scope-gated fault rules then
@@ -557,22 +554,21 @@ where
                         // order.
                         let _fault_scope =
                             htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
-                        let resp =
-                            catch_unwind(AssertUnwindSafe(|| handlers::handle(req, &worker_ctx)))
-                                .unwrap_or_else(|_| {
-                                    Response::Error(ServiceError {
-                                        command: req.command().to_string(),
-                                        code: "panic",
-                                        message: "request handler panicked; the panic was \
+                        let resp = catch_unwind(AssertUnwindSafe(|| handlers::handle(req, ctx)))
+                            .unwrap_or_else(|_| {
+                                Response::Error(ServiceError {
+                                    command: req.command().to_string(),
+                                    code: "panic",
+                                    message: "request handler panicked; the panic was \
                                                   contained and only this request failed"
-                                            .to_string(),
-                                        retryable: false,
-                                        quality: None,
-                                    })
-                                });
+                                        .to_string(),
+                                    retryable: false,
+                                    quality: None,
+                                })
+                            });
                         let ok = resp.failure().is_none();
                         let tail = envelope_tail(&resp, None);
-                        worker_stats.note_latency(*t0);
+                        stats.note_latency(*t0);
                         (*seq, id.clone(), tail, ok, key.clone())
                     });
                     let mut batch_tails: HashMap<String, (String, bool)> = HashMap::new();
@@ -812,7 +808,7 @@ impl Drop for SocketCleanup {
 }
 
 /// Accepts connections on a Unix socket sequentially, serving each with
-/// the *same* context and pool — the sweep and response caches stay
+/// the *same* context — the sweep and response caches stay
 /// warm across connections. Runs until the process is killed.
 #[cfg(unix)]
 pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
@@ -823,7 +819,6 @@ pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
     // unwind), so a restarted server never finds a stale socket.
     let _cleanup = SocketCleanup(std::path::PathBuf::from(path));
     let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
-    let pool = Pool::new(ThreadBudget::from(opts.workers));
     eprintln!("serve: listening on {path}");
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("serve: accept: {e}"))?;
@@ -833,7 +828,7 @@ pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
                 .map_err(|e| format!("serve: clone stream: {e}"))?,
         );
         let mut writer = std::io::BufWriter::new(stream);
-        match serve_on(&ctx, &pool, reader, &mut writer, opts) {
+        match serve_on(&ctx, reader, &mut writer, opts) {
             Ok(summary) => eprintln!("serve: connection closed: {}", summary.render_line()),
             Err(e) => eprintln!("serve: connection error: {e}"),
         }
