@@ -22,7 +22,7 @@
 use crate::closed_loop::PllModel;
 use crate::error::CoreError;
 use crate::quality::{PointQuality, QualitySummary};
-use crate::sweep::SweepCache;
+use crate::sweep::{KernelPolicy, SweepCache};
 use htmpll_htm::nyquist::{strip_contour, strip_zero_count_from_values};
 use htmpll_lti::{
     bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed,
@@ -273,7 +273,12 @@ pub fn analyze_deadline(
         quality.absorb(&q, 0.0, 0.0);
     }
     let probe_trunc = model.resolve_truncation(htmpll_htm::TruncationSpec::default());
-    match cache.dense_robust(model, Complex::from_im(eff.omega_ug), probe_trunc) {
+    match cache.dense_robust(
+        model,
+        Complex::from_im(eff.omega_ug),
+        probe_trunc,
+        KernelPolicy::default(),
+    ) {
         Ok(d) => quality.absorb(&d.quality, d.report.cond_estimate, d.report.residual),
         Err(reason) => quality.absorb(&PointQuality::Failed { reason }, 0.0, 0.0),
     }

@@ -70,5 +70,5 @@ pub use quality::{GridOutcome, PointOutcome, PointQuality, QualitySummary, DEADL
 pub use spurs::LeakageSpurs;
 pub use sweep::{
     bode_grid, CacheStats, DenseSolve, KernelPolicy, SpurLine, SweepCache, SweepSpec,
-    SweepWorkspace, CACHE_CAP_ENV, DEFAULT_CACHE_CAP, MAX_AUTO_TRUNCATION,
+    CACHE_CAP_ENV, DEFAULT_CACHE_CAP, MAX_AUTO_TRUNCATION,
 };

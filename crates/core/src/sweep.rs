@@ -46,11 +46,11 @@ use crate::lambda::EffectiveGain;
 use crate::noise::NoiseModel;
 use crate::quality::{GridOutcome, PointOutcome, PointQuality};
 use crate::spurs::LeakageSpurs;
-use htmpll_htm::{ClosedLoopFactor, Htm, SolveScratch, Truncation, TruncationSpec};
+use htmpll_htm::{ClosedLoopFactor, Htm, Truncation, TruncationSpec};
 use htmpll_lti::{bode_from_values, BodePoint, FrequencyGrid, GridError};
 use htmpll_num::hash::Fnv1a;
 use htmpll_num::{Complex, SolveReport};
-use htmpll_par::{par_map, par_map_with_cancel, Deadline, ThreadBudget};
+use htmpll_par::{par_map, par_map_cancellable, Deadline, ThreadBudget};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -96,8 +96,8 @@ fn env_cache_cap() -> usize {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelPolicy {
     /// Dispatch on the open loop's structured representation: rank-one
-    /// and diagonal closed forms, banded factorization, dense ladder
-    /// only as fallback. The fast default.
+    /// and diagonal closed forms, the dense ladder for everything else.
+    /// The fast default.
     #[default]
     Structured,
     /// Force the dense escalating ladder — the strict reference
@@ -120,21 +120,6 @@ impl KernelPolicy {
             KernelPolicy::Structured => "structured",
             KernelPolicy::Dense => "dense",
         }
-    }
-}
-
-/// Per-worker scratch for sweep loops: reusable solve buffers threaded
-/// through [`par_map_with`](htmpll_par::par_map_with) so the grid loop
-/// avoids per-point staging allocations.
-#[derive(Debug, Default)]
-pub struct SweepWorkspace {
-    scratch: SolveScratch,
-}
-
-impl SweepWorkspace {
-    /// A fresh workspace; buffers grow on first use.
-    pub fn new() -> SweepWorkspace {
-        SweepWorkspace::default()
     }
 }
 
@@ -233,8 +218,8 @@ impl SweepSpec {
 /// One dense closed-loop solve, kept whole so later callers can both
 /// read the closed-loop HTM and re-solve against new right-hand sides.
 /// Solved through the structure-dispatching factor path (closed forms
-/// for rank-one/diagonal loops, banded LU, then the escalating dense
-/// ladder), so the solve carries its own verdict: check
+/// for rank-one/diagonal loops, otherwise the escalating dense ladder),
+/// so the solve carries its own verdict: check
 /// [`DenseSolve::quality`] before trusting fine structure near a
 /// closed-loop pole.
 #[derive(Debug)]
@@ -490,38 +475,15 @@ impl SweepCache {
     /// non-finite `s`, non-finite open-loop entries, or a non-finite
     /// solve result. A merely singular `I + G̃` does **not** error: the
     /// Tikhonov rung produces a value graded
-    /// [`PointQuality::Perturbed`].
+    /// [`PointQuality::Perturbed`]. Structured and dense kernels
+    /// memoize under distinct keys: a cache warmed by one policy never
+    /// answers for the other.
     pub fn dense_robust(
         &self,
         model: &PllModel,
         s: Complex,
         trunc: Truncation,
-    ) -> Result<Arc<DenseSolve>, String> {
-        self.dense_robust_with(
-            model,
-            s,
-            trunc,
-            KernelPolicy::default(),
-            &mut SweepWorkspace::new(),
-        )
-    }
-
-    /// [`SweepCache::dense_robust`] with an explicit kernel policy and
-    /// a caller-owned workspace, so hot sweep loops reuse their solve
-    /// buffers across points. Structured and dense kernels memoize
-    /// under distinct keys: a cache warmed by one policy never answers
-    /// for the other.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepCache::dense_robust`].
-    pub fn dense_robust_with(
-        &self,
-        model: &PllModel,
-        s: Complex,
-        trunc: Truncation,
         kernel: KernelPolicy,
-        ws: &mut SweepWorkspace,
     ) -> Result<Arc<DenseSolve>, String> {
         let (fp, re, im) = point_key(model.fingerprint(), s);
         let key = (fp, re, im, trunc.order(), kernel.as_byte());
@@ -539,7 +501,7 @@ impl SweepCache {
         htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
             format!("cache{{dense,miss,k={}}}", trunc.order())
         });
-        let entry = compute_dense(model, s, trunc, kernel, ws);
+        let entry = compute_dense(model, s, trunc, kernel);
         lock(&shard.dense).insert(key, entry.clone());
         entry
     }
@@ -556,7 +518,7 @@ impl SweepCache {
         s: Complex,
         trunc: Truncation,
     ) -> Result<Arc<DenseSolve>, CoreError> {
-        self.dense_robust(model, s, trunc)
+        self.dense_robust(model, s, trunc, KernelPolicy::default())
             .map_err(|reason| CoreError::SweepFailed { reason })
     }
 
@@ -610,7 +572,6 @@ fn compute_dense(
     s: Complex,
     trunc: Truncation,
     kernel: KernelPolicy,
-    ws: &mut SweepWorkspace,
 ) -> Result<Arc<DenseSolve>, String> {
     if !(s.re.is_finite() && s.im.is_finite()) {
         htmpll_obs::counter!("core", "robust.failed").inc();
@@ -631,7 +592,7 @@ fn compute_dense(
         // strict dense ladder regardless of available structure.
         KernelPolicy::Dense => open.densified(),
     };
-    match open.closed_loop_factored_robust_with(&mut ws.scratch) {
+    match open.closed_loop_factored_robust() {
         Ok((lu, htm, report)) => {
             if !htm.is_finite() {
                 htmpll_obs::counter!("core", "robust.failed").inc();
@@ -764,7 +725,6 @@ impl PllModel {
         trunc: Truncation,
         kernel: KernelPolicy,
         cache: &SweepCache,
-        ws: &mut SweepWorkspace,
         deadline: &Deadline,
     ) -> PointOutcome<Htm> {
         let mut best: Option<PointOutcome<Htm>> = None;
@@ -776,7 +736,7 @@ impl PllModel {
                 htmpll_obs::counter!("core", "robust.trunc_capped").inc();
                 break;
             }
-            let outcome = match cache.dense_robust_with(self, s, Truncation::new(k), kernel, ws) {
+            let outcome = match cache.dense_robust(self, s, Truncation::new(k), kernel) {
                 Ok(d) => PointOutcome {
                     value: Some(d.htm.clone()),
                     quality: d.quality.clone(),
@@ -830,12 +790,8 @@ impl PllModel {
                 spec.kernel.name()
             )
         });
-        let slots = par_map_with_cancel(
-            spec.threads,
-            spec.grid.points(),
-            &spec.deadline,
-            SweepWorkspace::new,
-            |ws, _, &w| {
+        let slots =
+            par_map_cancellable(spec.threads, spec.grid.points(), &spec.deadline, |_, &w| {
                 // Fault sites, keyed by the frequency's bit pattern so a
                 // given point faults identically at every thread count.
                 htmpll_fault::panic_if("sweep.panic", w.to_bits());
@@ -844,13 +800,8 @@ impl PllModel {
                     // Poison the Laplace point — but **bypass the cache**:
                     // a faulted value must never be memoized where
                     // non-faulted requests could observe it.
-                    return match compute_dense(
-                        self,
-                        Complex::new(f64::NAN, w),
-                        trunc,
-                        spec.kernel,
-                        ws,
-                    ) {
+                    return match compute_dense(self, Complex::new(f64::NAN, w), trunc, spec.kernel)
+                    {
                         Ok(d) => PointOutcome {
                             value: Some(d.htm.clone()),
                             quality: d.quality.clone(),
@@ -865,11 +816,9 @@ impl PllModel {
                     trunc,
                     spec.kernel,
                     cache,
-                    ws,
                     &spec.deadline,
                 )
-            },
-        );
+            });
         let points = slots
             .into_iter()
             .map(|slot| slot.unwrap_or_else(PointOutcome::deadline_exceeded))
@@ -1185,8 +1134,8 @@ mod tests {
         let w0 = m.design().omega_ref();
         let cache = SweepCache::new();
         let t = Truncation::new(2);
-        let first = cache.dense_robust(&m, Complex::from_im(w0), t);
-        let second = cache.dense_robust(&m, Complex::from_im(w0), t);
+        let first = cache.dense_robust(&m, Complex::from_im(w0), t, KernelPolicy::default());
+        let second = cache.dense_robust(&m, Complex::from_im(w0), t, KernelPolicy::default());
         assert!(first.is_err());
         assert_eq!(first.unwrap_err(), second.unwrap_err());
         assert_eq!(cache.dense_entries(), 1);
@@ -1212,12 +1161,18 @@ mod tests {
         assert_eq!(vb.re.to_bits(), b.lambda().eval(s).re.to_bits());
         assert_ne!(va.re.to_bits(), vb.re.to_bits());
         let t = Truncation::new(3);
-        let da = cache.dense_robust(&a, s, t).unwrap();
-        let db = cache.dense_robust(&b, s, t).unwrap();
+        let da = cache
+            .dense_robust(&a, s, t, KernelPolicy::default())
+            .unwrap();
+        let db = cache
+            .dense_robust(&b, s, t, KernelPolicy::default())
+            .unwrap();
         assert_eq!(cache.dense_entries(), 2);
         assert!(da.htm.as_matrix().max_diff(db.htm.as_matrix()) > 1e-6);
         // Round trips stay hits for the right model.
-        let da2 = cache.dense_robust(&a, s, t).unwrap();
+        let da2 = cache
+            .dense_robust(&a, s, t, KernelPolicy::default())
+            .unwrap();
         assert_eq!(da.htm.as_matrix().max_diff(da2.htm.as_matrix()), 0.0);
         assert_eq!(cache.dense_entries(), 2);
     }

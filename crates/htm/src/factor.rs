@@ -6,11 +6,10 @@
 //! * **rank one** (`G = u·vᵀ`, the sampling-PFD loop) — Sherman–Morrison
 //!   closed form, O(n): `(I+uvᵀ)⁻¹uvᵀ = u·vᵀ/(1+λ)` with `λ = vᵀu`;
 //! * **diagonal** — per-band reciprocal `g/(1+g)`, O(n);
-//! * **banded Toeplitz** — `I + G̃` assembled directly as a
-//!   [`BandMat`](htmpll_num::BandMat) and factored by the banded rung of
-//!   the robust ladder, O(n·b²) instead of O(n³);
-//! * **dense** — the classic escalating dense ladder, bit-identical to
-//!   the previous release.
+//! * **everything else** (banded Toeplitz, dense) — the classic
+//!   escalating dense ladder, O(n³). With a sampling PFD the open loop
+//!   is always rank one, so a modeled loop reaches this path only
+//!   through a tripped gate or the forced dense kernel policy.
 //!
 //! Every structured shortcut is *gated*: a closed form is only accepted
 //! when its condition estimate clears the same `COND_GATE` the dense
@@ -22,24 +21,7 @@
 use crate::matrix::Htm;
 use crate::repr::HtmRepr;
 use htmpll_num::solve::COND_GATE;
-use htmpll_num::{BandMat, CMat, Complex, LuError, RobustLu, SolveReport, SolveStage};
-
-/// Reusable scratch buffers for closed-loop solves, so sweep loops can
-/// factor thousands of grid points without per-point heap allocation of
-/// the right-hand-side and solution staging vectors.
-#[derive(Debug, Default, Clone)]
-pub struct SolveScratch {
-    /// Right-hand-side staging for per-column banded solves.
-    rhs: Vec<Complex>,
-}
-
-impl SolveScratch {
-    /// A fresh (empty) scratch; buffers grow on first use and are
-    /// reused afterwards.
-    pub fn new() -> Self {
-        SolveScratch::default()
-    }
-}
+use htmpll_num::{CMat, Complex, LuError, RobustLu, SolveReport, SolveStage};
 
 /// How the feedback operator `I + G̃` was factored, for reuse against
 /// further right-hand sides at the same Laplace point.
@@ -56,8 +38,7 @@ pub enum ClosedLoopFactor {
     },
     /// Entrywise reciprocals `1/(1+gᵢ)` of a diagonal open loop.
     Diagonal(Vec<Complex>),
-    /// A factorization from the escalating robust ladder (banded rung
-    /// or dense fallback).
+    /// A factorization from the escalating dense robust ladder.
     Robust(RobustLu),
 }
 
@@ -107,10 +88,7 @@ impl ClosedLoopFactor {
 type ClosedLoop = (ClosedLoopFactor, Htm, SolveReport);
 
 /// The dispatch behind `Htm::closed_loop_factored_robust`.
-pub(crate) fn closed_loop_robust(
-    g: &Htm,
-    scratch: &mut SolveScratch,
-) -> Result<ClosedLoop, LuError> {
+pub(crate) fn closed_loop_robust(g: &Htm) -> Result<ClosedLoop, LuError> {
     let n = g.truncation().dim();
     // Trace tier: this runs once per sweep point, and the structured
     // closed forms it dispatches to are cheaper than a labeled span.
@@ -126,7 +104,6 @@ pub(crate) fn closed_loop_robust(
     let path = match g.repr() {
         HtmRepr::RankOnePlus { shift, .. } if *shift == Complex::ZERO => "rank-one",
         HtmRepr::Diagonal(_) => "diagonal",
-        HtmRepr::BandedToeplitz { .. } => "banded",
         _ => "dense",
     };
     htmpll_obs::instant_at("htm", htmpll_obs::Level::Trace, || {
@@ -135,7 +112,6 @@ pub(crate) fn closed_loop_robust(
     match g.repr() {
         HtmRepr::RankOnePlus { u, v, shift } if *shift == Complex::ZERO => rank_one_path(g, u, v),
         HtmRepr::Diagonal(d) => diagonal_path(g, d),
-        HtmRepr::BandedToeplitz { .. } => banded_path(g, scratch),
         _ => dense_path(g),
     }
 }
@@ -244,55 +220,6 @@ fn diagonal_path(g: &Htm, d: &[Complex]) -> Result<ClosedLoop, LuError> {
     Ok((ClosedLoopFactor::Diagonal(inv), cl, report))
 }
 
-/// Banded Toeplitz open loop: assemble `I + G̃` directly as a banded
-/// matrix (never densified) and run the banded rung of the robust
-/// ladder — O(n·b²) factor, O(n·b) per solve. The rung's own
-/// pivot-growth and condition gates fall back to the dense ladder when
-/// the structure breaks numerically.
-fn banded_path(g: &Htm, scratch: &mut SolveScratch) -> Result<ClosedLoop, LuError> {
-    let n = g.truncation().dim();
-    let repr = g.repr();
-    let b = repr
-        .half_bandwidth()
-        .expect("banded path requires a banded repr")
-        .min(n.saturating_sub(1));
-    htmpll_obs::counter!("htm", "closed_loop.banded").inc();
-    let i_plus_g = BandMat::from_fn(n, b, |i, j| {
-        let e = repr.entry(n, i, j);
-        if i == j {
-            e + Complex::ONE
-        } else {
-            e
-        }
-    });
-    let lu = RobustLu::factor_banded(&i_plus_g)?;
-    // Solve (I+G̃)X = G̃ column by column; each RHS has at most 2b+1
-    // nonzeros, staged through the reusable scratch buffer.
-    let mut cl = CMat::zeros(n, n);
-    let mut worst_residual = 0.0f64;
-    let mut any_refined = false;
-    for j in 0..n {
-        scratch.rhs.clear();
-        scratch.rhs.resize(n, Complex::ZERO);
-        let lo = j.saturating_sub(b);
-        let hi = (j + b).min(n - 1);
-        for i in lo..=hi {
-            scratch.rhs[i] = repr.entry(n, i, j);
-        }
-        let sol = lu.solve(&scratch.rhs)?;
-        worst_residual = worst_residual.max(sol.residual);
-        any_refined |= sol.refined;
-        for (i, xi) in sol.value.iter().enumerate() {
-            cl[(i, j)] = *xi;
-        }
-    }
-    let mut report = lu.report().clone();
-    report.residual = worst_residual;
-    report.refinement_kept = any_refined;
-    let cl = Htm::from_matrix(g.truncation(), g.omega0(), cl);
-    Ok((ClosedLoopFactor::Robust(lu), cl, report))
-}
-
 /// The classic dense escalating ladder — bit-identical to the path all
 /// HTMs took before structured storage existed.
 fn dense_path(g: &Htm) -> Result<ClosedLoop, LuError> {
@@ -398,18 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_path_matches_dense_and_reports_banded_stage() {
-        let t = Truncation::new(5);
-        let g = banded_g(t);
-        let (factor, cl, report) = g.closed_loop_factored_robust().unwrap();
-        assert_eq!(report.stages_tried.first(), Some(&SolveStage::Banded));
-        assert!(report.residual < 1e-11, "residual {}", report.residual);
-        assert_eq!(factor.kind_name(), "robust-lu");
-        let reference = dense_reference(&g);
-        assert!(cl.as_matrix().max_diff(reference.as_matrix()) < 1e-10);
-    }
-
-    #[test]
     fn factor_solves_match_direct_inverse() {
         let t = Truncation::new(3);
         let n = t.dim();
@@ -462,8 +377,8 @@ mod tests {
 
     #[test]
     fn singular_banded_falls_back_through_ladder() {
-        // G̃ = −I as a (degenerate) banded Toeplitz: the banded rung's
-        // gates must trip and the dense ladder must absorb the point.
+        // G̃ = −I as a (degenerate) banded Toeplitz: I + G̃ = 0, so the
+        // dense ladder must climb past its first rung and perturb.
         let t = Truncation::new(2);
         let g = Htm::from_repr(
             t,
@@ -474,18 +389,12 @@ mod tests {
             },
         );
         let (_, cl, report) = g.closed_loop_factored_robust().unwrap();
-        assert_eq!(report.stages_tried.first(), Some(&SolveStage::Banded));
+        assert_eq!(
+            report.stages_tried.first(),
+            Some(&SolveStage::RefinedPartial)
+        );
+        assert!(report.escalated(), "{:?}", report.stages_tried);
         assert!(report.perturbed, "{:?}", report.stages_tried);
         assert!(cl.as_matrix().is_finite());
-    }
-
-    #[test]
-    fn scratch_reuse_is_deterministic() {
-        let t = Truncation::new(4);
-        let g = banded_g(t);
-        let mut scratch = SolveScratch::new();
-        let (_, first, _) = g.closed_loop_factored_robust_with(&mut scratch).unwrap();
-        let (_, second, _) = g.closed_loop_factored_robust_with(&mut scratch).unwrap();
-        assert_eq!(first, second);
     }
 }

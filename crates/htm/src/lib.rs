@@ -50,7 +50,7 @@ pub mod trunc;
 pub use blocks::{
     fourier_coefficients, DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm,
 };
-pub use factor::{ClosedLoopFactor, SolveScratch};
+pub use factor::ClosedLoopFactor;
 pub use matrix::Htm;
 pub use nyquist::{
     is_nyquist_stable, strip_contour, strip_zero_count, strip_zero_count_from_values,

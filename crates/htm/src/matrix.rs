@@ -22,7 +22,7 @@
 //! assert_eq!(id.band(1, 0), Complex::ZERO);
 //! ```
 
-use crate::factor::{ClosedLoopFactor, SolveScratch};
+use crate::factor::ClosedLoopFactor;
 use crate::repr::HtmRepr;
 use crate::trunc::Truncation;
 use htmpll_num::{CMat, Complex, Lu, LuError, SolveReport};
@@ -287,9 +287,9 @@ impl Htm {
     /// [`closed_loop_factored`](Htm::closed_loop_factored) on the
     /// structure-aware escalating solver. The open loop's [`HtmRepr`]
     /// picks the kernel: rank-one Sherman–Morrison or diagonal
-    /// reciprocal closed forms (O(n)), a banded O(n·b²) factorization
-    /// for banded Toeplitz loops, or the classic dense ladder (refined
-    /// partial pivot → complete pivoting → Tikhonov perturbation).
+    /// reciprocal closed forms (O(n)), or the classic dense ladder
+    /// (refined partial pivot → complete pivoting → Tikhonov
+    /// perturbation) for everything else.
     /// Structured shortcuts are condition-gated and fall back to the
     /// dense ladder rather than return an untrustworthy answer; the
     /// returned [`SolveReport`] grades the point either way. Callers
@@ -303,23 +303,7 @@ impl Htm {
     pub fn closed_loop_factored_robust(
         &self,
     ) -> Result<(ClosedLoopFactor, Htm, SolveReport), LuError> {
-        let mut scratch = SolveScratch::new();
-        self.closed_loop_factored_robust_with(&mut scratch)
-    }
-
-    /// [`closed_loop_factored_robust`](Htm::closed_loop_factored_robust)
-    /// with caller-owned scratch buffers, so sweep loops can solve
-    /// thousands of grid points without per-point staging allocations.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::NonFinite`] when the open-loop matrix contains NaN/∞
-    /// entries.
-    pub fn closed_loop_factored_robust_with(
-        &self,
-        scratch: &mut SolveScratch,
-    ) -> Result<(ClosedLoopFactor, Htm, SolveReport), LuError> {
-        crate::factor::closed_loop_robust(self, scratch)
+        crate::factor::closed_loop_robust(self)
     }
 
     /// Eigenvalues of the truncated HTM — the sample points of the

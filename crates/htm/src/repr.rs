@@ -20,7 +20,7 @@
 //! PLL chain `H̃_VCO·H̃_LF·H̃_PFD` and its `I + G̃` feedback operator
 //! need to stay O(n·b) instead of O(n²)/O(n³).
 
-use htmpll_num::{simd, BandMat, CMat, Complex};
+use htmpll_num::{CMat, Complex};
 
 /// Structured representation of one truncated HTM evaluation.
 ///
@@ -134,13 +134,6 @@ impl HtmRepr {
         }
     }
 
-    /// Extracts a [`BandMat`] when the representation is banded
-    /// (diagonal or banded Toeplitz); `None` otherwise.
-    pub fn to_band(&self, n: usize) -> Option<BandMat> {
-        let b = self.half_bandwidth()?.min(n.saturating_sub(1));
-        Some(BandMat::from_fn(n, b, |i, j| self.entry(n, i, j)))
-    }
-
     /// True when every stored value is finite (no NaN/∞).
     pub fn is_finite(&self) -> bool {
         let ok = |zs: &[Complex]| zs.iter().all(|z| z.re.is_finite() && z.im.is_finite());
@@ -183,45 +176,15 @@ impl HtmRepr {
         match self {
             HtmRepr::Diagonal(d) => d.iter().zip(x).map(|(di, xi)| *di * *xi).collect(),
             HtmRepr::BandedToeplitz { coeffs, row_scale } => {
-                // Diagonal-major: one contiguous SIMD pass per Toeplitz
-                // diagonal t = j − i (coefficient `coeffs[b − t]`),
-                // taken in ascending t so each row accumulates its
-                // terms in the j-ascending order of the historical row
-                // scan — bitwise identical, and O(n·b) instead of the
-                // old iterator's O(n²) walk. The per-row scale is one
-                // elementwise pass at the end, as before.
+                // Diagonal p carries `coeffs[2b − p]` on entries
+                // (i, i + p − b). The per-row scale is one elementwise
+                // pass at the end.
                 let b = coeffs.len() / 2;
-                let mut out = vec![Complex::ZERO; n];
-                if n == 0 {
-                    return out;
-                }
-                // One AoS→SoA conversion per mat-vec; every diagonal
-                // pass then runs on contiguous re/im planes with no
-                // per-pass shuffles.
-                let xs = simd::SoaVec::from_complex(x);
-                let mut acc = simd::SoaVec::zeros(n);
-                // The band may be wider than the matrix (b is not
-                // clamped here), so restrict to diagonals |t| ≤ n−1.
-                for p in b.saturating_sub(n - 1)..=(b + n - 1).min(2 * b) {
-                    // Diagonal t = p − b: entries (i, i + t) with
-                    // i ∈ [max(0, −t), n−1 − max(0, t)].
-                    let i0 = b.saturating_sub(p);
-                    let i1 = n - 1 - p.saturating_sub(b);
-                    let c = coeffs[2 * b - p];
-                    let j0 = i0 + p - b;
-                    let len = i1 - i0 + 1;
-                    let (o_re, o_im) = acc.planes_mut();
-                    simd::cmul_bcast_add(
-                        &mut o_re[i0..=i1],
-                        &mut o_im[i0..=i1],
-                        c,
-                        &xs.re()[j0..j0 + len],
-                        &xs.im()[j0..j0 + len],
-                    );
-                }
-                acc.copy_to_complex(&mut out);
+                let mut out = toeplitz_passes(n, b, x, |p| coeffs[2 * b - p]);
                 if let Some(rs) = row_scale {
-                    simd::cmul_pairwise(&mut out, rs);
+                    for (o, r) in out.iter_mut().zip(rs) {
+                        *o = *r * *o;
+                    }
                 }
                 out
             }
@@ -242,42 +205,14 @@ impl HtmRepr {
         match self {
             HtmRepr::Diagonal(d) => d.iter().zip(x).map(|(di, xi)| *di * *xi).collect(),
             HtmRepr::BandedToeplitz { coeffs, row_scale } => match row_scale {
-                // Unscaled: diagonal-major SIMD passes, ascending
-                // u = i − j so each output column accumulates in the
-                // i-ascending order of the historical scan.
+                // Unscaled: in Bᵀ, diagonal p carries `coeffs[p]` on
+                // entries (j, j + p − b).
                 None => {
                     let b = coeffs.len() / 2;
-                    let mut out = vec![Complex::ZERO; n];
-                    if n == 0 {
-                        return out;
-                    }
-                    let xs = simd::SoaVec::from_complex(x);
-                    let mut acc = simd::SoaVec::zeros(n);
-                    #[allow(clippy::needless_range_loop)] // p drives the diagonal geometry
-                    for p in b.saturating_sub(n - 1)..=(b + n - 1).min(2 * b) {
-                        // Diagonal u = p − b: contributions x[j + u] to
-                        // out[j] for j ∈ [max(0, −u), n−1 − max(0, u)].
-                        let j0 = b.saturating_sub(p);
-                        let j1 = n - 1 - p.saturating_sub(b);
-                        let c = coeffs[p];
-                        let i0 = j0 + p - b;
-                        let len = j1 - j0 + 1;
-                        let (o_re, o_im) = acc.planes_mut();
-                        simd::cmul_bcast_add(
-                            &mut o_re[j0..=j1],
-                            &mut o_im[j0..=j1],
-                            c,
-                            &xs.re()[i0..i0 + len],
-                            &xs.im()[i0..i0 + len],
-                        );
-                    }
-                    acc.copy_to_complex(&mut out);
-                    out
+                    toeplitz_passes(n, b, x, |p| coeffs[p])
                 }
-                // Row-scaled: the historical order multiplies
-                // (rs[i]·c)·x[i] per element, so keep the scalar scan —
-                // but index the band directly instead of walking the
-                // full vector through a skip/take iterator.
+                // Row-scaled: (rs[i]·c)·x[i] per element, a row scan
+                // over the band.
                 Some(rs) => {
                     let b = coeffs.len() / 2;
                     (0..n)
@@ -501,6 +436,33 @@ impl HtmRepr {
     }
 }
 
+/// The product of an `n×n` banded Toeplitz operator of half-bandwidth
+/// `b` with `x`, one pass per diagonal: diagonal `p ∈ 0..=2b` holds
+/// `coeff(p)` on the entries `(i, i + p − b)`. Passes run in ascending
+/// `p`, so each output sums its terms in ascending column order. The
+/// band may be wider than the matrix, so only the diagonals
+/// `|p − b| ≤ n − 1` run.
+fn toeplitz_passes(
+    n: usize,
+    b: usize,
+    x: &[Complex],
+    coeff: impl Fn(usize) -> Complex,
+) -> Vec<Complex> {
+    let mut out = vec![Complex::ZERO; n];
+    if n == 0 {
+        return out;
+    }
+    for p in b.saturating_sub(n - 1)..=(b + n - 1).min(2 * b) {
+        let i0 = b.saturating_sub(p);
+        let i1 = n - 1 - p.saturating_sub(b);
+        let c = coeff(p);
+        for (o, xj) in out[i0..=i1].iter_mut().zip(&x[i0 + p - b..]) {
+            *o += c * *xj;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,16 +626,6 @@ mod tests {
             assert_eq!(fast.kind_name(), r.kind_name());
             assert!(fast.to_dense(n).max_diff(&r.to_dense(n).scale(k)) < 1e-12);
         }
-    }
-
-    #[test]
-    fn to_band_covers_banded_variants() {
-        let n = 7;
-        let band = toeplitz(n, true).to_band(n).unwrap();
-        assert_eq!(band.bandwidth(), 1);
-        assert!(band.to_dense().max_diff(&toeplitz(n, true).to_dense(n)) < 1e-14);
-        assert_eq!(diag(n).to_band(n).unwrap().bandwidth(), 0);
-        assert!(rank_one(n).to_band(n).is_none());
     }
 
     #[test]

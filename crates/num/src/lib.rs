@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod band_lu;
 pub mod complex;
 pub mod eig;
 pub mod hash;
@@ -57,7 +56,6 @@ pub mod simd;
 pub mod solve;
 pub mod special;
 
-pub use band_lu::{BandLu, BandMat};
 pub use complex::{Complex, CothRe};
 pub use eig::{eigenvalues, EigError};
 pub use lu::{Lu, LuError};

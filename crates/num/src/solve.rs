@@ -35,7 +35,6 @@
 //! assert!(x.value.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
 //! ```
 
-use crate::band_lu::{BandLu, BandMat};
 use crate::complex::Complex;
 use crate::lu::{Lu, LuError};
 use crate::mat::CMat;
@@ -58,9 +57,6 @@ pub enum SolveStage {
     /// diagonal reciprocal, used when the operator's structured
     /// representation admits one.
     Structured,
-    /// Banded LU with partial pivoting confined to the band
-    /// ([`BandLu`]), O(n·b²) instead of O(n³).
-    Banded,
     /// Partial (row) pivoting with one-step iterative refinement.
     RefinedPartial,
     /// Complete (row + column) pivoting.
@@ -73,7 +69,6 @@ impl fmt::Display for SolveStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveStage::Structured => write!(f, "structured"),
-            SolveStage::Banded => write!(f, "banded"),
             SolveStage::RefinedPartial => write!(f, "refined-partial"),
             SolveStage::FullPivot => write!(f, "full-pivot"),
             SolveStage::Tikhonov => write!(f, "tikhonov"),
@@ -296,7 +291,6 @@ impl FullPivLu {
 /// The accepted factorization inside a [`RobustLu`].
 #[derive(Debug, Clone)]
 enum Factor {
-    Band(BandLu),
     Partial(Lu),
     Full(FullPivLu),
 }
@@ -304,7 +298,6 @@ enum Factor {
 impl Factor {
     fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, LuError> {
         match self {
-            Factor::Band(lu) => lu.solve(b),
             Factor::Partial(lu) => lu.solve(b),
             Factor::Full(lu) => lu.solve(b),
         }
@@ -312,40 +305,8 @@ impl Factor {
 
     fn dim(&self) -> usize {
         match self {
-            Factor::Band(lu) => lu.dim(),
             Factor::Partial(lu) => lu.dim(),
             Factor::Full(lu) => lu.dim(),
-        }
-    }
-}
-
-/// The operator a [`RobustLu`] factored — dense, or band-stored so the
-/// banded rung never materializes the O(n²) matrix it avoided.
-#[derive(Debug, Clone)]
-enum Operator {
-    Dense(CMat),
-    Band(BandMat),
-}
-
-impl Operator {
-    fn norm_max(&self) -> f64 {
-        match self {
-            Operator::Dense(m) => m.norm_max(),
-            Operator::Band(m) => m.norm_max(),
-        }
-    }
-
-    fn mul_vec(&self, x: &[Complex]) -> Vec<Complex> {
-        match self {
-            Operator::Dense(m) => m.mul_vec(x),
-            Operator::Band(m) => m.mul_vec(x),
-        }
-    }
-
-    fn to_dense(&self) -> CMat {
-        match self {
-            Operator::Dense(m) => m.clone(),
-            Operator::Band(m) => m.to_dense(),
         }
     }
 }
@@ -373,7 +334,7 @@ pub struct RobustLu {
     /// The original matrix — kept for residual computation and
     /// iterative refinement (refinement against `A` also pulls a
     /// Tikhonov-perturbed solve back toward the unperturbed problem).
-    a: Operator,
+    a: CMat,
     factor: Factor,
     report: SolveReport,
 }
@@ -434,7 +395,7 @@ impl RobustLu {
                 let cond = lu.cond_estimate(a);
                 if growth <= GROWTH_GATE && cond.is_finite() && cond <= COND_GATE {
                     return Ok(RobustLu {
-                        a: Operator::Dense(a.clone()),
+                        a: a.clone(),
                         factor: Factor::Partial(lu),
                         report: SolveReport {
                             stages_tried: stages,
@@ -460,7 +421,7 @@ impl RobustLu {
             if cond.is_finite() && cond <= COND_GATE {
                 let growth = lu.pivot_growth();
                 return Ok(RobustLu {
-                    a: Operator::Dense(a.clone()),
+                    a: a.clone(),
                     factor: Factor::Full(lu),
                     report: SolveReport {
                         stages_tried: stages,
@@ -495,7 +456,7 @@ impl RobustLu {
         let cond = lu.cond_estimate(&perturbed);
         let growth = lu.pivot_growth();
         Ok(RobustLu {
-            a: Operator::Dense(a.clone()),
+            a: a.clone(),
             factor: Factor::Full(lu),
             report: SolveReport {
                 stages_tried: stages,
@@ -508,57 +469,6 @@ impl RobustLu {
         })
     }
 
-    /// Factors a band-stored matrix through the structured rung of the
-    /// ladder: a banded LU ([`BandLu`], O(n·b²)) gated on pivot growth
-    /// and a probe condition estimate. Structure-breaking pivots — or
-    /// ill-conditioning the in-band pivoting cannot contain — fall back
-    /// to the dense escalation ladder on the densified matrix, keeping
-    /// [`SolveStage::Banded`] as the first `stages_tried` entry so
-    /// callers grade those points as escalated rather than exact.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::NonFinite`] for NaN/∞ entries; a merely singular or
-    /// ill-conditioned finite matrix never errors (the dense ladder's
-    /// Tikhonov rung catches it).
-    pub fn factor_banded(a: &BandMat) -> Result<RobustLu, LuError> {
-        if !a.is_finite() {
-            return Err(LuError::NonFinite);
-        }
-        htmpll_obs::counter!("num", "robust.factor_banded").inc();
-        let _span = htmpll_obs::span_labeled_at(
-            "num",
-            "robust_factor_banded",
-            htmpll_obs::Level::Debug,
-            || format!("n={},b={}", a.dim(), a.bandwidth()),
-        );
-        if let Ok(lu) = BandLu::factor(a) {
-            let growth = lu.pivot_growth();
-            let cond = lu.cond_probe(a);
-            if growth <= GROWTH_GATE && cond.is_finite() && cond <= COND_GATE {
-                return Ok(RobustLu {
-                    a: Operator::Band(a.clone()),
-                    factor: Factor::Band(lu),
-                    report: SolveReport {
-                        stages_tried: vec![SolveStage::Banded],
-                        residual: 0.0,
-                        cond_estimate: cond,
-                        perturbed: false,
-                        refinement_kept: false,
-                        pivot_growth: growth,
-                    },
-                });
-            }
-        }
-        htmpll_obs::counter!("num", "robust.banded_fallback").inc();
-        htmpll_obs::instant("num", || {
-            format!("ladder{{stage=banded-fallback,n={}}}", a.dim())
-        });
-        let mut robust = RobustLu::factor(&a.to_dense())?;
-        robust.report.stages_tried.insert(0, SolveStage::Banded);
-        Ok(robust)
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.factor.dim()
@@ -569,11 +479,9 @@ impl RobustLu {
         &self.report
     }
 
-    /// A dense copy of the original (unperturbed) matrix. Band-stored
-    /// operators are densified on demand — the factorization itself
-    /// never materializes them.
-    pub fn matrix(&self) -> CMat {
-        self.a.to_dense()
+    /// The original (unperturbed) matrix.
+    pub fn matrix(&self) -> &CMat {
+        &self.a
     }
 
     /// Relative backward residual `‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`
@@ -924,69 +832,8 @@ mod tests {
     #[test]
     fn stage_display() {
         assert_eq!(SolveStage::Structured.to_string(), "structured");
-        assert_eq!(SolveStage::Banded.to_string(), "banded");
         assert_eq!(SolveStage::RefinedPartial.to_string(), "refined-partial");
         assert_eq!(SolveStage::FullPivot.to_string(), "full-pivot");
         assert_eq!(SolveStage::Tikhonov.to_string(), "tikhonov");
-    }
-
-    #[test]
-    fn banded_rung_accepts_well_conditioned_band() {
-        let a = BandMat::from_fn(9, 1, |i, j| {
-            if i == j {
-                Complex::from_re(4.0)
-            } else {
-                Complex::from_re(-1.0)
-            }
-        });
-        let r = RobustLu::factor_banded(&a).unwrap();
-        assert_eq!(r.report().stages_tried, vec![SolveStage::Banded]);
-        assert!(!r.report().escalated());
-        let b = vec![Complex::ONE; 9];
-        let sol = r.solve(&b).unwrap();
-        let res = a.mul_vec(&sol.value);
-        for (ri, bi) in res.iter().zip(&b) {
-            assert!((*ri - *bi).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn banded_rung_falls_back_on_singular_band() {
-        // The zero band is singular: the banded LU refuses, the dense
-        // ladder climbs to Tikhonov, and the report keeps the Banded
-        // rung as evidence of the attempted fast path.
-        let a = BandMat::zeros(5, 1);
-        let r = RobustLu::factor_banded(&a).unwrap();
-        assert_eq!(r.report().stages_tried[0], SolveStage::Banded);
-        assert_eq!(r.report().accepted_stage(), SolveStage::Tikhonov);
-        assert!(r.report().perturbed);
-        assert!(r.report().escalated());
-    }
-
-    #[test]
-    fn banded_rung_falls_back_on_hidden_ill_conditioning() {
-        // Pivot growth 1 but an inverse growing like 40⁸ along the
-        // superdiagonal chain: only the probe condition estimate can
-        // reject this one. (The chain is kept short enough that the
-        // dense ladder's Tikhonov rung still factors the matrix.)
-        let a = BandMat::from_fn(12, 1, |i, j| {
-            if i == j {
-                Complex::ONE
-            } else if j == i + 1 {
-                Complex::from_re(if i < 8 { 40.0 } else { 0.5 })
-            } else {
-                Complex::ZERO
-            }
-        });
-        let r = RobustLu::factor_banded(&a).unwrap();
-        assert_eq!(r.report().stages_tried[0], SolveStage::Banded);
-        assert!(r.report().escalated());
-    }
-
-    #[test]
-    fn banded_rung_rejects_non_finite() {
-        let mut a = BandMat::zeros(3, 1);
-        a.set(1, 1, Complex::new(f64::INFINITY, 0.0));
-        assert_eq!(RobustLu::factor_banded(&a).unwrap_err(), LuError::NonFinite);
     }
 }

@@ -12,8 +12,8 @@
 //!   pull **chunks of work from a shared atomic cursor**
 //!   (self-balancing: a worker that finishes its chunk steals the next
 //!   one, so uneven per-point cost does not serialize the sweep), and
-//!   [`par_map_with`] — the same engine with a per-worker scratch
-//!   workspace so hot loops can run allocation-free. The pool grows to
+//!   [`par_map_with_cancel`] — the same engine with a per-worker
+//!   scratch workspace and a cooperative deadline. The pool grows to
 //!   the largest budget any map asks for and keeps its threads warm
 //!   across maps; because the caller always works, a map nested inside
 //!   a map item cannot starve,
@@ -143,9 +143,7 @@ where
 
 /// [`par_map`] with a **per-worker workspace**: `init` runs once per
 /// worker thread (once total on the inline path) and the resulting
-/// value is passed `&mut` to every `f` call that worker executes. Sweep
-/// loops use this to reuse factor/right-hand-side scratch buffers
-/// across grid points instead of allocating per point.
+/// value is passed `&mut` to every `f` call that worker executes.
 ///
 /// The determinism contract is unchanged — the workspace must be
 /// *scratch* (its contents may not influence results), which holds
@@ -155,7 +153,7 @@ where
 /// # Panics
 ///
 /// Propagates a panic from `init` or `f`, as [`par_map`] does.
-pub fn par_map_with<T, R, W, I, F>(budget: ThreadBudget, items: &[T], init: I, f: F) -> Vec<R>
+fn par_map_with<T, R, W, I, F>(budget: ThreadBudget, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -198,11 +196,13 @@ where
     par_map_with_cancel(budget, items, deadline, || (), |(), i, t| f(i, t))
 }
 
-/// [`par_map_with`] (per-worker workspace) with a cooperative
-/// [`Deadline`] — see [`par_map_cancellable`] for the slot semantics.
+/// [`par_map_cancellable`] with a **per-worker workspace**: `init` runs
+/// once per worker thread (once total on the inline path) and the
+/// resulting value is passed `&mut` to every `f` call that worker
+/// executes. See [`par_map_cancellable`] for the slot semantics.
 ///
 /// An unbounded deadline ([`Deadline::none`]) adds one `Option` test per
-/// item over [`par_map_with`].
+/// item over [`par_map`].
 pub fn par_map_with_cancel<T, R, W, I, F>(
     budget: ThreadBudget,
     items: &[T],

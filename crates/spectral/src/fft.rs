@@ -7,11 +7,9 @@
 //! Convention: forward transform `X[k] = Σ_n x[n]·e^{−j2πkn/N}` (no
 //! normalization); the inverse divides by `N`.
 //!
-//! Butterfly passes run on split re/im planes through the
-//! runtime-dispatched SIMD kernels in `htmpll_num::simd` for large
-//! transforms; the twiddle factors come from a per-stage table built
-//! with the same sequential recurrence the scalar loop uses, so the
-//! output is bitwise identical whichever backend runs.
+//! The twiddle factors come from a per-length plan cache: one table per
+//! butterfly stage, built with the sequential `w *= wlen` recurrence, so
+//! a cached plan gives the same bits as a fresh one.
 //!
 //! ```
 //! use htmpll_spectral::fft::{fft, ifft, FftError};
@@ -27,7 +25,6 @@
 //! # }
 //! ```
 
-use htmpll_num::simd::{self, SoaVec};
 use htmpll_num::Complex;
 use std::collections::HashMap;
 use std::fmt;
@@ -85,10 +82,6 @@ pub fn ifft(x: &mut [Complex]) -> Result<(), FftError> {
     Ok(())
 }
 
-/// Below this length the transform stays in the interleaved scalar
-/// loop: the SoA conversion and twiddle table don't pay for themselves.
-const SOA_MIN_LEN: usize = 64;
-
 /// Most distinct `(length, direction)` plans the process keeps. A plan
 /// for length `n` holds `n − 1` twiddle pairs (≈ 16·n bytes), so the
 /// cap bounds cache memory at roughly 32 transforms' worth of tables;
@@ -97,18 +90,12 @@ const SOA_MIN_LEN: usize = 64;
 /// "never evict" policy keeps warm sizes warm under size churn.
 const PLAN_CACHE_CAP: usize = 32;
 
-/// Per-stage twiddle table of one whole radix-2 transform.
-struct PlanStage {
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
-}
-
 /// Whole-transform twiddle plan: one table per butterfly stage, built
-/// by the identical sequential `w *= wlen` recurrence the scalar loop
-/// replays — so a cached plan is bit-for-bit the table an uncached
-/// call would rebuild, and caching is observationally invisible.
+/// by the sequential `w *= wlen` recurrence — so a cached plan is
+/// bit-for-bit the table an uncached call would rebuild, and caching is
+/// observationally invisible.
 struct FftPlan {
-    stages: Vec<PlanStage>,
+    stages: Vec<Vec<Complex>>,
 }
 
 impl FftPlan {
@@ -120,15 +107,13 @@ impl FftPlan {
             let half = len / 2;
             let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
             let wlen = Complex::cis(ang);
-            let mut tw_re = Vec::with_capacity(half);
-            let mut tw_im = Vec::with_capacity(half);
+            let mut tw = Vec::with_capacity(half);
             let mut w = Complex::ONE;
             for _ in 0..half {
-                tw_re.push(w.re);
-                tw_im.push(w.im);
+                tw.push(w);
                 w *= wlen;
             }
-            stages.push(PlanStage { tw_re, tw_im });
+            stages.push(tw);
             len <<= 1;
         }
         FftPlan { stages }
@@ -181,71 +166,18 @@ fn transform(x: &mut [Complex], inverse: bool) -> Result<(), FftError> {
             x.swap(i, j);
         }
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    if n < SOA_MIN_LEN {
-        // Butterflies, interleaved with the sequential twiddle
-        // recurrence — the historical scalar path.
-        let mut len = 2;
-        while len <= n {
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::cis(ang);
-            for start in (0..n).step_by(len) {
-                let mut w = Complex::ONE;
-                for k in 0..len / 2 {
-                    let u = x[start + k];
-                    let v = x[start + k + len / 2] * w;
-                    x[start + k] = u + v;
-                    x[start + k + len / 2] = u - v;
-                    w *= wlen;
-                }
-            }
-            len <<= 1;
-        }
-        return Ok(());
-    }
-    // SoA path: split planes, one twiddle table per stage from the
-    // whole-transform plan cache (each table built with the exact
-    // `w *= wlen` recurrence every block used to replay, so the factors
-    // are bit-identical whether the plan is fresh or cached), SIMD
-    // butterfly passes. The per-lane operation order matches the scalar
-    // loop exactly, making the whole transform bitwise identical to the
-    // path above.
+    // Butterflies, one twiddle table per stage.
     let plan = plan_for(n, inverse);
-    let mut work = SoaVec::from_complex(x);
-    let mut len = 2;
-    let mut stage = 0usize;
-    while len <= n {
-        let half = len / 2;
-        let PlanStage { tw_re, tw_im } = &plan.stages[stage];
-        let (re, im) = work.planes_mut();
-        if half < 8 {
-            // Small stages mean thousands of tiny blocks; a per-block
-            // kernel call would cost more than the butterflies. Run
-            // them inline — identical per-element operation order, so
-            // still bitwise-equal to the dispatched kernel.
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let (a, b) = (start + k, start + k + half);
-                    let t_re = re[b] * tw_re[k] - im[b] * tw_im[k];
-                    let t_im = re[b] * tw_im[k] + im[b] * tw_re[k];
-                    let (ur, ui) = (re[a], im[a]);
-                    re[a] = ur + t_re;
-                    im[a] = ui + t_im;
-                    re[b] = ur - t_re;
-                    im[b] = ui - t_im;
-                }
-            }
-        } else {
-            for start in (0..n).step_by(len) {
-                let (u_re, v_re) = re[start..start + len].split_at_mut(half);
-                let (u_im, v_im) = im[start..start + len].split_at_mut(half);
-                simd::butterfly(u_re, u_im, v_re, v_im, tw_re, tw_im);
+    for tw in &plan.stages {
+        for block in x.chunks_exact_mut(2 * tw.len()) {
+            let (u, v) = block.split_at_mut(tw.len());
+            for ((u, v), w) in u.iter_mut().zip(v).zip(tw) {
+                let t = *v * *w;
+                *v = *u - t;
+                *u += t;
             }
         }
-        len <<= 1;
-        stage += 1;
     }
-    work.copy_to_complex(x);
     Ok(())
 }
 
@@ -375,7 +307,7 @@ mod tests {
         }
     }
 
-    /// The pre-SoA transform, verbatim: bit-reversal followed by
+    /// The transform without a plan: bit-reversal followed by
     /// butterflies with the per-block sequential twiddle recurrence.
     fn transform_reference(x: &mut [Complex], inverse: bool) {
         let n = x.len();
@@ -409,10 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_path_bitwise_matches_historical_loop() {
+    fn planned_transform_bitwise_matches_per_block_recurrence() {
         use htmpll_num::rng::Rng;
         let mut rng = Rng::seed_from_u64(0xF0F7);
-        for n in [64usize, 128, 512, 1024] {
+        for n in [2usize, 4, 8, 32, 64, 128, 512, 1024] {
             for inverse in [false, true] {
                 let x: Vec<Complex> = (0..n)
                     .map(|_| Complex::new(rng.range(-1.0, 1.0), rng.range(-1.0, 1.0)))
@@ -442,21 +374,15 @@ mod tests {
                 let fresh = FftPlan::build(n, inverse);
                 assert_eq!(cached.stages.len(), fresh.stages.len());
                 for (c, f) in cached.stages.iter().zip(&fresh.stages) {
-                    let same = c
-                        .tw_re
-                        .iter()
-                        .zip(&f.tw_re)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-                        && c.tw_im
-                            .iter()
-                            .zip(&f.tw_im)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                    let same = c.iter().zip(f).all(|(a, b)| {
+                        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                    });
                     assert!(same, "n={n} inverse={inverse}");
                 }
             }
         }
         // ...and a warm-cache transform is bitwise identical to the
-        // uncached historical loop (first call warms, second reuses).
+        // per-block recurrence (first call warms, second reuses).
         let mut rng = Rng::seed_from_u64(0x504c_414e);
         for pass in 0..2 {
             let x: Vec<Complex> = (0..512)

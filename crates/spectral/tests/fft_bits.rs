@@ -68,7 +68,7 @@ fn welch_bits_pinned() {
     // A tone at 37.5 Hz in seeded Gaussian noise, 2¹⁴ samples at 1 kHz,
     // averaged over 1024-sample Hann segments.
     let fs = 1e3;
-    let mut rng = Rng::seed_from_u64(0x3E1C_4);
+    let mut rng = Rng::seed_from_u64(0x0003_E1C4);
     let x: Vec<f64> = (0..1 << 14)
         .map(|i| {
             let t = i as f64 / fs;

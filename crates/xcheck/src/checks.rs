@@ -31,7 +31,7 @@ use crate::report::{CheckResult, ScenarioReport, StackTimings, Verdict, XcheckRe
 use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
     analyze_with, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel,
-    SweepCache, SweepWorkspace,
+    SweepCache,
 };
 use htmpll_htm::Truncation;
 use htmpll_num::Complex;
@@ -255,9 +255,9 @@ fn check_h00_vs_dense(model: &PllModel, probes: &[f64]) -> Result<CheckResult, X
     ))
 }
 
-/// The structured kernel family (rank-one / diagonal / banded dispatch
-/// with the Sherman–Morrison and banded-LU fast paths) against the
-/// forced dense escalating ladder at identical truncation — same
+/// The structured kernel family (rank-one / diagonal dispatch with the
+/// Sherman–Morrison fast path) against the forced dense escalating
+/// ladder at identical truncation — same
 /// closed-loop matrix, two kernel implementations, reconciled entry by
 /// entry and on the `(0,0)` baseband element. Differences are pure
 /// solver roundoff amplified by the conditioning of `I + G̃`.
@@ -265,10 +265,9 @@ fn check_structured_vs_dense(model: &PllModel, probes: &[f64]) -> Result<CheckRe
     let k = Truncation::new(DENSE_K);
     let lam = model.lambda();
     let cache = SweepCache::new();
-    let mut ws = SweepWorkspace::new();
-    let mut solve = |w: f64, kernel: KernelPolicy| {
+    let solve = |w: f64, kernel: KernelPolicy| {
         cache
-            .dense_robust_with(model, Complex::from_im(w), k, kernel, &mut ws)
+            .dense_robust(model, Complex::from_im(w), k, kernel)
             .map_err(|reason| XcheckError::Core(CoreError::SweepFailed { reason }))
     };
     let mut pts = Vec::with_capacity(2 * probes.len());

@@ -5,9 +5,9 @@
 //! per kernel policy:
 //!
 //! 1. `structured_cold` — [`KernelPolicy::Structured`], fresh cache:
-//!    the open loop stays in its rank-one/banded representation and the
-//!    closed loop is solved by Sherman–Morrison / banded LU, O(K·b)
-//!    per point instead of the dense O(K³).
+//!    the open loop stays in its rank-one representation and the
+//!    closed loop is solved by Sherman–Morrison, O(K) per point instead
+//!    of the dense O(K³).
 //! 2. `dense_cold` — [`KernelPolicy::Dense`], fresh cache: every point
 //!    materializes `I + G̃` and runs the dense escalating ladder.
 //! 3. `*_warm` — the same grid through the populated cache (all hits).

@@ -16,7 +16,7 @@ cores=$(echo "$bench" | sed -n 's/.*"host_cores": \([0-9]*\).*/\1/p')
 
 cat > BENCH_structured_kernels.json <<EOF
 {
-  "note": "Measured on a ${cores}-core host, single worker thread so the numbers isolate kernel cost, not pool scaling. structured_* sweeps keep the open loop in its rank-one/banded representation and close the loop by Sherman-Morrison or banded LU (O(K) per point); dense_* sweeps force materialization of I+G and the dense escalating ladder (O(K^3) per point). Both policies reconcile to 1e-10 on the xcheck corpus (structured-vs-dense check) with a thread-count-invariant digest. Baseline note: these numbers include the SIMD/SoA kernel pass (see BENCH_simd_kernels.json) — the structured path's inner loops (banded LU, banded-Toeplitz mat-vec) now dispatch vectorized split-plane kernels at the detected level, bitwise identical to scalar, so structured-vs-dense ratios measured before that pass are not directly comparable to these.",
+  "note": "Measured on a ${cores}-core host, single worker thread so the numbers isolate kernel cost, not pool scaling. structured_* sweeps keep the open loop in its rank-one representation and close the loop by Sherman-Morrison (O(K) per point); dense_* sweeps force materialization of I+G and the dense escalating ladder (O(K^3) per point). Both policies reconcile to 1e-10 on the xcheck corpus (structured-vs-dense check) with a thread-count-invariant digest.",
   "generated_by": "scripts/bench_structured.sh",
   "bench": $bench
 }

@@ -28,9 +28,6 @@ for i in $(seq 1 20); do
     }
 done
 
-echo "==> cargo test -q (workspace, HTMPLL_SIMD=0 forced-scalar)"
-HTMPLL_SIMD=0 cargo test --workspace -q
-
 echo "==> benchmark package tests (unit tests + --quick smoke of every workload)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
@@ -128,7 +125,7 @@ doctorjson=$(mktemp)
     echo "doctor smoke failed: non-zero exit on a healthy design" >&2
     exit 1
 }
-for key in robust. num.robust.factor htm.closed_loop.rank_one num.robust.banded_fallback; do
+for key in robust. num.robust.factor htm.closed_loop.rank_one num.robust.escalate_full; do
     grep -q "$key" "$doctorjson" || {
         echo "doctor smoke failed: $key missing from doctor metrics JSON" >&2
         exit 1
@@ -136,25 +133,6 @@ for key in robust. num.robust.factor htm.closed_loop.rank_one num.robust.banded_
 done
 rm -f "$doctorjson"
 echo "doctor smoke ok"
-
-echo "==> SIMD feature-detection smoke"
-# The doctor banner names the dispatched backend; with HTMPLL_SIMD=0 it
-# must always read scalar, and unset it must name the detected level
-# (scalar is valid — it documents a host without AVX2/NEON).
-simdline=$(HTMPLL_SIMD=0 ./target/release/plltool doctor --ratio 0.1 | grep '^simd') || {
-    echo "SIMD smoke failed: doctor output has no simd line" >&2
-    exit 1
-}
-case "$simdline" in
-    *scalar*) ;;
-    *) echo "SIMD smoke failed: HTMPLL_SIMD=0 dispatched '$simdline'" >&2; exit 1 ;;
-esac
-detected=$(./target/release/plltool doctor --ratio 0.1 | grep '^simd')
-case "$detected" in
-    *scalar*|*avx2*|*neon*) ;;
-    *) echo "SIMD smoke failed: unrecognized backend line '$detected'" >&2; exit 1 ;;
-esac
-echo "SIMD smoke ok ($detected)"
 
 echo "==> xcheck determinism leg (quick corpus, threads 1 vs 4)"
 # The --bench timings go to a scratch file: CI must not rewrite the

@@ -43,7 +43,7 @@ const USAGE: &str =
   hop     --ratio R [--until T] [--points N]
   doctor  [--ratio R]   stress-evaluates adversarial points (on-pole s,
           singular I+G, extreme truncations, NaN injection, a
-          structure-breaking near-singular banded loop) and prints
+          near-singular banded loop) and prints
           a health table; non-zero exit when a check misbehaves
   xcheck  [--corpus default|quick] [--json PATH] [--bench PATH]
           reconciles the λ(s), z-domain and time-domain stacks over a

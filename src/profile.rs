@@ -65,10 +65,6 @@ pub struct LadderDist {
     pub escalate_full: u64,
     /// Escalations to the Tikhonov rung.
     pub escalate_tikhonov: u64,
-    /// Banded factorizations entered.
-    pub factor_banded: u64,
-    /// Banded solves that fell back to the dense ladder.
-    pub banded_fallback: u64,
 }
 
 /// Everything one profiling phase produced.
@@ -175,8 +171,6 @@ fn harvest(name: &'static str, wall_ms: f64, threads: usize) -> PhaseReport {
         factor: counter_of(&snaps, "num.robust.factor"),
         escalate_full: counter_of(&snaps, "num.robust.escalate_full"),
         escalate_tikhonov: counter_of(&snaps, "num.robust.escalate_tikhonov"),
-        factor_banded: counter_of(&snaps, "num.robust.factor_banded"),
-        banded_fallback: counter_of(&snaps, "num.robust.banded_fallback"),
     };
     let busy_ns = snaps
         .iter()
@@ -329,7 +323,7 @@ impl ProfileReport {
             "cache%",
             "evict",
             "verdicts e/r/p/f",
-            "ladder f/fp/tik/b",
+            "ladder f/fp/tik",
             "util%"
         );
         for p in &self.phases {
@@ -349,11 +343,8 @@ impl ProfileReport {
                 p.verdicts.exact, p.verdicts.refined, p.verdicts.perturbed, p.verdicts.failed
             );
             let ladder = format!(
-                "{}/{}/{}/{}",
-                p.ladder.factor,
-                p.ladder.escalate_full,
-                p.ladder.escalate_tikhonov,
-                p.ladder.factor_banded
+                "{}/{}/{}",
+                p.ladder.factor, p.ladder.escalate_full, p.ladder.escalate_tikhonov
             );
             let _ = writeln!(
                 out,
@@ -404,8 +395,8 @@ impl ProfileReport {
                  \"quantiles_exact\": {}, \"cache_hit_rate\": {}, \"cache_evictions\": {}, \
                  \"verdicts\": {{\"exact\": {}, \"refined\": {}, \"perturbed\": {}, \"failed\": {}}}, \
                  \"trunc_escalated\": {}, \
-                 \"ladder\": {{\"factor\": {}, \"escalate_full\": {}, \"escalate_tikhonov\": {}, \
-                 \"factor_banded\": {}, \"banded_fallback\": {}}}, \"utilization\": {}}}",
+                 \"ladder\": {{\"factor\": {}, \"escalate_full\": {}, \"escalate_tikhonov\": {}}}, \
+                 \"utilization\": {}}}",
                 p.name,
                 num(p.wall_ms),
                 opt(p.p50_us),
@@ -421,8 +412,6 @@ impl ProfileReport {
                 p.ladder.factor,
                 p.ladder.escalate_full,
                 p.ladder.escalate_tikhonov,
-                p.ladder.factor_banded,
-                p.ladder.banded_fallback,
                 opt(p.utilization)
             );
             out.push_str(if i + 1 < self.phases.len() {

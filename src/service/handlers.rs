@@ -12,9 +12,9 @@ use super::response::{
 use super::ServiceCtx;
 use crate::core::{
     analyze_cached, analyze_deadline, bode_grid, dominant_poles, explore_deadline, optimize_loop,
-    transient, EffectiveGain, ExploreSpec, LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec,
-    OptimizeSpec, PllDesign, PllModel, PointQuality, QualitySummary, SampleHoldModel, SweepSpec,
-    DEADLINE_REASON, MAX_AUTO_TRUNCATION,
+    transient, EffectiveGain, ExploreSpec, KernelPolicy, LeakageSpurs, NoiseModel, NoiseShape,
+    NoiseSpec, OptimizeSpec, PllDesign, PllModel, PointQuality, QualitySummary, SampleHoldModel,
+    SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
 use crate::lti::FrequencyGrid;
@@ -456,7 +456,7 @@ fn doctor(
 
     // A dense-solve check: evaluate at `s`, expect one of `allowed`.
     let mut dense_check = |check: &'static str, s: Complex, k: Truncation, allowed: &[&str]| {
-        let row = match cache.dense_robust(&model, s, k) {
+        let row = match cache.dense_robust(&model, s, k, KernelPolicy::default()) {
             Ok(d) => DoctorCheck {
                 check: check.to_string(),
                 verdict: d.quality.name().to_string(),
@@ -548,12 +548,12 @@ fn doctor(
         },
     });
 
-    // 9: structured-kernel probe — a banded open loop whose I+G~ is a
-    // tridiagonal Toeplitz matrix tuned to be singular to working
-    // precision (smallest eigenvalue a + 2·cos(π/(n+1)) = 0). The
-    // banded rung must refuse it at the conditioning gate and escalate
-    // through the dense ladder to a refined/perturbed value — never
-    // silently return a wrong structured answer.
+    // 9: a banded-Toeplitz open loop whose I+G~ is a tridiagonal
+    // Toeplitz matrix tuned to be singular to working precision
+    // (smallest eigenvalue a + 2·cos(π/(n+1)) = 0). It takes the dense
+    // ladder, whose first rung must refuse it at the conditioning gate
+    // and escalate to a refined/perturbed value — never silently
+    // return a wrong answer.
     let n = trunc.dim();
     let a0 = -2.0 * (std::f64::consts::PI / (n as f64 + 1.0)).cos();
     let near_singular = Htm::from_repr(
@@ -569,7 +569,7 @@ fn doctor(
             let quality = PointQuality::from_report(&report);
             let escalated = report.stages_tried.len() > 1;
             DoctorCheck {
-                check: "structured near-singular band".to_string(),
+                check: "near-singular banded I+G~".to_string(),
                 verdict: quality.name().to_string(),
                 cond: Some(report.cond_estimate),
                 residual: Some(report.residual),
@@ -580,7 +580,7 @@ fn doctor(
             }
         }
         Err(e) => DoctorCheck {
-            check: "structured near-singular band".to_string(),
+            check: "near-singular banded I+G~".to_string(),
             verdict: "failed".into(),
             cond: None,
             residual: None,
@@ -678,7 +678,6 @@ fn doctor(
 
     Ok(DoctorOut {
         design_display: design.to_string(),
-        simd_level: crate::num::simd::active_level().name().to_string(),
         checks,
     })
 }

@@ -156,9 +156,6 @@ pub struct DoctorCheck {
 pub struct DoctorOut {
     /// `Display` form of the design under test.
     pub design_display: String,
-    /// Active SIMD backend (`scalar`, `avx2`, `neon`) the numerical
-    /// kernels dispatched to during the checks.
-    pub simd_level: String,
     /// All health checks, in execution order.
     pub checks: Vec<DoctorCheck>,
 }
@@ -530,9 +527,8 @@ impl Response {
             )),
             Response::Explore(e) => Some(explore_result_json(e)),
             Response::Doctor(d) => Some(format!(
-                "{{\"design\":{},\"simd_level\":{},\"failures\":{},\"total\":{},\"checks\":[{}]}}",
+                "{{\"design\":{},\"failures\":{},\"total\":{},\"checks\":[{}]}}",
                 str_lit(&d.design_display),
-                str_lit(&d.simd_level),
                 d.failures(),
                 d.checks.len(),
                 d.checks
@@ -807,7 +803,6 @@ fn explore_result_json(e: &ExploreOut) -> String {
 fn render_doctor(t: &mut String, d: &DoctorOut) {
     let _ = writeln!(t, "plltool doctor — numerical-resilience health check");
     let _ = writeln!(t, "design : {}", d.design_display);
-    let _ = writeln!(t, "simd   : {}", d.simd_level);
     t.push('\n');
     let _ = writeln!(
         t,
@@ -1007,7 +1002,6 @@ mod tests {
     fn doctor_failure_keeps_result_and_reports_error() {
         let d = Response::Doctor(DoctorOut {
             design_display: "d".to_string(),
-            simd_level: "scalar".to_string(),
             checks: vec![DoctorCheck {
                 check: "c".to_string(),
                 verdict: "failed".to_string(),

@@ -6,14 +6,13 @@
 //! deterministic: fixed seeds, no wall-clock, no ambient randomness.
 
 use htmpll::core::{
-    analyze_with, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec, MAX_AUTO_TRUNCATION,
+    analyze_with, KernelPolicy, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec,
+    MAX_AUTO_TRUNCATION,
 };
-use htmpll::htm::{Htm, Truncation};
+use htmpll::htm::{Htm, HtmRepr, Truncation};
 use htmpll::lti::Tf;
 use htmpll::num::rng::Rng;
-use htmpll::num::{
-    solve_robust, BandLu, BandMat, CMat, Complex, FullPivLu, LuError, RobustLu, SolveStage,
-};
+use htmpll::num::{solve_robust, CMat, Complex, FullPivLu, LuError, RobustLu, SolveStage};
 use htmpll::par::ThreadBudget;
 
 fn model(ratio: f64) -> PllModel {
@@ -182,7 +181,9 @@ fn non_finite_laplace_points_fail_with_a_reason() {
         c(f64::INFINITY, 1.0),
         c(1.0, f64::NEG_INFINITY),
     ] {
-        let err = cache.dense_robust(&m, s, trunc).unwrap_err();
+        let err = cache
+            .dense_robust(&m, s, trunc, KernelPolicy::default())
+            .unwrap_err();
         assert!(
             err.contains("non-finite"),
             "s = {s}: reason must mention non-finiteness, got {err}"
@@ -215,7 +216,12 @@ fn zero_bandwidth_loop_filter_never_panics() {
     let w0 = m.design().omega_ref();
     let cache = SweepCache::new();
     for w in [0.01 * w0, 0.25 * w0, 0.45 * w0] {
-        match cache.dense_robust(&m, Complex::from_im(w), Truncation::new(2)) {
+        match cache.dense_robust(
+            &m,
+            Complex::from_im(w),
+            Truncation::new(2),
+            KernelPolicy::default(),
+        ) {
             Ok(d) => assert!(d.htm.as_matrix().is_finite()),
             Err(reason) => assert!(!reason.is_empty()),
         }
@@ -231,7 +237,12 @@ fn extreme_truncation_orders_stay_usable() {
     let cache = SweepCache::new();
     for k in [0usize, 1, MAX_AUTO_TRUNCATION] {
         let d = cache
-            .dense_robust(&m, Complex::from_im(0.3 * w0), Truncation::new(k))
+            .dense_robust(
+                &m,
+                Complex::from_im(0.3 * w0),
+                Truncation::new(k),
+                KernelPolicy::default(),
+            )
             .unwrap_or_else(|e| panic!("K = {k} failed: {e}"));
         assert!(d.quality.is_usable());
         assert!(d.htm.as_matrix().is_finite());
@@ -391,9 +402,10 @@ fn verdicts_and_values_bitwise_identical_across_thread_counts() {
 }
 
 // ---------------------------------------------------------------------
-// Banded LU vs dense LU: the structured kernel must agree with the
-// dense reference on random banded complex systems across 24 decades
-// of scale, and must never accept a factorization it cannot defend.
+// Banded-Toeplitz loops on the dense ladder: a structured banded open
+// loop must close to the same HTM as the same loop built from a dense
+// matrix, across 24 decades of scale, with an honest backward residual
+// and never a non-finite entry.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -401,70 +413,56 @@ fn banded_lu_matches_dense_lu_across_24_decades() {
     // log10 scales −12..=+12 inclusive: 24 decades of dynamic range.
     for seed in 0..120u64 {
         let mut rng = Rng::seed_from_u64(0xBA2DEDu64 ^ seed);
-        let n = 4 + (rng.next_u64() % 13) as usize; // 4..=16
+        let trunc = Truncation::new(2 + (rng.next_u64() % 7) as usize); // n = 5..=17
+        let n = trunc.dim();
         let b = (rng.next_u64() % 4) as usize; // 0..=3
         let log_scale = -12.0 + (seed % 25) as f64; // −12..=+12
         let scale = 10f64.powf(log_scale);
-        let a = BandMat::from_fn(n, b, |i, j| {
-            let _ = (i, j);
-            c(rng.gaussian() * scale, rng.gaussian() * scale)
-        });
-        let rhs: Vec<Complex> = (0..n)
+        let coeffs: Vec<Complex> = (0..2 * b + 1)
             .map(|_| c(rng.gaussian() * scale, rng.gaussian() * scale))
             .collect();
+        let row_scale: Option<Vec<Complex>> =
+            (seed % 2 == 1).then(|| (0..n).map(|_| c(rng.gaussian(), rng.gaussian())).collect());
 
-        let dense = a.to_dense();
-        let reference = match FullPivLu::factor(&dense) {
-            Ok(lu) => match lu.solve(&rhs) {
-                Ok(x) => x,
-                Err(_) => continue, // singular draw: nothing to compare
-            },
-            Err(_) => continue,
-        };
-        let ref_norm: f64 = reference.iter().map(|z| z.abs()).fold(0.0, f64::max);
-
-        // Pure banded factorization, when it accepts the matrix.
-        if let Ok(blu) = BandLu::factor(&a) {
-            if blu.pivot_growth() < 1e8 {
-                let x = blu.solve(&rhs).unwrap();
-                let diff: f64 = x
-                    .iter()
-                    .zip(&reference)
-                    .map(|(p, q)| (*p - *q).abs())
-                    .fold(0.0, f64::max);
-                assert!(
-                    diff <= 1e-8 * ref_norm.max(f64::MIN_POSITIVE),
-                    "seed {seed} (n={n} b={b} scale=1e{log_scale}): \
-                     banded vs dense diff {diff:.3e} vs norm {ref_norm:.3e}"
-                );
+        // The same loop, entry by entry: B_ij = rs_i · c_{(i−j)+b}.
+        let dense = CMat::from_fn(n, n, |i, j| {
+            let k = i as i64 - j as i64;
+            if k.unsigned_abs() as usize > b {
+                return Complex::ZERO;
             }
+            let e = coeffs[(k + b as i64) as usize];
+            row_scale.as_ref().map_or(e, |rs| rs[i] * e)
+        });
+        let banded = Htm::from_repr(trunc, 1.0, HtmRepr::BandedToeplitz { coeffs, row_scale });
+        let (_, cl, report) = banded.closed_loop_factored_robust().unwrap();
+        let (_, reference, ref_report) = Htm::from_matrix(trunc, 1.0, dense.clone())
+            .closed_loop_factored_robust()
+            .unwrap();
+        let ctx = format!("seed {seed} (n={n} b={b} scale=1e{log_scale})");
+        assert_eq!(
+            report.stages_tried[0],
+            SolveStage::RefinedPartial,
+            "{ctx}: a banded loop takes the dense ladder"
+        );
+        assert!(cl.as_matrix().is_finite(), "{ctx}: non-finite closed loop");
+        if report.perturbed || ref_report.perturbed {
+            continue; // singular draw: nothing to compare
         }
 
-        // The gated ladder entry must agree regardless of which rung
-        // accepted, and must report the Banded rung as first evidence.
-        let r = RobustLu::factor_banded(&a).unwrap();
-        assert_eq!(
-            r.report().stages_tried[0],
-            SolveStage::Banded,
-            "seed {seed}"
-        );
-        let x = r.solve(&rhs).unwrap();
-        if !r.report().perturbed {
-            let diff: f64 = x
-                .value
-                .iter()
-                .zip(&reference)
-                .map(|(p, q)| (*p - *q).abs())
-                .fold(0.0, f64::max);
-            assert!(
-                diff <= 1e-6 * ref_norm.max(f64::MIN_POSITIVE),
-                "seed {seed} (n={n} b={b} scale=1e{log_scale}): \
-                 ladder vs dense diff {diff:.3e} vs norm {ref_norm:.3e}"
-            );
-        }
+        let x = cl.as_matrix();
+        let ref_norm = reference.as_matrix().norm_max();
+        let diff = x.max_diff(reference.as_matrix());
         assert!(
-            x.value.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
-            "seed {seed}: ladder returned non-finite entries"
+            diff <= 1e-6 * ref_norm.max(f64::MIN_POSITIVE),
+            "{ctx}: banded vs dense diff {diff:.3e} vs norm {ref_norm:.3e}"
+        );
+        // Backward residual of (I + G̃)·X = G̃ against the dense matrix.
+        let i_plus_g = &CMat::identity(n) + &dense;
+        let resid = (&(&i_plus_g * x) - &dense).norm_max();
+        let bound = 1e-6 * (i_plus_g.norm_max() * x.norm_max() + dense.norm_max());
+        assert!(
+            resid <= bound.max(f64::MIN_POSITIVE),
+            "{ctx}: residual {resid:.3e} vs bound {bound:.3e}"
         );
     }
 }
