@@ -10,12 +10,11 @@
 //!   harmonic-truncation policy ([`TruncationSpec`], fixed or
 //!   tail-tolerance-driven) and the thread budget
 //!   ([`ThreadBudget`](htmpll_par::ThreadBudget)).
-//! * [`SweepCache`] — *what to reuse*: λ(s) values and dense closed-loop
-//!   factorizations memoized by the bit patterns of `s` (and the
-//!   truncation order), so repeated evaluations at the same Laplace
-//!   point — across overlapping grids, spur lines on reference
-//!   harmonics, or refinement passes — skip the HTM assembly and LU
-//!   refactorization entirely.
+//! * [`SweepCache`] — *what to reuse*: dense closed-loop factorizations
+//!   memoized by the bit patterns of `s` (and the truncation order), so
+//!   repeated evaluations at the same Laplace point — across overlapping
+//!   grids, spur lines on reference harmonics, or refinement passes —
+//!   skip the HTM assembly and LU refactorization entirely.
 //! * Grid entry points on the model types:
 //!   [`EffectiveGain::eval_grid`], [`PllModel::h00_grid`],
 //!   [`PllModel::closed_loop_htm_grid`],
@@ -72,9 +71,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// λ. Auto resolution clamps to this bound.
 pub const MAX_AUTO_TRUNCATION: usize = 64;
 
-/// Default per-map entry cap for [`SweepCache`] — generous (a dense
-/// K=24 entry is ~38 KB, so the default bounds the dense map at around
-/// a gigabyte) but finite, so long interactive sessions cannot grow
+/// Default entry cap for [`SweepCache`] — generous (a dense K=24
+/// entry is ~38 KB, so the default bounds the cache at around a
+/// gigabyte) but finite, so long interactive sessions cannot grow
 /// without limit. Override with the `HTMPLL_CACHE_CAP` environment
 /// variable or [`SweepCache::with_capacity`].
 pub const DEFAULT_CACHE_CAP: usize = 32_768;
@@ -236,16 +235,11 @@ pub struct DenseSolve {
     pub quality: PointQuality,
 }
 
-/// λ cache key: `(model fingerprint, s.re bits, s.im bits)`. The
-/// fingerprint makes one cache safe to share across different models —
-/// a prerequisite for cross-request reuse in `plltool serve`.
-type PointKey = (u64, u64, u64);
-/// Dense-solve key: λ key plus truncation order and kernel-policy byte.
+/// Dense-solve key: `(model fingerprint, s.re bits, s.im bits,
+/// truncation order, kernel-policy byte)`. The fingerprint makes one
+/// cache safe to share across different models — a prerequisite for
+/// cross-request reuse in `plltool serve`.
 type DenseKey = (u64, u64, u64, usize, u8);
-
-fn point_key(fingerprint: u64, s: Complex) -> PointKey {
-    (fingerprint, s.re.to_bits(), s.im.to_bits())
-}
 
 /// A bounded map with least-recently-used eviction. Recency is a
 /// monotone tick stamped on every touch; when an insert would exceed
@@ -324,14 +318,12 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
 /// even when metric collection is filtered off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// λ and dense lookups answered from memory.
+    /// Lookups answered from memory.
     pub hits: u64,
-    /// λ and dense lookups that had to compute.
+    /// Lookups that had to compute.
     pub misses: u64,
-    /// Entries evicted (λ and dense combined) since construction.
+    /// Entries evicted since construction.
     pub evictions: u64,
-    /// Memoized λ points currently held.
-    pub lambda_entries: usize,
     /// Memoized dense solves currently held (including failures).
     pub dense_entries: usize,
     /// Number of independently locked shards.
@@ -353,11 +345,7 @@ impl CacheStats {
 /// One independently locked slice of the cache; keys are distributed
 /// across shards by hash so concurrent workers (and concurrent service
 /// requests) rarely contend on the same mutex.
-#[derive(Debug)]
-struct Shard {
-    lambda: Mutex<Lru<PointKey, Complex>>,
-    dense: Mutex<Lru<DenseKey, Result<Arc<DenseSolve>, String>>>,
-}
+type Shard = Mutex<Lru<DenseKey, Result<Arc<DenseSolve>, String>>>;
 
 /// Upper bound on shard count; keys spread by hash, so a handful of
 /// locks is enough to decongest any realistic worker count.
@@ -365,11 +353,11 @@ const MAX_SHARDS: usize = 16;
 
 /// Memoization shared across sweeps — and, since the keys carry the
 /// model fingerprint ([`PllModel::fingerprint`]), safely shared across
-/// **different models**: λ(s) values and dense closed-loop
-/// factorizations, keyed by the **bit patterns** of the Laplace point
-/// (and the truncation order for matrix entries). Bitwise keys make the
-/// cache exact — no tolerance tuning — and deterministic: a hit returns
-/// the identical value the first evaluation produced.
+/// **different models**: dense closed-loop factorizations, keyed by
+/// the **bit patterns** of the Laplace point, the truncation order and
+/// the kernel policy. Bitwise keys make the cache exact — no tolerance
+/// tuning — and deterministic: a hit returns the identical value the
+/// first evaluation produced.
 ///
 /// The cache is internally synchronized and sharded: keys hash to one
 /// of several independently locked maps, so pool workers and concurrent
@@ -378,8 +366,8 @@ const MAX_SHARDS: usize = 16;
 /// evaluation of the same point (both producing the same bits).
 ///
 /// Memory is bounded: the shards together hold at most `cap` entries
-/// per map kind (the `HTMPLL_CACHE_CAP` environment variable,
-/// defaulting to [`DEFAULT_CACHE_CAP`]) with per-shard LRU eviction,
+/// (the `HTMPLL_CACHE_CAP` environment variable, defaulting to
+/// [`DEFAULT_CACHE_CAP`]) with per-shard LRU eviction,
 /// counted by the `sweep.cache_evictions` observability counter and
 /// [`SweepCache::evictions`]. Traffic totals are kept in plain atomics
 /// and surfaced by [`SweepCache::stats`].
@@ -397,16 +385,15 @@ impl Default for SweepCache {
 }
 
 impl SweepCache {
-    /// An empty cache capped at `HTMPLL_CACHE_CAP` entries per map
+    /// An empty cache capped at `HTMPLL_CACHE_CAP` entries
     /// ([`DEFAULT_CACHE_CAP`] when unset or unparsable).
     pub fn new() -> SweepCache {
         SweepCache::with_capacity(env_cache_cap())
     }
 
-    /// An empty cache holding at most `cap` entries per map kind
-    /// (clamped to at least 1), spread over `min(16, cap)` shards
-    /// (rounded down to a power of two) so the aggregate never exceeds
-    /// `cap`.
+    /// An empty cache holding at most `cap` entries (clamped to at
+    /// least 1), spread over `min(16, cap)` shards (rounded down to a
+    /// power of two) so the aggregate never exceeds `cap`.
     pub fn with_capacity(cap: usize) -> SweepCache {
         let cap = cap.max(1);
         let mut shards = 1usize;
@@ -415,10 +402,7 @@ impl SweepCache {
         }
         let per_shard = (cap / shards).max(1);
         let shards = (0..shards)
-            .map(|_| Shard {
-                lambda: Mutex::new(Lru::new(per_shard)),
-                dense: Mutex::new(Lru::new(per_shard)),
-            })
+            .map(|_| Mutex::new(Lru::new(per_shard)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         SweepCache {
@@ -442,28 +426,6 @@ impl SweepCache {
         &self.shards[idx]
     }
 
-    /// λ(s) through the cache.
-    pub fn lambda(&self, lam: &EffectiveGain, s: Complex) -> Complex {
-        let key = point_key(lam.fingerprint(), s);
-        let shard = self.shard_for(key.0, s, 0, 0);
-        if let Some(&v) = lock(&shard.lambda).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            htmpll_obs::counter!("core", "sweep.lambda_cache.hit").inc();
-            htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
-                "cache{lambda,hit}".to_string()
-            });
-            return v;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        htmpll_obs::counter!("core", "sweep.lambda_cache.miss").inc();
-        htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
-            "cache{lambda,miss}".to_string()
-        });
-        let v = lam.eval(s);
-        lock(&shard.lambda).insert(key, v);
-        v
-    }
-
     /// Dense closed-loop solve at `(s, trunc)` through the cache and
     /// the escalating solver: HTM assembly + factorization happen at
     /// most once per key, **including failures** (a failed point is
@@ -485,10 +447,16 @@ impl SweepCache {
         trunc: Truncation,
         kernel: KernelPolicy,
     ) -> Result<Arc<DenseSolve>, String> {
-        let (fp, re, im) = point_key(model.fingerprint(), s);
-        let key = (fp, re, im, trunc.order(), kernel.as_byte());
+        let fp = model.fingerprint();
+        let key = (
+            fp,
+            s.re.to_bits(),
+            s.im.to_bits(),
+            trunc.order(),
+            kernel.as_byte(),
+        );
         let shard = self.shard_for(fp, s, trunc.order(), kernel.as_byte());
-        if let Some(v) = lock(&shard.dense).get(&key) {
+        if let Some(v) = lock(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             htmpll_obs::counter!("core", "sweep.dense_cache.hit").inc();
             htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
@@ -502,7 +470,7 @@ impl SweepCache {
             format!("cache{{dense,miss,k={}}}", trunc.order())
         });
         let entry = compute_dense(model, s, trunc, kernel);
-        lock(&shard.dense).insert(key, entry.clone());
+        lock(shard).insert(key, entry.clone());
         entry
     }
 
@@ -522,31 +490,22 @@ impl SweepCache {
             .map_err(|reason| CoreError::SweepFailed { reason })
     }
 
-    /// Number of memoized λ points.
-    pub fn lambda_entries(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.lambda).len()).sum()
-    }
-
     /// Number of memoized dense solves (including memoized failures).
     pub fn dense_entries(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.dense).len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
-    /// Total entries evicted from this cache (λ and dense combined)
-    /// since construction.
+    /// Total entries evicted from this cache since construction.
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock(&s.lambda).evicted + lock(&s.dense).evicted)
-            .sum()
+        self.shards.iter().map(|s| lock(s).evicted).sum()
     }
 
-    /// Lookups answered from memory since construction (λ and dense).
+    /// Lookups answered from memory since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to compute since construction (λ and dense).
+    /// Lookups that had to compute since construction.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -557,7 +516,6 @@ impl SweepCache {
             hits: self.hits(),
             misses: self.misses(),
             evictions: self.evictions(),
-            lambda_entries: self.lambda_entries(),
             dense_entries: self.dense_entries(),
             shards: self.shards.len(),
         }
@@ -1154,12 +1112,6 @@ mod tests {
         assert_eq!(a.fingerprint(), model(0.2).fingerprint());
         let cache = SweepCache::new();
         let s = Complex::from_im(0.7);
-        let va = cache.lambda(a.lambda(), s);
-        let vb = cache.lambda(b.lambda(), s);
-        assert_eq!(cache.lambda_entries(), 2);
-        assert_eq!(va.re.to_bits(), a.lambda().eval(s).re.to_bits());
-        assert_eq!(vb.re.to_bits(), b.lambda().eval(s).re.to_bits());
-        assert_ne!(va.re.to_bits(), vb.re.to_bits());
         let t = Truncation::new(3);
         let da = cache
             .dense_robust(&a, s, t, KernelPolicy::default())
@@ -1169,6 +1121,8 @@ mod tests {
             .unwrap();
         assert_eq!(cache.dense_entries(), 2);
         assert!(da.htm.as_matrix().max_diff(db.htm.as_matrix()) > 1e-6);
+        let direct = compute_dense(&b, s, t, KernelPolicy::default()).unwrap();
+        assert_eq!(db.htm.as_matrix().max_diff(direct.htm.as_matrix()), 0.0);
         // Round trips stay hits for the right model.
         let da2 = cache
             .dense_robust(&a, s, t, KernelPolicy::default())
@@ -1182,13 +1136,16 @@ mod tests {
         let m = model(0.2);
         let cache = SweepCache::new();
         let s = Complex::from_im(0.7);
-        cache.lambda(m.lambda(), s);
-        cache.lambda(m.lambda(), s);
+        let t = Truncation::new(3);
+        for _ in 0..2 {
+            cache
+                .dense_robust(&m, s, t, KernelPolicy::default())
+                .unwrap();
+        }
         let st = cache.stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
-        assert_eq!(st.lambda_entries, 1);
-        assert_eq!(st.dense_entries, 0);
+        assert_eq!(st.dense_entries, 1);
         assert!(st.shards.is_power_of_two());
         assert!((st.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
@@ -1203,25 +1160,14 @@ mod tests {
             let m = model(0.25);
             for i in 0..40 {
                 let s = Complex::from_im(0.1 + 0.01 * i as f64);
-                let _ = cache.lambda(m.lambda(), s);
+                let _ = cache.dense_robust(&m, s, Truncation::new(2), KernelPolicy::default());
             }
             assert!(
-                cache.lambda_entries() <= cap,
+                cache.dense_entries() <= cap,
                 "cap {cap}: {} entries",
-                cache.lambda_entries()
+                cache.dense_entries()
             );
         }
-    }
-
-    #[test]
-    fn lambda_cache_hits_are_identical() {
-        let m = model(0.2);
-        let cache = SweepCache::new();
-        let s = Complex::from_im(0.7);
-        let first = cache.lambda(m.lambda(), s);
-        let second = cache.lambda(m.lambda(), s);
-        assert_eq!(first.re.to_bits(), second.re.to_bits());
-        assert_eq!(cache.lambda_entries(), 1);
     }
 
     #[test]

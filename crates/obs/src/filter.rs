@@ -157,7 +157,22 @@ pub fn init_from_env() {
         return;
     }
     let spec = std::env::var("HTMPLL_OBS").unwrap_or_default();
-    install(Filter::parse(&spec));
+    let leaked: *mut Filter = Box::leak(Box::new(Filter::parse(&spec)));
+    // Install only if no filter exists yet: an `override_filter` on
+    // another thread that lands between the check above and here must
+    // not be replaced by the environment's filter.
+    let _ = FILTER.compare_exchange(
+        std::ptr::null_mut(),
+        leaked,
+        Ordering::AcqRel,
+        Ordering::Acquire,
+    );
+    // Open the gate for whichever filter is now active, unless an
+    // override already published its own level.
+    if let Some(f) = active() {
+        let max = f.max_level() as u8;
+        let _ = MAX_LEVEL.compare_exchange(UNINIT, max, Ordering::Release, Ordering::Relaxed);
+    }
 }
 
 /// Replaces the active filter programmatically (e.g. `plltool metrics`

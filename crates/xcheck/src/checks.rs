@@ -27,7 +27,7 @@
 //! across thread counts.
 
 use crate::corpus::{corpus, Scenario};
-use crate::report::{CheckResult, ScenarioReport, StackTimings, Verdict, XcheckReport};
+use crate::report::{CheckResult, ScenarioReport, Verdict, XcheckReport};
 use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
     analyze_with, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel,
@@ -42,7 +42,6 @@ use htmpll_spectral::goertzel::tone_amplitude;
 use htmpll_spectral::{periodogram, Window};
 use htmpll_zdomain::{impulse_invariant, jury_stable, reference_design_stability_limit, Zf};
 use std::fmt;
-use std::time::Instant;
 
 /// Truncation order for the dense HTM reference path.
 const DENSE_K: usize = 16;
@@ -141,10 +140,6 @@ fn grade_bool(check: &'static str, stacks: &'static str, a: bool, b: bool) -> Ch
             (a as u8 as f64, b as u8 as f64),
         ),
     }
-}
-
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// λ-stack internal consistency: the exact lattice-sum closed form vs
@@ -546,38 +541,30 @@ fn check_sim_spur(model: &PllModel) -> (CheckResult, CheckResult) {
 }
 
 /// Runs every applicable comparison for one scenario.
-fn run_scenario(s: &Scenario) -> Result<(ScenarioReport, StackTimings), XcheckError> {
+fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     let _span = htmpll_obs::span_labeled("xcheck", "scenario", || s.name.clone());
-    let mut tm = StackTimings::default();
     let model = s.model()?;
     let w0 = model.design().omega_ref();
     let probes: Vec<f64> = PROBE_FRACS.iter().map(|f| f * w0 / 2.0).collect();
     let mut checks = Vec::new();
 
     // λ stack internal.
-    let t0 = Instant::now();
     checks.push(check_lambda_truncation(&model, &probes));
-    tm.lambda_ms += ms_since(t0);
 
     // HTM reference path.
-    let t0 = Instant::now();
     checks.push(check_smw_vs_dense(&model, &probes)?);
     checks.push(check_structured_vs_dense(&model, &probes)?);
     if !s.isf {
         // The scalar closed form assumes the time-invariant V-column.
         checks.push(check_h00_vs_dense(&model, &probes)?);
     }
-    tm.htm_ms += ms_since(t0);
 
     // Analysis crossover vs λ, and the two stability verdicts.
-    let t0 = Instant::now();
     let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
     checks.extend(check_crossing(&model, &report));
-    tm.lambda_ms += ms_since(t0);
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).
     if !s.isf {
-        let t0 = Instant::now();
         let (g, t_sample) = z_open_loop(&model)?;
         checks.extend(check_lambda_vs_ztf(&model, &g, t_sample, &probes));
         if !s.relative_degree_one() {
@@ -591,50 +578,37 @@ fn run_scenario(s: &Scenario) -> Result<(ScenarioReport, StackTimings), XcheckEr
             jury,
             report.nyquist_stable,
         ));
-        tm.zdomain_ms += ms_since(t0);
     }
 
     // Time-domain stack.
     if s.sim {
-        let t0 = Instant::now();
         checks.push(check_sim_h00(&model));
-        tm.sim_ms += ms_since(t0);
-        let t0 = Instant::now();
         let (spur, parseval) = check_sim_spur(&model);
         checks.push(spur);
-        tm.spectral_ms += ms_since(t0);
         checks.push(parseval);
     }
 
-    Ok((
-        ScenarioReport {
-            scenario: s.name.clone(),
-            checks,
-        },
-        tm,
-    ))
+    Ok(ScenarioReport {
+        scenario: s.name.clone(),
+        checks,
+    })
 }
 
 /// The three stacks share one stability boundary: brackets the Jury
 /// sampling limit and confirms the HTM-Nyquist verdict and the
 /// behavioral simulator (lock vs divergence) land on the same side.
-fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
-    let mut tm = StackTimings::default();
+fn boundary_scenario() -> Result<ScenarioReport, XcheckError> {
     let mut checks = Vec::new();
 
-    let t0 = Instant::now();
     let limit = reference_design_stability_limit(0.05, 0.6, 1e-3);
-    tm.zdomain_ms += ms_since(t0);
 
     for (tag, factor, expect_stable) in [
         ("nyquist-vs-jury-below", 0.92, true),
         ("nyquist-vs-jury-above", 1.08, false),
     ] {
-        let t0 = Instant::now();
         let design = PllDesign::reference_design(factor * limit)?;
         let model = PllModel::builder(design).build()?;
         let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
-        tm.lambda_ms += ms_since(t0);
         let check: &'static str = tag;
         checks.push(grade_bool(
             check,
@@ -648,7 +622,6 @@ fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
         ("sim-lock-below", 0.7, true),
         ("sim-lock-above", 1.25, false),
     ] {
-        let t0 = Instant::now();
         let design = PllDesign::reference_design(factor * limit)?;
         let params = SimParams::from_design(&design);
         let opts = LockOptions {
@@ -657,7 +630,6 @@ fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
             max_periods: 4000,
         };
         let r = acquire_lock(&params, &SimConfig::default(), 5e-3, &opts);
-        tm.sim_ms += ms_since(t0);
         checks.push(grade_bool(
             tag,
             "sim::acquire_lock vs zdomain::Jury limit",
@@ -666,13 +638,10 @@ fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
         ));
     }
 
-    Ok((
-        ScenarioReport {
-            scenario: format!("stability-boundary-l{limit:.4}"),
-            checks,
-        },
-        tm,
-    ))
+    Ok(ScenarioReport {
+        scenario: format!("stability-boundary-l{limit:.4}"),
+        checks,
+    })
 }
 
 /// Runs the named corpus and reconciles every overlapping observable.
@@ -691,28 +660,12 @@ pub fn run_corpus(name: &str, threads: ThreadBudget) -> Result<XcheckReport, Xch
     let scenarios = corpus(name).ok_or_else(|| XcheckError::UnknownCorpus(name.to_string()))?;
     let results = par_map(threads, &scenarios, |_, s| run_scenario(s));
 
-    let mut reports = Vec::new();
-    let mut timings = StackTimings::default();
-    for r in results {
-        let (rep, tm) = r?;
-        reports.push(rep);
-        timings.lambda_ms += tm.lambda_ms;
-        timings.htm_ms += tm.htm_ms;
-        timings.zdomain_ms += tm.zdomain_ms;
-        timings.sim_ms += tm.sim_ms;
-        timings.spectral_ms += tm.spectral_ms;
-    }
-
-    let (boundary, tm) = boundary_scenario()?;
-    reports.push(boundary);
-    timings.zdomain_ms += tm.zdomain_ms;
-    timings.lambda_ms += tm.lambda_ms;
-    timings.sim_ms += tm.sim_ms;
+    let mut reports = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    reports.push(boundary_scenario()?);
 
     let report = XcheckReport {
         corpus: name.to_string(),
         scenarios: reports,
-        timings,
     };
     htmpll_obs::counter!("xcheck", "checks.agree").add(report.agreements() as u64);
     htmpll_obs::counter!("xcheck", "checks.tolerated").add(report.tolerated() as u64);
@@ -744,7 +697,7 @@ mod tests {
             isf: false,
             sim: false,
         };
-        let (rep, _) = run_scenario(&s).expect("scenario runs");
+        let rep = run_scenario(&s).expect("scenario runs");
         assert!(rep.checks.len() >= 6);
         for c in &rep.checks {
             assert!(

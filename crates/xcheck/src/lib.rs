@@ -36,7 +36,7 @@
 //! `plltool xcheck` subcommand exits 2 on any of those, making "the
 //! three stacks agree" a CI-enforced invariant. The machine-readable
 //! [`XcheckReport`] hashes to a deterministic FNV-1a digest that is
-//! bitwise-identical across thread counts (timings are excluded).
+//! bitwise-identical across thread counts.
 
 #![warn(missing_docs)]
 
@@ -47,5 +47,5 @@ pub mod tolerance;
 
 pub use checks::{run_corpus, XcheckError};
 pub use corpus::{corpus, FilterKind, Scenario};
-pub use report::{CheckResult, ScenarioReport, StackTimings, Verdict, XcheckReport};
+pub use report::{CheckResult, ScenarioReport, Verdict, XcheckReport};
 pub use tolerance::{ladder, EXACT_TIER};

@@ -1,12 +1,11 @@
 //! Machine-readable verification report with a deterministic digest.
 //!
 //! The report is the corpus's single artifact: per-scenario,
-//! per-comparison verdicts plus per-stack wall-clock. Everything except
-//! the timings is folded into an FNV-1a digest, so "two runs produced
-//! bitwise-identical numerical results" — e.g. across `HTMPLL_THREADS`
-//! settings — collapses to one hex-string comparison. The JSON
-//! rendering likewise excludes timings, making the files themselves
-//! byte-comparable; wall-clock goes to a separate bench artifact.
+//! per-comparison verdicts. All of it is folded into an FNV-1a digest,
+//! so "two runs produced bitwise-identical numerical results" — e.g.
+//! across `HTMPLL_THREADS` settings — collapses to one hex-string
+//! comparison. The report holds no wall-clock, so the JSON files
+//! themselves are byte-comparable.
 
 use htmpll_num::hash::Fnv1a;
 use std::fmt::Write as _;
@@ -54,51 +53,6 @@ pub struct ScenarioReport {
     pub checks: Vec<CheckResult>,
 }
 
-/// Per-stack wall-clock totals in milliseconds. **Excluded from the
-/// digest and the JSON report** — timing is machine-dependent and must
-/// not break bitwise determinism; it is exported separately as a bench
-/// artifact.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StackTimings {
-    /// λ evaluations (exact + truncated).
-    pub lambda_ms: f64,
-    /// Dense/SMW HTM closed-loop solves.
-    pub htm_ms: f64,
-    /// z-domain model construction and evaluation.
-    pub zdomain_ms: f64,
-    /// Behavioral simulation runs.
-    pub sim_ms: f64,
-    /// Spectral estimation on simulated records.
-    pub spectral_ms: f64,
-}
-
-impl StackTimings {
-    /// Total wall-clock across stacks.
-    pub fn total_ms(&self) -> f64 {
-        self.lambda_ms + self.htm_ms + self.zdomain_ms + self.sim_ms + self.spectral_ms
-    }
-
-    /// Bench-artifact JSON (`BENCH_xcheck_corpus.json` payload).
-    pub fn to_bench_json(&self, corpus: &str, scenarios: usize, checks: usize) -> String {
-        format!(
-            concat!(
-                "{{\"corpus\":\"{}\",\"scenarios\":{},\"checks\":{},",
-                "\"wall_ms\":{{\"lambda\":{:.3},\"htm\":{:.3},\"zdomain\":{:.3},",
-                "\"sim\":{:.3},\"spectral\":{:.3}}},\"total_ms\":{:.3}}}"
-            ),
-            corpus,
-            scenarios,
-            checks,
-            self.lambda_ms,
-            self.htm_ms,
-            self.zdomain_ms,
-            self.sim_ms,
-            self.spectral_ms,
-            self.total_ms()
-        )
-    }
-}
-
 /// The full corpus run.
 #[derive(Debug, Clone)]
 pub struct XcheckReport {
@@ -106,8 +60,6 @@ pub struct XcheckReport {
     pub corpus: String,
     /// Per-scenario results.
     pub scenarios: Vec<ScenarioReport>,
-    /// Per-stack wall-clock (not digested, not in the JSON report).
-    pub timings: StackTimings,
 }
 
 impl XcheckReport {
@@ -143,8 +95,8 @@ impl XcheckReport {
 
     /// Deterministic FNV-1a digest over every numerical result —
     /// corpus name, scenario names, check names/stacks, deviation bit
-    /// patterns and verdicts. Timings are deliberately excluded, so the
-    /// digest is invariant across machines and thread counts.
+    /// patterns and verdicts. It is invariant across machines and thread
+    /// counts.
     pub fn digest(&self) -> String {
         let mut h = Fnv1a::new();
         h.write_str(&self.corpus);
@@ -175,8 +127,8 @@ impl XcheckReport {
         h.finish_hex()
     }
 
-    /// JSON rendering of the full report (timings excluded; the digest
-    /// is embedded so consumers can verify determinism offline).
+    /// JSON rendering of the full report (the digest is embedded so
+    /// consumers can verify determinism offline).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -276,27 +228,22 @@ mod tests {
                     },
                 ],
             }],
-            timings: StackTimings::default(),
         }
     }
 
     #[test]
-    fn digest_ignores_timings() {
+    fn digest_tracks_numerical_results() {
         let mut a = sample();
         let d0 = a.digest();
-        a.timings.sim_ms = 123.0;
         assert_eq!(a.digest(), d0);
-        // ... but is sensitive to any numerical result.
         a.scenarios[0].checks[0].deviation = 2e-12;
         assert_ne!(a.digest(), d0);
     }
 
     #[test]
-    fn json_excludes_timings_and_embeds_digest() {
-        let mut a = sample();
+    fn json_embeds_digest() {
+        let a = sample();
         let j0 = a.to_json();
-        a.timings.lambda_ms = 9.0;
-        assert_eq!(a.to_json(), j0, "timings must not leak into the report");
         assert!(j0.contains(&a.digest()));
         assert!(j0.contains("\"verdict\":\"agree\""));
         assert!(j0.contains("\"reason\":\"tail\""));
@@ -309,20 +256,5 @@ mod tests {
         assert_eq!(a.tolerated(), 1);
         assert_eq!(a.mismatches(), 0);
         assert_eq!(a.total_checks(), 2);
-    }
-
-    #[test]
-    fn bench_json_has_stack_breakdown() {
-        let t = StackTimings {
-            lambda_ms: 1.0,
-            htm_ms: 2.0,
-            zdomain_ms: 3.0,
-            sim_ms: 4.0,
-            spectral_ms: 5.0,
-        };
-        let j = t.to_bench_json("quick", 4, 20);
-        assert!(j.contains("\"corpus\":\"quick\""));
-        assert!(j.contains("\"lambda\":1.000"));
-        assert!(j.contains("\"total_ms\":15.000"));
     }
 }

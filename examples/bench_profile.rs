@@ -1,5 +1,5 @@
-//! Tracing-overhead benchmark, used by `scripts/bench_profile.sh` to
-//! produce `BENCH_profile_overhead.json`.
+//! Tracing-overhead benchmark, run by `scripts/ci.sh` as the <10 %
+//! default-tracing overhead guard.
 //!
 //! Measures the same structured-kernel closed-loop sweep (K = 24, 96-pt
 //! grid by default) in four configurations:

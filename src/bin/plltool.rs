@@ -23,7 +23,7 @@ use htmpll::service::{envelope, handle, serve_lines, Response, ServeOptions, Ser
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: plltool <analyze|sweep|bode|step|spur|optimize|explore|hop|doctor|xcheck|metrics|trace|profile|serve|chaos> [--key value ...]
+    "usage: plltool <analyze|sweep|bode|step|spur|optimize|explore|hop|doctor|xcheck|metrics|trace|profile|serve|chaos|figures> [--key value ...]
   analyze --ratio R [--spread S] [--symbolic x] [--pfd sh]
           (or --fref --n --kvco --bw)
   sweep   [--from A] [--to B] [--points N]
@@ -45,7 +45,7 @@ const USAGE: &str =
           singular I+G, extreme truncations, NaN injection, a
           near-singular banded loop) and prints
           a health table; non-zero exit when a check misbehaves
-  xcheck  [--corpus default|quick] [--json PATH] [--bench PATH]
+  xcheck  [--corpus default|quick] [--json PATH]
           reconciles the λ(s), z-domain and time-domain stacks over a
           deterministic scenario corpus; exit 2 on any mismatch
   metrics [--ratio R] [--obs SPEC] [--json PATH]
@@ -80,6 +80,10 @@ const USAGE: &str =
           in input order, output is identical for 1 and N workers, and
           unfaulted requests match a fault-free baseline byte-for-byte;
           exit 2 on any violation
+  figures [<id>|all]
+          prints the data behind the paper's figures (fig2 fig4 fig5
+          fig6 fig7) and the extension studies; `all` (the default)
+          omits the wall-clock `timing` id; takes no flags
   every command accepts --threads N for the sweep worker pool
   (0 = auto; equivalent to setting HTMPLL_THREADS) and --metrics-json
   PATH to dump instrumentation (enables info-level collection if
@@ -126,12 +130,6 @@ fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
         if matches!(resp, Response::Metrics(_)) {
             println!("\nwrote {path}");
         } else {
-            println!("wrote {path}");
-        }
-    }
-    if let Some(path) = params.str_opt("bench") {
-        if let Response::Xcheck(x) = &resp {
-            std::fs::write(&path, &x.bench_json).map_err(|e| format!("--bench {path}: {e}"))?;
             println!("wrote {path}");
         }
     }
@@ -206,6 +204,17 @@ fn cmd_chaos(params: &Params) -> Result<(), String> {
     }
 }
 
+/// The `figures` front end: prints one figure id (default `all`).
+fn cmd_figures(args: &[String]) -> Result<(), String> {
+    let id = match args {
+        [] => "all",
+        [id] => id.as_str(),
+        _ => return Err(format!("figures takes one id\n{USAGE}")),
+    };
+    print!("{}", htmpll::figures::render(id)?);
+    Ok(())
+}
+
 /// The `serve` front end: stdin→stdout JSONL by default, a Unix socket
 /// with `--socket PATH`. The summary line goes to stderr so response
 /// lines stay machine-clean on stdout.
@@ -240,6 +249,10 @@ fn cmd_serve(params: &Params) -> Result<(), String> {
 
 fn run(argv: &[String]) -> Result<(), String> {
     let cmd = argv.first().map(String::as_str).ok_or(USAGE)?;
+    // `figures` takes a positional id and no flags.
+    if cmd == "figures" {
+        return cmd_figures(&argv[1..]);
+    }
     // `trace` takes the wrapped command as a positional before the flags.
     let (inner, flags) = if cmd == "trace" {
         let inner = argv
@@ -462,6 +475,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         assert!(run(&strs(&["xcheck", "--corpus", "nonsense"])).is_err());
+    }
+
+    #[test]
+    fn unknown_figure_lists_the_ids() {
+        let e = run(&strs(&["figures", "nope"])).unwrap_err();
+        assert!(e.contains("unknown figure `nope`"), "{e}");
+        for id in ["fig2", "fig5", "fig7", "trunc", "timing", "all"] {
+            assert!(e.contains(id), "{id} missing from: {e}");
+        }
     }
 
     #[test]

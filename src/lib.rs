@@ -70,6 +70,10 @@ pub use htmpll_fault as fault;
 /// Cross-stack differential verification (re-export of `htmpll-xcheck`).
 pub use htmpll_xcheck as xcheck;
 
+/// The paper's reproduction: one driver per figure and the text
+/// `plltool figures` prints.
+pub mod figures;
+
 /// Seeded profiling workload matrix + per-phase attribution (drives
 /// `plltool profile`).
 pub mod profile;

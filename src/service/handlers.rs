@@ -696,11 +696,6 @@ fn xcheck(corpus: &str, threads: ThreadBudget) -> Result<XcheckOut, String> {
         scenarios: report.scenarios.len(),
         digest: report.digest(),
         report_json: report.to_json(),
-        bench_json: report.timings.to_bench_json(
-            &report.corpus,
-            report.scenarios.len(),
-            report.total_checks(),
-        ),
     })
 }
 

@@ -51,7 +51,7 @@ use std::time::Duration;
 /// instance (behind an `Arc`) across all pool workers, which is what
 /// makes the sweep cache a *cross-request* cache.
 pub struct ServiceCtx {
-    /// Cross-request dense-solve / λ cache, sharded internally.
+    /// Cross-request dense-solve cache, sharded internally.
     /// Entries are keyed by (model fingerprint, s, truncation), so one
     /// cache safely serves unrelated designs concurrently.
     pub cache: SweepCache,

@@ -28,7 +28,7 @@
 //!   (up to `batch_max`) into one batch and sorts it by
 //!   `(command, canonical spec)` before fanning out, so identical and
 //!   near-identical specs land adjacently and reuse warm LU
-//!   factorizations / λ values through the shared [`SweepCache`]
+//!   factorizations through the shared [`SweepCache`]
 //!   within the batch — and across batches through the same cache.
 //! * **Graceful degradation**: a request can fail three ways — a
 //!   malformed line (`bad_request`), a handler error (`failed`, e.g. an

@@ -10,7 +10,6 @@ use htmpll::core::{
 };
 use htmpll::htm::Truncation;
 use htmpll::lti::bode_sweep;
-use htmpll::num::Complex;
 use htmpll::par::ThreadBudget;
 
 fn model(ratio: f64) -> PllModel {
@@ -142,15 +141,6 @@ fn cache_hits_return_the_first_evaluation_bitwise() {
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.as_matrix().max_diff(b.as_matrix()), 0.0);
     }
-    // λ memo: repeated queries at one point stay bitwise-stable.
-    let s = Complex::from_im(0.9);
-    let first = cache.lambda(m.lambda(), s);
-    for _ in 0..3 {
-        let again = cache.lambda(m.lambda(), s);
-        assert_bits(first.re, again.re, "cached lambda re");
-        assert_bits(first.im, again.im, "cached lambda im");
-    }
-    assert_eq!(cache.lambda_entries(), 1);
 }
 
 #[test]
