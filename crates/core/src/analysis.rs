@@ -10,10 +10,11 @@
 //! * an HTM-Nyquist stability verdict on `λ`.
 //!
 //! ```
-//! use htmpll_core::{analyze, PllDesign, PllModel};
+//! use htmpll_core::{analyze, PllDesign, PllModel, SweepCache};
+//! use htmpll_par::{Deadline, ThreadBudget};
 //!
 //! let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap()).build().unwrap();
-//! let r = analyze(&m).unwrap();
+//! let r = analyze(&m, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none()).unwrap();
 //! // Sampling always erodes the phase margin relative to LTI.
 //! assert!(r.phase_margin_eff_deg < r.phase_margin_lti_deg);
 //! assert!(r.omega_ug_eff >= r.omega_ug_lti);
@@ -32,7 +33,6 @@ use htmpll_num::Complex;
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
 /// Analysis products for one PLL model.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisReport {
     /// Ratio `ω_UG/ω₀` of LTI crossover to reference frequency — the
@@ -87,55 +87,6 @@ impl AnalysisReport {
 /// unity-gain frequency.
 const SCAN_DECADES_DOWN: f64 = 1e-4;
 
-/// Analyzes a PLL model.
-///
-/// The scan window spans from `ω_UG·10⁻⁴` to just below `ω₀/2` for the
-/// effective gain — `λ(jω)` is `ω₀`-periodic along the axis, so its
-/// margins live in the first Nyquist band — and up to `100·ω_UG` for the
-/// LTI gain.
-///
-/// # Errors
-///
-/// Propagates margin-extraction failures (e.g. a loop so slow/fast that
-/// no unity crossing exists in the scan window).
-pub fn analyze(model: &PllModel) -> Result<AnalysisReport, CoreError> {
-    analyze_with(model, ThreadBudget::Auto)
-}
-
-/// [`analyze`] with an explicit thread budget for the margin, peaking
-/// and Nyquist-contour scans. Every scan grid is evaluated on the
-/// `htmpll-par` pool and the extractors run over the precomputed
-/// values, so the report is **bitwise-identical for any thread count**
-/// (including the sequential `Fixed(1)` path).
-///
-/// # Errors
-///
-/// Propagates margin-extraction failures (e.g. a loop so slow/fast that
-/// no unity crossing exists in the scan window).
-pub fn analyze_with(model: &PllModel, threads: ThreadBudget) -> Result<AnalysisReport, CoreError> {
-    analyze_cached(model, threads, &SweepCache::new())
-}
-
-/// [`analyze_with`] routing every cacheable evaluation (the dense
-/// closed-loop probe at the effective crossover) through a caller-owned
-/// [`SweepCache`]. Since cache keys carry the model fingerprint, a
-/// long-lived cache can be shared across calls **and across models**:
-/// repeated analyses of the same design skip the HTM assembly and
-/// factorization entirely. Cache reuse never changes results — hits
-/// return the identical bits the first evaluation produced.
-///
-/// # Errors
-///
-/// Propagates margin-extraction failures (e.g. a loop so slow/fast that
-/// no unity crossing exists in the scan window).
-pub fn analyze_cached(
-    model: &PllModel,
-    threads: ThreadBudget,
-    cache: &SweepCache,
-) -> Result<AnalysisReport, CoreError> {
-    analyze_deadline(model, threads, cache, &Deadline::none())
-}
-
 /// Collapses one cancellable scan into its values, or the deadline
 /// error naming the phase that ran out of budget.
 fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec<T>, CoreError> {
@@ -148,22 +99,36 @@ fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec
     }
 }
 
-/// [`analyze_cached`] under a cooperative [`Deadline`]: every scan grid
-/// is cancellable, so an expired budget surfaces as
-/// [`CoreError::DeadlineExceeded`] (naming the scan phase) instead of
-/// running the remaining grids to completion. With
-/// [`Deadline::none`] this is exactly [`analyze_cached`] — same scans,
-/// same bits.
+/// Analyzes a PLL model.
 ///
-/// The margin extractors need the *whole* scan to bracket crossings, so
-/// analysis has no partial-result mode: the deadline either leaves
-/// enough budget for a full report or the analysis fails retryably.
+/// The scan window spans from `ω_UG·10⁻⁴` to just below `ω₀/2` for the
+/// effective gain — `λ(jω)` is `ω₀`-periodic along the axis, so its
+/// margins live in the first Nyquist band — and up to `100·ω_UG` for the
+/// LTI gain.
+///
+/// Every scan grid is evaluated on the `htmpll-par` pool under
+/// `threads` and the extractors run over the precomputed values, so the
+/// report is **bitwise-identical for any thread count**.
+///
+/// The dense closed-loop probe at the effective crossover goes through
+/// `cache`. Cache keys carry the model fingerprint, so one long-lived
+/// cache can be shared across calls and across models; a hit returns
+/// the bits the first evaluation produced. Pass [`SweepCache::new`] for
+/// a one-off analysis.
+///
+/// Every scan is cancellable under `deadline`. The margin extractors
+/// need the *whole* scan to bracket crossings, so analysis has no
+/// partial-result mode: the deadline either leaves enough budget for a
+/// full report or the analysis fails retryably. [`Deadline::none`]
+/// never expires.
 ///
 /// # Errors
 ///
-/// [`CoreError::DeadlineExceeded`] when the budget expires mid-scan;
-/// otherwise as [`analyze_cached`].
-pub fn analyze_deadline(
+/// [`CoreError::DeadlineExceeded`] (naming the scan phase) when the
+/// budget expires mid-scan; otherwise propagates margin-extraction
+/// failures (e.g. a loop so slow/fast that no unity crossing exists in
+/// the scan window).
+pub fn analyze(
     model: &PllModel,
     threads: ThreadBudget,
     cache: &SweepCache,
@@ -307,7 +272,13 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
             .build()
             .unwrap();
-        analyze(&m).unwrap()
+        analyze(
+            &m,
+            ThreadBudget::Auto,
+            &SweepCache::new(),
+            &Deadline::none(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -396,7 +367,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
             .build()
             .unwrap();
-        let err = analyze_deadline(
+        let err = analyze(
             &m,
             ThreadBudget::Fixed(1),
             &SweepCache::new(),
@@ -407,11 +378,6 @@ mod tests {
             err.to_string().starts_with(crate::quality::DEADLINE_REASON),
             "{err}"
         );
-        // An unbounded deadline is exactly analyze_cached.
-        let cache = SweepCache::new();
-        let a = analyze_cached(&m, ThreadBudget::Fixed(2), &cache).unwrap();
-        let b = analyze_deadline(&m, ThreadBudget::Fixed(2), &cache, &Deadline::none()).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

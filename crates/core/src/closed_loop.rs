@@ -355,26 +355,6 @@ impl PllModel {
         };
         Htm::from_repr(trunc, w0, open)
     }
-
-    /// Full closed-loop HTM via dense block assembly and LU solve — the
-    /// O(n³) reference path used to validate the closed form and to
-    /// support non-rank-one extensions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the solve error when evaluated exactly on a closed-loop
-    /// pole.
-    pub fn closed_loop_htm_dense(
-        &self,
-        s: Complex,
-        trunc: impl Into<TruncationSpec>,
-    ) -> Result<Htm, CoreError> {
-        let trunc = self.resolve_truncation(trunc);
-        let _span = htmpll_obs::span_labeled("core", "closed_loop_htm_dense", || {
-            format!("dim={}", trunc.dim())
-        });
-        Ok(self.open_loop_htm(s, trunc).closed_loop()?)
-    }
 }
 
 #[cfg(test)]
@@ -394,7 +374,7 @@ mod tests {
         for &(re, im) in &[(0.0, 0.4), (0.02, 1.3), (0.0, 2.7)] {
             let s = Complex::new(re, im);
             let fast = m.closed_loop_htm(s, t);
-            let dense = m.closed_loop_htm_dense(s, t).unwrap();
+            let dense = m.open_loop_htm(s, t).closed_loop().unwrap();
             let err = fast.as_matrix().max_diff(dense.as_matrix());
             assert!(err < 1e-10, "s={s}: err {err}");
         }
@@ -488,7 +468,7 @@ mod tests {
         let b = tv.closed_loop_htm(s, t).band(0, 0);
         assert!((a - b).abs() > 1e-3 * a.abs(), "TV ISF should matter");
         // And the TV path still matches its dense reference.
-        let dense = tv.closed_loop_htm_dense(s, t).unwrap();
+        let dense = tv.open_loop_htm(s, t).closed_loop().unwrap();
         let fast = tv.closed_loop_htm(s, t);
         assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-10);
     }
@@ -496,23 +476,23 @@ mod tests {
     #[test]
     fn loop_delay_erodes_effective_margin() {
         use crate::analysis::analyze;
+        use crate::sweep::SweepCache;
+        use htmpll_par::{Deadline, ThreadBudget};
         let design = PllDesign::reference_design(0.1).unwrap();
         let t_ref = 1.0 / design.f_ref();
-        let plain = analyze(&PllModel::builder(design.clone()).build().unwrap()).unwrap();
-        let quarter = analyze(
-            &PllModel::builder(design.clone())
-                .loop_delay(0.25 * t_ref, 6)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let half = analyze(
-            &PllModel::builder(design)
-                .loop_delay(0.5 * t_ref, 6)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let report = |b: PllModelBuilder| {
+            let m = b.build().unwrap();
+            analyze(
+                &m,
+                ThreadBudget::Auto,
+                &SweepCache::new(),
+                &Deadline::none(),
+            )
+            .unwrap()
+        };
+        let plain = report(PllModel::builder(design.clone()));
+        let quarter = report(PllModel::builder(design.clone()).loop_delay(0.25 * t_ref, 6));
+        let half = report(PllModel::builder(design).loop_delay(0.5 * t_ref, 6));
         // Delay always costs effective margin, monotonically in τ. (The
         // loss is smaller than the naive ω·τ because the delay also
         // reshapes the alias interference and moves the crossover down —

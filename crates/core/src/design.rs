@@ -29,7 +29,6 @@ use htmpll_lti::{ChargePumpFilter2, ChargePumpFilter3, Tf};
 use std::fmt;
 
 /// The loop-filter network of a design.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoopFilter {
     /// Second-order passive charge-pump filter (series RC ∥ shunt C).
@@ -52,7 +51,6 @@ impl LoopFilter {
 }
 
 /// A complete charge-pump PLL design.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct PllDesign {
     f_ref: f64,

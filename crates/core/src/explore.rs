@@ -7,11 +7,11 @@
 //! four-axis box (ω_UG/ω₀, zero/pole spread, charge-pump scale,
 //! divider N); the explorer synthesizes the loop filter for every
 //! point, screens it with a coarse closed-form λ(jω) margin scan, runs
-//! the full [`analyze`](crate::analysis::analyze_cached) stage only on
+//! the full [`analyze`] stage only on
 //! survivors, and streams the results through a bounded Pareto front
 //! over **(phase margin × bandwidth × peaking × spur level × lock
 //! time)**. Memory stays flat: nothing is retained per candidate
-//! beyond the front itself and per-worker scratch.
+//! beyond the front itself and per-block scratch.
 //!
 //! # Determinism contract
 //!
@@ -24,7 +24,7 @@
 //!   or a seed-rotated Halton point in quasi mode);
 //! * evaluation happens in fixed-size blocks of [`EXPLORE_BLOCK`]
 //!   consecutive candidates, dispatched through
-//!   [`par_map_with_cancel`] which places results by block index;
+//!   [`par_map_cancellable`] which places results by block index;
 //! * each block keeps its own bounded front (capacity ≥ block size, so
 //!   per-block pruning never occurs) and the blocks merge
 //!   **sequentially in index order**, which makes the global insertion
@@ -39,6 +39,7 @@
 //! ```
 //! use htmpll_core::explore::{explore, ExploreSpec};
 //! use htmpll_core::SweepCache;
+//! use htmpll_par::Deadline;
 //!
 //! let spec = ExploreSpec {
 //!     candidates: 64,
@@ -46,13 +47,13 @@
 //!     refine_rounds: 0,
 //!     ..ExploreSpec::default()
 //! };
-//! let report = explore(&spec, &SweepCache::new()).unwrap();
+//! let report = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
 //! assert!(!report.front.is_empty());
 //! // Every front member is feasible and non-dominated.
 //! assert!(report.front.iter().all(|p| p.pm_eff_deg >= spec.min_pm_deg));
 //! ```
 
-use crate::analysis::analyze_deadline;
+use crate::analysis::analyze;
 use crate::closed_loop::PllModel;
 use crate::design::PllDesign;
 use crate::error::CoreError;
@@ -60,7 +61,7 @@ use crate::quality::QualitySummary;
 use crate::spurs::LeakageSpurs;
 use crate::sweep::SweepCache;
 use htmpll_num::rng::{radical_inverse, Rng};
-use htmpll_par::{par_map_with_cancel, Deadline, ThreadBudget};
+use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
 /// Reference frequency shared by every candidate (Hz). The explorer
 /// varies loop *shape*, not the reference: 10 MHz is the workhorse
@@ -109,7 +110,6 @@ const ICP_SCALE_RANGE: (f64, f64) = (0.25, 4.0);
 const DIVIDER_RANGE: (f64, f64) = (8.0, 512.0);
 
 /// One point in the four-axis candidate space.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignParams {
     /// Target crossover as a fraction of the reference: `ω_UG/ω₀`.
@@ -139,7 +139,6 @@ impl DesignParams {
 }
 
 /// A feasible design together with its five Pareto objectives.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Where in the candidate space this design lives.
@@ -191,8 +190,8 @@ impl DesignPoint {
 /// A bounded streaming Pareto front.
 ///
 /// Insertion keeps the set mutually non-dominated; when the capacity
-/// is exceeded the point with the lowest fixed
-/// [`prune_score`](DesignPoint::prune_score) is evicted (counted in
+/// is exceeded the point with the lowest fixed prune score (a weighted
+/// sum over the five objectives) is evicted (counted in
 /// [`ParetoFront::pruned`]). With pruning never triggered, the final
 /// *set* is invariant to insertion order; the stored order is the
 /// insertion order of the surviving points.
@@ -402,9 +401,9 @@ fn build_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
         .build()
 }
 
-/// Per-worker scratch: the screening scan reuses these buffers across
-/// every candidate a worker evaluates (contents never carry
-/// information between candidates — each screen overwrites them).
+/// Per-block scratch: the screening scan reuses these buffers across
+/// every candidate of one block (contents never carry information
+/// between candidates — each screen overwrites them).
 #[derive(Debug, Default)]
 pub struct ExploreWorkspace {
     mag: Vec<f64>,
@@ -515,7 +514,7 @@ fn evaluate(
     // Inner analysis always runs single-threaded: parallelism lives at
     // the block level, and a fixed inner budget keeps the per-candidate
     // arithmetic identical no matter how blocks land on workers.
-    let report = match analyze_deadline(&model, ThreadBudget::Fixed(1), cache, deadline) {
+    let report = match analyze(&model, ThreadBudget::Fixed(1), cache, deadline) {
         Ok(r) => r,
         Err(CoreError::DeadlineExceeded { .. }) => return Outcome::Deadline,
         Err(_) => return Outcome::Failed,
@@ -570,9 +569,9 @@ fn eval_block(
     spec: &ExploreSpec,
     cache: &SweepCache,
     deadline: &Deadline,
-    ws: &mut ExploreWorkspace,
 ) -> BlockOut {
     let n = params.len();
+    let mut ws = ExploreWorkspace::default();
     let mut out = BlockOut {
         front: ParetoFront::new(n.max(1)),
         evaluated: 0,
@@ -588,7 +587,7 @@ fn eval_block(
             out.skipped += 1;
             continue;
         }
-        match evaluate(&p, spec, cache, deadline, ws, &mut out.quality) {
+        match evaluate(&p, spec, cache, deadline, &mut ws, &mut out.quality) {
             Outcome::Deadline => {
                 out.skipped += 1;
                 continue;
@@ -668,18 +667,12 @@ fn run_stream_round(
         return;
     }
     let blocks: Vec<usize> = (0..count).step_by(EXPLORE_BLOCK).collect();
-    let slots = par_map_with_cancel(
-        spec.threads,
-        &blocks,
-        deadline,
-        ExploreWorkspace::default,
-        |ws, _, &start| {
-            let len = EXPLORE_BLOCK.min(count - start);
-            let params = (0..len)
-                .map(|j| candidate_params(spec.seed, base_index + (start + j) as u64, spec.quasi));
-            eval_block(params, spec, cache, deadline, ws)
-        },
-    );
+    let slots = par_map_cancellable(spec.threads, &blocks, deadline, |_, &start| {
+        let len = EXPLORE_BLOCK.min(count - start);
+        let params = (0..len)
+            .map(|j| candidate_params(spec.seed, base_index + (start + j) as u64, spec.quasi));
+        eval_block(params, spec, cache, deadline)
+    });
     for (slot, &start) in slots.into_iter().zip(&blocks) {
         fold.absorb(slot, EXPLORE_BLOCK.min(count - start));
     }
@@ -698,22 +691,10 @@ fn run_list_round(
         return;
     }
     let blocks: Vec<usize> = (0..params.len()).step_by(EXPLORE_BLOCK).collect();
-    let slots = par_map_with_cancel(
-        spec.threads,
-        &blocks,
-        deadline,
-        ExploreWorkspace::default,
-        |ws, _, &start| {
-            let end = (start + EXPLORE_BLOCK).min(params.len());
-            eval_block(
-                params[start..end].iter().copied(),
-                spec,
-                cache,
-                deadline,
-                ws,
-            )
-        },
-    );
+    let slots = par_map_cancellable(spec.threads, &blocks, deadline, |_, &start| {
+        let end = (start + EXPLORE_BLOCK).min(params.len());
+        eval_block(params[start..end].iter().copied(), spec, cache, deadline)
+    });
     for (slot, &start) in slots.into_iter().zip(&blocks) {
         fold.absorb(slot, EXPLORE_BLOCK.min(params.len() - start));
     }
@@ -761,16 +742,8 @@ fn front_digest(front: &[DesignPoint]) -> String {
     format!("{h:016x}")
 }
 
-/// [`explore_deadline`] without a deadline.
-///
-/// # Errors
-///
-/// Propagates an invalid spec (`candidates == 0`).
-pub fn explore(spec: &ExploreSpec, cache: &SweepCache) -> Result<ExploreReport, CoreError> {
-    explore_deadline(spec, cache, &Deadline::none())
-}
-
-/// Runs the exploration under a cooperative [`Deadline`].
+/// Runs the exploration under a cooperative [`Deadline`]
+/// ([`Deadline::none`] never expires).
 ///
 /// Deadline pressure degrades, never corrupts: blocks that miss the
 /// budget are skipped whole (counted in [`ExploreReport::skipped`] and
@@ -783,7 +756,7 @@ pub fn explore(spec: &ExploreSpec, cache: &SweepCache) -> Result<ExploreReport, 
 ///
 /// `candidates == 0` is rejected as an invalid parameter; a fully
 /// exhausted budget surfaces as [`CoreError::DeadlineExceeded`].
-pub fn explore_deadline(
+pub fn explore(
     spec: &ExploreSpec,
     cache: &SweepCache,
     deadline: &Deadline,
@@ -1004,7 +977,7 @@ mod tests {
     #[test]
     fn explore_smoke_produces_feasible_front() {
         let spec = quick_spec(96);
-        let report = explore(&spec, &SweepCache::new()).unwrap();
+        let report = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         assert_eq!(report.evaluated, 96);
         assert_eq!(report.skipped, 0);
         assert!(report.degradation.is_empty());
@@ -1032,9 +1005,9 @@ mod tests {
         // stage would also reject — compare front digests with the
         // screen on and off.
         let mut spec = quick_spec(96);
-        let with_screen = explore(&spec, &SweepCache::new()).unwrap();
+        let with_screen = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         spec.screen = false;
-        let without = explore(&spec, &SweepCache::new()).unwrap();
+        let without = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         assert_eq!(
             with_screen.digest, without.digest,
             "screen must not change the front"
@@ -1047,9 +1020,9 @@ mod tests {
     fn thread_count_does_not_change_the_front() {
         let mut spec = quick_spec(128);
         spec.threads = ThreadBudget::Fixed(1);
-        let one = explore(&spec, &SweepCache::new()).unwrap();
+        let one = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         spec.threads = ThreadBudget::Fixed(4);
-        let four = explore(&spec, &SweepCache::new()).unwrap();
+        let four = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         assert_eq!(one.digest, four.digest);
         assert_eq!(one.front.len(), four.front.len());
         for (a, b) in one.front.iter().zip(&four.front) {
@@ -1065,9 +1038,9 @@ mod tests {
     #[test]
     fn refinement_only_improves_the_front() {
         let mut spec = quick_spec(64);
-        let base = explore(&spec, &SweepCache::new()).unwrap();
+        let base = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         spec.refine_rounds = 1;
-        let refined = explore(&spec, &SweepCache::new()).unwrap();
+        let refined = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
         assert!(refined.refined > 0, "refinement should evaluate probes");
         // Every refined front point is feasible and the front is still
         // mutually non-dominated.
@@ -1093,7 +1066,7 @@ mod tests {
         // A checks-budget deadline large enough to finish some blocks
         // deterministically but not all of them.
         let deadline = Deadline::after_checks(40_000);
-        match explore_deadline(&spec, &SweepCache::new(), &deadline) {
+        match explore(&spec, &SweepCache::new(), &deadline) {
             Ok(report) => {
                 assert!(report.skipped > 0, "tight budget should skip blocks");
                 assert!(!report.degradation.is_empty());
@@ -1108,8 +1081,7 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
         }
         // An immediately-expired budget is a clean retryable error.
-        let err =
-            explore_deadline(&spec, &SweepCache::new(), &Deadline::after_checks(1)).unwrap_err();
+        let err = explore(&spec, &SweepCache::new(), &Deadline::after_checks(1)).unwrap_err();
         assert!(err.to_string().starts_with(DEADLINE_REASON), "{err}");
     }
 
@@ -1119,6 +1091,6 @@ mod tests {
             candidates: 0,
             ..ExploreSpec::default()
         };
-        assert!(explore(&spec, &SweepCache::new()).is_err());
+        assert!(explore(&spec, &SweepCache::new(), &Deadline::none()).is_err());
     }
 }

@@ -128,6 +128,8 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::closed_loop::PllModel;
+    use crate::sweep::SweepCache;
+    use htmpll_par::{Deadline, ThreadBudget};
 
     fn sh(ratio: f64) -> SampleHoldModel {
         SampleHoldModel::new(PllDesign::reference_design(ratio).unwrap()).unwrap()
@@ -177,6 +179,9 @@ mod tests {
                 &PllModel::builder(PllDesign::reference_design(ratio).unwrap())
                     .build()
                     .unwrap(),
+                ThreadBudget::Auto,
+                &SweepCache::new(),
+                &Deadline::none(),
             )
             .unwrap();
             let sh_margin = m.margins().unwrap();

@@ -26,12 +26,13 @@
 //!   folding.
 //!
 //! ```
-//! use htmpll_core::{analyze, PllDesign, PllModel};
+//! use htmpll_core::{analyze, PllDesign, PllModel, SweepCache};
+//! use htmpll_par::{Deadline, ThreadBudget};
 //!
 //! // A fast loop: crossover at 30 % of the reference frequency.
 //! let design = PllDesign::reference_design(0.3).unwrap();
 //! let model = PllModel::builder(design).build().unwrap();
-//! let report = analyze(&model).unwrap();
+//! let report = analyze(&model, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none()).unwrap();
 //! // LTI analysis is oblivious to the ratio; the true margin is not.
 //! assert!(report.phase_margin_degradation_deg() > 5.0);
 //! ```
@@ -53,13 +54,13 @@ pub mod spurs;
 pub mod sweep;
 pub mod transient;
 
-pub use analysis::{analyze, analyze_cached, analyze_deadline, analyze_with, AnalysisReport};
+pub use analysis::{analyze, AnalysisReport};
 pub use closed_loop::{PllModel, PllModelBuilder};
 pub use design::{LoopFilter, PllDesign, PllDesignBuilder};
 pub use error::CoreError;
 pub use explore::{
-    candidate_params, explore, explore_deadline, DesignParams, DesignPoint, ExploreReport,
-    ExploreSpec, ParetoFront, EXPLORE_BLOCK, EXPLORE_F_REF,
+    candidate_params, explore, DesignParams, DesignPoint, ExploreReport, ExploreSpec, ParetoFront,
+    EXPLORE_BLOCK, EXPLORE_F_REF,
 };
 pub use hold::SampleHoldModel;
 pub use lambda::{EffectiveGain, LambdaLine};

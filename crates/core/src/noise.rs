@@ -129,7 +129,6 @@ impl<'a> NoiseModel<'a> {
 /// Standard one-sided phase-noise PSD shapes (rad²/Hz as a function of
 /// offset frequency in rad/s), composable into source models for
 /// [`NoiseModel`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum NoiseShape {
     /// Flat noise floor.

@@ -31,6 +31,8 @@ use crate::closed_loop::PllModel;
 use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::noise::{NoiseModel, NoiseShape};
+use crate::sweep::SweepCache;
+use htmpll_par::{Deadline, ThreadBudget};
 
 /// Search space and constraints for [`optimize_loop`].
 #[derive(Debug, Clone)]
@@ -91,7 +93,12 @@ pub fn optimize_loop(spec: &OptimizeSpec, noise: &NoiseSpec) -> Result<Candidate
         for &spread in &spec.spreads {
             let design = PllDesign::reference_design_shaped(ratio, spread)?;
             let model = PllModel::builder(design.clone()).build()?;
-            let report = analyze(&model)?;
+            let report = analyze(
+                &model,
+                ThreadBudget::Auto,
+                &SweepCache::new(),
+                &Deadline::none(),
+            )?;
             if report.beyond_sampling_limit
                 || !report.nyquist_stable
                 || report.phase_margin_eff_deg < spec.min_pm_eff_deg

@@ -20,7 +20,6 @@ use std::fmt;
 pub const DEADLINE_REASON: &str = "deadline exceeded";
 
 /// How trustworthy one grid point is.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointQuality {
     /// First-rung solve, condition and pivot-growth gates passed, no
@@ -196,7 +195,6 @@ impl<T> GridOutcome<T> {
 
 /// Aggregated verdict counts and worst-case numerical evidence for a
 /// grid (or a whole analysis).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QualitySummary {
     /// Points at full working precision.

@@ -9,17 +9,17 @@
 //! * [`SweepSpec`] — *what* to evaluate: the [`FrequencyGrid`], the
 //!   harmonic-truncation policy ([`TruncationSpec`], fixed or
 //!   tail-tolerance-driven) and the thread budget
-//!   ([`ThreadBudget`](htmpll_par::ThreadBudget)).
-//! * [`SweepCache`] — *what to reuse*: dense closed-loop factorizations
+//!   ([`htmpll_par::ThreadBudget`]).
+//! * [`SweepCache`] — *what to reuse*: dense closed-loop solves
 //!   memoized by the bit patterns of `s` (and the truncation order), so
 //!   repeated evaluations at the same Laplace point — across overlapping
 //!   grids, spur lines on reference harmonics, or refinement passes —
-//!   skip the HTM assembly and LU refactorization entirely.
+//!   skip the HTM assembly and the solve entirely.
 //! * Grid entry points on the model types:
 //!   [`EffectiveGain::eval_grid`], [`PllModel::h00_grid`],
-//!   [`PllModel::closed_loop_htm_grid`],
 //!   [`PllModel::closed_loop_htm_grid_robust`] (per-point
-//!   [`PointQuality`] verdicts instead of first-failure aborts),
+//!   [`PointQuality`] verdicts; strict callers collapse them with
+//!   [`GridOutcome::into_strict`]),
 //!   [`NoiseModel::output_psd_grid`], [`LeakageSpurs::scan`] and the
 //!   generic [`bode_grid`].
 //!
@@ -40,12 +40,11 @@
 //! ```
 
 use crate::closed_loop::PllModel;
-use crate::error::CoreError;
 use crate::lambda::EffectiveGain;
 use crate::noise::NoiseModel;
 use crate::quality::{GridOutcome, PointOutcome, PointQuality};
 use crate::spurs::LeakageSpurs;
-use htmpll_htm::{ClosedLoopFactor, Htm, Truncation, TruncationSpec};
+use htmpll_htm::{Htm, Truncation, TruncationSpec};
 use htmpll_lti::{bode_from_values, BodePoint, FrequencyGrid, GridError};
 use htmpll_num::hash::Fnv1a;
 use htmpll_num::{Complex, SolveReport};
@@ -190,8 +189,7 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the thread budget (`usize` and `Option<usize>` coerce;
-    /// `0`/`None` mean auto).
+    /// Sets the thread budget (a `usize` coerces; `0` means auto).
     #[must_use]
     pub fn with_threads(mut self, threads: impl Into<ThreadBudget>) -> SweepSpec {
         self.threads = threads.into();
@@ -214,8 +212,7 @@ impl SweepSpec {
     }
 }
 
-/// One dense closed-loop solve, kept whole so later callers can both
-/// read the closed-loop HTM and re-solve against new right-hand sides.
+/// One dense closed-loop solve: the closed-loop HTM and its evidence.
 /// Solved through the structure-dispatching factor path (closed forms
 /// for rank-one/diagonal loops, otherwise the escalating dense ladder),
 /// so the solve carries its own verdict: check
@@ -223,10 +220,6 @@ impl SweepSpec {
 /// closed-loop pole.
 #[derive(Debug)]
 pub struct DenseSolve {
-    /// Factorization of `I + G̃(s)` (of the Tikhonov-perturbed matrix
-    /// when `quality` is [`PointQuality::Perturbed`]) — a structured
-    /// closed form when the loop admits one, otherwise a robust LU.
-    pub lu: ClosedLoopFactor,
     /// The closed-loop HTM `(I + G̃)⁻¹G̃`.
     pub htm: Htm,
     /// Solver evidence: stages tried, residual, condition estimate.
@@ -353,7 +346,7 @@ const MAX_SHARDS: usize = 16;
 
 /// Memoization shared across sweeps — and, since the keys carry the
 /// model fingerprint ([`PllModel::fingerprint`]), safely shared across
-/// **different models**: dense closed-loop factorizations, keyed by
+/// **different models**: dense closed-loop solves, keyed by
 /// the **bit patterns** of the Laplace point, the truncation order and
 /// the kernel policy. Bitwise keys make the cache exact — no tolerance
 /// tuning — and deterministic: a hit returns the identical value the
@@ -474,22 +467,6 @@ impl SweepCache {
         entry
     }
 
-    /// Strict variant of [`SweepCache::dense_robust`]: identical cache
-    /// and solver behavior, failure mapped into [`CoreError`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::SweepFailed`] when the point has no usable value.
-    pub fn dense(
-        &self,
-        model: &PllModel,
-        s: Complex,
-        trunc: Truncation,
-    ) -> Result<Arc<DenseSolve>, CoreError> {
-        self.dense_robust(model, s, trunc, KernelPolicy::default())
-            .map_err(|reason| CoreError::SweepFailed { reason })
-    }
-
     /// Number of memoized dense solves (including memoized failures).
     pub fn dense_entries(&self) -> usize {
         self.shards.iter().map(|s| lock(s).len()).sum()
@@ -551,7 +528,7 @@ fn compute_dense(
         KernelPolicy::Dense => open.densified(),
     };
     match open.closed_loop_factored_robust() {
-        Ok((lu, htm, report)) => {
+        Ok((_, htm, report)) => {
             if !htm.is_finite() {
                 htmpll_obs::counter!("core", "robust.failed").inc();
                 htmpll_obs::instant("core", || {
@@ -581,7 +558,6 @@ fn compute_dense(
                 htmpll_obs::counter!("core", "robust.escalated").inc();
             }
             Ok(Arc::new(DenseSolve {
-                lu,
                 htm,
                 report,
                 quality,
@@ -615,7 +591,7 @@ const LAMBDA_CHUNK: usize = 32;
 
 impl EffectiveGain {
     /// Exact λ(jω) over `spec.grid`, evaluated on the parallel pool in
-    /// [`LAMBDA_CHUNK`]-point blocks along one axis
+    /// 32-point blocks along one axis
     /// [`line`](EffectiveGain::line). Bitwise identical to pointwise
     /// [`EffectiveGain::eval_jw`] calls at any thread count.
     pub fn eval_grid(&self, spec: &SweepSpec) -> Vec<Complex> {
@@ -649,11 +625,6 @@ impl PllModel {
         let _span =
             htmpll_obs::span_labeled("core", "sweep.h00", || format!("n={}", spec.grid.len()));
         par_map(spec.threads, spec.grid.points(), |_, &w| self.h00(w))
-    }
-
-    /// LTI-approximation closed loop `A/(1+A)` over `spec.grid`.
-    pub fn h00_lti_grid(&self, spec: &SweepSpec) -> Vec<Complex> {
-        par_map(spec.threads, spec.grid.points(), |_, &w| self.h00_lti(w))
     }
 
     /// The truncation-escalation ladder for one starting order: the
@@ -732,8 +703,8 @@ impl PllModel {
     /// automatically retries at higher truncation orders (up to
     /// [`MAX_AUTO_TRUNCATION`]) before settling for a `Perturbed` or
     /// `Failed` verdict. Repeated frequencies (and repeated calls
-    /// through the same `cache`) reuse assembled HTMs and
-    /// factorizations, including memoized failures.
+    /// through the same `cache`) reuse solved points, including
+    /// memoized failures.
     pub fn closed_loop_htm_grid_robust(
         &self,
         spec: &SweepSpec,
@@ -783,34 +754,6 @@ impl PllModel {
             .collect();
         GridOutcome { points }
     }
-
-    /// Strict collapse of
-    /// [`closed_loop_htm_grid_robust`](PllModel::closed_loop_htm_grid_robust):
-    /// plain HTM values, erroring on the first point with no usable
-    /// value. Points the escalating solver rescued (`Refined`,
-    /// `Perturbed`) pass through; use the robust variant to see the
-    /// verdicts.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::SweepFailed`] naming the first failed grid point.
-    pub fn closed_loop_htm_grid_cached(
-        &self,
-        spec: &SweepSpec,
-        cache: &SweepCache,
-    ) -> Result<Vec<Htm>, CoreError> {
-        self.closed_loop_htm_grid_robust(spec, cache).into_strict()
-    }
-
-    /// [`closed_loop_htm_grid_cached`](PllModel::closed_loop_htm_grid_cached)
-    /// with a fresh single-sweep cache.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::SweepFailed`] naming the first failed grid point.
-    pub fn closed_loop_htm_grid(&self, spec: &SweepSpec) -> Result<Vec<Htm>, CoreError> {
-        self.closed_loop_htm_grid_cached(spec, &SweepCache::new())
-    }
 }
 
 impl NoiseModel<'_> {
@@ -843,7 +786,6 @@ impl NoiseModel<'_> {
 
 /// One predicted reference-spur line, as produced by
 /// [`LeakageSpurs::scan`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpurLine {
     /// Reference-harmonic index of the line (at `k·ω₀`).
@@ -917,18 +859,24 @@ mod tests {
         }
     }
 
+    fn strict_grid(m: &PllModel, spec: &SweepSpec, cache: &SweepCache) -> Vec<Htm> {
+        m.closed_loop_htm_grid_robust(spec, cache)
+            .into_strict()
+            .unwrap()
+    }
+
     #[test]
-    fn dense_cache_reuses_factorizations() {
+    fn dense_cache_reuses_solves() {
         let m = model(0.25);
         let cache = SweepCache::new();
         let spec = SweepSpec::log(0.1, 2.0, 12)
             .unwrap()
             .with_truncation(Truncation::new(4))
             .with_threads(2);
-        let a = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+        let a = strict_grid(&m, &spec, &cache);
         assert_eq!(cache.dense_entries(), 12);
         // Second pass over the same grid: every point is a hit.
-        let b = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+        let b = strict_grid(&m, &spec, &cache);
         assert_eq!(cache.dense_entries(), 12);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.as_matrix().max_diff(y.as_matrix()), 0.0);
@@ -937,7 +885,8 @@ mod tests {
         // to rounding, not bitwise: the structured default closes the
         // rank-one loop by Sherman–Morrison, not the dense LU.
         let reference = m
-            .closed_loop_htm_dense(Complex::from_im(spec.grid.points()[3]), Truncation::new(4))
+            .open_loop_htm(Complex::from_im(spec.grid.points()[3]), Truncation::new(4))
+            .closed_loop()
             .unwrap();
         assert!(a[3].as_matrix().max_diff(reference.as_matrix()) < 1e-12);
     }
@@ -950,11 +899,9 @@ mod tests {
             .unwrap()
             .with_truncation(Truncation::new(4))
             .with_threads(2);
-        let fast = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+        let fast = strict_grid(&m, &spec, &cache);
         assert_eq!(cache.dense_entries(), 8);
-        let strict = m
-            .closed_loop_htm_grid_cached(&spec.clone().with_kernel(KernelPolicy::Dense), &cache)
-            .unwrap();
+        let strict = strict_grid(&m, &spec.clone().with_kernel(KernelPolicy::Dense), &cache);
         // Distinct keys: the dense pass added its own 8 entries.
         assert_eq!(cache.dense_entries(), 16);
         for (x, y) in fast.iter().zip(&strict) {
@@ -970,11 +917,11 @@ mod tests {
             .unwrap()
             .with_truncation(Truncation::new(3))
             .with_threads(1);
-        let a = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+        let a = strict_grid(&m, &spec, &cache);
         assert!(cache.dense_entries() <= 4);
         assert!(cache.evictions() > 0);
         // Evicted points recompute to the identical bits.
-        let b = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+        let b = strict_grid(&m, &spec, &cache);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.as_matrix().max_diff(y.as_matrix()), 0.0);
         }
@@ -1097,9 +1044,8 @@ mod tests {
         assert!(first.is_err());
         assert_eq!(first.unwrap_err(), second.unwrap_err());
         assert_eq!(cache.dense_entries(), 1);
-        // Strict wrapper maps the memoized reason into CoreError.
-        let strict = cache.dense(&m, Complex::from_im(w0), t);
-        assert!(matches!(strict, Err(CoreError::SweepFailed { .. })));
+        // The second lookup answered from memory.
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

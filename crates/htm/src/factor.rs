@@ -17,6 +17,10 @@
 //! with [`SolveStage::Structured`] prepended to `stages_tried` so the
 //! report shows the escalation. A structured answer is therefore never
 //! *wrong* — at worst it is slow.
+//!
+//! [`Htm::closed_loop`](crate::Htm::closed_loop) is the strict dense-LU
+//! reference: it ignores the representation, and the cross-stack checks
+//! compare these structured solves against it.
 
 use crate::matrix::Htm;
 use crate::repr::HtmRepr;

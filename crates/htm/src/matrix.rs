@@ -249,26 +249,15 @@ impl Htm {
 
     /// Solves the feedback equation: returns `(I + self)⁻¹ · self`, the
     /// closed-loop HTM of a unity-negative-feedback loop with this
-    /// open-loop gain (paper eq. 28), via dense LU.
+    /// open-loop gain (paper eq. 28), via dense LU. Always runs the
+    /// dense kernels: this is the strict reference the structured
+    /// solves are checked against.
     ///
     /// # Errors
     ///
     /// Returns the LU error when `I + G` is singular at this `s` — the
     /// loop is on a closed-loop pole.
     pub fn closed_loop(&self) -> Result<Htm, LuError> {
-        self.closed_loop_factored().map(|(_, h)| h)
-    }
-
-    /// [`closed_loop`](Htm::closed_loop), additionally returning the LU
-    /// factorization of `I + G` so callers that solve against further
-    /// right-hand sides at the same Laplace point (sweep caches, band
-    /// extractions) can reuse it instead of refactoring. Always runs
-    /// the dense kernels — the strict reference implementation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the LU error when `I + G` is singular at this `s`.
-    pub fn closed_loop_factored(&self) -> Result<(Lu, Htm), LuError> {
         let n = self.trunc.dim();
         let _span = htmpll_obs::span_labeled("htm", "closed_loop", || format!("dim={n}"));
         let i_plus_g = &CMat::identity(n) + self.as_matrix();
@@ -281,13 +270,15 @@ impl Htm {
             let diff = &(&i_plus_g * &solved) - self.as_matrix();
             residual.record(diff.norm_max());
         }
-        Ok((lu, Htm::from_matrix(self.trunc, self.omega0, solved)))
+        Ok(Htm::from_matrix(self.trunc, self.omega0, solved))
     }
 
-    /// [`closed_loop_factored`](Htm::closed_loop_factored) on the
-    /// structure-aware escalating solver. The open loop's [`HtmRepr`]
-    /// picks the kernel: rank-one Sherman–Morrison or diagonal
-    /// reciprocal closed forms (O(n)), or the classic dense ladder
+    /// [`closed_loop`](Htm::closed_loop) on the structure-aware
+    /// escalating solver, additionally returning the factorization of
+    /// `I + G` for solves against further right-hand sides at the same
+    /// Laplace point. The open loop's [`HtmRepr`] picks the kernel:
+    /// rank-one Sherman–Morrison or diagonal reciprocal closed forms
+    /// (O(n)), or the classic dense ladder
     /// (refined partial pivot → complete pivoting → Tikhonov
     /// perturbation) for everything else.
     /// Structured shortcuts are condition-gated and fall back to the

@@ -16,7 +16,6 @@
 //! ```
 
 /// A symmetric harmonic truncation `−K ..= K`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Truncation {
     k: usize,

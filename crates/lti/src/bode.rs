@@ -19,7 +19,6 @@ use crate::tf::Tf;
 use htmpll_num::Complex;
 
 /// One sample of a frequency-response sweep.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodePoint {
     /// Angular frequency in rad/s.

@@ -63,7 +63,6 @@ fn positive(name: &'static str, value: f64) -> Result<f64, FilterError> {
 /// ```text
 /// Z(s) = (1 + sRC₁) / ( s·(C₁+C₂)·(1 + sR·C₁C₂/(C₁+C₂)) )
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargePumpFilter2 {
     r: f64,
@@ -145,7 +144,6 @@ impl ChargePumpFilter2 {
 /// Third-order charge-pump filter: a [`ChargePumpFilter2`] followed by a
 /// series `R₃` / shunt `C₃` smoothing section (output taken across `C₃`,
 /// unloaded).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargePumpFilter3 {
     base: ChargePumpFilter2,

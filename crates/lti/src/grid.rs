@@ -45,7 +45,6 @@ impl fmt::Display for GridError {
 impl std::error::Error for GridError {}
 
 /// An ordered set of angular frequencies (rad/s) to evaluate a sweep on.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyGrid {
     points: Vec<f64>,

@@ -46,7 +46,6 @@ impl fmt::Display for MarginError {
 impl std::error::Error for MarginError {}
 
 /// Stability margins of an open-loop response.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Margins {
     /// Unity-gain (gain-crossover) frequency, rad/s. When the magnitude

@@ -54,7 +54,6 @@ impl From<FindRootsError> for TfError {
 
 /// A rational transfer function `H(s) = num(s) / den(s)` with real
 /// coefficients.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tf {
     num: Poly,

@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// Arithmetic follows IEEE-754 semantics componentwise; division uses
 /// Smith's algorithm to avoid premature overflow/underflow.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex {

@@ -394,8 +394,8 @@ impl Mul for &CMat {
 ///
 /// # Errors
 ///
-/// [`LuError::NotSquare`] for rectangular inputs and
-/// [`LuError::NonFinite`] when the matrix contains NaN/∞ entries (the
+/// [`LuError::NotSquare`](crate::lu::LuError::NotSquare) for rectangular
+/// inputs and [`LuError::NonFinite`](crate::lu::LuError::NonFinite) when the matrix contains NaN/∞ entries (the
 /// Padé denominator solve would silently produce garbage otherwise).
 pub fn expm(a: &CMat) -> Result<CMat, crate::lu::LuError> {
     if !a.is_square() {

@@ -24,7 +24,6 @@ use std::ops::{Add, Mul, Neg, Sub};
 ///
 /// The zero polynomial is represented by an empty coefficient vector (or
 /// any all-zero vector; [`Poly::new`] trims trailing zeros).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Clone, PartialEq)]
 pub struct Poly {
     coeffs: Vec<f64>,

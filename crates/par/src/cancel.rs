@@ -1,10 +1,9 @@
 //! Cooperative deadlines and cancellation for sweep workers.
 //!
 //! A [`Deadline`] is a cheap, cloneable budget handle checked at
-//! per-point granularity by the cancellable map variants
-//! ([`crate::par_map_cancellable`], [`crate::par_map_with_cancel`])
-//! and by `core::sweep`'s grid loops. Expiry is **cooperative**: a
-//! worker finishes the point it is on, then stops taking new points, so
+//! per-point granularity by [`crate::par_map_cancellable`] and by
+//! `core::sweep`'s grid loops. Expiry is **cooperative**: a worker
+//! finishes the point it is on, then stops taking new points, so
 //! an expired budget yields a partial result instead of a wedged
 //! worker.
 //!
@@ -94,11 +93,6 @@ impl Deadline {
         }
     }
 
-    /// True for [`Deadline::none`]: no budget, nothing to check.
-    pub fn is_unbounded(&self) -> bool {
-        self.inner.is_none()
-    }
-
     /// Cancels the budget: every subsequent [`Deadline::expired`] check
     /// (on any clone) returns `true`. No-op on [`Deadline::none`].
     pub fn cancel(&self) {
@@ -150,14 +144,6 @@ impl Deadline {
         }
     }
 
-    /// Time left in a wall-clock budget (`None` for unbounded, token,
-    /// and check-based deadlines; `Some(0)` once spent).
-    pub fn remaining(&self) -> Option<Duration> {
-        let inner = self.inner.as_ref()?;
-        let budget = inner.budget?;
-        Some(budget.saturating_sub(inner.started.elapsed()))
-    }
-
     /// A non-owning handle for watchdog registries: lets an observer
     /// cancel the budget without keeping it alive. `None` for
     /// [`Deadline::none`].
@@ -200,14 +186,12 @@ mod tests {
     #[test]
     fn none_never_expires() {
         let d = Deadline::none();
-        assert!(d.is_unbounded());
         for _ in 0..10 {
             assert!(!d.expired());
         }
         assert!(!d.pressed(0.0));
         d.cancel(); // no-op
         assert!(!d.expired());
-        assert!(d.remaining().is_none());
         assert!(d.downgrade().is_none());
     }
 
@@ -245,11 +229,9 @@ mod tests {
         let d = Deadline::after(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
         let far = Deadline::after(Duration::from_secs(3600));
         assert!(!far.expired());
         assert!(!far.pressed(0.5));
-        assert!(far.remaining().unwrap() > Duration::from_secs(3000));
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //!   to `threads − 1` threads of **one persistent, process-wide pool**
 //!   pull **chunks of work from a shared atomic cursor**
 //!   (self-balancing: a worker that finishes its chunk steals the next
-//!   one, so uneven per-point cost does not serialize the sweep), and
-//!   [`par_map_with_cancel`] — the same engine with a per-worker
-//!   scratch workspace and a cooperative deadline. The pool grows to
-//!   the largest budget any map asks for and keeps its threads warm
-//!   across maps; because the caller always works, a map nested inside
-//!   a map item cannot starve,
+//!   one, so uneven per-point cost does not serialize the sweep). The
+//!   pool grows to the largest budget any map asks for and keeps its
+//!   threads warm across maps; because the caller always works, a map
+//!   nested inside a map item cannot starve,
+//! * [`par_map_cancellable`] — the same worker loop under a cooperative
+//!   [`Deadline`], returning one `Option` slot per item,
 //! * [`ThreadBudget`] — where the thread count comes from: an explicit
 //!   request, the `HTMPLL_THREADS` environment variable, or the
-//!   machine's available parallelism,
+//!   machine's available parallelism, always clamped to
+//!   `1..=`[`MAX_THREADS`],
 //! * `htmpll-obs` telemetry — tasks executed, chunks grabbed, steal
 //!   counts and per-worker busy time under the `par` target, so
 //!   `plltool metrics` can report parallel efficiency.
@@ -56,14 +57,20 @@ use std::time::Instant;
 /// Environment variable consulted by [`ThreadBudget::Auto`].
 pub const THREADS_ENV: &str = "HTMPLL_THREADS";
 
+/// The most threads any budget resolves to. The pool never shrinks, so
+/// a thread count taken from untrusted input (a request field or
+/// `HTMPLL_THREADS`) is clamped here rather than spawned.
+pub const MAX_THREADS: usize = 256;
+
 /// Where a sweep's worker-thread count comes from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ThreadBudget {
     /// `HTMPLL_THREADS` if set to a positive integer, otherwise the
-    /// machine's available parallelism.
+    /// machine's available parallelism (clamped to [`MAX_THREADS`]).
     #[default]
     Auto,
-    /// An explicit thread count (clamped to ≥ 1 at resolution).
+    /// An explicit thread count (clamped to `1..=MAX_THREADS` at
+    /// resolution).
     Fixed(usize),
 }
 
@@ -79,20 +86,11 @@ impl From<usize> for ThreadBudget {
     }
 }
 
-impl From<Option<usize>> for ThreadBudget {
-    fn from(n: Option<usize>) -> Self {
-        match n {
-            None => ThreadBudget::Auto,
-            Some(n) => ThreadBudget::from(n),
-        }
-    }
-}
-
 impl ThreadBudget {
-    /// Resolves to a concrete thread count ≥ 1.
+    /// Resolves to a concrete thread count in `1..=MAX_THREADS`.
     pub fn resolve(self) -> usize {
-        match self {
-            ThreadBudget::Fixed(n) => n.max(1),
+        let n = match self {
+            ThreadBudget::Fixed(n) => n,
             ThreadBudget::Auto => match std::env::var(THREADS_ENV) {
                 Ok(v) => match v.trim().parse::<usize>() {
                     Ok(n) if n >= 1 => n,
@@ -100,7 +98,8 @@ impl ThreadBudget {
                 },
                 Err(_) => available_threads(),
             },
-        }
+        };
+        n.clamp(1, MAX_THREADS)
     }
 }
 
@@ -138,29 +137,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_with(budget, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with a **per-worker workspace**: `init` runs once per
-/// worker thread (once total on the inline path) and the resulting
-/// value is passed `&mut` to every `f` call that worker executes.
-///
-/// The determinism contract is unchanged — the workspace must be
-/// *scratch* (its contents may not influence results), which holds
-/// whenever `f` fully overwrites what it reads. `f` is still called
-/// exactly once per item and results are placed by item index.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f`, as [`par_map`] does.
-fn par_map_with<T, R, W, I, F>(budget: ThreadBudget, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> R + Sync,
-{
-    let mut parts = map_chunks(budget, items, &Deadline::none(), init, f);
+    let mut parts = map_chunks(budget, items, &Deadline::none(), f);
     parts.sort_unstable_by_key(|&(start, _)| start);
     let mut parts = parts.into_iter();
     let mut out = parts.next().map(|(_, p)| p).unwrap_or_default();
@@ -181,7 +158,9 @@ where
 /// exactly the bits [`par_map`] would have produced for that item, for
 /// any thread count. Which slots are `Some` is timing-dependent under a
 /// wall-clock budget; use [`Deadline::after_checks`] when the completed
-/// *set* must also be reproducible.
+/// *set* must also be reproducible. An unbounded deadline
+/// ([`Deadline::none`]) adds one `Option` test per item over
+/// [`par_map`].
 pub fn par_map_cancellable<T, R, F>(
     budget: ThreadBudget,
     items: &[T],
@@ -193,33 +172,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_with_cancel(budget, items, deadline, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map_cancellable`] with a **per-worker workspace**: `init` runs
-/// once per worker thread (once total on the inline path) and the
-/// resulting value is passed `&mut` to every `f` call that worker
-/// executes. See [`par_map_cancellable`] for the slot semantics.
-///
-/// An unbounded deadline ([`Deadline::none`]) adds one `Option` test per
-/// item over [`par_map`].
-pub fn par_map_with_cancel<T, R, W, I, F>(
-    budget: ThreadBudget,
-    items: &[T],
-    deadline: &Deadline,
-    init: I,
-    f: F,
-) -> Vec<Option<R>>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> R + Sync,
-{
     let n = items.len();
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut completed = 0usize;
-    for (start, part) in map_chunks(budget, items, deadline, init, f) {
+    for (start, part) in map_chunks(budget, items, deadline, f) {
         completed += part.len();
         for (slot, r) in slots[start..].iter_mut().zip(part) {
             *slot = Some(r);
@@ -238,18 +194,16 @@ where
 /// never grabbed are absent. With a resolved budget of 1 (or ≤ 1 items)
 /// it runs inline as a single chunk; otherwise on the caller plus up to
 /// `threads − 1` pool threads.
-fn map_chunks<T, R, W, I, F>(
+fn map_chunks<T, R, F>(
     budget: ThreadBudget,
     items: &[T],
     deadline: &Deadline,
-    init: I,
     f: F,
 ) -> Vec<(usize, Vec<R>)>
 where
     T: Sync,
     R: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
     let threads = budget.resolve().min(n.max(1));
@@ -258,13 +212,12 @@ where
         // Same span as the threaded path so traces carry a `par` timeline
         // at every thread count; children still nest under the caller.
         let _span = htmpll_obs::span_labeled("par", "map", || format!("n={n},threads=1"));
-        let mut ws = init();
         let mut out = Vec::with_capacity(n);
         for (i, t) in items.iter().enumerate() {
             if deadline.expired() {
                 break;
             }
-            out.push(f(&mut ws, i, t));
+            out.push(f(i, t));
         }
         return vec![(0, out)];
     }
@@ -290,7 +243,6 @@ where
         // would pollute the metric registry).
         let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));
         let started = telemetry.then(Instant::now);
-        let mut ws = init();
         let mut grabbed = 0usize;
         loop {
             if deadline.expired() {
@@ -310,7 +262,7 @@ where
                 if !out.is_empty() && deadline.expired() {
                     break;
                 }
-                out.push(f(&mut ws, start + i, t));
+                out.push(f(start + i, t));
             }
             parts
                 .lock()
@@ -383,44 +335,12 @@ mod tests {
     fn budget_resolution() {
         assert_eq!(ThreadBudget::Fixed(0).resolve(), 1);
         assert_eq!(ThreadBudget::Fixed(3).resolve(), 3);
+        // Resolving only computes a number: no thread starts here.
+        assert_eq!(ThreadBudget::Fixed(1_000_000).resolve(), MAX_THREADS);
         assert_eq!(ThreadBudget::from(0usize), ThreadBudget::Auto);
         assert_eq!(ThreadBudget::from(2usize), ThreadBudget::Fixed(2));
-        assert_eq!(ThreadBudget::from(None), ThreadBudget::Auto);
-        assert_eq!(ThreadBudget::from(Some(5)), ThreadBudget::Fixed(5));
         assert!(ThreadBudget::Auto.resolve() >= 1);
         assert!(available_threads() >= 1);
-    }
-
-    #[test]
-    fn workspace_reuse_is_deterministic() {
-        // A scratch buffer reused across points must not change results
-        // (f fully overwrites what it reads) and each worker gets its
-        // own workspace.
-        let xs: Vec<usize> = (0..321).collect();
-        let run = |threads: usize| {
-            par_map_with(
-                ThreadBudget::Fixed(threads),
-                &xs,
-                Vec::<f64>::new,
-                |scratch, i, &x| {
-                    scratch.clear();
-                    scratch.resize(8, 0.0);
-                    for (k, slot) in scratch.iter_mut().enumerate() {
-                        *slot = (x as f64 + k as f64).sqrt();
-                    }
-                    assert_eq!(i, x);
-                    scratch.iter().sum::<f64>()
-                },
-            )
-        };
-        let one = run(1);
-        for t in [2, 5, 8] {
-            let many = run(t);
-            assert!(one
-                .iter()
-                .zip(&many)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
     }
 
     #[test]

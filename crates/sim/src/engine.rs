@@ -29,7 +29,6 @@ use htmpll_lti::Tf;
 use htmpll_num::rng::Rng;
 
 /// Physical parameters of the simulated loop.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct SimParams {
     /// Reference period `T = 1/f_ref` (s).
@@ -101,7 +100,6 @@ impl SimParams {
 }
 
 /// Numerical configuration of the engine.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Uniform output samples per reference period.
@@ -134,7 +132,6 @@ impl Default for SimConfig {
 }
 
 /// Uniformly sampled simulation record.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// Sample interval (s).

@@ -37,7 +37,6 @@ use htmpll_num::{CMat, Complex};
 
 /// Charge-pump pulse law: maps the phase error `e` (time units) to the
 /// delivered charge.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PulseLaw {
     /// Ideal: `q = I_cp·e`.

@@ -20,7 +20,6 @@
 use crate::engine::{PllSim, SimConfig, SimParams};
 
 /// Options controlling the acquisition run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct LockOptions {
     /// Phase-error threshold (fraction of `T`) below which the loop
@@ -44,7 +43,6 @@ impl Default for LockOptions {
 }
 
 /// Result of an acquisition run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct LockResult {
     /// Whether lock was declared before the horizon.

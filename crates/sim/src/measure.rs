@@ -26,7 +26,6 @@ use htmpll_num::Complex;
 use htmpll_spectral::goertzel::tone_transfer;
 
 /// Options controlling the tone measurement.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct MeasureOptions {
     /// Modulation amplitude as a fraction of the reference period

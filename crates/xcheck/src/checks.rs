@@ -30,12 +30,11 @@ use crate::corpus::{corpus, Scenario};
 use crate::report::{CheckResult, ScenarioReport, Verdict, XcheckReport};
 use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
-    analyze_with, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel,
-    SweepCache,
+    analyze, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel, SweepCache,
 };
 use htmpll_htm::Truncation;
 use htmpll_num::Complex;
-use htmpll_par::{par_map, ThreadBudget};
+use htmpll_par::{par_map, Deadline, ThreadBudget};
 use htmpll_sim::{acquire_lock, measure_h00_multitone, LockOptions, MeasureOptions};
 use htmpll_sim::{PllSim, SimConfig, SimParams};
 use htmpll_spectral::goertzel::tone_amplitude;
@@ -174,6 +173,17 @@ fn check_lambda_truncation(model: &PllModel, probes: &[f64]) -> CheckResult {
     )
 }
 
+/// The full analysis on one thread with a fresh cache: xcheck reports
+/// hold no timings and must not depend on the pool.
+fn analyze_serial(model: &PllModel) -> Result<AnalysisReport, CoreError> {
+    analyze(
+        model,
+        ThreadBudget::Fixed(1),
+        &SweepCache::new(),
+        &Deadline::none(),
+    )
+}
+
 /// Two solvers, one matrix: the rank-one Sherman–Morrison closed loop
 /// against the dense-LU reference at identical truncation. Differences
 /// are pure linear-algebra roundoff, amplified by the conditioning of
@@ -186,7 +196,10 @@ fn check_smw_vs_dense(model: &PllModel, probes: &[f64]) -> Result<CheckResult, X
         .map(|&w| {
             let s = Complex::from_im(w);
             let smw = model.closed_loop_htm(s, k);
-            let dense = model.closed_loop_htm_dense(s, k)?;
+            let dense = model
+                .open_loop_htm(s, k)
+                .closed_loop()
+                .map_err(CoreError::from)?;
             let scale = dense
                 .as_matrix()
                 .as_slice()
@@ -228,7 +241,11 @@ fn check_h00_vs_dense(model: &PllModel, probes: &[f64]) -> Result<CheckResult, X
         .map(|&w| {
             let s = Complex::from_im(w);
             let h00 = model.h00(w);
-            let d00 = model.closed_loop_htm_dense(s, k)?.band(0, 0);
+            let d00 = model
+                .open_loop_htm(s, k)
+                .closed_loop()
+                .map_err(CoreError::from)?
+                .band(0, 0);
             let lam_exact = lam.eval(s);
             let lam_k = lam.eval_truncated(s, DENSE_K);
             let t_k = (lam_exact - lam_k).abs();
@@ -560,7 +577,7 @@ fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     }
 
     // Analysis crossover vs λ, and the two stability verdicts.
-    let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
+    let report = analyze_serial(&model)?;
     checks.extend(check_crossing(&model, &report));
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).
@@ -608,7 +625,7 @@ fn boundary_scenario() -> Result<ScenarioReport, XcheckError> {
     ] {
         let design = PllDesign::reference_design(factor * limit)?;
         let model = PllModel::builder(design).build()?;
-        let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
+        let report = analyze_serial(&model)?;
         let check: &'static str = tag;
         checks.push(grade_bool(
             check,

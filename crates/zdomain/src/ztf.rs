@@ -41,7 +41,6 @@ impl fmt::Display for ZfError {
 impl std::error::Error for ZfError {}
 
 /// A rational function of `z` with real coefficients.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zf {
     num: Poly,

@@ -60,7 +60,8 @@ fn main() {
         .with_threads(ThreadBudget::Fixed(1));
     let mut sweep = || {
         model
-            .closed_loop_htm_grid_cached(&spec, &SweepCache::new())
+            .closed_loop_htm_grid_robust(&spec, &SweepCache::new())
+            .into_strict()
             .expect("sweep");
     };
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: everything a reviewer needs to trust the tree, offline.
 #
-#   scripts/ci.sh            # build, test, clippy, fmt check, metrics smoke
+#   scripts/ci.sh            # build, test, clippy, fmt, rustdoc, metrics smoke
 #
 # Covers the offline workspace plus the standalone `benchmark/`
 # package's tests.
@@ -35,6 +35,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> cargo doc --workspace -D warnings"
+# A doc link to a renamed or deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> plltool metrics smoke"
 out=$(./target/release/plltool metrics --ratio 0.1)

@@ -22,10 +22,11 @@
 //! the committed `figures_output.txt`. `timing` measures wall-clock, so
 //! it runs only on request.
 
-use crate::core::{analyze, PllDesign, PllModel};
+use crate::core::{analyze, PllDesign, PllModel, SweepCache};
 use crate::lti::{bode_tf, stability_margins};
 use crate::num::optim::{lin_grid, log_grid};
 use crate::num::Complex;
+use crate::par::{Deadline, ThreadBudget};
 use crate::sim::{measure_h00, measure_h00_multitone, MeasureOptions, SimConfig, SimParams};
 use std::error::Error;
 use std::fmt::Write as _;
@@ -239,7 +240,12 @@ pub fn fig7_margin_sweep(lo: f64, hi: f64, points: usize) -> FigResult<Vec<Fig7R
     lin_grid(lo, hi, points)
         .into_iter()
         .map(|ratio| -> FigResult<Fig7Row> {
-            let r = analyze(&reference_model(ratio)?)?;
+            let r = analyze(
+                &reference_model(ratio)?,
+                ThreadBudget::Auto,
+                &SweepCache::new(),
+                &Deadline::none(),
+            )?;
             Ok(Fig7Row {
                 ratio,
                 wug_eff_over_wug: r.omega_ug_eff / r.omega_ug_lti,
@@ -450,7 +456,12 @@ pub fn pfd_comparison(ratios: &[f64]) -> FigResult<Vec<PfdRow>> {
         .iter()
         .map(|&ratio| -> FigResult<PfdRow> {
             let design = PllDesign::reference_design(ratio)?;
-            let imp = analyze(&PllModel::builder(design.clone()).build()?)?;
+            let imp = analyze(
+                &PllModel::builder(design.clone()).build()?,
+                ThreadBudget::Auto,
+                &SweepCache::new(),
+                &Deadline::none(),
+            )?;
             let sh = SampleHoldModel::new(design)?;
             let pm_sh = sh.margins().map(|m| m.phase_margin_deg).unwrap_or(0.0);
             Ok(PfdRow {

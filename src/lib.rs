@@ -30,7 +30,7 @@
 //! // reference frequency and compare LTI vs time-varying phase margin.
 //! let design = PllDesign::reference_design(0.2)?;
 //! let model = PllModel::builder(design).build()?;
-//! let report = analyze(&model)?;
+//! let report = analyze(&model, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none())?;
 //! assert!(report.phase_margin_eff_deg < report.phase_margin_lti_deg);
 //! # Ok::<(), htmpll::core::CoreError>(())
 //! ```
@@ -70,35 +70,23 @@ pub use htmpll_fault as fault;
 /// Cross-stack differential verification (re-export of `htmpll-xcheck`).
 pub use htmpll_xcheck as xcheck;
 
-/// The paper's reproduction: one driver per figure and the text
-/// `plltool figures` prints.
 pub mod figures;
-
-/// Seeded profiling workload matrix + per-phase attribution (drives
-/// `plltool profile`).
 pub mod profile;
-
-/// Typed request layer: every `plltool` subcommand as a parsed,
-/// canonicalizable [`requests::Request`] value (argv and JSON share one
-/// parser).
 pub mod requests;
-
-/// Execution + rendering layer: [`service::handle`] runs a request
-/// against a shared [`service::ServiceCtx`], [`service::serve_lines`]
-/// batches a JSONL stream of them across a worker pool.
 pub mod service;
 
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::core::{
         analyze, dominant_poles, AnalysisReport, EffectiveGain, LeakageSpurs, LoopFilter,
-        NoiseModel, NoiseShape, PllDesign, PllModel, SampleHoldModel,
+        NoiseModel, NoiseShape, PllDesign, PllModel, SampleHoldModel, SweepCache,
     };
     pub use crate::htm::{Htm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, Truncation, VcoHtm};
     pub use crate::lti::{
         bode_sweep, stability_margins, ChargePumpFilter2, ChargePumpFilter3, Pfe, Tf,
     };
     pub use crate::num::{CMat, Complex, Poly};
+    pub use crate::par::{Deadline, ThreadBudget};
     pub use crate::sim::{
         measure_band_transfer, measure_h00, MeasureOptions, PllSim, SimConfig, SimParams,
     };

@@ -4,7 +4,7 @@
 //! workloads — λ grid evaluation, cold and warm structured closed-loop
 //! sweeps, the dense reference kernel, an adversarial robust grid with
 //! on-pole points, and noise folding — each phase bracketed by an
-//! [`obs`](crate::obs) reset so the metric registry attributes counters,
+//! [`crate::obs`] reset so the metric registry attributes counters,
 //! per-point latency quantiles, cache traffic, solver-ladder stages and
 //! worker busy time to exactly one phase. The result renders as the
 //! `plltool profile` attribution table ([`ProfileReport::render_table`])
@@ -266,23 +266,27 @@ pub fn run_profile(spec: &ProfileSpec) -> Result<ProfileReport, String> {
     let warm_cache = SweepCache::new();
     phase("htm_cold", &mut || {
         model
-            .closed_loop_htm_grid_cached(&htm_spec, &SweepCache::new())
+            .closed_loop_htm_grid_robust(&htm_spec, &SweepCache::new())
+            .into_strict()
             .map(|_| ())
             .map_err(|e| e.to_string())
     })?;
     // Pre-warm outside the timed region, then measure the all-hit pass.
     model
-        .closed_loop_htm_grid_cached(&htm_spec, &warm_cache)
+        .closed_loop_htm_grid_robust(&htm_spec, &warm_cache)
+        .into_strict()
         .map_err(|e| e.to_string())?;
     phase("htm_warm", &mut || {
         model
-            .closed_loop_htm_grid_cached(&htm_spec, &warm_cache)
+            .closed_loop_htm_grid_robust(&htm_spec, &warm_cache)
+            .into_strict()
             .map(|_| ())
             .map_err(|e| e.to_string())
     })?;
     phase("dense", &mut || {
         model
-            .closed_loop_htm_grid_cached(&dense_spec, &SweepCache::new())
+            .closed_loop_htm_grid_robust(&dense_spec, &SweepCache::new())
+            .into_strict()
             .map(|_| ())
             .map_err(|e| e.to_string())
     })?;

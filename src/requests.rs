@@ -9,7 +9,7 @@
 //! field can never drift apart.
 
 use crate::obs::JsonValue;
-use crate::par::ThreadBudget;
+use crate::par::{ThreadBudget, MAX_THREADS};
 use htmpll_core::{CoreError, PllDesign};
 use std::collections::BTreeMap;
 
@@ -127,9 +127,18 @@ impl Params {
         !matches!(self.map.get(key), None | Some(ParamValue::Bool(false)))
     }
 
-    /// Worker-thread request from `threads` (`0` = auto-detect).
+    /// Worker-thread request from `threads` (`0` = auto-detect). A
+    /// count above [`MAX_THREADS`] is an error: the worker pool never
+    /// shrinks, so one request must not be able to grow it without
+    /// bound.
     pub fn threads(&self) -> Result<usize, String> {
-        self.usize_or("threads", 0)
+        let n = self.usize_or("threads", 0)?;
+        if n > MAX_THREADS {
+            return Err(format!(
+                "--threads: `{n}` exceeds the limit of {MAX_THREADS}"
+            ));
+        }
+        Ok(n)
     }
 }
 
@@ -809,6 +818,18 @@ mod tests {
         assert!(!Request::parse("profile", &p).unwrap().is_servable());
         assert!(!Request::parse("stats", &p).unwrap().is_servable());
         assert!(Request::parse("sweep", &p).unwrap().is_servable());
+    }
+
+    #[test]
+    fn thread_limit_is_inclusive() {
+        // Parsing alone: nothing here starts a thread.
+        let at = Params::from_argv(&strs(&["--threads", "256"])).unwrap();
+        assert_eq!(at.threads().unwrap(), MAX_THREADS);
+        let over = Params::from_argv(&strs(&["--threads", "257"])).unwrap();
+        assert_eq!(
+            over.threads().unwrap_err(),
+            "--threads: `257` exceeds the limit of 256"
+        );
     }
 
     #[test]

@@ -11,10 +11,10 @@ use super::response::{
 };
 use super::ServiceCtx;
 use crate::core::{
-    analyze_cached, analyze_deadline, bode_grid, dominant_poles, explore_deadline, optimize_loop,
-    transient, EffectiveGain, ExploreSpec, KernelPolicy, LeakageSpurs, NoiseModel, NoiseShape,
-    NoiseSpec, OptimizeSpec, PllDesign, PllModel, PointQuality, QualitySummary, SampleHoldModel,
-    SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
+    bode_grid, dominant_poles, optimize_loop, transient, EffectiveGain, ExploreSpec, KernelPolicy,
+    LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel,
+    PointQuality, QualitySummary, SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON,
+    MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
 use crate::lti::FrequencyGrid;
@@ -146,7 +146,7 @@ fn analyze(
 ) -> Result<AnalyzeOut, String> {
     let (design, model) = build_model(spec)?;
     let report =
-        analyze_deadline(&model, threads, &ctx.cache, deadline).map_err(|e| e.to_string())?;
+        crate::core::analyze(&model, threads, &ctx.cache, deadline).map_err(|e| e.to_string())?;
     let strip_poles = dominant_poles(&model)
         .ok()
         .map(|ps| ps.iter().map(|p| (p.re, p.im)).collect());
@@ -254,7 +254,7 @@ fn sweep(
             PllModel::builder(PllDesign::reference_design(ratio).map_err(|e| e.to_string())?)
                 .build()
                 .map_err(|e| e.to_string())?;
-        let r = match analyze_deadline(&model, threads, &ctx.cache, deadline) {
+        let r = match crate::core::analyze(&model, threads, &ctx.cache, deadline) {
             Ok(r) => r,
             Err(e) => {
                 let message = e.to_string();
@@ -303,7 +303,7 @@ fn bode(
     deadline: &Deadline,
 ) -> Result<BodeOut, String> {
     let (design, model) = build_model(spec)?;
-    let wug = analyze_deadline(&model, threads, &ctx.cache, deadline)
+    let wug = crate::core::analyze(&model, threads, &ctx.cache, deadline)
         .map_err(|e| e.to_string())?
         .omega_ug_lti;
     let grid =
@@ -428,7 +428,7 @@ fn explore(
         quasi,
         threads,
     };
-    let report = explore_deadline(&spec, &ctx.cache, deadline).map_err(|e| e.to_string())?;
+    let report = crate::core::explore(&spec, &ctx.cache, deadline).map_err(|e| e.to_string())?;
     Ok(ExploreOut { seed, report })
 }
 
@@ -594,8 +594,10 @@ fn doctor(
     let fast_row = match PllDesign::reference_design(0.45)
         .map_err(|e| e.to_string())
         .and_then(|d| PllModel::builder(d).build().map_err(|e| e.to_string()))
-        .and_then(|m| analyze_cached(&m, threads, &ctx.cache).map_err(|e| e.to_string()))
-    {
+        .and_then(|m| {
+            crate::core::analyze(&m, threads, &ctx.cache, &Deadline::none())
+                .map_err(|e| e.to_string())
+        }) {
         Ok(r) => DoctorCheck {
             check: "fast loop w_UG ~ w0".to_string(),
             verdict: "completed".into(),
@@ -628,16 +630,19 @@ fn doctor(
             .map_err(|e| e.to_string())?
             .with_truncation(trunc)
             .with_threads(threads);
-        let tiny = crate::core::SweepCache::with_capacity(16);
-        let roomy = crate::core::SweepCache::new();
+        let tiny = SweepCache::with_capacity(16);
+        let roomy = SweepCache::new();
         let cold = model
-            .closed_loop_htm_grid_cached(&grid, &tiny)
+            .closed_loop_htm_grid_robust(&grid, &tiny)
+            .into_strict()
             .map_err(|e| e.to_string())?;
         let rerun = model
-            .closed_loop_htm_grid_cached(&grid, &tiny)
+            .closed_loop_htm_grid_robust(&grid, &tiny)
+            .into_strict()
             .map_err(|e| e.to_string())?;
         let reference = model
-            .closed_loop_htm_grid_cached(&grid, &roomy)
+            .closed_loop_htm_grid_robust(&grid, &roomy)
+            .into_strict()
             .map_err(|e| e.to_string())?;
         let same = |a: &[crate::htm::Htm], b: &[crate::htm::Htm]| {
             a.len() == b.len()
@@ -723,7 +728,8 @@ fn metrics(
 
     // Frequency-domain leg: margins, strip poles, λ truncation — all
     // scan grids run on the parallel pool.
-    crate::core::analyze_with(&model, threads).map_err(|e| e.to_string())?;
+    crate::core::analyze(&model, threads, &SweepCache::new(), &Deadline::none())
+        .map_err(|e| e.to_string())?;
     let _ = dominant_poles(&model);
     let lam = model.lambda();
     let k = lam.suggest_truncation(1e-6);
@@ -733,7 +739,8 @@ fn metrics(
     // HTM leg: dense closed loop + generalized Nyquist eigenvalues.
     let trunc = Truncation::new(k.min(10));
     let cl = model
-        .closed_loop_htm_dense(s, trunc)
+        .open_loop_htm(s, trunc)
+        .closed_loop()
         .map_err(|e| e.to_string())?;
     cl.eigenvalues()
         .map_err(|e| format!("eigensolver: {e:?}"))?;
@@ -750,12 +757,14 @@ fn metrics(
         .map_err(|e| e.to_string())?
         .with_truncation(trunc)
         .with_threads(threads);
-    let cache = crate::core::SweepCache::new();
+    let cache = SweepCache::new();
     model
-        .closed_loop_htm_grid_cached(&htm_spec, &cache)
+        .closed_loop_htm_grid_robust(&htm_spec, &cache)
+        .into_strict()
         .map_err(|e| e.to_string())?;
     model
-        .closed_loop_htm_grid_cached(&htm_spec, &cache)
+        .closed_loop_htm_grid_robust(&htm_spec, &cache)
+        .into_strict()
         .map_err(|e| e.to_string())?;
     // Robustness leg: a grid with a deliberately on-pole point (ω = ω₀)
     // exercises the verdict/escalation path — robust.failed alongside

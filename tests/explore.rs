@@ -9,7 +9,7 @@ use htmpll::core::{
     explore, DesignParams, DesignPoint, ExploreSpec, ParetoFront, SweepCache, EXPLORE_BLOCK,
 };
 use htmpll::num::rng::Rng;
-use htmpll::par::ThreadBudget;
+use htmpll::par::{Deadline, ThreadBudget};
 
 /// A synthetic objective-space corpus: no analysis involved, so the
 /// front-maintenance properties are tested in isolation at scale.
@@ -164,7 +164,7 @@ fn thread_count_does_not_change_the_front_across_blocks() {
     let mut runs = Vec::new();
     for threads in [1usize, 2, 4] {
         spec.threads = ThreadBudget::Fixed(threads);
-        runs.push(explore(&spec, &SweepCache::new()).unwrap());
+        runs.push(explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap());
     }
     for r in &runs[1..] {
         assert_eq!(runs[0].digest, r.digest);
@@ -175,7 +175,7 @@ fn thread_count_does_not_change_the_front_across_blocks() {
 
 #[test]
 fn seeded_smoke_pins_front_digest() {
-    let report = explore(&tight_spec(10_000), &SweepCache::new()).unwrap();
+    let report = explore(&tight_spec(10_000), &SweepCache::new(), &Deadline::none()).unwrap();
     assert_eq!(report.evaluated, 10_000);
     assert_eq!(report.failed, 0, "no candidate may fail outright");
     assert!(report.front.len() > 3, "front too small to be meaningful");

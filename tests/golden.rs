@@ -4,7 +4,8 @@
 //! future change that silently alters the physics (sign conventions,
 //! gain factors, normalizations) fails loudly rather than drifting.
 
-use htmpll::core::{analyze, PllDesign, PllModel};
+use htmpll::core::{analyze, PllDesign, PllModel, SweepCache};
+use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::zdomain::reference_design_stability_limit;
 
 fn report(ratio: f64) -> htmpll::core::AnalysisReport {
@@ -12,6 +13,9 @@ fn report(ratio: f64) -> htmpll::core::AnalysisReport {
         &PllModel::builder(PllDesign::reference_design(ratio).unwrap())
             .build()
             .unwrap(),
+        ThreadBudget::Auto,
+        &SweepCache::new(),
+        &Deadline::none(),
     )
     .unwrap()
 }

@@ -19,14 +19,14 @@
 
 use htmpll::core::explore::{screen_passes, ExploreWorkspace};
 use htmpll::core::{
-    analyze_with, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
-    EffectiveGain, PllDesign, PllModel, EXPLORE_F_REF,
+    analyze, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
+    EffectiveGain, PllDesign, PllModel, SweepCache, EXPLORE_F_REF,
 };
 use htmpll::lti::Tf;
 use htmpll::num::hash::Fnv1a;
 use htmpll::num::special::lattice_sum;
 use htmpll::num::Complex;
-use htmpll::par::ThreadBudget;
+use htmpll::par::{Deadline, ThreadBudget};
 use std::f64::consts::PI;
 
 fn write_c(h: &mut Fnv1a, z: Complex) {
@@ -152,7 +152,12 @@ fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 
 fn analysis_of(design: Result<PllDesign, CoreError>) -> Result<AnalysisReport, CoreError> {
     let model = PllModel::builder(design?).build()?;
-    analyze_with(&model, ThreadBudget::Fixed(1))
+    analyze(
+        &model,
+        ThreadBudget::Fixed(1),
+        &SweepCache::new(),
+        &Deadline::none(),
+    )
 }
 
 #[test]

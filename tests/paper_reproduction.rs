@@ -3,11 +3,25 @@
 //! Each test ties at least two workspace crates together and checks one
 //! of the DATE-2003 paper's experimental claims at the system level.
 
-use htmpll::core::{analyze, PllDesign, PllModel};
+use htmpll::core::{analyze, AnalysisReport, PllDesign, PllModel, SweepCache};
 use htmpll::htm::Truncation;
 use htmpll::num::Complex;
+use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::sim::{measure_h00, MeasureOptions, SimConfig, SimParams};
 use htmpll::zdomain::{reference_design_stability_limit, CpPllZModel};
+
+fn reference_report(ratio: f64) -> AnalysisReport {
+    let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
+        .build()
+        .unwrap();
+    analyze(
+        &m,
+        ThreadBudget::Auto,
+        &SweepCache::new(),
+        &Deadline::none(),
+    )
+    .unwrap()
+}
 
 /// Paper §5 / Fig. 6: HTM closed-loop prediction vs time-marching
 /// simulation, "within 2 %", across ratios and frequencies.
@@ -39,15 +53,7 @@ fn fig6_shape_bandwidth_and_peaking() {
     // up approaching the sampling stability limit — the paper's Fig.-6
     // claim concerns the fast-loop regime, so start the sweep at 0.1.
     let ratios = [0.1, 0.2, 0.25];
-    let reports: Vec<_> = ratios
-        .iter()
-        .map(|&r| {
-            let m = PllModel::builder(PllDesign::reference_design(r).unwrap())
-                .build()
-                .unwrap();
-            analyze(&m).unwrap()
-        })
-        .collect();
+    let reports: Vec<_> = ratios.iter().map(|&r| reference_report(r)).collect();
     // "The effective bandwidth shifts to the right": every fast loop's
     // −3 dB point sits well above the LTI prediction (which is
     // ratio-independent for this fixed shape). The crossing itself is
@@ -81,15 +87,7 @@ fn fig6_shape_bandwidth_and_peaking() {
 #[test]
 fn fig7_shape_effective_margins() {
     let ratios = [0.05, 0.1, 0.15, 0.2, 0.25];
-    let reports: Vec<_> = ratios
-        .iter()
-        .map(|&r| {
-            let m = PllModel::builder(PllDesign::reference_design(r).unwrap())
-                .build()
-                .unwrap();
-            analyze(&m).unwrap()
-        })
-        .collect();
+    let reports: Vec<_> = ratios.iter().map(|&r| reference_report(r)).collect();
     for (r, rep) in ratios.iter().zip(&reports) {
         assert!(
             rep.omega_ug_eff >= 0.999 * rep.omega_ug_lti,
@@ -121,18 +119,8 @@ fn fig7_shape_effective_margins() {
 fn htm_and_zdomain_stability_boundaries_agree() {
     let z_limit = reference_design_stability_limit(0.05, 0.6, 1e-3);
     // HTM verdicts straddle the z-domain boundary.
-    let below = analyze(
-        &PllModel::builder(PllDesign::reference_design(z_limit - 0.01).unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let above = analyze(
-        &PllModel::builder(PllDesign::reference_design(z_limit + 0.01).unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let below = reference_report(z_limit - 0.01);
+    let above = reference_report(z_limit + 0.01);
     assert!(
         below.nyquist_stable,
         "HTM should agree stable below {z_limit}"
@@ -203,7 +191,7 @@ fn closed_forms_match_dense_inversion() {
         for &(re, im) in &[(0.0, 0.35), (0.01, 1.2)] {
             let s = Complex::new(re, im);
             let fast = model.closed_loop_htm(s, t);
-            let dense = model.closed_loop_htm_dense(s, t).unwrap();
+            let dense = model.open_loop_htm(s, t).closed_loop().unwrap();
             assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-10);
         }
     }

@@ -5,17 +5,21 @@
 //! arithmetic.
 
 use htmpll::core::{
-    analyze_with, bode_grid, AnalysisReport, LeakageSpurs, NoiseModel, PllDesign, PllModel,
-    SweepCache, SweepSpec,
+    analyze, bode_grid, AnalysisReport, LeakageSpurs, NoiseModel, PllDesign, PllModel, SweepCache,
+    SweepSpec,
 };
 use htmpll::htm::Truncation;
 use htmpll::lti::bode_sweep;
-use htmpll::par::ThreadBudget;
+use htmpll::par::{Deadline, ThreadBudget};
 
 fn model(ratio: f64) -> PllModel {
     PllModel::builder(PllDesign::reference_design(ratio).unwrap())
         .build()
         .unwrap()
+}
+
+fn analysis(m: &PllModel, threads: ThreadBudget) -> AnalysisReport {
+    analyze(m, threads, &SweepCache::new(), &Deadline::none()).unwrap()
 }
 
 fn assert_bits(a: f64, b: f64, what: &str) {
@@ -43,9 +47,9 @@ fn analysis_identical_across_thread_counts() {
     // the analysis must be thread-count-invariant.
     for ratio in [0.05, 0.25, 0.4] {
         let m = model(ratio);
-        let one = analyze_with(&m, ThreadBudget::Fixed(1)).unwrap();
+        let one = analysis(&m, ThreadBudget::Fixed(1));
         for threads in [2, 4, 7] {
-            let n = analyze_with(&m, ThreadBudget::Fixed(threads)).unwrap();
+            let n = analysis(&m, ThreadBudget::Fixed(threads));
             assert_reports_identical(&one, &n);
         }
     }
@@ -94,10 +98,12 @@ fn dense_htm_grid_identical_across_thread_counts() {
         .unwrap()
         .with_truncation(Truncation::new(5));
     let one = m
-        .closed_loop_htm_grid(&base.clone().with_threads(1))
+        .closed_loop_htm_grid_robust(&base.clone().with_threads(1), &SweepCache::new())
+        .into_strict()
         .unwrap();
     let four = m
-        .closed_loop_htm_grid(&base.clone().with_threads(4))
+        .closed_loop_htm_grid_robust(&base.clone().with_threads(4), &SweepCache::new())
+        .into_strict()
         .unwrap();
     for (a, b) in one.iter().zip(&four) {
         assert_eq!(a.as_matrix().max_diff(b.as_matrix()), 0.0);
@@ -135,8 +141,14 @@ fn cache_hits_return_the_first_evaluation_bitwise() {
         .unwrap()
         .with_truncation(Truncation::new(4))
         .with_threads(4);
-    let cold = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
-    let warm = m.closed_loop_htm_grid_cached(&spec, &cache).unwrap();
+    let cold = m
+        .closed_loop_htm_grid_robust(&spec, &cache)
+        .into_strict()
+        .unwrap();
+    let warm = m
+        .closed_loop_htm_grid_robust(&spec, &cache)
+        .into_strict()
+        .unwrap();
     assert_eq!(cache.dense_entries(), 7);
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.as_matrix().max_diff(b.as_matrix()), 0.0);
@@ -145,10 +157,10 @@ fn cache_hits_return_the_first_evaluation_bitwise() {
 
 #[test]
 fn analyze_matches_explicit_auto_budget() {
-    // `analyze` is `analyze_with(Auto)`; whatever Auto resolves to on
-    // this machine, the result must equal the explicit 1-thread run.
+    // Whatever `Auto` resolves to on this machine, the result must
+    // equal the explicit 1-thread run.
     let m = model(0.2);
-    let auto = htmpll::core::analyze(&m).unwrap();
-    let one = analyze_with(&m, ThreadBudget::Fixed(1)).unwrap();
+    let auto = analysis(&m, ThreadBudget::Auto);
+    let one = analysis(&m, ThreadBudget::Fixed(1));
     assert_reports_identical(&auto, &one);
 }

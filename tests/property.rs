@@ -451,7 +451,7 @@ proptest! {
         let t = Truncation::new(k);
         let s = Complex::from_im(w);
         let fast = m.closed_loop_htm(s, t);
-        let dense = m.closed_loop_htm_dense(s, t).unwrap();
+        let dense = m.open_loop_htm(s, t).closed_loop().unwrap();
         prop_assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-9);
     }
 

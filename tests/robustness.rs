@@ -6,14 +6,14 @@
 //! deterministic: fixed seeds, no wall-clock, no ambient randomness.
 
 use htmpll::core::{
-    analyze_with, KernelPolicy, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec,
+    analyze, KernelPolicy, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec,
     MAX_AUTO_TRUNCATION,
 };
 use htmpll::htm::{Htm, HtmRepr, Truncation};
 use htmpll::lti::Tf;
 use htmpll::num::rng::Rng;
 use htmpll::num::{solve_robust, CMat, Complex, FullPivLu, LuError, RobustLu, SolveStage};
-use htmpll::par::ThreadBudget;
+use htmpll::par::{Deadline, ThreadBudget};
 
 fn model(ratio: f64) -> PllModel {
     PllModel::builder(PllDesign::reference_design(ratio).unwrap())
@@ -81,7 +81,8 @@ fn strict_sweep_errors_cleanly_on_pole_instead_of_panicking() {
     let w0 = m.design().omega_ref();
     let spec = SweepSpec::new(vec![0.1 * w0, w0]).with_threads(1usize);
     let err = m
-        .closed_loop_htm_grid_cached(&spec, &SweepCache::new())
+        .closed_loop_htm_grid_robust(&spec, &SweepCache::new())
+        .into_strict()
         .unwrap_err();
     let msg = err.to_string();
     assert!(
@@ -475,7 +476,13 @@ fn banded_lu_matches_dense_lu_across_24_decades() {
 fn analysis_quality_summary_is_consistent() {
     for ratio in [0.05, 0.25, 0.45] {
         let m = model(ratio);
-        let report = analyze_with(&m, ThreadBudget::Fixed(1)).unwrap();
+        let report = analyze(
+            &m,
+            ThreadBudget::Fixed(1),
+            &SweepCache::new(),
+            &Deadline::none(),
+        )
+        .unwrap();
         let q = &report.quality;
         assert_eq!(
             q.exact + q.refined + q.perturbed + q.failed,

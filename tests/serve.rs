@@ -214,3 +214,21 @@ fn served_bytes_are_pinned() {
         "4b982ab6c7d75992"
     );
 }
+
+#[test]
+fn oversized_thread_request_is_rejected_before_any_work() {
+    // 100000 would ask the shared pool for thousands of OS threads; the
+    // request layer turns it away at parse time, so no map starts.
+    let line = "{\"id\":7,\"command\":\"analyze\",\"params\":{\"ratio\":0.1,\"threads\":100000}}\n";
+    let (out, summary) = run_inproc(line, 1);
+    assert!(
+        out.starts_with("{\"schema\":\"plltool/v1\",\"id\":7,")
+            && out.contains("\"ok\":false")
+            && out.contains("\"code\":\"bad_request\"")
+            && out.contains("exceeds the limit of 256"),
+        "{out}"
+    );
+    assert_eq!((summary.received, summary.errors), (1, 1));
+    // The analysis probes the sweep cache; a rejected line never gets there.
+    assert_eq!(summary.sweep_cache_hits + summary.sweep_cache_misses, 0);
+}

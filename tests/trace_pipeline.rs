@@ -41,7 +41,8 @@ fn traced_sweep(threads: usize) -> obs::Trace {
         .with_kernel(KernelPolicy::Dense)
         .with_threads(ThreadBudget::Fixed(threads));
     let cache = SweepCache::new();
-    m.closed_loop_htm_grid_cached(&spec, &cache)
+    m.closed_loop_htm_grid_robust(&spec, &cache)
+        .into_strict()
         .expect("sweep completes");
     let robust_spec = SweepSpec::new(vec![0.2 * w0, w0, 0.45 * w0])
         .with_truncation(trunc)
