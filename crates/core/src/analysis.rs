@@ -7,7 +7,9 @@
 //! * the margins of the **effective** open-loop gain `λ(jω)` (what the
 //!   loop actually sees once sampling is accounted for),
 //! * closed-loop −3 dB bandwidth and passband peaking of `H₀,₀(jω)`,
-//! * an HTM-Nyquist stability verdict on `λ`.
+//! * the HTM-Nyquist stability verdict on `λ`, decided exactly by the
+//!   Jury test on `1 + λ`'s characteristic polynomial in
+//!   `z = e^{2πs/ω₀}` ([`EffectiveGain::strip_stable`](crate::EffectiveGain::strip_stable)).
 //!
 //! ```
 //! use htmpll_core::{analyze, PllDesign, PllModel, SweepCache};
@@ -24,7 +26,6 @@ use crate::closed_loop::PllModel;
 use crate::error::CoreError;
 use crate::quality::{PointQuality, QualitySummary};
 use crate::sweep::{KernelPolicy, SweepCache};
-use htmpll_htm::nyquist::{strip_contour, strip_zero_count_from_values};
 use htmpll_lti::{
     bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed,
     stability_margins_precomputed, MarginError, Margins,
@@ -54,7 +55,8 @@ pub struct AnalysisReport {
     pub peaking_db: f64,
     /// Closed-loop peaking predicted by the LTI approximation, dB.
     pub peaking_lti_db: f64,
-    /// HTM-Nyquist verdict on the effective gain.
+    /// HTM-Nyquist verdict on the effective gain: `1 + λ(s)` has no
+    /// zero in the closed right half of the period strip.
     pub nyquist_stable: bool,
     /// True when `|λ(jω)|` never fell below unity inside the first
     /// Nyquist band: the loop is at or beyond the sampling stability
@@ -62,7 +64,7 @@ pub struct AnalysisReport {
     /// values (`ω_UG,eff = ω₀/2`, phase margin from `arg λ(jω₀/2)`).
     pub beyond_sampling_limit: bool,
     /// Numerical-quality roll-up of every scan point behind this report
-    /// (λ margin scan, closed-loop scans, Nyquist contour — non-finite
+    /// (the λ margin scan and the closed-loop `H₀,₀` scan — non-finite
     /// values count as failed) plus a dense closed-loop probe at
     /// `s = jω_UG,eff`, whose condition estimate and verdict gauge how
     /// trustworthy the truncated `I + G̃` solves are at crossover.
@@ -148,9 +150,8 @@ pub fn analyze(
     )?;
     let lti = stability_margins_precomputed(|w| a.eval_jw(w), &lti_grid, &lti_vals)?;
     // λ has a pole at every multiple of ω₀ on the jω axis (the aliased
-    // integrators); stay strictly inside the first band. Every λ scan
-    // runs on a vertical line (the axis here, `Re s = ε` for the
-    // contour), so each computes the Re halves of its coth terms once.
+    // integrators); stay strictly inside the first band. Both λ scans
+    // run on the axis, so they share the Re halves of its coth terms.
     let lam = model.lambda();
     let axis = lam.line(0.0);
     let band_edge = 0.499_999 * w0;
@@ -210,24 +211,12 @@ pub fn analyze(
         "LTI closed-loop",
     )?;
     let pk_lti = peaking_db_precomputed(|w| model.h00_lti(w), w_ref, &hlti_vals);
-    // Zeros of 1 + λ in the right-half period strip, counted on a
-    // contour offset slightly right of the jω-axis integrator poles.
-    // The contour gains are evaluated on the pool; the winding count
-    // depends only on the value sequence.
-    let eps = 1e-4 * lti.omega_ug;
-    let contour = strip_contour(w0, eps, 4096);
-    let contour_line = lam.line(eps);
-    let contour_vals = scan_or_deadline(
-        par_map_cancellable(threads, &contour, deadline, |_, &s| contour_line.eval(s.im)),
-        "Nyquist contour",
-    )?;
-    let stable = strip_zero_count_from_values(&contour_vals) == 0;
 
     // Quality roll-up: every scalar scan point (non-finite → failed),
     // plus one dense closed-loop probe at the effective crossover for a
     // representative condition estimate of the truncated I+G̃ solves.
     let mut quality = QualitySummary::default();
-    for v in lam_vals.iter().chain(&h_vals).chain(&contour_vals) {
+    for v in lam_vals.iter().chain(&h_vals) {
         let q = if v.re.is_finite() && v.im.is_finite() {
             PointQuality::Exact
         } else {
@@ -257,7 +246,7 @@ pub fn analyze(
         bandwidth_3db: bw,
         peaking_db: pk,
         peaking_lti_db: pk_lti,
-        nyquist_stable: stable,
+        nyquist_stable: lam.strip_stable(),
         beyond_sampling_limit: beyond_limit,
         quality,
     })

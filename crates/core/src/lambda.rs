@@ -17,12 +17,18 @@
 //! * **Exact** ([`EffectiveGain::eval`]): partial fractions of `A` plus
 //!   the `coth` lattice-sum closed forms — this is the paper's "symbolic
 //!   expressions" capability, exact for any rational strictly proper `A`.
-//!   Scans along a vertical line `Re s = x` (the jω axis, the Nyquist
-//!   contour) use [`EffectiveGain::line`], which computes the `x` half
-//!   of every `coth` once per line and returns the same bits.
+//!   Scans along a vertical line `Re s = x` (the jω axis, a grid row)
+//!   use [`EffectiveGain::line`], which computes the `x` half of every
+//!   `coth` once per line and returns the same bits.
 //! * **Truncated** ([`EffectiveGain::eval_truncated`]): brute-force
 //!   `Σ_{|m| ≤ M}`, the numerical cross-check and the path that
 //!   generalizes to non-rational gains.
+//!
+//! Every `coth` term is a Möbius map of `z = e^{2πs/ω₀}`, so `λ` is also
+//! an exact rational function `N(z)/D(z)` ([`EffectiveGain::z_form`]).
+//! Construction builds the characteristic polynomial `D + N` of `1 + λ`
+//! once; stability in the period strip and the strip poles are read off
+//! its roots (THEORY.md §3.1).
 //!
 //! ```
 //! use htmpll_core::{EffectiveGain, PllDesign};
@@ -39,8 +45,9 @@
 use crate::error::{positive, CoreError};
 use htmpll_lti::{Pfe, Tf};
 use htmpll_num::hash::Fnv1a;
+use htmpll_num::poly::cpoly_mul;
 use htmpll_num::special::{lattice_poly, lattice_sum, MAX_LATTICE_ORDER};
-use htmpll_num::{Complex, CothRe};
+use htmpll_num::{jury_stable, Complex, CothRe, Poly};
 
 /// Per-term data hoisted out of the λ kernel: the lattice polynomial
 /// `P_r` and the `(π/ω₀)^r` prefactor depend on the pole order alone,
@@ -83,6 +90,78 @@ fn pre_terms(pfe: &Pfe, omega0: f64) -> Vec<PreTerm> {
         .collect()
 }
 
+/// `λ = N(z)/D(z)` at `z = e^{2πs/ω₀}`, from the kernel's terms.
+///
+/// With `w = e^{2πp/ω₀}`, `coth(π(s − p)/ω₀) = (z + w)/(z − w)`, so a
+/// distinct pole of highest order `R` contributes the factor
+/// `(z − w)^R` to `D` and `Σ_r c·(π/ω₀)^r·Σ_k a_k (z + w)^k (z − w)^{R−k}`
+/// (over its terms `c·P_r`, `P_r = Σ_k a_k c^k`) to `N`, times the other
+/// poles' factors. A pole right of the axis (`|w| > 1`) uses
+/// `(z/w ∓ 1)` instead, with `1/w` computed directly, so no
+/// coefficient exceeds the data's own scale. Conjugate poles carry
+/// conjugate data, so the coefficients are real up to rounding; the
+/// imaginary residue is dropped. Returns `(N, D)`.
+fn z_form(pre: &[PreTerm], omega0: f64) -> (Poly, Poly) {
+    let scale = 2.0 * std::f64::consts::PI / omega0;
+    // One (numerator, denominator factor) pair per distinct pole; the
+    // PFE lists a pole's terms together, in ascending order.
+    let mut groups: Vec<(Vec<Complex>, Vec<Complex>)> = Vec::new();
+    let mut start = 0;
+    while start < pre.len() {
+        let len = 1 + pre[start + 1..]
+            .iter()
+            .take_while(|t| t.shares_coth)
+            .count();
+        let terms = &pre[start..start + len];
+        start += len;
+        let t = terms[0].pole.scale(scale);
+        let (f, g) = if terms[0].pole.re <= 0.0 {
+            let w = t.exp();
+            ([-w, Complex::ONE], [w, Complex::ONE])
+        } else {
+            let v = (-t).exp();
+            ([-Complex::ONE, v], [Complex::ONE, v])
+        };
+        let order = terms.iter().map(|t| t.poly.len() - 1).max().unwrap_or(0);
+        let (mut fpow, mut gpow) = (vec![vec![Complex::ONE]], vec![vec![Complex::ONE]]);
+        for k in 0..order {
+            fpow.push(cpoly_mul(&fpow[k], &f));
+            gpow.push(cpoly_mul(&gpow[k], &g));
+        }
+        let mut num = vec![Complex::ZERO; order + 1];
+        for term in terms {
+            let c = term.coeff * term.factor;
+            for (k, &a) in term.poly.iter().enumerate() {
+                if a != 0.0 {
+                    for (o, v) in num.iter_mut().zip(cpoly_mul(&gpow[k], &fpow[order - k])) {
+                        *o += c * v.scale(a);
+                    }
+                }
+            }
+        }
+        groups.push((num, fpow.swap_remove(order)));
+    }
+    let mut n = vec![Complex::ZERO];
+    let mut d = vec![Complex::ONE];
+    for (i, (num_i, _)) in groups.iter().enumerate() {
+        let mut term = num_i.clone();
+        for (j, (_, den_j)) in groups.iter().enumerate() {
+            if j != i {
+                term = cpoly_mul(&term, den_j);
+            }
+        }
+        n.resize(n.len().max(term.len()), Complex::ZERO);
+        for (o, v) in n.iter_mut().zip(term) {
+            *o += v;
+        }
+    }
+    for (_, den) in &groups {
+        d = cpoly_mul(&d, den);
+    }
+    let real = |p: Vec<Complex>| Poly::new(p.into_iter().map(|c| c.re).collect());
+    (real(n), real(d))
+}
+
 /// The effective open-loop gain `λ(s) = Σ_m A(s + jmω₀)`.
 #[derive(Debug, Clone)]
 pub struct EffectiveGain {
@@ -91,13 +170,14 @@ pub struct EffectiveGain {
     pre: Vec<PreTerm>,
     omega0: f64,
     fingerprint: u64,
+    characteristic: Poly,
 }
 
 /// `λ(s)` along one vertical line `Re s = x`, from
 /// [`EffectiveGain::line`]: holds the `Re` half of every term's `coth`,
 /// so a point costs only the `sin_cos` and the quotient of each distinct
-/// pole. Scans build one per line (the jω axis, the Nyquist contour, a
-/// grid row) and share it across workers.
+/// pole. Scans build one per line (the jω axis, a grid row, the
+/// winding-count oracle's contour) and share it across workers.
 #[derive(Debug, Clone)]
 pub struct LambdaLine<'a> {
     gain: &'a EffectiveGain,
@@ -162,12 +242,15 @@ impl EffectiveGain {
         for &c in a.den().coeffs() {
             h.write_f64(c);
         }
+        let pre = pre_terms(&pfe, omega0);
+        let (n, d) = z_form(&pre, omega0);
         Ok(EffectiveGain {
             a: a.clone(),
-            pre: pre_terms(&pfe, omega0),
+            pre,
             pfe,
             omega0,
             fingerprint: h.finish(),
+            characteristic: &d + &n,
         })
     }
 
@@ -192,6 +275,35 @@ impl EffectiveGain {
     /// The reference fundamental `ω₀`.
     pub fn omega0(&self) -> f64 {
         self.omega0
+    }
+
+    /// `λ` as the exact rational function `(N, D)` of
+    /// `z = e^{2πs/ω₀}`: `λ(s) = N(z)/D(z)` away from the poles. Factors
+    /// of poles left of the axis are monic in `z`, those right of it are
+    /// normalized to `z/w − 1`; the pair is unit-free (one loop shape
+    /// gives the same coefficients at any `ω₀`).
+    pub fn z_form(&self) -> (Poly, Poly) {
+        z_form(&self.pre, self.omega0)
+    }
+
+    /// The characteristic polynomial `D + N` of `1 + λ = (D + N)/D` in
+    /// `z = e^{2πs/ω₀}`. Its roots outside the unit circle are the zeros
+    /// of `1 + λ` in the right half of the period strip; a nonzero root
+    /// `z*` is the strip pole `s = (ω₀/2π)·ln z*`. A root at exactly
+    /// `z = 0` comes from a pole so far left that `e^{2πp/ω₀}`
+    /// underflowed, and stands for no finite zero.
+    pub fn characteristic(&self) -> &Poly {
+        &self.characteristic
+    }
+
+    /// Exact period-strip stability: `true` when `1 + λ(s)` has no zero
+    /// with `Re s ≥ 0`, i.e. every root of
+    /// [`characteristic`](EffectiveGain::characteristic) lies strictly
+    /// inside the unit circle (Jury test). This is the rank-one HTM
+    /// Nyquist verdict without a contour: no λ evaluation, no winding
+    /// count.
+    pub fn strip_stable(&self) -> bool {
+        matches!(jury_stable(&self.characteristic), Ok(true))
     }
 
     /// Exact `λ(s)` via lattice sums: for

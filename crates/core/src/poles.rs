@@ -7,10 +7,14 @@
 //! `s* + jmω₀` — the time-varying analogue of a pole pair, carrying the
 //! loop's true damping and ringing frequency.
 //!
-//! [`dominant_poles`] locates them by complex Newton iteration on
-//! `1 + λ(s)` (the derivative is exact, from the lattice-sum identity),
-//! seeded from the LTI closed-loop poles — which the time-varying poles
-//! continuously deform away from as `ω_UG/ω₀` grows.
+//! [`dominant_poles`] reads them off the roots of `1 + λ`'s
+//! characteristic polynomial in `z = e^{2πs/ω₀}`
+//! ([`EffectiveGain::characteristic`](crate::EffectiveGain::characteristic)):
+//! every zero in the strip is one root `z*`, at `s* = (ω₀/2π)·ln z*`.
+//! The polynomial is unit-free, so a design given in physical units finds
+//! the same poles, scaled by `ω₀`. Each root is then polished by complex
+//! Newton iteration on `1 + λ(s)` (the derivative is exact, from the
+//! lattice-sum identity) when that lowers the residual.
 //!
 //! ```
 //! use htmpll_core::{poles::dominant_poles, PllDesign, PllModel};
@@ -23,6 +27,8 @@
 
 use crate::closed_loop::PllModel;
 use crate::error::CoreError;
+use htmpll_lti::TfError;
+use htmpll_num::roots::find_roots_graded;
 use htmpll_num::Complex;
 
 /// Newton refinement of a zero of `1 + λ(s)` from an initial guess.
@@ -61,68 +67,59 @@ pub fn refine_pole(model: &PllModel, seed: Complex, tol: f64) -> Option<Complex>
     None
 }
 
-/// Locates the dominant closed-loop poles of the time-varying loop in
-/// the upper half of the fundamental strip: Newton on `1 + λ(s)` seeded
-/// from (a) the LTI closed-loop poles and (b) the local minima of
-/// `|1 + λ|` over a strip grid — the latter is what finds the
-/// **alias-born pole pair** near `Im s ≈ ω₀/2` that has *no LTI
-/// counterpart* and carries the fast-loop ringing. Results are deduped
-/// and sorted by decreasing real part (least damped first); conjugates
-/// are implied.
+/// Locates every closed-loop pole of the time-varying loop in the upper
+/// half of the fundamental strip `0 ≤ Im s ≤ ω₀/2`, including the
+/// **alias-born pole pair** near `Im s = ω₀/2` that has *no LTI
+/// counterpart* and carries the fast-loop ringing.
+///
+/// The poles are the nonzero roots `z*` of the characteristic polynomial
+/// of `1 + λ` in `z = e^{2πs/ω₀}` (Aberth–Ehrlich,
+/// [`find_roots_graded`]: far-left poles give roots many decades below
+/// the others), taken on or above the real axis and mapped back by
+/// `s = (ω₀/2π)·ln z*`. [`refine_pole`] polishes each one, and the
+/// polished value, folded back into the upper half strip, replaces it
+/// when its residual `|1 + λ|` is lower. Results are deduped and sorted
+/// by decreasing real part (least damped first); conjugates are
+/// implied.
 ///
 /// # Errors
 ///
-/// Propagates LTI pole extraction failures; returns an empty vector when
-/// no Newton run converges.
+/// [`CoreError::Tf`] with [`TfError::Roots`] when the root iteration
+/// fails to converge.
 pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
     let _span = htmpll_obs::span("core", "dominant_poles");
-    let cl = model.open_loop().feedback_unity()?;
-    let mut seeds: Vec<Complex> = cl
-        .poles()?
-        .into_iter()
-        .map(|p| if p.im < 0.0 { p.conj() } else { p })
-        .collect();
-
-    // Strip grid: local minima of |1 + λ| over Re ∈ [−3ω_UG, +ω_UG],
-    // Im ∈ [−0.1, 0.6]·ω₀ — deliberately past the strip edge ω₀/2, where
-    // the alias-born pole pair lives for fast loops (results fold back
-    // to the canonical strip inside the Newton refinement).
-    let w0 = model.design().omega_ref();
     let lam = model.lambda();
-    const NR: usize = 30;
-    const NI: usize = 30;
-    let mut grid = vec![[0.0f64; NI]; NR];
-    let re_at = |i: usize| -3.0 + 4.0 * i as f64 / (NR - 1) as f64;
-    let im_at = |j: usize| w0 * (-0.1 + 0.7 * j as f64 / (NI - 1) as f64);
-    for (i, row) in grid.iter_mut().enumerate() {
-        let line = lam.line(re_at(i));
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = (Complex::ONE + line.eval(im_at(j))).abs();
+    let w0 = model.design().omega_ref();
+    let roots =
+        find_roots_graded(lam.characteristic()).map_err(|e| CoreError::Tf(TfError::Roots(e)))?;
+    let residual = |s: Complex| (Complex::ONE + lam.eval(s)).abs();
+    // Canonical representative: fold into |Im| ≤ ω₀/2, upper half.
+    let fold = |mut p: Complex| {
+        p.im -= w0 * (p.im / w0).round();
+        if p.im < 0.0 {
+            p.conj()
+        } else {
+            p
         }
-    }
-    for i in 1..NR - 1 {
-        for j in 1..NI - 1 {
-            let v = grid[i][j];
-            if v < grid[i - 1][j] && v < grid[i + 1][j] && v < grid[i][j - 1] && v < grid[i][j + 1]
-            {
-                seeds.push(Complex::new(re_at(i), im_at(j)));
-            }
-        }
-    }
-
+    };
     let mut found: Vec<Complex> = Vec::new();
-    for seed in seeds {
-        if let Some(p) = refine_pole(model, seed, 1e-12) {
-            // Canonical representative: fold into |Im| ≤ ω₀/2, upper half.
-            let mut p = p;
-            p.im -= w0 * (p.im / w0).round();
-            let p = if p.im < 0.0 { p.conj() } else { p };
-            if !found
-                .iter()
-                .any(|q| (*q - p).abs() < 1e-6 * (1.0 + p.abs()))
-            {
-                found.push(p);
+    // A root below the real axis is the conjugate of one above it (real
+    // roots come back exactly real), so it names no new pole.
+    for z in roots {
+        if z == Complex::ZERO || z.im < 0.0 {
+            continue;
+        }
+        let mut p = z.ln().scale(w0 / (2.0 * std::f64::consts::PI));
+        if let Some(q) = refine_pole(model, p, 1e-12).map(fold) {
+            if residual(q) < residual(p) {
+                p = q;
             }
+        }
+        if !found
+            .iter()
+            .any(|q| (*q - p).abs() < 1e-6 * (1.0 + p.abs()))
+        {
+            found.push(p);
         }
     }
     found.sort_by(|a, b| b.re.partial_cmp(&a.re).unwrap_or(std::cmp::Ordering::Equal));

@@ -528,7 +528,7 @@ fn compute_dense(
         KernelPolicy::Dense => open.densified(),
     };
     match open.closed_loop_factored_robust() {
-        Ok((_, htm, report)) => {
+        Ok((htm, report)) => {
             if !htm.is_finite() {
                 htmpll_obs::counter!("core", "robust.failed").inc();
                 htmpll_obs::instant("core", || {
@@ -769,17 +769,6 @@ impl NoiseModel<'_> {
             htmpll_obs::span_labeled("core", "sweep.noise", || format!("n={}", spec.grid.len()));
         par_map(spec.threads, spec.grid.points(), |_, &w| {
             self.output_psd(w, ref_psd, vco_psd)
-        })
-    }
-
-    /// LTI-approximation output PSD over `spec.grid`.
-    pub fn output_psd_lti_grid<R, V>(&self, spec: &SweepSpec, ref_psd: &R, vco_psd: &V) -> Vec<f64>
-    where
-        R: Fn(f64) -> f64 + Sync,
-        V: Fn(f64) -> f64 + Sync,
-    {
-        par_map(spec.threads, spec.grid.points(), |_, &w| {
-            self.output_psd_lti(w, ref_psd, vco_psd)
         })
     }
 }
@@ -1136,8 +1125,6 @@ mod tests {
         for (&w, v) in spec.grid.points().iter().zip(&grid_vals) {
             assert_eq!(n.output_psd(w, &flat, &vco).to_bits(), v.to_bits());
         }
-        let lti_vals = n.output_psd_lti_grid(&spec, &flat, &vco);
-        assert!(lti_vals.iter().all(|v| v.is_finite()));
     }
 
     #[test]

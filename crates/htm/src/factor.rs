@@ -27,69 +27,7 @@ use crate::repr::HtmRepr;
 use htmpll_num::solve::COND_GATE;
 use htmpll_num::{CMat, Complex, LuError, RobustLu, SolveReport, SolveStage};
 
-/// How the feedback operator `I + G̃` was factored, for reuse against
-/// further right-hand sides at the same Laplace point.
-#[derive(Debug, Clone)]
-pub enum ClosedLoopFactor {
-    /// Sherman–Morrison closed form for `I + u·vᵀ` with `denom = 1+vᵀu`.
-    RankOne {
-        /// Column factor of the open loop.
-        u: Vec<Complex>,
-        /// Row factor of the open loop.
-        v: Vec<Complex>,
-        /// `1 + λ` — the scalar the update divides by.
-        denom: Complex,
-    },
-    /// Entrywise reciprocals `1/(1+gᵢ)` of a diagonal open loop.
-    Diagonal(Vec<Complex>),
-    /// A factorization from the escalating dense robust ladder.
-    Robust(RobustLu),
-}
-
-impl ClosedLoopFactor {
-    /// Short name of the factorization kind, for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ClosedLoopFactor::RankOne { .. } => "rank-one",
-            ClosedLoopFactor::Diagonal(_) => "diagonal",
-            ClosedLoopFactor::Robust(_) => "robust-lu",
-        }
-    }
-
-    /// Dimension of the factored operator.
-    pub fn dim(&self) -> usize {
-        match self {
-            ClosedLoopFactor::RankOne { u, .. } => u.len(),
-            ClosedLoopFactor::Diagonal(inv) => inv.len(),
-            ClosedLoopFactor::Robust(lu) => lu.dim(),
-        }
-    }
-
-    /// Solves `(I + G̃)x = b`.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::DimensionMismatch`] when `b.len()` does not match the
-    /// factored dimension; solver errors from the robust ladder.
-    pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, LuError> {
-        if b.len() != self.dim() {
-            return Err(LuError::DimensionMismatch);
-        }
-        match self {
-            ClosedLoopFactor::RankOne { u, v, denom } => {
-                let vb: Complex = v.iter().zip(b).map(|(x, y)| *x * *y).sum();
-                let k = vb / *denom;
-                Ok(b.iter().zip(u).map(|(bi, ui)| *bi - *ui * k).collect())
-            }
-            ClosedLoopFactor::Diagonal(inv) => {
-                Ok(b.iter().zip(inv).map(|(bi, ri)| *bi * *ri).collect())
-            }
-            ClosedLoopFactor::Robust(lu) => lu.solve(b).map(|r| r.value),
-        }
-    }
-}
-
-type ClosedLoop = (ClosedLoopFactor, Htm, SolveReport);
+type ClosedLoop = (Htm, SolveReport);
 
 /// The dispatch behind `Htm::closed_loop_factored_robust`.
 pub(crate) fn closed_loop_robust(g: &Htm) -> Result<ClosedLoop, LuError> {
@@ -173,12 +111,7 @@ fn rank_one_path(g: &Htm, u: &[Complex], v: &[Complex]) -> Result<ClosedLoop, Lu
             shift: Complex::ZERO,
         },
     );
-    let factor = ClosedLoopFactor::RankOne {
-        u: u.to_vec(),
-        v: v.to_vec(),
-        denom,
-    };
-    Ok((factor, cl, report))
+    Ok((cl, report))
 }
 
 /// Diagonal open loop: per-band scalar feedback `g/(1+g)`.
@@ -221,7 +154,7 @@ fn diagonal_path(g: &Htm, d: &[Complex]) -> Result<ClosedLoop, LuError> {
         pivot_growth: 1.0,
     };
     let cl = Htm::from_repr(g.truncation(), g.omega0(), HtmRepr::Diagonal(cl_d));
-    Ok((ClosedLoopFactor::Diagonal(inv), cl, report))
+    Ok((cl, report))
 }
 
 /// The classic dense escalating ladder — bit-identical to the path all
@@ -235,7 +168,7 @@ fn dense_path(g: &Htm) -> Result<ClosedLoop, LuError> {
     report.residual = solved.residual;
     report.refinement_kept = solved.refined;
     let cl = Htm::from_matrix(g.truncation(), g.omega0(), solved.value);
-    Ok((ClosedLoopFactor::Robust(lu), cl, report))
+    Ok((cl, report))
 }
 
 /// A structured closed form whose condition gate tripped: densify, walk
@@ -249,12 +182,12 @@ fn structured_fallback(g: &Htm, cond_est: f64) -> Result<ClosedLoop, LuError> {
             g.truncation().dim()
         )
     });
-    let (factor, cl, mut report) = dense_path(g)?;
+    let (cl, mut report) = dense_path(g)?;
     report.stages_tried.insert(0, SolveStage::Structured);
     // Keep the more pessimistic of the two condition views: the
     // structured estimate that tripped the gate, or the ladder's own.
     report.cond_estimate = report.cond_estimate.max(cond_est.min(f64::MAX));
-    Ok((factor, cl, report))
+    Ok((cl, report))
 }
 
 #[cfg(test)]
@@ -279,22 +212,10 @@ mod tests {
         )
     }
 
-    fn banded_g(t: Truncation) -> Htm {
-        let n = t.dim();
-        Htm::from_repr(
-            t,
-            2.0,
-            HtmRepr::BandedToeplitz {
-                coeffs: vec![c(0.1, -0.05), c(0.4, 0.2), c(0.12, 0.03)],
-                row_scale: Some((0..n).map(|i| c(0.8, 0.1 * i as f64 - 0.3)).collect()),
-            },
-        )
-    }
-
     /// Ground truth: the same open loop pushed through the dense ladder.
     fn dense_reference(g: &Htm) -> Htm {
         let dense = g.densified();
-        let (_, cl, report) = dense.closed_loop_factored_robust().unwrap();
+        let (cl, report) = dense.closed_loop_factored_robust().unwrap();
         assert!(!report.perturbed);
         cl
     }
@@ -303,10 +224,10 @@ mod tests {
     fn rank_one_closed_form_matches_dense() {
         let t = Truncation::new(4);
         let g = rank_one_g(t);
-        let (factor, cl, report) = g.closed_loop_factored_robust().unwrap();
+        let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(report.stages_tried, vec![SolveStage::Structured]);
         assert!(report.residual < 1e-12, "residual {}", report.residual);
-        assert_eq!(factor.kind_name(), "rank-one");
+        assert!(matches!(cl.repr(), HtmRepr::RankOnePlus { .. }));
         let reference = dense_reference(&g);
         assert!(cl.as_matrix().max_diff(reference.as_matrix()) < 1e-12);
     }
@@ -320,38 +241,12 @@ mod tests {
             1.5,
             HtmRepr::Diagonal((0..n).map(|i| c(0.3 * i as f64, 0.4)).collect()),
         );
-        let (factor, cl, report) = g.closed_loop_factored_robust().unwrap();
+        let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(report.stages_tried, vec![SolveStage::Structured]);
         assert!(report.residual < 1e-13);
-        assert_eq!(factor.kind_name(), "diagonal");
+        assert!(matches!(cl.repr(), HtmRepr::Diagonal(_)));
         let reference = dense_reference(&g);
         assert!(cl.as_matrix().max_diff(reference.as_matrix()) < 1e-12);
-    }
-
-    #[test]
-    fn factor_solves_match_direct_inverse() {
-        let t = Truncation::new(3);
-        let n = t.dim();
-        for g in [rank_one_g(t), banded_g(t)] {
-            let (factor, _, _) = g.closed_loop_factored_robust().unwrap();
-            let i_plus_g = &CMat::identity(n) + g.as_matrix();
-            let b: Vec<Complex> = (0..n).map(|i| c(0.5 - 0.1 * i as f64, 0.2)).collect();
-            let x = factor.solve(&b).unwrap();
-            let back = i_plus_g.mul_vec(&x);
-            for (bb, rb) in b.iter().zip(&back) {
-                assert!((*bb - *rb).abs() < 1e-11, "{} factor", factor.kind_name());
-            }
-        }
-    }
-
-    #[test]
-    fn factor_rejects_wrong_dimension() {
-        let t = Truncation::new(2);
-        let (factor, _, _) = rank_one_g(t).closed_loop_factored_robust().unwrap();
-        assert!(matches!(
-            factor.solve(&[Complex::ONE]),
-            Err(LuError::DimensionMismatch)
-        ));
     }
 
     #[test]
@@ -372,7 +267,7 @@ mod tests {
                 shift: Complex::ZERO,
             },
         );
-        let (_, cl, report) = g.closed_loop_factored_robust().unwrap();
+        let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(report.stages_tried.first(), Some(&SolveStage::Structured));
         assert!(report.stages_tried.len() > 1, "{:?}", report.stages_tried);
         assert!(report.perturbed);
@@ -392,7 +287,7 @@ mod tests {
                 row_scale: None,
             },
         );
-        let (_, cl, report) = g.closed_loop_factored_robust().unwrap();
+        let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(
             report.stages_tried.first(),
             Some(&SolveStage::RefinedPartial)

@@ -50,12 +50,8 @@ pub mod trunc;
 pub use blocks::{
     fourier_coefficients, DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm,
 };
-pub use factor::ClosedLoopFactor;
 pub use matrix::Htm;
-pub use nyquist::{
-    is_nyquist_stable, strip_contour, strip_zero_count, strip_zero_count_from_values,
-    strip_zero_count_matrix,
-};
+pub use nyquist::{is_nyquist_stable, strip_zero_count, strip_zero_count_matrix};
 pub use ops::{closed_loop_rank_one, parallel, series, sherman_morrison_apply, Chain};
 pub use repr::HtmRepr;
 pub use response::{tone_response, SidebandSpectrum};

@@ -22,7 +22,6 @@
 //! assert_eq!(id.band(1, 0), Complex::ZERO);
 //! ```
 
-use crate::factor::ClosedLoopFactor;
 use crate::repr::HtmRepr;
 use crate::trunc::Truncation;
 use htmpll_num::{CMat, Complex, Lu, LuError, SolveReport};
@@ -274,9 +273,8 @@ impl Htm {
     }
 
     /// [`closed_loop`](Htm::closed_loop) on the structure-aware
-    /// escalating solver, additionally returning the factorization of
-    /// `I + G` for solves against further right-hand sides at the same
-    /// Laplace point. The open loop's [`HtmRepr`] picks the kernel:
+    /// escalating solver, with the [`SolveReport`] that grades the
+    /// solve. The open loop's [`HtmRepr`] picks the kernel:
     /// rank-one Sherman–Morrison or diagonal reciprocal closed forms
     /// (O(n)), or the classic dense ladder
     /// (refined partial pivot → complete pivoting → Tikhonov
@@ -291,9 +289,7 @@ impl Htm {
     ///
     /// [`LuError::NonFinite`] when the open-loop matrix contains NaN/∞
     /// entries — the only failure the ladder cannot absorb.
-    pub fn closed_loop_factored_robust(
-        &self,
-    ) -> Result<(ClosedLoopFactor, Htm, SolveReport), LuError> {
+    pub fn closed_loop_factored_robust(&self) -> Result<(Htm, SolveReport), LuError> {
         crate::factor::closed_loop_robust(self)
     }
 
@@ -517,7 +513,7 @@ mod tests {
         let t = Truncation::new(1);
         let g = Htm::identity(t, 1.0).scale(-Complex::ONE);
         assert!(g.closed_loop().is_err());
-        let (_, cl, report) = g.closed_loop_factored_robust().unwrap();
+        let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert!(report.perturbed);
         assert!(cl.as_matrix().is_finite());
     }
@@ -529,7 +525,7 @@ mod tests {
             Complex::new(0.1 * (n + m) as f64, 0.05 * (n - m) as f64)
         });
         let plain = g.closed_loop().unwrap();
-        let (_, robust, report) = g.closed_loop_factored_robust().unwrap();
+        let (robust, report) = g.closed_loop_factored_robust().unwrap();
         assert!(!report.perturbed);
         assert!(report.residual < 1e-12);
         assert!(plain.as_matrix().max_diff(robust.as_matrix()) < 1e-12);

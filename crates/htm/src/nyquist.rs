@@ -102,39 +102,21 @@ pub fn strip_zero_count<F: FnMut(Complex) -> Complex>(
     eps: f64,
     n: usize,
 ) -> isize {
-    let contour = strip_contour(omega0, eps, n);
-    let values: Vec<Complex> = contour.into_iter().map(&mut f).collect();
-    strip_zero_count_from_values(&values)
+    strip_winding(omega0, eps, n, |s| Complex::ONE + f(s))
 }
 
-/// The Laplace points of the [`strip_zero_count`] contour: `n + 1`
-/// samples of `eps + jω` with `ω` traversed **downward** from `+ω₀/2`
-/// to `−ω₀/2` (the counter-clockwise strip-boundary orientation).
-/// Evaluate the loop gain on these points — in any order, e.g. in
-/// parallel — and hand the ordered values to
-/// [`strip_zero_count_from_values`].
-///
-/// # Panics
-///
-/// Panics when `omega0 <= 0`, `eps <= 0`, or `n < 8`.
-pub fn strip_contour(omega0: f64, eps: f64, n: usize) -> Vec<Complex> {
+/// Winding number about the origin of `h` along the strip contour:
+/// `n + 1` samples of `eps + jω`, `ω` traversed **downward** from
+/// `+ω₀/2` to `−ω₀/2` (the counter-clockwise strip-boundary
+/// orientation).
+fn strip_winding(omega0: f64, eps: f64, n: usize, mut h: impl FnMut(Complex) -> Complex) -> isize {
     assert!(omega0 > 0.0, "omega0 must be positive");
     assert!(eps > 0.0, "contour offset must be positive");
     assert!(n >= 8, "need at least 8 contour samples");
-    (0..=n)
-        .map(|k| Complex::new(eps, omega0 * (0.5 - k as f64 / n as f64)))
-        .collect()
-}
-
-/// Winding-number count of [`strip_zero_count`] over precomputed loop
-/// gains `values[k] = f(contour[k])` on the [`strip_contour`] points.
-/// The winding depends only on the value *sequence*, so the result is
-/// bitwise-identical however `values` was produced.
-pub fn strip_zero_count_from_values(values: &[Complex]) -> isize {
     let mut total = 0.0f64;
     let mut prev: Option<Complex> = None;
-    for &v in values {
-        let z = Complex::ONE + v;
+    for k in 0..=n {
+        let z = h(Complex::new(eps, omega0 * (0.5 - k as f64 / n as f64)));
         if let Some(p) = prev {
             let cross = p.re * z.im - p.im * z.re;
             let dot = p.re * z.re + p.im * z.im;
@@ -183,27 +165,13 @@ pub fn strip_zero_count_matrix<F: FnMut(Complex) -> htmpll_num::CMat>(
     eps: f64,
     n: usize,
 ) -> isize {
-    assert!(omega0 > 0.0, "omega0 must be positive");
-    assert!(eps > 0.0, "contour offset must be positive");
-    assert!(n >= 8, "need at least 8 contour samples");
-    let mut total = 0.0f64;
-    let mut prev: Option<Complex> = None;
-    for k in 0..=n {
-        let w = omega0 * (0.5 - k as f64 / n as f64);
-        let m = g(Complex::new(eps, w));
-        let dim = m.rows();
-        let i_plus_g = &htmpll_num::CMat::identity(dim) + &m;
-        let det = htmpll_num::Lu::factor(&i_plus_g)
+    strip_winding(omega0, eps, n, |s| {
+        let m = g(s);
+        let i_plus_g = &htmpll_num::CMat::identity(m.rows()) + &m;
+        htmpll_num::Lu::factor(&i_plus_g)
             .map(|lu| lu.det())
-            .unwrap_or(Complex::ZERO);
-        if let Some(p) = prev {
-            let cross = p.re * det.im - p.im * det.re;
-            let dot = p.re * det.re + p.im * det.im;
-            total += cross.atan2(dot);
-        }
-        prev = Some(det);
-    }
-    (total / (2.0 * std::f64::consts::PI)).round() as isize
+            .unwrap_or(Complex::ZERO)
+    })
 }
 
 #[cfg(test)]

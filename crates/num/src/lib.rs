@@ -17,6 +17,8 @@
 //!   numerators/denominators) with complex Horner evaluation.
 //! * [`roots`] — Aberth–Ehrlich simultaneous root finding plus root
 //!   clustering for repeated-pole detection.
+//! * [`jury`] — the Jury/Schur–Cohn test: are all roots of a real
+//!   polynomial strictly inside the unit circle?
 //! * [`special`] — exact harmonic lattice sums
 //!   `Σ_m (z + jmω₀)^{−r}` via `coth` closed forms; the engine behind
 //!   the exact effective open-loop gain `λ(s)` of a sampled PLL.
@@ -45,6 +47,7 @@
 pub mod complex;
 pub mod eig;
 pub mod hash;
+pub mod jury;
 pub mod lu;
 pub mod mat;
 pub mod optim;
@@ -58,6 +61,7 @@ pub mod special;
 
 pub use complex::{Complex, CothRe};
 pub use eig::{eigenvalues, EigError};
+pub use jury::{jury_stable, JuryError};
 pub use lu::{Lu, LuError};
 pub use mat::{expm, CMat};
 pub use poly::Poly;

@@ -242,6 +242,21 @@ impl Poly {
     }
 }
 
+/// Product of two complex-coefficient polynomials given by their
+/// ascending coefficients; empty when either factor is.
+pub fn cpoly_mul(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
+    if a.is_empty() || b.is_empty() {
+        return Vec::new();
+    }
+    let mut out = vec![Complex::ZERO; a.len() + b.len() - 1];
+    for (i, &x) in a.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
+            out[i + j] += x * y;
+        }
+    }
+    out
+}
+
 impl Default for Poly {
     fn default() -> Self {
         Poly::zero()

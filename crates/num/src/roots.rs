@@ -84,6 +84,117 @@ fn cauchy_bound(p: &Poly) -> f64 {
     1.0 + m / lead
 }
 
+/// The Aberth–Ehrlich correction of `z[i]`, given `pi = p(z[i])` and
+/// the derivative `dp`: the Newton step deflated by the other
+/// approximations.
+fn aberth_step(dp: &Poly, z: &[Complex], i: usize, pi: Complex) -> Complex {
+    let dpi = dp.eval_complex(z[i]);
+    let newton = if dpi == Complex::ZERO {
+        // Nudge off a critical point.
+        Complex::new(1e-8, 1e-8)
+    } else {
+        pi / dpi
+    };
+    let mut repulse = Complex::ZERO;
+    for (j, &zj) in z.iter().enumerate() {
+        if j != i {
+            let d = z[i] - zj;
+            if d != Complex::ZERO {
+                repulse += d.recip();
+            }
+        }
+    }
+    let denom = Complex::ONE - newton * repulse;
+    if denom.abs() < 1e-300 {
+        newton
+    } else {
+        newton / denom
+    }
+}
+
+/// Finds all complex roots of a real polynomial whose roots may span
+/// many decades in magnitude.
+///
+/// [`find_roots`] starts from one circle and stops at an absolute
+/// residual scaled to the largest coefficient, so roots far smaller
+/// than the others come back unresolved. Here the starting points sit
+/// on the circles of the Newton polygon of `log|c_k|` (one circle per
+/// edge, with as many points as the edge is long, at the radius its
+/// slope gives), and each root moves until `|p(z)|` is within the
+/// rounding error of evaluating `p` at `z`, `2n·ε·Σ|c_k|·|z|^k`. Exact
+/// zero roots are deflated first and returned exactly; a root whose
+/// imaginary part is below `10⁻¹⁰·|z|` is snapped onto the real axis
+/// (relative to its own size, so tiny complex roots stay complex).
+///
+/// # Errors
+///
+/// As [`find_roots`].
+pub fn find_roots_graded(p: &Poly) -> Result<Vec<Complex>, FindRootsError> {
+    if p.is_zero() {
+        return Err(FindRootsError::ZeroPolynomial);
+    }
+    let zeros = p.coeffs().iter().take_while(|&&c| c == 0.0).count();
+    let q = Poly::new(p.coeffs()[zeros..].to_vec());
+    let mut roots = vec![Complex::ZERO; zeros];
+    let n = q.degree();
+    if n == 0 {
+        return Ok(roots);
+    }
+    // Upper convex hull of (k, log|c_k|) over the nonzero coefficients;
+    // c_0 and c_n are nonzero, so the edges span 0..=n.
+    let mut hull: Vec<(usize, f64)> = Vec::new();
+    for (k, c) in q.coeffs().iter().enumerate().filter(|(_, c)| **c != 0.0) {
+        let pt = (k, c.abs().ln());
+        while let [.., a, b] = hull[..] {
+            let cross = (b.0 - a.0) as f64 * (pt.1 - a.1) - (b.1 - a.1) * (pt.0 - a.0) as f64;
+            if cross < 0.0 {
+                break;
+            }
+            hull.pop();
+        }
+        hull.push(pt);
+    }
+    let mut z = Vec::with_capacity(n);
+    for edge in hull.windows(2) {
+        let ((k1, v1), (k2, v2)) = (edge[0], edge[1]);
+        let m = k2 - k1;
+        let r = ((v1 - v2) / m as f64).exp();
+        for j in 0..m {
+            let theta = 2.0 * std::f64::consts::PI * (j as f64 / m as f64 + k1 as f64 / n as f64);
+            z.push(Complex::from_polar(r, theta + 0.4));
+        }
+    }
+    let dq = q.derivative();
+    let bound = Poly::new(q.coeffs().iter().map(|c| c.abs()).collect());
+    let tol = 2.0 * n as f64 * f64::EPSILON;
+    for iter in 0..200 + 20 * n {
+        let mut moved = false;
+        for i in 0..n {
+            let qi = q.eval_complex(z[i]);
+            if qi.abs() <= tol * bound.eval(z[i].abs()) {
+                continue;
+            }
+            let step = aberth_step(&dq, &z, i, qi);
+            if step.abs() > f64::EPSILON * z[i].abs() {
+                z[i] -= step;
+                moved = true;
+            }
+        }
+        if !moved {
+            htmpll_obs::record!("num", "roots.graded_iters").record((iter + 1) as f64);
+            for zi in z.iter_mut() {
+                if zi.im.abs() < 1e-10 * zi.abs() {
+                    zi.im = 0.0;
+                }
+            }
+            roots.extend(z);
+            return Ok(roots);
+        }
+    }
+    htmpll_obs::counter!("num", "roots.aberth_failures").inc();
+    Err(FindRootsError::NoConvergence)
+}
+
 fn aberth(p: &Poly) -> Result<Vec<Complex>, FindRootsError> {
     let n = p.degree();
     let dp = p.derivative();
@@ -114,28 +225,7 @@ fn aberth(p: &Poly) -> Result<Vec<Complex>, FindRootsError> {
             if pi.abs() <= tol {
                 continue;
             }
-            let dpi = dp.eval_complex(z[i]);
-            let newton = if dpi == Complex::ZERO {
-                // Nudge off a critical point.
-                Complex::new(1e-8, 1e-8)
-            } else {
-                pi / dpi
-            };
-            let mut repulse = Complex::ZERO;
-            for (j, &zj) in z.iter().enumerate() {
-                if j != i {
-                    let d = z[i] - zj;
-                    if d != Complex::ZERO {
-                        repulse += d.recip();
-                    }
-                }
-            }
-            let denom = Complex::ONE - newton * repulse;
-            let step = if denom.abs() < 1e-300 {
-                newton
-            } else {
-                newton / denom
-            };
+            let step = aberth_step(&dp, &z, i, pi);
             z[i] -= step;
             max_step = max_step.max(step.abs());
         }
@@ -296,6 +386,29 @@ mod tests {
         for z in r {
             assert!(p.eval_complex(z).abs() < 1e-8, "residual too large at {z}");
         }
+    }
+
+    #[test]
+    fn graded_roots_span_decades() {
+        // Roots from 2 down to 1e-40: the absolute stop of find_roots
+        // cannot resolve the small ones, the relative stop does.
+        let pair = Poly::new(vec![2e-80, -2e-40, 1.0]); // 1e-40·(1 ± j)
+        let p = &(&Poly::from_real_roots(&[2.0, -0.3, 1e-12, -3e-25]) * &pair) * &Poly::x();
+        let r = find_roots_graded(&p).unwrap();
+        assert_eq!(r.len(), 7);
+        assert_eq!(r.iter().filter(|z| **z == Complex::ZERO).count(), 1);
+        for target in [
+            Complex::from_re(2.0),
+            Complex::from_re(-0.3),
+            Complex::from_re(1e-12),
+            Complex::from_re(-3e-25),
+            Complex::new(1e-40, 1e-40),
+            Complex::new(1e-40, -1e-40),
+        ] {
+            assert_contains_root(&r, target, 1e-9 * target.abs());
+        }
+        // Real roots come back exactly real.
+        assert!(r.iter().filter(|z| z.re.abs() > 1e-30).all(|z| z.im == 0.0));
     }
 
     #[test]

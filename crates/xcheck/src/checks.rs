@@ -13,6 +13,7 @@
 //! | `half-sample-residual` | ditto, relative degree 1 | Poisson correction `T·c/2` |
 //! | `closed-loop-sampled` | `λ/(1+λ)` vs `G/(1+G)` | sampled closed loop |
 //! | `jury-vs-nyquist` | Jury test vs HTM-Nyquist verdict | same stability boundary |
+//! | `strip-roots-vs-winding` | roots of `1 + λ` in `z` vs winding count of `1 + λ` | argument principle on the period strip |
 //! | `crossing-consistency` | analysis margins vs direct λ | `\|λ(jω_UG,eff)\| = 1` |
 //! | `sim-h00` | multitone simulation vs `H₀,₀` | paper Fig. 6 |
 //! | `sim-spur` | Goertzel on sim trace vs `LeakageSpurs` | reference-spur closed form |
@@ -32,7 +33,7 @@ use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
     analyze, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel, SweepCache,
 };
-use htmpll_htm::Truncation;
+use htmpll_htm::{strip_zero_count, Truncation};
 use htmpll_num::Complex;
 use htmpll_par::{par_map, Deadline, ThreadBudget};
 use htmpll_sim::{acquire_lock, measure_h00_multitone, LockOptions, MeasureOptions};
@@ -557,6 +558,23 @@ fn check_sim_spur(model: &PllModel) -> (CheckResult, CheckResult) {
     (spur, parseval)
 }
 
+/// The exact period-strip verdict of `analyze` (Jury test on the
+/// characteristic polynomial of `1 + λ` in `z = e^{2πs/ω₀}`) against the
+/// argument principle: the winding count of `1 + λ` over 4,096 points of
+/// the strip contour `Re s = 10⁻⁴·ω_UG`, just right of the aliased
+/// integrator poles on the axis.
+fn check_strip_roots_vs_winding(model: &PllModel, report: &AnalysisReport) -> CheckResult {
+    let eps = 1e-4 * report.omega_ug_lti;
+    let line = model.lambda().line(eps);
+    let count = strip_zero_count(|s| line.eval(s.im), model.design().omega_ref(), eps, 4096);
+    grade_bool(
+        "strip-roots-vs-winding",
+        "core::strip_stable vs htm::strip_zero_count",
+        report.nyquist_stable,
+        count == 0,
+    )
+}
+
 /// Runs every applicable comparison for one scenario.
 fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     let _span = htmpll_obs::span_labeled("xcheck", "scenario", || s.name.clone());
@@ -579,6 +597,7 @@ fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     // Analysis crossover vs λ, and the two stability verdicts.
     let report = analyze_serial(&model)?;
     checks.extend(check_crossing(&model, &report));
+    checks.push(check_strip_roots_vs_winding(&model, &report));
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).
     if !s.isf {

@@ -30,6 +30,7 @@ use crate::jury::jury_stable;
 use crate::ztf::{Zf, ZfError};
 use htmpll_core::PllDesign;
 use htmpll_lti::{Pfe, Tf};
+use htmpll_num::poly::cpoly_mul;
 use htmpll_num::{Complex, Poly};
 use std::fmt;
 
@@ -64,18 +65,8 @@ impl fmt::Display for ZModelError {
 
 impl std::error::Error for ZModelError {}
 
-/// Complex polynomial helpers (ascending coefficients) used to assemble
-/// the transform before realification.
-fn cmul(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; a.len() + b.len() - 1];
-    for (i, &x) in a.iter().enumerate() {
-        for (j, &y) in b.iter().enumerate() {
-            out[i + j] += x * y;
-        }
-    }
-    out
-}
-
+/// Complex polynomial sum (ascending coefficients), used with
+/// `cpoly_mul` to assemble the transform before realification.
 fn cadd(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
     let n = a.len().max(b.len());
     (0..n)
@@ -132,7 +123,7 @@ pub fn impulse_invariant(p: &Tf, t_sample: f64) -> Result<Zf, ZModelError> {
     let mut den = vec![Complex::ONE];
     for &(q, m) in &clusters {
         for _ in 0..m {
-            den = cmul(&den, &[-q, Complex::ONE]);
+            den = cpoly_mul(&den, &[-q, Complex::ONE]);
         }
     }
     // Numerator: each PFE term contributes term_num · den/(z−q)^order.
@@ -160,10 +151,10 @@ pub fn impulse_invariant(p: &Tf, t_sample: f64) -> Result<Zf, ZModelError> {
                 0
             };
             for _ in 0..(mm - reduce) {
-                cof = cmul(&cof, &[-qq, Complex::ONE]);
+                cof = cpoly_mul(&cof, &[-qq, Complex::ONE]);
             }
         }
-        num = cadd(&num, &cmul(&term_num, &cof));
+        num = cadd(&num, &cpoly_mul(&term_num, &cof));
     }
     let scale = num.iter().map(|z| z.abs()).fold(0.0, f64::max);
     let num = realify(&num, scale)?;

@@ -6,7 +6,9 @@
 //!
 //! * [`ztf`] — rational functions of `z` with frequency responses,
 //!   feedback closure and power-series impulse responses.
-//! * [`jury`] — the Jury/Schur–Cohn unit-circle stability test.
+//! * [`jury`] — the Jury/Schur–Cohn unit-circle stability test,
+//!   re-exported from `htmpll-num` (the λ model in `htmpll-core` uses it
+//!   too, and this crate depends on core).
 //! * [`cp_pll`] — the impulse-invariant Hein–Scott model of the
 //!   charge-pump loop, its closed-loop response at the sampling
 //!   instants, and the numerically located sampling stability limit of
@@ -31,7 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod cp_pll;
-pub mod jury;
+pub use htmpll_num::jury;
 pub mod ztf;
 
 pub use cp_pll::{

@@ -57,12 +57,12 @@ echo "metrics smoke ok ($sites instrumented sites)"
 for t in 1 4; do
     evals=$(HTMPLL_THREADS=$t ./target/release/plltool metrics --ratio 0.1 |
         awk '$1 == "core.lambda.eval" { print $3 }')
-    if [ "$evals" != "10170" ]; then
-        echo "metrics smoke failed: core.lambda.eval = '$evals' at HTMPLL_THREADS=$t, want 10170" >&2
+    if [ "$evals" != "5146" ]; then
+        echo "metrics smoke failed: core.lambda.eval = '$evals' at HTMPLL_THREADS=$t, want 5146" >&2
         exit 1
     fi
 done
-echo "lambda eval count ok (10170 at HTMPLL_THREADS=1 and 4)"
+echo "lambda eval count ok (5146 at HTMPLL_THREADS=1 and 4)"
 
 echo "==> panic audit (library paths)"
 audit_fail=0

@@ -388,8 +388,8 @@ pub struct ShapeRow {
     pub spread: f64,
     /// LTI phase margin of the shape (degrees).
     pub pm_lti_deg: f64,
-    /// Sampling stability limit `(ω_UG/ω₀)_max` from the HTM
-    /// period-strip zero count.
+    /// Sampling stability limit `(ω_UG/ω₀)_max` from the exact HTM
+    /// period-strip verdict.
     pub limit_ratio: f64,
 }
 
@@ -397,15 +397,13 @@ pub struct ShapeRow {
 /// to survive a given loop speed? Sweeps the zero/pole spread of the
 /// reference family and bisects each shape's sampling stability limit.
 pub fn shape_ablation(spreads: &[f64]) -> FigResult<Vec<ShapeRow>> {
-    use crate::htm::nyquist::strip_zero_count;
     spreads
         .iter()
         .map(|&spread| -> FigResult<ShapeRow> {
             let pm = spread.atan().to_degrees() - (1.0 / spread).atan().to_degrees();
             let stable_at = |ratio: f64| -> FigResult<bool> {
                 let d = PllDesign::reference_design_shaped(ratio, spread)?;
-                let m = PllModel::builder(d.clone()).build()?;
-                Ok(strip_zero_count(|s| m.lambda().eval(s), d.omega_ref(), 1e-4, 4096) == 0)
+                Ok(PllModel::builder(d).build()?.lambda().strip_stable())
             };
             let (mut lo, mut hi) = (0.01, 0.6);
             if !stable_at(lo)? {

@@ -526,7 +526,7 @@ fn doctor(
     // in and mark the result perturbed.
     let singular = Htm::identity(trunc, w0).scale(-Complex::ONE);
     checks.push(match singular.closed_loop_factored_robust() {
-        Ok((_, cl, report)) => DoctorCheck {
+        Ok((cl, report)) => DoctorCheck {
             check: "singular I+G~ (G~ = -I)".to_string(),
             verdict: if report.perturbed {
                 "perturbed".into()
@@ -565,7 +565,7 @@ fn doctor(
         },
     );
     checks.push(match near_singular.closed_loop_factored_robust() {
-        Ok((_, cl, report)) => {
+        Ok((cl, report)) => {
             let quality = PointQuality::from_report(&report);
             let escalated = report.stages_tried.len() > 1;
             DoctorCheck {

@@ -100,7 +100,7 @@ fn exactly_singular_closed_loop_is_perturbed_not_fatal() {
     // G̃ = −I makes I + G̃ the zero matrix: singular at every step.
     let trunc = Truncation::new(3);
     let g = Htm::identity(trunc, 1.0).scale(-Complex::ONE);
-    let (_, closed, report) = g.closed_loop_factored_robust().unwrap();
+    let (closed, report) = g.closed_loop_factored_robust().unwrap();
     assert!(report.perturbed);
     assert_eq!(report.accepted_stage(), SolveStage::Tikhonov);
     assert!(closed.as_matrix().is_finite());
@@ -435,8 +435,8 @@ fn banded_lu_matches_dense_lu_across_24_decades() {
             row_scale.as_ref().map_or(e, |rs| rs[i] * e)
         });
         let banded = Htm::from_repr(trunc, 1.0, HtmRepr::BandedToeplitz { coeffs, row_scale });
-        let (_, cl, report) = banded.closed_loop_factored_robust().unwrap();
-        let (_, reference, ref_report) = Htm::from_matrix(trunc, 1.0, dense.clone())
+        let (cl, report) = banded.closed_loop_factored_robust().unwrap();
+        let (reference, ref_report) = Htm::from_matrix(trunc, 1.0, dense.clone())
             .closed_loop_factored_robust()
             .unwrap();
         let ctx = format!("seed {seed} (n={n} b={b} scale=1e{log_scale})");

@@ -211,7 +211,7 @@ fn served_bytes_are_pinned() {
     assert!(out.contains("\"strip_poles\":["), "{out}");
     assert_eq!(
         format!("{:016x}", htmpll::num::hash::fnv1a(out.as_bytes())),
-        "4b982ab6c7d75992"
+        "0a75037800717497"
     );
 }
 
