@@ -12,11 +12,11 @@
 //!   `z = e^{2πs/ω₀}` ([`EffectiveGain::strip_stable`](crate::EffectiveGain::strip_stable)).
 //!
 //! ```
-//! use htmpll_core::{analyze, PllDesign, PllModel, SweepCache};
+//! use htmpll_core::{analyze, PllDesign, PllModel};
 //! use htmpll_par::{Deadline, ThreadBudget};
 //!
 //! let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap()).build().unwrap();
-//! let r = analyze(&m, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none()).unwrap();
+//! let r = analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap();
 //! // Sampling always erodes the phase margin relative to LTI.
 //! assert!(r.phase_margin_eff_deg < r.phase_margin_lti_deg);
 //! assert!(r.omega_ug_eff >= r.omega_ug_lti);
@@ -25,7 +25,7 @@
 use crate::closed_loop::PllModel;
 use crate::error::CoreError;
 use crate::quality::{PointQuality, QualitySummary};
-use crate::sweep::{KernelPolicy, SweepCache};
+use crate::sweep::{compute_dense, KernelPolicy};
 use htmpll_lti::{
     bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed,
     stability_margins_precomputed, MarginError, Margins,
@@ -112,11 +112,11 @@ fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec
 /// `threads` and the extractors run over the precomputed values, so the
 /// report is **bitwise-identical for any thread count**.
 ///
-/// The dense closed-loop probe at the effective crossover goes through
-/// `cache`. Cache keys carry the model fingerprint, so one long-lived
-/// cache can be shared across calls and across models; a hit returns
-/// the bits the first evaluation produced. Pass [`SweepCache::new`] for
-/// a one-off analysis.
+/// The one dense closed-loop probe at the effective crossover is solved
+/// uncached: on the rank-one sampling-PFD loop it is a Sherman–Morrison
+/// closed form of a few microseconds, and distinct designs never share
+/// a probe point (repeated requests are answered whole by serve's
+/// response cache), so a cache here would only add a lookup.
 ///
 /// Every scan is cancellable under `deadline`. The margin extractors
 /// need the *whole* scan to bracket crossings, so analysis has no
@@ -133,7 +133,6 @@ fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec
 pub fn analyze(
     model: &PllModel,
     threads: ThreadBudget,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) -> Result<AnalysisReport, CoreError> {
     let _span = htmpll_obs::span("core", "analyze");
@@ -227,7 +226,7 @@ pub fn analyze(
         quality.absorb(&q, 0.0, 0.0);
     }
     let probe_trunc = model.resolve_truncation(htmpll_htm::TruncationSpec::default());
-    match cache.dense_robust(
+    match compute_dense(
         model,
         Complex::from_im(eff.omega_ug),
         probe_trunc,
@@ -261,13 +260,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
             .build()
             .unwrap();
-        analyze(
-            &m,
-            ThreadBudget::Auto,
-            &SweepCache::new(),
-            &Deadline::none(),
-        )
-        .unwrap()
+        analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
     }
 
     #[test]
@@ -356,13 +349,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
             .build()
             .unwrap();
-        let err = analyze(
-            &m,
-            ThreadBudget::Fixed(1),
-            &SweepCache::new(),
-            &Deadline::after_checks(10),
-        )
-        .unwrap_err();
+        let err = analyze(&m, ThreadBudget::Fixed(1), &Deadline::after_checks(10)).unwrap_err();
         assert!(
             err.to_string().starts_with(crate::quality::DEADLINE_REASON),
             "{err}"

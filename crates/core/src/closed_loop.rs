@@ -210,7 +210,7 @@ impl PllModel {
     /// coefficient **bit patterns**. Two models with equal fingerprints
     /// produce bitwise-identical λ values and HTMs at every Laplace
     /// point, which is what lets one [`SweepCache`](crate::SweepCache)
-    /// be shared across models (and across service requests) safely.
+    /// be shared across models safely.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -476,19 +476,12 @@ mod tests {
     #[test]
     fn loop_delay_erodes_effective_margin() {
         use crate::analysis::analyze;
-        use crate::sweep::SweepCache;
         use htmpll_par::{Deadline, ThreadBudget};
         let design = PllDesign::reference_design(0.1).unwrap();
         let t_ref = 1.0 / design.f_ref();
         let report = |b: PllModelBuilder| {
             let m = b.build().unwrap();
-            analyze(
-                &m,
-                ThreadBudget::Auto,
-                &SweepCache::new(),
-                &Deadline::none(),
-            )
-            .unwrap()
+            analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
         };
         let plain = report(PllModel::builder(design.clone()));
         let quarter = report(PllModel::builder(design.clone()).loop_delay(0.25 * t_ref, 6));

@@ -38,7 +38,6 @@
 //!
 //! ```
 //! use htmpll_core::explore::{explore, ExploreSpec};
-//! use htmpll_core::SweepCache;
 //! use htmpll_par::Deadline;
 //!
 //! let spec = ExploreSpec {
@@ -47,7 +46,7 @@
 //!     refine_rounds: 0,
 //!     ..ExploreSpec::default()
 //! };
-//! let report = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+//! let report = explore(&spec, &Deadline::none()).unwrap();
 //! assert!(!report.front.is_empty());
 //! // Every front member is feasible and non-dominated.
 //! assert!(report.front.iter().all(|p| p.pm_eff_deg >= spec.min_pm_deg));
@@ -59,7 +58,6 @@ use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::quality::QualitySummary;
 use crate::spurs::LeakageSpurs;
-use crate::sweep::SweepCache;
 use htmpll_num::rng::{radical_inverse, Rng};
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
@@ -482,7 +480,6 @@ enum Outcome {
 fn evaluate(
     p: &DesignParams,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
     ws: &mut ExploreWorkspace,
     quality: &mut QualitySummary,
@@ -514,7 +511,7 @@ fn evaluate(
     // Inner analysis always runs single-threaded: parallelism lives at
     // the block level, and a fixed inner budget keeps the per-candidate
     // arithmetic identical no matter how blocks land on workers.
-    let report = match analyze(&model, ThreadBudget::Fixed(1), cache, deadline) {
+    let report = match analyze(&model, ThreadBudget::Fixed(1), deadline) {
         Ok(r) => r,
         Err(CoreError::DeadlineExceeded { .. }) => return Outcome::Deadline,
         Err(_) => return Outcome::Failed,
@@ -567,7 +564,6 @@ struct BlockOut {
 fn eval_block(
     params: impl ExactSizeIterator<Item = DesignParams>,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) -> BlockOut {
     let n = params.len();
@@ -587,7 +583,7 @@ fn eval_block(
             out.skipped += 1;
             continue;
         }
-        match evaluate(&p, spec, cache, deadline, &mut ws, &mut out.quality) {
+        match evaluate(&p, spec, deadline, &mut ws, &mut out.quality) {
             Outcome::Deadline => {
                 out.skipped += 1;
                 continue;
@@ -660,7 +656,6 @@ fn run_stream_round(
     base_index: u64,
     count: usize,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) {
     if count == 0 {
@@ -671,7 +666,7 @@ fn run_stream_round(
         let len = EXPLORE_BLOCK.min(count - start);
         let params = (0..len)
             .map(|j| candidate_params(spec.seed, base_index + (start + j) as u64, spec.quasi));
-        eval_block(params, spec, cache, deadline)
+        eval_block(params, spec, deadline)
     });
     for (slot, &start) in slots.into_iter().zip(&blocks) {
         fold.absorb(slot, EXPLORE_BLOCK.min(count - start));
@@ -684,7 +679,6 @@ fn run_list_round(
     fold: &mut Fold,
     params: &[DesignParams],
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) {
     if params.is_empty() {
@@ -693,7 +687,7 @@ fn run_list_round(
     let blocks: Vec<usize> = (0..params.len()).step_by(EXPLORE_BLOCK).collect();
     let slots = par_map_cancellable(spec.threads, &blocks, deadline, |_, &start| {
         let end = (start + EXPLORE_BLOCK).min(params.len());
-        eval_block(params[start..end].iter().copied(), spec, cache, deadline)
+        eval_block(params[start..end].iter().copied(), spec, deadline)
     });
     for (slot, &start) in slots.into_iter().zip(&blocks) {
         fold.absorb(slot, EXPLORE_BLOCK.min(params.len() - start));
@@ -756,11 +750,7 @@ fn front_digest(front: &[DesignPoint]) -> String {
 ///
 /// `candidates == 0` is rejected as an invalid parameter; a fully
 /// exhausted budget surfaces as [`CoreError::DeadlineExceeded`].
-pub fn explore(
-    spec: &ExploreSpec,
-    cache: &SweepCache,
-    deadline: &Deadline,
-) -> Result<ExploreReport, CoreError> {
+pub fn explore(spec: &ExploreSpec, deadline: &Deadline) -> Result<ExploreReport, CoreError> {
     if spec.candidates == 0 {
         return Err(CoreError::InvalidParameter {
             name: "candidates",
@@ -774,7 +764,7 @@ pub fn explore(
     let mut degradation = Vec::new();
     let mut fold = Fold::new(spec.front_cap);
 
-    run_stream_round(&mut fold, 0, spec.candidates, spec, cache, deadline);
+    run_stream_round(&mut fold, 0, spec.candidates, spec, deadline);
     if fold.skipped > 0 {
         degradation.push(format!(
             "deadline pressure: evaluated {} of {} candidates; front reflects completed blocks only",
@@ -815,7 +805,7 @@ pub fn explore(
             break;
         }
         let before = fold.evaluated;
-        run_list_round(&mut fold, &probes, spec, cache, deadline);
+        run_list_round(&mut fold, &probes, spec, deadline);
         if fold.evaluated == before {
             break;
         }
@@ -977,7 +967,7 @@ mod tests {
     #[test]
     fn explore_smoke_produces_feasible_front() {
         let spec = quick_spec(96);
-        let report = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let report = explore(&spec, &Deadline::none()).unwrap();
         assert_eq!(report.evaluated, 96);
         assert_eq!(report.skipped, 0);
         assert!(report.degradation.is_empty());
@@ -1005,9 +995,9 @@ mod tests {
         // stage would also reject — compare front digests with the
         // screen on and off.
         let mut spec = quick_spec(96);
-        let with_screen = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let with_screen = explore(&spec, &Deadline::none()).unwrap();
         spec.screen = false;
-        let without = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let without = explore(&spec, &Deadline::none()).unwrap();
         assert_eq!(
             with_screen.digest, without.digest,
             "screen must not change the front"
@@ -1020,9 +1010,9 @@ mod tests {
     fn thread_count_does_not_change_the_front() {
         let mut spec = quick_spec(128);
         spec.threads = ThreadBudget::Fixed(1);
-        let one = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let one = explore(&spec, &Deadline::none()).unwrap();
         spec.threads = ThreadBudget::Fixed(4);
-        let four = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let four = explore(&spec, &Deadline::none()).unwrap();
         assert_eq!(one.digest, four.digest);
         assert_eq!(one.front.len(), four.front.len());
         for (a, b) in one.front.iter().zip(&four.front) {
@@ -1038,9 +1028,9 @@ mod tests {
     #[test]
     fn refinement_only_improves_the_front() {
         let mut spec = quick_spec(64);
-        let base = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let base = explore(&spec, &Deadline::none()).unwrap();
         spec.refine_rounds = 1;
-        let refined = explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap();
+        let refined = explore(&spec, &Deadline::none()).unwrap();
         assert!(refined.refined > 0, "refinement should evaluate probes");
         // Every refined front point is feasible and the front is still
         // mutually non-dominated.
@@ -1066,7 +1056,7 @@ mod tests {
         // A checks-budget deadline large enough to finish some blocks
         // deterministically but not all of them.
         let deadline = Deadline::after_checks(40_000);
-        match explore(&spec, &SweepCache::new(), &deadline) {
+        match explore(&spec, &deadline) {
             Ok(report) => {
                 assert!(report.skipped > 0, "tight budget should skip blocks");
                 assert!(!report.degradation.is_empty());
@@ -1081,7 +1071,7 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
         }
         // An immediately-expired budget is a clean retryable error.
-        let err = explore(&spec, &SweepCache::new(), &Deadline::after_checks(1)).unwrap_err();
+        let err = explore(&spec, &Deadline::after_checks(1)).unwrap_err();
         assert!(err.to_string().starts_with(DEADLINE_REASON), "{err}");
     }
 
@@ -1091,6 +1081,6 @@ mod tests {
             candidates: 0,
             ..ExploreSpec::default()
         };
-        assert!(explore(&spec, &SweepCache::new(), &Deadline::none()).is_err());
+        assert!(explore(&spec, &Deadline::none()).is_err());
     }
 }

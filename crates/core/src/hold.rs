@@ -128,7 +128,6 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::closed_loop::PllModel;
-    use crate::sweep::SweepCache;
     use htmpll_par::{Deadline, ThreadBudget};
 
     fn sh(ratio: f64) -> SampleHoldModel {
@@ -180,7 +179,6 @@ mod tests {
                     .build()
                     .unwrap(),
                 ThreadBudget::Auto,
-                &SweepCache::new(),
                 &Deadline::none(),
             )
             .unwrap();

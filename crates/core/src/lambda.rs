@@ -26,9 +26,10 @@
 //!
 //! Every `coth` term is a Möbius map of `z = e^{2πs/ω₀}`, so `λ` is also
 //! an exact rational function `N(z)/D(z)` ([`EffectiveGain::z_form`]).
-//! Construction builds the characteristic polynomial `D + N` of `1 + λ`
-//! once; stability in the period strip and the strip poles are read off
-//! its roots (THEORY.md §3.1).
+//! Stability in the period strip and the strip poles are read off the
+//! roots of the characteristic polynomial `D + N` of `1 + λ`, built on
+//! demand (THEORY.md §3.1), so models that never ask — grids, the
+//! simulator's references, screened-out candidates — never pay for it.
 //!
 //! ```
 //! use htmpll_core::{EffectiveGain, PllDesign};
@@ -170,7 +171,6 @@ pub struct EffectiveGain {
     pre: Vec<PreTerm>,
     omega0: f64,
     fingerprint: u64,
-    characteristic: Poly,
 }
 
 /// `λ(s)` along one vertical line `Re s = x`, from
@@ -242,15 +242,12 @@ impl EffectiveGain {
         for &c in a.den().coeffs() {
             h.write_f64(c);
         }
-        let pre = pre_terms(&pfe, omega0);
-        let (n, d) = z_form(&pre, omega0);
         Ok(EffectiveGain {
             a: a.clone(),
-            pre,
+            pre: pre_terms(&pfe, omega0),
             pfe,
             omega0,
             fingerprint: h.finish(),
-            characteristic: &d + &n,
         })
     }
 
@@ -291,9 +288,11 @@ impl EffectiveGain {
     /// of `1 + λ` in the right half of the period strip; a nonzero root
     /// `z*` is the strip pole `s = (ω₀/2π)·ln z*`. A root at exactly
     /// `z = 0` comes from a pole so far left that `e^{2πp/ω₀}`
-    /// underflowed, and stands for no finite zero.
-    pub fn characteristic(&self) -> &Poly {
-        &self.characteristic
+    /// underflowed, and stands for no finite zero. Built from
+    /// [`z_form`](EffectiveGain::z_form) on every call.
+    pub fn characteristic(&self) -> Poly {
+        let (n, d) = self.z_form();
+        &d + &n
     }
 
     /// Exact period-strip stability: `true` when `1 + λ(s)` has no zero
@@ -303,7 +302,7 @@ impl EffectiveGain {
     /// Nyquist verdict without a contour: no λ evaluation, no winding
     /// count.
     pub fn strip_stable(&self) -> bool {
-        matches!(jury_stable(&self.characteristic), Ok(true))
+        matches!(jury_stable(&self.characteristic()), Ok(true))
     }
 
     /// Exact `λ(s)` via lattice sums: for

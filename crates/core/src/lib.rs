@@ -26,13 +26,13 @@
 //!   folding.
 //!
 //! ```
-//! use htmpll_core::{analyze, PllDesign, PllModel, SweepCache};
+//! use htmpll_core::{analyze, PllDesign, PllModel};
 //! use htmpll_par::{Deadline, ThreadBudget};
 //!
 //! // A fast loop: crossover at 30 % of the reference frequency.
 //! let design = PllDesign::reference_design(0.3).unwrap();
 //! let model = PllModel::builder(design).build().unwrap();
-//! let report = analyze(&model, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none()).unwrap();
+//! let report = analyze(&model, ThreadBudget::Auto, &Deadline::none()).unwrap();
 //! // LTI analysis is oblivious to the ratio; the true margin is not.
 //! assert!(report.phase_margin_degradation_deg() > 5.0);
 //! ```
@@ -70,6 +70,6 @@ pub use poles::{damping_ratio, dominant_poles};
 pub use quality::{GridOutcome, PointOutcome, PointQuality, QualitySummary, DEADLINE_REASON};
 pub use spurs::LeakageSpurs;
 pub use sweep::{
-    bode_grid, CacheStats, DenseSolve, KernelPolicy, SpurLine, SweepCache, SweepSpec,
-    CACHE_CAP_ENV, DEFAULT_CACHE_CAP, MAX_AUTO_TRUNCATION,
+    bode_grid, DenseSolve, KernelPolicy, SpurLine, SweepCache, SweepSpec, DEFAULT_CACHE_CAP,
+    MAX_AUTO_TRUNCATION,
 };

@@ -31,7 +31,6 @@ use crate::closed_loop::PllModel;
 use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::noise::{NoiseModel, NoiseShape};
-use crate::sweep::SweepCache;
 use htmpll_par::{Deadline, ThreadBudget};
 
 /// Search space and constraints for [`optimize_loop`].
@@ -93,12 +92,7 @@ pub fn optimize_loop(spec: &OptimizeSpec, noise: &NoiseSpec) -> Result<Candidate
         for &spread in &spec.spreads {
             let design = PllDesign::reference_design_shaped(ratio, spread)?;
             let model = PllModel::builder(design.clone()).build()?;
-            let report = analyze(
-                &model,
-                ThreadBudget::Auto,
-                &SweepCache::new(),
-                &Deadline::none(),
-            )?;
+            let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
             if report.beyond_sampling_limit
                 || !report.nyquist_stable
                 || report.phase_margin_eff_deg < spec.min_pm_eff_deg

@@ -91,7 +91,7 @@ pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
     let lam = model.lambda();
     let w0 = model.design().omega_ref();
     let roots =
-        find_roots_graded(lam.characteristic()).map_err(|e| CoreError::Tf(TfError::Roots(e)))?;
+        find_roots_graded(&lam.characteristic()).map_err(|e| CoreError::Tf(TfError::Roots(e)))?;
     let residual = |s: Complex| (Complex::ONE + lam.eval(s)).abs();
     // Canonical representative: fold into |Im| ≤ ω₀/2, upper half.
     let fold = |mut p: Complex| {

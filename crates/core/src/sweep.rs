@@ -12,9 +12,11 @@
 //!   ([`htmpll_par::ThreadBudget`]).
 //! * [`SweepCache`] — *what to reuse*: dense closed-loop solves
 //!   memoized by the bit patterns of `s` (and the truncation order), so
-//!   repeated evaluations at the same Laplace point — across overlapping
-//!   grids, spur lines on reference harmonics, or refinement passes —
-//!   skip the HTM assembly and the solve entirely.
+//!   a repeated grid through the same cache — a warm pass, a refinement
+//!   pass — skips the HTM assembly and the solve entirely. It is a thin
+//!   wrapper over [`htmpll_num::BoundedCache`], bounded and LRU-evicted.
+//!   Grid callers pass one explicitly; one-off probes (such as
+//!   [`analyze`](crate::analyze)'s closed-loop probe) solve uncached.
 //! * Grid entry points on the model types:
 //!   [`EffectiveGain::eval_grid`], [`PllModel::h00_grid`],
 //!   [`PllModel::closed_loop_htm_grid_robust`] (per-point
@@ -46,20 +48,9 @@ use crate::quality::{GridOutcome, PointOutcome, PointQuality};
 use crate::spurs::LeakageSpurs;
 use htmpll_htm::{Htm, Truncation, TruncationSpec};
 use htmpll_lti::{bode_from_values, BodePoint, FrequencyGrid, GridError};
-use htmpll_num::hash::Fnv1a;
-use htmpll_num::{Complex, SolveReport};
+use htmpll_num::{BoundedCache, CacheStats, Complex, SolveReport};
 use htmpll_par::{par_map, par_map_cancellable, Deadline, ThreadBudget};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Locks a cache mutex, recovering from poisoning: the protected maps
-/// are memoization tables whose entries are written atomically (insert
-/// of a fully computed value), so a panicked writer cannot leave them
-/// torn — the worst case is a missing entry, i.e. a recomputation.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Hard ceiling on automatically chosen truncation orders for **matrix**
 /// paths. The tail-tolerance heuristic
@@ -70,25 +61,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// λ. Auto resolution clamps to this bound.
 pub const MAX_AUTO_TRUNCATION: usize = 64;
 
-/// Default entry cap for [`SweepCache`] — generous (a dense K=24
-/// entry is ~38 KB, so the default bounds the cache at around a
-/// gigabyte) but finite, so long interactive sessions cannot grow
-/// without limit. Override with the `HTMPLL_CACHE_CAP` environment
-/// variable or [`SweepCache::with_capacity`].
+/// Entry cap of [`SweepCache::new`] — generous (a dense K=24 entry is
+/// ~38 KB, so the cap bounds the cache at around a gigabyte) but
+/// finite, so long sessions cannot grow without limit.
 pub const DEFAULT_CACHE_CAP: usize = 32_768;
-
-/// Environment variable overriding the [`SweepCache`] entry cap.
-pub const CACHE_CAP_ENV: &str = "HTMPLL_CACHE_CAP";
-
-fn env_cache_cap() -> usize {
-    match std::env::var(CACHE_CAP_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => DEFAULT_CACHE_CAP,
-        },
-        Err(_) => DEFAULT_CACHE_CAP,
-    }
-}
 
 /// Which closed-loop kernels a sweep runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,14 +80,6 @@ pub enum KernelPolicy {
 }
 
 impl KernelPolicy {
-    /// Stable one-byte tag for cache keys.
-    fn as_byte(self) -> u8 {
-        match self {
-            KernelPolicy::Structured => 0,
-            KernelPolicy::Dense => 1,
-        }
-    }
-
     /// Human-readable name (`structured` / `dense`).
     pub fn name(self) -> &'static str {
         match self {
@@ -230,145 +198,22 @@ pub struct DenseSolve {
 
 /// Dense-solve key: `(model fingerprint, s.re bits, s.im bits,
 /// truncation order, kernel-policy byte)`. The fingerprint makes one
-/// cache safe to share across different models — a prerequisite for
-/// cross-request reuse in `plltool serve`.
+/// cache safe to share across different models.
 type DenseKey = (u64, u64, u64, usize, u8);
 
-/// A bounded map with least-recently-used eviction. Recency is a
-/// monotone tick stamped on every touch; when an insert would exceed
-/// the cap, the oldest ~12% of entries (at least one) are dropped so
-/// the sort cost amortizes across many inserts. Eviction only affects
-/// *which* points are recomputed, never their values — recomputation
-/// is pure and bit-reproducible — so bounded caches preserve the
-/// sweep determinism guarantees.
-#[derive(Debug)]
-struct Lru<K, V> {
-    map: HashMap<K, (V, u64)>,
-    tick: u64,
-    cap: usize,
-    evicted: u64,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
-    fn new(cap: usize) -> Lru<K, V> {
-        Lru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-            evicted: 0,
-        }
-    }
-
-    fn get(&mut self, k: &K) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(k).map(|entry| {
-            entry.1 = tick;
-            &entry.0
-        })
-    }
-
-    fn insert(&mut self, k: K, v: V) {
-        // Fault site `cache.evict`: an eviction storm drops the whole
-        // shard. Harmless by construction — eviction only changes which
-        // points recompute, and recomputation is bit-reproducible — so
-        // chaos runs use it to stress the recompute path.
-        if htmpll_fault::fires("cache.evict", self.tick) && !self.map.is_empty() {
-            let n = self.map.len() as u64;
-            self.map.clear();
-            self.evicted += n;
-            htmpll_obs::counter!("core", "sweep.cache_evictions").add(n);
-        }
-        if self.map.len() >= self.cap && !self.map.contains_key(&k) {
-            let drop_n = (self.cap / 8).max(1);
-            let mut stamps: Vec<(u64, K)> = self
-                .map
-                .iter()
-                .map(|(key, (_, tick))| (*tick, key.clone()))
-                .collect();
-            stamps.sort_unstable_by_key(|(tick, _)| *tick);
-            for (_, key) in stamps.into_iter().take(drop_n) {
-                self.map.remove(&key);
-                self.evicted += 1;
-            }
-            htmpll_obs::counter!("core", "sweep.cache_evictions").add(drop_n as u64);
-            htmpll_obs::instant("core", || {
-                format!("cache{{evict,n={drop_n},cap={}}}", self.cap)
-            });
-        }
-        self.tick += 1;
-        self.map.insert(k, (v, self.tick));
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// A point-in-time view of [`SweepCache`] occupancy and traffic,
-/// readable without the obs layer (the counters are plain atomics on
-/// the cache itself), so a long-running service can report hit rates
-/// even when metric collection is filtered off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from memory.
-    pub hits: u64,
-    /// Lookups that had to compute.
-    pub misses: u64,
-    /// Entries evicted since construction.
-    pub evictions: u64,
-    /// Memoized dense solves currently held (including failures).
-    pub dense_entries: usize,
-    /// Number of independently locked shards.
-    pub shards: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]` (`0` when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One independently locked slice of the cache; keys are distributed
-/// across shards by hash so concurrent workers (and concurrent service
-/// requests) rarely contend on the same mutex.
-type Shard = Mutex<Lru<DenseKey, Result<Arc<DenseSolve>, String>>>;
-
-/// Upper bound on shard count; keys spread by hash, so a handful of
-/// locks is enough to decongest any realistic worker count.
-const MAX_SHARDS: usize = 16;
-
-/// Memoization shared across sweeps — and, since the keys carry the
-/// model fingerprint ([`PllModel::fingerprint`]), safely shared across
-/// **different models**: dense closed-loop solves, keyed by
-/// the **bit patterns** of the Laplace point, the truncation order and
-/// the kernel policy. Bitwise keys make the cache exact — no tolerance
-/// tuning — and deterministic: a hit returns the identical value the
-/// first evaluation produced.
+/// Memoized dense closed-loop solves, keyed by the model fingerprint
+/// ([`PllModel::fingerprint`]), the **bit patterns** of the Laplace
+/// point, the truncation order and the kernel policy. Bitwise keys make
+/// the cache exact — no tolerance tuning — and deterministic: a hit
+/// returns the identical value the first evaluation produced.
 ///
-/// The cache is internally synchronized and sharded: keys hash to one
-/// of several independently locked maps, so pool workers and concurrent
-/// service requests contend only when they touch the same shard. Values
-/// are computed outside the lock, so a race costs at most one duplicate
-/// evaluation of the same point (both producing the same bits).
-///
-/// Memory is bounded: the shards together hold at most `cap` entries
-/// (the `HTMPLL_CACHE_CAP` environment variable, defaulting to
-/// [`DEFAULT_CACHE_CAP`]) with per-shard LRU eviction,
-/// counted by the `sweep.cache_evictions` observability counter and
-/// [`SweepCache::evictions`]. Traffic totals are kept in plain atomics
-/// and surfaced by [`SweepCache::stats`].
+/// A thin wrapper over [`BoundedCache`]: sharded, internally
+/// synchronized, LRU-bounded at [`DEFAULT_CACHE_CAP`] entries by
+/// default. Evictions feed the `core.sweep.cache_evictions` counter;
+/// traffic and occupancy are in [`SweepCache::stats`].
 #[derive(Debug)]
 pub struct SweepCache {
-    shards: Box<[Shard]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    inner: BoundedCache<DenseKey, Result<Arc<DenseSolve>, String>>,
 }
 
 impl Default for SweepCache {
@@ -378,45 +223,17 @@ impl Default for SweepCache {
 }
 
 impl SweepCache {
-    /// An empty cache capped at `HTMPLL_CACHE_CAP` entries
-    /// ([`DEFAULT_CACHE_CAP`] when unset or unparsable).
+    /// An empty cache capped at [`DEFAULT_CACHE_CAP`] entries.
     pub fn new() -> SweepCache {
-        SweepCache::with_capacity(env_cache_cap())
+        SweepCache::with_capacity(DEFAULT_CACHE_CAP)
     }
 
     /// An empty cache holding at most `cap` entries (clamped to at
-    /// least 1), spread over `min(16, cap)` shards (rounded down to a
-    /// power of two) so the aggregate never exceeds `cap`.
+    /// least 1).
     pub fn with_capacity(cap: usize) -> SweepCache {
-        let cap = cap.max(1);
-        let mut shards = 1usize;
-        while shards * 2 <= cap.min(MAX_SHARDS) {
-            shards *= 2;
-        }
-        let per_shard = (cap / shards).max(1);
-        let shards = (0..shards)
-            .map(|_| Mutex::new(Lru::new(per_shard)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         SweepCache {
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            inner: BoundedCache::new(cap),
         }
-    }
-
-    fn shard_for(&self, fingerprint: u64, s: Complex, trunc: usize, kernel: u8) -> &Shard {
-        let mut h = Fnv1a::new();
-        h.write_u64(fingerprint);
-        h.write_u64(s.re.to_bits());
-        h.write_u64(s.im.to_bits());
-        h.write_u64(trunc as u64);
-        h.write_u64(kernel as u64);
-        // Shard count is a power of two; fold the high bits in so the
-        // mask never sees only FNV's low-entropy tail.
-        let hash = h.finish();
-        let idx = ((hash >> 32) ^ hash) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
     }
 
     /// Dense closed-loop solve at `(s, trunc)` through the cache and
@@ -440,69 +257,44 @@ impl SweepCache {
         trunc: Truncation,
         kernel: KernelPolicy,
     ) -> Result<Arc<DenseSolve>, String> {
-        let fp = model.fingerprint();
         let key = (
-            fp,
+            model.fingerprint(),
             s.re.to_bits(),
             s.im.to_bits(),
             trunc.order(),
-            kernel.as_byte(),
+            kernel as u8,
         );
-        let shard = self.shard_for(fp, s, trunc.order(), kernel.as_byte());
-        if let Some(v) = lock(shard).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(v) = self.inner.get(&key) {
             htmpll_obs::counter!("core", "sweep.dense_cache.hit").inc();
             htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
                 format!("cache{{dense,hit,k={}}}", trunc.order())
             });
-            return v.clone();
+            return v;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         htmpll_obs::counter!("core", "sweep.dense_cache.miss").inc();
         htmpll_obs::instant_at("core", htmpll_obs::Level::Trace, || {
             format!("cache{{dense,miss,k={}}}", trunc.order())
         });
         let entry = compute_dense(model, s, trunc, kernel);
-        lock(shard).insert(key, entry.clone());
+        let evicted = self.inner.insert(key, entry.clone());
+        if evicted > 0 {
+            htmpll_obs::counter!("core", "sweep.cache_evictions").add(evicted);
+            htmpll_obs::instant("core", || format!("cache{{evict,n={evicted}}}"));
+        }
         entry
     }
 
-    /// Number of memoized dense solves (including memoized failures).
-    pub fn dense_entries(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Total entries evicted from this cache since construction.
-    pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).evicted).sum()
-    }
-
-    /// Lookups answered from memory since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to compute since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of traffic and occupancy; see [`CacheStats`].
+    /// Snapshot of traffic and occupancy (entries include memoized
+    /// failures).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            evictions: self.evictions(),
-            dense_entries: self.dense_entries(),
-            shards: self.shards.len(),
-        }
+        self.inner.stats()
     }
 }
 
 /// The uncached dense-point computation behind
-/// [`SweepCache::dense_robust`], with the NaN/∞ boundary guards and the
-/// `robust.*` verdict counters.
-fn compute_dense(
+/// [`SweepCache::dense_robust`] and the analysis probe, with the NaN/∞
+/// boundary guards and the `robust.*` verdict counters.
+pub(crate) fn compute_dense(
     model: &PllModel,
     s: Complex,
     trunc: Truncation,
@@ -863,10 +655,10 @@ mod tests {
             .with_truncation(Truncation::new(4))
             .with_threads(2);
         let a = strict_grid(&m, &spec, &cache);
-        assert_eq!(cache.dense_entries(), 12);
+        assert_eq!(cache.stats().entries, 12);
         // Second pass over the same grid: every point is a hit.
         let b = strict_grid(&m, &spec, &cache);
-        assert_eq!(cache.dense_entries(), 12);
+        assert_eq!(cache.stats().entries, 12);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.as_matrix().max_diff(y.as_matrix()), 0.0);
         }
@@ -889,30 +681,12 @@ mod tests {
             .with_truncation(Truncation::new(4))
             .with_threads(2);
         let fast = strict_grid(&m, &spec, &cache);
-        assert_eq!(cache.dense_entries(), 8);
+        assert_eq!(cache.stats().entries, 8);
         let strict = strict_grid(&m, &spec.clone().with_kernel(KernelPolicy::Dense), &cache);
         // Distinct keys: the dense pass added its own 8 entries.
-        assert_eq!(cache.dense_entries(), 16);
+        assert_eq!(cache.stats().entries, 16);
         for (x, y) in fast.iter().zip(&strict) {
             assert!(x.as_matrix().max_diff(y.as_matrix()) < 1e-10);
-        }
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru() {
-        let m = model(0.25);
-        let cache = SweepCache::with_capacity(4);
-        let spec = SweepSpec::log(0.1, 2.0, 12)
-            .unwrap()
-            .with_truncation(Truncation::new(3))
-            .with_threads(1);
-        let a = strict_grid(&m, &spec, &cache);
-        assert!(cache.dense_entries() <= 4);
-        assert!(cache.evictions() > 0);
-        // Evicted points recompute to the identical bits.
-        let b = strict_grid(&m, &spec, &cache);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.as_matrix().max_diff(y.as_matrix()), 0.0);
         }
     }
 
@@ -1032,9 +806,10 @@ mod tests {
         let second = cache.dense_robust(&m, Complex::from_im(w0), t, KernelPolicy::default());
         assert!(first.is_err());
         assert_eq!(first.unwrap_err(), second.unwrap_err());
-        assert_eq!(cache.dense_entries(), 1);
+        assert_eq!(cache.stats().entries, 1);
         // The second lookup answered from memory.
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses), (1, 1));
     }
 
     #[test]
@@ -1054,7 +829,7 @@ mod tests {
         let db = cache
             .dense_robust(&b, s, t, KernelPolicy::default())
             .unwrap();
-        assert_eq!(cache.dense_entries(), 2);
+        assert_eq!(cache.stats().entries, 2);
         assert!(da.htm.as_matrix().max_diff(db.htm.as_matrix()) > 1e-6);
         let direct = compute_dense(&b, s, t, KernelPolicy::default()).unwrap();
         assert_eq!(db.htm.as_matrix().max_diff(direct.htm.as_matrix()), 0.0);
@@ -1063,46 +838,7 @@ mod tests {
             .dense_robust(&a, s, t, KernelPolicy::default())
             .unwrap();
         assert_eq!(da.htm.as_matrix().max_diff(da2.htm.as_matrix()), 0.0);
-        assert_eq!(cache.dense_entries(), 2);
-    }
-
-    #[test]
-    fn cache_stats_count_traffic() {
-        let m = model(0.2);
-        let cache = SweepCache::new();
-        let s = Complex::from_im(0.7);
-        let t = Truncation::new(3);
-        for _ in 0..2 {
-            cache
-                .dense_robust(&m, s, t, KernelPolicy::default())
-                .unwrap();
-        }
-        let st = cache.stats();
-        assert_eq!(st.hits, 1);
-        assert_eq!(st.misses, 1);
-        assert_eq!(st.dense_entries, 1);
-        assert!(st.shards.is_power_of_two());
-        assert!((st.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn sharding_respects_total_capacity() {
-        // A tiny cap still means at most `cap` entries in aggregate,
-        // however many shards the capacity was split across.
-        for cap in [1usize, 2, 3, 4, 7, 16] {
-            let cache = SweepCache::with_capacity(cap);
-            let m = model(0.25);
-            for i in 0..40 {
-                let s = Complex::from_im(0.1 + 0.01 * i as f64);
-                let _ = cache.dense_robust(&m, s, Truncation::new(2), KernelPolicy::default());
-            }
-            assert!(
-                cache.dense_entries() <= cap,
-                "cap {cap}: {} entries",
-                cache.dense_entries()
-            );
-        }
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //!   for the behavioral simulator's jitter and noise draws.
 //! * [`hash`] — deterministic FNV-1a content hashing for fingerprinting
 //!   machine-readable reports (thread-count-invariance checks).
+//! * [`cache`] — [`BoundedCache`], the one bounded LRU memo table (with
+//!   [`CacheStats`]) behind the sweep, serve-tail and FFT-plan caches.
 //!
 //! Everything is implemented on `std` alone; no external numerics crates.
 //!
@@ -44,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod complex;
 pub mod eig;
 pub mod hash;
@@ -59,6 +62,7 @@ pub mod simd;
 pub mod solve;
 pub mod special;
 
+pub use cache::{BoundedCache, CacheStats};
 pub use complex::{Complex, CothRe};
 pub use eig::{eigenvalues, EigError};
 pub use jury::{jury_stable, JuryError};

@@ -7,9 +7,10 @@
 //! Convention: forward transform `X[k] = Σ_n x[n]·e^{−j2πkn/N}` (no
 //! normalization); the inverse divides by `N`.
 //!
-//! The twiddle factors come from a per-length plan cache: one table per
-//! butterfly stage, built with the sequential `w *= wlen` recurrence, so
-//! a cached plan gives the same bits as a fresh one.
+//! The twiddle factors come from a process-wide plan cache (a
+//! [`BoundedCache`] of 32 plans, LRU-evicted): one table per butterfly
+//! stage, built with the sequential `w *= wlen` recurrence, so a cached
+//! plan gives the same bits as a fresh one.
 //!
 //! ```
 //! use htmpll_spectral::fft::{fft, ifft, FftError};
@@ -25,10 +26,9 @@
 //! # }
 //! ```
 
-use htmpll_num::Complex;
-use std::collections::HashMap;
+use htmpll_num::{BoundedCache, Complex};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Error returned by the radix-2 kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,10 +85,13 @@ pub fn ifft(x: &mut [Complex]) -> Result<(), FftError> {
 /// Most distinct `(length, direction)` plans the process keeps. A plan
 /// for length `n` holds `n − 1` twiddle pairs (≈ 16·n bytes), so the
 /// cap bounds cache memory at roughly 32 transforms' worth of tables;
-/// beyond it new sizes build a throwaway plan instead of evicting —
-/// steady-state workloads reuse a handful of sizes, and a deterministic
-/// "never evict" policy keeps warm sizes warm under size churn.
+/// steady-state workloads reuse a handful of sizes.
 const PLAN_CACHE_CAP: usize = 32;
+
+/// The process-wide plan cache. A miss builds outside the lock (two
+/// racing builders produce identical tables), so concurrent transforms
+/// never serialize on table construction.
+static PLANS: OnceLock<BoundedCache<(usize, bool), Arc<FftPlan>>> = OnceLock::new();
 
 /// Whole-transform twiddle plan: one table per butterfly stage, built
 /// by the sequential `w *= wlen` recurrence — so a cached plan is
@@ -120,35 +123,6 @@ impl FftPlan {
     }
 }
 
-/// The process-wide plan cache. Lookups are a hash probe under a mutex;
-/// a miss builds outside the lock (two racing builders produce
-/// identical tables, first insert wins) so concurrent transforms never
-/// serialize on table construction.
-type PlanCache = Mutex<HashMap<(usize, bool), Arc<FftPlan>>>;
-
-fn plan_for(n: usize, inverse: bool) -> Arc<FftPlan> {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(plan) = cache
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get(&(n, inverse))
-    {
-        htmpll_obs::counter!("spectral", "fft.plan_hits").inc();
-        return Arc::clone(plan);
-    }
-    htmpll_obs::counter!("spectral", "fft.plan_builds").inc();
-    let plan = Arc::new(FftPlan::build(n, inverse));
-    let mut map = cache.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(existing) = map.get(&(n, inverse)) {
-        return Arc::clone(existing);
-    }
-    if map.len() < PLAN_CACHE_CAP {
-        map.insert((n, inverse), Arc::clone(&plan));
-    }
-    plan
-}
-
 fn transform(x: &mut [Complex], inverse: bool) -> Result<(), FftError> {
     let n = x.len();
     if !is_power_of_two(n) {
@@ -167,7 +141,19 @@ fn transform(x: &mut [Complex], inverse: bool) -> Result<(), FftError> {
         }
     }
     // Butterflies, one twiddle table per stage.
-    let plan = plan_for(n, inverse);
+    let plans = PLANS.get_or_init(|| BoundedCache::new(PLAN_CACHE_CAP));
+    let plan = match plans.get(&(n, inverse)) {
+        Some(plan) => {
+            htmpll_obs::counter!("spectral", "fft.plan_hits").inc();
+            plan
+        }
+        None => {
+            htmpll_obs::counter!("spectral", "fft.plan_builds").inc();
+            let plan = Arc::new(FftPlan::build(n, inverse));
+            plans.insert((n, inverse), Arc::clone(&plan));
+            plan
+        }
+    };
     for tw in &plan.stages {
         for block in x.chunks_exact_mut(2 * tw.len()) {
             let (u, v) = block.split_at_mut(tw.len());
@@ -370,7 +356,8 @@ mod tests {
         // produces...
         for n in [64usize, 256, 2048] {
             for inverse in [false, true] {
-                let cached = plan_for(n, inverse);
+                transform(&mut vec![Complex::ZERO; n], inverse).unwrap();
+                let cached = PLANS.get().unwrap().get(&(n, inverse)).unwrap();
                 let fresh = FftPlan::build(n, inverse);
                 assert_eq!(cached.stages.len(), fresh.stages.len());
                 for (c, f) in cached.stages.iter().zip(&fresh.stages) {

@@ -34,6 +34,8 @@ use htmpll_core::{
     analyze, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel, SweepCache,
 };
 use htmpll_htm::{strip_zero_count, Truncation};
+use htmpll_lti::TfError;
+use htmpll_num::roots::find_roots_graded;
 use htmpll_num::Complex;
 use htmpll_par::{par_map, Deadline, ThreadBudget};
 use htmpll_sim::{acquire_lock, measure_h00_multitone, LockOptions, MeasureOptions};
@@ -126,19 +128,17 @@ fn grade(
 
 /// Grades a boolean agreement (stability verdicts, lock outcomes).
 fn grade_bool(check: &'static str, stacks: &'static str, a: bool, b: bool) -> CheckResult {
+    grade_exact(check, stacks, a as u8 as f64, b as u8 as f64)
+}
+
+/// Grades two discrete observables (flags, counts) that must be equal.
+fn grade_exact(check: &'static str, stacks: &'static str, a: f64, b: f64) -> CheckResult {
     let deviation = if a == b { 0.0 } else { 1.0 };
     CheckResult {
         check,
         stacks,
         deviation,
-        verdict: ladder(
-            deviation,
-            0.5,
-            0.5,
-            "boolean",
-            stacks,
-            (a as u8 as f64, b as u8 as f64),
-        ),
+        verdict: ladder(deviation, 0.5, 0.5, "exact", stacks, (a, b)),
     }
 }
 
@@ -177,12 +177,7 @@ fn check_lambda_truncation(model: &PllModel, probes: &[f64]) -> CheckResult {
 /// The full analysis on one thread with a fresh cache: xcheck reports
 /// hold no timings and must not depend on the pool.
 fn analyze_serial(model: &PllModel) -> Result<AnalysisReport, CoreError> {
-    analyze(
-        model,
-        ThreadBudget::Fixed(1),
-        &SweepCache::new(),
-        &Deadline::none(),
-    )
+    analyze(model, ThreadBudget::Fixed(1), &Deadline::none())
 }
 
 /// Two solvers, one matrix: the rank-one Sherman–Morrison closed loop
@@ -558,25 +553,44 @@ fn check_sim_spur(model: &PllModel) -> (CheckResult, CheckResult) {
     (spur, parseval)
 }
 
-/// The exact period-strip verdict of `analyze` (Jury test on the
-/// characteristic polynomial of `1 + λ` in `z = e^{2πs/ω₀}`) against the
-/// argument principle: the winding count of `1 + λ` over 4,096 points of
-/// the strip contour `Re s = 10⁻⁴·ω_UG`, just right of the aliased
-/// integrator poles on the axis.
-fn check_strip_roots_vs_winding(model: &PllModel, report: &AnalysisReport) -> CheckResult {
+/// The roots behind `analyze`'s exact strip verdict against the
+/// argument principle, both counted right of the strip contour
+/// `Re s = ε = 10⁻⁴·ω_UG` (just right of the aliased integrator poles
+/// on the axis). One count is the number of roots of the characteristic
+/// polynomial `D + N` of `1 + λ` in `z = e^{2πs/ω₀}` outside the circle
+/// `|z| = e^{2πε/ω₀}`; the other is the winding count of `1 + λ` over
+/// 4,096 points of the contour. Like with like: a zero with
+/// `0 < Re s < ε`, which the exact verdict rightly calls unstable, is
+/// outside both counts. The winding count is zeros minus poles, so this
+/// assumes no open-loop pole right of the contour, as in every corpus
+/// design.
+fn check_strip_roots_vs_winding(
+    model: &PllModel,
+    report: &AnalysisReport,
+) -> Result<CheckResult, XcheckError> {
+    let w0 = model.design().omega_ref();
     let eps = 1e-4 * report.omega_ug_lti;
-    let line = model.lambda().line(eps);
-    let count = strip_zero_count(|s| line.eval(s.im), model.design().omega_ref(), eps, 4096);
-    grade_bool(
+    let lam = model.lambda();
+    let line = lam.line(eps);
+    let winding = strip_zero_count(|s| line.eval(s.im), w0, eps, 4096);
+    let radius = (2.0 * std::f64::consts::PI * eps / w0).exp();
+    let roots = find_roots_graded(&lam.characteristic())
+        .map_err(|e| XcheckError::Core(CoreError::Tf(TfError::Roots(e))))?;
+    let right = roots.iter().filter(|z| z.abs() > radius).count();
+    Ok(grade_exact(
         "strip-roots-vs-winding",
-        "core::strip_stable vs htm::strip_zero_count",
-        report.nyquist_stable,
-        count == 0,
-    )
+        "core::characteristic vs htm::strip_zero_count",
+        right as f64,
+        winding as f64,
+    ))
 }
 
 /// Runs every applicable comparison for one scenario.
-fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
+///
+/// # Errors
+///
+/// Propagates model construction, analysis and root-finding failures.
+pub fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     let _span = htmpll_obs::span_labeled("xcheck", "scenario", || s.name.clone());
     let model = s.model()?;
     let w0 = model.design().omega_ref();
@@ -597,7 +611,7 @@ fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     // Analysis crossover vs λ, and the two stability verdicts.
     let report = analyze_serial(&model)?;
     checks.extend(check_crossing(&model, &report));
-    checks.push(check_strip_roots_vs_winding(&model, &report));
+    checks.push(check_strip_roots_vs_winding(&model, &report)?);
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).
     if !s.isf {

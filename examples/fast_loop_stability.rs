@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release --example fast_loop_stability`.
 
-use htmpll::core::{analyze, PllDesign, PllModel, SweepCache};
+use htmpll::core::{analyze, PllDesign, PllModel};
 use htmpll::lti::{is_hurwitz, Tf};
 use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::zdomain::{reference_design_stability_limit, CpPllZModel};
@@ -29,12 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let design = PllDesign::reference_design(ratio)?;
         let a = design.open_loop_gain();
         let model = PllModel::builder(design.clone()).build()?;
-        let report = analyze(
-            &model,
-            ThreadBudget::Auto,
-            &SweepCache::new(),
-            &Deadline::none(),
-        )?;
+        let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
         let zmodel = CpPllZModel::from_design(&design)?;
         println!(
             "{ratio:5.2}   {:6.2}°  {:6.2}°   {:^10}  {:^10}  {:^8}",

@@ -19,12 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let model = PllModel::builder(design).build()?;
-    let report = analyze(
-        &model,
-        ThreadBudget::Auto,
-        &SweepCache::new(),
-        &Deadline::none(),
-    )?;
+    let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
 
     println!("\n--- classical LTI analysis (textbook) ---");
     println!("unity-gain frequency : {:.4} rad/s", report.omega_ug_lti);

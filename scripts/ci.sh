@@ -232,6 +232,17 @@ hits=$(grep -o '"response_cache":{"hits":[0-9]*' "$serveout" | grep -o '[0-9]*$'
     echo "serve leg failed: repeated specs produced no warm-cache hits (hits=$hits)" >&2
     exit 1
 }
+# The stats object reports the tail cache through its CacheStats, and
+# analysis no longer runs through a sweep cache.
+grep -qE '"response_cache":\{"hits":[0-9]+,"misses":[0-9]+,"evictions":[0-9]+,"entries":[0-9]+\}' "$serveout" || {
+    echo "serve leg failed: stats response_cache lacks misses/evictions/entries" >&2
+    grep '"command":"stats"' "$serveout" >&2
+    exit 1
+}
+if grep '"command":"stats"' "$serveout" | grep -q '"sweep_cache"'; then
+    echo "serve leg failed: stats still reports a sweep_cache member" >&2
+    exit 1
+fi
 rm -f "$servein" "$serveout"
 echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
 

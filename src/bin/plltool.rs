@@ -61,13 +61,12 @@ const USAGE: &str =
           and prints per-phase attribution: wall time, per-point p50/p99,
           cache hit rate, verdicts, ladder stages, worker utilization
   serve   [--workers N] [--queue-max N] [--batch-max N] [--shed x]
-          [--response-cache N] [--log-every N] [--socket PATH]
-          [--deadline-ms MS]
+          [--log-every N] [--socket PATH] [--deadline-ms MS]
           long-running batched analysis service: reads JSON-lines
           requests {\"id\":...,\"command\":...,\"params\":{...}} from stdin
           (or a Unix socket), answers one plltool/v1 envelope line per
-          request in input order; identical specs are batched across a
-          shared warm cache; send {\"command\":\"stats\"} for live
+          request in input order; a repeated spec is answered from a
+          response cache of 1,024 envelopes; send {\"command\":\"stats\"} for live
           latency/throughput/queue/cache figures; with --deadline-ms a
           request over budget degrades (smaller truncation, coarser
           grid, partial rows) or answers a retryable \"code\":\"deadline\"
@@ -225,7 +224,6 @@ fn cmd_serve(params: &Params) -> Result<(), String> {
         queue_max: params.usize_or("queue-max", 256)?,
         batch_max: params.usize_or("batch-max", 32)?,
         shed: params.has("shed"),
-        response_cache: params.usize_or("response-cache", 1024)?,
         log_every: params.usize_or("log-every", 0)? as u64,
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
     };

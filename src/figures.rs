@@ -22,7 +22,7 @@
 //! the committed `figures_output.txt`. `timing` measures wall-clock, so
 //! it runs only on request.
 
-use crate::core::{analyze, PllDesign, PllModel, SweepCache};
+use crate::core::{analyze, PllDesign, PllModel};
 use crate::lti::{bode_tf, stability_margins};
 use crate::num::optim::{lin_grid, log_grid};
 use crate::num::Complex;
@@ -243,7 +243,6 @@ pub fn fig7_margin_sweep(lo: f64, hi: f64, points: usize) -> FigResult<Vec<Fig7R
             let r = analyze(
                 &reference_model(ratio)?,
                 ThreadBudget::Auto,
-                &SweepCache::new(),
                 &Deadline::none(),
             )?;
             Ok(Fig7Row {
@@ -457,7 +456,6 @@ pub fn pfd_comparison(ratios: &[f64]) -> FigResult<Vec<PfdRow>> {
             let imp = analyze(
                 &PllModel::builder(design.clone()).build()?,
                 ThreadBudget::Auto,
-                &SweepCache::new(),
                 &Deadline::none(),
             )?;
             let sh = SampleHoldModel::new(design)?;

@@ -30,7 +30,7 @@
 //! // reference frequency and compare LTI vs time-varying phase margin.
 //! let design = PllDesign::reference_design(0.2)?;
 //! let model = PllModel::builder(design).build()?;
-//! let report = analyze(&model, ThreadBudget::Auto, &SweepCache::new(), &Deadline::none())?;
+//! let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
 //! assert!(report.phase_margin_eff_deg < report.phase_margin_lti_deg);
 //! # Ok::<(), htmpll::core::CoreError>(())
 //! ```

@@ -86,10 +86,10 @@ pub struct PhaseReport {
     /// Dense-cache hit rate in [0, 1]; `None` when the cache saw no
     /// traffic during the phase.
     pub cache_hit_rate: Option<f64>,
-    /// Dense-cache entries evicted by the capacity bound during the
-    /// phase (`core.sweep.cache_evictions`) — nonzero means the working
-    /// set outgrew `HTMPLL_CACHE_CAP` and the phase is re-solving
-    /// points it already paid for.
+    /// Dense-cache entries evicted during the phase
+    /// (`core.sweep.cache_evictions`) — nonzero means the working set
+    /// outgrew the sweep cache's capacity (32,768 entries) and the
+    /// phase is re-solving points it already paid for.
     pub cache_evictions: u64,
     /// Point-quality verdicts counted during the phase.
     pub verdicts: QualitySummary,

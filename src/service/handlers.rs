@@ -40,16 +40,16 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             pfd_sh,
             symbolic,
             ..
-        } => analyze(design, budget, *pfd_sh, *symbolic, ctx, &deadline).map(Response::Analyze),
+        } => analyze(design, budget, *pfd_sh, *symbolic, &deadline).map(Response::Analyze),
         Request::Sweep {
             from, to, points, ..
-        } => sweep(*from, *to, *points, budget, ctx, &deadline),
+        } => sweep(*from, *to, *points, budget, &deadline),
         Request::Bode {
             design,
             points,
             lambda,
             ..
-        } => bode(design, *points, *lambda, budget, ctx, &deadline).map(Response::Bode),
+        } => bode(design, *points, *lambda, budget, &deadline).map(Response::Bode),
         Request::Step {
             design,
             until,
@@ -94,13 +94,10 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             *full,
             *quasi,
             budget,
-            ctx,
             &deadline,
         )
         .map(Response::Explore),
-        Request::Doctor { design, .. } => {
-            doctor(design.as_ref(), budget, ctx).map(Response::Doctor)
-        }
+        Request::Doctor { design, .. } => doctor(design.as_ref(), budget).map(Response::Doctor),
         Request::Xcheck { corpus, .. } => xcheck(corpus, budget).map(Response::Xcheck),
         Request::Metrics {
             design, obs_spec, ..
@@ -141,12 +138,10 @@ fn analyze(
     threads: ThreadBudget,
     pfd_sh: bool,
     symbolic: bool,
-    ctx: &ServiceCtx,
     deadline: &Deadline,
 ) -> Result<AnalyzeOut, String> {
     let (design, model) = build_model(spec)?;
-    let report =
-        crate::core::analyze(&model, threads, &ctx.cache, deadline).map_err(|e| e.to_string())?;
+    let report = crate::core::analyze(&model, threads, deadline).map_err(|e| e.to_string())?;
     let strip_poles = dominant_poles(&model)
         .ok()
         .map(|ps| ps.iter().map(|p| (p.re, p.im)).collect());
@@ -215,7 +210,6 @@ fn sweep(
     to: f64,
     points: usize,
     threads: ThreadBudget,
-    ctx: &ServiceCtx,
     deadline: &Deadline,
 ) -> Result<Response, String> {
     let ratios = lin_grid(from, to, points.max(2));
@@ -254,7 +248,7 @@ fn sweep(
             PllModel::builder(PllDesign::reference_design(ratio).map_err(|e| e.to_string())?)
                 .build()
                 .map_err(|e| e.to_string())?;
-        let r = match crate::core::analyze(&model, threads, &ctx.cache, deadline) {
+        let r = match crate::core::analyze(&model, threads, deadline) {
             Ok(r) => r,
             Err(e) => {
                 let message = e.to_string();
@@ -299,11 +293,10 @@ fn bode(
     points: usize,
     lambda: bool,
     threads: ThreadBudget,
-    ctx: &ServiceCtx,
     deadline: &Deadline,
 ) -> Result<BodeOut, String> {
     let (design, model) = build_model(spec)?;
-    let wug = crate::core::analyze(&model, threads, &ctx.cache, deadline)
+    let wug = crate::core::analyze(&model, threads, deadline)
         .map_err(|e| e.to_string())?
         .omega_ug_lti;
     let grid =
@@ -414,7 +407,6 @@ fn explore(
     full: bool,
     quasi: bool,
     threads: ThreadBudget,
-    ctx: &ServiceCtx,
     deadline: &Deadline,
 ) -> Result<ExploreOut, String> {
     let spec = ExploreSpec {
@@ -428,7 +420,7 @@ fn explore(
         quasi,
         threads,
     };
-    let report = crate::core::explore(&spec, &ctx.cache, deadline).map_err(|e| e.to_string())?;
+    let report = crate::core::explore(&spec, deadline).map_err(|e| e.to_string())?;
     Ok(ExploreOut { seed, report })
 }
 
@@ -437,11 +429,7 @@ fn explore(
 /// orders, NaN injection — and returns the health table. Every check
 /// must complete without panicking AND land on its expected verdict
 /// class; surprises surface through [`DoctorOut::failures`].
-fn doctor(
-    spec: Option<&DesignSpec>,
-    threads: ThreadBudget,
-    ctx: &ServiceCtx,
-) -> Result<DoctorOut, String> {
+fn doctor(spec: Option<&DesignSpec>, threads: ThreadBudget) -> Result<DoctorOut, String> {
     let design = match spec {
         Some(spec) => spec.build()?,
         None => PllDesign::reference_design(0.1).map_err(|e| e.to_string())?,
@@ -450,7 +438,7 @@ fn doctor(
         .build()
         .map_err(|e| e.to_string())?;
     let w0 = design.omega_ref();
-    let cache = &ctx.cache;
+    let cache = SweepCache::new();
     let trunc = Truncation::new(4);
     let mut checks: Vec<DoctorCheck> = Vec::new();
 
@@ -595,8 +583,7 @@ fn doctor(
         .map_err(|e| e.to_string())
         .and_then(|d| PllModel::builder(d).build().map_err(|e| e.to_string()))
         .and_then(|m| {
-            crate::core::analyze(&m, threads, &ctx.cache, &Deadline::none())
-                .map_err(|e| e.to_string())
+            crate::core::analyze(&m, threads, &Deadline::none()).map_err(|e| e.to_string())
         }) {
         Ok(r) => DoctorCheck {
             check: "fast loop w_UG ~ w0".to_string(),
@@ -728,8 +715,7 @@ fn metrics(
 
     // Frequency-domain leg: margins, strip poles, λ truncation — all
     // scan grids run on the parallel pool.
-    crate::core::analyze(&model, threads, &SweepCache::new(), &Deadline::none())
-        .map_err(|e| e.to_string())?;
+    crate::core::analyze(&model, threads, &Deadline::none()).map_err(|e| e.to_string())?;
     let _ = dominant_poles(&model);
     let lam = model.lambda();
     let k = lam.suggest_truncation(1e-6);

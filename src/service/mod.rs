@@ -10,9 +10,10 @@
 //!
 //! * **one execution path** — the CLI, the server, and the `trace`/
 //!   `profile` wrappers cannot drift apart;
-//! * **shared warm state** — the context owns the cross-request
-//!   [`SweepCache`], so repeated specs reuse LU factorizations and λ
-//!   values across requests (and across subcommands within a process);
+//! * **stateless requests** — a handler is a pure function of its
+//!   request; the only cross-request memory is `plltool serve`'s
+//!   response cache, which answers a repeated spec with its stored
+//!   envelope tail before any handler runs;
 //! * **containable failure** — a handler returns `Result`, the server
 //!   additionally catches panics, so one bad request degrades to a
 //!   structured error response instead of taking the process down.
@@ -39,7 +40,6 @@ pub use response::{
 pub use server::serve_unix;
 pub use server::{serve_lines, ServeOptions, ServeSummary};
 
-use crate::core::SweepCache;
 use crate::par::{Deadline, WeakDeadline};
 use crate::requests::Request;
 use std::sync::Mutex;
@@ -48,13 +48,8 @@ use std::time::Duration;
 /// Shared state threaded through every request execution.
 ///
 /// The context is `Send + Sync`: the serve dispatcher shares one
-/// instance (behind an `Arc`) across all pool workers, which is what
-/// makes the sweep cache a *cross-request* cache.
+/// instance (behind an `Arc`) across all pool workers.
 pub struct ServiceCtx {
-    /// Cross-request dense-solve cache, sharded internally.
-    /// Entries are keyed by (model fingerprint, s, truncation), so one
-    /// cache safely serves unrelated designs concurrently.
-    pub cache: SweepCache,
     /// Per-request wall-clock budget in milliseconds. `None` means
     /// unbounded; when set, [`ServiceCtx::begin_request`] arms a fresh
     /// [`Deadline`] for every request.
@@ -67,20 +62,16 @@ pub struct ServiceCtx {
 }
 
 impl ServiceCtx {
-    /// A fresh context with an empty sweep cache and no deadline.
+    /// A fresh context with no deadline.
     pub fn new() -> Self {
-        ServiceCtx {
-            cache: SweepCache::new(),
-            deadline_ms: None,
-            inflight: Mutex::new(Vec::new()),
-        }
+        ServiceCtx::with_deadline_ms(None)
     }
 
     /// A fresh context that arms every request with a wall-clock budget.
     pub fn with_deadline_ms(deadline_ms: Option<u64>) -> Self {
         ServiceCtx {
             deadline_ms,
-            ..ServiceCtx::new()
+            inflight: Mutex::new(Vec::new()),
         }
     }
 
@@ -140,9 +131,6 @@ mod tests {
             other => panic!("expected analyze response, got {:?}", other.command()),
         }
         assert!(resp.failure().is_none());
-        // The context cache is warm after one request.
-        let stats = ctx.cache.stats();
-        assert!(stats.misses > 0, "analysis should populate the cache");
     }
 
     #[test]
@@ -167,19 +155,5 @@ mod tests {
             Response::Error(e) => assert!(e.message.contains("serve")),
             _ => panic!("stats must not execute outside serve"),
         }
-    }
-
-    #[test]
-    fn cache_is_shared_across_requests() {
-        let ctx = ServiceCtx::new();
-        let r = req("analyze", &["--ratio", "0.12"]);
-        let _ = handle(&r, &ctx);
-        let after_first = ctx.cache.stats();
-        let _ = handle(&r, &ctx);
-        let after_second = ctx.cache.stats();
-        assert!(
-            after_second.hits > after_first.hits,
-            "repeat request must hit the shared cache ({after_first:?} -> {after_second:?})"
-        );
     }
 }

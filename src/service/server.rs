@@ -12,9 +12,11 @@
 //!  stdin ──► parse line ──► bounded ──► admission batch (≤ batch_max)
 //!            + request id    queue        │  sort by (command, spec)
 //!                            │            ▼
-//!                     full? ─┤        par_map ──► envelope tails
-//!              block (default)            │    (shared SweepCache +
-//!              or shed (--shed)           │     response-tail cache)
+//!                     full? ─┤        response-tail cache ──► hits
+//!              block (default)            │
+//!              or shed (--shed)           ▼
+//!                                   par_map ──► envelope tails
+//!                                         │
 //!                                         ▼
 //!                               in-order flush (seq-keyed reorder map)
 //! ```
@@ -26,10 +28,10 @@
 //!   `"code":"shed"` error so latency stays bounded.
 //! * **Admission batching**: the dispatcher drains whatever is queued
 //!   (up to `batch_max`) into one batch and sorts it by
-//!   `(command, canonical spec)` before fanning out, so identical and
-//!   near-identical specs land adjacently and reuse warm LU
-//!   factorizations through the shared [`SweepCache`]
-//!   within the batch — and across batches through the same cache.
+//!   `(command, canonical spec)`, so identical specs sit adjacent and
+//!   compute once per batch. A spec answered in an earlier batch is
+//!   served from the response-tail cache (a bounded LRU of 1,024
+//!   id-less envelope tails) without running its handler.
 //! * **Graceful degradation**: a request can fail three ways — a
 //!   malformed line (`bad_request`), a handler error (`failed`, e.g. an
 //!   invalid design), or a handler panic (`panic`, contained by
@@ -37,15 +39,13 @@
 //!   response line; none of them takes the process or its neighbors in
 //!   the batch down. Numerically adversarial specs degrade through the
 //!   usual `PointQuality` ladder and still answer.
-//! * **Determinism**: handlers are pure functions of the request (the
-//!   caches are keyed by model fingerprint and return the same solves
-//!   they would recompute), responses are reassembled by sequence
-//!   number, and floats serialize via shortest-roundtrip `Display` —
-//!   so the response stream is byte-identical for 1 or N workers.
-//!
-//! [`SweepCache`]: crate::core::SweepCache
+//! * **Determinism**: handlers are pure functions of the request (a
+//!   cached tail is the bytes the handler would produce again),
+//!   responses are reassembled by sequence number, and floats
+//!   serialize via shortest-roundtrip `Display` — so the response
+//!   stream is byte-identical for 1 or N workers.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,6 +55,7 @@ use std::time::{Duration, Instant};
 
 use super::response::{envelope_tail, error_envelope, Response, ServiceError};
 use super::{handlers, json, ServiceCtx};
+use crate::num::BoundedCache;
 use crate::obs::JsonValue;
 use crate::par::{par_map, ThreadBudget};
 use crate::requests::{Request, RequestId};
@@ -73,8 +74,6 @@ pub struct ServeOptions {
     /// `true`: shed on a full queue (bounded latency); `false`
     /// (default): block the reader (lossless backpressure).
     pub shed: bool,
-    /// Response-tail cache capacity in entries (`0` disables it).
-    pub response_cache: usize,
     /// Emit a progress line to stderr every this many responses
     /// (`0` disables periodic logging).
     pub log_every: u64,
@@ -93,7 +92,6 @@ impl Default for ServeOptions {
             queue_max: 256,
             batch_max: 32,
             shed: false,
-            response_cache: 1024,
             log_every: 0,
             deadline_ms: None,
         }
@@ -116,11 +114,8 @@ pub struct ServeSummary {
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: u64,
-    /// Cross-request sweep-cache hits / misses at the end of the run.
-    pub sweep_cache_hits: u64,
-    /// See [`ServeSummary::sweep_cache_hits`].
-    pub sweep_cache_misses: u64,
-    /// Whole-response cache hits (identical spec re-asked).
+    /// Requests answered without running a handler: response-tail
+    /// cache hits plus in-batch duplicates of a computed spec.
     pub response_cache_hits: u64,
     /// Median request latency in nanoseconds.
     pub p50_latency_ns: u64,
@@ -133,10 +128,9 @@ pub struct ServeSummary {
 impl ServeSummary {
     /// One human line for stderr.
     pub fn render_line(&self) -> String {
-        let denom = self.sweep_cache_hits + self.sweep_cache_misses;
         format!(
             "{} responses ({} errors, {} shed) in {:.3}s | {} batches (max {}) | \
-             p50 {:.3}ms p99 {:.3}ms | sweep-cache {}/{} hits | response-cache {} hits",
+             p50 {:.3}ms p99 {:.3}ms | response-cache {} hits",
             self.responded,
             self.errors,
             self.shed,
@@ -145,15 +139,13 @@ impl ServeSummary {
             self.max_batch,
             self.p50_latency_ns as f64 / 1e6,
             self.p99_latency_ns as f64 / 1e6,
-            self.sweep_cache_hits,
-            denom,
             self.response_cache_hits,
         )
     }
 }
 
-/// Recovers a poisoned mutex: serve state (counters, shed list, cache
-/// maps) stays valid across a panic unwound mid-update. Every recovery
+/// Recovers a poisoned mutex: serve state (counters, shed list) stays
+/// valid across a panic unwound mid-update. Every recovery
 /// is counted (`serve/lock_poisoned`) so a fault-injection or chaos run
 /// can verify the containment path actually executed.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -202,55 +194,11 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Bounded cache of *id-less* envelope tails keyed by the canonical
-/// request JSON, so an identical spec asked under a different id (or
-/// with differently-spelled flags) is answered without recomputation.
-/// Only fully-ok responses are stored; errors always recompute.
-/// Eviction is FIFO — good enough for a repeated-spec working set.
-struct TailCache {
-    cap: usize,
-    inner: Mutex<TailCacheInner>,
-}
-
-#[derive(Default)]
-struct TailCacheInner {
-    map: HashMap<String, String>,
-    order: VecDeque<String>,
-}
-
-impl TailCache {
-    fn new(cap: usize) -> TailCache {
-        TailCache {
-            cap,
-            inner: Mutex::new(TailCacheInner::default()),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<String> {
-        lock(&self.inner).map.get(key).cloned()
-    }
-
-    fn put(&self, key: String, tail: String) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut inner = lock(&self.inner);
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.order.len() >= self.cap {
-            if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
-            }
-        }
-        inner.order.push_back(key.clone());
-        inner.map.insert(key, tail);
-    }
-
-    fn len(&self) -> usize {
-        lock(&self.inner).order.len()
-    }
-}
+/// Capacity of the response-tail cache: id-less envelope tails keyed
+/// by the canonical request JSON, so an identical spec asked under a
+/// different id (or with differently spelled flags) is answered
+/// without recomputation. Only fully-ok responses are stored.
+const TAIL_CACHE_CAP: usize = 1024;
 
 /// One parsed input line traveling reader → queue → dispatcher.
 struct LineJob {
@@ -291,7 +239,7 @@ where
 }
 
 /// The serve core: one connection/stream against a shared context
-/// (it outlives the call, carrying warm caches to the next one).
+/// (it outlives the call, carrying the watchdog's in-flight list).
 fn serve_on<R, W>(
     ctx: &Arc<ServiceCtx>,
     input: R,
@@ -305,7 +253,7 @@ where
     let start = Instant::now();
     let stats = Arc::new(ServeStats::default());
     let shed_list: Arc<Mutex<Vec<(u64, RequestId)>>> = Arc::new(Mutex::new(Vec::new()));
-    let tails = Arc::new(TailCache::new(opts.response_cache));
+    let tails: BoundedCache<String, String> = BoundedCache::new(TAIL_CACHE_CAP);
     let batch_max = opts.batch_max.max(1);
 
     // Dispatcher heartbeat (milliseconds since `start`) for the
@@ -463,8 +411,8 @@ where
                         .fetch_max(batch.len() as u64, Ordering::SeqCst);
                     counter!("serve", "batches").inc();
 
-                    // Partition: inline answers (errors, stats, cache
-                    // hits) vs. jobs for the workers.
+                    // Partition: inline answers (errors, stats) vs.
+                    // servable requests.
                     let mut work: Vec<(u64, RequestId, Request, Instant, String)> = Vec::new();
                     let mut stats_jobs: Vec<(u64, RequestId, Instant)> = Vec::new();
                     for job in batch {
@@ -511,31 +459,22 @@ where
                             }
                             Ok(req) => {
                                 let key = req.canonical_json();
-                                if let Some(tail) = tails.get(&key) {
-                                    stats.response_cache_hits.fetch_add(1, Ordering::SeqCst);
-                                    counter!("serve", "cache_hits").inc();
-                                    stats.note_latency(job.t0);
-                                    pending.insert(job.seq, assemble(&job.id, &tail));
-                                } else {
-                                    work.push((job.seq, job.id, req, job.t0, key));
-                                }
+                                work.push((job.seq, job.id, req, job.t0, key));
                             }
                         }
                     }
 
-                    // Sort for batch affinity: identical commands and
-                    // specs sit in adjacent pool chunks, so their warm
-                    // factorizations collide in the shared cache shards
-                    // as closely in time as possible.
+                    // Sort so identical specs sit adjacent, which the
+                    // in-batch dedup below relies on; the sequence number
+                    // breaks ties, so the first arrival represents them.
                     work.sort_by(|a, b| {
                         (a.2.command(), a.4.as_str(), a.0).cmp(&(b.2.command(), b.4.as_str(), b.0))
                     });
 
                     // Intra-batch dedup: identical specs that arrived in
-                    // the *same* admission batch (so none of them could
-                    // see the other's response-cache entry yet) compute
-                    // once; the duplicates share the representative's
-                    // tail. The sort above makes duplicates adjacent.
+                    // the same admission batch are looked up and
+                    // computed once; the duplicates share the
+                    // representative's tail.
                     let mut dups: Vec<(u64, RequestId, Instant, String)> = Vec::new();
                     work.dedup_by(|item, kept| {
                         let dup = kept.4 == item.4;
@@ -543,6 +482,21 @@ where
                             dups.push((item.0, item.1.clone(), item.3, item.4.clone()));
                         }
                         dup
+                    });
+
+                    // A spec answered in an earlier batch is served from
+                    // the response-tail cache without running its handler.
+                    let mut batch_tails: HashMap<String, (String, bool)> = HashMap::new();
+                    work.retain(|(seq, id, _, t0, key)| match tails.get(key) {
+                        Some(tail) => {
+                            stats.response_cache_hits.fetch_add(1, Ordering::SeqCst);
+                            counter!("serve", "cache_hits").inc();
+                            stats.note_latency(*t0);
+                            pending.insert(*seq, assemble(id, &tail));
+                            batch_tails.insert(key.clone(), (tail, true));
+                            false
+                        }
+                        None => true,
                     });
 
                     let results = par_map(ThreadBudget::from(opts.workers), &work, |_, item| {
@@ -571,10 +525,15 @@ where
                         stats.note_latency(*t0);
                         (*seq, id.clone(), tail, ok, key.clone())
                     });
-                    let mut batch_tails: HashMap<String, (String, bool)> = HashMap::new();
                     for (seq, id, tail, ok, key) in results {
                         if ok {
-                            tails.put(key.clone(), tail.clone());
+                            // Under the request's fault scope, like its
+                            // handler: a `cache.evict` storm reaches
+                            // this cache too.
+                            let _fault_scope = htmpll_fault::scope_guard(Some(
+                                htmpll_fault::fnv64(key.as_bytes()),
+                            ));
+                            tails.insert(key.clone(), tail.clone());
                         } else {
                             stats.errors.fetch_add(1, Ordering::SeqCst);
                         }
@@ -582,8 +541,8 @@ where
                         batch_tails.insert(key, (tail, ok));
                     }
                     for (seq, id, t0, key) in dups {
-                        // The representative always ran; its tail is in
-                        // `batch_tails` whether it succeeded or failed.
+                        // The representative ran or hit the tail cache;
+                        // its tail is in `batch_tails` either way.
                         if let Some((tail, ok)) = batch_tails.get(&key) {
                             stats.response_cache_hits.fetch_add(1, Ordering::SeqCst);
                             counter!("serve", "cache_hits").inc();
@@ -596,7 +555,7 @@ where
                     }
                     for (seq, id, t0) in stats_jobs {
                         stats.note_latency(t0);
-                        pending.insert(seq, stats_envelope(&id, &stats, ctx, &tails, start, opts));
+                        pending.insert(seq, stats_envelope(&id, &stats, &tails, start, opts));
                     }
                 }
 
@@ -630,13 +589,11 @@ where
                     let responded = stats.responded.fetch_add(1, Ordering::SeqCst) + 1;
                     counter!("serve", "responses").inc();
                     if opts.log_every > 0 && responded % opts.log_every == 0 {
-                        let sweep = ctx.cache.stats();
                         eprintln!(
-                            "serve: {responded} responded | queue {} | shed {} | sweep-cache {}/{}",
+                            "serve: {responded} responded | queue {} | shed {} | response-cache {} hits",
                             stats.queue_depth.load(Ordering::SeqCst),
                             stats.shed.load(Ordering::SeqCst),
-                            sweep.hits,
-                            sweep.hits + sweep.misses,
+                            stats.response_cache_hits.load(Ordering::SeqCst),
                         );
                     }
                 }
@@ -678,7 +635,6 @@ where
     run?;
 
     let (p50, p99, _) = stats.latency_quantiles();
-    let sweep = ctx.cache.stats();
     Ok(ServeSummary {
         received: stats.received.load(Ordering::SeqCst),
         responded: stats.responded.load(Ordering::SeqCst),
@@ -686,8 +642,6 @@ where
         shed: stats.shed.load(Ordering::SeqCst),
         batches: stats.batches.load(Ordering::SeqCst),
         max_batch: stats.max_batch.load(Ordering::SeqCst),
-        sweep_cache_hits: sweep.hits,
-        sweep_cache_misses: sweep.misses,
         response_cache_hits: stats.response_cache_hits.load(Ordering::SeqCst),
         p50_latency_ns: p50,
         p99_latency_ns: p99,
@@ -739,17 +693,21 @@ fn assemble(id: &RequestId, tail: &str) -> String {
 }
 
 /// The `stats` request, answered inline by the dispatcher (it needs the
-/// live queue, not a worker).
+/// live queue, not a worker). In `response_cache`, `hits` counts the
+/// requests answered without running a handler (tail-cache hits plus
+/// in-batch duplicates); `misses` (the specs computed), `evictions`
+/// and `entries` are the tail cache's own [`CacheStats`].
+///
+/// [`CacheStats`]: crate::num::CacheStats
 fn stats_envelope(
     id: &RequestId,
     stats: &ServeStats,
-    ctx: &ServiceCtx,
-    tails: &TailCache,
+    tails: &BoundedCache<String, String>,
     start: Instant,
     opts: &ServeOptions,
 ) -> String {
     let (p50, p99, count) = stats.latency_quantiles();
-    let sweep = ctx.cache.stats();
+    let tail = tails.stats();
     let batches = stats.batches.load(Ordering::SeqCst);
     let dispatched = stats.dispatched.load(Ordering::SeqCst);
     let occupancy = if batches == 0 {
@@ -757,18 +715,11 @@ fn stats_envelope(
     } else {
         dispatched as f64 / batches as f64
     };
-    let sweep_total = sweep.hits + sweep.misses;
-    let hit_rate = if sweep_total == 0 {
-        0.0
-    } else {
-        sweep.hits as f64 / sweep_total as f64
-    };
     let result = format!(
         "{{\"uptime_ns\":{},\"received\":{},\"responded\":{},\"queue_depth\":{},\
          \"queue_max\":{},\"shed\":{},\"errors\":{},\"batches\":{},\"max_batch\":{},\
          \"batch_occupancy\":{},\"latency\":{{\"p50_ns\":{},\"p99_ns\":{},\"count\":{}}},\
-         \"sweep_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}},\
-         \"response_cache\":{{\"hits\":{},\"entries\":{}}}}}",
+         \"response_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}}}",
         start.elapsed().as_nanos(),
         stats.received.load(Ordering::SeqCst),
         stats.responded.load(Ordering::SeqCst),
@@ -782,12 +733,10 @@ fn stats_envelope(
         p50,
         p99,
         count,
-        sweep.hits,
-        sweep.misses,
-        sweep.evictions,
-        json::num(hit_rate),
         stats.response_cache_hits.load(Ordering::SeqCst),
-        tails.len(),
+        tail.misses,
+        tail.evictions,
+        tail.entries,
     );
     format!(
         "{{\"schema\":\"plltool/v1\",{}\"command\":\"stats\",\"ok\":true,\"result\":{result},\"quality\":null}}",
@@ -808,8 +757,8 @@ impl Drop for SocketCleanup {
 }
 
 /// Accepts connections on a Unix socket sequentially, serving each with
-/// the *same* context — the sweep and response caches stay
-/// warm across connections. Runs until the process is killed.
+/// the *same* context; each connection starts with an empty response
+/// cache. Runs until the process is killed.
 #[cfg(unix)]
 pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
     use std::os::unix::net::UnixListener;
@@ -864,7 +813,8 @@ mod tests {
         assert!(lines[1]
             .starts_with("{\"schema\":\"plltool/v1\",\"id\":2,\"command\":\"step\",\"ok\":true"));
         assert!(lines[2].contains("\"command\":\"stats\""));
-        assert!(lines[2].contains("\"sweep_cache\""));
+        assert!(lines[2].contains("\"response_cache\":{\"hits\":0,\"misses\":2,"));
+        assert!(!lines[2].contains("sweep_cache"));
         assert_eq!(summary.received, 3);
         assert_eq!(summary.responded, 3);
         assert_eq!(summary.shed, 0);

@@ -5,9 +5,7 @@
 //! change to candidate generation, screening, or merge order shows up
 //! as a CI diff rather than a silent result shift.
 
-use htmpll::core::{
-    explore, DesignParams, DesignPoint, ExploreSpec, ParetoFront, SweepCache, EXPLORE_BLOCK,
-};
+use htmpll::core::{explore, DesignParams, DesignPoint, ExploreSpec, ParetoFront, EXPLORE_BLOCK};
 use htmpll::num::rng::Rng;
 use htmpll::par::{Deadline, ThreadBudget};
 
@@ -164,7 +162,7 @@ fn thread_count_does_not_change_the_front_across_blocks() {
     let mut runs = Vec::new();
     for threads in [1usize, 2, 4] {
         spec.threads = ThreadBudget::Fixed(threads);
-        runs.push(explore(&spec, &SweepCache::new(), &Deadline::none()).unwrap());
+        runs.push(explore(&spec, &Deadline::none()).unwrap());
     }
     for r in &runs[1..] {
         assert_eq!(runs[0].digest, r.digest);
@@ -175,7 +173,7 @@ fn thread_count_does_not_change_the_front_across_blocks() {
 
 #[test]
 fn seeded_smoke_pins_front_digest() {
-    let report = explore(&tight_spec(10_000), &SweepCache::new(), &Deadline::none()).unwrap();
+    let report = explore(&tight_spec(10_000), &Deadline::none()).unwrap();
     assert_eq!(report.evaluated, 10_000);
     assert_eq!(report.failed, 0, "no candidate may fail outright");
     assert!(report.front.len() > 3, "front too small to be meaningful");

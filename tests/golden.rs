@@ -4,7 +4,7 @@
 //! future change that silently alters the physics (sign conventions,
 //! gain factors, normalizations) fails loudly rather than drifting.
 
-use htmpll::core::{analyze, PllDesign, PllModel, SweepCache};
+use htmpll::core::{analyze, PllDesign, PllModel};
 use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::zdomain::reference_design_stability_limit;
 
@@ -14,7 +14,6 @@ fn report(ratio: f64) -> htmpll::core::AnalysisReport {
             .build()
             .unwrap(),
         ThreadBudget::Auto,
-        &SweepCache::new(),
         &Deadline::none(),
     )
     .unwrap()

@@ -24,7 +24,7 @@
 use htmpll::core::explore::{screen_passes, ExploreWorkspace};
 use htmpll::core::{
     analyze, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
-    EffectiveGain, PllDesign, PllModel, SweepCache, EXPLORE_F_REF,
+    EffectiveGain, PllDesign, PllModel, EXPLORE_F_REF,
 };
 use htmpll::lti::Tf;
 use htmpll::num::hash::Fnv1a;
@@ -156,12 +156,7 @@ fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 
 fn analysis_of(design: Result<PllDesign, CoreError>) -> Result<AnalysisReport, CoreError> {
     let model = PllModel::builder(design?).build()?;
-    analyze(
-        &model,
-        ThreadBudget::Fixed(1),
-        &SweepCache::new(),
-        &Deadline::none(),
-    )
+    analyze(&model, ThreadBudget::Fixed(1), &Deadline::none())
 }
 
 #[test]

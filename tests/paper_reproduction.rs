@@ -3,7 +3,7 @@
 //! Each test ties at least two workspace crates together and checks one
 //! of the DATE-2003 paper's experimental claims at the system level.
 
-use htmpll::core::{analyze, AnalysisReport, PllDesign, PllModel, SweepCache};
+use htmpll::core::{analyze, AnalysisReport, PllDesign, PllModel};
 use htmpll::htm::Truncation;
 use htmpll::num::Complex;
 use htmpll::par::{Deadline, ThreadBudget};
@@ -14,13 +14,7 @@ fn reference_report(ratio: f64) -> AnalysisReport {
     let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
         .build()
         .unwrap();
-    analyze(
-        &m,
-        ThreadBudget::Auto,
-        &SweepCache::new(),
-        &Deadline::none(),
-    )
-    .unwrap()
+    analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
 }
 
 /// Paper §5 / Fig. 6: HTM closed-loop prediction vs time-marching

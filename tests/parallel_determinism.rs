@@ -19,7 +19,7 @@ fn model(ratio: f64) -> PllModel {
 }
 
 fn analysis(m: &PllModel, threads: ThreadBudget) -> AnalysisReport {
-    analyze(m, threads, &SweepCache::new(), &Deadline::none()).unwrap()
+    analyze(m, threads, &Deadline::none()).unwrap()
 }
 
 fn assert_bits(a: f64, b: f64, what: &str) {
@@ -149,7 +149,7 @@ fn cache_hits_return_the_first_evaluation_bitwise() {
         .closed_loop_htm_grid_robust(&spec, &cache)
         .into_strict()
         .unwrap();
-    assert_eq!(cache.dense_entries(), 7);
+    assert_eq!(cache.stats().entries, 7);
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.as_matrix().max_diff(b.as_matrix()), 0.0);
     }

@@ -476,13 +476,7 @@ fn banded_lu_matches_dense_lu_across_24_decades() {
 fn analysis_quality_summary_is_consistent() {
     for ratio in [0.05, 0.25, 0.45] {
         let m = model(ratio);
-        let report = analyze(
-            &m,
-            ThreadBudget::Fixed(1),
-            &SweepCache::new(),
-            &Deadline::none(),
-        )
-        .unwrap();
+        let report = analyze(&m, ThreadBudget::Fixed(1), &Deadline::none()).unwrap();
         let q = &report.quality;
         assert_eq!(
             q.exact + q.refined + q.perturbed + q.failed,

@@ -6,7 +6,7 @@
 
 use htmpll::core::{
     analyze, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
-    EffectiveGain, PllDesign, PllModel, SweepCache, EXPLORE_F_REF,
+    EffectiveGain, PllDesign, PllModel, EXPLORE_F_REF,
 };
 use htmpll::htm::strip_zero_count;
 use htmpll::lti::Tf;
@@ -73,7 +73,7 @@ fn z_form_is_unit_free() {
         let d = PllDesign::synthesize(f_ref, 100.0, 1e8 * PI, 0.3 * 2.0 * PI * f_ref, 4.0, 1e-9)
             .unwrap();
         let m = PllModel::builder(d).build().unwrap();
-        m.lambda().characteristic().clone()
+        m.lambda().characteristic()
     };
     let base = shape(10e6);
     for f_ref in [100e6, 1e9] {
@@ -104,13 +104,7 @@ fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 }
 
 fn report(model: &PllModel) -> AnalysisReport {
-    analyze(
-        model,
-        ThreadBudget::Fixed(1),
-        &SweepCache::new(),
-        &Deadline::none(),
-    )
-    .unwrap()
+    analyze(model, ThreadBudget::Fixed(1), &Deadline::none()).unwrap()
 }
 
 /// `analyze`'s exact verdict against the argument principle: the

@@ -45,3 +45,38 @@ fn report_digest_is_deterministic_across_thread_budgets() {
 fn unknown_corpus_is_rejected() {
     assert!(run_corpus("no-such-corpus", ThreadBudget::Fixed(1)).is_err());
 }
+
+/// A loop zero between the axis and the winding contour: the shaped
+/// reference design at ratio 0.284, spread 6 has its first strip pole
+/// at 8.216e-5 + 1.7606j, right of the axis but left of the contour at
+/// `Re s = 10⁻⁴·ω_UG`. `analyze` rightly calls it unstable while the
+/// winding count reads 0; the row compares the two counts right of the
+/// same contour, so it agrees.
+#[test]
+fn strip_zero_left_of_the_winding_contour_grades_agree() {
+    use htmpll::xcheck::{run_scenario, FilterKind, Scenario};
+    let s = Scenario {
+        name: "shaped-0.284-spread-6".into(),
+        ratio: 0.284,
+        filter: FilterKind::Second { spread: 6.0 },
+        delay: None,
+        isf: false,
+        sim: false,
+    };
+    let model = s.model().expect("model builds");
+    let report = analyze(&model, ThreadBudget::Fixed(1), &Deadline::none()).expect("analyze");
+    assert!(!report.nyquist_stable);
+    let first = dominant_poles(&model).expect("poles")[0];
+    assert!(
+        first.re > 0.0 && first.re < 1e-4 * report.omega_ug_lti,
+        "{first}"
+    );
+
+    let rep = run_scenario(&s).expect("scenario runs");
+    let row = rep
+        .checks
+        .iter()
+        .find(|c| c.check == "strip-roots-vs-winding")
+        .expect("strip-roots-vs-winding row");
+    assert!(matches!(row.verdict, Verdict::Agree), "{:?}", row.verdict);
+}
