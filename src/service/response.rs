@@ -997,6 +997,41 @@ mod tests {
     }
 
     #[test]
+    fn error_envelopes_keep_their_bytes() {
+        let shed = ServiceError {
+            command: String::new(),
+            code: "shed",
+            message: "queue full (2 deep); request shed — retry".to_string(),
+            retryable: true,
+            quality: None,
+        };
+        assert_eq!(
+            envelope(&Response::Error(shed), &RequestId::Num(4.0), None),
+            "{\"schema\":\"plltool/v1\",\"id\":4,\"command\":null,\"ok\":false,\"error\":\
+             {\"code\":\"shed\",\"message\":\"queue full (2 deep); request shed — retry\",\
+             \"retryable\":true}}"
+        );
+        let bad = ServiceError::bad_request("invalid JSON: \"x\"".to_string());
+        assert_eq!(
+            envelope(&Response::Error(bad), &RequestId::None, None),
+            "{\"schema\":\"plltool/v1\",\"command\":null,\"ok\":false,\"error\":\
+             {\"code\":\"bad_request\",\"message\":\"invalid JSON: \\\"x\\\"\",\
+             \"retryable\":false}}"
+        );
+        let unsupported = ServiceError::unsupported("metrics", "use the CLI".to_string());
+        assert_eq!(
+            envelope(
+                &Response::Error(unsupported),
+                &RequestId::Str("m".to_string()),
+                None
+            ),
+            "{\"schema\":\"plltool/v1\",\"id\":\"m\",\"command\":\"metrics\",\"ok\":false,\
+             \"error\":{\"code\":\"unsupported\",\"message\":\"use the CLI\",\
+             \"retryable\":false}}"
+        );
+    }
+
+    #[test]
     fn doctor_failure_keeps_result_and_reports_error() {
         let d = Response::Doctor(DoctorOut {
             design_display: "d".to_string(),

@@ -217,6 +217,71 @@ fn served_bytes_are_pinned() {
 }
 
 #[test]
+fn every_envelope_kind_keeps_its_bytes() {
+    let input = concat!(
+        "this is not json\n",
+        "{\"id\":\"u\",\"command\":\"nonsense\",\"params\":{}}\n",
+        "{\"id\":\"f\",\"command\":\"analyze\",\"params\":{\"ratio\":-1}}\n",
+        "{\"id\":\"t\",\"command\":\"analyze\",\"params\":{\"ratio\":0.1,\"threads\":100000}}\n",
+        "{\"id\":\"m\",\"command\":\"metrics\",\"params\":{}}\n",
+        "{\"id\":1,\"command\":\"step\",\"params\":{\"ratio\":0.1,\"points\":3}}\n",
+        "{\"id\":2,\"command\":\"step\",\"params\":{\"ratio\":0.1,\"points\":3}}\n",
+        "{\"id\":3,\"command\":\"step\",\"params\":{\"ratio\":0.1,\"points\":3}}\n",
+        "{\"id\":\"s\",\"command\":\"stats\"}\n",
+    );
+    let step = "\"command\":\"step\",\"ok\":true,\"result\":{\"points\":[\
+                {\"t\":13.333333333333334,\"y\":1.005810619176721},\
+                {\"t\":26.666666666666664,\"y\":1.0000578968813474},\
+                {\"t\":40,\"y\":1.0000005768054714}]},\"quality\":null}";
+    let want = [
+        "{\"schema\":\"plltool/v1\",\"command\":null,\"ok\":false,\"error\":{\"code\":\"bad_request\",\
+         \"message\":\"invalid JSON: expected 'true' at byte 0\",\"retryable\":false}}"
+            .to_string(),
+        "{\"schema\":\"plltool/v1\",\"id\":\"u\",\"command\":null,\"ok\":false,\"error\":\
+         {\"code\":\"bad_request\",\"message\":\"unknown command `nonsense`\",\"retryable\":false}}"
+            .to_string(),
+        "{\"schema\":\"plltool/v1\",\"id\":\"f\",\"command\":\"analyze\",\"ok\":false,\"error\":\
+         {\"code\":\"failed\",\"message\":\"parameter omega_ug_ratio must be positive and finite, \
+         got -1\",\"retryable\":false}}"
+            .to_string(),
+        "{\"schema\":\"plltool/v1\",\"id\":\"t\",\"command\":null,\"ok\":false,\"error\":\
+         {\"code\":\"bad_request\",\"message\":\"--threads: `100000` exceeds the limit of 256\",\
+         \"retryable\":false}}"
+            .to_string(),
+        "{\"schema\":\"plltool/v1\",\"id\":\"m\",\"command\":\"metrics\",\"ok\":false,\"error\":\
+         {\"code\":\"unsupported\",\"message\":\"`metrics` mutates process-global state; run it \
+         via the plltool CLI\",\"retryable\":false}}"
+            .to_string(),
+        format!("{{\"schema\":\"plltool/v1\",\"id\":1,{step}"),
+        format!("{{\"schema\":\"plltool/v1\",\"id\":2,{step}"),
+        format!("{{\"schema\":\"plltool/v1\",\"id\":3,{step}"),
+    ];
+
+    let (out, summary) = run_inproc(input, 2);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), want.len() + 1, "{out}");
+    for (got, want) in lines.iter().zip(&want) {
+        assert_eq!(got, want);
+    }
+    // The stats line: five errors ahead of it, its own latency sample
+    // counted, and one computed step spec answering the two repeats.
+    let stats = lines[want.len()];
+    assert!(
+        stats.starts_with(
+            "{\"schema\":\"plltool/v1\",\"id\":\"s\",\"command\":\"stats\",\"ok\":true,\
+             \"result\":{\"uptime_ns\":"
+        ) && stats.ends_with(
+            ",\"response_cache\":{\"hits\":2,\"misses\":2,\"evictions\":0,\"entries\":1}},\
+             \"quality\":null}"
+        ) && stats.contains("\"received\":9,")
+            && stats.contains("\"errors\":5,")
+            && stats.contains(",\"count\":9},"),
+        "{stats}"
+    );
+    assert_eq!((summary.errors, summary.response_cache_hits), (5, 2));
+}
+
+#[test]
 fn oversized_thread_request_is_rejected_before_any_work() {
     // 100000 would ask the shared pool for thousands of OS threads; the
     // request layer turns it away at parse time, so no map starts.
