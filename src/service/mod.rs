@@ -32,9 +32,9 @@ mod server;
 
 pub use chaos::{build_corpus, default_plan, run_chaos, ChaosOptions, ChaosReport};
 pub use response::{
-    envelope, envelope_tail, error_envelope, AnalyzeOut, BodeOut, BodeRow, DoctorCheck, DoctorOut,
-    ExploreOut, MetricsOut, OptimizeOut, ProfileOut, Response, ServiceError, ShMargins, SpurOut,
-    SweepOut, SweepRow, TransientOut, XcheckOut,
+    envelope, envelope_tail, AnalyzeOut, BodeOut, BodeRow, DoctorCheck, DoctorOut, ExploreOut,
+    MetricsOut, OptimizeOut, ProfileOut, Response, ServiceError, ShMargins, SpurOut, SweepOut,
+    SweepRow, TransientOut, XcheckOut,
 };
 #[cfg(unix)]
 pub use server::serve_unix;
@@ -48,7 +48,8 @@ use std::time::Duration;
 /// Shared state threaded through every request execution.
 ///
 /// The context is `Send + Sync`: the serve dispatcher shares one
-/// instance (behind an `Arc`) across all pool workers.
+/// instance across all pool workers (and, on a socket, across all
+/// connections).
 pub struct ServiceCtx {
     /// Per-request wall-clock budget in milliseconds. `None` means
     /// unbounded; when set, [`ServiceCtx::begin_request`] arms a fresh

@@ -316,6 +316,9 @@ pub enum Response {
     Metrics(MetricsOut),
     /// `profile` output.
     Profile(ProfileOut),
+    /// `stats` output: the live counters of a running `plltool serve`
+    /// as a JSON object (only the serve dispatcher builds it).
+    Stats(String),
     /// A structured failure.
     Error(ServiceError),
 }
@@ -337,6 +340,7 @@ impl Response {
             Response::Xcheck(_) => Some("xcheck"),
             Response::Metrics(_) => Some("metrics"),
             Response::Profile(_) => Some("profile"),
+            Response::Stats(_) => Some("stats"),
             Response::Error(e) => {
                 if e.command.is_empty() {
                     None
@@ -434,6 +438,9 @@ impl Response {
                 t.push_str(&m.table);
             }
             Response::Profile(p) => t.push_str(&p.table),
+            Response::Stats(json) => {
+                let _ = writeln!(t, "{json}");
+            }
             Response::Error(_) => {}
         }
         t
@@ -549,6 +556,7 @@ impl Response {
             Response::Xcheck(x) => Some(x.report_json.clone()),
             Response::Metrics(m) => Some(m.export_json.clone()),
             Response::Profile(p) => Some(p.report_json.clone()),
+            Response::Stats(json) => Some(json.clone()),
             Response::Error(_) => None,
         }
     }
@@ -938,28 +946,14 @@ pub fn envelope_tail(resp: &Response, metrics_json: Option<&str>) -> String {
 
 /// The full versioned envelope for one response.
 pub fn envelope(resp: &Response, id: &RequestId, metrics_json: Option<&str>) -> String {
-    format!(
-        "{{\"schema\":\"plltool/v1\",{}{}",
-        id.json_fragment(),
-        envelope_tail(resp, metrics_json)
-    )
+    envelope_from_tail(id, &envelope_tail(resp, metrics_json))
 }
 
-/// An envelope for a failure that never produced a [`Response`]
-/// (malformed line, shed request): same shape, built directly.
-pub fn error_envelope(id: &RequestId, err: &ServiceError) -> String {
-    let command = if err.command.is_empty() {
-        "null".to_string()
-    } else {
-        str_lit(&err.command)
-    };
-    format!(
-        "{{\"schema\":\"plltool/v1\",{}\"command\":{command},\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":{},\"retryable\":{}}}}}",
-        id.json_fragment(),
-        err.code,
-        str_lit(&err.message),
-        err.retryable
-    )
+/// [`envelope`] around a tail [`envelope_tail`] already rendered (serve
+/// answers cached tails this way): the one place the
+/// `{"schema":"plltool/v1",` prefix is written.
+pub(crate) fn envelope_from_tail(id: &RequestId, tail: &str) -> String {
+    format!("{{\"schema\":\"plltool/v1\",{}{tail}", id.json_fragment())
 }
 
 #[allow(clippy::unwrap_used)]

@@ -10,15 +10,18 @@
 //! ```text
 //!            reader thread                dispatcher (caller thread)
 //!  stdin ──► parse line ──► bounded ──► admission batch (≤ batch_max)
-//!            + request id    queue        │  sort by (command, spec)
+//!            + request id    queue        │  group waiters by canonical spec
 //!                            │            ▼
-//!                     full? ─┤        response-tail cache ──► hits
-//!              block (default)            │
+//!                     full? ─┤        tail cache ──► hit: no handler
+//!              block (default)            │ miss
 //!              or shed (--shed)           ▼
-//!                                   par_map ──► envelope tails
-//!                                         │
-//!                                         ▼
-//!                               in-order flush (seq-keyed reorder map)
+//!                            │      par_map: one handler run per spec
+//!                            │            │
+//!                            └─ shed ─────┴──► answer (every line: latency,
+//!                                               error, hit, reorder map)
+//!                                                  │
+//!                                                  ▼
+//!                                       in-order flush (by sequence number)
 //! ```
 //!
 //! * **Backpressure**: the queue holds at most `queue_max` parsed
@@ -27,11 +30,18 @@
 //!   instead sheds the overflow request immediately with a structured
 //!   `"code":"shed"` error so latency stays bounded.
 //! * **Admission batching**: the dispatcher drains whatever is queued
-//!   (up to `batch_max`) into one batch and sorts it by
-//!   `(command, canonical spec)`, so identical specs sit adjacent and
-//!   compute once per batch. A spec answered in an earlier batch is
-//!   served from the response-tail cache (a bounded LRU of 1,024
-//!   id-less envelope tails) without running its handler.
+//!   (up to `batch_max`) into one batch and groups its requests by
+//!   canonical spec, so each distinct spec is looked up once in the
+//!   response-tail cache (a bounded LRU of 1,024 id-less envelope
+//!   tails) and computed at most once; every other request of its
+//!   group shares that tail. The cache lives as long as the server:
+//!   one stream for [`serve_lines`], every connection for
+//!   [`serve_unix`].
+//! * **One answer path**: every response line — computed, cached,
+//!   duplicate, error, shed or `stats` — passes through one function
+//!   that records its latency, error and cache hit and files it in the
+//!   sequence-keyed reorder map. Every line is a [`envelope`], or a
+//!   cached tail behind the same prefix.
 //! * **Graceful degradation**: a request can fail three ways — a
 //!   malformed line (`bad_request`), a handler error (`failed`, e.g. an
 //!   invalid design), or a handler panic (`panic`, contained by
@@ -44,16 +54,18 @@
 //!   responses are reassembled by sequence number, and floats
 //!   serialize via shortest-roundtrip `Display` — so the response
 //!   stream is byte-identical for 1 or N workers.
+//!
+//! [`envelope`]: super::envelope
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use super::response::{envelope_tail, error_envelope, Response, ServiceError};
+use super::response::{envelope, envelope_from_tail, envelope_tail, Response, ServiceError};
 use super::{handlers, json, ServiceCtx};
 use crate::num::BoundedCache;
 use crate::obs::JsonValue;
@@ -100,7 +112,7 @@ impl Default for ServeOptions {
 
 /// What one serve run did, returned to the front-end for its summary
 /// line. Latency is measured per request from parse to envelope.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeSummary {
     /// Non-empty input lines seen.
     pub received: u64,
@@ -144,10 +156,10 @@ impl ServeSummary {
     }
 }
 
-/// Recovers a poisoned mutex: serve state (counters, shed list) stays
-/// valid across a panic unwound mid-update. Every recovery
-/// is counted (`serve/lock_poisoned`) so a fault-injection or chaos run
-/// can verify the containment path actually executed.
+/// Recovers a poisoned mutex: serve state (the shed list, the in-flight
+/// deadlines) stays valid across a panic unwound mid-update. Every
+/// recovery is counted (`serve/lock_poisoned`) so a fault-injection or
+/// chaos run can verify the containment path actually executed.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| {
         counter!("serve", "lock_poisoned").inc();
@@ -155,35 +167,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// Live counters shared between the reader, the workers, and the
-/// dispatcher; the `stats` request and the final summary read them.
+/// The counters the reader thread writes; the dispatcher reads them
+/// for `stats`, progress lines and the final summary. Everything else
+/// is counted by the dispatcher alone, in its [`ServeSummary`].
 #[derive(Default)]
-struct ServeStats {
+struct ReaderCounts {
     received: AtomicU64,
-    responded: AtomicU64,
-    errors: AtomicU64,
     shed: AtomicU64,
-    batches: AtomicU64,
-    dispatched: AtomicU64,
-    max_batch: AtomicU64,
     queue_depth: AtomicU64,
-    response_cache_hits: AtomicU64,
-    latencies_ns: Mutex<Vec<u64>>,
-}
-
-impl ServeStats {
-    fn note_latency(&self, t0: Instant) {
-        let ns = t0.elapsed().as_nanos() as u64;
-        htmpll_obs::record!("serve", "latency_ns").record(ns as f64);
-        lock(&self.latencies_ns).push(ns);
-    }
-
-    /// (p50, p99, count) over latencies recorded so far, nearest-rank.
-    fn latency_quantiles(&self) -> (u64, u64, usize) {
-        let mut xs = lock(&self.latencies_ns).clone();
-        xs.sort_unstable();
-        (percentile(&xs, 0.50), percentile(&xs, 0.99), xs.len())
-    }
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -200,12 +191,39 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// without recomputation. Only fully-ok responses are stored.
 const TAIL_CACHE_CAP: usize = 1024;
 
-/// One parsed input line traveling reader → queue → dispatcher.
-struct LineJob {
+/// The response-tail cache one server keeps for its whole life.
+type TailCache = BoundedCache<String, String>;
+
+/// One request awaiting its response line.
+struct Waiter {
     seq: u64,
     id: RequestId,
-    parsed: Result<Request, String>,
+    /// When the line was parsed; the request's latency starts here.
     t0: Instant,
+}
+
+/// One parsed input line traveling reader → queue → dispatcher.
+struct LineJob {
+    waiter: Waiter,
+    parsed: Result<Request, String>,
+}
+
+/// How a waiter is answered; [`Dispatcher::answer`] turns each into
+/// its one response line.
+enum Answer<'a> {
+    /// A failure that never reached a handler: a malformed line, an
+    /// unservable command, a shed request.
+    Error(ServiceError),
+    /// The live `stats` snapshot.
+    Stats,
+    /// A spec's id-less envelope tail. `computed` is when this
+    /// waiter's handler finished; `None` marks an answer that ran no
+    /// handler (a tail-cache hit or an in-batch duplicate).
+    Tail {
+        tail: &'a str,
+        ok: bool,
+        computed: Option<Instant>,
+    },
 }
 
 /// Best-effort id recovery for lines that fail request parsing but are
@@ -223,8 +241,8 @@ fn id_of_line(line: &str) -> RequestId {
 
 /// Runs the service over a line-delimited input until EOF, writing one
 /// envelope line per request to `output` in input order. Creates a
-/// fresh context; see [`serve_unix`] for the socket front-end that
-/// keeps it warm across connections.
+/// fresh context and an empty response-tail cache; see [`serve_unix`]
+/// for the socket front-end that keeps both warm across connections.
 pub fn serve_lines<R, W>(
     input: R,
     output: &mut W,
@@ -234,38 +252,48 @@ where
     R: BufRead + Send,
     W: Write,
 {
-    let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
-    serve_on(&ctx, input, output, opts)
+    let ctx = ServiceCtx::with_deadline_ms(opts.deadline_ms);
+    serve_on(&ctx, input, output, opts, &TailCache::new(TAIL_CACHE_CAP))
 }
 
-/// The serve core: one connection/stream against a shared context
-/// (it outlives the call, carrying the watchdog's in-flight list).
+/// The serve core: one connection/stream against a context and a
+/// response-tail cache that both outlive the call.
 fn serve_on<R, W>(
-    ctx: &Arc<ServiceCtx>,
+    ctx: &ServiceCtx,
     input: R,
     output: &mut W,
     opts: &ServeOptions,
+    tails: &TailCache,
 ) -> Result<ServeSummary, String>
 where
     R: BufRead + Send,
     W: Write,
 {
     let start = Instant::now();
-    let stats = Arc::new(ServeStats::default());
-    let shed_list: Arc<Mutex<Vec<(u64, RequestId)>>> = Arc::new(Mutex::new(Vec::new()));
-    let tails: BoundedCache<String, String> = BoundedCache::new(TAIL_CACHE_CAP);
+    let counts = ReaderCounts::default();
+    let shed_list: Mutex<Vec<Waiter>> = Mutex::new(Vec::new());
+    let mut d = Dispatcher {
+        ctx,
+        opts,
+        start,
+        counts: &counts,
+        tails,
+        summary: ServeSummary::default(),
+        dispatched: 0,
+        latencies_ns: Vec::new(),
+        pending: BTreeMap::new(),
+    };
     let batch_max = opts.batch_max.max(1);
 
     // Dispatcher heartbeat (milliseconds since `start`) for the
     // watchdog: stamped whenever the dispatcher makes progress.
-    let heartbeat = Arc::new(AtomicU64::new(0));
-    let watchdog_stop = Arc::new(AtomicBool::new(false));
+    let heartbeat = AtomicU64::new(0);
+    let watchdog_stop = AtomicBool::new(false);
 
     let run: Result<(), String> = std::thread::scope(|scope| {
         let (tx, rx) = sync_channel::<LineJob>(opts.queue_max.max(1));
-        let reader_stats = Arc::clone(&stats);
-        let reader_shed = Arc::clone(&shed_list);
-        let shed_mode = opts.shed;
+        let (counts, shed_list, heartbeat, watchdog_stop) =
+            (&counts, &shed_list, &heartbeat, &watchdog_stop);
 
         // Watchdog: while requests are in flight, a dispatcher that has
         // not stamped its heartbeat within the grace window is treated
@@ -274,16 +302,13 @@ where
         // responses. Only armed together with `--deadline-ms` — without
         // a budget there is no contract on how long a request may run.
         if let Some(deadline_ms) = opts.deadline_ms {
-            let stop = Arc::clone(&watchdog_stop);
-            let hb = Arc::clone(&heartbeat);
-            let wd_ctx = Arc::clone(ctx);
             scope.spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
+                while !watchdog_stop.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(50));
                     let now_ms = start.elapsed().as_millis() as u64;
-                    let stale_ms = now_ms.saturating_sub(hb.load(Ordering::SeqCst));
+                    let stale_ms = now_ms.saturating_sub(heartbeat.load(Ordering::SeqCst));
                     let inflight = {
-                        let mut handles = lock(&wd_ctx.inflight);
+                        let mut handles = lock(&ctx.inflight);
                         handles.retain(crate::par::WeakDeadline::is_alive);
                         handles.len()
                     };
@@ -293,16 +318,17 @@ where
                             "serve: watchdog: dispatcher quiet for {stale_ms}ms with {inflight} \
                              in-flight request(s); cancelling their deadlines"
                         );
-                        for handle in lock(&wd_ctx.inflight).iter() {
+                        for handle in lock(&ctx.inflight).iter() {
                             handle.cancel();
                         }
                         // Re-arm instead of re-tripping every tick.
-                        hb.store(now_ms, Ordering::SeqCst);
+                        heartbeat.store(now_ms, Ordering::SeqCst);
                     }
                 }
             });
         }
 
+        let shed_mode = opts.shed;
         let reader = scope.spawn(move || -> Result<(), String> {
             let mut seq: u64 = 0;
             for line in input.lines() {
@@ -324,35 +350,37 @@ where
                 if line.trim().is_empty() {
                     continue;
                 }
-                reader_stats.received.fetch_add(1, Ordering::SeqCst);
+                counts.received.fetch_add(1, Ordering::SeqCst);
                 counter!("serve", "requests").inc();
                 let (id, parsed) = match Request::from_json_line(&line) {
                     Ok((id, req)) => (id, Ok(req)),
                     Err(e) => (id_of_line(&line), Err(e)),
                 };
                 let job = LineJob {
-                    seq,
-                    id,
+                    waiter: Waiter {
+                        seq,
+                        id,
+                        t0: Instant::now(),
+                    },
                     parsed,
-                    t0: Instant::now(),
                 };
                 seq += 1;
                 if shed_mode {
                     match tx.try_send(job) {
                         Ok(()) => {
-                            reader_stats.queue_depth.fetch_add(1, Ordering::SeqCst);
+                            counts.queue_depth.fetch_add(1, Ordering::SeqCst);
                         }
                         Err(TrySendError::Full(job)) => {
-                            reader_stats.shed.fetch_add(1, Ordering::SeqCst);
+                            counts.shed.fetch_add(1, Ordering::SeqCst);
                             counter!("serve", "shed").inc();
-                            lock(&reader_shed).push((job.seq, job.id));
+                            lock(shed_list).push(job.waiter);
                         }
                         Err(TrySendError::Disconnected(_)) => {
                             return Err("serve: dispatcher hung up".to_string());
                         }
                     }
                 } else {
-                    reader_stats.queue_depth.fetch_add(1, Ordering::SeqCst);
+                    counts.queue_depth.fetch_add(1, Ordering::SeqCst);
                     if tx.send(job).is_err() {
                         return Err("serve: dispatcher hung up".to_string());
                     }
@@ -362,7 +390,6 @@ where
         });
 
         let dispatch: Result<(), String> = (|| {
-            let mut pending: BTreeMap<u64, String> = BTreeMap::new();
             let mut next_out: u64 = 0;
             let mut open = true;
             let mut client_gone = false;
@@ -393,7 +420,7 @@ where
                         }
                     }
                 }
-                stats
+                counts
                     .queue_depth
                     .fetch_sub(batch.len() as u64, Ordering::SeqCst);
                 // Stamp after admission (the blocking receive above can
@@ -402,198 +429,33 @@ where
                 heartbeat.store(start.elapsed().as_millis() as u64, Ordering::SeqCst);
 
                 if !batch.is_empty() {
-                    stats.batches.fetch_add(1, Ordering::SeqCst);
-                    stats
-                        .dispatched
-                        .fetch_add(batch.len() as u64, Ordering::SeqCst);
-                    stats
-                        .max_batch
-                        .fetch_max(batch.len() as u64, Ordering::SeqCst);
-                    counter!("serve", "batches").inc();
-
-                    // Partition: inline answers (errors, stats) vs.
-                    // servable requests.
-                    let mut work: Vec<(u64, RequestId, Request, Instant, String)> = Vec::new();
-                    let mut stats_jobs: Vec<(u64, RequestId, Instant)> = Vec::new();
-                    for job in batch {
-                        // Fault site: pretend this line failed envelope
-                        // parsing. Keyed by sequence number, so the set
-                        // of corrupted lines is a pure function of the
-                        // fault plan — independent of workers or timing.
-                        let parsed = if htmpll_fault::fires_global("serve.malformed", job.seq) {
-                            counter!("serve", "fault.malformed").inc();
-                            Err(format!(
-                                "fault injection: malformed envelope for line {}",
-                                job.seq
-                            ))
-                        } else {
-                            job.parsed
-                        };
-                        match parsed {
-                            Err(message) => {
-                                stats.errors.fetch_add(1, Ordering::SeqCst);
-                                stats.note_latency(job.t0);
-                                pending.insert(
-                                    job.seq,
-                                    error_envelope(&job.id, &ServiceError::bad_request(message)),
-                                );
-                            }
-                            Ok(Request::Stats) => {
-                                // Answered after the batch's pool work so
-                                // it reflects the requests queued ahead
-                                // of it (output order is seq-keyed and
-                                // unaffected).
-                                stats_jobs.push((job.seq, job.id, job.t0));
-                            }
-                            Ok(req) if !req.is_servable() => {
-                                stats.errors.fetch_add(1, Ordering::SeqCst);
-                                stats.note_latency(job.t0);
-                                let err = ServiceError::unsupported(
-                                    req.command(),
-                                    format!(
-                                        "`{}` mutates process-global state; run it via the plltool CLI",
-                                        req.command()
-                                    ),
-                                );
-                                pending.insert(job.seq, error_envelope(&job.id, &err));
-                            }
-                            Ok(req) => {
-                                let key = req.canonical_json();
-                                work.push((job.seq, job.id, req, job.t0, key));
-                            }
-                        }
-                    }
-
-                    // Sort so identical specs sit adjacent, which the
-                    // in-batch dedup below relies on; the sequence number
-                    // breaks ties, so the first arrival represents them.
-                    work.sort_by(|a, b| {
-                        (a.2.command(), a.4.as_str(), a.0).cmp(&(b.2.command(), b.4.as_str(), b.0))
-                    });
-
-                    // Intra-batch dedup: identical specs that arrived in
-                    // the same admission batch are looked up and
-                    // computed once; the duplicates share the
-                    // representative's tail.
-                    let mut dups: Vec<(u64, RequestId, Instant, String)> = Vec::new();
-                    work.dedup_by(|item, kept| {
-                        let dup = kept.4 == item.4;
-                        if dup {
-                            dups.push((item.0, item.1.clone(), item.3, item.4.clone()));
-                        }
-                        dup
-                    });
-
-                    // A spec answered in an earlier batch is served from
-                    // the response-tail cache without running its handler.
-                    let mut batch_tails: HashMap<String, (String, bool)> = HashMap::new();
-                    work.retain(|(seq, id, _, t0, key)| match tails.get(key) {
-                        Some(tail) => {
-                            stats.response_cache_hits.fetch_add(1, Ordering::SeqCst);
-                            counter!("serve", "cache_hits").inc();
-                            stats.note_latency(*t0);
-                            pending.insert(*seq, assemble(id, &tail));
-                            batch_tails.insert(key.clone(), (tail, true));
-                            false
-                        }
-                        None => true,
-                    });
-
-                    let results = par_map(ThreadBudget::from(opts.workers), &work, |_, item| {
-                        let (seq, id, req, t0, key) = item;
-                        // Pin the ambient fault scope to the request's
-                        // canonical spec: scope-gated fault rules then
-                        // select the same victim *requests* regardless
-                        // of worker count, batch shape, or arrival
-                        // order.
-                        let _fault_scope =
-                            htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
-                        let resp = catch_unwind(AssertUnwindSafe(|| handlers::handle(req, ctx)))
-                            .unwrap_or_else(|_| {
-                                Response::Error(ServiceError {
-                                    command: req.command().to_string(),
-                                    code: "panic",
-                                    message: "request handler panicked; the panic was \
-                                                  contained and only this request failed"
-                                        .to_string(),
-                                    retryable: false,
-                                    quality: None,
-                                })
-                            });
-                        let ok = resp.failure().is_none();
-                        let tail = envelope_tail(&resp, None);
-                        stats.note_latency(*t0);
-                        (*seq, id.clone(), tail, ok, key.clone())
-                    });
-                    for (seq, id, tail, ok, key) in results {
-                        if ok {
-                            // Under the request's fault scope, like its
-                            // handler: a `cache.evict` storm reaches
-                            // this cache too.
-                            let _fault_scope = htmpll_fault::scope_guard(Some(
-                                htmpll_fault::fnv64(key.as_bytes()),
-                            ));
-                            tails.insert(key.clone(), tail.clone());
-                        } else {
-                            stats.errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        pending.insert(seq, assemble(&id, &tail));
-                        batch_tails.insert(key, (tail, ok));
-                    }
-                    for (seq, id, t0, key) in dups {
-                        // The representative ran or hit the tail cache;
-                        // its tail is in `batch_tails` either way.
-                        if let Some((tail, ok)) = batch_tails.get(&key) {
-                            stats.response_cache_hits.fetch_add(1, Ordering::SeqCst);
-                            counter!("serve", "cache_hits").inc();
-                            if !ok {
-                                stats.errors.fetch_add(1, Ordering::SeqCst);
-                            }
-                            stats.note_latency(t0);
-                            pending.insert(seq, assemble(&id, tail));
-                        }
-                    }
-                    for (seq, id, t0) in stats_jobs {
-                        stats.note_latency(t0);
-                        pending.insert(seq, stats_envelope(&id, &stats, &tails, start, opts));
-                    }
+                    d.run_batch(batch);
                 }
 
-                // Shed responses join the reorder map out of band.
-                for (seq, id) in lock(&shed_list).drain(..) {
-                    let err = ServiceError {
-                        command: String::new(),
-                        code: "shed",
-                        message: format!(
-                            "queue full ({} deep); request shed — retry, or raise --queue-max / \
-                             drop --shed for blocking backpressure",
-                            opts.queue_max
-                        ),
-                        // Shedding is a load condition, not a property
-                        // of the request: resubmitting can succeed.
-                        retryable: true,
-                        quality: None,
-                    };
-                    pending.insert(seq, error_envelope(&id, &err));
+                // Shed requests join the reorder map out of band.
+                let shed = std::mem::take(&mut *lock(shed_list));
+                for waiter in &shed {
+                    d.answer(waiter, Answer::Error(shed_error(opts.queue_max)));
                 }
 
                 // In-order flush. A client that hangs up mid-stream
                 // (BrokenPipe) downgrades writes to no-ops: the run
                 // keeps draining its queue and counters instead of
                 // aborting with half the batch unaccounted for.
-                while let Some(line) = pending.remove(&next_out) {
+                while let Some(line) = d.pending.remove(&next_out) {
                     if !client_gone {
                         client_gone = write_line(output, &line)?;
                     }
                     next_out += 1;
-                    let responded = stats.responded.fetch_add(1, Ordering::SeqCst) + 1;
+                    d.summary.responded += 1;
                     counter!("serve", "responses").inc();
-                    if opts.log_every > 0 && responded % opts.log_every == 0 {
+                    if opts.log_every > 0 && d.summary.responded.is_multiple_of(opts.log_every) {
                         eprintln!(
-                            "serve: {responded} responded | queue {} | shed {} | response-cache {} hits",
-                            stats.queue_depth.load(Ordering::SeqCst),
-                            stats.shed.load(Ordering::SeqCst),
-                            stats.response_cache_hits.load(Ordering::SeqCst),
+                            "serve: {} responded | queue {} | shed {} | response-cache {} hits",
+                            d.summary.responded,
+                            counts.queue_depth.load(Ordering::SeqCst),
+                            counts.shed.load(Ordering::SeqCst),
+                            d.summary.response_cache_hits,
                         );
                     }
                 }
@@ -608,17 +470,16 @@ where
                     }
                 }
 
-                if !open && pending.is_empty() && lock(&shed_list).is_empty() {
-                    return Ok(());
-                }
-                if !open && batch_is_stalled(&pending, next_out, &shed_list) {
-                    // Defensive: a sequence gap after EOF cannot fill;
-                    // flush what remains rather than spin forever.
-                    for (_, line) in std::mem::take(&mut pending) {
+                if !open {
+                    // The reader is done and its shed list drained, so
+                    // nothing can join the reorder map anymore. Whatever
+                    // is left sits behind a sequence gap that cannot
+                    // fill (defensive): flush it rather than spin.
+                    for (_, line) in std::mem::take(&mut d.pending) {
                         if !client_gone {
                             client_gone = write_line(output, &line)?;
                         }
-                        stats.responded.fetch_add(1, Ordering::SeqCst);
+                        d.summary.responded += 1;
                     }
                     return Ok(());
                 }
@@ -634,19 +495,260 @@ where
     });
     run?;
 
-    let (p50, p99, _) = stats.latency_quantiles();
+    let (p50, p99) = d.latency_quantiles();
     Ok(ServeSummary {
-        received: stats.received.load(Ordering::SeqCst),
-        responded: stats.responded.load(Ordering::SeqCst),
-        errors: stats.errors.load(Ordering::SeqCst),
-        shed: stats.shed.load(Ordering::SeqCst),
-        batches: stats.batches.load(Ordering::SeqCst),
-        max_batch: stats.max_batch.load(Ordering::SeqCst),
-        response_cache_hits: stats.response_cache_hits.load(Ordering::SeqCst),
+        received: counts.received.load(Ordering::SeqCst),
+        shed: counts.shed.load(Ordering::SeqCst),
         p50_latency_ns: p50,
         p99_latency_ns: p99,
         elapsed_ns: start.elapsed().as_nanos() as u64,
+        ..d.summary
     })
+}
+
+/// The dispatcher's state for one serve run: its counters, latency
+/// samples and the reorder map, written only through
+/// [`Dispatcher::answer`] (and the flush, which counts `responded`).
+struct Dispatcher<'a> {
+    ctx: &'a ServiceCtx,
+    opts: &'a ServeOptions,
+    start: Instant,
+    counts: &'a ReaderCounts,
+    tails: &'a TailCache,
+    summary: ServeSummary,
+    /// Requests admitted in batches, for `stats`' batch occupancy.
+    dispatched: u64,
+    latencies_ns: Vec<u64>,
+    /// Response lines waiting for their turn, keyed by sequence number.
+    pending: BTreeMap<u64, String>,
+}
+
+impl Dispatcher<'_> {
+    /// Answers one admission batch. Requests are grouped by canonical
+    /// spec (every key starts with its command, so groups run in
+    /// `(command, spec)` order); each group gets one tail-cache lookup
+    /// and at most one handler run, and its first waiter stands for it.
+    fn run_batch(&mut self, batch: Vec<LineJob>) {
+        self.summary.batches += 1;
+        self.summary.max_batch = self.summary.max_batch.max(batch.len() as u64);
+        self.dispatched += batch.len() as u64;
+        counter!("serve", "batches").inc();
+
+        let mut groups: BTreeMap<String, (Request, Vec<Waiter>)> = BTreeMap::new();
+        // Answered after the batch's pool work so they reflect the
+        // requests queued ahead of them (output order is seq-keyed and
+        // unaffected).
+        let mut stats_waiters: Vec<Waiter> = Vec::new();
+        for LineJob { waiter, parsed } in batch {
+            // Fault site: pretend this line failed envelope parsing.
+            // Keyed by sequence number, so the set of corrupted lines is
+            // a pure function of the fault plan — independent of workers
+            // or timing.
+            let parsed = if htmpll_fault::fires_global("serve.malformed", waiter.seq) {
+                counter!("serve", "fault.malformed").inc();
+                Err(format!(
+                    "fault injection: malformed envelope for line {}",
+                    waiter.seq
+                ))
+            } else {
+                parsed
+            };
+            match parsed {
+                Err(message) => {
+                    self.answer(&waiter, Answer::Error(ServiceError::bad_request(message)));
+                }
+                Ok(Request::Stats) => stats_waiters.push(waiter),
+                Ok(req) if !req.is_servable() => {
+                    let err = ServiceError::unsupported(
+                        req.command(),
+                        format!(
+                            "`{}` mutates process-global state; run it via the plltool CLI",
+                            req.command()
+                        ),
+                    );
+                    self.answer(&waiter, Answer::Error(err));
+                }
+                Ok(req) => {
+                    groups
+                        .entry(req.canonical_json())
+                        .or_insert_with(|| (req, Vec::new()))
+                        .1
+                        .push(waiter);
+                }
+            }
+        }
+
+        // A spec answered in an earlier batch (or by an earlier
+        // connection) is served from the tail cache without running its
+        // handler.
+        let mut work: Vec<(String, Request, Vec<Waiter>)> = Vec::new();
+        for (key, (req, waiters)) in groups {
+            match self.tails.get(&key) {
+                Some(tail) => {
+                    for waiter in &waiters {
+                        let hit = Answer::Tail {
+                            tail: &tail,
+                            ok: true,
+                            computed: None,
+                        };
+                        self.answer(waiter, hit);
+                    }
+                }
+                None => work.push((key, req, waiters)),
+            }
+        }
+
+        let ctx = self.ctx;
+        let results = par_map(ThreadBudget::from(self.opts.workers), &work, |_, item| {
+            let (key, req, _) = item;
+            // Pin the ambient fault scope to the request's canonical
+            // spec: scope-gated fault rules then select the same victim
+            // *requests* regardless of worker count, batch shape, or
+            // arrival order.
+            let _fault_scope = htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
+            let resp = catch_unwind(AssertUnwindSafe(|| handlers::handle(req, ctx)))
+                .unwrap_or_else(|_| {
+                    Response::Error(ServiceError {
+                        command: req.command().to_string(),
+                        code: "panic",
+                        message: "request handler panicked; the panic was contained and only \
+                                  this request failed"
+                            .to_string(),
+                        retryable: false,
+                        quality: None,
+                    })
+                });
+            (
+                envelope_tail(&resp, None),
+                resp.failure().is_none(),
+                Instant::now(),
+            )
+        });
+        for ((key, _, waiters), (tail, ok, finished)) in work.into_iter().zip(results) {
+            if ok {
+                // Under the request's fault scope, like its handler: a
+                // `cache.evict` storm reaches this cache too.
+                let _fault_scope =
+                    htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
+                self.tails.insert(key, tail.clone());
+            }
+            // The first waiter ran the handler; the rest are in-batch
+            // duplicates answered from its tail.
+            for (i, waiter) in waiters.iter().enumerate() {
+                let computed = (i == 0).then_some(finished);
+                self.answer(
+                    waiter,
+                    Answer::Tail {
+                        tail: &tail,
+                        ok,
+                        computed,
+                    },
+                );
+            }
+        }
+        for waiter in &stats_waiters {
+            self.answer(waiter, Answer::Stats);
+        }
+    }
+
+    /// The one answer path: records the waiter's latency, error and
+    /// cache hit, and files its line in the reorder map.
+    fn answer(&mut self, waiter: &Waiter, answer: Answer<'_>) {
+        let done = match answer {
+            Answer::Tail {
+                computed: Some(finished),
+                ..
+            } => finished,
+            _ => Instant::now(),
+        };
+        let ns = done.saturating_duration_since(waiter.t0).as_nanos() as u64;
+        htmpll_obs::record!("serve", "latency_ns").record(ns as f64);
+        self.latencies_ns.push(ns);
+        let line = match answer {
+            Answer::Error(err) => {
+                self.summary.errors += 1;
+                envelope(&Response::Error(err), &waiter.id, None)
+            }
+            // After the latency sample, so `stats` counts itself.
+            Answer::Stats => envelope(&Response::Stats(self.stats_json()), &waiter.id, None),
+            Answer::Tail { tail, ok, computed } => {
+                if !ok {
+                    self.summary.errors += 1;
+                }
+                if computed.is_none() {
+                    self.summary.response_cache_hits += 1;
+                    counter!("serve", "cache_hits").inc();
+                }
+                envelope_from_tail(&waiter.id, tail)
+            }
+        };
+        self.pending.insert(waiter.seq, line);
+    }
+
+    /// (p50, p99) over the latencies recorded so far, nearest-rank.
+    fn latency_quantiles(&self) -> (u64, u64) {
+        let mut xs = self.latencies_ns.clone();
+        xs.sort_unstable();
+        (percentile(&xs, 0.50), percentile(&xs, 0.99))
+    }
+
+    /// The `stats` result, built by the dispatcher (it needs the live
+    /// queue, not a worker). In `response_cache`, `hits` counts this
+    /// run's requests answered without running a handler (tail-cache
+    /// hits plus in-batch duplicates); `misses` (the specs computed),
+    /// `evictions` and `entries` are the tail cache's own
+    /// [`CacheStats`] over the server's life.
+    ///
+    /// [`CacheStats`]: crate::num::CacheStats
+    fn stats_json(&self) -> String {
+        let (p50, p99) = self.latency_quantiles();
+        let tail = self.tails.stats();
+        let s = &self.summary;
+        let occupancy = if s.batches == 0 {
+            0.0
+        } else {
+            self.dispatched as f64 / s.batches as f64
+        };
+        format!(
+            "{{\"uptime_ns\":{},\"received\":{},\"responded\":{},\"queue_depth\":{},\
+             \"queue_max\":{},\"shed\":{},\"errors\":{},\"batches\":{},\"max_batch\":{},\
+             \"batch_occupancy\":{},\"latency\":{{\"p50_ns\":{},\"p99_ns\":{},\"count\":{}}},\
+             \"response_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}}}",
+            self.start.elapsed().as_nanos(),
+            self.counts.received.load(Ordering::SeqCst),
+            s.responded,
+            self.counts.queue_depth.load(Ordering::SeqCst),
+            self.opts.queue_max,
+            self.counts.shed.load(Ordering::SeqCst),
+            s.errors,
+            s.batches,
+            s.max_batch,
+            json::num(occupancy),
+            p50,
+            p99,
+            self.latencies_ns.len(),
+            s.response_cache_hits,
+            tail.misses,
+            tail.evictions,
+            tail.entries,
+        )
+    }
+}
+
+/// The answer to a request shed on a full queue of `queue_max`.
+fn shed_error(queue_max: usize) -> ServiceError {
+    ServiceError {
+        command: String::new(),
+        code: "shed",
+        message: format!(
+            "queue full ({queue_max} deep); request shed — retry, or raise --queue-max / \
+             drop --shed for blocking backpressure"
+        ),
+        // Shedding is a load condition, not a property of the request:
+        // resubmitting can succeed.
+        retryable: true,
+        quality: None,
+    }
 }
 
 /// Writes one response line, tolerating a vanished client. Returns
@@ -678,72 +780,6 @@ fn watchdog_grace_ms(deadline_ms: u64) -> u64 {
     (4 * deadline_ms).max(1000)
 }
 
-/// True when nothing can make progress anymore: input closed, no shed
-/// entries waiting, but the next output sequence is absent.
-fn batch_is_stalled(
-    pending: &BTreeMap<u64, String>,
-    next_out: u64,
-    shed_list: &Mutex<Vec<(u64, RequestId)>>,
-) -> bool {
-    !pending.is_empty() && !pending.contains_key(&next_out) && lock(shed_list).is_empty()
-}
-
-fn assemble(id: &RequestId, tail: &str) -> String {
-    format!("{{\"schema\":\"plltool/v1\",{}{}", id.json_fragment(), tail)
-}
-
-/// The `stats` request, answered inline by the dispatcher (it needs the
-/// live queue, not a worker). In `response_cache`, `hits` counts the
-/// requests answered without running a handler (tail-cache hits plus
-/// in-batch duplicates); `misses` (the specs computed), `evictions`
-/// and `entries` are the tail cache's own [`CacheStats`].
-///
-/// [`CacheStats`]: crate::num::CacheStats
-fn stats_envelope(
-    id: &RequestId,
-    stats: &ServeStats,
-    tails: &BoundedCache<String, String>,
-    start: Instant,
-    opts: &ServeOptions,
-) -> String {
-    let (p50, p99, count) = stats.latency_quantiles();
-    let tail = tails.stats();
-    let batches = stats.batches.load(Ordering::SeqCst);
-    let dispatched = stats.dispatched.load(Ordering::SeqCst);
-    let occupancy = if batches == 0 {
-        0.0
-    } else {
-        dispatched as f64 / batches as f64
-    };
-    let result = format!(
-        "{{\"uptime_ns\":{},\"received\":{},\"responded\":{},\"queue_depth\":{},\
-         \"queue_max\":{},\"shed\":{},\"errors\":{},\"batches\":{},\"max_batch\":{},\
-         \"batch_occupancy\":{},\"latency\":{{\"p50_ns\":{},\"p99_ns\":{},\"count\":{}}},\
-         \"response_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}}}",
-        start.elapsed().as_nanos(),
-        stats.received.load(Ordering::SeqCst),
-        stats.responded.load(Ordering::SeqCst),
-        stats.queue_depth.load(Ordering::SeqCst),
-        opts.queue_max,
-        stats.shed.load(Ordering::SeqCst),
-        stats.errors.load(Ordering::SeqCst),
-        batches,
-        stats.max_batch.load(Ordering::SeqCst),
-        json::num(occupancy),
-        p50,
-        p99,
-        count,
-        stats.response_cache_hits.load(Ordering::SeqCst),
-        tail.misses,
-        tail.evictions,
-        tail.entries,
-    );
-    format!(
-        "{{\"schema\":\"plltool/v1\",{}\"command\":\"stats\",\"ok\":true,\"result\":{result},\"quality\":null}}",
-        id.json_fragment()
-    )
-}
-
 /// Drop guard that unlinks the Unix socket file when the serve loop
 /// exits, however it exits.
 #[cfg(unix)]
@@ -757,8 +793,9 @@ impl Drop for SocketCleanup {
 }
 
 /// Accepts connections on a Unix socket sequentially, serving each with
-/// the *same* context; each connection starts with an empty response
-/// cache. Runs until the process is killed.
+/// the *same* context and response-tail cache, so a spec answered on
+/// one connection is a cache hit on the next. Runs until the process
+/// is killed.
 #[cfg(unix)]
 pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
     use std::os::unix::net::UnixListener;
@@ -767,7 +804,8 @@ pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
     // Remove the socket file on every exit path (error return, panic
     // unwind), so a restarted server never finds a stale socket.
     let _cleanup = SocketCleanup(std::path::PathBuf::from(path));
-    let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
+    let ctx = ServiceCtx::with_deadline_ms(opts.deadline_ms);
+    let tails = TailCache::new(TAIL_CACHE_CAP);
     eprintln!("serve: listening on {path}");
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("serve: accept: {e}"))?;
@@ -777,7 +815,7 @@ pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
                 .map_err(|e| format!("serve: clone stream: {e}"))?,
         );
         let mut writer = std::io::BufWriter::new(stream);
-        match serve_on(&ctx, reader, &mut writer, opts) {
+        match serve_on(&ctx, reader, &mut writer, opts, &tails) {
             Ok(summary) => eprintln!("serve: connection closed: {}", summary.render_line()),
             Err(e) => eprintln!("serve: connection error: {e}"),
         }
@@ -861,6 +899,27 @@ mod tests {
             .map(|l| l.split_once("\"command\"").unwrap().1.to_string())
             .collect();
         assert!(tails.iter().all(|t| *t == tails[0]));
+    }
+
+    #[test]
+    fn connections_share_the_tail_cache() {
+        // Two runs over one context and one tail cache, as `serve_unix`
+        // serves two connections: the second answers from the cache.
+        let ctx = ServiceCtx::new();
+        let tails = TailCache::new(TAIL_CACHE_CAP);
+        let input = "{\"id\":1,\"command\":\"analyze\",\"params\":{\"ratio\":0.1}}\n";
+        let connect = || {
+            let mut out = Vec::new();
+            let opts = ServeOptions::default();
+            let summary = serve_on(&ctx, Cursor::new(input), &mut out, &opts, &tails).unwrap();
+            (String::from_utf8(out).unwrap(), summary)
+        };
+        let (first, a) = connect();
+        let misses = tails.stats().misses;
+        let (second, b) = connect();
+        assert_eq!((a.response_cache_hits, b.response_cache_hits), (0, 1));
+        assert_eq!(tails.stats().misses, misses, "no new miss");
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -957,6 +1016,7 @@ mod tests {
             "every request gets a response line"
         );
         assert_eq!(summary.responded, 40);
+        assert_eq!(summary.errors, summary.shed, "every shed line is an error");
         if summary.shed > 0 {
             assert!(out.contains("\"code\":\"shed\""));
         }
