@@ -434,11 +434,6 @@ impl EffectiveGain {
         acc
     }
 
-    /// The aliasing excess `λ(jω) − A(jω)`: what LTI analysis ignores.
-    pub fn aliasing_excess(&self, omega: f64) -> Complex {
-        self.eval_jw(omega) - self.a.eval_jw(omega)
-    }
-
     /// Exact derivative `dλ/ds`, from the lattice-sum identity
     /// `d/ds S_r(s − p) = −r·S_{r+1}(s − p)`.
     ///
@@ -560,7 +555,6 @@ mod tests {
             (l - a).abs() < 0.02 * a.abs(),
             "λ {l} should be close to A {a}"
         );
-        assert!(lam.aliasing_excess(w).abs() < 0.02 * a.abs());
     }
 
     #[test]

@@ -247,11 +247,6 @@ impl QualitySummary {
     pub fn degraded(&self) -> usize {
         self.perturbed + self.failed
     }
-
-    /// True when nothing degraded.
-    pub fn is_clean(&self) -> bool {
-        self.degraded() == 0
-    }
 }
 
 impl fmt::Display for QualitySummary {
@@ -309,7 +304,6 @@ mod tests {
         assert_eq!((s.exact, s.refined, s.perturbed, s.failed), (1, 1, 1, 1));
         assert_eq!(s.total(), 4);
         assert_eq!(s.degraded(), 2);
-        assert!(!s.is_clean());
         assert_eq!(s.worst_cond, 1e16);
         assert_eq!(s.worst_residual, 1e-7);
         assert!(s.to_string().contains("1 perturbed"));

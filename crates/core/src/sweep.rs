@@ -150,13 +150,6 @@ impl SweepSpec {
         self
     }
 
-    /// Requests automatic truncation with harmonic-sum tail below `tol`.
-    #[must_use]
-    pub fn with_tol(mut self, tol: f64) -> SweepSpec {
-        self.trunc = Truncation::auto(tol);
-        self
-    }
-
     /// Sets the thread budget (a `usize` coerces; `0` means auto).
     #[must_use]
     pub fn with_threads(mut self, threads: impl Into<ThreadBudget>) -> SweepSpec {
@@ -611,8 +604,6 @@ mod tests {
             .with_threads(2);
         assert_eq!(spec.grid.len(), 21);
         assert!(matches!(spec.trunc, TruncationSpec::Fixed(t) if t.order() == 5));
-        let auto = SweepSpec::linear(0.0, 1.0, 3).unwrap().with_tol(1e-2);
-        assert!(matches!(auto.trunc, TruncationSpec::Auto { tol } if tol == 1e-2));
     }
 
     #[test]

@@ -111,19 +111,6 @@ impl MultiplierHtm {
         MultiplierHtm::from_fourier(vec![Complex::from_re(c)], omega0)
     }
 
-    /// Builds the multiplier from uniform samples of one period of the
-    /// real waveform `p(t)`, keeping harmonics `−k_max ..= k_max`
-    /// (computed by direct DFT; the handful of coefficients an HTM
-    /// truncation needs does not justify an FFT dependency).
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than `2·k_max + 2` samples are supplied (the
-    /// requested harmonics would alias) or `omega0 <= 0`.
-    pub fn from_waveform(samples: &[f64], k_max: usize, omega0: f64) -> Self {
-        MultiplierHtm::from_fourier(fourier_coefficients(samples, k_max), omega0)
-    }
-
     /// Fourier coefficient `P_k` (zero outside the stored range).
     pub fn coeff(&self, k: i64) -> Complex {
         let half = (self.coeffs.len() / 2) as i64;
@@ -247,33 +234,6 @@ impl HtmBlock for DelayHtm {
     }
 }
 
-/// Centered Fourier coefficients `[c_{−k}, …, c_0, …, c_{+k}]` of one
-/// period of uniformly sampled real data, by direct summation:
-/// `c_k = (1/N)·Σ_n x[n]·e^{−j2πkn/N}`.
-///
-/// # Panics
-///
-/// Panics when `samples.len() < 2·k_max + 2` (requested harmonics would
-/// alias).
-pub fn fourier_coefficients(samples: &[f64], k_max: usize) -> Vec<Complex> {
-    let n = samples.len();
-    assert!(
-        n >= 2 * k_max + 2,
-        "need at least {} samples for harmonics up to ±{k_max}, got {n}",
-        2 * k_max + 2
-    );
-    let mut out = Vec::with_capacity(2 * k_max + 1);
-    for k in -(k_max as i64)..=(k_max as i64) {
-        let mut acc = Complex::ZERO;
-        for (i, &x) in samples.iter().enumerate() {
-            let ang = -2.0 * std::f64::consts::PI * k as f64 * i as f64 / n as f64;
-            acc += Complex::cis(ang).scale(x);
-        }
-        out.push(acc.scale(1.0 / n as f64));
-    }
-    out
-}
-
 /// Perturbation phase model of a (possibly time-varying) VCO:
 /// multiplication by the impulse sensitivity function `v(t)` followed by
 /// integration, `θ(t) = ∫ v(τ)·Δu(τ) dτ` (paper eq. 24), giving
@@ -306,18 +266,6 @@ impl VcoHtm {
     /// `K_vco/s` model shifted per band.
     pub fn time_invariant(kvco: f64, omega0: f64) -> Self {
         VcoHtm::new(vec![Complex::from_re(kvco)], omega0)
-    }
-
-    /// Builds the VCO from uniform samples of one period of its real
-    /// impulse sensitivity function `v(t)`, keeping harmonics
-    /// `−k_max ..= k_max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than `2·k_max + 2` samples are supplied or
-    /// `omega0 <= 0`.
-    pub fn from_isf_waveform(samples: &[f64], k_max: usize, omega0: f64) -> Self {
-        VcoHtm::new(fourier_coefficients(samples, k_max), omega0)
     }
 
     /// ISF coefficient `v_k` (zero outside the stored range).
@@ -475,57 +423,6 @@ mod tests {
         assert!(h.band(1, 1).approx_eq(row_pole, 1e-14));
         // Out-of-range ISF coefficient contributes zero.
         assert_eq!(blk.isf_coeff(5), Complex::ZERO);
-    }
-
-    #[test]
-    fn fourier_coefficients_of_cosine() {
-        // p(t) = 2 + cos(ω₀t): c₀ = 2, c_{±1} = 0.5.
-        let n = 64;
-        let samples: Vec<f64> = (0..n)
-            .map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / n as f64).cos())
-            .collect();
-        let c = fourier_coefficients(&samples, 2);
-        assert!(c[2].approx_eq(Complex::from_re(2.0), 1e-12)); // c₀
-        assert!(c[1].approx_eq(Complex::from_re(0.5), 1e-12)); // c_{−1}
-        assert!(c[3].approx_eq(Complex::from_re(0.5), 1e-12)); // c_{+1}
-        assert!(c[0].abs() < 1e-12 && c[4].abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_waveform_builds_expected_toeplitz() {
-        let n = 32;
-        let samples: Vec<f64> = (0..n)
-            .map(|i| 1.0 + 0.8 * (2.0 * std::f64::consts::PI * i as f64 / n as f64).sin())
-            .collect();
-        let blk = MultiplierHtm::from_waveform(&samples, 1, W0);
-        // sin → c_{±1} = ∓0.4j.
-        assert!(blk.coeff(0).approx_eq(Complex::ONE, 1e-12));
-        assert!(blk.coeff(1).approx_eq(Complex::new(0.0, -0.4), 1e-12));
-        assert!(blk.coeff(-1).approx_eq(Complex::new(0.0, 0.4), 1e-12));
-    }
-
-    #[test]
-    fn from_isf_waveform_real_pairs() {
-        let n = 48;
-        let samples: Vec<f64> = (0..n)
-            .map(|i| {
-                let x = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-                1.0 + 0.6 * x.cos() + 0.2 * (2.0 * x).cos()
-            })
-            .collect();
-        let vco = VcoHtm::from_isf_waveform(&samples, 2, W0);
-        assert!(!vco.is_time_invariant());
-        // Real waveform ⇒ conjugate-symmetric coefficients.
-        for k in 1..=2 {
-            assert!((vco.isf_coeff(k) - vco.isf_coeff(-k).conj()).abs() < 1e-12);
-        }
-        assert!(vco.isf_coeff(1).approx_eq(Complex::from_re(0.3), 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "samples")]
-    fn from_waveform_undersampled_rejected() {
-        let _ = MultiplierHtm::from_waveform(&[1.0, 2.0, 3.0], 1, W0);
     }
 
     #[test]

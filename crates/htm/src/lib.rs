@@ -19,8 +19,6 @@
 //!   ISF-integrator VCO model.
 //! * [`ops`] — series/parallel composition and the Sherman–Morrison
 //!   rank-one closed-loop shortcut that makes sampled-PFD loops cheap.
-//! * [`nyquist`] — encirclement counting for the scalar effective gain,
-//!   the HTM-Nyquist stability test in the rank-one case.
 //!
 //! ```
 //! use htmpll_htm::{HtmBlock, SamplerHtm, Truncation, VcoHtm};
@@ -41,17 +39,13 @@
 pub mod blocks;
 pub mod factor;
 pub mod matrix;
-pub mod nyquist;
 pub mod ops;
 pub mod repr;
 pub mod response;
 pub mod trunc;
 
-pub use blocks::{
-    fourier_coefficients, DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm,
-};
+pub use blocks::{DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm};
 pub use matrix::Htm;
-pub use nyquist::{is_nyquist_stable, strip_zero_count, strip_zero_count_matrix};
 pub use ops::{closed_loop_rank_one, parallel, series, sherman_morrison_apply, Chain};
 pub use repr::HtmRepr;
 pub use response::{tone_response, SidebandSpectrum};

@@ -213,16 +213,6 @@ impl Htm {
         self.repr.entry(self.trunc.dim(), i, j)
     }
 
-    /// Panic-free variant of [`band`](Htm::band): `None` when either
-    /// harmonic index falls outside the truncation. Differential
-    /// cross-checks use this to probe arbitrary `(n, m)` pairs without
-    /// first validating them against `K`.
-    pub fn try_band(&self, n: i64, m: i64) -> Option<Complex> {
-        let i = self.trunc.index_of(n)?;
-        let j = self.trunc.index_of(m)?;
-        Some(self.repr.entry(self.trunc.dim(), i, j))
-    }
-
     /// Sum of all elements, `𝟙ᵀ H̃ 𝟙` — the scalar that becomes the
     /// effective open-loop gain `λ(s)` when applied to
     /// `H̃_VCO·H̃_LF` (paper eq. 33). Computed on the structured
@@ -407,14 +397,6 @@ mod tests {
         assert_eq!(h.band(-2, 1), Complex::new(-2.0, 1.0));
         assert_eq!(h.band(0, 0), Complex::ZERO);
         assert_eq!(h.band(2, -2), Complex::new(2.0, -2.0));
-    }
-
-    #[test]
-    fn try_band_mirrors_band_and_rejects_out_of_range() {
-        let h = sample(Truncation::new(2));
-        assert_eq!(h.try_band(-2, 1), Some(h.band(-2, 1)));
-        assert_eq!(h.try_band(3, 0), None);
-        assert_eq!(h.try_band(0, -3), None);
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub enum TfError {
     ZeroDenominator,
     /// Pole/zero extraction failed to converge.
     Roots(FindRootsError),
-    /// Complex zeros/poles supplied without conjugate partners cannot
-    /// form a real-coefficient transfer function.
-    UnpairedComplexRoot(Complex),
 }
 
 impl fmt::Display for TfError {
@@ -37,9 +34,6 @@ impl fmt::Display for TfError {
         match self {
             TfError::ZeroDenominator => write!(f, "transfer function denominator is zero"),
             TfError::Roots(e) => write!(f, "root extraction failed: {e}"),
-            TfError::UnpairedComplexRoot(z) => {
-                write!(f, "complex root {z} has no conjugate partner")
-            }
         }
     }
 }
@@ -83,21 +77,6 @@ impl Tf {
     /// coefficients are zero.
     pub fn from_coeffs(num: Vec<f64>, den: Vec<f64>) -> Result<Self, TfError> {
         Tf::new(Poly::new(num), Poly::new(den))
-    }
-
-    /// Builds a transfer function from zeros, poles and a gain:
-    /// `H(s) = k·Π(s−zᵢ)/Π(s−pᵢ)`.
-    ///
-    /// Complex zeros/poles must come in conjugate pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfError::UnpairedComplexRoot`] when a complex root has
-    /// no conjugate partner.
-    pub fn from_zpk(zeros: &[Complex], poles: &[Complex], k: f64) -> Result<Self, TfError> {
-        let num = Poly::from_complex_roots(zeros, 1e-9).map_err(TfError::UnpairedComplexRoot)?;
-        let den = Poly::from_complex_roots(poles, 1e-9).map_err(TfError::UnpairedComplexRoot)?;
-        Tf::new(num.scale(k), den)
     }
 
     /// The constant (memoryless) gain `k`.
@@ -260,52 +239,6 @@ impl Tf {
         }
     }
 
-    /// Frequency-scales the transfer function: returns `H(s/a)`.
-    ///
-    /// Scaling with `a > 1` moves all poles and zeros up in frequency by
-    /// the factor `a` — the tool used to sweep `ω_UG/ω₀` while keeping
-    /// the loop shape fixed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a <= 0`.
-    pub fn frequency_scale(&self, a: f64) -> Tf {
-        assert!(a > 0.0, "frequency scale must be positive");
-        Tf {
-            num: self.num.scale_arg(1.0 / a),
-            den: self.den.scale_arg(1.0 / a),
-        }
-    }
-
-    /// Cancels matching pole/zero pairs within `tol` and returns the
-    /// reduced transfer function. The overall gain is preserved exactly
-    /// at a probe point off the remaining poles/zeros.
-    ///
-    /// # Errors
-    ///
-    /// Propagates root-finder failures.
-    pub fn minreal(&self, tol: f64) -> Result<Tf, TfError> {
-        let mut zeros = self.zeros()?;
-        let mut poles = self.poles()?;
-        let mut i = 0;
-        while i < zeros.len() {
-            if let Some(k) = poles
-                .iter()
-                .position(|p| (*p - zeros[i]).abs() <= tol * (1.0 + p.abs()))
-            {
-                poles.remove(k);
-                zeros.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        let num = Poly::from_complex_roots(&zeros, 1e-6).map_err(TfError::UnpairedComplexRoot)?;
-        let den = Poly::from_complex_roots(&poles, 1e-6).map_err(TfError::UnpairedComplexRoot)?;
-        // Restore the leading-coefficient gain ratio.
-        let k = self.num.leading() / self.den.leading();
-        Tf::new(num.scale(k), den)
-    }
-
     /// Groups the poles into `(pole, multiplicity)` clusters — the input
     /// to partial-fraction expansion with repeated poles.
     ///
@@ -428,29 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn zpk_roundtrip() {
-        let zeros = [Complex::from_re(-2.0)];
-        let poles = [Complex::new(-1.0, 1.0), Complex::new(-1.0, -1.0)];
-        let h = Tf::from_zpk(&zeros, &poles, 3.0).unwrap();
-        let found_z = h.zeros().unwrap();
-        let found_p = h.poles().unwrap();
-        assert_eq!(found_z.len(), 1);
-        assert!((found_z[0] - zeros[0]).abs() < 1e-9);
-        assert_eq!(found_p.len(), 2);
-        for p in poles {
-            assert!(found_p.iter().any(|q| (*q - p).abs() < 1e-9));
-        }
-        // Gain check at s = 0: H(0) = 3·(2)/(2) = 3.
-        assert!(h.dc_gain().approx_eq(Complex::from_re(3.0), 1e-12));
-    }
-
-    #[test]
-    fn zpk_rejects_unpaired() {
-        let r = Tf::from_zpk(&[Complex::I], &[], 1.0);
-        assert!(matches!(r, Err(TfError::UnpairedComplexRoot(_))));
-    }
-
-    #[test]
     fn inversion() {
         let h = Tf::from_coeffs(vec![2.0, 1.0], vec![1.0, 0.0, 1.0]).unwrap();
         let inv = h.inv().unwrap();
@@ -460,28 +370,6 @@ mod tests {
             .unwrap()
             .inv()
             .is_err());
-    }
-
-    #[test]
-    fn frequency_scale_moves_corner() {
-        let h = Tf::first_order_lowpass(1.0);
-        let h10 = h.frequency_scale(10.0); // corner now at ω = 10
-        let at_corner = h10.eval_jw(10.0);
-        assert!((at_corner.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-13);
-        assert!(h10.dc_gain().approx_eq(Complex::ONE, 1e-13));
-    }
-
-    #[test]
-    fn minreal_cancels_pairs() {
-        // (s+1)(s+2)/((s+1)(s+3)) → (s+2)/(s+3)
-        let num = Poly::from_real_roots(&[-1.0, -2.0]);
-        let den = Poly::from_real_roots(&[-1.0, -3.0]);
-        let h = Tf::new(num, den).unwrap();
-        let r = h.minreal(1e-6).unwrap();
-        assert_eq!(r.num().degree(), 1);
-        assert_eq!(r.den().degree(), 1);
-        let z = Complex::new(0.1, 0.2);
-        assert!(r.eval(z).approx_eq(h.eval(z), 1e-9));
     }
 
     #[test]

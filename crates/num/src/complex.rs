@@ -184,18 +184,6 @@ impl Complex {
         (self.ln().scale(x)).exp()
     }
 
-    /// Complex power `z^w` via the principal branch.
-    pub fn powc(self, w: Complex) -> Self {
-        if self == Complex::ZERO {
-            return if w == Complex::ZERO {
-                Complex::ONE
-            } else {
-                Complex::ZERO
-            };
-        }
-        (self.ln() * w).exp()
-    }
-
     /// Complex sine.
     pub fn sin(self) -> Self {
         Complex::new(
@@ -640,7 +628,6 @@ mod tests {
         assert!(z.powi(-2).approx_eq(Complex::new(0.0, -0.5), TOL));
         assert_eq!(z.powi(0), Complex::ONE);
         assert!(z.powf(2.0).approx_eq(z.sqr(), TOL));
-        assert!(z.powc(Complex::from_re(3.0)).approx_eq(z.powi(3), 1e-10));
         assert_eq!(Complex::ZERO.powf(2.0), Complex::ZERO);
         assert_eq!(Complex::ZERO.powf(0.0), Complex::ONE);
     }

@@ -163,11 +163,6 @@ impl CMat {
         CMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// The conjugate transpose `Aᴴ`.
-    pub fn hermitian(&self) -> CMat {
-        CMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
-    }
-
     /// Multiplies every entry by a complex scalar.
     pub fn scale(&self, k: Complex) -> CMat {
         CMat {
@@ -194,30 +189,9 @@ impl CMat {
             .collect()
     }
 
-    /// Vector–matrix product `xᵀ A` (no conjugation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows`.
-    pub fn vec_mul(&self, x: &[Complex]) -> Vec<Complex> {
-        assert_eq!(x.len(), self.rows, "dimension mismatch in vec_mul");
-        let mut y = vec![Complex::ZERO; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            for (j, yj) in y.iter_mut().enumerate() {
-                *yj += xi * self[(i, j)];
-            }
-        }
-        y
-    }
-
     /// Sum of all entries — the HTM scalar `λ(s) = 𝟙ᵀ H 𝟙`.
     pub fn sum_entries(&self) -> Complex {
         self.data.iter().copied().sum()
-    }
-
-    /// Frobenius norm `‖A‖_F`.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// Max-entry (Chebyshev) norm.
@@ -524,23 +498,19 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_hermitian() {
+    fn transpose() {
         let a = CMat::from_rows(2, 2, &[c(1.0, 2.0), c(3.0, 4.0), c(5.0, 6.0), c(7.0, 8.0)]);
         let t = a.transpose();
         assert_eq!(t[(0, 1)], c(5.0, 6.0));
         assert_eq!(t[(1, 0)], c(3.0, 4.0));
-        let h = a.hermitian();
-        assert_eq!(h[(0, 1)], c(5.0, -6.0));
     }
 
     #[test]
-    fn mat_vec_products() {
+    fn mat_vec_product() {
         let a = CMat::from_rows(2, 2, &[c(1.0, 0.0), c(0.0, 1.0), c(2.0, 0.0), c(0.0, 0.0)]);
         let x = [c(1.0, 0.0), c(1.0, 0.0)];
         let y = a.mul_vec(&x);
         assert_eq!(y, vec![c(1.0, 1.0), c(2.0, 0.0)]);
-        let z = a.vec_mul(&x);
-        assert_eq!(z, vec![c(3.0, 0.0), c(0.0, 1.0)]);
     }
 
     #[test]
@@ -562,7 +532,6 @@ mod tests {
             2,
             &[c(3.0, 4.0), Complex::ZERO, Complex::ZERO, Complex::ZERO],
         );
-        assert!((a.norm_fro() - 5.0).abs() < 1e-15);
         assert!((a.norm_max() - 5.0).abs() < 1e-15);
         assert!((a.norm_one() - 5.0).abs() < 1e-15);
         // max_diff vs identity: largest entry distance is |3+4j − 1| = √20.

@@ -62,49 +62,6 @@ impl Poly {
         p
     }
 
-    /// Builds a real monic polynomial from complex roots.
-    ///
-    /// Complex roots must come in conjugate pairs (within `tol` on the
-    /// pairing); each pair contributes a real quadratic factor so the
-    /// result has exactly real coefficients with no imaginary residue.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unpaired root when a complex root has no conjugate
-    /// partner within `tol`.
-    pub fn from_complex_roots(roots: &[Complex], tol: f64) -> Result<Self, Complex> {
-        let mut p = Poly::constant(1.0);
-        let mut used = vec![false; roots.len()];
-        for (i, &r) in roots.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            if r.im.abs() <= tol {
-                used[i] = true;
-                p = &p * &Poly::new(vec![-r.re, 1.0]);
-            } else {
-                // Find the conjugate partner.
-                let mut partner = None;
-                for (k, &q) in roots.iter().enumerate().skip(i + 1) {
-                    if !used[k] && (q - r.conj()).abs() <= tol * (1.0 + r.abs()) {
-                        partner = Some(k);
-                        break;
-                    }
-                }
-                match partner {
-                    Some(k) => {
-                        used[i] = true;
-                        used[k] = true;
-                        // (x − r)(x − r̄) = x² − 2Re(r)x + |r|²
-                        p = &p * &Poly::new(vec![r.norm_sqr(), -2.0 * r.re, 1.0]);
-                    }
-                    None => return Err(r),
-                }
-            }
-        }
-        Ok(p)
-    }
-
     fn trim(&mut self) {
         while let Some(&last) = self.coeffs.last() {
             if last == 0.0 {
@@ -224,21 +181,6 @@ impl Poly {
         }
         rem.truncate(ddeg);
         (Poly::new(q), Poly::new(rem))
-    }
-
-    /// Substitutes `x → a·x` (frequency scaling of a transfer polynomial).
-    pub fn scale_arg(&self, a: f64) -> Poly {
-        let mut pw = 1.0;
-        Poly::new(
-            self.coeffs
-                .iter()
-                .map(|&c| {
-                    let v = c * pw;
-                    pw *= a;
-                    v
-                })
-                .collect(),
-        )
     }
 }
 
@@ -442,34 +384,6 @@ mod tests {
         // (x−1)(x+2) = x² + x − 2
         assert_eq!(p.coeffs(), &[-2.0, 1.0, 1.0]);
         assert_eq!(Poly::from_real_roots(&[]).coeffs(), &[1.0]);
-    }
-
-    #[test]
-    fn from_complex_roots_conjugate_pairs() {
-        let roots = [
-            Complex::new(0.0, 1.0),
-            Complex::new(0.0, -1.0),
-            Complex::new(-2.0, 0.0),
-        ];
-        let p = Poly::from_complex_roots(&roots, 1e-12).unwrap();
-        // (x²+1)(x+2) = x³ + 2x² + x + 2
-        assert_eq!(p.coeffs(), &[2.0, 1.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn from_complex_roots_unpaired_rejected() {
-        let roots = [Complex::new(0.0, 1.0)];
-        assert!(Poly::from_complex_roots(&roots, 1e-12).is_err());
-    }
-
-    #[test]
-    fn scale_arg_substitution() {
-        let p = Poly::new(vec![1.0, 1.0, 1.0]); // 1 + x + x²
-        let q = p.scale_arg(2.0); // 1 + 2x + 4x²
-        assert_eq!(q.coeffs(), &[1.0, 2.0, 4.0]);
-        for x in [-1.0, 0.3, 2.0] {
-            assert!((q.eval(x) - p.eval(2.0 * x)).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -174,30 +174,6 @@ impl Trace {
             .map(|(k, y)| y - ybar - slope * (k as f64 - tbar))
             .collect()
     }
-
-    /// Moving average of `θ` over `window` samples (typically one
-    /// reference period) with the matching center times — strips the
-    /// once-per-`T` correction ripple, leaving the baseband component.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window` is zero or longer than the record.
-    pub fn period_averaged_theta(&self, window: usize) -> (Vec<f64>, Vec<f64>) {
-        assert!(window > 0, "window must be positive");
-        assert!(
-            window <= self.theta_vco.len(),
-            "window longer than the record"
-        );
-        let times: Vec<f64> = (0..=self.theta_vco.len() - window)
-            .map(|k| self.t0 + (k as f64 + 0.5 * (window - 1) as f64) * self.dt)
-            .collect();
-        let avg: Vec<f64> = self
-            .theta_vco
-            .windows(window)
-            .map(|w| w.iter().sum::<f64>() / window as f64)
-            .collect();
-        (times, avg)
-    }
 }
 
 /// The behavioral PLL simulator.
@@ -856,10 +832,6 @@ mod tests {
             / trace.theta_vco.len() as f64)
             .sqrt();
         assert!(rms < 0.3 * raw_rms, "{rms} vs {raw_rms}");
-        // Period averaging shortens by window−1 and smooths.
-        let (at, avg) = trace.period_averaged_theta(32);
-        assert_eq!(avg.len(), trace.theta_vco.len() - 31);
-        assert_eq!(at.len(), avg.len());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
     analyze, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel, SweepCache,
 };
-use htmpll_htm::{strip_zero_count, Truncation};
+use htmpll_htm::Truncation;
 use htmpll_lti::TfError;
 use htmpll_num::roots::find_roots_graded;
 use htmpll_num::Complex;
@@ -583,6 +583,51 @@ fn check_strip_roots_vs_winding(
         right as f64,
         winding as f64,
     ))
+}
+
+/// Counts the zeros of `1 + f(s)` inside the right-half period strip
+/// `{Re s > eps, |Im s| < ω₀/2}` of an `ω₀`-periodic loop gain, by the
+/// argument principle on the strip boundary: the oracle the exact
+/// stability verdict is graded against (`strip-roots-vs-winding`).
+///
+/// Effective open-loop gains `λ(s) = Σ_m A(s + jmω₀)` are periodic
+/// along the imaginary axis (so the classical infinite Nyquist contour
+/// winds infinitely often) and have poles **on** the axis at every
+/// `jmω₀` (aliased integrators), which the offset `eps > 0` side-steps.
+/// Because `f` is periodic, the horizontal strip edges cancel exactly
+/// and, for gains that decay as `Re s → ∞`, the right edge contributes
+/// nothing: the count reduces to the winding about the origin of
+/// `1 + f(eps + jω)` over `n + 1` samples, `ω` traversed **downward**
+/// from `+ω₀/2` to `−ω₀/2` (counter-clockwise boundary orientation of
+/// the strip).
+///
+/// Returns the number of unstable closed-loop poles per period strip —
+/// `0` means stable.
+///
+/// # Panics
+///
+/// Panics when `omega0 <= 0`, `eps <= 0`, or `n < 8`.
+pub fn strip_zero_count<F: FnMut(Complex) -> Complex>(
+    mut f: F,
+    omega0: f64,
+    eps: f64,
+    n: usize,
+) -> isize {
+    assert!(omega0 > 0.0, "omega0 must be positive");
+    assert!(eps > 0.0, "contour offset must be positive");
+    assert!(n >= 8, "need at least 8 contour samples");
+    let mut total = 0.0f64;
+    let mut prev: Option<Complex> = None;
+    for k in 0..=n {
+        let z = Complex::ONE + f(Complex::new(eps, omega0 * (0.5 - k as f64 / n as f64)));
+        if let Some(p) = prev {
+            let cross = p.re * z.im - p.im * z.re;
+            let dot = p.re * z.re + p.im * z.im;
+            total += cross.atan2(dot);
+        }
+        prev = Some(z);
+    }
+    (total / (2.0 * std::f64::consts::PI)).round() as isize
 }
 
 /// Runs every applicable comparison for one scenario.

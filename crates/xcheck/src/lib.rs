@@ -45,7 +45,7 @@ pub mod corpus;
 pub mod report;
 pub mod tolerance;
 
-pub use checks::{run_corpus, run_scenario, XcheckError};
+pub use checks::{run_corpus, run_scenario, strip_zero_count, XcheckError};
 pub use corpus::{corpus, FilterKind, Scenario};
 pub use report::{CheckResult, ScenarioReport, Verdict, XcheckReport};
 pub use tolerance::{ladder, EXACT_TIER};

@@ -16,7 +16,7 @@
 //! | [`num`] | `htmpll-num` | complex arithmetic, matrices, LU, polynomials, roots, lattice sums |
 //! | [`lti`] | `htmpll-lti` | transfer functions, partial fractions, Bode, margins, loop filters |
 //! | [`spectral`] | `htmpll-spectral` | FFT, Goertzel, windows, PSD estimation |
-//! | [`htm`] | `htmpll-htm` | harmonic transfer matrices: blocks, composition, Nyquist |
+//! | [`htm`] | `htmpll-htm` | harmonic transfer matrices: blocks, composition, closed loops |
 //! | [`core`] | `htmpll-core` | the paper: `λ(s)`, closed-loop HTMs, analysis, noise folding |
 //! | [`sim`] | `htmpll-sim` | behavioral charge-pump PLL simulator + tone measurements |
 //! | [`zdomain`] | `htmpll-zdomain` | Hein–Scott discrete model, Jury test, stability limit |

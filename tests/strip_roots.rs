@@ -8,10 +8,10 @@ use htmpll::core::{
     analyze, candidate_params, dominant_poles, AnalysisReport, CoreError, DesignParams,
     EffectiveGain, PllDesign, PllModel, EXPLORE_F_REF,
 };
-use htmpll::htm::strip_zero_count;
 use htmpll::lti::Tf;
 use htmpll::num::Complex;
 use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::xcheck::strip_zero_count;
 use std::f64::consts::PI;
 
 /// `N(z)/D(z)` at `z = e^{2πs/ω₀}`.
