@@ -246,6 +246,23 @@ fi
 rm -f "$servein" "$serveout"
 echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
 
+echo "==> serve error leg (malformed, unknown command, unservable: pinned bytes)"
+errwant=$(mktemp); errgot=$(mktemp)
+cat > "$errwant" <<'EOF'
+{"schema":"plltool/v1","command":null,"ok":false,"error":{"code":"bad_request","message":"invalid JSON: expected 'null' at byte 0","retryable":false}}
+{"schema":"plltool/v1","id":1,"command":null,"ok":false,"error":{"code":"bad_request","message":"unknown command `nonsense`","retryable":false}}
+{"schema":"plltool/v1","id":"m","command":"metrics","ok":false,"error":{"code":"unsupported","message":"`metrics` mutates process-global state; run it via the plltool CLI","retryable":false}}
+EOF
+printf '%s\n' 'not json' '{"id":1,"command":"nonsense"}' '{"id":"m","command":"metrics"}' \
+    | ./target/release/plltool serve --workers 2 > "$errgot" 2>/dev/null
+cmp "$errwant" "$errgot" || {
+    echo "serve error leg failed: error lines differ from the pinned bytes" >&2
+    diff "$errwant" "$errgot" >&2 || true
+    exit 1
+}
+rm -f "$errwant" "$errgot"
+echo "serve error leg ok (3 error lines byte-identical)"
+
 echo "==> serve deadline leg (tight budget answers, never hangs)"
 dlout=$(mktemp)
 printf '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}\n{"id":1,"command":"analyze","params":{"ratio":0.1}}\n' \
