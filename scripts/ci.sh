@@ -263,6 +263,46 @@ cmp "$errwant" "$errgot" || {
 rm -f "$errwant" "$errgot"
 echo "serve error leg ok (3 error lines byte-identical)"
 
+echo "==> CLI text leg (analyze --pfd sh and spur: pinned stdout and --json bytes)"
+txtwant=$(mktemp); txtgot=$(mktemp); jsonwant=$(mktemp); jsongot=$(mktemp)
+cat > "$txtwant" <<'EOF'
+design             : PllDesign(f_ref=1.592e0 Hz, Icp=1.571e0 A, Kvco=1.000e0 rad/s/V, N=1)
+ω₀ (reference)     : 1.000000e1 rad/s
+ω_UG (LTI)         : 1.000000e0 rad/s  (ω_UG/ω₀ = 0.1000)
+phase margin (LTI) : 61.93°
+ω_UG,eff           : 1.053338e0 rad/s  (1.053× LTI)
+phase margin (eff) : 55.48°  (10.4 % degradation)
+−3 dB bandwidth    : 1.775288e0 rad/s
+peaking            : 1.46 dB (LTI predicted 1.57 dB)
+stable (HTM)       : true
+strip poles        :
+    -0.3459 +0.0000j   (Im/(ω₀/2) = 0.000)
+    -1.7092 +0.0000j   (Im/(ω₀/2) = 0.000)
+    -1.9449 +0.0000j   (Im/(ω₀/2) = 0.000)
+sample-and-hold PFD: ω_UG,eff = 9.8717e-1 rad/s, PM = 44.34°
+EOF
+echo "wrote $jsongot" >> "$txtwant"
+cat >> "$txtwant" <<'EOF'
+leakage            : 1.000e-3 × I_cp
+static offset      : 6.2832e-4 s (1.000e-3·T)
+     k   |sideband| (s)          dBc
+     1        2.3342e-5       -72.64
+     2        6.1617e-6       -84.21
+     3        2.7681e-6       -91.16
+     4        1.5630e-6       -96.12
+EOF
+printf '%s' '{"schema":"plltool/v1","command":"analyze","ok":true,"result":{"design":"PllDesign(f_ref=1.592e0 Hz, Icp=1.571e0 A, Kvco=1.000e0 rad/s/V, N=1)","omega_ref":10,"omega_ug_ratio":0.10000000000000002,"omega_ug_lti":1.0000000000000002,"phase_margin_lti_deg":61.927513064147035,"omega_ug_eff":1.053338143421566,"phase_margin_eff_deg":55.48027162563125,"pm_degradation_deg":6.447241438515789,"bandwidth_3db":1.7752875019089454,"peaking_db":1.4631405090838343,"peaking_lti_db":1.5680051591909034,"nyquist_stable":true,"beyond_sampling_limit":false,"strip_poles":[{"re":-0.3458624212601548,"im":0},{"re":-1.7092319367764122,"im":0},{"re":-1.9449056419634325,"im":0}],"sample_hold":{"omega_ug":0.9871722739986611,"phase_margin_deg":44.34058853035333}},"quality":{"exact":4097,"refined":0,"perturbed":0,"failed":0,"worst_cond":3.9123108241415023,"worst_residual":0.000000000000000017985217414339522}}' > "$jsonwant"
+{ ./target/release/plltool analyze --ratio 0.1 --pfd sh --json "$jsongot"
+  ./target/release/plltool spur --ratio 0.1; } > "$txtgot"
+cmp "$txtwant" "$txtgot" && cmp "$jsonwant" "$jsongot" || {
+    echo "CLI text leg failed: stdout or --json file differs from the pinned bytes" >&2
+    diff "$txtwant" "$txtgot" >&2 || true
+    diff "$jsonwant" "$jsongot" >&2 || true
+    exit 1
+}
+rm -f "$txtwant" "$txtgot" "$jsonwant" "$jsongot"
+echo "CLI text leg ok (two commands' stdout and one --json file byte-identical)"
+
 echo "==> serve deadline leg (tight budget answers, never hangs)"
 dlout=$(mktemp)
 printf '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}\n{"id":1,"command":"analyze","params":{"ratio":0.1}}\n' \
