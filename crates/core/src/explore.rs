@@ -264,7 +264,7 @@ impl ParetoFront {
 }
 
 /// What to explore and how hard.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreSpec {
     /// Monte-Carlo / Halton candidates in the initial round.
     pub candidates: usize,

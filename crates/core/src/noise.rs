@@ -44,20 +44,9 @@ impl<'a> NoiseModel<'a> {
         NoiseModel { model, fold_bands }
     }
 
-    /// Baseband transfer from any reference band to the output,
-    /// `A(jω)/(1 + λ(jω))`.
-    pub fn reference_gain(&self, omega: f64) -> Complex {
-        self.model.h00(omega)
-    }
-
     /// Baseband-to-baseband VCO noise gain `1 − A(jω)/(1 + λ(jω))`.
     pub fn vco_gain_baseband(&self, omega: f64) -> Complex {
         Complex::ONE - self.model.h00(omega)
-    }
-
-    /// Folded VCO noise gain from band `m ≠ 0`: `−A(jω)/(1 + λ(jω))`.
-    pub fn vco_gain_folded(&self, omega: f64) -> Complex {
-        -self.model.h00(omega)
     }
 
     /// Output phase PSD at offset `omega` (rad/s) given one-sided input
@@ -72,8 +61,8 @@ impl<'a> NoiseModel<'a> {
         vco_psd: &dyn Fn(f64) -> f64,
     ) -> f64 {
         let w0 = self.model.design().omega_ref();
-        // One closed-loop evaluation serves all three gains (see
-        // `reference_gain`, `vco_gain_baseband`, `vco_gain_folded`).
+        // One closed-loop evaluation `h = A/(1 + λ)` serves all three
+        // gains: reference `h`, baseband VCO `1 − h`, folded VCO `−h`.
         let h = self.model.h00(omega);
         let h00_sq = h.norm_sqr();
         let vco_bb_sq = (Complex::ONE - h).norm_sqr();

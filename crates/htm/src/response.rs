@@ -37,11 +37,6 @@ pub struct SidebandSpectrum {
 }
 
 impl SidebandSpectrum {
-    /// The baseband frequency `ω_b`.
-    pub fn base_frequency(&self) -> f64 {
-        self.base
-    }
-
     /// The band spacing `ω₀`.
     pub fn omega0(&self) -> f64 {
         self.omega0

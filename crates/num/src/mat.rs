@@ -114,12 +114,6 @@ impl CMat {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major entry slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
-        &mut self.data
-    }
-
     /// Returns entry `(i, j)` or `None` when out of bounds.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> Option<Complex> {

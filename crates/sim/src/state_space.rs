@@ -116,14 +116,6 @@ impl StateSpace {
         self.deriv(x, u, out);
     }
 
-    /// Magnitude of the fastest pole (for substep selection); zero for a
-    /// static system.
-    pub fn fastest_pole(&self, tf: &Tf) -> f64 {
-        tf.poles()
-            .map(|ps| ps.iter().map(|p| p.abs()).fold(0.0, f64::max))
-            .unwrap_or(0.0)
-    }
-
     /// State derivative for constant input `u` (companion form).
     fn deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
         let n = x.len();

@@ -106,7 +106,7 @@ fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
     })?;
     // `metrics` and `profile` manage the obs registry themselves;
     // --metrics-json applies to every other command.
-    let metrics_path = if matches!(req, Request::Metrics { .. } | Request::Profile { .. }) {
+    let metrics_path = if matches!(req, Request::Metrics { .. } | Request::Profile(_)) {
         None
     } else {
         params.str_opt("metrics-json")

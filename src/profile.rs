@@ -21,12 +21,13 @@ use crate::core::{
 use crate::htm::Truncation;
 use crate::obs;
 use crate::par::ThreadBudget;
+use crate::service::json::{num, opt_num};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// What to profile: the workload matrix is derived entirely from these
 /// knobs, so a spec identifies a reproducible run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSpec {
     /// Loop-speed ratio ω_UG/ω₀ of the profiled design.
     pub ratio: f64,
@@ -369,16 +370,6 @@ impl ProfileReport {
 
     /// Serializes the report as JSON (hand-rolled, schema version 1).
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        fn opt(v: Option<f64>) -> String {
-            v.map_or("null".to_string(), num)
-        }
         let mut out = String::new();
         out.push_str("{\n  \"version\": 1,\n");
         let _ = writeln!(
@@ -403,10 +394,10 @@ impl ProfileReport {
                  \"utilization\": {}}}",
                 p.name,
                 num(p.wall_ms),
-                opt(p.p50_us),
-                opt(p.p99_us),
+                opt_num(p.p50_us),
+                opt_num(p.p99_us),
                 p.quantiles_exact,
-                opt(p.cache_hit_rate),
+                opt_num(p.cache_hit_rate),
                 p.cache_evictions,
                 p.verdicts.exact,
                 p.verdicts.refined,
@@ -416,7 +407,7 @@ impl ProfileReport {
                 p.ladder.factor,
                 p.ladder.escalate_full,
                 p.ladder.escalate_tikhonov,
-                opt(p.utilization)
+                opt_num(p.utilization)
             );
             out.push_str(if i + 1 < self.phases.len() {
                 ",\n"

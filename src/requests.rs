@@ -10,7 +10,8 @@
 
 use crate::obs::JsonValue;
 use crate::par::{ThreadBudget, MAX_THREADS};
-use htmpll_core::{CoreError, PllDesign};
+use crate::profile::ProfileSpec;
+use htmpll_core::{CoreError, ExploreSpec, PllDesign};
 use std::collections::BTreeMap;
 
 /// One request parameter: a number, a string, or a boolean flag.
@@ -266,6 +267,14 @@ fn canon_f64(x: f64) -> String {
     }
 }
 
+/// The `threads` request field a budget was parsed from (0 = auto).
+fn thread_count(budget: ThreadBudget) -> usize {
+    match budget {
+        ThreadBudget::Auto => 0,
+        ThreadBudget::Fixed(n) => n,
+    }
+}
+
 /// The request id echoed on a serve response line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestId {
@@ -356,27 +365,7 @@ pub enum Request {
         threads: usize,
     },
     /// Streaming design-space exploration (`plltool explore`).
-    Explore {
-        /// Monte-Carlo candidates in the initial round.
-        candidates: usize,
-        /// Candidate-stream seed.
-        seed: u64,
-        /// Minimum acceptable effective phase margin, degrees.
-        min_pm: f64,
-        /// Maximum acceptable first reference spur, dBc.
-        max_spur: f64,
-        /// Pareto-front capacity.
-        front_cap: usize,
-        /// Adaptive refinement rounds.
-        refine: usize,
-        /// Disable the screening cascade (full analysis per candidate).
-        full: bool,
-        /// Draw candidates from the Halton sequence instead of
-        /// xoshiro streams.
-        quasi: bool,
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
+    Explore(ExploreSpec),
     /// Loop-parameter optimization (`plltool optimize`).
     Optimize {
         /// Minimum acceptable effective phase margin, degrees.
@@ -418,20 +407,7 @@ pub enum Request {
     },
     /// Seeded profiling workload matrix (`plltool profile`). Mutates
     /// process-global obs state, so it is not servable.
-    Profile {
-        /// Crossover ratio of the workload design.
-        ratio: f64,
-        /// Sweep grid points.
-        points: usize,
-        /// HTM truncation order.
-        trunc: usize,
-        /// Repetitions.
-        reps: usize,
-        /// Workload seed.
-        seed: u64,
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
+    Profile(ProfileSpec),
     /// Server telemetry probe — only meaningful under `plltool serve`.
     Stats,
 }
@@ -477,17 +453,20 @@ impl Request {
                 kmax: p.usize_or("kmax", 4)?,
                 threads,
             },
-            "explore" => Request::Explore {
-                candidates: p.usize_or("candidates", 5000)?,
-                seed: p.usize_or("seed", 1)? as u64,
-                min_pm: p.f64_or("min-pm", 50.0)?,
-                max_spur: p.f64_or("max-spur", -65.0)?,
-                front_cap: p.usize_or("front-cap", 256)?,
-                refine: p.usize_or("refine", 1)?,
-                full: p.has("full"),
-                quasi: p.has("quasi"),
-                threads,
-            },
+            "explore" => {
+                let d = ExploreSpec::default();
+                Request::Explore(ExploreSpec {
+                    candidates: p.usize_or("candidates", d.candidates)?,
+                    seed: p.usize_or("seed", d.seed as usize)? as u64,
+                    min_pm_deg: p.f64_or("min-pm", d.min_pm_deg)?,
+                    max_spur_dbc: p.f64_or("max-spur", d.max_spur_dbc)?,
+                    front_cap: p.usize_or("front-cap", d.front_cap)?,
+                    refine_rounds: p.usize_or("refine", d.refine_rounds)?,
+                    screen: !p.has("full"),
+                    quasi: p.has("quasi"),
+                    threads: ThreadBudget::from(threads),
+                })
+            }
             "optimize" => Request::Optimize {
                 min_pm: p.f64_or("min-pm", 45.0)?,
                 from: p.f64_or("from", 0.03)?,
@@ -509,14 +488,17 @@ impl Request {
                 obs_spec: p.str_opt("obs").unwrap_or_else(|| "debug".to_string()),
                 threads,
             },
-            "profile" => Request::Profile {
-                ratio: p.f64_or("ratio", 0.1)?,
-                points: p.usize_or("points", 96)?,
-                trunc: p.usize_or("trunc", 8)?,
-                reps: p.usize_or("reps", 1)?,
-                seed: p.usize_or("seed", 0)? as u64,
-                threads,
-            },
+            "profile" => {
+                let d = ProfileSpec::default();
+                Request::Profile(ProfileSpec {
+                    ratio: p.f64_or("ratio", d.ratio)?,
+                    points: p.usize_or("points", d.points)?,
+                    trunc: p.usize_or("trunc", d.trunc)?,
+                    reps: p.usize_or("reps", d.reps)?,
+                    threads: ThreadBudget::from(threads),
+                    seed: p.usize_or("seed", d.seed as usize)? as u64,
+                })
+            }
             "stats" => Request::Stats,
             other => return Err(format!("unknown command `{other}`")),
         })
@@ -553,12 +535,12 @@ impl Request {
             Request::Step { .. } => "step",
             Request::Hop { .. } => "hop",
             Request::Spur { .. } => "spur",
-            Request::Explore { .. } => "explore",
+            Request::Explore(_) => "explore",
             Request::Optimize { .. } => "optimize",
             Request::Doctor { .. } => "doctor",
             Request::Xcheck { .. } => "xcheck",
             Request::Metrics { .. } => "metrics",
-            Request::Profile { .. } => "profile",
+            Request::Profile(_) => "profile",
             Request::Stats => "stats",
         }
     }
@@ -569,26 +551,25 @@ impl Request {
     pub fn is_servable(&self) -> bool {
         !matches!(
             self,
-            Request::Metrics { .. } | Request::Profile { .. } | Request::Stats
+            Request::Metrics { .. } | Request::Profile(_) | Request::Stats
         )
     }
 
     /// The worker-thread budget encoded in the request (`Auto` for
     /// commands without one).
     pub fn budget(&self) -> ThreadBudget {
-        let threads = match self {
+        match self {
             Request::Analyze { threads, .. }
             | Request::Sweep { threads, .. }
             | Request::Bode { threads, .. }
             | Request::Spur { threads, .. }
-            | Request::Explore { threads, .. }
             | Request::Doctor { threads, .. }
             | Request::Xcheck { threads, .. }
-            | Request::Metrics { threads, .. }
-            | Request::Profile { threads, .. } => *threads,
-            _ => 0,
-        };
-        ThreadBudget::from(threads)
+            | Request::Metrics { threads, .. } => ThreadBudget::from(*threads),
+            Request::Explore(spec) => spec.threads,
+            Request::Profile(spec) => spec.threads,
+            _ => ThreadBudget::Auto,
+        }
     }
 
     /// Canonical JSON for this request: a deterministic function of the
@@ -666,26 +647,16 @@ impl Request {
                 field("kmax", kmax.to_string());
                 field("threads", threads.to_string());
             }
-            Request::Explore {
-                candidates,
-                seed,
-                min_pm,
-                max_spur,
-                front_cap,
-                refine,
-                full,
-                quasi,
-                threads,
-            } => {
-                field("candidates", candidates.to_string());
-                field("seed", seed.to_string());
-                field("min_pm", canon_f64(*min_pm));
-                field("max_spur", canon_f64(*max_spur));
-                field("front_cap", front_cap.to_string());
-                field("refine", refine.to_string());
-                field("full", full.to_string());
-                field("quasi", quasi.to_string());
-                field("threads", threads.to_string());
+            Request::Explore(s) => {
+                field("candidates", s.candidates.to_string());
+                field("seed", s.seed.to_string());
+                field("min_pm", canon_f64(s.min_pm_deg));
+                field("max_spur", canon_f64(s.max_spur_dbc));
+                field("front_cap", s.front_cap.to_string());
+                field("refine", s.refine_rounds.to_string());
+                field("full", (!s.screen).to_string());
+                field("quasi", s.quasi.to_string());
+                field("threads", thread_count(s.threads).to_string());
             }
             Request::Optimize {
                 min_pm,
@@ -735,20 +706,13 @@ impl Request {
                 );
                 field("threads", threads.to_string());
             }
-            Request::Profile {
-                ratio,
-                points,
-                trunc,
-                reps,
-                seed,
-                threads,
-            } => {
-                field("ratio", canon_f64(*ratio));
-                field("points", points.to_string());
-                field("trunc", trunc.to_string());
-                field("reps", reps.to_string());
-                field("seed", seed.to_string());
-                field("threads", threads.to_string());
+            Request::Profile(s) => {
+                field("ratio", canon_f64(s.ratio));
+                field("points", s.points.to_string());
+                field("trunc", s.trunc.to_string());
+                field("reps", s.reps.to_string());
+                field("seed", s.seed.to_string());
+                field("threads", thread_count(s.threads).to_string());
             }
             Request::Stats => {}
         }

@@ -5,19 +5,18 @@
 //! `Result`, so a batch service can absorb failures per request.
 
 use super::response::{
-    AnalyzeOut, BodeOut, BodeRow, DoctorCheck, DoctorOut, ExploreOut, MetricsOut, OptimizeOut,
-    ProfileOut, Response, ServiceError, ShMargins, SpurOut, SweepOut, SweepRow, TransientOut,
-    XcheckOut,
+    AnalyzeOut, DoctorCheck, DoctorOut, ExploreOut, MetricsOut, Response, ServiceError, SpurOut,
+    SweepOut, SweepRow, TransientOut,
 };
 use super::ServiceCtx;
 use crate::core::{
-    bode_grid, dominant_poles, optimize_loop, transient, EffectiveGain, ExploreSpec, KernelPolicy,
+    bode_grid, dominant_poles, optimize_loop, transient, Candidate, EffectiveGain, KernelPolicy,
     LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel,
     PointQuality, QualitySummary, SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON,
     MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
-use crate::lti::FrequencyGrid;
+use crate::lti::{BodePoint, FrequencyGrid};
 use crate::num::optim::lin_grid;
 use crate::num::Complex;
 use crate::par::{Deadline, ThreadBudget};
@@ -25,9 +24,11 @@ use crate::requests::{DesignSpec, Request};
 use crate::sim::{acquire_lock, LockOptions, PllSim, SimConfig, SimParams};
 use crate::spectral::{periodogram, Window};
 
-/// Executes one request against the shared service context. Never
-/// panics on request-level failures: they come back as
-/// [`Response::Error`].
+/// Executes one request against the shared service context and returns
+/// its response. Request-level failures come back as
+/// [`Response::Error`]; this function itself never fails. (`stats` is
+/// the one unservable-here variant: it describes a running server, so
+/// outside `plltool serve` it reports a structured error.)
 pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
     // Fault site: a handler panic for scope-selected requests, proving
     // the serve worker's `catch_unwind` containment under chaos runs.
@@ -74,42 +75,26 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             ref_noise,
             vco_noise,
         } => optimize(*min_pm, *from, *to, *points, *ref_noise, *vco_noise).map(Response::Optimize),
-        Request::Explore {
-            candidates,
-            seed,
-            min_pm,
-            max_spur,
-            front_cap,
-            refine,
-            full,
-            quasi,
-            ..
-        } => explore(
-            *candidates,
-            *seed,
-            *min_pm,
-            *max_spur,
-            *front_cap,
-            *refine,
-            *full,
-            *quasi,
-            budget,
-            &deadline,
-        )
-        .map(Response::Explore),
+        // The deadline shrinks the candidate budget (noted in the
+        // report's degradation list); an expiry before any block lands
+        // is a retryable `code:deadline` error through the
+        // `DEADLINE_REASON` prefix.
+        Request::Explore(spec) => crate::core::explore(spec, &deadline)
+            .map(|report| {
+                Response::Explore(ExploreOut {
+                    seed: spec.seed,
+                    report,
+                })
+            })
+            .map_err(|e| e.to_string()),
         Request::Doctor { design, .. } => doctor(design.as_ref(), budget).map(Response::Doctor),
-        Request::Xcheck { corpus, .. } => xcheck(corpus, budget).map(Response::Xcheck),
+        Request::Xcheck { corpus, .. } => crate::xcheck::run_corpus(corpus, budget)
+            .map(Response::Xcheck)
+            .map_err(|e| e.to_string()),
         Request::Metrics {
             design, obs_spec, ..
         } => metrics(design.as_ref(), obs_spec, budget).map(Response::Metrics),
-        Request::Profile {
-            ratio,
-            points,
-            trunc,
-            reps,
-            seed,
-            ..
-        } => profile(*ratio, *points, *trunc, *reps, *seed, budget).map(Response::Profile),
+        Request::Profile(spec) => crate::profile::run_profile(spec).map(Response::Profile),
         Request::Stats => Err("stats is only available under `plltool serve`".to_string()),
     };
     result.unwrap_or_else(|message| {
@@ -142,18 +127,10 @@ fn analyze(
 ) -> Result<AnalyzeOut, String> {
     let (design, model) = build_model(spec)?;
     let report = crate::core::analyze(&model, threads, deadline).map_err(|e| e.to_string())?;
-    let strip_poles = dominant_poles(&model)
-        .ok()
-        .map(|ps| ps.iter().map(|p| (p.re, p.im)).collect());
+    let strip_poles = dominant_poles(&model).ok();
     let sample_hold = if pfd_sh {
         let sh = SampleHoldModel::new(model.design().clone()).map_err(|e| e.to_string())?;
-        Some(match sh.margins() {
-            Ok(m) => Ok(ShMargins {
-                omega_ug: m.omega_ug,
-                phase_margin_deg: m.phase_margin_deg,
-            }),
-            Err(e) => Err(e.to_string()),
-        })
+        Some(sh.margins().map_err(|e| e.to_string()))
     } else {
         None
     };
@@ -172,19 +149,6 @@ fn analyze(
         sample_hold,
         symbolic,
     })
-}
-
-fn merge_quality(into: &mut QualitySummary, q: &QualitySummary) {
-    into.exact += q.exact;
-    into.refined += q.refined;
-    into.perturbed += q.perturbed;
-    into.failed += q.failed;
-    if q.worst_cond > into.worst_cond {
-        into.worst_cond = q.worst_cond;
-    }
-    if q.worst_residual > into.worst_residual {
-        into.worst_residual = q.worst_residual;
-    }
 }
 
 /// The ratio sweep with its graceful-degradation ladder. Under an armed
@@ -271,7 +235,7 @@ fn sweep(
                 break;
             }
         };
-        merge_quality(&mut quality, &r.quality);
+        quality.merge(&r.quality);
         rows.push(SweepRow {
             ratio,
             ug_ratio: r.omega_ug_eff / r.omega_ug_lti,
@@ -294,14 +258,14 @@ fn bode(
     lambda: bool,
     threads: ThreadBudget,
     deadline: &Deadline,
-) -> Result<BodeOut, String> {
+) -> Result<Vec<BodePoint>, String> {
     let (design, model) = build_model(spec)?;
     let wug = crate::core::analyze(&model, threads, deadline)
         .map_err(|e| e.to_string())?
         .omega_ug_lti;
     let grid =
         FrequencyGrid::log(1e-2 * wug, 1e2 * wug, points.max(2)).map_err(|e| e.to_string())?;
-    let pts = if lambda {
+    Ok(if lambda {
         let lam = EffectiveGain::new(&design.open_loop_gain(), design.omega_ref())
             .map_err(|e| e.to_string())?;
         // λ is only meaningful inside the first band.
@@ -313,16 +277,6 @@ fn bode(
         let a = design.open_loop_gain();
         let spec = SweepSpec::new(grid).with_threads(threads);
         bode_grid(|w| a.eval_jw(w), &spec)
-    };
-    Ok(BodeOut {
-        rows: pts
-            .iter()
-            .map(|p| BodeRow {
-                omega: p.omega,
-                mag_db: p.mag_db,
-                phase_deg: p.phase_deg,
-            })
-            .collect(),
     })
 }
 
@@ -365,7 +319,7 @@ fn optimize(
     points: usize,
     ref_noise: f64,
     vco_noise: f64,
-) -> Result<OptimizeOut, String> {
+) -> Result<Candidate, String> {
     let spec = OptimizeSpec {
         min_pm_eff_deg: min_pm,
         ratios: (from, to, points),
@@ -380,48 +334,7 @@ fn optimize(
         },
         band: (1e-3, 0.45),
     };
-    let best = optimize_loop(&spec, &noise).map_err(|e| e.to_string())?;
-    Ok(OptimizeOut {
-        ratio: best.ratio,
-        spread: best.spread,
-        pm_lti_deg: best.report.phase_margin_lti_deg,
-        pm_eff_deg: best.report.phase_margin_eff_deg,
-        integrated_noise: best.integrated_noise,
-    })
-}
-
-/// Streaming design-space exploration: seeded candidate corpus through
-/// the screening cascade into a bounded, deterministic Pareto front.
-/// The cooperative deadline shrinks the candidate budget (recorded in
-/// the report's degradation notes); an expiry before any block lands
-/// surfaces as a retryable `code:deadline` error through the
-/// [`DEADLINE_REASON`] prefix protocol.
-#[allow(clippy::too_many_arguments)]
-fn explore(
-    candidates: usize,
-    seed: u64,
-    min_pm: f64,
-    max_spur: f64,
-    front_cap: usize,
-    refine: usize,
-    full: bool,
-    quasi: bool,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<ExploreOut, String> {
-    let spec = ExploreSpec {
-        candidates,
-        seed,
-        min_pm_deg: min_pm,
-        max_spur_dbc: max_spur,
-        front_cap,
-        refine_rounds: refine,
-        screen: !full,
-        quasi,
-        threads,
-    };
-    let report = crate::core::explore(&spec, deadline).map_err(|e| e.to_string())?;
-    Ok(ExploreOut { seed, report })
+    optimize_loop(&spec, &noise).map_err(|e| e.to_string())
 }
 
 /// Stress-evaluates a model at adversarial points — on-pole `s`, a loop
@@ -674,23 +587,6 @@ fn doctor(spec: Option<&DesignSpec>, threads: ThreadBudget) -> Result<DoctorOut,
     })
 }
 
-/// Cross-stack differential verification over the deterministic
-/// scenario corpus.
-fn xcheck(corpus: &str, threads: ThreadBudget) -> Result<XcheckOut, String> {
-    let report = crate::xcheck::run_corpus(corpus, threads).map_err(|e| e.to_string())?;
-    Ok(XcheckOut {
-        corpus: report.corpus.clone(),
-        table: report.render_table(),
-        agreements: report.agreements(),
-        tolerated: report.tolerated(),
-        mismatches: report.mismatches(),
-        total_checks: report.total_checks(),
-        scenarios: report.scenarios.len(),
-        digest: report.digest(),
-        report_json: report.to_json(),
-    })
-}
-
 /// Runs a representative slice of the whole pipeline — analysis, strip
 /// poles, truncated/dense HTM closed loop, eigenvalues, parallel
 /// frequency sweeps, behavioral simulation, lock acquisition, spectral
@@ -778,29 +674,5 @@ fn metrics(
         levels: crate::obs::describe_targets(&["num", "htm", "core", "sim", "spectral"]),
         table: crate::obs::export_table(),
         export_json: crate::obs::export_json(),
-    })
-}
-
-/// Runs the seeded profiling workload matrix.
-fn profile(
-    ratio: f64,
-    points: usize,
-    trunc: usize,
-    reps: usize,
-    seed: u64,
-    threads: ThreadBudget,
-) -> Result<ProfileOut, String> {
-    let spec = crate::profile::ProfileSpec {
-        ratio,
-        points,
-        trunc,
-        reps,
-        threads,
-        seed,
-    };
-    let report = crate::profile::run_profile(&spec)?;
-    Ok(ProfileOut {
-        table: report.render_table(),
-        report_json: report.to_json(),
     })
 }

@@ -31,17 +31,16 @@ mod response;
 mod server;
 
 pub use chaos::{build_corpus, default_plan, run_chaos, ChaosOptions, ChaosReport};
+pub use handlers::handle;
 pub use response::{
-    envelope, envelope_tail, AnalyzeOut, BodeOut, BodeRow, DoctorCheck, DoctorOut, ExploreOut,
-    MetricsOut, OptimizeOut, ProfileOut, Response, ServiceError, ShMargins, SpurOut, SweepOut,
-    SweepRow, TransientOut, XcheckOut,
+    envelope, envelope_tail, AnalyzeOut, DoctorCheck, DoctorOut, ExploreOut, MetricsOut, Response,
+    ServiceError, SpurOut, SweepOut, SweepRow, TransientOut,
 };
 #[cfg(unix)]
 pub use server::serve_unix;
 pub use server::{serve_lines, ServeOptions, ServeSummary};
 
 use crate::par::{Deadline, WeakDeadline};
-use crate::requests::Request;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -99,15 +98,6 @@ impl Default for ServiceCtx {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Executes one request and returns its response. Request-level
-/// failures come back as [`Response::Error`]; this function itself
-/// never fails. (`stats` is the one unservable-here variant: it
-/// describes a running server, so outside `plltool serve` it reports a
-/// structured error.)
-pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
-    handlers::handle(req, ctx)
 }
 
 #[cfg(test)]

@@ -10,18 +10,13 @@
 //!   `plltool serve` response line.
 
 use super::json::{num, opt_num, str_lit};
+use crate::core::{AnalysisReport, Candidate, ExploreReport, QualitySummary, SpurLine};
+use crate::lti::{BodePoint, Margins};
+use crate::num::Complex;
+use crate::profile::ProfileReport;
 use crate::requests::RequestId;
-use htmpll_core::{AnalysisReport, ExploreReport, QualitySummary, SpurLine};
+use crate::xcheck::XcheckReport;
 use std::fmt::Write as _;
-
-/// Sample-and-hold PFD margins for the `--pfd sh` report line.
-#[derive(Debug, Clone)]
-pub struct ShMargins {
-    /// Unity-gain frequency, rad/s.
-    pub omega_ug: f64,
-    /// Phase margin, degrees.
-    pub phase_margin_deg: f64,
-}
 
 /// `analyze` result.
 #[derive(Debug, Clone)]
@@ -32,11 +27,11 @@ pub struct AnalyzeOut {
     pub omega_ref: f64,
     /// The full analysis report.
     pub report: AnalysisReport,
-    /// Dominant strip poles `(re, im)`, when the solver found them.
-    pub strip_poles: Option<Vec<(f64, f64)>>,
+    /// Dominant strip poles, when the solver found them.
+    pub strip_poles: Option<Vec<Complex>>,
     /// Sample-and-hold margins (requested via `pfd_sh`); `Err` carries
     /// the no-margin explanation.
-    pub sample_hold: Option<Result<ShMargins, String>>,
+    pub sample_hold: Option<Result<Margins, String>>,
     /// Symbolic λ(s) expansion (requested via `symbolic`).
     pub symbolic: Option<String>,
 }
@@ -70,24 +65,6 @@ pub struct SweepOut {
     pub degradation: Vec<String>,
 }
 
-/// One `bode` table row.
-#[derive(Debug, Clone)]
-pub struct BodeRow {
-    /// Angular frequency, rad/s.
-    pub omega: f64,
-    /// Magnitude, dB.
-    pub mag_db: f64,
-    /// Unwrapped phase, degrees.
-    pub phase_deg: f64,
-}
-
-/// `bode` result.
-#[derive(Debug, Clone)]
-pub struct BodeOut {
-    /// Table rows in frequency order.
-    pub rows: Vec<BodeRow>,
-}
-
 /// `step` / `hop` result: a time series.
 #[derive(Debug, Clone)]
 pub struct TransientOut {
@@ -108,21 +85,6 @@ pub struct SpurOut {
     pub f_ref: f64,
     /// Predicted spur lines.
     pub lines: Vec<SpurLine>,
-}
-
-/// `optimize` result.
-#[derive(Debug, Clone)]
-pub struct OptimizeOut {
-    /// Winning crossover ratio.
-    pub ratio: f64,
-    /// Winning zero/pole spread.
-    pub spread: f64,
-    /// LTI phase margin of the winner, degrees.
-    pub pm_lti_deg: f64,
-    /// Effective phase margin of the winner, degrees.
-    pub pm_eff_deg: f64,
-    /// Integrated output noise of the winner.
-    pub integrated_noise: f64,
 }
 
 /// `explore` result.
@@ -167,29 +129,6 @@ impl DoctorOut {
     }
 }
 
-/// `xcheck` result.
-#[derive(Debug, Clone)]
-pub struct XcheckOut {
-    /// Corpus name.
-    pub corpus: String,
-    /// Rendered reconciliation table.
-    pub table: String,
-    /// Agreeing checks.
-    pub agreements: usize,
-    /// Tolerated deviations.
-    pub tolerated: usize,
-    /// Hard mismatches.
-    pub mismatches: usize,
-    /// Total checks.
-    pub total_checks: usize,
-    /// Scenario count.
-    pub scenarios: usize,
-    /// Report digest.
-    pub digest: String,
-    /// Full report JSON (the `--json` payload).
-    pub report_json: String,
-}
-
 /// `metrics` result.
 #[derive(Debug, Clone)]
 pub struct MetricsOut {
@@ -201,15 +140,6 @@ pub struct MetricsOut {
     pub table: String,
     /// Full obs export JSON.
     pub export_json: String,
-}
-
-/// `profile` result.
-#[derive(Debug, Clone)]
-pub struct ProfileOut {
-    /// Rendered attribution table.
-    pub table: String,
-    /// Full report JSON.
-    pub report_json: String,
 }
 
 /// A structured request failure: carried in-band so a serve batch never
@@ -296,26 +226,26 @@ pub enum Response {
     Analyze(AnalyzeOut),
     /// `sweep` output.
     Sweep(SweepOut),
-    /// `bode` output.
-    Bode(BodeOut),
+    /// `bode` output: the swept points in frequency order.
+    Bode(Vec<BodePoint>),
     /// `step` output.
     Step(TransientOut),
     /// `hop` output.
     Hop(TransientOut),
     /// `spur` output.
     Spur(SpurOut),
-    /// `optimize` output.
-    Optimize(OptimizeOut),
+    /// `optimize` output: the winning candidate.
+    Optimize(Candidate),
     /// `explore` output.
     Explore(ExploreOut),
     /// `doctor` output.
     Doctor(DoctorOut),
     /// `xcheck` output.
-    Xcheck(XcheckOut),
+    Xcheck(XcheckReport),
     /// `metrics` output.
     Metrics(MetricsOut),
     /// `profile` output.
-    Profile(ProfileOut),
+    Profile(ProfileReport),
     /// `stats` output: the live counters of a running `plltool serve`
     /// as a JSON object (only the serve dispatcher builds it).
     Stats(String),
@@ -365,12 +295,14 @@ impl Response {
                     )
                 })
             }
-            Response::Xcheck(x) => (x.mismatches > 0).then(|| {
-                format!(
-                    "xcheck: {} cross-stack mismatch(es) — the models disagree beyond every justified bound",
-                    x.mismatches
-                )
-            }),
+            Response::Xcheck(x) => {
+                let mismatches = x.mismatches();
+                (mismatches > 0).then(|| {
+                    format!(
+                        "xcheck: {mismatches} cross-stack mismatch(es) — the models disagree beyond every justified bound"
+                    )
+                })
+            }
             Response::Error(e) => Some(e.message.clone()),
             _ => None,
         }
@@ -383,9 +315,9 @@ impl Response {
         match self {
             Response::Analyze(a) => render_analyze(&mut t, a),
             Response::Sweep(s) => render_sweep(&mut t, s),
-            Response::Bode(b) => {
+            Response::Bode(points) => {
                 let _ = writeln!(t, "{:>14} {:>12} {:>12}", "omega", "mag_dB", "phase_deg");
-                for p in &b.rows {
+                for p in points {
                     let _ = writeln!(
                         t,
                         "{:14.6e} {:12.3} {:12.2}",
@@ -410,7 +342,7 @@ impl Response {
                 let _ = writeln!(
                     t,
                     "best: ω_UG/ω₀ = {:.3}, spread = {} (PM_LTI {:.1}°, PM_eff {:.1}°)",
-                    o.ratio, o.spread, o.pm_lti_deg, o.pm_eff_deg
+                    o.ratio, o.spread, o.report.phase_margin_lti_deg, o.report.phase_margin_eff_deg
                 );
                 let _ = writeln!(
                     t,
@@ -422,14 +354,19 @@ impl Response {
             Response::Explore(e) => render_explore(&mut t, e),
             Response::Doctor(d) => render_doctor(&mut t, d),
             Response::Xcheck(x) => {
-                t.push_str(&x.table);
+                t.push_str(&x.render_table());
                 t.push('\n');
                 let _ = writeln!(
                     t,
                     "xcheck: corpus {} — {} agree, {} tolerated, {} mismatch ({} checks, {} scenarios)",
-                    x.corpus, x.agreements, x.tolerated, x.mismatches, x.total_checks, x.scenarios
+                    x.corpus,
+                    x.agreements(),
+                    x.tolerated(),
+                    x.mismatches(),
+                    x.total_checks(),
+                    x.scenarios.len()
                 );
-                let _ = writeln!(t, "digest : {}", x.digest);
+                let _ = writeln!(t, "digest : {}", x.digest());
             }
             Response::Metrics(m) => {
                 let _ = writeln!(t, "filter : {}", m.filter);
@@ -437,7 +374,7 @@ impl Response {
                 t.push('\n');
                 t.push_str(&m.table);
             }
-            Response::Profile(p) => t.push_str(&p.table),
+            Response::Profile(p) => t.push_str(&p.render_table()),
             Response::Stats(json) => {
                 let _ = writeln!(t, "{json}");
             }
@@ -484,9 +421,9 @@ impl Response {
                 r.push('}');
                 Some(r)
             }
-            Response::Bode(b) => Some(format!(
+            Response::Bode(points) => Some(format!(
                 "{{\"points\":[{}]}}",
-                b.rows
+                points
                     .iter()
                     .map(|p| format!(
                         "{{\"omega\":{},\"mag_db\":{},\"phase_deg\":{}}}",
@@ -525,8 +462,8 @@ impl Response {
                 "{{\"ratio\":{},\"spread\":{},\"pm_lti_deg\":{},\"pm_eff_deg\":{},\"integrated_noise\":{},\"rms\":{}}}",
                 num(o.ratio),
                 num(o.spread),
-                num(o.pm_lti_deg),
-                num(o.pm_eff_deg),
+                num(o.report.phase_margin_lti_deg),
+                num(o.report.phase_margin_eff_deg),
                 num(o.integrated_noise),
                 num(o.integrated_noise.sqrt())
             )),
@@ -553,9 +490,9 @@ impl Response {
             // These three already emit complete JSON documents; splice
             // them raw so every historical substring survives the
             // envelope migration.
-            Response::Xcheck(x) => Some(x.report_json.clone()),
+            Response::Xcheck(x) => Some(x.to_json()),
             Response::Metrics(m) => Some(m.export_json.clone()),
-            Response::Profile(p) => Some(p.report_json.clone()),
+            Response::Profile(p) => Some(p.to_json()),
             Response::Stats(json) => Some(json.clone()),
             Response::Error(_) => None,
         }
@@ -638,13 +575,13 @@ fn render_analyze(t: &mut String, a: &AnalyzeOut) {
     );
     if let Some(poles) = &a.strip_poles {
         let _ = writeln!(t, "strip poles        :");
-        for &(re, im) in poles {
+        for p in poles {
             let _ = writeln!(
                 t,
                 "    {:.4} {:+.4}j   (Im/(ω₀/2) = {:.3})",
-                re,
-                im,
-                im / (0.5 * a.omega_ref)
+                p.re,
+                p.im,
+                p.im / (0.5 * a.omega_ref)
             );
         }
     }
@@ -869,7 +806,7 @@ fn analyze_result_json(a: &AnalyzeOut) -> String {
             ",\"strip_poles\":[{}]",
             poles
                 .iter()
-                .map(|(re, im)| format!("{{\"re\":{},\"im\":{}}}", num(*re), num(*im)))
+                .map(|p| format!("{{\"re\":{},\"im\":{}}}", num(p.re), num(p.im)))
                 .collect::<Vec<_>>()
                 .join(",")
         );
@@ -974,12 +911,9 @@ mod tests {
         assert_eq!(doc.get("ok"), Some(&crate::obs::JsonValue::Bool(false)));
         assert!(doc.get("command").is_some());
 
-        let ok = Response::Optimize(OptimizeOut {
-            ratio: 0.1,
-            spread: 4.0,
-            pm_lti_deg: 50.0,
-            pm_eff_deg: 45.0,
-            integrated_noise: 1e-9,
+        let ok = Response::Step(TransientOut {
+            ts: vec![1.0, 2.0],
+            ys: vec![0.5, 0.75],
         });
         let line = envelope(&ok, &RequestId::None, Some("{\"version\": 1}"));
         let doc = crate::obs::parse_json(&line).unwrap();

@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use super::response::{envelope, envelope_from_tail, envelope_tail, Response, ServiceError};
 use super::{handlers, json, ServiceCtx};
-use crate::num::BoundedCache;
+use crate::num::{BoundedCache, CacheStats};
 use crate::obs::JsonValue;
 use crate::par::{par_map, ThreadBudget};
 use crate::requests::{Request, RequestId};
@@ -278,6 +278,7 @@ where
         start,
         counts: &counts,
         tails,
+        tails_at_open: tails.stats(),
         summary: ServeSummary::default(),
         dispatched: 0,
         latencies_ns: Vec::new(),
@@ -365,25 +366,28 @@ where
                     parsed,
                 };
                 seq += 1;
+                // Count the job before the dispatcher can receive it,
+                // so its `fetch_sub` never runs ahead and wraps the
+                // depth; a job that does not enter the queue is
+                // uncounted again.
+                counts.queue_depth.fetch_add(1, Ordering::SeqCst);
                 if shed_mode {
                     match tx.try_send(job) {
-                        Ok(()) => {
-                            counts.queue_depth.fetch_add(1, Ordering::SeqCst);
-                        }
+                        Ok(()) => {}
                         Err(TrySendError::Full(job)) => {
+                            counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
                             counts.shed.fetch_add(1, Ordering::SeqCst);
                             counter!("serve", "shed").inc();
                             lock(shed_list).push(job.waiter);
                         }
                         Err(TrySendError::Disconnected(_)) => {
+                            counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
                             return Err("serve: dispatcher hung up".to_string());
                         }
                     }
-                } else {
-                    counts.queue_depth.fetch_add(1, Ordering::SeqCst);
-                    if tx.send(job).is_err() {
-                        return Err("serve: dispatcher hung up".to_string());
-                    }
+                } else if tx.send(job).is_err() {
+                    counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                    return Err("serve: dispatcher hung up".to_string());
                 }
             }
             Ok(())
@@ -515,6 +519,9 @@ struct Dispatcher<'a> {
     start: Instant,
     counts: &'a ReaderCounts,
     tails: &'a TailCache,
+    /// The tail cache's counters when this stream opened, so `stats`
+    /// reports this stream's misses and evictions.
+    tails_at_open: CacheStats,
     summary: ServeSummary,
     /// Requests admitted in batches, for `stats`' batch occupancy.
     dispatched: u64,
@@ -694,12 +701,10 @@ impl Dispatcher<'_> {
 
     /// The `stats` result, built by the dispatcher (it needs the live
     /// queue, not a worker). In `response_cache`, `hits` counts this
-    /// run's requests answered without running a handler (tail-cache
-    /// hits plus in-batch duplicates); `misses` (the specs computed),
-    /// `evictions` and `entries` are the tail cache's own
-    /// [`CacheStats`] over the server's life.
-    ///
-    /// [`CacheStats`]: crate::num::CacheStats
+    /// stream's requests answered without running a handler (tail-cache
+    /// hits plus in-batch duplicates); `misses` (the specs computed)
+    /// and `evictions` are the tail cache's own [`CacheStats`] since
+    /// this stream opened, and `entries` is its current size.
     fn stats_json(&self) -> String {
         let (p50, p99) = self.latency_quantiles();
         let tail = self.tails.stats();
@@ -728,8 +733,8 @@ impl Dispatcher<'_> {
             p99,
             self.latencies_ns.len(),
             s.response_cache_hits,
-            tail.misses,
-            tail.evictions,
+            tail.misses - self.tails_at_open.misses,
+            tail.evictions - self.tails_at_open.evictions,
             tail.entries,
         )
     }
@@ -907,19 +912,27 @@ mod tests {
         // serves two connections: the second answers from the cache.
         let ctx = ServiceCtx::new();
         let tails = TailCache::new(TAIL_CACHE_CAP);
-        let input = "{\"id\":1,\"command\":\"analyze\",\"params\":{\"ratio\":0.1}}\n";
-        let connect = || {
+        let analyze = "{\"id\":1,\"command\":\"analyze\",\"params\":{\"ratio\":0.1}}\n";
+        let connect = |input: String| {
             let mut out = Vec::new();
             let opts = ServeOptions::default();
             let summary = serve_on(&ctx, Cursor::new(input), &mut out, &opts, &tails).unwrap();
             (String::from_utf8(out).unwrap(), summary)
         };
-        let (first, a) = connect();
+        let (first, a) = connect(analyze.to_string());
         let misses = tails.stats().misses;
-        let (second, b) = connect();
+        let (second, b) = connect(format!("{analyze}{{\"command\":\"stats\"}}\n"));
         assert_eq!((a.response_cache_hits, b.response_cache_hits), (0, 1));
         assert_eq!(tails.stats().misses, misses, "no new miss");
-        assert_eq!(first, second);
+        let (answer, stats) = second.split_once('\n').unwrap();
+        assert_eq!(first, format!("{answer}\n"));
+        // `stats` counts this connection: one hit, no miss.
+        assert!(
+            stats.contains(
+                "\"response_cache\":{\"hits\":1,\"misses\":0,\"evictions\":0,\"entries\":1}"
+            ),
+            "{stats}"
+        );
     }
 
     #[test]
