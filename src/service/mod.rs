@@ -18,10 +18,16 @@
 //!   additionally catches panics, so one bad request degrades to a
 //!   structured error response instead of taking the process down.
 //!
-//! Rendering is split the same way: [`Response::render_text`] is the
-//! classic human CLI output, [`response::envelope`] is the versioned
+//! One payload per command: a request variant holds the core spec it
+//! runs (`Request::Explore` an `ExploreSpec`, `Request::Profile` a
+//! `ProfileSpec`), and a response variant holds the core result it
+//! stands for (`Margins`, `Vec<BodePoint>`, `Candidate`,
+//! `ExploreReport`, `XcheckReport`, `ProfileReport`), not a copy.
+//! Both renderers read that one value: [`Response::render_text`] is
+//! the classic human CLI output, [`envelope`] is the versioned
 //! `plltool/v1` JSON envelope shared by `--json` files and serve
-//! response lines.
+//! response lines. `tests/cli_text.rs` pins the bytes of both for
+//! every command.
 
 pub mod json;
 

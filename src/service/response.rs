@@ -1,5 +1,6 @@
-//! Typed responses — one variant per command — plus the two render
-//! paths every front end shares:
+//! Typed responses — one variant per command, each holding the core's
+//! own result where one exists — plus the two render paths every front
+//! end shares:
 //!
 //! * [`Response::render_text`] reproduces the historical `plltool`
 //!   stdout **byte for byte** (the CLI refactor is observable only
