@@ -101,12 +101,40 @@ fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec
     }
 }
 
+/// The classical margins of the open-loop gain `A(jω)`: one
+/// cancellable scan of [`margin_scan_grid`] over `[10⁻⁷·ω₀, 100·ω₀]` —
+/// a window scaled to the reference frequency so designs in physical
+/// units (MHz references) and normalized units both work, since any
+/// practical loop crossover sits inside it — then the margin
+/// extractors over the precomputed values. [`analyze`] reports these
+/// margins; a caller that needs only the LTI crossover calls this
+/// alone.
+///
+/// # Errors
+///
+/// [`CoreError::DeadlineExceeded`] (phase `"LTI margin"`) when the
+/// budget expires mid-scan; otherwise the margin-extraction failure.
+pub fn lti_margins(
+    model: &PllModel,
+    threads: ThreadBudget,
+    deadline: &Deadline,
+) -> Result<Margins, CoreError> {
+    let a = model.open_loop();
+    let w0 = model.design().omega_ref();
+    let grid = margin_scan_grid(1e-7 * w0, 100.0 * w0);
+    let vals = scan_or_deadline(
+        par_map_cancellable(threads, &grid, deadline, |_, &w| a.eval_jw(w)),
+        "LTI margin",
+    )?;
+    stability_margins_precomputed(|w| a.eval_jw(w), &grid, &vals).map_err(CoreError::from)
+}
+
 /// Analyzes a PLL model.
 ///
 /// The scan window spans from `ω_UG·10⁻⁴` to just below `ω₀/2` for the
 /// effective gain — `λ(jω)` is `ω₀`-periodic along the axis, so its
-/// margins live in the first Nyquist band — and up to `100·ω_UG` for the
-/// LTI gain.
+/// margins live in the first Nyquist band — and [`lti_margins`]'s
+/// window for the LTI gain.
 ///
 /// Every scan grid is evaluated on the `htmpll-par` pool under
 /// `threads` and the extractors run over the precomputed values, so the
@@ -136,18 +164,9 @@ pub fn analyze(
     deadline: &Deadline,
 ) -> Result<AnalysisReport, CoreError> {
     let _span = htmpll_obs::span("core", "analyze");
-    let a = model.open_loop().clone();
+    let a = model.open_loop();
     let w0 = model.design().omega_ref();
-
-    // Scan window scaled to the reference frequency so designs in
-    // physical units (MHz references) and normalized units both work:
-    // any practical loop crossover sits within [1e-7, 1e2]·ω₀.
-    let lti_grid = margin_scan_grid(1e-7 * w0, 100.0 * w0);
-    let lti_vals = scan_or_deadline(
-        par_map_cancellable(threads, &lti_grid, deadline, |_, &w| a.eval_jw(w)),
-        "LTI margin",
-    )?;
-    let lti = stability_margins_precomputed(|w| a.eval_jw(w), &lti_grid, &lti_vals)?;
+    let lti = lti_margins(model, threads, deadline)?;
     // λ has a pole at every multiple of ω₀ on the jω axis (the aliased
     // integrators); stay strictly inside the first band. Both λ scans
     // run on the axis, so they share the Re halves of its coth terms.

@@ -58,6 +58,7 @@ use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::quality::QualitySummary;
 use crate::spurs::LeakageSpurs;
+use htmpll_num::hash::Fnv1a;
 use htmpll_num::rng::{radical_inverse, Rng};
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
@@ -546,11 +547,12 @@ fn evaluate(
     }
 }
 
-/// One evaluated block: a bounded front plus counters. The per-block
-/// front capacity always covers the whole block, so blocks never
-/// prune — all capacity pressure is resolved in the deterministic
-/// sequential merge.
-struct BlockOut {
+/// A bounded front plus counters over a run of candidates: one per
+/// evaluated block, and one for the whole exploration that the blocks
+/// fold into in index order. A block's front capacity always covers
+/// the whole block, so blocks never prune — all capacity pressure is
+/// resolved in the deterministic sequential merge.
+struct Tally {
     front: ParetoFront,
     evaluated: usize,
     screened_out: usize,
@@ -565,19 +567,9 @@ fn eval_block(
     params: impl ExactSizeIterator<Item = DesignParams>,
     spec: &ExploreSpec,
     deadline: &Deadline,
-) -> BlockOut {
-    let n = params.len();
+) -> Tally {
     let mut ws = ExploreWorkspace::default();
-    let mut out = BlockOut {
-        front: ParetoFront::new(n.max(1)),
-        evaluated: 0,
-        screened_out: 0,
-        full: 0,
-        infeasible: 0,
-        failed: 0,
-        skipped: 0,
-        quality: QualitySummary::default(),
-    };
+    let mut out = Tally::new(params.len().max(1));
     for p in params {
         if deadline.expired() {
             out.skipped += 1;
@@ -604,21 +596,9 @@ fn eval_block(
     out
 }
 
-/// Accumulates completed blocks (in index order) into the global state.
-struct Fold {
-    front: ParetoFront,
-    evaluated: usize,
-    screened_out: usize,
-    full: usize,
-    infeasible: usize,
-    failed: usize,
-    skipped: usize,
-    quality: QualitySummary,
-}
-
-impl Fold {
-    fn new(cap: usize) -> Fold {
-        Fold {
+impl Tally {
+    fn new(cap: usize) -> Tally {
+        Tally {
             front: ParetoFront::new(cap),
             evaluated: 0,
             screened_out: 0,
@@ -632,7 +612,7 @@ impl Fold {
 
     /// `total` is the number of candidates the (possibly skipped) block
     /// covered.
-    fn absorb(&mut self, block: Option<BlockOut>, total: usize) {
+    fn absorb(&mut self, block: Option<Tally>, total: usize) {
         match block {
             None => self.skipped += total,
             Some(b) => {
@@ -649,48 +629,23 @@ impl Fold {
     }
 }
 
-/// Runs `count` candidates `base_index..base_index + count` of the
-/// seeded stream through the block pipeline and folds them in order.
-fn run_stream_round(
-    fold: &mut Fold,
-    base_index: u64,
+/// Runs `count` candidates, the `i`-th being `candidate(i)`, through
+/// the block pipeline and folds the blocks into `tally` in index order.
+/// Each block generates its own candidates inside the parallel map.
+fn run_round(
+    tally: &mut Tally,
     count: usize,
+    candidate: impl Fn(usize) -> DesignParams + Sync,
     spec: &ExploreSpec,
     deadline: &Deadline,
 ) {
-    if count == 0 {
-        return;
-    }
     let blocks: Vec<usize> = (0..count).step_by(EXPLORE_BLOCK).collect();
     let slots = par_map_cancellable(spec.threads, &blocks, deadline, |_, &start| {
-        let len = EXPLORE_BLOCK.min(count - start);
-        let params = (0..len)
-            .map(|j| candidate_params(spec.seed, base_index + (start + j) as u64, spec.quasi));
-        eval_block(params, spec, deadline)
+        let end = (start + EXPLORE_BLOCK).min(count);
+        eval_block((start..end).map(&candidate), spec, deadline)
     });
     for (slot, &start) in slots.into_iter().zip(&blocks) {
-        fold.absorb(slot, EXPLORE_BLOCK.min(count - start));
-    }
-}
-
-/// Runs an explicit candidate list (refinement rounds) through the
-/// same block pipeline.
-fn run_list_round(
-    fold: &mut Fold,
-    params: &[DesignParams],
-    spec: &ExploreSpec,
-    deadline: &Deadline,
-) {
-    if params.is_empty() {
-        return;
-    }
-    let blocks: Vec<usize> = (0..params.len()).step_by(EXPLORE_BLOCK).collect();
-    let slots = par_map_cancellable(spec.threads, &blocks, deadline, |_, &start| {
-        let end = (start + EXPLORE_BLOCK).min(params.len());
-        eval_block(params[start..end].iter().copied(), spec, deadline)
-    });
-    for (slot, &start) in slots.into_iter().zip(&blocks) {
-        fold.absorb(slot, EXPLORE_BLOCK.min(params.len() - start));
+        tally.absorb(slot, EXPLORE_BLOCK.min(count - start));
     }
 }
 
@@ -716,24 +671,22 @@ fn stencil(p: &DesignParams, round: usize) -> [DesignParams; 8] {
 /// FNV-1a over the canonical front: every point contributes its four
 /// parameter and five objective bit patterns.
 fn front_digest(front: &[DesignPoint]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for p in front {
         for w in p.params.key() {
-            eat(w);
+            h.write_u64(w);
         }
-        eat(p.pm_eff_deg.to_bits());
-        eat(p.bandwidth_3db.to_bits());
-        eat(p.peaking_db.to_bits());
-        eat(p.spur_dbc.to_bits());
-        eat(p.lock_time_s.to_bits());
+        for x in [
+            p.pm_eff_deg,
+            p.bandwidth_3db,
+            p.peaking_db,
+            p.spur_dbc,
+            p.lock_time_s,
+        ] {
+            h.write_f64(x);
+        }
     }
-    format!("{h:016x}")
+    h.finish_hex()
 }
 
 /// Runs the exploration under a cooperative [`Deadline`]
@@ -762,16 +715,22 @@ pub fn explore(spec: &ExploreSpec, deadline: &Deadline) -> Result<ExploreReport,
     });
     let t0 = std::time::Instant::now();
     let mut degradation = Vec::new();
-    let mut fold = Fold::new(spec.front_cap);
+    let mut tally = Tally::new(spec.front_cap);
 
-    run_stream_round(&mut fold, 0, spec.candidates, spec, deadline);
-    if fold.skipped > 0 {
+    run_round(
+        &mut tally,
+        spec.candidates,
+        |i| candidate_params(spec.seed, i as u64, spec.quasi),
+        spec,
+        deadline,
+    );
+    if tally.skipped > 0 {
         degradation.push(format!(
             "deadline pressure: evaluated {} of {} candidates; front reflects completed blocks only",
-            fold.evaluated, spec.candidates
+            tally.evaluated, spec.candidates
         ));
     }
-    if fold.evaluated == 0 {
+    if tally.evaluated == 0 {
         return Err(CoreError::DeadlineExceeded { phase: "explore" });
     }
 
@@ -779,7 +738,7 @@ pub fn explore(spec: &ExploreSpec, deadline: &Deadline) -> Result<ExploreReport,
     // current front. The stencil is generated from the canonically
     // sorted front, so the probe list (and everything downstream) is
     // deterministic.
-    let mc_evaluated = fold.evaluated;
+    let mc_evaluated = tally.evaluated;
     for round in 0..spec.refine_rounds {
         if deadline.expired() || deadline.pressed(0.8) {
             degradation.push(format!(
@@ -789,7 +748,7 @@ pub fn explore(spec: &ExploreSpec, deadline: &Deadline) -> Result<ExploreReport,
             ));
             break;
         }
-        let mut snapshot = fold.front.clone().into_sorted();
+        let mut snapshot = tally.front.clone().into_sorted();
         snapshot.truncate(spec.front_cap);
         let mut seen: std::collections::BTreeSet<[u64; 4]> =
             snapshot.iter().map(|p| p.params.key()).collect();
@@ -804,39 +763,39 @@ pub fn explore(spec: &ExploreSpec, deadline: &Deadline) -> Result<ExploreReport,
         if probes.is_empty() {
             break;
         }
-        let before = fold.evaluated;
-        run_list_round(&mut fold, &probes, spec, deadline);
-        if fold.evaluated == before {
+        let before = tally.evaluated;
+        run_round(&mut tally, probes.len(), |i| probes[i], spec, deadline);
+        if tally.evaluated == before {
             break;
         }
     }
 
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let front = fold.front.clone().into_sorted();
+    let front = tally.front.clone().into_sorted();
     let digest = front_digest(&front);
     let designs_per_sec = if elapsed_ns == 0 {
         0.0
     } else {
-        fold.evaluated as f64 / (elapsed_ns as f64 / 1e9)
+        tally.evaluated as f64 / (elapsed_ns as f64 / 1e9)
     };
-    htmpll_obs::counter!("core", "explore.candidates").add(fold.evaluated as u64);
-    htmpll_obs::counter!("core", "explore.screened_out").add(fold.screened_out as u64);
-    htmpll_obs::counter!("core", "explore.full_analyses").add(fold.full as u64);
+    htmpll_obs::counter!("core", "explore.candidates").add(tally.evaluated as u64);
+    htmpll_obs::counter!("core", "explore.screened_out").add(tally.screened_out as u64);
+    htmpll_obs::counter!("core", "explore.full_analyses").add(tally.full as u64);
     htmpll_obs::counter!("core", "explore.front_size").add(front.len() as u64);
     htmpll_obs::counter!("core", "explore.designs_per_sec").add(designs_per_sec as u64);
 
     Ok(ExploreReport {
         front,
         candidates: spec.candidates,
-        evaluated: fold.evaluated,
-        refined: fold.evaluated - mc_evaluated,
-        screened_out: fold.screened_out,
-        full_analyses: fold.full,
-        infeasible: fold.infeasible,
-        failed: fold.failed,
-        skipped: fold.skipped,
-        pruned: fold.front.pruned,
-        quality: fold.quality,
+        evaluated: tally.evaluated,
+        refined: tally.evaluated - mc_evaluated,
+        screened_out: tally.screened_out,
+        full_analyses: tally.full,
+        infeasible: tally.infeasible,
+        failed: tally.failed,
+        skipped: tally.skipped,
+        pruned: tally.front.pruned,
+        quality: tally.quality,
         degradation,
         digest,
         elapsed_ns,

@@ -54,7 +54,7 @@ pub mod spurs;
 pub mod sweep;
 pub mod transient;
 
-pub use analysis::{analyze, AnalysisReport};
+pub use analysis::{analyze, lti_margins, AnalysisReport};
 pub use closed_loop::{PllModel, PllModelBuilder};
 pub use design::{LoopFilter, PllDesign, PllDesignBuilder};
 pub use error::CoreError;

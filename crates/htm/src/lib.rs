@@ -13,12 +13,13 @@
 //!
 //! * [`Truncation`] — symmetric harmonic truncation bookkeeping.
 //! * [`Htm`] — one evaluation of a truncated HTM, with band-indexed
-//!   accessors, composition operators and a dense closed-loop solve.
+//!   accessors, the composition operators (`*` is series, `+` is
+//!   parallel; paper eq. 10–11) and a dense closed-loop solve.
 //! * [`blocks`] — the building blocks: LTI (diagonal), periodic
 //!   multiplier (Toeplitz), sampling PFD (rank one), and the
 //!   ISF-integrator VCO model.
-//! * [`ops`] — series/parallel composition and the Sherman–Morrison
-//!   rank-one closed-loop shortcut that makes sampled-PFD loops cheap.
+//! * [`ops`] — the Sherman–Morrison rank-one closed-loop shortcut that
+//!   makes sampled-PFD loops cheap.
 //!
 //! ```
 //! use htmpll_htm::{HtmBlock, SamplerHtm, Truncation, VcoHtm};
@@ -46,7 +47,7 @@ pub mod trunc;
 
 pub use blocks::{DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm};
 pub use matrix::Htm;
-pub use ops::{closed_loop_rank_one, parallel, series, sherman_morrison_apply, Chain};
+pub use ops::closed_loop_rank_one;
 pub use repr::HtmRepr;
 pub use response::{tone_response, SidebandSpectrum};
 pub use trunc::{Truncation, TruncationSpec};

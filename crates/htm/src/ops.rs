@@ -1,64 +1,36 @@
-//! Composition of HTM blocks and rank-one closed-loop shortcuts.
+//! The rank-one closed-loop shortcut.
 //!
-//! Series/parallel composition follows paper eq. 10–11. For feedback
-//! loops whose open-loop HTM is **rank one** — the signature of a
-//! sampling PFD — the Sherman–Morrison–Woodbury identity gives the
-//! closed loop without any matrix inversion (paper eq. 31–34):
+//! Series and parallel composition (paper eq. 10–11) are [`Htm`]'s `*`
+//! and `+` operators. For feedback loops whose open-loop HTM is **rank
+//! one** — the signature of a sampling PFD — the Sherman–Morrison–
+//! Woodbury identity gives the closed loop without any matrix inversion
+//! (paper eq. 31–34):
 //!
 //! ```text
 //! (I + u·vᵀ)⁻¹·(u·vᵀ) = u·vᵀ / (1 + vᵀu)
 //! ```
 //!
 //! ```
-//! use htmpll_htm::{series, HtmBlock, LtiHtm, SamplerHtm, Truncation};
+//! use htmpll_htm::{closed_loop_rank_one, HtmBlock, LtiHtm, SamplerHtm, Truncation};
 //! use htmpll_lti::Tf;
 //! use htmpll_num::Complex;
 //!
 //! let w0 = 6.28;
-//! let chain: Vec<Box<dyn HtmBlock>> = vec![
-//!     Box::new(SamplerHtm::new(w0)),
-//!     Box::new(LtiHtm::new(Tf::integrator(), w0)),
-//! ];
-//! let refs: Vec<&dyn HtmBlock> = chain.iter().map(|b| b.as_ref()).collect();
-//! let g = series(&refs, Complex::from_im(1.0), Truncation::new(2));
+//! let (s, t) = (Complex::from_im(1.0), Truncation::new(2));
+//! // Series connection, signal through the sampler first: the later
+//! // block multiplies from the left.
+//! let g = &LtiHtm::new(Tf::integrator(), w0).htm(s, t) * &SamplerHtm::new(w0).htm(s, t);
 //! assert_eq!(g.truncation().dim(), 5);
+//! // The sampler makes g rank one, g = u·𝟙ᵀ with u its first column.
+//! let u: Vec<Complex> = (0..5).map(|i| g.as_matrix()[(i, 0)]).collect();
+//! let (cl, _) = closed_loop_rank_one(&u, &[Complex::ONE; 5]);
+//! assert!(cl.to_dense(5).max_diff(g.closed_loop().unwrap().as_matrix()) < 1e-12);
 //! ```
 
-use crate::blocks::HtmBlock;
+#[cfg(doc)]
 use crate::matrix::Htm;
 use crate::repr::HtmRepr;
-use crate::trunc::Truncation;
 use htmpll_num::Complex;
-
-/// Evaluates the series connection of `blocks` (signal flows through
-/// `blocks[0]` first) at Laplace point `s`.
-///
-/// # Panics
-///
-/// Panics when `blocks` is empty or the blocks disagree on `ω₀`.
-pub fn series(blocks: &[&dyn HtmBlock], s: Complex, trunc: Truncation) -> Htm {
-    assert!(!blocks.is_empty(), "series needs at least one block");
-    let mut acc = blocks[0].htm(s, trunc);
-    for blk in &blocks[1..] {
-        // Operator order: later blocks multiply from the left.
-        acc = &blk.htm(s, trunc) * &acc;
-    }
-    acc
-}
-
-/// Evaluates the parallel connection of `blocks` at Laplace point `s`.
-///
-/// # Panics
-///
-/// Panics when `blocks` is empty or the blocks disagree on `ω₀`.
-pub fn parallel(blocks: &[&dyn HtmBlock], s: Complex, trunc: Truncation) -> Htm {
-    assert!(!blocks.is_empty(), "parallel needs at least one block");
-    let mut acc = blocks[0].htm(s, trunc);
-    for blk in &blocks[1..] {
-        acc = &acc + &blk.htm(s, trunc);
-    }
-    acc
-}
 
 /// Closed loop of a rank-one open-loop gain `G = u·vᵀ` under unity
 /// negative feedback, via Sherman–Morrison–Woodbury:
@@ -87,131 +59,16 @@ pub fn closed_loop_rank_one(u: &[Complex], v: &[Complex]) -> (HtmRepr, Complex) 
     )
 }
 
-/// Applies the Sherman–Morrison inverse `(I + u·vᵀ)⁻¹` to a vector:
-/// `x − u·(vᵀx)/(1 + vᵀu)` — O(n) instead of O(n³).
-///
-/// # Panics
-///
-/// Panics when the lengths disagree.
-pub fn sherman_morrison_apply(u: &[Complex], v: &[Complex], x: &[Complex]) -> Vec<Complex> {
-    assert_eq!(u.len(), v.len(), "rank-one factors must have equal length");
-    assert_eq!(u.len(), x.len(), "vector length must match");
-    let lambda: Complex = u.iter().zip(v).map(|(a, b)| *a * *b).sum();
-    let vx: Complex = v.iter().zip(x).map(|(a, b)| *a * *b).sum();
-    let k = vx / (Complex::ONE + lambda);
-    x.iter().zip(u).map(|(&xi, &ui)| xi - ui * k).collect()
-}
-
-/// A series chain of blocks packaged as one [`HtmBlock`]: evaluating it
-/// is the same as [`series`] over the parts (signal flows through the
-/// first element first). Lets composite subsystems (e.g. filter + delay
-/// + VCO) be passed anywhere a single block is expected.
-pub struct Chain {
-    blocks: Vec<Box<dyn HtmBlock>>,
-    omega0: f64,
-}
-
-impl Chain {
-    /// Builds a chain from its parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `blocks` is empty or the parts disagree on `ω₀`.
-    pub fn new(blocks: Vec<Box<dyn HtmBlock>>) -> Chain {
-        assert!(!blocks.is_empty(), "chain needs at least one block");
-        let omega0 = blocks[0].omega0();
-        for b in &blocks {
-            assert!(
-                (b.omega0() - omega0).abs() <= 1e-12 * omega0,
-                "chain blocks disagree on the fundamental frequency"
-            );
-        }
-        Chain { blocks, omega0 }
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the chain is empty (never true for a constructed chain).
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Chain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Chain({} blocks, ω₀={})", self.blocks.len(), self.omega0)
-    }
-}
-
-impl HtmBlock for Chain {
-    fn omega0(&self) -> f64 {
-        self.omega0
-    }
-
-    fn htm(&self, s: Complex, trunc: Truncation) -> Htm {
-        let refs: Vec<&dyn HtmBlock> = self.blocks.iter().map(|b| b.as_ref()).collect();
-        series(&refs, s, trunc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::{LtiHtm, MultiplierHtm, SamplerHtm};
+    use crate::blocks::{HtmBlock, LtiHtm, SamplerHtm};
+    use crate::trunc::Truncation;
     use htmpll_lti::Tf;
     use htmpll_num::lu::inverse;
     use htmpll_num::CMat;
 
     const W0: f64 = 3.0;
-
-    #[test]
-    fn series_matches_manual_product() {
-        let a = LtiHtm::new(Tf::integrator(), W0);
-        let b = MultiplierHtm::from_fourier(
-            vec![Complex::from_re(0.5), Complex::ONE, Complex::from_re(0.5)],
-            W0,
-        );
-        let t = Truncation::new(2);
-        let s = Complex::new(0.2, 0.7);
-        let chained = series(&[&a, &b], s, t);
-        let manual = &b.htm(s, t) * &a.htm(s, t);
-        assert!(chained.as_matrix().max_diff(manual.as_matrix()) < 1e-15);
-    }
-
-    #[test]
-    fn series_is_order_sensitive() {
-        let a = LtiHtm::new(Tf::integrator(), W0);
-        let b = MultiplierHtm::from_fourier(
-            vec![Complex::from_re(0.5), Complex::ONE, Complex::from_re(0.5)],
-            W0,
-        );
-        let t = Truncation::new(2);
-        let s = Complex::new(0.2, 0.7);
-        let ab = series(&[&a, &b], s, t);
-        let ba = series(&[&b, &a], s, t);
-        // An LTI block does not commute with a time-varying multiplier.
-        assert!(ab.as_matrix().max_diff(ba.as_matrix()) > 1e-3);
-    }
-
-    #[test]
-    fn parallel_matches_manual_sum() {
-        let a = LtiHtm::new(Tf::first_order_lowpass(1.0), W0);
-        let b = LtiHtm::new(Tf::constant(2.0), W0);
-        let t = Truncation::new(1);
-        let s = Complex::from_im(0.4);
-        let p = parallel(&[&a, &b], s, t);
-        let manual = &a.htm(s, t) + &b.htm(s, t);
-        assert!(p.as_matrix().max_diff(manual.as_matrix()) < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block")]
-    fn empty_series_rejected() {
-        let _ = series(&[], Complex::ZERO, Truncation::new(1));
-    }
 
     #[test]
     fn smw_matches_dense_inverse() {
@@ -240,20 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn smw_apply_matches_dense_solve() {
-        let n = 5;
-        let u: Vec<Complex> = (0..n).map(|i| Complex::new(0.1, 0.02 * i as f64)).collect();
-        let v: Vec<Complex> = (0..n).map(|i| Complex::new(0.2 * i as f64, -0.1)).collect();
-        let x: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 1.0)).collect();
-        let fast = sherman_morrison_apply(&u, &v, &x);
-        let i_plus_g = &CMat::identity(n) + &CMat::outer(&u, &v);
-        let slow = htmpll_num::lu::solve(&i_plus_g, &x).unwrap();
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn sampler_loop_closed_form_vs_dense() {
         // The actual PLL shape: G = H_VCO·H_LF·H_PFD with rank-one PFD.
         // Check that factoring G = Ṽ·𝟙ᵀ and applying SMW equals the dense
@@ -263,7 +106,7 @@ mod tests {
         let pfd = SamplerHtm::new(W0);
         let lf = LtiHtm::new(Tf::first_order_lowpass(1.0), W0);
         let vco = LtiHtm::new(Tf::integrator(), W0);
-        let g = series(&[&pfd, &lf, &vco], s, t);
+        let g = &vco.htm(s, t) * &(&lf.htm(s, t) * &pfd.htm(s, t));
 
         // Factor: Ṽ = (ω₀/2π)·H_VCO·H_LF·𝟙 (column), vᵀ = 𝟙ᵀ.
         let ones = vec![Complex::ONE; t.dim()];
@@ -276,34 +119,6 @@ mod tests {
         let (cl_fast, _) = closed_loop_rank_one(&u, &ones);
         let cl_dense = g.closed_loop().unwrap();
         assert!(cl_fast.to_dense(t.dim()).max_diff(cl_dense.as_matrix()) < 1e-12);
-    }
-
-    #[test]
-    fn chain_block_equals_series() {
-        let t = Truncation::new(2);
-        let s = Complex::new(0.1, 0.5);
-        let chain = super::Chain::new(vec![
-            Box::new(SamplerHtm::new(W0)),
-            Box::new(LtiHtm::new(Tf::first_order_lowpass(1.0), W0)),
-            Box::new(LtiHtm::new(Tf::integrator(), W0)),
-        ]);
-        assert_eq!(chain.len(), 3);
-        assert!(!chain.is_empty());
-        let pfd = SamplerHtm::new(W0);
-        let lf = LtiHtm::new(Tf::first_order_lowpass(1.0), W0);
-        let vco = LtiHtm::new(Tf::integrator(), W0);
-        let manual = series(&[&pfd, &lf, &vco], s, t);
-        assert!(chain.htm(s, t).as_matrix().max_diff(manual.as_matrix()) < 1e-15);
-        assert!(format!("{chain:?}").contains("3 blocks"));
-    }
-
-    #[test]
-    #[should_panic(expected = "disagree")]
-    fn chain_rejects_mixed_fundamentals() {
-        let _ = super::Chain::new(vec![
-            Box::new(SamplerHtm::new(1.0)),
-            Box::new(SamplerHtm::new(2.0)),
-        ]);
     }
 
     #[test]

@@ -20,9 +20,10 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-/// One step of the SplitMix64 stream, used to expand a 64-bit seed into
-/// the 256-bit xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of the SplitMix64 stream: advances `state` and returns the
+/// next output. Expands a 64-bit seed into the 256-bit xoshiro state,
+/// and serves as a small seeded stream on its own.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

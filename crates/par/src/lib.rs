@@ -16,7 +16,8 @@
 //!   threads warm across maps; because the caller always works, a map
 //!   nested inside a map item cannot starve,
 //! * [`par_map_cancellable`] — the same worker loop under a cooperative
-//!   [`Deadline`], returning one `Option` slot per item,
+//!   [`Deadline`] (a budget of wall-clock time or of checks, which only
+//!   runs out; nothing cancels it), returning one `Option` slot per item,
 //! * [`ThreadBudget`] — where the thread count comes from: an explicit
 //!   request, the `HTMPLL_THREADS` environment variable, or the
 //!   machine's available parallelism, always clamped to
@@ -48,7 +49,7 @@
 pub mod cancel;
 mod pool;
 
-pub use cancel::{CancelToken, Deadline, WeakDeadline};
+pub use cancel::Deadline;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -374,12 +375,11 @@ mod tests {
     #[test]
     fn expired_deadline_skips_everything() {
         let xs: Vec<usize> = (0..50).collect();
-        let d = Deadline::token();
-        d.cancel();
+        let d = Deadline::after_checks(0);
         for t in [1usize, 4] {
             let out = par_map_cancellable(ThreadBudget::Fixed(t), &xs, &d, |_, &x| x);
             // The threaded path guarantees progress per grabbed chunk but
-            // a pre-cancelled budget never grabs one.
+            // a spent budget never grabs one.
             assert!(out.iter().all(|s| s.is_none()), "threads={t}: {out:?}");
         }
     }

@@ -327,6 +327,44 @@ grep -q '"retryable":true' "$dlout" || {
 rm -f "$dlout"
 echo "serve deadline leg ok (structured retryable deadline errors, no hang)"
 
+echo "==> serve long-batch deadline leg (40 sweeps, each well inside its own budget)"
+# A request is stopped only by its own budget: 40 sweeps of about a
+# fifth of their 400 ms budget each, run one after another in one
+# batch, must all answer whole however long the batch takes.
+lbin=$(mktemp)
+lbout=$(mktemp)
+lberr=$(mktemp)
+for i in $(seq 0 39); do
+    printf '{"id":%d,"command":"sweep","params":{"from":0.%03d,"to":0.3,"points":60,"threads":1}}\n' \
+        "$i" $((50 + i))
+done > "$lbin"
+timeout 120 ./target/release/plltool serve --deadline-ms 400 --workers 1 \
+    < "$lbin" > "$lbout" 2> "$lberr" || {
+    echo "serve long-batch deadline leg failed: serve exited nonzero or hung" >&2
+    exit 1
+}
+lblines=$(wc -l < "$lbout")
+[ "$lblines" -eq 40 ] || {
+    echo "serve long-batch deadline leg failed: expected 40 response lines, got $lblines" >&2
+    exit 1
+}
+if grep -q 'partial:' "$lbout"; then
+    echo "serve long-batch deadline leg failed: a sweep inside its budget came back partial" >&2
+    grep -o '"partial:[^"]*"' "$lbout" >&2
+    exit 1
+fi
+if grep -q '"code":"deadline"' "$lbout"; then
+    echo "serve long-batch deadline leg failed: a sweep inside its budget answered code:deadline" >&2
+    exit 1
+fi
+if grep -q 'watchdog' "$lberr"; then
+    echo "serve long-batch deadline leg failed: a watchdog cancelled in-flight work" >&2
+    cat "$lberr" >&2
+    exit 1
+fi
+rm -f "$lbin" "$lbout" "$lberr"
+echo "serve long-batch deadline leg ok (40/40 whole sweeps under a 400 ms budget each)"
+
 echo "==> explore smoke (seeded run, digest pin, thread determinism, zero failures)"
 e1=$(mktemp); e4=$(mktemp)
 HTMPLL_THREADS=1 ./target/release/plltool explore --candidates 600 --seed 1 \

@@ -70,8 +70,8 @@ const USAGE: &str =
           latency/throughput/queue/cache figures; with --deadline-ms a
           request over budget degrades (smaller truncation, coarser
           grid, partial rows) or answers a retryable \"code\":\"deadline\"
-          error instead of holding its batch, and a watchdog cancels
-          in-flight work if the dispatcher wedges
+          error instead of holding its batch; each request is stopped
+          only by its own budget
   chaos   [--requests N] [--seed S] [--workers N] [--plan SPEC]
           replays a seeded request corpus through serve under an
           injected fault plan (HTMPLL_FAULT grammar) and verifies the

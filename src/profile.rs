@@ -19,6 +19,7 @@ use crate::core::{
     KernelPolicy, NoiseModel, PllDesign, PllModel, QualitySummary, SweepCache, SweepSpec,
 };
 use crate::htm::Truncation;
+use crate::num::rng::splitmix64;
 use crate::obs;
 use crate::par::ThreadBudget;
 use crate::service::json::{num, opt_num};
@@ -113,15 +114,6 @@ pub struct ProfileReport {
     pub threads: usize,
     /// Per-phase attribution, in execution order.
     pub phases: Vec<PhaseReport>,
-}
-
-/// splitmix64 — deterministic grid jitter from the spec's seed.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A jitter factor in [0.95, 1.05], derived from the seed stream.

@@ -6,7 +6,7 @@
 
 use super::response::{
     AnalyzeOut, DoctorCheck, DoctorOut, ExploreOut, MetricsOut, Response, ServiceError, SpurOut,
-    SweepOut, SweepRow, TransientOut,
+    SweepOut, TransientOut,
 };
 use super::ServiceCtx;
 use crate::core::{
@@ -142,8 +142,7 @@ fn analyze(
         None
     };
     Ok(AnalyzeOut {
-        design_display: design.to_string(),
-        omega_ref: design.omega_ref(),
+        design,
         report,
         strip_poles,
         sample_hold,
@@ -236,13 +235,7 @@ fn sweep(
             }
         };
         quality.merge(&r.quality);
-        rows.push(SweepRow {
-            ratio,
-            ug_ratio: r.omega_ug_eff / r.omega_ug_lti,
-            pm_eff_deg: r.phase_margin_eff_deg,
-            pm_lti_deg: r.phase_margin_lti_deg,
-            beyond_limit: r.beyond_sampling_limit,
-        });
+        rows.push((ratio, r));
         i += stride;
     }
     Ok(Response::Sweep(SweepOut {
@@ -260,9 +253,9 @@ fn bode(
     deadline: &Deadline,
 ) -> Result<Vec<BodePoint>, String> {
     let (design, model) = build_model(spec)?;
-    let wug = crate::core::analyze(&model, threads, deadline)
+    let wug = crate::core::lti_margins(&model, threads, deadline)
         .map_err(|e| e.to_string())?
-        .omega_ug_lti;
+        .omega_ug;
     let grid =
         FrequencyGrid::log(1e-2 * wug, 1e2 * wug, points.max(2)).map_err(|e| e.to_string())?;
     Ok(if lambda {
@@ -307,8 +300,8 @@ fn spur(
     Ok(SpurOut {
         leakage_frac,
         static_offset: spurs.static_offset(),
-        f_ref: design.f_ref(),
         lines: spurs.scan(kmax as i64, threads),
+        design,
     })
 }
 
@@ -581,10 +574,7 @@ fn doctor(spec: Option<&DesignSpec>, threads: ThreadBudget) -> Result<DoctorOut,
         note: e.chars().take(48).collect(),
     }));
 
-    Ok(DoctorOut {
-        design_display: design.to_string(),
-        checks,
-    })
+    Ok(DoctorOut { design, checks })
 }
 
 /// Runs a representative slice of the whole pipeline — analysis, strip

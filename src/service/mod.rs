@@ -40,14 +40,13 @@ pub use chaos::{build_corpus, default_plan, run_chaos, ChaosOptions, ChaosReport
 pub use handlers::handle;
 pub use response::{
     envelope, envelope_tail, AnalyzeOut, DoctorCheck, DoctorOut, ExploreOut, MetricsOut, Response,
-    ServiceError, SpurOut, SweepOut, SweepRow, TransientOut,
+    ServiceError, SpurOut, SweepOut, TransientOut,
 };
 #[cfg(unix)]
 pub use server::serve_unix;
 pub use server::{serve_lines, ServeOptions, ServeSummary};
 
-use crate::par::{Deadline, WeakDeadline};
-use std::sync::Mutex;
+use crate::par::Deadline;
 use std::time::Duration;
 
 /// Shared state threaded through every request execution.
@@ -58,13 +57,9 @@ use std::time::Duration;
 pub struct ServiceCtx {
     /// Per-request wall-clock budget in milliseconds. `None` means
     /// unbounded; when set, [`ServiceCtx::begin_request`] arms a fresh
-    /// [`Deadline`] for every request.
+    /// [`Deadline`] for every request, and that budget is the only
+    /// thing that stops a request early.
     pub deadline_ms: Option<u64>,
-    /// Weak handles to the deadlines of requests currently executing.
-    /// The serve watchdog walks this list to cancel in-flight work when
-    /// the dispatcher stops making progress; entries expire on their
-    /// own once a request finishes (the strong `Arc` is dropped).
-    pub inflight: Mutex<Vec<WeakDeadline>>,
 }
 
 impl ServiceCtx {
@@ -75,28 +70,17 @@ impl ServiceCtx {
 
     /// A fresh context that arms every request with a wall-clock budget.
     pub fn with_deadline_ms(deadline_ms: Option<u64>) -> Self {
-        ServiceCtx {
-            deadline_ms,
-            inflight: Mutex::new(Vec::new()),
-        }
+        ServiceCtx { deadline_ms }
     }
 
-    /// Creates the deadline governing one request and registers a weak
-    /// handle so an external watchdog can cancel it. Unbounded contexts
-    /// hand out [`Deadline::none`], which has no shared state and is
-    /// not registered.
+    /// Creates the deadline governing one request:
+    /// [`Deadline::after`] the context's budget, or [`Deadline::none`]
+    /// when it has none.
     pub fn begin_request(&self) -> Deadline {
-        let deadline = match self.deadline_ms {
+        match self.deadline_ms {
             Some(ms) => Deadline::after(Duration::from_millis(ms)),
             None => Deadline::none(),
-        };
-        if let Some(weak) = deadline.downgrade() {
-            if let Ok(mut inflight) = self.inflight.lock() {
-                inflight.retain(WeakDeadline::is_alive);
-                inflight.push(weak);
-            }
         }
-        deadline
     }
 }
 

@@ -11,7 +11,7 @@
 //!   `plltool serve` response line.
 
 use super::json::{num, opt_num, str_lit};
-use crate::core::{AnalysisReport, Candidate, ExploreReport, QualitySummary, SpurLine};
+use crate::core::{AnalysisReport, Candidate, ExploreReport, PllDesign, QualitySummary, SpurLine};
 use crate::lti::{BodePoint, Margins};
 use crate::num::Complex;
 use crate::profile::ProfileReport;
@@ -22,10 +22,8 @@ use std::fmt::Write as _;
 /// `analyze` result.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOut {
-    /// `Display` form of the design.
-    pub design_display: String,
-    /// Reference frequency ω₀, rad/s.
-    pub omega_ref: f64,
+    /// The analyzed design.
+    pub design: PllDesign,
     /// The full analysis report.
     pub report: AnalysisReport,
     /// Dominant strip poles, when the solver found them.
@@ -37,26 +35,11 @@ pub struct AnalyzeOut {
     pub symbolic: Option<String>,
 }
 
-/// One `sweep` table row.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Crossover ratio ω_UG/ω₀.
-    pub ratio: f64,
-    /// ω_UG,eff / ω_UG.
-    pub ug_ratio: f64,
-    /// Effective phase margin, degrees.
-    pub pm_eff_deg: f64,
-    /// LTI phase margin, degrees.
-    pub pm_lti_deg: f64,
-    /// At/beyond the sampling stability limit.
-    pub beyond_limit: bool,
-}
-
 /// `sweep` result.
 #[derive(Debug, Clone)]
 pub struct SweepOut {
-    /// Table rows in ratio order.
-    pub rows: Vec<SweepRow>,
+    /// Each computed ratio ω_UG/ω₀ with its analysis, in ratio order.
+    pub rows: Vec<(f64, AnalysisReport)>,
     /// Aggregate point quality over every row's analysis.
     pub quality: QualitySummary,
     /// Graceful-degradation steps taken under deadline pressure, in
@@ -82,8 +65,9 @@ pub struct SpurOut {
     pub leakage_frac: f64,
     /// Static phase offset, seconds.
     pub static_offset: f64,
-    /// Reference frequency, Hz (for the `·T` rendering).
-    pub f_ref: f64,
+    /// The design the spurs belong to (its `f_ref` gives the `·T`
+    /// rendering).
+    pub design: PllDesign,
     /// Predicted spur lines.
     pub lines: Vec<SpurLine>,
 }
@@ -117,8 +101,8 @@ pub struct DoctorCheck {
 /// `doctor` result.
 #[derive(Debug, Clone)]
 pub struct DoctorOut {
-    /// `Display` form of the design under test.
-    pub design_display: String,
+    /// The design under test.
+    pub design: PllDesign,
     /// All health checks, in execution order.
     pub checks: Vec<DoctorCheck>,
 }
@@ -394,13 +378,13 @@ impl Response {
                     "{{\"rows\":[{}]",
                     s.rows
                         .iter()
-                        .map(|r| format!(
+                        .map(|(ratio, r)| format!(
                             "{{\"ratio\":{},\"ug_ratio\":{},\"pm_eff_deg\":{},\"pm_lti_deg\":{},\"beyond_limit\":{}}}",
-                            num(r.ratio),
-                            num(r.ug_ratio),
-                            num(r.pm_eff_deg),
-                            num(r.pm_lti_deg),
-                            r.beyond_limit
+                            num(*ratio),
+                            num(r.omega_ug_eff / r.omega_ug_lti),
+                            num(r.phase_margin_eff_deg),
+                            num(r.phase_margin_lti_deg),
+                            r.beyond_sampling_limit
                         ))
                         .collect::<Vec<_>>()
                         .join(",")
@@ -447,7 +431,7 @@ impl Response {
                 "{{\"leakage_frac\":{},\"static_offset_s\":{},\"static_offset_periods\":{},\"lines\":[{}]}}",
                 num(s.leakage_frac),
                 num(s.static_offset),
-                num(s.static_offset * s.f_ref),
+                num(s.static_offset * s.design.f_ref()),
                 s.lines
                     .iter()
                     .map(|l| format!(
@@ -471,7 +455,7 @@ impl Response {
             Response::Explore(e) => Some(explore_result_json(e)),
             Response::Doctor(d) => Some(format!(
                 "{{\"design\":{},\"failures\":{},\"total\":{},\"checks\":[{}]}}",
-                str_lit(&d.design_display),
+                str_lit(&d.design.to_string()),
                 d.failures(),
                 d.checks.len(),
                 d.checks
@@ -531,8 +515,8 @@ fn quality_summary_json(q: &QualitySummary) -> String {
 
 fn render_analyze(t: &mut String, a: &AnalyzeOut) {
     let r = &a.report;
-    let _ = writeln!(t, "design             : {}", a.design_display);
-    let _ = writeln!(t, "ω₀ (reference)     : {:.6e} rad/s", a.omega_ref);
+    let _ = writeln!(t, "design             : {}", a.design);
+    let _ = writeln!(t, "ω₀ (reference)     : {:.6e} rad/s", a.design.omega_ref());
     let _ = writeln!(
         t,
         "ω_UG (LTI)         : {:.6e} rad/s  (ω_UG/ω₀ = {:.4})",
@@ -582,7 +566,7 @@ fn render_analyze(t: &mut String, a: &AnalyzeOut) {
                 "    {:.4} {:+.4}j   (Im/(ω₀/2) = {:.3})",
                 p.re,
                 p.im,
-                p.im / (0.5 * a.omega_ref)
+                p.im / (0.5 * a.design.omega_ref())
             );
         }
     }
@@ -610,15 +594,15 @@ fn render_sweep(t: &mut String, s: &SweepOut) {
         "{:>8} {:>14} {:>12} {:>12} {:>8}",
         "ratio", "wUG_eff/wUG", "PM_eff", "PM_LTI", "limit?"
     );
-    for r in &s.rows {
+    for (ratio, r) in &s.rows {
         let _ = writeln!(
             t,
             "{:8.3} {:14.4} {:12.2} {:12.2} {:>8}",
-            r.ratio,
-            r.ug_ratio,
-            r.pm_eff_deg,
-            r.pm_lti_deg,
-            if r.beyond_limit { "YES" } else { "" }
+            ratio,
+            r.omega_ug_eff / r.omega_ug_lti,
+            r.phase_margin_eff_deg,
+            r.phase_margin_lti_deg,
+            if r.beyond_sampling_limit { "YES" } else { "" }
         );
     }
 }
@@ -629,7 +613,7 @@ fn render_spur(t: &mut String, s: &SpurOut) {
         t,
         "static offset      : {:.4e} s ({:.3e}·T)",
         s.static_offset,
-        s.static_offset * s.f_ref
+        s.static_offset * s.design.f_ref()
     );
     let _ = writeln!(t, "{:>6} {:>16} {:>12}", "k", "|sideband| (s)", "dBc");
     for line in &s.lines {
@@ -746,7 +730,7 @@ fn explore_result_json(e: &ExploreOut) -> String {
 
 fn render_doctor(t: &mut String, d: &DoctorOut) {
     let _ = writeln!(t, "plltool doctor — numerical-resilience health check");
-    let _ = writeln!(t, "design : {}", d.design_display);
+    let _ = writeln!(t, "design : {}", d.design);
     t.push('\n');
     let _ = writeln!(
         t,
@@ -787,8 +771,8 @@ fn analyze_result_json(a: &AnalyzeOut) -> String {
          \"phase_margin_lti_deg\":{},\"omega_ug_eff\":{},\"phase_margin_eff_deg\":{},\
          \"pm_degradation_deg\":{},\"bandwidth_3db\":{},\"peaking_db\":{},\"peaking_lti_db\":{},\
          \"nyquist_stable\":{},\"beyond_sampling_limit\":{}",
-        str_lit(&a.design_display),
-        num(a.omega_ref),
+        str_lit(&a.design.to_string()),
+        num(a.design.omega_ref()),
         num(a.report.omega_ug_ratio),
         num(a.report.omega_ug_lti),
         num(a.report.phase_margin_lti_deg),
@@ -963,7 +947,7 @@ mod tests {
     #[test]
     fn doctor_failure_keeps_result_and_reports_error() {
         let d = Response::Doctor(DoctorOut {
-            design_display: "d".to_string(),
+            design: PllDesign::reference_design(0.1).unwrap(),
             checks: vec![DoctorCheck {
                 check: "c".to_string(),
                 verdict: "failed".to_string(),

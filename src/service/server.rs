@@ -60,7 +60,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -92,8 +92,8 @@ pub struct ServeOptions {
     /// Per-request wall-clock budget in milliseconds (`None` =
     /// unbounded). When set, a request that exceeds it answers with a
     /// retryable `"code":"deadline"` error (or a degraded partial
-    /// result) instead of holding its batch, and a watchdog thread
-    /// cancels in-flight work if the dispatcher stops making progress.
+    /// result) instead of holding its batch. Each request's own budget
+    /// starts when its handler runs; nothing else cancels it.
     pub deadline_ms: Option<u64>,
 }
 
@@ -156,8 +156,8 @@ impl ServeSummary {
     }
 }
 
-/// Recovers a poisoned mutex: serve state (the shed list, the in-flight
-/// deadlines) stays valid across a panic unwound mid-update. Every
+/// Recovers a poisoned mutex: serve state (the shed list) stays valid
+/// across a panic unwound mid-update. Every
 /// recovery is counted (`serve/lock_poisoned`) so a fault-injection or
 /// chaos run can verify the containment path actually executed.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -286,48 +286,9 @@ where
     };
     let batch_max = opts.batch_max.max(1);
 
-    // Dispatcher heartbeat (milliseconds since `start`) for the
-    // watchdog: stamped whenever the dispatcher makes progress.
-    let heartbeat = AtomicU64::new(0);
-    let watchdog_stop = AtomicBool::new(false);
-
     let run: Result<(), String> = std::thread::scope(|scope| {
         let (tx, rx) = sync_channel::<LineJob>(opts.queue_max.max(1));
-        let (counts, shed_list, heartbeat, watchdog_stop) =
-            (&counts, &shed_list, &heartbeat, &watchdog_stop);
-
-        // Watchdog: while requests are in flight, a dispatcher that has
-        // not stamped its heartbeat within the grace window is treated
-        // as wedged; every in-flight deadline is cancelled so the
-        // workers unwind cooperatively into partial / deadline
-        // responses. Only armed together with `--deadline-ms` — without
-        // a budget there is no contract on how long a request may run.
-        if let Some(deadline_ms) = opts.deadline_ms {
-            scope.spawn(move || {
-                while !watchdog_stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(50));
-                    let now_ms = start.elapsed().as_millis() as u64;
-                    let stale_ms = now_ms.saturating_sub(heartbeat.load(Ordering::SeqCst));
-                    let inflight = {
-                        let mut handles = lock(&ctx.inflight);
-                        handles.retain(crate::par::WeakDeadline::is_alive);
-                        handles.len()
-                    };
-                    if watchdog_should_trip(inflight, stale_ms, deadline_ms) {
-                        counter!("serve", "watchdog_trips").inc();
-                        eprintln!(
-                            "serve: watchdog: dispatcher quiet for {stale_ms}ms with {inflight} \
-                             in-flight request(s); cancelling their deadlines"
-                        );
-                        for handle in lock(&ctx.inflight).iter() {
-                            handle.cancel();
-                        }
-                        // Re-arm instead of re-tripping every tick.
-                        heartbeat.store(now_ms, Ordering::SeqCst);
-                    }
-                }
-            });
-        }
+        let (counts, shed_list) = (&counts, &shed_list);
 
         let shed_mode = opts.shed;
         let reader = scope.spawn(move || -> Result<(), String> {
@@ -398,7 +359,6 @@ where
             let mut open = true;
             let mut client_gone = false;
             loop {
-                heartbeat.store(start.elapsed().as_millis() as u64, Ordering::SeqCst);
                 // Admit a batch: block for the first item, then drain
                 // whatever else is already queued. In shed mode, wake
                 // periodically so shed responses flush even while the
@@ -427,10 +387,6 @@ where
                 counts
                     .queue_depth
                     .fetch_sub(batch.len() as u64, Ordering::SeqCst);
-                // Stamp after admission (the blocking receive above can
-                // legitimately sit idle for any length of time): the
-                // watchdog only measures time spent *executing* a batch.
-                heartbeat.store(start.elapsed().as_millis() as u64, Ordering::SeqCst);
 
                 if !batch.is_empty() {
                     d.run_batch(batch);
@@ -443,7 +399,7 @@ where
                 }
 
                 // In-order flush. A client that hangs up mid-stream
-                // (BrokenPipe) downgrades writes to no-ops: the run
+                // (BrokenPipe) turns writes into no-ops: the run
                 // keeps draining its queue and counters instead of
                 // aborting with half the batch unaccounted for.
                 while let Some(line) = d.pending.remove(&next_out) {
@@ -490,7 +446,6 @@ where
             }
         })();
 
-        watchdog_stop.store(true, Ordering::SeqCst);
         let read = reader
             .join()
             .map_err(|_| "serve: reader thread panicked".to_string())?;
@@ -771,20 +726,6 @@ fn write_line<W: Write>(output: &mut W, line: &str) -> Result<bool, String> {
     }
 }
 
-/// The watchdog trip predicate, kept pure for testing: the dispatcher
-/// is considered wedged when work is in flight but its heartbeat has
-/// been quiet longer than the grace window.
-fn watchdog_should_trip(inflight: usize, stale_ms: u64, deadline_ms: u64) -> bool {
-    inflight > 0 && stale_ms > watchdog_grace_ms(deadline_ms)
-}
-
-/// Grace window before a stale heartbeat counts as a wedge: several
-/// deadline budgets (a healthy batch finishes within roughly one), with
-/// a floor so tiny budgets don't make the watchdog trigger-happy.
-fn watchdog_grace_ms(deadline_ms: u64) -> u64 {
-    (4 * deadline_ms).max(1000)
-}
-
 /// Drop guard that unlinks the Unix socket file when the serve loop
 /// exits, however it exits.
 #[cfg(unix)]
@@ -961,21 +902,6 @@ mod tests {
             },
         );
         assert_eq!(one.0, four.0, "serve output must be worker-count invariant");
-    }
-
-    #[test]
-    fn watchdog_trip_predicate() {
-        // Nothing in flight: an arbitrarily stale heartbeat is just an
-        // idle dispatcher blocked on its input queue.
-        assert!(!watchdog_should_trip(0, 60_000, 100));
-        // In flight but within the grace window (floor is 1000 ms).
-        assert!(!watchdog_should_trip(3, 900, 100));
-        assert!(!watchdog_should_trip(1, 7_000, 2_000));
-        // In flight and quiet past the grace window: wedged.
-        assert!(watchdog_should_trip(1, 1_001, 100));
-        assert!(watchdog_should_trip(2, 9_000, 2_000));
-        assert_eq!(watchdog_grace_ms(100), 1_000);
-        assert_eq!(watchdog_grace_ms(2_000), 8_000);
     }
 
     #[test]

@@ -363,7 +363,13 @@ proptest! {
         let pfd = SamplerHtm::new(w0);
         let vco = VcoHtm::time_invariant(1.5, w0);
         let manual = &vco.htm(s, t) * &pfd.htm(s, t);
-        let composed = htmpll::htm::series(&[&pfd, &vco], s, t);
+        // The series chain evaluated block by block, signal through the
+        // sampler first: each later block multiplies from the left.
+        let blocks: [&dyn HtmBlock; 2] = [&pfd, &vco];
+        let mut composed = blocks[0].htm(s, t);
+        for b in &blocks[1..] {
+            composed = &b.htm(s, t) * &composed;
+        }
         prop_assert!(manual.as_matrix().max_diff(composed.as_matrix()) < 1e-13);
     }
 
