@@ -162,13 +162,8 @@ fn diagonal_path(g: &Htm, d: &[Complex]) -> Result<ClosedLoop, LuError> {
 fn dense_path(g: &Htm) -> Result<ClosedLoop, LuError> {
     let n = g.truncation().dim();
     let i_plus_g = &CMat::identity(n) + g.as_matrix();
-    let lu = RobustLu::factor(&i_plus_g)?;
-    let solved = lu.solve_mat(g.as_matrix())?;
-    let mut report = lu.report().clone();
-    report.residual = solved.residual;
-    report.refinement_kept = solved.refined;
-    let cl = Htm::from_matrix(g.truncation(), g.omega0(), solved.value);
-    Ok((cl, report))
+    let (solved, report) = RobustLu::factor(&i_plus_g)?.solve_mat(g.as_matrix())?;
+    Ok((Htm::from_matrix(g.truncation(), g.omega0(), solved), report))
 }
 
 /// A structured closed form whose condition gate tripped: densify, walk

@@ -65,8 +65,7 @@ mod tests {
     use crate::blocks::{HtmBlock, LtiHtm, SamplerHtm};
     use crate::trunc::Truncation;
     use htmpll_lti::Tf;
-    use htmpll_num::lu::inverse;
-    use htmpll_num::CMat;
+    use htmpll_num::{CMat, Lu};
 
     const W0: f64 = 3.0;
 
@@ -89,7 +88,7 @@ mod tests {
         );
         let g = CMat::outer(&u, &v);
         let i_plus_g = &CMat::identity(n) + &g;
-        let dense = &inverse(&i_plus_g).unwrap() * &g;
+        let dense = &Lu::factor(&i_plus_g).unwrap().inverse().unwrap() * &g;
         assert!(cl.to_dense(n).max_diff(&dense) < 1e-12);
         // λ = vᵀu = sum over elementwise product.
         let expect: Complex = u.iter().zip(&v).map(|(a, b)| *a * *b).sum();

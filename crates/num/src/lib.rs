@@ -6,11 +6,12 @@
 //!   transcendental functions (including an overflow-safe `coth`).
 //! * [`CMat`] — dense row-major complex matrices; the carrier for
 //!   truncated harmonic transfer matrices.
-//! * [`Lu`] — LU factorization with partial pivoting: solve / inverse /
-//!   determinant for the dense closed-loop HTM path.
+//! * [`Lu`] — the one dense LU factorization, with partial
+//!   ([`Lu::factor`]) or complete ([`Lu::factor_complete`]) pivoting:
+//!   solve / inverse / determinant for the dense closed-loop HTM path.
 //! * [`solve`] — escalating panic-free solves ([`RobustLu`]): refined
-//!   partial pivoting → complete pivoting → Tikhonov perturbation, with
-//!   a [`SolveReport`] grading every factorization.
+//!   partial pivoting → complete pivoting → Tikhonov perturbation; each
+//!   solve returns its value with the [`SolveReport`] that grades it.
 //! * [`eig`] — complex eigenvalues (Hessenberg + shifted QR) for the
 //!   generalized-Nyquist analysis of non-rank-one LPTV loops.
 //! * [`Poly`] — real-coefficient polynomials (transfer-function
@@ -69,4 +70,4 @@ pub use jury::{jury_stable, JuryError};
 pub use lu::{Lu, LuError};
 pub use mat::{expm, CMat};
 pub use poly::Poly;
-pub use solve::{solve_robust, FullPivLu, Refined, RobustLu, SolveReport, SolveStage};
+pub use solve::{RobustLu, SolveReport, SolveStage};

@@ -1,8 +1,10 @@
-//! LU decomposition with partial pivoting for complex matrices.
+//! LU decomposition with partial or complete pivoting for complex
+//! matrices.
 //!
 //! The dense solve path of the HTM machinery — inverting `I + G̃(s)` when
 //! no rank-one shortcut applies (e.g. time-varying VCOs) — runs through
-//! [`Lu`].
+//! [`Lu`]: [`Lu::factor`] pivots on rows, [`Lu::factor_complete`] on rows
+//! and columns, and both share one elimination, solve and inverse.
 //!
 //! ```
 //! use htmpll_num::{CMat, Complex, Lu};
@@ -54,21 +56,31 @@ impl fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
-/// An LU factorization `P A = L U` with partial (row) pivoting.
+/// An LU factorization `P A Q = L U` with partial (row) or complete
+/// (row and column) pivoting.
+///
+/// [`Lu::factor`] searches column `k` for each pivot and leaves `Q = I`;
+/// [`Lu::factor_complete`] searches the whole trailing block, which
+/// bounds element growth where partial pivoting cannot. Everything past
+/// the pivot search is shared.
 #[derive(Debug, Clone)]
 pub struct Lu {
     /// Combined L (strict lower, unit diagonal implicit) and U (upper) factors.
     lu: CMat,
-    /// Row permutation: `perm[i]` is the original row in position `i`.
-    perm: Vec<usize>,
-    /// Sign of the permutation (+1 or −1), used by the determinant.
+    /// Row permutation: `row_perm[i]` is the original row in position `i`.
+    row_perm: Vec<usize>,
+    /// Column permutation: `col_perm[j]` is the original column in
+    /// position `j` (the identity under partial pivoting).
+    col_perm: Vec<usize>,
+    /// Sign of both permutations together (+1 or −1), used by the
+    /// determinant.
     perm_sign: f64,
     /// Pivot growth `‖U‖_max/‖A‖_max`, recorded at factor time.
     growth: f64,
 }
 
 impl Lu {
-    /// Factors a square matrix.
+    /// Factors a square matrix with partial (row) pivoting.
     ///
     /// # Errors
     ///
@@ -81,22 +93,61 @@ impl Lu {
         }
         htmpll_obs::counter!("num", "lu.factor").inc();
         htmpll_obs::record!("num", "lu.dim").record(a.rows() as f64);
+        let lu = Lu::eliminate(a, false)?;
+        // Pivot growth ‖U‖_max/‖A‖_max ≫ 1 flags an ill-conditioned HTM
+        // truncation long before the solve visibly misbehaves.
+        let growth_rec = htmpll_obs::record!("num", "lu.pivot_growth", htmpll_obs::Level::Debug);
+        if growth_rec.is_enabled() {
+            growth_rec.record(lu.growth);
+        }
+        Ok(lu)
+    }
+
+    /// Factors a square matrix with complete (row and column) pivoting:
+    /// slower than [`Lu::factor`], with bounded element growth.
+    ///
+    /// # Errors
+    ///
+    /// [`LuError::NotSquare`] for rectangular inputs,
+    /// [`LuError::NonFinite`] for NaN/∞ entries and
+    /// [`LuError::Singular`] when the largest remaining entry underflows
+    /// `‖A‖_max · n · ε`.
+    pub fn factor_complete(a: &CMat) -> Result<Lu, LuError> {
+        if !a.is_square() {
+            return Err(LuError::NotSquare);
+        }
+        if !a.is_finite() {
+            return Err(LuError::NonFinite);
+        }
+        htmpll_obs::counter!("num", "lu.full_pivot.factor").inc();
+        Lu::eliminate(a, true)
+    }
+
+    /// Gaussian elimination on a square `a`; `complete` widens each
+    /// pivot search from column `k` to the whole trailing block.
+    fn eliminate(a: &CMat, complete: bool) -> Result<Lu, LuError> {
         let n = a.rows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut row_perm: Vec<usize> = (0..n).collect();
+        let mut col_perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
         let norm_a = lu.norm_max();
         let tiny = norm_a * (n as f64) * f64::EPSILON;
 
         for k in 0..n {
-            // Partial pivoting: pick the largest |entry| in column k at/below row k.
-            let mut p = k;
+            // The largest |entry| at/below row k, in column k or (complete
+            // pivoting) in every trailing column, scanned row by row.
+            let search_end = if complete { n } else { k + 1 };
+            let (mut p, mut q) = (k, k);
             let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
+            for i in k..n {
+                for j in k..search_end {
+                    let v = lu[(i, j)].abs();
+                    if v > best {
+                        best = v;
+                        p = i;
+                        q = j;
+                    }
                 }
             }
             if best <= tiny || !best.is_finite() {
@@ -104,7 +155,12 @@ impl Lu {
             }
             if p != k {
                 lu.swap_rows(p, k);
-                perm.swap(p, k);
+                row_perm.swap(p, k);
+                perm_sign = -perm_sign;
+            }
+            if q != k {
+                lu.swap_cols(q, k);
+                col_perm.swap(q, k);
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
@@ -120,20 +176,15 @@ impl Lu {
                 }
             }
         }
-        // Pivot growth ‖U‖_max/‖A‖_max ≫ 1 flags an ill-conditioned HTM
-        // truncation long before the solve visibly misbehaves.
         let growth = if norm_a > 0.0 {
             lu.norm_max() / norm_a
         } else {
             1.0
         };
-        let growth_rec = htmpll_obs::record!("num", "lu.pivot_growth", htmpll_obs::Level::Debug);
-        if growth_rec.is_enabled() {
-            growth_rec.record(growth);
-        }
         Ok(Lu {
             lu,
-            perm,
+            row_perm,
+            col_perm,
             perm_sign,
             growth,
         })
@@ -161,23 +212,29 @@ impl Lu {
         if b.len() != n {
             return Err(LuError::DimensionMismatch);
         }
-        // Apply permutation, then forward substitution (L has unit diagonal).
-        let mut x: Vec<Complex> = self.perm.iter().map(|&p| b[p]).collect();
+        // Apply the row permutation, then forward substitution (L has
+        // unit diagonal).
+        let mut y: Vec<Complex> = self.row_perm.iter().map(|&p| b[p]).collect();
         for i in 1..n {
-            let mut acc = x[i];
-            for (j, xj) in x.iter().enumerate().take(i) {
-                acc -= self.lu[(i, j)] * *xj;
+            let mut acc = y[i];
+            for (j, yj) in y.iter().enumerate().take(i) {
+                acc -= self.lu[(i, j)] * *yj;
             }
-            x[i] = acc;
+            y[i] = acc;
         }
         // Backward substitution with U.
         for i in (0..n).rev() {
-            let mut acc = x[i];
-            #[allow(clippy::needless_range_loop)] // x is mutated at i below
+            let mut acc = y[i];
+            #[allow(clippy::needless_range_loop)] // y is mutated at i below
             for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * x[j];
+                acc -= self.lu[(i, j)] * y[j];
             }
-            x[i] = acc / self.lu[(i, i)];
+            y[i] = acc / self.lu[(i, i)];
+        }
+        // Undo the column permutation: x[col_perm[j]] = y[j].
+        let mut x = vec![Complex::ZERO; n];
+        for (j, &cj) in self.col_perm.iter().enumerate() {
+            x[cj] = y[j];
         }
         Ok(x)
     }
@@ -211,7 +268,8 @@ impl Lu {
         self.solve_mat(&CMat::identity(self.dim()))
     }
 
-    /// The determinant, from the product of pivots and the permutation sign.
+    /// The determinant, from the product of pivots and the sign of the
+    /// row and column permutations.
     pub fn det(&self) -> Complex {
         let mut d = Complex::from_re(self.perm_sign);
         for i in 0..self.dim() {
@@ -229,24 +287,6 @@ impl Lu {
             Err(_) => f64::INFINITY,
         }
     }
-}
-
-/// Convenience one-shot solve of `A x = b`.
-///
-/// # Errors
-///
-/// See [`Lu::factor`] and [`Lu::solve`].
-pub fn solve(a: &CMat, b: &[Complex]) -> Result<Vec<Complex>, LuError> {
-    Lu::factor(a)?.solve(b)
-}
-
-/// Convenience one-shot inverse.
-///
-/// # Errors
-///
-/// See [`Lu::factor`].
-pub fn inverse(a: &CMat) -> Result<CMat, LuError> {
-    Lu::factor(a)?.inverse()
 }
 
 #[cfg(test)]
@@ -274,7 +314,7 @@ mod tests {
         // (1+j)x + y = 2 ; x − y = j  →  hand-checked solution below.
         let a = CMat::from_rows(2, 2, &[c(1.0, 1.0), c(1.0, 0.0), c(1.0, 0.0), c(-1.0, 0.0)]);
         let b = [c(2.0, 0.0), c(0.0, 1.0)];
-        let x = solve(&a, &b).unwrap();
+        let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
         // Verify by substitution.
         let r0 = a[(0, 0)] * x[0] + a[(0, 1)] * x[1];
         let r1 = a[(1, 0)] * x[0] + a[(1, 1)] * x[1];
@@ -285,7 +325,7 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = random_like(12, 42);
-        let inv = inverse(&a).unwrap();
+        let inv = Lu::factor(&a).unwrap().inverse().unwrap();
         let prod = &a * &inv;
         assert!(prod.max_diff(&CMat::identity(12)) < 1e-10);
     }
@@ -319,6 +359,21 @@ mod tests {
         p.swap_rows(0, 1);
         let lu = Lu::factor(&p).unwrap();
         assert!(lu.det().approx_eq(c(-1.0, 0.0), 1e-14));
+    }
+
+    #[test]
+    fn complete_pivoting_det_tracks_column_swaps() {
+        // The largest entry sits off the diagonal, so complete pivoting
+        // swaps a column: det = 1·1 − 3·2 = −5 either way.
+        let a = CMat::from_rows(2, 2, &[c(1.0, 0.0), c(3.0, 0.0), c(2.0, 0.0), c(1.0, 0.0)]);
+        assert!(Lu::factor_complete(&a)
+            .unwrap()
+            .det()
+            .approx_eq(c(-5.0, 0.0), 1e-14));
+        assert!(Lu::factor(&a).unwrap().det().approx_eq(c(-5.0, 0.0), 1e-14));
+        let b = random_like(7, 31);
+        let full = Lu::factor_complete(&b).unwrap().det();
+        assert!(full.approx_eq(Lu::factor(&b).unwrap().det(), 1e-12 * full.abs()));
     }
 
     #[test]
@@ -367,7 +422,10 @@ mod tests {
             2,
             &[Complex::ZERO, c(1.0, 0.0), c(1.0, 0.0), Complex::ZERO],
         );
-        let x = solve(&a, &[c(3.0, 0.0), c(4.0, 0.0)]).unwrap();
+        let x = Lu::factor(&a)
+            .unwrap()
+            .solve(&[c(3.0, 0.0), c(4.0, 0.0)])
+            .unwrap();
         assert!(x[0].approx_eq(c(4.0, 0.0), 1e-14));
         assert!(x[1].approx_eq(c(3.0, 0.0), 1e-14));
     }

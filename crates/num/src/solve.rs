@@ -10,19 +10,24 @@
 //! 1. **Refined partial pivot** — [`Lu::factor`] plus one step of
 //!    iterative refinement per solve, gated on the pivot growth and a
 //!    cheap condition estimate.
-//! 2. **Complete (full) pivoting** — [`FullPivLu`]: row *and* column
-//!    pivoting bounds element growth where partial pivoting cannot.
+//! 2. **Complete (full) pivoting** — [`Lu::factor_complete`]: row *and*
+//!    column pivoting bounds element growth where partial pivoting
+//!    cannot.
 //! 3. **Tikhonov perturbation** — a tiny diagonal shift
-//!    `A + δI, δ = ‖A‖_max·n·√ε`, as the last resort on a matrix that is
-//!    singular to working precision. The solution is that of a nearby
-//!    well-posed problem; the report marks it [`SolveReport::perturbed`].
+//!    `A + δI, δ = ‖A‖_max·n·√ε` (with 1 in place of `‖A‖_max` for the
+//!    zero matrix), then complete pivoting, as the last resort on a
+//!    matrix that is singular to working precision. The solution is
+//!    that of a nearby well-posed problem; the report marks it
+//!    [`SolveReport::perturbed`].
 //!
-//! Every stage tried is recorded in a [`SolveReport`], so callers can
-//! grade each grid point (`Exact`/`Refined`/`Perturbed`) instead of
-//! aborting a whole sweep.
+//! Both pivot rules are the one [`Lu`] type; every rung solves with
+//! refinement against the original matrix. Each solve returns its value
+//! with the completed [`SolveReport`] (rungs tried, residual, condition
+//! estimate, growth), so callers can grade each grid point
+//! (`Exact`/`Refined`/`Perturbed`) instead of aborting a whole sweep.
 //!
 //! ```
-//! use htmpll_num::{CMat, Complex, RobustLu};
+//! use htmpll_num::{CMat, Complex, RobustLu, SolveStage};
 //!
 //! // Exactly singular: a plain LU refuses, the robust ladder perturbs.
 //! let a = CMat::from_rows(2, 2, &[
@@ -31,8 +36,9 @@
 //! ]);
 //! let r = RobustLu::factor(&a).unwrap();
 //! assert!(r.report().perturbed);
-//! let x = r.solve(&[Complex::from_re(1.0), Complex::from_re(2.0)]).unwrap();
-//! assert!(x.value.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+//! let (x, report) = r.solve(&[Complex::from_re(1.0), Complex::from_re(2.0)]).unwrap();
+//! assert!(x.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+//! assert_eq!(report.accepted_stage(), SolveStage::Tikhonov);
 //! ```
 
 use crate::complex::Complex;
@@ -83,16 +89,17 @@ pub struct SolveReport {
     /// produced the accepted factorization.
     pub stages_tried: Vec<SolveStage>,
     /// Relative backward residual `‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of
-    /// the most demanding solve performed through this factorization so
-    /// far (0.0 until the first solve).
+    /// the solve that returned this report (its worst column for a
+    /// matrix solve; 0.0 in the factor-time [`RobustLu::report`]).
     pub residual: f64,
     /// Condition estimate `‖A‖₁·‖A⁻¹‖₁` of the accepted factorization
     /// (of the *perturbed* matrix on the Tikhonov rung).
     pub cond_estimate: f64,
     /// True when the accepted factorization is of `A + δI`, not `A`.
     pub perturbed: bool,
-    /// True when the most recent solve through this factorization kept
-    /// an iterative-refinement correction (it reduced the residual).
+    /// True when the solve that returned this report kept an
+    /// iterative-refinement correction (it reduced the residual) in any
+    /// column.
     pub refinement_kept: bool,
     /// Pivot growth of the accepted factorization.
     pub pivot_growth: f64,
@@ -113,218 +120,6 @@ impl SolveReport {
     }
 }
 
-/// An LU factorization `P A Q = L U` with complete (row + column)
-/// pivoting — slower than partial pivoting but with bounded element
-/// growth, the second rung of the escalation ladder.
-#[derive(Debug, Clone)]
-pub struct FullPivLu {
-    /// Combined L (strict lower, unit diagonal implicit) and U factors.
-    lu: CMat,
-    /// Row permutation: `row_perm[i]` is the original row in position `i`.
-    row_perm: Vec<usize>,
-    /// Column permutation: `col_perm[j]` is the original column in
-    /// position `j`.
-    col_perm: Vec<usize>,
-    /// Pivot growth `‖U‖_max/‖A‖_max`.
-    growth: f64,
-}
-
-impl FullPivLu {
-    /// Factors a square matrix with complete pivoting.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::NotSquare`] for rectangular inputs,
-    /// [`LuError::NonFinite`] for NaN/∞ entries and
-    /// [`LuError::Singular`] when the largest remaining entry underflows
-    /// `‖A‖_max · n · ε`.
-    pub fn factor(a: &CMat) -> Result<FullPivLu, LuError> {
-        if !a.is_square() {
-            return Err(LuError::NotSquare);
-        }
-        if !a.is_finite() {
-            return Err(LuError::NonFinite);
-        }
-        htmpll_obs::counter!("num", "lu.full_pivot.factor").inc();
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut row_perm: Vec<usize> = (0..n).collect();
-        let mut col_perm: Vec<usize> = (0..n).collect();
-        let norm_a = lu.norm_max();
-        let tiny = norm_a * (n as f64) * f64::EPSILON;
-
-        for k in 0..n {
-            // Complete pivoting: largest |entry| in the trailing block.
-            let (mut p, mut q) = (k, k);
-            let mut best = lu[(k, k)].abs();
-            for i in k..n {
-                for j in k..n {
-                    let v = lu[(i, j)].abs();
-                    if v > best {
-                        best = v;
-                        p = i;
-                        q = j;
-                    }
-                }
-            }
-            if best <= tiny || !best.is_finite() {
-                return Err(LuError::Singular { step: k });
-            }
-            if p != k {
-                lu.swap_rows(p, k);
-                row_perm.swap(p, k);
-            }
-            if q != k {
-                lu.swap_cols(q, k);
-                col_perm.swap(q, k);
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m == Complex::ZERO {
-                    continue;
-                }
-                for j in (k + 1)..n {
-                    let ukj = lu[(k, j)];
-                    lu[(i, j)] -= m * ukj;
-                }
-            }
-        }
-        let growth = if norm_a > 0.0 {
-            lu.norm_max() / norm_a
-        } else {
-            1.0
-        };
-        Ok(FullPivLu {
-            lu,
-            row_perm,
-            col_perm,
-            growth,
-        })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Pivot growth `‖U‖_max/‖A‖_max` of this factorization.
-    pub fn pivot_growth(&self) -> f64 {
-        self.growth
-    }
-
-    /// Solves `A x = b` for a single right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::DimensionMismatch`] when `b.len() != dim()`.
-    pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, LuError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LuError::DimensionMismatch);
-        }
-        // Row permutation, forward substitution (unit-diagonal L).
-        let mut y: Vec<Complex> = self.row_perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let mut acc = y[i];
-            for (j, yj) in y.iter().enumerate().take(i) {
-                acc -= self.lu[(i, j)] * *yj;
-            }
-            y[i] = acc;
-        }
-        // Backward substitution with U.
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            #[allow(clippy::needless_range_loop)] // y is mutated at i below
-            for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * y[j];
-            }
-            y[i] = acc / self.lu[(i, i)];
-        }
-        // Undo the column permutation: x[col_perm[j]] = z[j].
-        let mut x = vec![Complex::ZERO; n];
-        for (j, &cj) in self.col_perm.iter().enumerate() {
-            x[cj] = y[j];
-        }
-        Ok(x)
-    }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::DimensionMismatch`] when `B.rows() != dim()`.
-    pub fn solve_mat(&self, b: &CMat) -> Result<CMat, LuError> {
-        if b.rows() != self.dim() {
-            return Err(LuError::DimensionMismatch);
-        }
-        let mut out = CMat::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            for (i, v) in col.into_iter().enumerate() {
-                out[(i, j)] = v;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The inverse matrix `A⁻¹`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (cannot occur for a successfully factored
-    /// matrix of matching dimension).
-    pub fn inverse(&self) -> Result<CMat, LuError> {
-        self.solve_mat(&CMat::identity(self.dim()))
-    }
-
-    /// Condition estimate `‖A‖₁·‖A⁻¹‖₁` against the original matrix.
-    pub fn cond_estimate(&self, a: &CMat) -> f64 {
-        match self.inverse() {
-            Ok(inv) => a.norm_one() * inv.norm_one(),
-            Err(_) => f64::INFINITY,
-        }
-    }
-}
-
-/// The accepted factorization inside a [`RobustLu`].
-#[derive(Debug, Clone)]
-enum Factor {
-    Partial(Lu),
-    Full(FullPivLu),
-}
-
-impl Factor {
-    fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, LuError> {
-        match self {
-            Factor::Partial(lu) => lu.solve(b),
-            Factor::Full(lu) => lu.solve(b),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            Factor::Partial(lu) => lu.dim(),
-            Factor::Full(lu) => lu.dim(),
-        }
-    }
-}
-
-/// A solution produced through a [`RobustLu`], annotated with the
-/// refinement outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Refined<T> {
-    /// The solution itself.
-    pub value: T,
-    /// Relative backward residual of the returned solution.
-    pub residual: f64,
-    /// True when the iterative-refinement correction was kept (it
-    /// reduced the residual); false when the raw solve was already at
-    /// least as good.
-    pub refined: bool,
-}
-
 /// Escalating dense factorization of `A`: refined partial pivot →
 /// complete pivoting → Tikhonov-perturbed complete pivoting. See the
 /// [module docs](self) for the ladder; [`RobustLu::report`] records
@@ -335,7 +130,8 @@ pub struct RobustLu {
     /// iterative refinement (refinement against `A` also pulls a
     /// Tikhonov-perturbed solve back toward the unperturbed problem).
     a: CMat,
-    factor: Factor,
+    /// The accepted factorization (of `A + δI` on the Tikhonov rung).
+    lu: Lu,
     report: SolveReport,
 }
 
@@ -391,21 +187,9 @@ impl RobustLu {
         // Rung 1: refined partial pivot, gated on growth + condition.
         if !pivot_fault {
             if let Ok(lu) = Lu::factor(a) {
-                let growth = lu.pivot_growth();
                 let cond = lu.cond_estimate(a);
-                if growth <= GROWTH_GATE && cond.is_finite() && cond <= COND_GATE {
-                    return Ok(RobustLu {
-                        a: a.clone(),
-                        factor: Factor::Partial(lu),
-                        report: SolveReport {
-                            stages_tried: stages,
-                            residual: 0.0,
-                            cond_estimate: cond,
-                            perturbed: false,
-                            refinement_kept: false,
-                            pivot_growth: growth,
-                        },
-                    });
+                if lu.pivot_growth() <= GROWTH_GATE && cond.is_finite() && cond <= COND_GATE {
+                    return Ok(RobustLu::accept(a, lu, cond, stages, false));
                 }
             }
         }
@@ -416,22 +200,10 @@ impl RobustLu {
             format!("ladder{{stage=full-pivot,n={}}}", a.rows())
         });
         stages.push(SolveStage::FullPivot);
-        if let Ok(lu) = FullPivLu::factor(a) {
+        if let Ok(lu) = Lu::factor_complete(a) {
             let cond = lu.cond_estimate(a);
             if cond.is_finite() && cond <= COND_GATE {
-                let growth = lu.pivot_growth();
-                return Ok(RobustLu {
-                    a: a.clone(),
-                    factor: Factor::Full(lu),
-                    report: SolveReport {
-                        stages_tried: stages,
-                        residual: 0.0,
-                        cond_estimate: cond,
-                        perturbed: false,
-                        refinement_kept: false,
-                        pivot_growth: growth,
-                    },
-                });
+                return Ok(RobustLu::accept(a, lu, cond, stages, false));
             }
         }
 
@@ -452,36 +224,38 @@ impl RobustLu {
         for i in 0..n {
             perturbed[(i, i)] += Complex::from_re(delta);
         }
-        let lu = FullPivLu::factor(&perturbed)?;
+        let lu = Lu::factor_complete(&perturbed)?;
         let cond = lu.cond_estimate(&perturbed);
-        let growth = lu.pivot_growth();
-        Ok(RobustLu {
+        Ok(RobustLu::accept(a, lu, cond, stages, true))
+    }
+
+    /// Wraps the accepted factorization with its factor-time report; a
+    /// solve fills in the residual and refinement outcome.
+    fn accept(a: &CMat, lu: Lu, cond: f64, stages: Vec<SolveStage>, perturbed: bool) -> RobustLu {
+        let report = SolveReport {
+            stages_tried: stages,
+            residual: 0.0,
+            cond_estimate: cond,
+            perturbed,
+            refinement_kept: false,
+            pivot_growth: lu.pivot_growth(),
+        };
+        RobustLu {
             a: a.clone(),
-            factor: Factor::Full(lu),
-            report: SolveReport {
-                stages_tried: stages,
-                residual: 0.0,
-                cond_estimate: cond,
-                perturbed: true,
-                refinement_kept: false,
-                pivot_growth: growth,
-            },
-        })
+            lu,
+            report,
+        }
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.factor.dim()
+        self.lu.dim()
     }
 
-    /// What the ladder did (stages, condition estimate, perturbation).
+    /// What the ladder did (stages, condition estimate, perturbation);
+    /// the residual reads 0.0 until a solve completes it.
     pub fn report(&self) -> &SolveReport {
         &self.report
-    }
-
-    /// The original (unperturbed) matrix.
-    pub fn matrix(&self) -> &CMat {
-        &self.a
     }
 
     /// Relative backward residual `‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`
@@ -503,22 +277,16 @@ impl RobustLu {
         b.iter().zip(&ax).map(|(bi, axi)| *bi - *axi).collect()
     }
 
-    /// Solves `A x = b` with one step of iterative refinement against
-    /// the original matrix; the correction is kept only when it reduces
-    /// the residual.
-    ///
-    /// # Errors
-    ///
-    /// [`LuError::DimensionMismatch`] for a wrong-length `b` and
-    /// [`LuError::NonFinite`] when `b` contains NaN/∞.
-    pub fn solve(&self, b: &[Complex]) -> Result<Refined<Vec<Complex>>, LuError> {
+    /// One refined solve of `A x = b`: the solution, its relative
+    /// residual and whether the refinement correction was kept.
+    fn solve_refined(&self, b: &[Complex]) -> Result<(Vec<Complex>, f64, bool), LuError> {
         if b.len() != self.dim() {
             return Err(LuError::DimensionMismatch);
         }
         if !b.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
             return Err(LuError::NonFinite);
         }
-        let x0 = self.factor.solve(b)?;
+        let x0 = self.lu.solve(b)?;
         let r0 = self.residual_vec(b, &x0);
         let res0 = self.rel_residual(b, &x0, &r0);
 
@@ -529,7 +297,7 @@ impl RobustLu {
         let refined = if res0 <= 64.0 * f64::EPSILON {
             None
         } else {
-            match self.factor.solve(&r0) {
+            match self.lu.solve(&r0) {
                 Ok(d) => {
                     let x1: Vec<Complex> = x0.iter().zip(&d).map(|(x, d)| *x + *d).collect();
                     let r1 = self.residual_vec(b, &x1);
@@ -551,66 +319,57 @@ impl RobustLu {
         if !x.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
             return Err(LuError::NonFinite);
         }
-        Ok(Refined {
-            value: x,
-            residual,
-            refined: kept,
-        })
+        Ok((x, residual, kept))
     }
 
-    /// Solves `A X = B` column by column through [`RobustLu::solve`];
-    /// the reported residual is the worst column residual and `refined`
-    /// is set when any column kept its correction.
+    /// The factor-time report completed by a solve.
+    fn completed(&self, residual: f64, refinement_kept: bool) -> SolveReport {
+        SolveReport {
+            residual,
+            refinement_kept,
+            ..self.report.clone()
+        }
+    }
+
+    /// Solves `A x = b` with one step of iterative refinement against
+    /// the original matrix; the correction is kept only when it reduces
+    /// the residual. Returns the solution with the completed
+    /// [`SolveReport`] (this solve's residual and refinement outcome).
+    ///
+    /// # Errors
+    ///
+    /// [`LuError::DimensionMismatch`] for a wrong-length `b` and
+    /// [`LuError::NonFinite`] when `b` contains NaN/∞.
+    pub fn solve(&self, b: &[Complex]) -> Result<(Vec<Complex>, SolveReport), LuError> {
+        let (x, residual, kept) = self.solve_refined(b)?;
+        Ok((x, self.completed(residual, kept)))
+    }
+
+    /// Solves `A X = B` column by column with refinement; the reported
+    /// residual is the worst column residual and `refinement_kept` is
+    /// set when any column kept its correction.
     ///
     /// # Errors
     ///
     /// [`LuError::DimensionMismatch`] when `B.rows() != dim()`;
     /// [`LuError::NonFinite`] when `B` contains NaN/∞.
-    pub fn solve_mat(&self, b: &CMat) -> Result<Refined<CMat>, LuError> {
+    pub fn solve_mat(&self, b: &CMat) -> Result<(CMat, SolveReport), LuError> {
         if b.rows() != self.dim() {
             return Err(LuError::DimensionMismatch);
         }
         let mut out = CMat::zeros(b.rows(), b.cols());
         let mut worst = 0.0f64;
-        let mut any_refined = false;
+        let mut any_kept = false;
         for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            worst = worst.max(col.residual);
-            any_refined |= col.refined;
-            for (i, v) in col.value.into_iter().enumerate() {
+            let (col, residual, kept) = self.solve_refined(&b.col(j))?;
+            worst = worst.max(residual);
+            any_kept |= kept;
+            for (i, v) in col.into_iter().enumerate() {
                 out[(i, j)] = v;
             }
         }
-        Ok(Refined {
-            value: out,
-            residual: worst,
-            refined: any_refined,
-        })
+        Ok((out, self.completed(worst, any_kept)))
     }
-
-    /// [`RobustLu::solve`], additionally returning a completed
-    /// [`SolveReport`] with the residual of this solve filled in.
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustLu::solve`].
-    pub fn solve_reported(&self, b: &[Complex]) -> Result<(Vec<Complex>, SolveReport), LuError> {
-        let sol = self.solve(b)?;
-        let mut report = self.report.clone();
-        report.residual = sol.residual;
-        report.refinement_kept = sol.refined;
-        Ok((sol.value, report))
-    }
-}
-
-/// Convenience one-shot robust solve of `A x = b`, returning the
-/// solution together with the full report.
-///
-/// # Errors
-///
-/// See [`RobustLu::factor`] and [`RobustLu::solve`].
-pub fn solve_robust(a: &CMat, b: &[Complex]) -> Result<(Vec<Complex>, SolveReport), LuError> {
-    RobustLu::factor(a)?.solve_reported(b)
 }
 
 #[cfg(test)]
@@ -640,12 +399,12 @@ mod tests {
         assert!(!r.report().perturbed);
         assert!(!r.report().escalated());
         let b: Vec<Complex> = (0..8).map(|i| c(i as f64, -1.0)).collect();
-        let sol = r.solve(&b).unwrap();
+        let (x, report) = r.solve(&b).unwrap();
         // Residual at working precision.
-        assert!(sol.residual < 1e-12, "residual {}", sol.residual);
+        assert!(report.residual < 1e-12, "residual {}", report.residual);
         // Verify against the plain solver.
-        let plain = crate::lu::solve(&a, &b).unwrap();
-        for (x, y) in sol.value.iter().zip(&plain) {
+        let plain = Lu::factor(&a).unwrap().solve(&b).unwrap();
+        for (x, y) in x.iter().zip(&plain) {
             assert!((*x - *y).abs() < 1e-10);
         }
     }
@@ -679,8 +438,8 @@ mod tests {
     fn full_pivot_matches_partial_on_regular_matrix() {
         let a = random_like(10, 17);
         let b: Vec<Complex> = (0..10).map(|i| c(0.3 * i as f64, 1.0)).collect();
-        let full = FullPivLu::factor(&a).unwrap().solve(&b).unwrap();
-        let partial = crate::lu::solve(&a, &b).unwrap();
+        let full = Lu::factor_complete(&a).unwrap().solve(&b).unwrap();
+        let partial = Lu::factor(&a).unwrap().solve(&b).unwrap();
         for (x, y) in full.iter().zip(&partial) {
             assert!((*x - *y).abs() < 1e-10, "{x} vs {y}");
         }
@@ -689,7 +448,7 @@ mod tests {
     #[test]
     fn full_pivot_inverse_roundtrip() {
         let a = random_like(9, 23);
-        let inv = FullPivLu::factor(&a).unwrap().inverse().unwrap();
+        let inv = Lu::factor_complete(&a).unwrap().inverse().unwrap();
         assert!((&a * &inv).max_diff(&CMat::identity(9)) < 1e-10);
     }
 
@@ -710,7 +469,7 @@ mod tests {
         // Consistent rhs (in the range of A): the perturbed solve must
         // produce a finite solution with small residual.
         let b = a.mul_vec(&[Complex::ONE, Complex::ONE, Complex::ONE]);
-        let (x, report) = r.solve_reported(&b).unwrap();
+        let (x, report) = r.solve(&b).unwrap();
         assert!(x.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
         assert!(report.residual < 1e-6, "residual {}", report.residual);
     }
@@ -726,11 +485,8 @@ mod tests {
         let r = RobustLu::factor(&a).unwrap();
         assert!(r.report().escalated());
         let b = [Complex::ONE, Complex::ONE, Complex::ONE];
-        let sol = r.solve(&b).unwrap();
-        assert!(sol
-            .value
-            .iter()
-            .all(|z| z.re.is_finite() && z.im.is_finite()));
+        let (x, _) = r.solve(&b).unwrap();
+        assert!(x.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
     }
 
     #[test]
@@ -738,7 +494,7 @@ mod tests {
         let mut a = CMat::identity(3);
         a[(1, 1)] = c(f64::NAN, 0.0);
         assert_eq!(RobustLu::factor(&a).unwrap_err(), LuError::NonFinite);
-        assert_eq!(FullPivLu::factor(&a).unwrap_err(), LuError::NonFinite);
+        assert_eq!(Lu::factor_complete(&a).unwrap_err(), LuError::NonFinite);
     }
 
     #[test]
@@ -753,7 +509,7 @@ mod tests {
     fn rectangular_rejected() {
         let a = CMat::zeros(2, 3);
         assert_eq!(RobustLu::factor(&a).unwrap_err(), LuError::NotSquare);
-        assert_eq!(FullPivLu::factor(&a).unwrap_err(), LuError::NotSquare);
+        assert_eq!(Lu::factor_complete(&a).unwrap_err(), LuError::NotSquare);
     }
 
     #[test]
@@ -767,7 +523,7 @@ mod tests {
             r.solve_mat(&CMat::zeros(2, 2)).unwrap_err(),
             LuError::DimensionMismatch
         );
-        let f = FullPivLu::factor(&CMat::identity(3)).unwrap();
+        let f = Lu::factor_complete(&CMat::identity(3)).unwrap();
         assert_eq!(
             f.solve(&[Complex::ONE; 2]).unwrap_err(),
             LuError::DimensionMismatch
@@ -779,11 +535,8 @@ mod tests {
         let a = CMat::zeros(4, 4);
         let r = RobustLu::factor(&a).unwrap();
         assert!(r.report().perturbed);
-        let sol = r.solve(&[Complex::ONE; 4]).unwrap();
-        assert!(sol
-            .value
-            .iter()
-            .all(|z| z.re.is_finite() && z.im.is_finite()));
+        let (x, _) = r.solve(&[Complex::ONE; 4]).unwrap();
+        assert!(x.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
     }
 
     #[test]
@@ -794,16 +547,16 @@ mod tests {
         let a = CMat::from_fn(n, n, |i, j| c(1.0 / ((i + j + 1) as f64), 0.0));
         let r = RobustLu::factor(&a).unwrap();
         let b: Vec<Complex> = (0..n).map(|i| c(1.0 + i as f64, 0.0)).collect();
-        let sol = r.solve(&b).unwrap();
+        let (_, report) = r.solve(&b).unwrap();
         // Compare with the raw (unrefined) partial-pivot solve residual.
         if let Ok(lu) = Lu::factor(&a) {
             let raw = lu.solve(&b).unwrap();
             let raw_r = r.residual_vec(&b, &raw);
             let raw_res = r.rel_residual(&b, &raw, &raw_r);
             assert!(
-                sol.residual <= raw_res * (1.0 + 1e-12),
+                report.residual <= raw_res * (1.0 + 1e-12),
                 "refined {} vs raw {}",
-                sol.residual,
+                report.residual,
                 raw_res
             );
         }
@@ -814,16 +567,16 @@ mod tests {
         let a = random_like(6, 99);
         let r = RobustLu::factor(&a).unwrap();
         let b = random_like(6, 100);
-        let sol = r.solve_mat(&b).unwrap();
-        assert!(sol.residual < 1e-10);
-        assert!((&a * &sol.value).max_diff(&b) < 1e-9);
+        let (x, report) = r.solve_mat(&b).unwrap();
+        assert!(report.residual < 1e-10);
+        assert!((&a * &x).max_diff(&b) < 1e-9);
     }
 
     #[test]
-    fn one_shot_helper_reports() {
+    fn solve_returns_completed_report() {
         let a = random_like(5, 7);
         let b: Vec<Complex> = (0..5).map(|i| c(i as f64, 0.5)).collect();
-        let (x, report) = solve_robust(&a, &b).unwrap();
+        let (x, report) = RobustLu::factor(&a).unwrap().solve(&b).unwrap();
         assert_eq!(x.len(), 5);
         assert!(report.cond_estimate >= 1.0);
         assert!(!report.perturbed);

@@ -12,7 +12,7 @@ use htmpll::core::{
 use htmpll::htm::{Htm, HtmRepr, Truncation};
 use htmpll::lti::Tf;
 use htmpll::num::rng::Rng;
-use htmpll::num::{solve_robust, CMat, Complex, FullPivLu, LuError, RobustLu, SolveStage};
+use htmpll::num::{CMat, Complex, Lu, LuError, RobustLu, SolveStage};
 use htmpll::par::{Deadline, ThreadBudget};
 
 fn model(ratio: f64) -> PllModel {
@@ -129,9 +129,9 @@ fn near_singular_matrices_solve_finitely_across_scales() {
         );
         let lu = RobustLu::factor(&a).unwrap();
         let b = vec![c(scale, 0.0), c(scale, 0.0), c(0.0, scale)];
-        let x = lu.solve(&b).unwrap();
+        let (x, _) = lu.solve(&b).unwrap();
         assert!(
-            x.value.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+            x.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
             "scale 1e{log_scale}: non-finite solution"
         );
         let report = lu.report();
@@ -150,13 +150,15 @@ fn nan_and_inf_matrices_are_rejected() {
     let mut a = CMat::identity(3);
     a[(1, 1)] = c(f64::NAN, 0.0);
     assert_eq!(RobustLu::factor(&a).unwrap_err(), LuError::NonFinite);
-    assert_eq!(FullPivLu::factor(&a).unwrap_err(), LuError::NonFinite);
+    assert_eq!(Lu::factor_complete(&a).unwrap_err(), LuError::NonFinite);
 
     let mut b = CMat::identity(3);
     b[(0, 2)] = c(0.0, f64::INFINITY);
     assert_eq!(RobustLu::factor(&b).unwrap_err(), LuError::NonFinite);
     assert_eq!(
-        solve_robust(&b, &[Complex::ONE; 3]).unwrap_err(),
+        RobustLu::factor(&b)
+            .and_then(|lu| lu.solve(&[Complex::ONE; 3]))
+            .unwrap_err(),
         LuError::NonFinite
     );
 }
@@ -289,12 +291,12 @@ fn hundred_seed_matrix_fuzz_never_panics() {
             Ok(lu) => {
                 assert!(!poisoned, "seed {seed}: NaN matrix must not factor");
                 match lu.solve(&b) {
-                    Ok(x) => {
+                    Ok((x, report)) => {
                         assert!(
-                            x.value.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+                            x.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
                             "seed {seed}: Ok solve returned non-finite entries"
                         );
-                        assert!(x.residual.is_finite() || x.residual.is_nan());
+                        assert!(report.residual.is_finite() || report.residual.is_nan());
                     }
                     Err(e) => assert_ne!(e, LuError::NotSquare, "seed {seed}"),
                 }
