@@ -332,9 +332,8 @@ impl EffectiveGain {
         }
     }
 
-    /// The one λ evaluation kernel behind [`eval`](EffectiveGain::eval),
-    /// [`LambdaLine::eval`] and [`eval_jw_batch`](EffectiveGain::eval_jw_batch);
-    /// they differ only in where the `Re` half of each `coth` comes from
+    /// The one λ evaluation kernel behind [`eval`](EffectiveGain::eval)
+    /// and [`LambdaLine::eval`]; they differ only in where the `Re` half of each `coth` comes from
     /// (`half(k, term)`, always `CothRe::new` of the `Re` part of the
     /// term's `coth` argument). Per term it performs exactly the
     /// operations of `c·lattice_sum(s − p, ω₀, r)` in the same order —
@@ -374,24 +373,6 @@ impl EffectiveGain {
     /// Exact `λ(jω)`.
     pub fn eval_jw(&self, omega: f64) -> Complex {
         self.eval(Complex::from_im(omega))
-    }
-
-    /// Exact `λ(jω)` at a batch of frequencies, written into `out`.
-    ///
-    /// A loop over the same kernel as [`eval_jw`](EffectiveGain::eval_jw),
-    /// so the batch is **bitwise identical** to the pointwise path —
-    /// grids may switch between them freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `omegas` and `out` have different lengths.
-    pub fn eval_jw_batch(&self, omegas: &[f64], out: &mut [Complex]) {
-        assert_eq!(omegas.len(), out.len(), "batch length mismatch");
-        htmpll_obs::counter!("core", "lambda.eval").add(omegas.len() as u64);
-        let axis = self.line(0.0);
-        for (o, &w) in out.iter_mut().zip(omegas) {
-            *o = axis.value(w);
-        }
     }
 
     /// Evaluates `A(z)` for one alias term, routing points that fall
@@ -591,17 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_eval_bitwise_matches_pointwise() {
+    fn axis_line_bitwise_matches_pointwise() {
         let lam = reference_lambda(0.3);
         let w0 = lam.omega0();
-        // Regular points, a dense span crossing lane boundaries, and
-        // pole-grazing frequencies (λ blows up at k·ω₀; whatever bits
-        // the scalar path produces there, the batch must reproduce).
+        // Regular points, a dense span, and pole-grazing frequencies
+        // (λ blows up at k·ω₀; whatever bits the pointwise path produces
+        // there, the axis line must reproduce).
         let mut omegas: Vec<f64> = (0..37).map(|i| 0.01 + 0.13 * i as f64).collect();
         omegas.extend([w0, 2.0 * w0, w0 + 1e-12, 0.0]);
-        let mut batch = vec![Complex::ZERO; omegas.len()];
-        lam.eval_jw_batch(&omegas, &mut batch);
-        for (&w, v) in omegas.iter().zip(&batch) {
+        let axis = lam.line(0.0);
+        for &w in &omegas {
+            let v = axis.eval(w);
             let direct = lam.eval_jw(w);
             assert_eq!(direct.re.to_bits(), v.re.to_bits(), "w={w}");
             assert_eq!(direct.im.to_bits(), v.im.to_bits(), "w={w}");

@@ -42,8 +42,7 @@ pub use engine::{PllSim, SimConfig, SimParams, Trace};
 pub use fast::{CorrectionKind, PeriodMap, PulseLaw};
 pub use lock::{acquire_lock, LockOptions, LockResult};
 pub use measure::{
-    measure_band_transfer, measure_h00, measure_h00_multitone, sweep_h00, MeasureOptions,
-    ToneMeasurement,
+    measure_band_transfer, measure_h00, measure_h00_multitone, MeasureOptions, ToneMeasurement,
 };
 pub use pfd::TriStatePfd;
 pub use sigma_delta::{Mash111, MashError};

@@ -115,20 +115,6 @@ pub fn measure_h00(
     }
 }
 
-/// Sweeps `measure_h00` over a frequency list, returning one measurement
-/// per requested point.
-pub fn sweep_h00(
-    params: &SimParams,
-    config: &SimConfig,
-    omegas: &[f64],
-    opts: &MeasureOptions,
-) -> Vec<ToneMeasurement> {
-    omegas
-        .iter()
-        .map(|&w| measure_h00(params, config, w, opts))
-        .collect()
-}
-
 /// Measures a **band-conversion** transfer of the closed loop: inject a
 /// reference tone at `omega` and read the output phase content at the
 /// *shifted* frequency `omega + band·ω₀` — the time-domain counterpart

@@ -69,11 +69,10 @@ fn lambda_digest(lam: &EffectiveGain) -> String {
     let omegas: Vec<f64> = (0..=100)
         .map(|k| w0 * (1e-4 + 0.5 * k as f64 / 100.0))
         .collect();
-    let mut batch = vec![Complex::ZERO; omegas.len()];
-    lam.eval_jw_batch(&omegas, &mut batch);
-    for (&w, &b) in omegas.iter().zip(&batch) {
+    let axis = lam.line(0.0);
+    for &w in &omegas {
         write_c(&mut h, lam.eval_jw(w));
-        write_c(&mut h, b);
+        write_c(&mut h, axis.eval(w));
     }
     format!("{:016x}", h.finish())
 }
