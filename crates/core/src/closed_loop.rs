@@ -25,10 +25,8 @@
 use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::lambda::EffectiveGain;
-use htmpll_htm::{
-    closed_loop_rank_one, Htm, HtmBlock, HtmRepr, SamplerHtm, Truncation, TruncationSpec, VcoHtm,
-};
-use htmpll_num::Complex;
+use htmpll_htm::{Htm, HtmBlock, HtmRepr, SamplerHtm, Truncation, TruncationSpec, VcoHtm};
+use htmpll_num::{Complex, LuError, SolveReport};
 
 /// A PLL small-signal model ready for frequency-domain evaluation.
 #[derive(Debug, Clone)]
@@ -38,12 +36,9 @@ pub struct PllModel {
     /// time-invariant).
     vco_isf: Vec<Complex>,
     lambda: EffectiveGain,
-    /// Extra LTI factor in the forward path (e.g. a Padé delay block);
-    /// unity when absent. Folded into `lambda` at construction and
-    /// applied explicitly by [`v_column`](PllModel::v_column).
-    extra_lti: Option<htmpll_lti::Tf>,
-    /// The forward path `H_LF(s)·extra(s)` as one product, built once
-    /// for [`open_loop_htm`](PllModel::open_loop_htm).
+    /// The forward path `H_LF(s)·extra(s)` as one product (the extra
+    /// factor is a Padé delay block, unity when absent), built once for
+    /// [`open_loop_htm`](PllModel::open_loop_htm).
     fwd_tf: htmpll_lti::Tf,
     /// Identity hash over everything the HTM assembly reads; see
     /// [`PllModel::fingerprint`].
@@ -132,7 +127,7 @@ impl PllModelBuilder {
             }
         }
         let mut open = design.open_loop_gain();
-        let mut extra_lti = None;
+        let mut pade = None;
         if let Some((tau, order)) = delay {
             if !tau.is_finite() || tau < 0.0 {
                 return Err(CoreError::InvalidParameter {
@@ -140,14 +135,14 @@ impl PllModelBuilder {
                     value: tau,
                 });
             }
-            let pade = htmpll_lti::pade_delay(tau, order)?;
-            open = &open * &pade;
-            extra_lti = Some(pade);
+            let delay = htmpll_lti::pade_delay(tau, order)?;
+            open = &open * &delay;
+            pade = Some(delay);
         }
         let lambda = EffectiveGain::new(&open, design.omega_ref())?;
         let vco_isf = vco_isf.unwrap_or_else(|| vec![Complex::from_re(design.v0())]);
-        // The matrix paths read the loop-filter factor, the extra LTI
-        // factor and the ISF column separately (not only their product
+        // The matrix paths read the loop-filter factor, the Padé factor
+        // and the ISF column separately (not only their product
         // folded into λ), so all of them enter the identity hash: two
         // models hash equal only if every HTM block they assemble is
         // bit-identical.
@@ -167,7 +162,7 @@ impl PllModelBuilder {
             h.write_f64(v.re);
             h.write_f64(v.im);
         }
-        if let Some(extra) = &extra_lti {
+        if let Some(extra) = &pade {
             h.write_u64(extra.num().coeffs().len() as u64);
             for &c in extra.num().coeffs() {
                 h.write_f64(c);
@@ -176,7 +171,7 @@ impl PllModelBuilder {
                 h.write_f64(c);
             }
         }
-        let fwd_tf = match &extra_lti {
+        let fwd_tf = match &pade {
             Some(extra) => &hlf * extra,
             None => hlf,
         };
@@ -184,7 +179,6 @@ impl PllModelBuilder {
             design,
             vco_isf,
             lambda,
-            extra_lti,
             fwd_tf,
             fingerprint: h.finish(),
         })
@@ -250,42 +244,10 @@ impl PllModel {
     }
 
     /// The rank-one column `Ṽ(s) = (ω₀/2π)·H̃_VCO·H̃_LF·𝟙` (paper
-    /// eq. 29), in harmonic order `−K..K`.
+    /// eq. 29), in harmonic order `−K..K`: the `u` of
+    /// [`open_loop_htm`](PllModel::open_loop_htm)'s `G̃ = u·𝟙ᵀ`.
     pub fn v_column(&self, s: Complex, trunc: impl Into<TruncationSpec>) -> Vec<Complex> {
-        let trunc = self.resolve_truncation(trunc);
-        let w0 = self.design.omega_ref();
-        let weight = w0 / (2.0 * std::f64::consts::PI);
-        let hlf = self.design.loop_filter_tf();
-        trunc
-            .harmonics()
-            .map(|n| {
-                // (H_VCO·H_LF·𝟙)_n = Σ_m v_{n−m}/(s+jnω₀) · H_LF(s+jmω₀)
-                let pole = (s + Complex::from_im(n as f64 * w0)).recip();
-                let mut acc = Complex::ZERO;
-                for m in trunc.harmonics() {
-                    let isf = self.isf_coeff(n - m);
-                    if isf == Complex::ZERO {
-                        continue;
-                    }
-                    let u = s + Complex::from_im(m as f64 * w0);
-                    let mut fwd = hlf.eval(u);
-                    if let Some(extra) = &self.extra_lti {
-                        fwd *= extra.eval(u);
-                    }
-                    acc += isf * fwd;
-                }
-                acc * pole * weight
-            })
-            .collect()
-    }
-
-    fn isf_coeff(&self, k: i64) -> Complex {
-        let half = (self.vco_isf.len() / 2) as i64;
-        if k.abs() <= half {
-            self.vco_isf[(k + half) as usize]
-        } else {
-            Complex::ZERO
-        }
+        self.column(s, self.resolve_truncation(trunc))
     }
 
     /// Closed-loop baseband→baseband transfer `H₀,₀(jω) = A(jω)/(1+λ(jω))`
@@ -317,43 +279,56 @@ impl PllModel {
         Complex::ONE - self.h00(omega)
     }
 
-    /// Full closed-loop HTM at Laplace point `s` via the rank-one
-    /// Sherman–Morrison closed form (works for time-varying VCOs too).
-    /// The result keeps the structured rank-one representation — O(n)
-    /// storage, densified lazily only if a consumer asks for the full
-    /// matrix.
-    pub fn closed_loop_htm(&self, s: Complex, trunc: impl Into<TruncationSpec>) -> Htm {
-        let trunc = self.resolve_truncation(trunc);
-        let v = self.v_column(s, trunc);
-        let ones = vec![Complex::ONE; trunc.dim()];
-        let (repr, _) = closed_loop_rank_one(&v, &ones);
-        Htm::from_repr(trunc, self.design.omega_ref(), repr)
+    /// Full closed-loop HTM at Laplace point `s`: the
+    /// [`open_loop_htm`](PllModel::open_loop_htm) at the resolved
+    /// truncation, closed by
+    /// [`Htm::closed_loop_factored_robust`] — the condition-gated
+    /// Sherman–Morrison form (works for time-varying VCOs too), kept in
+    /// the structured rank-one representation, with the
+    /// [`SolveReport`] that grades it. This is the point every
+    /// structured sweep solves.
+    ///
+    /// # Errors
+    ///
+    /// [`LuError::NonFinite`] when the open loop is not finite at `s`,
+    /// e.g. on an aliased integrator pole `s = jnω₀`.
+    pub fn closed_loop_htm(
+        &self,
+        s: Complex,
+        trunc: impl Into<TruncationSpec>,
+    ) -> Result<(Htm, SolveReport), LuError> {
+        self.open_loop_htm(s, self.resolve_truncation(trunc))
+            .closed_loop_factored_robust()
     }
 
     /// Assembles the **open-loop** HTM `G̃(s) = H̃_VCO·(H̃_LF·H̃_PFD)`
-    /// — the input to the reference closed-loop solve, exposed so sweep
-    /// caches can factor it once per Laplace point. The rank-one PFD is
-    /// absorbed first, so `G̃ = u·𝟙ᵀ` is built from its factors in
-    /// O(n·b): `x_n = H_fwd(s + jnω₀)·(ω₀/2π)` is the column of
-    /// `H̃_LF·H̃_PFD` and `u = H̃_VCO·x` one banded mat-vec. These are the
-    /// operations the block product `Diag·RankOne` then `BT·RankOne`
-    /// performs, in the same order, so the bits match it.
+    /// — the input to every closed-loop solve, exposed so sweep caches
+    /// can factor it once per Laplace point. The rank-one PFD makes
+    /// `G̃ = u·𝟙ᵀ` with `u` = [`v_column`](PllModel::v_column).
     pub fn open_loop_htm(&self, s: Complex, trunc: Truncation) -> Htm {
-        let w0 = self.design.omega_ref();
         let n = trunc.dim();
+        let open = HtmRepr::RankOnePlus {
+            u: self.column(s, trunc),
+            v: vec![Complex::ONE; n],
+            shift: Complex::ZERO,
+        };
+        Htm::from_repr(trunc, self.design.omega_ref(), open)
+    }
+
+    /// `u = Ṽ(s)` built from its factors in O(n·b):
+    /// `x_n = H_fwd(s + jnω₀)·(ω₀/2π)` is the column of `H̃_LF·H̃_PFD`
+    /// and `u = H̃_VCO·x` one banded mat-vec. These are the operations
+    /// the block product `Diag·RankOne` then `BT·RankOne` performs, in
+    /// the same order, so the bits match it.
+    fn column(&self, s: Complex, trunc: Truncation) -> Vec<Complex> {
+        let w0 = self.design.omega_ref();
         let weight = Complex::from_re(SamplerHtm::new(w0).weight());
         let x: Vec<Complex> = trunc
             .harmonics()
             .map(|k| self.fwd_tf.eval(s + Complex::from_im(k as f64 * w0)) * weight)
             .collect();
         let vco = VcoHtm::new(self.vco_isf.clone(), w0).htm(s, trunc);
-        let u = vco.repr().mul_vec(n, &x);
-        let open = HtmRepr::RankOnePlus {
-            u,
-            v: vec![Complex::ONE; n],
-            shift: Complex::ZERO,
-        };
-        Htm::from_repr(trunc, w0, open)
+        vco.repr().mul_vec(trunc.dim(), &x)
     }
 }
 
@@ -373,7 +348,7 @@ mod tests {
         let t = Truncation::new(6);
         for &(re, im) in &[(0.0, 0.4), (0.02, 1.3), (0.0, 2.7)] {
             let s = Complex::new(re, im);
-            let fast = m.closed_loop_htm(s, t);
+            let (fast, _) = m.closed_loop_htm(s, t).unwrap();
             let dense = m.open_loop_htm(s, t).closed_loop().unwrap();
             let err = fast.as_matrix().max_diff(dense.as_matrix());
             assert!(err < 1e-10, "s={s}: err {err}");
@@ -388,7 +363,9 @@ mod tests {
         let w = 0.8;
         let exact = m.h00(w);
         let err_at = |k: usize| {
-            let htm = m.closed_loop_htm(Complex::from_im(w), Truncation::new(k));
+            let (htm, _) = m
+                .closed_loop_htm(Complex::from_im(w), Truncation::new(k))
+                .unwrap();
             (htm.band(0, 0) - exact).abs()
         };
         // Truncated λ converges like 1/K: require closeness at K = 200
@@ -401,7 +378,7 @@ mod tests {
     fn band_transfer_independent_of_input_band() {
         let m = model(0.25);
         let t = Truncation::new(4);
-        let htm = m.closed_loop_htm(Complex::from_im(0.5), t);
+        let (htm, _) = m.closed_loop_htm(Complex::from_im(0.5), t).unwrap();
         // Rank-one structure: H_{n,m} constant across m.
         for n in t.harmonics() {
             let base = htm.band(n, 0);
@@ -464,12 +441,12 @@ mod tests {
         assert!(!tv.is_time_invariant());
         let t = Truncation::new(8);
         let s = Complex::from_im(0.6);
-        let a = ti.closed_loop_htm(s, t).band(0, 0);
-        let b = tv.closed_loop_htm(s, t).band(0, 0);
+        let a = ti.closed_loop_htm(s, t).unwrap().0.band(0, 0);
+        let b = tv.closed_loop_htm(s, t).unwrap().0.band(0, 0);
         assert!((a - b).abs() > 1e-3 * a.abs(), "TV ISF should matter");
         // And the TV path still matches its dense reference.
         let dense = tv.open_loop_htm(s, t).closed_loop().unwrap();
-        let fast = tv.closed_loop_htm(s, t);
+        let (fast, _) = tv.closed_loop_htm(s, t).unwrap();
         assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-10);
     }
 

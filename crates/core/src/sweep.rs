@@ -391,6 +391,19 @@ impl EffectiveGain {
     }
 }
 
+/// One graded dense solve as a sweep point.
+fn point_outcome(solve: Result<Arc<DenseSolve>, String>) -> PointOutcome<Htm> {
+    match solve {
+        Ok(d) => PointOutcome {
+            value: Some(d.htm.clone()),
+            quality: d.quality.clone(),
+            cond: d.report.cond_estimate,
+            residual: d.report.residual,
+        },
+        Err(reason) => PointOutcome::failed(reason),
+    }
+}
+
 impl PllModel {
     /// Resolves a truncation policy against this model: fixed orders
     /// pass through; `Auto { tol }` asks the effective gain for the
@@ -450,15 +463,7 @@ impl PllModel {
                 htmpll_obs::counter!("core", "robust.trunc_capped").inc();
                 break;
             }
-            let outcome = match cache.dense_robust(self, s, Truncation::new(k), kernel) {
-                Ok(d) => PointOutcome {
-                    value: Some(d.htm.clone()),
-                    quality: d.quality.clone(),
-                    cond: d.report.cond_estimate,
-                    residual: d.report.residual,
-                },
-                Err(reason) => PointOutcome::failed(reason),
-            };
+            let outcome = point_outcome(cache.dense_robust(self, s, Truncation::new(k), kernel));
             if !outcome.quality.is_degraded() {
                 if attempt > 0 {
                     htmpll_obs::counter!("core", "robust.trunc_escalated").inc();
@@ -514,16 +519,8 @@ impl PllModel {
                     // Poison the Laplace point — but **bypass the cache**:
                     // a faulted value must never be memoized where
                     // non-faulted requests could observe it.
-                    return match compute_dense(self, Complex::new(f64::NAN, w), trunc, spec.kernel)
-                    {
-                        Ok(d) => PointOutcome {
-                            value: Some(d.htm.clone()),
-                            quality: d.quality.clone(),
-                            cond: d.report.cond_estimate,
-                            residual: d.report.residual,
-                        },
-                        Err(reason) => PointOutcome::failed(reason),
-                    };
+                    let poisoned = Complex::new(f64::NAN, w);
+                    return point_outcome(compute_dense(self, poisoned, trunc, spec.kernel));
                 }
                 self.dense_point_escalating(
                     Complex::from_im(w),

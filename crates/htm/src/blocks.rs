@@ -268,20 +268,13 @@ impl VcoHtm {
         VcoHtm::new(vec![Complex::from_re(kvco)], omega0)
     }
 
-    /// ISF coefficient `v_k` (zero outside the stored range).
-    pub fn isf_coeff(&self, k: i64) -> Complex {
-        let half = (self.isf.len() / 2) as i64;
-        if k.abs() <= half {
-            self.isf[(k + half) as usize]
-        } else {
-            Complex::ZERO
-        }
-    }
-
     /// True when only `v₀` is nonzero.
     pub fn is_time_invariant(&self) -> bool {
-        let half = (self.isf.len() / 2) as i64;
-        (-half..=half).all(|k| k == 0 || self.isf_coeff(k) == Complex::ZERO)
+        let center = self.isf.len() / 2;
+        self.isf
+            .iter()
+            .enumerate()
+            .all(|(i, v)| i == center || *v == Complex::ZERO)
     }
 }
 
@@ -421,8 +414,8 @@ mod tests {
             .band(1, 0)
             .approx_eq(Complex::new(0.3, -0.1) * row_pole, 1e-14));
         assert!(h.band(1, 1).approx_eq(row_pole, 1e-14));
-        // Out-of-range ISF coefficient contributes zero.
-        assert_eq!(blk.isf_coeff(5), Complex::ZERO);
+        // ISF harmonics beyond the stored ones contribute zero.
+        assert_eq!(blk.htm(s, Truncation::new(2)).band(2, 0), Complex::ZERO);
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //! * [`Truncation`] — symmetric harmonic truncation bookkeeping.
 //! * [`Htm`] — one evaluation of a truncated HTM, with band-indexed
 //!   accessors, the composition operators (`*` is series, `+` is
-//!   parallel; paper eq. 10–11) and a dense closed-loop solve.
+//!   parallel; paper eq. 10–11), the dense closed-loop reference and
+//!   the structure-aware closed-loop solve.
 //! * [`blocks`] — the building blocks: LTI (diagonal), periodic
 //!   multiplier (Toeplitz), sampling PFD (rank one), and the
 //!   ISF-integrator VCO model.
-//! * [`ops`] — the Sherman–Morrison rank-one closed-loop shortcut that
-//!   makes sampled-PFD loops cheap.
+//! * [`factor`] — the closed-loop kernels behind
+//!   [`Htm::closed_loop_factored_robust`], among them the
+//!   Sherman–Morrison rank-one form that makes sampled-PFD loops cheap.
 //!
 //! ```
 //! use htmpll_htm::{HtmBlock, SamplerHtm, Truncation, VcoHtm};
@@ -40,14 +42,12 @@
 pub mod blocks;
 pub mod factor;
 pub mod matrix;
-pub mod ops;
 pub mod repr;
 pub mod response;
 pub mod trunc;
 
 pub use blocks::{DelayHtm, HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, VcoHtm};
 pub use matrix::Htm;
-pub use ops::closed_loop_rank_one;
 pub use repr::HtmRepr;
 pub use response::{tone_response, SidebandSpectrum};
 pub use trunc::{Truncation, TruncationSpec};

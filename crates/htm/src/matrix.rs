@@ -92,37 +92,6 @@ impl Htm {
         Htm::from_matrix(trunc, omega0, mat)
     }
 
-    /// Builds the HTM directly from **harmonic transfer functions**
-    /// `H_k(s)` (paper eq. 2–5): `H_{n,m}(s) = H_{n−m}(s + jmω₀)`.
-    /// `harmonic_tfs[i]` holds `H_k` for `k = i − (len−1)/2` (centered,
-    /// odd length); missing harmonics are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `harmonic_tfs` has even length or `omega0 <= 0`.
-    pub fn from_harmonic_tfs(
-        trunc: Truncation,
-        omega0: f64,
-        s: Complex,
-        harmonic_tfs: &[htmpll_lti::Tf],
-    ) -> Self {
-        assert!(
-            harmonic_tfs.len() % 2 == 1,
-            "centered harmonic transfer functions need odd length, got {}",
-            harmonic_tfs.len()
-        );
-        htmpll_obs::counter!("htm", "from_harmonic_tfs.calls").inc();
-        let half = (harmonic_tfs.len() / 2) as i64;
-        Htm::from_fn(trunc, omega0, |n, m| {
-            let k = n - m;
-            if k.abs() <= half {
-                harmonic_tfs[(k + half) as usize].eval(s + Complex::from_im(m as f64 * omega0))
-            } else {
-                Complex::ZERO
-            }
-        })
-    }
-
     /// The identity HTM (the memoryless unity system).
     pub fn identity(trunc: Truncation, omega0: f64) -> Self {
         Htm::from_repr(
@@ -159,7 +128,7 @@ impl Htm {
     /// Borrows a dense view of the matrix. For structured
     /// representations the dense matrix is materialized on first call
     /// and cached (an `htm.repr.densify` counter records the
-    /// escalation); band accessors ([`Htm::band`], [`Htm::apply`], …)
+    /// escalation); band accessors ([`Htm::band`], [`Htm::sum_entries`], …)
     /// never trigger this.
     pub fn as_matrix(&self) -> &CMat {
         if let HtmRepr::Dense(m) = &self.repr {
@@ -169,16 +138,6 @@ impl Htm {
             htmpll_obs::counter!("htm", "repr.densify").inc();
             self.repr.to_dense(self.trunc.dim())
         })
-    }
-
-    /// Consumes the HTM and returns the underlying matrix (densifying a
-    /// structured representation if needed).
-    pub fn into_matrix(self) -> CMat {
-        let n = self.trunc.dim();
-        match self.repr {
-            HtmRepr::Dense(m) => m,
-            repr => self.dense.into_inner().unwrap_or_else(|| repr.to_dense(n)),
-        }
     }
 
     /// A copy of this HTM with the representation forced dense — the
@@ -219,16 +178,6 @@ impl Htm {
     /// storage (O(n·b) for banded, O(n) for diagonal/rank-one).
     pub fn sum_entries(&self) -> Complex {
         self.repr.sum_entries(self.trunc.dim())
-    }
-
-    /// Applies the HTM to a vector of band contents (harmonic order
-    /// `−K..K`) — a structured mat-vec, O(n·b) for banded storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply(&self, bands: &[Complex]) -> Vec<Complex> {
-        self.repr.mul_vec(self.trunc.dim(), bands)
     }
 
     /// Scales every element, preserving the structured representation.
@@ -372,6 +321,24 @@ impl Mul for &Htm {
     /// `H̃∘ = H̃₂ H̃₁` for `y = H₂[H₁[u]]`). Structure-propagating
     /// (see [`HtmRepr::mul`]): diagonal·banded stays banded,
     /// anything·rank-one stays rank one.
+    ///
+    /// ```
+    /// use htmpll_htm::{HtmBlock, LtiHtm, SamplerHtm, Truncation};
+    /// use htmpll_lti::Tf;
+    /// use htmpll_num::Complex;
+    ///
+    /// let w0 = 6.28;
+    /// let (s, t) = (Complex::from_im(1.0), Truncation::new(2));
+    /// // Signal through the sampler first: the later block multiplies
+    /// // from the left.
+    /// let g = &LtiHtm::new(Tf::integrator(), w0).htm(s, t) * &SamplerHtm::new(w0).htm(s, t);
+    /// // The sampler makes g rank one, so the closed loop is the
+    /// // Sherman–Morrison form `u·𝟙ᵀ/(1 + λ)`, no dense inversion.
+    /// assert_eq!(g.repr().kind_name(), "rank-one");
+    /// let (cl, _) = g.closed_loop_factored_robust().unwrap();
+    /// assert_eq!(cl.repr().kind_name(), "rank-one");
+    /// assert!(cl.as_matrix().max_diff(g.closed_loop().unwrap().as_matrix()) < 1e-12);
+    /// ```
     fn mul(self, rhs: &Htm) -> Htm {
         self.assert_compatible(rhs);
         Htm::from_repr(
@@ -428,25 +395,6 @@ mod tests {
         let dense_id = Htm::from_matrix(t, 2.0, CMat::identity(t.dim()));
         assert_eq!(id, dense_id);
         assert_eq!(dense_id, id);
-    }
-
-    #[test]
-    fn apply_maps_bands() {
-        let t = Truncation::new(1);
-        // H with only H_{1,0} = 2: content in band 0 appears in band +1.
-        let h = Htm::from_fn(t, 1.0, |n, m| {
-            if n == 1 && m == 0 {
-                Complex::from_re(2.0)
-            } else {
-                Complex::ZERO
-            }
-        });
-        let input = [Complex::ZERO, Complex::ONE, Complex::ZERO]; // band 0 = 1
-        let out = h.apply(&input);
-        assert_eq!(
-            out,
-            vec![Complex::ZERO, Complex::ZERO, Complex::from_re(2.0)]
-        );
     }
 
     #[test]
@@ -537,44 +485,6 @@ mod tests {
         let a = Htm::identity(Truncation::new(1), 1.0);
         let b = Htm::identity(Truncation::new(1), 2.0);
         let _ = &a * &b;
-    }
-
-    #[test]
-    fn from_harmonic_tfs_matches_eq5() {
-        use htmpll_lti::Tf;
-        // H₀ = 1/(s+1), H_{±1} = constants: check placement and shift.
-        let h0 = Tf::from_coeffs(vec![1.0], vec![1.0, 1.0]).unwrap();
-        let hp = Tf::constant(0.5);
-        let hm = Tf::constant(0.25);
-        let t = Truncation::new(2);
-        let w0 = 3.0;
-        let s = Complex::new(0.1, 0.4);
-        let htm = Htm::from_harmonic_tfs(t, w0, s, &[hm.clone(), h0.clone(), hp.clone()]);
-        for n in t.harmonics() {
-            for m in t.harmonics() {
-                let expect = match n - m {
-                    0 => h0.eval(s + Complex::from_im(m as f64 * w0)),
-                    1 => Complex::from_re(0.5),
-                    -1 => Complex::from_re(0.25),
-                    _ => Complex::ZERO,
-                };
-                assert!(
-                    (htm.band(n, m) - expect).abs() < 1e-14,
-                    "({n},{m}): {} vs {expect}",
-                    htm.band(n, m)
-                );
-            }
-        }
-        // An LTI system through this path equals the LtiHtm block.
-        use crate::blocks::{HtmBlock, LtiHtm};
-        let via_tfs = Htm::from_harmonic_tfs(
-            t,
-            w0,
-            s,
-            &[Tf::constant(0.0), h0.clone(), Tf::constant(0.0)],
-        );
-        let via_block = LtiHtm::new(h0, w0).htm(s, t);
-        assert!(via_tfs.as_matrix().max_diff(via_block.as_matrix()) < 1e-14);
     }
 
     #[test]

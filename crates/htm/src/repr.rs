@@ -80,17 +80,6 @@ impl HtmRepr {
         }
     }
 
-    /// Half-bandwidth when the representation is banded: 0 for
-    /// diagonal, `b` for banded Toeplitz, `None` for rank-one / dense
-    /// (structurally full).
-    pub fn half_bandwidth(&self) -> Option<usize> {
-        match self {
-            HtmRepr::Diagonal(_) => Some(0),
-            HtmRepr::BandedToeplitz { coeffs, .. } => Some(coeffs.len() / 2),
-            _ => None,
-        }
-    }
-
     /// Entry `(i, j)` of the represented `n×n` matrix.
     pub fn entry(&self, n: usize, i: usize, j: usize) -> Complex {
         debug_assert!(i < n && j < n);
@@ -613,7 +602,6 @@ mod tests {
             }
             assert!(r.is_finite());
             assert!(r.dim_ok(n));
-            assert!(!r.dim_ok(n + 1) || r.half_bandwidth().is_some());
         }
     }
 

@@ -191,7 +191,7 @@ fn check_smw_vs_dense(model: &PllModel, probes: &[f64]) -> Result<CheckResult, X
         .iter()
         .map(|&w| {
             let s = Complex::from_im(w);
-            let smw = model.closed_loop_htm(s, k);
+            let (smw, _) = model.closed_loop_htm(s, k).map_err(CoreError::from)?;
             let dense = model
                 .open_loop_htm(s, k)
                 .closed_loop()

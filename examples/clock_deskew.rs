@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ω      |H00| TI-VCO   |H00| TV-VCO   |H(+1←0)| TV");
     for &w in &[0.1, 0.5, 1.0, 2.0] {
         let s = Complex::from_im(w);
-        let h_ti = ti.closed_loop_htm(s, trunc).band(0, 0);
-        let htm_tv = tv.closed_loop_htm(s, trunc);
+        let h_ti = ti.closed_loop_htm(s, trunc)?.0.band(0, 0);
+        let htm_tv = tv.closed_loop_htm(s, trunc)?.0;
         println!(
             "  {w:4.1}   {:11.4}   {:11.4}   {:11.4}",
             h_ti.abs(),

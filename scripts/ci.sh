@@ -163,12 +163,15 @@ grep -q '"mismatch":0' "$x1" || {
     exit 1
 }
 # The corpus reconciles the structured kernels against the forced dense
-# ladder; the bitwise compare above therefore also pins that check's
-# digest across HTMPLL_THREADS=1 and =4. Assert it actually ran.
-grep -q 'structured-vs-dense' "$x1" || {
-    echo "xcheck leg failed: structured-vs-dense reconciliation missing from report" >&2
-    exit 1
-}
+# ladder (structured-vs-dense) and the single-point rank-one closed loop
+# against dense LU (smw-vs-dense); the bitwise compare above therefore
+# also pins both checks across HTMPLL_THREADS=1 and =4. Assert they ran.
+for row in structured-vs-dense smw-vs-dense; do
+    grep -q "\"$row\"" "$x1" || {
+        echo "xcheck leg failed: $row reconciliation missing from report" >&2
+        exit 1
+    }
+done
 digest=$(grep -o '"digest":"[0-9a-f]*"' "$x1" | head -1)
 rm -f "$x1" "$x4"
 echo "xcheck determinism ok (bitwise-identical across thread counts, $digest)"

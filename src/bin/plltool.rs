@@ -61,7 +61,7 @@ const USAGE: &str =
           and prints per-phase attribution: wall time, per-point p50/p99,
           cache hit rate, verdicts, ladder stages, worker utilization
   serve   [--workers N] [--queue-max N] [--batch-max N] [--shed x]
-          [--log-every N] [--socket PATH] [--deadline-ms MS]
+          [--socket PATH] [--deadline-ms MS]
           long-running batched analysis service: reads JSON-lines
           requests {\"id\":...,\"command\":...,\"params\":{...}} from stdin
           (or a Unix socket), answers one plltool/v1 envelope line per
@@ -219,12 +219,12 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
 /// lines stay machine-clean on stdout.
 fn cmd_serve(params: &Params) -> Result<(), String> {
     let deadline_ms = params.usize_or("deadline-ms", 0)? as u64;
+    let defaults = ServeOptions::default();
     let opts = ServeOptions {
-        workers: params.usize_or("workers", 0)?,
-        queue_max: params.usize_or("queue-max", 256)?,
-        batch_max: params.usize_or("batch-max", 32)?,
+        workers: params.usize_or("workers", defaults.workers)?,
+        queue_max: params.usize_or("queue-max", defaults.queue_max)?,
+        batch_max: params.usize_or("batch-max", defaults.batch_max)?,
         shed: params.has("shed"),
-        log_every: params.usize_or("log-every", 0)? as u64,
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
     };
     if std::env::var_os("HTMPLL_OBS").is_none() {

@@ -272,7 +272,7 @@ pub struct Fig2Map {
 pub fn fig2_band_transfers(ratio: f64, omega: f64, k: usize) -> FigResult<Fig2Map> {
     let model = reference_model(ratio)?;
     let trunc = crate::htm::Truncation::new(k);
-    let htm = model.closed_loop_htm(Complex::from_im(omega), trunc);
+    let (htm, _) = model.closed_loop_htm(Complex::from_im(omega), trunc)?;
     let bands: Vec<i64> = trunc.harmonics().collect();
     let magnitudes = bands
         .iter()
@@ -617,19 +617,18 @@ pub fn truncation_study(ratio: f64, omega: f64, ks: &[usize]) -> FigResult<Vec<T
     let s = Complex::from_im(omega);
     let lam_exact = model.lambda().eval(s);
     let h_exact = model.h00(omega);
-    Ok(ks
-        .iter()
+    ks.iter()
         .map(|&k| {
             let t = Truncation::new(k);
             let lam_k: Complex = model.v_column(s, t).iter().copied().sum();
-            let htm = model.closed_loop_htm(s, t);
-            TruncRow {
+            let (htm, _) = model.closed_loop_htm(s, t)?;
+            Ok(TruncRow {
                 k,
                 lambda_err: (lam_k - lam_exact).abs() / lam_exact.abs(),
                 htm_err: (htm.band(0, 0) - h_exact).abs() / h_exact.abs(),
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 fn header(out: &mut String, title: &str) -> FigResult<()> {

@@ -86,9 +86,6 @@ pub struct ServeOptions {
     /// `true`: shed on a full queue (bounded latency); `false`
     /// (default): block the reader (lossless backpressure).
     pub shed: bool,
-    /// Emit a progress line to stderr every this many responses
-    /// (`0` disables periodic logging).
-    pub log_every: u64,
     /// Per-request wall-clock budget in milliseconds (`None` =
     /// unbounded). When set, a request that exceeds it answers with a
     /// retryable `"code":"deadline"` error (or a degraded partial
@@ -104,7 +101,6 @@ impl Default for ServeOptions {
             queue_max: 256,
             batch_max: 32,
             shed: false,
-            log_every: 0,
             deadline_ms: None,
         }
     }
@@ -409,15 +405,6 @@ where
                     next_out += 1;
                     d.summary.responded += 1;
                     counter!("serve", "responses").inc();
-                    if opts.log_every > 0 && d.summary.responded.is_multiple_of(opts.log_every) {
-                        eprintln!(
-                            "serve: {} responded | queue {} | shed {} | response-cache {} hits",
-                            d.summary.responded,
-                            counts.queue_depth.load(Ordering::SeqCst),
-                            counts.shed.load(Ordering::SeqCst),
-                            d.summary.response_cache_hits,
-                        );
-                    }
                 }
                 if !client_gone {
                     match output.flush() {

@@ -1,5 +1,6 @@
 //! Bit pins for the HTM library path: the open-loop assembly, the
-//! structured closed-loop grid and the noise-folding grid.
+//! structured closed-loop grid (and `PllModel::closed_loop_htm`, which
+//! must be its point bit for bit) and the noise-folding grid.
 //!
 //! Each digest hashes the exact IEEE-754 bit patterns of its outputs
 //! (FNV-1a), so a change that moves one rounding in the assembly of
@@ -194,4 +195,43 @@ fn output_psd_grid_digest_is_pinned() {
     let one = digest(1);
     assert_eq!(digest(2), one, "noise grid differs across thread counts");
     assert_eq!(one, "e5afac1be0d54479");
+}
+
+#[test]
+fn closed_loop_htm_is_the_structured_sweep_point_bitwise() {
+    let trunc = Truncation::new(24);
+    let n = trunc.dim();
+    let digest = |repr: &HtmRepr| {
+        let mut h = Fnv1a::new();
+        write_repr(&mut h, repr, n);
+        h.finish()
+    };
+    for (ratio, with_isf, with_delay) in designs() {
+        let model = build(ratio, with_isf, with_delay);
+        let w0 = model.design().omega_ref();
+        let spec = SweepSpec::log(1e-2, 0.49 * w0, 8)
+            .unwrap()
+            .with_truncation(trunc)
+            .with_threads(1usize);
+        let grid = model.closed_loop_htm_grid_robust(&spec, &SweepCache::new());
+        for (&w, p) in spec.grid.points().iter().zip(&grid.points) {
+            let tag = format!("ratio={ratio} isf={with_isf} delay={with_delay} w={w}");
+            assert!(!p.quality.is_degraded(), "sweep point escalated: {tag}");
+            let (htm, report) = model.closed_loop_htm(Complex::from_im(w), trunc).unwrap();
+            let want = p.value.as_ref().expect("sweep point value");
+            assert_eq!(
+                digest(htm.repr()),
+                digest(want.repr()),
+                "htm differs: {tag}"
+            );
+            assert_eq!(report.cond_estimate.to_bits(), p.cond.to_bits(), "{tag}");
+            assert_eq!(report.residual.to_bits(), p.residual.to_bits(), "{tag}");
+        }
+        // s = jω₀ puts band −1 on the aliased integrator pole: the open
+        // loop is not finite there, and the solve must say so.
+        assert!(
+            model.closed_loop_htm(Complex::from_im(w0), trunc).is_err(),
+            "ratio={ratio} isf={with_isf} delay={with_delay}"
+        );
+    }
 }

@@ -141,6 +141,8 @@ fn auto_truncation_resolves_and_clamps() {
     let fixed = m.resolve_truncation(Truncation::new(9));
     assert_eq!(fixed.order(), 9);
     // And the spec-typed entry points still accept a bare Truncation.
-    let h = m.closed_loop_htm(Complex::from_im(0.5), Truncation::new(3));
+    let (h, _) = m
+        .closed_loop_htm(Complex::from_im(0.5), Truncation::new(3))
+        .unwrap();
     assert_eq!(h.as_matrix().rows(), 7);
 }

@@ -184,7 +184,7 @@ fn closed_forms_match_dense_inversion() {
     for model in &models {
         for &(re, im) in &[(0.0, 0.35), (0.01, 1.2)] {
             let s = Complex::new(re, im);
-            let fast = model.closed_loop_htm(s, t);
+            let (fast, _) = model.closed_loop_htm(s, t).unwrap();
             let dense = model.open_loop_htm(s, t).closed_loop().unwrap();
             assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-10);
         }
@@ -202,7 +202,9 @@ fn truncation_convergence_to_exact_lambda() {
     let exact = model.h00(w);
     let mut last_err = f64::INFINITY;
     for k in [5usize, 20, 80] {
-        let htm = model.closed_loop_htm(Complex::from_im(w), Truncation::new(k));
+        let (htm, _) = model
+            .closed_loop_htm(Complex::from_im(w), Truncation::new(k))
+            .unwrap();
         let err = (htm.band(0, 0) - exact).abs();
         assert!(
             err < last_err + 1e-12,
@@ -281,7 +283,7 @@ fn delay_block_dense_path_matches_pade_rank_one() {
         let s = Complex::from_im(w);
         let g = &(&(&vco.htm(s, t) * &delay.htm(s, t)) * &lf.htm(s, t)) * &pfd.htm(s, t);
         let dense = g.closed_loop().unwrap();
-        let fast = pade_model.closed_loop_htm(s, t);
+        let (fast, _) = pade_model.closed_loop_htm(s, t).unwrap();
         dense.as_matrix().max_diff(fast.as_matrix())
     };
     for &w in &[0.3, 1.0] {

@@ -1,25 +1,208 @@
-//! Property-based tests (proptest) on the workspace's core data
-//! structures and invariants.
+//! Property tests on the workspace's core data structures and
+//! invariants.
 //!
-//! Gated behind the non-default `proptest` feature: the proptest crate
-//! cannot be fetched in offline build environments. To run these tests,
-//! restore `proptest` as a root dev-dependency (requires registry access)
-//! and run `cargo test --features proptest --test property`.
-
-#![cfg(feature = "proptest")]
+//! The generator is a small seeded stand-in for proptest's surface —
+//! `proptest!`, `f64`/`usize` ranges, tuples, `prop::collection::vec`,
+//! `prop_map`, `prop_assert!`, `prop_assume!` — built on
+//! `htmpll::num::rng`. Case `i` of property `p` draws its inputs from
+//! `Rng::for_stream(fnv1a(p), i)`, so every run checks the same cases,
+//! and a failure (assertion or panic) prints the property, the case
+//! index and the inputs. There is no shrinker: a failing case found
+//! this way is pinned as a literal with `#[replay(...)]`, which runs
+//! before the drawn cases.
 
 use htmpll::htm::{HtmBlock, LtiHtm, MultiplierHtm, SamplerHtm, Truncation, VcoHtm};
 use htmpll::lti::{Pfe, Tf};
+use htmpll::num::hash::Fnv1a;
 use htmpll::num::lu::Lu;
 use htmpll::num::optim::{brent, lin_grid};
+use htmpll::num::rng::Rng;
 use htmpll::num::roots::find_roots;
 use htmpll::num::special::{lattice_sum, lattice_sum_truncated};
 use htmpll::num::{CMat, Complex, Poly};
 use htmpll::spectral::{fft_any, goertzel, ifft_any};
-use proptest::prelude::*;
+use std::fmt::Debug;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
-    // proptest's native f64 range strategy: uniform over [start, end).
+/// Cases each property must pass.
+const CASES: u64 = 256;
+/// Cases a property may reject (`prop_assume!`) before it fails.
+const MAX_REJECTS: u64 = 1024;
+
+/// Why a case did not pass.
+enum CaseError {
+    Fail(String),
+    Reject,
+}
+
+/// A seeded source of inputs.
+trait Strategy {
+    type Value: Debug;
+
+    fn draw(&self, rng: &mut Rng) -> Self::Value;
+
+    fn prop_map<T: Debug, F: Fn(Self::Value) -> T>(self, f: F) -> Map<Self, F>
+    where
+        Self: Sized,
+    {
+        Map(self, f)
+    }
+}
+
+struct Map<S, F>(S, F);
+
+impl<S: Strategy, T: Debug, F: Fn(S::Value) -> T> Strategy for Map<S, F> {
+    type Value = T;
+    fn draw(&self, rng: &mut Rng) -> T {
+        (self.1)(self.0.draw(rng))
+    }
+}
+
+impl Strategy for Range<f64> {
+    type Value = f64;
+    fn draw(&self, rng: &mut Rng) -> f64 {
+        rng.range(self.start, self.end)
+    }
+}
+
+impl Strategy for Range<usize> {
+    type Value = usize;
+    fn draw(&self, rng: &mut Rng) -> usize {
+        self.start + (rng.next_u64() % (self.end - self.start) as u64) as usize
+    }
+}
+
+/// A fixed length for `prop::collection::vec`.
+impl Strategy for usize {
+    type Value = usize;
+    fn draw(&self, _: &mut Rng) -> usize {
+        *self
+    }
+}
+
+macro_rules! tuple_strategy {
+    ($($s:ident $i:tt),+) => {
+        impl<$($s: Strategy),+> Strategy for ($($s,)+) {
+            type Value = ($($s::Value,)+);
+            fn draw(&self, rng: &mut Rng) -> Self::Value {
+                ($(self.$i.draw(rng),)+)
+            }
+        }
+    };
+}
+tuple_strategy!(A 0);
+tuple_strategy!(A 0, B 1);
+tuple_strategy!(A 0, B 1, C 2);
+
+mod prop {
+    pub mod collection {
+        use crate::Strategy;
+        use htmpll::num::rng::Rng;
+
+        pub struct VecStrategy<S, L>(S, L);
+
+        pub fn vec<S: Strategy, L: Strategy<Value = usize>>(elem: S, len: L) -> VecStrategy<S, L> {
+            VecStrategy(elem, len)
+        }
+
+        impl<S: Strategy, L: Strategy<Value = usize>> Strategy for VecStrategy<S, L> {
+            type Value = Vec<S::Value>;
+            fn draw(&self, rng: &mut Rng) -> Self::Value {
+                let n = self.1.draw(rng);
+                (0..n).map(|_| self.0.draw(rng)).collect()
+            }
+        }
+    }
+}
+
+/// Runs `property` on the replayed inputs (cases `0..replays.len()`),
+/// then on case `i` drawn from stream `i`, until [`CASES`] pass.
+fn check<S: Strategy>(
+    name: &str,
+    strategy: &S,
+    replays: Vec<S::Value>,
+    property: impl Fn(S::Value) -> Result<(), CaseError>,
+) {
+    let mut h = Fnv1a::new();
+    h.write_str(name);
+    let seed = h.finish();
+    let drawn = (replays.len() as u64..).map(|i| strategy.draw(&mut Rng::for_stream(seed, i)));
+    let (mut passed, mut rejected) = (0, 0);
+    for (i, case) in replays.into_iter().chain(drawn).enumerate() {
+        let inputs = format!("{case:?}");
+        match catch_unwind(AssertUnwindSafe(|| property(case))) {
+            Ok(Ok(())) => passed += 1,
+            Ok(Err(CaseError::Reject)) => rejected += 1,
+            Ok(Err(CaseError::Fail(msg))) => {
+                panic!("property {name} failed at case {i}: {msg}\n  inputs: {inputs}")
+            }
+            Err(panic) => {
+                eprintln!("property {name} panicked at case {i}\n  inputs: {inputs}");
+                resume_unwind(panic)
+            }
+        }
+        assert!(
+            rejected <= MAX_REJECTS,
+            "property {name}: {rejected} cases rejected"
+        );
+        if passed == CASES {
+            return;
+        }
+    }
+}
+
+macro_rules! proptest {
+    ($(
+        #[test]
+        $(#[replay($($case:expr),+ $(,)?)])?
+        fn $name:ident($($arg:ident in $strategy:expr),+ $(,)?) $body:block
+    )*) => {$(
+        #[test]
+        fn $name() {
+            check(
+                stringify!($name),
+                &($($strategy,)+),
+                vec![$($($case),+)?],
+                |($($arg,)+)| -> Result<(), CaseError> {
+                    $body
+                    Ok(())
+                },
+            );
+        }
+    )*};
+}
+
+macro_rules! prop_assert {
+    ($cond:expr $(,)?) => {
+        prop_assert!($cond, "assertion failed: {}", stringify!($cond))
+    };
+    ($cond:expr, $($fmt:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(CaseError::Fail(format!($($fmt)+)));
+        }
+    };
+}
+
+macro_rules! prop_assert_eq {
+    ($left:expr, $right:expr $(,)?) => {{
+        let (left, right) = (&$left, &$right);
+        prop_assert!(left == right, "{left:?} != {right:?}");
+    }};
+}
+
+macro_rules! prop_assume {
+    ($cond:expr) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(CaseError::Reject);
+        }
+    };
+}
+
+fn finite_f64(range: Range<f64>) -> impl Strategy<Value = f64> {
+    // Uniform over [start, end).
     range
 }
 
@@ -70,6 +253,10 @@ proptest! {
     // ---------------- Polynomial ring axioms ----------------
 
     #[test]
+    #[replay((
+        vec![-5.0, -5.0, -4.9999999535984685, -4.999994385894681],
+        vec![-5.0, -5.0, -5.0, -5.0],
+    ))]
     fn poly_mul_commutes(a in prop::collection::vec(finite_f64(-5.0..5.0), 0..6),
                          b in prop::collection::vec(finite_f64(-5.0..5.0), 0..6)) {
         // Summation order differs between the two products, so compare
@@ -97,6 +284,10 @@ proptest! {
     }
 
     #[test]
+    #[replay((
+        vec![1.6611846419450722, 0.0, 0.0, 0.0, -2.833833961486232],
+        vec![3.6790693264182326, 0.0058628977170708295],
+    ))]
     fn poly_div_rem_reconstructs(a in prop::collection::vec(finite_f64(-4.0..4.0), 1..7),
                                  b in prop::collection::vec(finite_f64(-4.0..4.0), 1..5)) {
         let p = Poly::new(a);
@@ -155,6 +346,14 @@ proptest! {
     }
 
     #[test]
+    #[replay((vec![
+        0.0,
+        0.0,
+        0.0,
+        2.698381936684884,
+        4.548674206787636,
+        0.002195316586431622,
+    ],))]
     fn root_residuals_small(coeffs in prop::collection::vec(finite_f64(-5.0..5.0), 2..7)) {
         let p = Poly::new(coeffs);
         prop_assume!(!p.is_zero() && p.degree() >= 1);
@@ -456,7 +655,7 @@ proptest! {
         let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap()).build().unwrap();
         let t = Truncation::new(k);
         let s = Complex::from_im(w);
-        let fast = m.closed_loop_htm(s, t);
+        let fast = m.closed_loop_htm(s, t).unwrap().0;
         let dense = m.open_loop_htm(s, t).closed_loop().unwrap();
         prop_assert!(fast.as_matrix().max_diff(dense.as_matrix()) < 1e-9);
     }

@@ -44,6 +44,8 @@ fn tv_vco_h00_matches_simulation() {
         let m = measure_h00(&params, &cfg, w, &opts);
         let predict = model
             .closed_loop_htm(Complex::from_im(m.omega), trunc)
+            .unwrap()
+            .0
             .band(0, 0);
         let err = (m.h - predict).abs() / predict.abs();
         assert!(
@@ -77,9 +79,13 @@ fn tv_vco_band_conversion_matches_model() {
         let m = measure_band_transfer(&params, &cfg, w, band, &opts);
         let htm = model
             .closed_loop_htm(Complex::from_im(m.omega), trunc)
+            .unwrap()
+            .0
             .band(band, 0);
         let ti = ti_model
             .closed_loop_htm(Complex::from_im(m.omega), trunc)
+            .unwrap()
+            .0
             .band(band, 0);
         let err = (m.h - htm).abs() / htm.abs();
         assert!(

@@ -34,7 +34,9 @@ fn htm_synthesized_waveform_matches_simulator_trace() {
 
     // HTM synthesis: input sin(ωt) has positive-frequency amplitude
     // amp/(2j) in band 0; the output's analytic half is the HTM column.
-    let htm = model.closed_loop_htm(Complex::from_im(w), Truncation::new(24));
+    let (htm, _) = model
+        .closed_loop_htm(Complex::from_im(w), Truncation::new(24))
+        .unwrap();
     let u = Complex::from_re(amp) / Complex::new(0.0, 2.0);
     let spec = tone_response(&htm, w, 0, u);
 
