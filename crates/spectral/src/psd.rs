@@ -85,20 +85,36 @@ pub fn periodogram(x: &[f64], fs: f64, window: Window) -> Result<Vec<(f64, f64)>
     if x.is_empty() {
         return Err(SpectralError::EmptyRecord);
     }
+    check_sample_rate(fs)?;
+    let n = x.len();
+    Ok(windowed_periodogram(
+        x,
+        fs,
+        &window.samples(n),
+        window.power_gain(n),
+    ))
+}
+
+fn check_sample_rate(fs: f64) -> Result<(), SpectralError> {
     if !fs.is_finite() || fs <= 0.0 {
         return Err(SpectralError::BadSampleRate(fs));
     }
+    Ok(())
+}
+
+/// The one-sided periodogram of a nonempty `x` tapered by the window
+/// samples `w` (same length) of power gain `power_gain`.
+fn windowed_periodogram(x: &[f64], fs: f64, w: &[f64], power_gain: f64) -> Vec<(f64, f64)> {
     let n = x.len();
-    let w = window.samples(n);
     let tapered: Vec<Complex> = x
         .iter()
-        .zip(&w)
+        .zip(w)
         .map(|(&v, &wk)| Complex::from_re(v * wk))
         .collect();
     let spec = fft_any(&tapered);
-    let norm = fs * n as f64 * window.power_gain(n);
+    let norm = fs * n as f64 * power_gain;
     let half = n / 2;
-    Ok((0..=half)
+    (0..=half)
         .map(|k| {
             let mut p = spec[k].norm_sqr() / norm;
             // One-sided: double everything except DC and the even-N
@@ -110,7 +126,7 @@ pub fn periodogram(x: &[f64], fs: f64, window: Window) -> Result<Vec<(f64, f64)>
             }
             (k as f64 * fs / n as f64, p)
         })
-        .collect())
+        .collect()
 }
 
 /// Welch PSD: averages windowed periodograms over `segment_len`-sample
@@ -133,13 +149,17 @@ pub fn welch(
             record_len: x.len(),
         });
     }
+    check_sample_rate(fs)?;
+    // One window for every segment.
+    let w = window.samples(segment_len);
+    let power_gain = window.power_gain(segment_len);
     let hop = (segment_len / 2).max(1);
     let mut acc: Vec<f64> = vec![0.0; segment_len / 2 + 1];
     let mut freqs: Vec<f64> = Vec::new();
     let mut count = 0usize;
     let mut start = 0usize;
     while start + segment_len <= x.len() {
-        let seg = periodogram(&x[start..start + segment_len], fs, window)?;
+        let seg = windowed_periodogram(&x[start..start + segment_len], fs, &w, power_gain);
         if freqs.is_empty() {
             freqs = seg.iter().map(|&(f, _)| f).collect();
         }
