@@ -267,15 +267,6 @@ impl VcoHtm {
     pub fn time_invariant(kvco: f64, omega0: f64) -> Self {
         VcoHtm::new(vec![Complex::from_re(kvco)], omega0)
     }
-
-    /// True when only `v₀` is nonzero.
-    pub fn is_time_invariant(&self) -> bool {
-        let center = self.isf.len() / 2;
-        self.isf
-            .iter()
-            .enumerate()
-            .all(|(i, v)| i == center || *v == Complex::ZERO)
-    }
 }
 
 impl HtmBlock for VcoHtm {
@@ -381,7 +372,6 @@ mod tests {
     #[test]
     fn vco_time_invariant_is_diagonal_integrator() {
         let blk = VcoHtm::time_invariant(2.5, W0);
-        assert!(blk.is_time_invariant());
         let t = Truncation::new(1);
         let s = Complex::new(0.3, 1.1);
         let h = blk.htm(s, t);
@@ -404,7 +394,6 @@ mod tests {
             ],
             W0,
         );
-        assert!(!blk.is_time_invariant());
         let t = Truncation::new(1);
         let s = Complex::new(0.2, 0.0);
         let h = blk.htm(s, t);

@@ -120,3 +120,29 @@ fn zero_isf_modulation_is_time_invariant() {
     let predict = model.h00(m.omega);
     assert!((m.h - predict).abs() < 0.02 * predict.abs());
 }
+
+/// `lambda_tv` sums the ISF model's `Ṽ` column: at `ω_UG = 0.1·ω₀` it
+/// departs from the `v₀`-only `lambda()` by more than 5 %, and its
+/// truncation tail shrinks at least like O(1/K).
+#[test]
+fn lambda_tv_sums_the_time_varying_column() {
+    let (model, _) = tv_setup(0.1, 0.6);
+    let s = Complex::from_im(0.1 * model.design().omega_ref());
+    let tv = |k: usize| model.lambda_tv(s, htmpll::htm::Truncation::new(k));
+    let ti = model.lambda().eval(s).abs();
+    let at200 = tv(200).abs();
+    assert!(
+        (at200 - ti).abs() > 0.05 * ti,
+        "|λ_tv(200)| = {at200} vs |λ| = {ti}"
+    );
+    let steps: Vec<f64> = [50, 100, 200]
+        .iter()
+        .map(|&k| (tv(k) - tv(2 * k)).abs())
+        .collect();
+    for pair in steps.windows(2) {
+        assert!(
+            pair[1] <= 0.6 * pair[0],
+            "tail steps {steps:?} shrink slower than O(1/K)"
+        );
+    }
+}
