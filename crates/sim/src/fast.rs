@@ -6,7 +6,8 @@
 //! paper's HTM model itself makes: each correction pulse delivers its
 //! charge `q_k = I_cp·e_k` at the sampling instant. The inter-sample
 //! dynamics are then *exactly* linear, so one cached matrix exponential
-//! `E = e^{MT}` advances a whole reference period per step:
+//! `E = e^{MT}` (the full engine's propagator, over `T`) advances a
+//! whole reference period per step:
 //!
 //! ```text
 //! z_k⁺ = z_k + P·q(e_k)          (charge injection, maybe nonlinear)
@@ -31,9 +32,7 @@
 //! ```
 
 use crate::engine::SimParams;
-use crate::state_space::StateSpace;
-use htmpll_num::mat::expm;
-use htmpll_num::{CMat, Complex};
+use crate::state_space::{Propagator, StateSpace};
 
 /// Charge-pump pulse law: maps the phase error `e` (time units) to the
 /// delivered charge.
@@ -87,15 +86,15 @@ pub enum CorrectionKind {
 /// The cached one-period affine map.
 #[derive(Debug, Clone)]
 pub struct PeriodMap {
-    /// Propagator `e^{MT}` over one period ((n+1)×(n+1), real content).
-    propagator: CMat,
-    /// Constant-input response over one period (per ampere of constant
-    /// filter current): `∫₀ᵀ e^{M(T−τ)}·P dτ`.
-    leak_response: Vec<f64>,
+    /// Exact propagation over one period, including the response to a
+    /// constant filter current.
+    propagator: Propagator,
     /// Charge injection direction `P` (filter B column + direct θ term).
     injection: Vec<f64>,
     /// State `[x_filter…, θ]`.
     z: Vec<f64>,
+    /// Work space of [`step`](PeriodMap::step): `[x…, Δθ]` one period on.
+    next: Vec<f64>,
     i_cp: f64,
     leakage: f64,
     law: PulseLaw,
@@ -122,52 +121,19 @@ impl PeriodMap {
     /// Panics when the filter transfer function is improper.
     pub fn with_kind(params: &SimParams, law: PulseLaw, kind: CorrectionKind) -> PeriodMap {
         let ss = StateSpace::from_tf(&params.filter);
-        let nf = ss.order();
-        let n = nf + 1;
+        let n = ss.order() + 1;
         // θ̇ = g·v, v = Cx + D·i, g = K_vco·T/(2π·N).
         let g = params.kvco * params.t_ref / (2.0 * std::f64::consts::PI * params.divider);
-
-        // Continuous generator M (companion A from the state space) and
-        // input column P, extracted by probing the state-space callbacks.
-        let mut m = CMat::zeros(n + 1, n + 1); // +1 column for the input trick
-        let mut deriv = vec![0.0; nf];
-        for j in 0..nf {
-            let mut basis = vec![0.0; nf];
-            basis[j] = 1.0;
-            ss.eval_deriv(&basis, 0.0, &mut deriv);
-            for (i, &d) in deriv.iter().enumerate() {
-                m[(i, j)] = Complex::from_re(d);
-            }
-            m[(nf, j)] = Complex::from_re(g * ss.eval_output(&basis, 0.0));
-        }
-        // Input column: ẋ response to unit current (state at zero).
-        let zero = vec![0.0; nf];
-        ss.eval_deriv(&zero, 1.0, &mut deriv);
-        let mut p = vec![0.0; n];
-        p[..nf].copy_from_slice(&deriv);
-        p[nf] = g * ss.eval_output(&zero, 1.0); // direct feedthrough (usually 0)
-
-        // Augmented exponential over T: exp([[M·T, P·T],[0,0]]) =
-        // [[e^{MT}, ∫e^{M(T−τ)}P dτ],[0,1]].
-        for (i, &pi) in p.iter().enumerate() {
-            m[(i, n)] = Complex::from_re(pi);
-        }
-        // Infallible here: m is square by construction and every entry
-        // comes from finite state-space coefficients.
-        let aug = expm(&m.scale(Complex::from_re(params.t_ref)))
-            .expect("augmented generator is square and finite");
-        let propagator = CMat::from_fn(n, n, |i, j| aug[(i, j)]);
-        let leak_response: Vec<f64> = (0..n).map(|i| aug[(i, n)].re).collect();
-
-        // Impulse injection direction is the same input column P:
-        // x += B·q and θ += g·D·q.
-        let injection = p;
+        let propagator = Propagator::new(&ss, g, params.t_ref);
+        // Impulse injection direction is the generator's input column
+        // P: x += B·q and θ += g·D·q.
+        let injection = propagator.input_column();
 
         PeriodMap {
             propagator,
-            leak_response,
             injection,
             z: vec![0.0; n],
+            next: vec![0.0; n],
             i_cp: params.i_cp,
             leakage: params.leakage,
             law,
@@ -203,11 +169,11 @@ impl PeriodMap {
             }
             CorrectionKind::Hold => steady += q / self.t_ref,
         }
-        let zc: Vec<Complex> = self.z.iter().map(|&v| Complex::from_re(v)).collect();
-        let advanced = self.propagator.mul_vec(&zc);
-        for ((zi, a), l) in self.z.iter_mut().zip(&advanced).zip(&self.leak_response) {
-            *zi = a.re + l * steady;
-        }
+        let n = self.z.len() - 1;
+        self.propagator
+            .whole_step(&self.z[..n], steady, 0.0, &mut self.next);
+        self.z[..n].copy_from_slice(&self.next[..n]);
+        self.z[n] += self.next[n];
         self.theta()
     }
 

@@ -8,11 +8,12 @@
 //! model approximates — making it the ground truth for the Fig.-6
 //! comparison and the Fig.-4 pulse-vs-impulse study.
 //!
-//! * [`state_space`] — loop-filter ODE integration (controllable
-//!   canonical form, RK4).
+//! * [`state_space`] — loop-filter realization (controllable canonical
+//!   form), the loop's generator and its exact propagator, and RK4.
 //! * [`pfd`] — tri-state PFD + charge pump.
-//! * [`engine`] — the event loop: edge solving, bisection-accurate
-//!   event location, uniform-rate trace recording, reference jitter
+//! * [`engine`] — the event loop: exact propagation between events
+//!   (RK4 for VCOs with an impulse sensitivity function), Newton edge
+//!   location, uniform-rate trace recording, reference jitter
 //!   injection.
 //! * [`measure`] — single-tone closed-loop transfer extraction (the
 //!   paper's §5 procedure).

@@ -2,8 +2,12 @@
 //!
 //! Each case hashes the exact IEEE-754 bits of a simulator result, so
 //! any change to the event loop's arithmetic (a reordered sum, a fused
-//! multiply-add, a stale cached edge time) moves a digest. Refactors of
-//! the engine must keep every digest below unchanged.
+//! multiply-add, a stale cached edge time) moves a digest. A refactor
+//! of the engine keeps every digest below. A pin moves only with a
+//! change of method (how the loop is propagated or an edge is solved),
+//! recorded in CHANGES.md with its old and new value; the bound on how
+//! far such a change may move the traces is checked elsewhere
+//! (`tests/sim_paths.rs` compares the exact and RK4 paths).
 
 use htmpll_core::PllDesign;
 use htmpll_num::hash::Fnv1a;
@@ -46,7 +50,7 @@ fn measure_h00_tones_are_bit_pinned() {
             h.write_f64(v);
         }
     }
-    assert_digest("measure_h00", &h, "2f376f0fe07cfca7");
+    assert_digest("measure_h00", &h, "50ebc622c7cf2c28");
 }
 
 #[test]
@@ -68,7 +72,7 @@ fn jittered_settle_then_modulated_record_is_bit_pinned() {
         &mut h,
         &sim.run(300.0 * t_ref, &|t| 2e-3 * t_ref * (0.7 * t).sin()),
     );
-    assert_digest("jittered run", &h, "98a49a52bd3b9b67");
+    assert_digest("jittered run", &h, "447596bda92c9277");
 }
 
 #[test]
@@ -86,7 +90,7 @@ fn isf_reset_delay_mismatch_leakage_is_bit_pinned() {
         &mut h,
         &sim.run(300.0 * t_ref, &|t| 1e-3 * t_ref * (0.5 * t).cos()),
     );
-    assert_digest("isf/reset/mismatch/leakage", &h, "4ad2be020a31fa90");
+    assert_digest("isf/reset/mismatch/leakage", &h, "a8189b70e734a695");
 }
 
 #[test]
@@ -106,5 +110,5 @@ fn dead_zone_div_sequence_fm_noise_is_bit_pinned() {
         &mut h,
         &sim.run(400.0 * t_ref, &|t| 3e-3 * t_ref * (0.3 * t).sin()),
     );
-    assert_digest("dead zone/div sequence/fm noise", &h, "064520e871bc7b4a");
+    assert_digest("dead zone/div sequence/fm noise", &h, "e8f160c3cc230eda");
 }

@@ -63,6 +63,18 @@ for t in 1 4; do
     fi
 done
 echo "lambda eval count ok (5146 at HTMPLL_THREADS=1 and 4)"
+# One sim.engine.segments per propagation segment (a whole sample
+# interval, or a piece of one cut by a PFD event), so a change in
+# simulator work shows here as a count rather than as a timing.
+for t in 1 4; do
+    segments=$(HTMPLL_THREADS=$t ./target/release/plltool metrics --ratio 0.1 |
+        awk '$1 == "sim.engine.segments" { print $3 }')
+    if [ "$segments" != "2610" ]; then
+        echo "metrics smoke failed: sim.engine.segments = '$segments' at HTMPLL_THREADS=$t, want 2610" >&2
+        exit 1
+    fi
+done
+echo "simulator segment count ok (2610 at HTMPLL_THREADS=1 and 4)"
 
 echo "==> panic audit (library paths)"
 audit_hits=$(
