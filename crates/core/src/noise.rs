@@ -44,11 +44,6 @@ impl<'a> NoiseModel<'a> {
         NoiseModel { model, fold_bands }
     }
 
-    /// Baseband-to-baseband VCO noise gain `1 − A(jω)/(1 + λ(jω))`.
-    pub fn vco_gain_baseband(&self, omega: f64) -> Complex {
-        Complex::ONE - self.model.h00(omega)
-    }
-
     /// Output phase PSD at offset `omega` (rad/s) given one-sided input
     /// PSDs for the reference and the free-running VCO.
     ///
@@ -280,7 +275,9 @@ mod tests {
                 0.0
             }
         });
-        assert!((vco_only - n.vco_gain_baseband(w).norm_sqr()).abs() < 1e-9);
+        // The baseband VCO gain 1 − H₀,₀ = 1 − A(jω)/(1 + λ(jω)).
+        let gain = Complex::ONE - m.h00(w);
+        assert!((vco_only - gain.norm_sqr()).abs() < 1e-9);
         assert!(vco_only > 0.5, "{vco_only}");
     }
 

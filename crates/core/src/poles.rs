@@ -126,16 +126,6 @@ pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
     Ok(found)
 }
 
-/// The effective damping ratio of a complex pole `p = −σ ± jω_d`:
-/// `ζ = σ/|p|`. Real poles return 1.
-pub fn damping_ratio(pole: Complex) -> f64 {
-    if pole.im == 0.0 {
-        1.0
-    } else {
-        (-pole.re / pole.abs()).clamp(-1.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,13 +231,5 @@ mod tests {
             "pole Im {} vs peak at {peak_w}",
             alias.im
         );
-    }
-
-    #[test]
-    fn damping_ratio_edges() {
-        assert_eq!(damping_ratio(Complex::from_re(-2.0)), 1.0);
-        let z = damping_ratio(Complex::new(-1.0, 1.0));
-        assert!((z - 1.0 / 2f64.sqrt()).abs() < 1e-12);
-        assert!(damping_ratio(Complex::new(1.0, 1.0)) < 0.0);
     }
 }

@@ -18,7 +18,7 @@
 //!   Grid callers pass one explicitly; one-off probes (such as
 //!   [`analyze`](crate::analyze)'s closed-loop probe) solve uncached.
 //! * Grid entry points on the model types:
-//!   [`EffectiveGain::eval_grid`], [`PllModel::h00_grid`],
+//!   [`EffectiveGain::eval_grid`],
 //!   [`PllModel::closed_loop_htm_grid_robust`] (per-point
 //!   [`PointQuality`] verdicts; strict callers collapse them with
 //!   [`GridOutcome::into_strict`]),
@@ -30,15 +30,15 @@
 //! is evaluated by a pure function and placed by index.
 //!
 //! ```
-//! use htmpll_core::{PllDesign, PllModel, SweepSpec};
+//! use htmpll_core::{bode_grid, PllDesign, PllModel, SweepSpec};
 //!
 //! let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
 //!     .build()
 //!     .unwrap();
 //! let spec = SweepSpec::log(1e-2, 2.0, 64).unwrap();
-//! let h = m.h00_grid(&spec);
+//! let h = bode_grid(|w| m.h00(w), &spec);
 //! assert_eq!(h.len(), 64);
-//! assert!(h[0].abs() > 0.9); // in-band: the loop tracks the reference
+//! assert!(h[0].mag_db > -1.0); // in-band: the loop tracks the reference
 //! ```
 
 use crate::closed_loop::PllModel;
@@ -415,14 +415,6 @@ impl PllModel {
                 .suggest_truncation(tol)
                 .min(MAX_AUTO_TRUNCATION)
         })
-    }
-
-    /// Closed-loop baseband transfer `H₀,₀(jω)` over `spec.grid`, on the
-    /// parallel pool.
-    pub fn h00_grid(&self, spec: &SweepSpec) -> Vec<Complex> {
-        let _span =
-            htmpll_obs::span_labeled("core", "sweep.h00", || format!("n={}", spec.grid.len()));
-        par_map(spec.threads, spec.grid.points(), |_, &w| self.h00(w))
     }
 
     /// The truncation-escalation ladder for one starting order: the

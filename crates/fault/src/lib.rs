@@ -181,11 +181,6 @@ impl FaultPlan {
         self.rules.is_empty()
     }
 
-    /// Site names with at least one rule, in plan order.
-    pub fn sites(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.site.as_str()).collect()
-    }
-
     /// The deterministic firing decision for `(site, scope, key)`:
     /// `Some(arg)` when a rule fires (`arg` is the `@` payload, 0 when
     /// absent), `None` otherwise. Pure — never touches global state.
@@ -453,7 +448,10 @@ mod tests {
         .unwrap();
         assert_eq!(plan.seed(), 42);
         assert_eq!(
-            plan.sites(),
+            plan.rules
+                .iter()
+                .map(|r| r.site.as_str())
+                .collect::<Vec<_>>(),
             vec![
                 "lu.pivot_fail",
                 "sweep.slow",

@@ -37,12 +37,6 @@ pub fn to_db(mag: f64) -> f64 {
     20.0 * mag.log10()
 }
 
-/// Converts dB to linear magnitude.
-#[inline]
-pub fn from_db(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
 /// Sweeps a frequency response over `grid`, unwrapping the phase so it is
 /// continuous from point to point (jumps larger than 180° are folded).
 pub fn bode_sweep<F: FnMut(f64) -> Complex>(mut f: F, grid: &[f64]) -> Vec<BodePoint> {
@@ -95,12 +89,9 @@ mod tests {
     use htmpll_num::Poly;
 
     #[test]
-    fn db_conversions_roundtrip() {
+    fn db_conversion() {
         assert!((to_db(10.0) - 20.0).abs() < 1e-12);
-        assert!((from_db(-6.020_599_913_279_624) - 0.5).abs() < 1e-12);
-        for m in [0.01, 0.5, 1.0, 30.0] {
-            assert!((from_db(to_db(m)) - m).abs() < 1e-12 * m.max(1.0));
-        }
+        assert!((to_db(0.5) + 6.020_599_913_279_624).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! let g = FrequencyGrid::log(0.1, 10.0, 5).unwrap();
 //! assert_eq!(g.len(), 5);
 //! assert!((g.points()[2] - 1.0).abs() < 1e-12);
-//! let d = FrequencyGrid::per_decade(1.0, 100.0, 10).unwrap();
-//! assert_eq!(d.len(), 21); // 2 decades × 10 + endpoint
 //! ```
 
 use htmpll_num::optim::{lin_grid, log_grid};
@@ -90,34 +88,6 @@ impl FrequencyGrid {
         })
     }
 
-    /// Logarithmic grid with a fixed density of `points_per_decade ≥ 1`,
-    /// endpoints included (the Bode-plot convention).
-    ///
-    /// # Errors
-    ///
-    /// [`GridError::TooFewPoints`] (zero density) /
-    /// [`GridError::EmptyRange`] / [`GridError::NonPositive`].
-    pub fn per_decade(
-        start: f64,
-        stop: f64,
-        points_per_decade: usize,
-    ) -> Result<FrequencyGrid, GridError> {
-        if points_per_decade == 0 {
-            return Err(GridError::TooFewPoints);
-        }
-        if start <= 0.0 || stop <= 0.0 {
-            return Err(GridError::NonPositive);
-        }
-        if start.partial_cmp(&stop) != Some(std::cmp::Ordering::Less) {
-            return Err(GridError::EmptyRange);
-        }
-        let decades = (stop / start).log10();
-        let n = ((decades * points_per_decade as f64).ceil() as usize + 1).max(2);
-        Ok(FrequencyGrid {
-            points: log_grid(start, stop, n),
-        })
-    }
-
     /// Wraps an explicit, already-ordered point list.
     pub fn from_points(points: Vec<f64>) -> FrequencyGrid {
         FrequencyGrid { points }
@@ -183,17 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn per_decade_density() {
-        let g = FrequencyGrid::per_decade(1.0, 1000.0, 7).unwrap();
-        assert_eq!(g.len(), 22); // 3 decades × 7 + 1
-        assert!((g.points()[0] - 1.0).abs() < 1e-12);
-        assert!((g.points()[21] - 1000.0).abs() < 1e-9);
-        // Fractional decade rounds up.
-        let h = FrequencyGrid::per_decade(1.0, 30.0, 4).unwrap();
-        assert!(h.len() >= 7);
-    }
-
-    #[test]
     fn error_cases() {
         assert_eq!(
             FrequencyGrid::linear(0.0, 1.0, 1).unwrap_err(),
@@ -210,10 +169,6 @@ mod tests {
         assert_eq!(
             FrequencyGrid::log(1.0, 1.0, 4).unwrap_err(),
             GridError::EmptyRange
-        );
-        assert_eq!(
-            FrequencyGrid::per_decade(1.0, 10.0, 0).unwrap_err(),
-            GridError::TooFewPoints
         );
         assert!(GridError::NonPositive.to_string().contains("positive"));
     }

@@ -47,9 +47,8 @@ pub use delay::pade_delay;
 pub use filters::{ChargePumpFilter2, ChargePumpFilter3, FilterError};
 pub use grid::{FrequencyGrid, GridError};
 pub use margins::{
-    bandwidth_3db, bandwidth_3db_precomputed, margin_scan_grid, peaking_db, peaking_db_precomputed,
-    stability_margins, stability_margins_precomputed, unity_gain_crossings,
-    unity_gain_crossings_precomputed, MarginError, Margins,
+    bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed, stability_margins,
+    stability_margins_precomputed, MarginError, Margins,
 };
 pub use pfe::{Pfe, PfeTerm};
 pub use stability::{is_hurwitz, routh, RouthResult};

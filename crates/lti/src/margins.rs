@@ -66,11 +66,10 @@ pub struct Margins {
 const SCAN_POINTS: usize = 2048;
 
 /// The exact log-spaced grid every margin scan in this module evaluates
-/// on. Callers that want to evaluate the response in parallel (or reuse
-/// one evaluation across several extractors) build this grid, compute
-/// `f` at each point, and hand both to the `*_precomputed` variants —
-/// which then return **bitwise-identical** results to the closure-only
-/// entry points.
+/// on. Callers build this grid, compute `f` at each point (in parallel,
+/// or once for several extractors), and hand both to the
+/// `*_precomputed` extractors; [`stability_margins`] is that sequence
+/// for a closure.
 pub fn margin_scan_grid(wmin: f64, wmax: f64) -> Vec<f64> {
     log_grid(wmin, wmax, SCAN_POINTS)
 }
@@ -89,21 +88,15 @@ fn replay<'a>(
     }
 }
 
-/// Finds all unity-gain crossover frequencies of `f` on `[wmin, wmax]`
-/// (log-spaced scan + Brent refinement), in ascending order.
-pub fn unity_gain_crossings<F: FnMut(f64) -> Complex>(mut f: F, wmin: f64, wmax: f64) -> Vec<f64> {
-    let grid = margin_scan_grid(wmin, wmax);
-    let values: Vec<Complex> = grid.iter().map(|&w| f(w)).collect();
-    unity_gain_crossings_precomputed(f, &grid, &values)
-}
-
-/// [`unity_gain_crossings`] over precomputed `values = f(grid)`; `f` is
-/// only called during root refinement.
+/// All unity-gain crossover frequencies of `f` on a scan grid, in
+/// ascending order: sign changes of `ln|f|` over precomputed
+/// `values = f(grid)`, refined by Brent; `f` is only called during root
+/// refinement.
 ///
 /// # Panics
 ///
 /// Panics when `grid` and `values` lengths differ.
-pub fn unity_gain_crossings_precomputed<F: FnMut(f64) -> Complex>(
+fn unity_gain_crossings_precomputed<F: FnMut(f64) -> Complex>(
     mut f: F,
     grid: &[f64],
     values: &[Complex],
@@ -180,26 +173,14 @@ pub fn stability_margins_precomputed<F: FnMut(f64) -> Complex>(
     })
 }
 
-/// Finds the −3 dB closed-loop bandwidth of a response `f` relative to
-/// its value at `w_ref`: the **first** frequency in `[wmin, wmax]` where
-/// `|f|` crosses `|f(w_ref)|/√2`. (First, not last: sampled loops have
-/// periodic notches at multiples of `ω₀`, and the band edge is the
-/// crossing closest to the passband.)
+/// The −3 dB closed-loop bandwidth of a response `f` relative to its
+/// value at `w_ref`: the **first** grid crossing of `|f(w_ref)|/√2`,
+/// refined by Brent. (First, not last: sampled loops have periodic
+/// notches at multiples of `ω₀`, and the band edge is the crossing
+/// closest to the passband.) `values = f(grid)` are precomputed; `f` is
+/// called once at `w_ref` and during root refinement.
 ///
-/// Returns `None` when no such crossing exists on the interval.
-pub fn bandwidth_3db<F: FnMut(f64) -> Complex>(
-    mut f: F,
-    w_ref: f64,
-    wmin: f64,
-    wmax: f64,
-) -> Option<f64> {
-    let grid = margin_scan_grid(wmin, wmax);
-    let values: Vec<Complex> = grid.iter().map(|&w| f(w)).collect();
-    bandwidth_3db_precomputed(f, w_ref, &grid, &values)
-}
-
-/// [`bandwidth_3db`] over precomputed `values = f(grid)`; `f` is called
-/// once at `w_ref` and during root refinement.
+/// Returns `None` when no such crossing exists on the grid.
 ///
 /// # Panics
 ///
@@ -223,18 +204,10 @@ pub fn bandwidth_3db_precomputed<F: FnMut(f64) -> Complex>(
         .next()
 }
 
-/// Maximum closed-loop magnitude (peaking) of `f` over `[wmin, wmax]`,
-/// in dB relative to the response at `w_ref`. Grid-resolution search with
-/// local golden-section refinement is unnecessary here: the grid is dense
-/// enough for the smooth responses this crate targets.
-pub fn peaking_db<F: FnMut(f64) -> Complex>(mut f: F, w_ref: f64, wmin: f64, wmax: f64) -> f64 {
-    let grid = margin_scan_grid(wmin, wmax);
-    let values: Vec<Complex> = grid.iter().map(|&w| f(w)).collect();
-    peaking_db_precomputed(f, w_ref, &values)
-}
-
-/// [`peaking_db`] over precomputed `values = f(grid)`; `f` is called
-/// once, at `w_ref`.
+/// Maximum closed-loop magnitude (peaking) over precomputed grid
+/// values, in dB relative to the response at `w_ref`; `f` is called
+/// once, at `w_ref`. The scan grid is dense enough for the smooth
+/// responses this crate targets, so the peak is not refined.
 pub fn peaking_db_precomputed<F: FnMut(f64) -> Complex>(
     mut f: F,
     w_ref: f64,
@@ -249,6 +222,13 @@ pub fn peaking_db_precomputed<F: FnMut(f64) -> Complex>(
 mod tests {
     use super::*;
     use crate::tf::Tf;
+
+    /// The scan grid on `[wmin, wmax]` and `f` on it.
+    fn scan(f: impl Fn(f64) -> Complex, wmin: f64, wmax: f64) -> (Vec<f64>, Vec<Complex>) {
+        let grid = margin_scan_grid(wmin, wmax);
+        let values = grid.iter().map(|&w| f(w)).collect();
+        (grid, values)
+    }
 
     #[test]
     fn textbook_second_order_loop() {
@@ -306,7 +286,8 @@ mod tests {
                 - 0.49 / (1.0 + (300.0 / w).powi(4));
             Complex::from_re(m)
         };
-        let c = unity_gain_crossings(f, 0.01, 1e4);
+        let (grid, values) = scan(f, 0.01, 1e4);
+        let c = unity_gain_crossings_precomputed(f, &grid, &values);
         assert!(c.len() >= 2, "{c:?}");
         let m = stability_margins(f, 0.01, 1e4).unwrap();
         assert!((m.omega_ug - c.last().unwrap()).abs() < 1e-9);
@@ -315,20 +296,23 @@ mod tests {
     #[test]
     fn bandwidth_of_first_order() {
         let h = Tf::first_order_lowpass(5.0);
-        let bw = bandwidth_3db(|w| h.eval_jw(w), 1e-3, 1e-3, 1e3).unwrap();
+        let (grid, values) = scan(|w| h.eval_jw(w), 1e-3, 1e3);
+        let bw = bandwidth_3db_precomputed(|w| h.eval_jw(w), 1e-3, &grid, &values).unwrap();
         assert!((bw - 5.0).abs() < 1e-6, "{bw}");
     }
 
     #[test]
     fn bandwidth_none_for_flat() {
-        assert!(bandwidth_3db(|_| Complex::ONE, 1.0, 0.1, 10.0).is_none());
+        let (grid, values) = scan(|_| Complex::ONE, 0.1, 10.0);
+        assert!(bandwidth_3db_precomputed(|_| Complex::ONE, 1.0, &grid, &values).is_none());
     }
 
     #[test]
     fn peaking_of_resonant_second_order() {
         // H(s) = 1/(s² + 2ζs + 1) with ζ = 0.1: peak ≈ 1/(2ζ√(1−ζ²)).
         let h = Tf::from_coeffs(vec![1.0], vec![1.0, 0.2, 1.0]).unwrap();
-        let p = peaking_db(|w| h.eval_jw(w), 1e-3, 1e-3, 1e3);
+        let (_, values) = scan(|w| h.eval_jw(w), 1e-3, 1e3);
+        let p = peaking_db_precomputed(|w| h.eval_jw(w), 1e-3, &values);
         let zeta: f64 = 0.1;
         let expect = 20.0 * (1.0 / (2.0 * zeta * (1.0 - zeta * zeta).sqrt())).log10();
         assert!((p - expect).abs() < 0.01, "{p} vs {expect}");

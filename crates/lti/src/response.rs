@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn improper_rejected() {
-        let h = Tf::differentiator();
+        let h = Tf::from_coeffs(vec![0.0, 1.0], vec![1.0]).unwrap();
         assert_eq!(
             impulse_response(&h, &[0.0]).unwrap_err(),
             ResponseError::NotStrictlyProper

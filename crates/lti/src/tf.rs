@@ -100,14 +100,6 @@ impl Tf {
         }
     }
 
-    /// The ideal differentiator `s`.
-    pub fn differentiator() -> Self {
-        Tf {
-            num: Poly::x(),
-            den: Poly::constant(1.0),
-        }
-    }
-
     /// A unity-DC-gain first-order low-pass `ω_c/(s + ω_c)`.
     ///
     /// # Panics
@@ -139,11 +131,6 @@ impl Tf {
     /// Evaluates the frequency response `H(jω)`.
     pub fn eval_jw(&self, omega: f64) -> Complex {
         self.eval(Complex::from_im(omega))
-    }
-
-    /// DC gain `H(0)`; infinite for poles at the origin.
-    pub fn dc_gain(&self) -> Complex {
-        self.eval(Complex::ZERO)
     }
 
     /// Relative degree `deg(den) − deg(num)` (negative for improper
@@ -308,7 +295,7 @@ mod tests {
         let v = h.eval_jw(1.0);
         assert!((v.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-14);
         assert!((v.arg() + std::f64::consts::FRAC_PI_4).abs() < 1e-14);
-        assert!(h.dc_gain().approx_eq(Complex::ONE, 1e-14));
+        assert!(h.eval(Complex::ZERO).approx_eq(Complex::ONE, 1e-14));
     }
 
     #[test]
@@ -322,7 +309,7 @@ mod tests {
         assert!(biproper.is_proper());
         assert!(!biproper.is_strictly_proper());
 
-        let improper = Tf::differentiator();
+        let improper = Tf::from_coeffs(vec![0.0, 1.0], vec![1.0]).unwrap();
         assert!(!improper.is_proper());
         assert_eq!(improper.relative_degree(), -1);
     }

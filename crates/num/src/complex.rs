@@ -200,11 +200,6 @@ impl Complex {
         )
     }
 
-    /// Complex tangent.
-    pub fn tan(self) -> Self {
-        self.sin() / self.cos()
-    }
-
     /// Complex hyperbolic sine.
     pub fn sinh(self) -> Self {
         Complex::new(
@@ -219,20 +214,6 @@ impl Complex {
             self.re.cosh() * self.im.cos(),
             self.re.sinh() * self.im.sin(),
         )
-    }
-
-    /// Complex hyperbolic tangent, stable for large `|Re z|`.
-    pub fn tanh(self) -> Self {
-        // For |Re z| large, tanh z → ±1; evaluating sinh/cosh directly
-        // would overflow. Use the e^{-2|x|} form instead.
-        if self.re.abs() > 20.0 {
-            let s = self.re.signum();
-            let e = (-2.0 * self.re.abs()).exp();
-            let twiddle = Complex::new(e * (2.0 * self.im).cos(), s * e * (2.0 * self.im).sin());
-            // tanh(x+jy) = s·(1 − e)/(1 + e) with e = e^{-2s(x+jy)}
-            return (Complex::ONE - twiddle) / (Complex::ONE + twiddle) * s;
-        }
-        self.sinh() / self.cosh()
     }
 
     /// Complex hyperbolic cotangent `1/tanh z`, stable for large `|Re z|`.
@@ -639,18 +620,15 @@ mod tests {
         assert!(lhs.approx_eq(Complex::ONE, TOL));
         let lhs = z.cosh().sqr() - z.sinh().sqr();
         assert!(lhs.approx_eq(Complex::ONE, TOL));
-        assert!(z.tan().approx_eq(z.sin() / z.cos(), TOL));
     }
 
     #[test]
-    fn tanh_coth_stability() {
-        // Moderate argument: coth·tanh == 1.
+    fn coth_stability() {
+        // Moderate argument: coth = cosh/sinh.
         let z = Complex::new(1.2, 0.7);
-        assert!((z.tanh() * z.coth()).approx_eq(Complex::ONE, TOL));
-        // Huge real part: tanh → ±1, no overflow, correct sign.
+        assert!((z.sinh() / z.cosh() * z.coth()).approx_eq(Complex::ONE, TOL));
+        // Huge real part: coth → ±1, no overflow, correct sign.
         let big = Complex::new(500.0, 3.0);
-        assert!(big.tanh().approx_eq(Complex::ONE, TOL));
-        assert!((-big).tanh().approx_eq(-Complex::ONE, TOL));
         assert!(big.coth().approx_eq(Complex::ONE, TOL));
         assert!((-big).coth().approx_eq(-Complex::ONE, TOL));
         // Continuity across the |Re| = 20 switchover.

@@ -23,7 +23,7 @@
 //! * [`special`] — exact harmonic lattice sums
 //!   `Σ_m (z + jmω₀)^{−r}` via `coth` closed forms; the engine behind
 //!   the exact effective open-loop gain `λ(s)` of a sampled PLL.
-//! * [`optim`] — scalar bracketing / bisection / Brent refinement for
+//! * [`optim`] — scalar bracketing and Brent refinement for
 //!   margin and bandwidth extraction.
 //! * [`quad`] — adaptive Simpson quadrature (linear and log-domain) for
 //!   noise integrals.

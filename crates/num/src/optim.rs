@@ -2,17 +2,15 @@
 //!
 //! Margin extraction (unity-gain crossover, phase crossover, −3 dB
 //! bandwidth) reduces to 1-D root finding on smooth functions of
-//! frequency. This module provides grid bracketing plus bisection and
-//! Brent refinement.
+//! frequency. This module provides grid bracketing plus Brent
+//! refinement.
 //!
 //! ```
-//! use htmpll_num::optim::{bisect, brent};
+//! use htmpll_num::optim::brent;
 //!
 //! let f = |x: f64| x * x - 2.0;
 //! let r = brent(f, 1.0, 2.0, 1e-14, 200).expect("bracketed");
 //! assert!((r - 2f64.sqrt()).abs() < 1e-12);
-//! let r2 = bisect(f, 1.0, 2.0, 1e-12, 200).expect("bracketed");
-//! assert!((r2 - 2f64.sqrt()).abs() < 1e-10);
 //! ```
 
 use std::fmt;
@@ -44,55 +42,15 @@ impl fmt::Display for RootError {
 
 impl std::error::Error for RootError {}
 
-/// Bisection on a bracketing interval `[a, b]` with `f(a)·f(b) ≤ 0`.
+/// Brent's method on a bracketing interval `[a, b]` with
+/// `f(a)·f(b) ≤ 0`: inverse-quadratic / secant steps guarded by
+/// bisection.
 ///
 /// # Errors
 ///
 /// [`RootError::NotBracketed`] when the signs agree;
-/// [`RootError::MaxIterations`] when `max_iter` halvings do not reach
+/// [`RootError::MaxIterations`] when `max_iter` steps do not reach
 /// `tol` (interval width).
-pub fn bisect<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, RootError> {
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NotBracketed { fa, fb });
-    }
-    for _ in 0..max_iter {
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        if fm == 0.0 || (b - a).abs() < tol {
-            return Ok(m);
-        }
-        if fm.signum() == fa.signum() {
-            a = m;
-            fa = fm;
-        } else {
-            b = m;
-        }
-    }
-    Err(RootError::MaxIterations)
-}
-
-/// Brent's method: inverse-quadratic / secant steps guarded by bisection.
-///
-/// Faster than [`bisect`] on smooth functions while keeping its
-/// robustness guarantees.
-///
-/// # Errors
-///
-/// Same contract as [`bisect`].
 pub fn brent<F: FnMut(f64) -> f64>(
     mut f: F,
     mut a: f64,
@@ -227,31 +185,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 100).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
+    fn brent_exact_endpoint() {
+        assert_eq!(brent(|x| x, 0.0, 1.0, 1e-12, 100).unwrap(), 0.0);
+        assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, 1e-12, 100).unwrap(), 1.0);
     }
 
     #[test]
-    fn bisect_exact_endpoint() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 100).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 100).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn bisect_rejects_non_bracket() {
-        match bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100) {
-            Err(RootError::NotBracketed { .. }) => {}
-            other => panic!("expected NotBracketed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn brent_matches_bisect_but_faster() {
-        let mut calls_brent = 0;
-        let r1 = brent(
+    fn brent_beats_bisection() {
+        // Bisection needs ⌈log₂(2/1e-14)⌉ = 48 halvings here.
+        let mut calls = 0;
+        let r = brent(
             |x| {
-                calls_brent += 1;
+                calls += 1;
                 x.exp() - 3.0
             },
             0.0,
@@ -260,24 +205,8 @@ mod tests {
             200,
         )
         .unwrap();
-        let mut calls_bisect = 0;
-        let r2 = bisect(
-            |x| {
-                calls_bisect += 1;
-                x.exp() - 3.0
-            },
-            0.0,
-            2.0,
-            1e-14,
-            200,
-        )
-        .unwrap();
-        assert!((r1 - 3f64.ln()).abs() < 1e-12);
-        assert!((r2 - 3f64.ln()).abs() < 1e-12);
-        assert!(
-            calls_brent < calls_bisect,
-            "{calls_brent} vs {calls_bisect}"
-        );
+        assert!((r - 3f64.ln()).abs() < 1e-12);
+        assert!(calls < 48, "{calls} calls");
     }
 
     #[test]

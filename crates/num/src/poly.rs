@@ -131,18 +131,6 @@ impl Poly {
         Poly::new(self.coeffs.iter().map(|&c| c * k).collect())
     }
 
-    /// Makes the polynomial monic (leading coefficient 1).
-    ///
-    /// Returns the zero polynomial unchanged.
-    pub fn monic(&self) -> Poly {
-        let l = self.leading();
-        if l == 0.0 {
-            self.clone()
-        } else {
-            self.scale(1.0 / l)
-        }
-    }
-
     /// Multiplies by `x^k` (shifts coefficients up).
     pub fn mul_xk(&self, k: usize) -> Poly {
         if self.is_zero() {
@@ -337,8 +325,6 @@ mod tests {
         assert_eq!(p.derivative().coeffs(), &[0.0, 6.0, 3.0]);
         assert!(Poly::constant(4.0).derivative().is_zero());
         assert_eq!(p.scale(2.0).coeffs(), &[10.0, 0.0, 6.0, 2.0]);
-        assert_eq!(p.monic().leading(), 1.0);
-        assert!(Poly::zero().monic().is_zero());
     }
 
     #[test]

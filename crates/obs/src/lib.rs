@@ -81,7 +81,7 @@ pub use events::{
 };
 pub use export::{describe_targets, export_json, export_table};
 pub use filter::{enabled, init_from_env, override_filter, Level};
-pub use registry::{clear, reset, snapshot, snapshot_one, MetricKind, MetricSnapshot};
+pub use registry::{clear, reset, snapshot, MetricKind, MetricSnapshot};
 pub use site::{SiteCounter, SiteHistogram};
 pub use span::{span, span_at, span_labeled, span_labeled_at, Span};
 pub use trace_export::{

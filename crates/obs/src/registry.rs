@@ -218,14 +218,6 @@ pub fn snapshot() -> Vec<MetricSnapshot> {
         .collect()
 }
 
-/// Copies one metric by exact key (`target.path{label}`), or `None` if
-/// nothing has registered under it yet. Cheaper than scanning
-/// [`snapshot`] when a caller — e.g. the `plltool serve` stats probe —
-/// only needs a handful of known keys.
-pub fn snapshot_one(key: &str) -> Option<MetricSnapshot> {
-    snapshot().into_iter().find(|m| m.key == key)
-}
-
 /// Zeroes every metric's value while keeping registrations (cached
 /// `&'static Cell` handles in call sites stay valid). Also versions the
 /// per-thread span stacks: spans still open when `reset` runs belong to

@@ -99,14 +99,6 @@ impl SiteHistogram {
             })
             .observe(v);
     }
-
-    /// Records `v` produced lazily — the closure runs only when enabled.
-    #[inline]
-    pub fn record_with<F: FnOnce() -> f64>(&self, f: F) {
-        if self.is_enabled() {
-            self.record(f());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,29 +141,6 @@ mod tests {
         let snap = find("obstest.site.debug_hist").unwrap();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.sum, 3.0);
-        override_filter("off");
-    }
-
-    #[test]
-    fn record_with_is_lazy() {
-        let _g = test_lock();
-        override_filter("off");
-        let h = crate::record!("obstest", "site.lazy");
-        let mut ran = false;
-        h.record_with(|| {
-            ran = true;
-            1.0
-        });
-        assert!(!ran, "closure must not run while disabled");
-
-        override_filter("obstest=debug");
-        let mut ran = false;
-        h.record_with(|| {
-            ran = true;
-            2.5
-        });
-        assert!(ran);
-        assert_eq!(find("obstest.site.lazy").unwrap().max, Some(2.5));
         override_filter("off");
     }
 }

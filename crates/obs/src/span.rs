@@ -121,13 +121,6 @@ fn open(target: &'static str, name: &str, label: Option<String>, level: Level) -
     }
 }
 
-impl Span {
-    /// True when this span is live (its site was enabled at entry).
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
@@ -258,7 +251,7 @@ mod tests {
         let before = snapshot().len();
         {
             let s = span("spantest", "inert");
-            assert!(!s.is_recording());
+            assert!(s.inner.is_none());
             let mut ran = false;
             let _l = span_labeled("spantest", "inert_labeled", || {
                 ran = true;

@@ -193,6 +193,8 @@ pub struct PllSim {
     t: f64,
     /// VCO phase in cycles (of the undivided VCO).
     phi: f64,
+    /// Loop-filter state (length `filter.order()`).
+    x: Vec<f64>,
     /// Index of the next reference edge.
     next_ref_index: u64,
     /// VCO cycle count at which the next divided edge fires.
@@ -306,7 +308,8 @@ impl PllSim {
         let pending_jitter = draw_jitter(&mut rng, config.ref_jitter_rms);
         let divider = params.divider;
         let dt = params.t_ref / config.samples_per_ref as f64;
-        let rows = filter.order() + 1;
+        let x = vec![0.0; filter.order()];
+        let rows = x.len() + 1;
         let (stepper, work) = if params.isf_cosine.is_empty() {
             let gain = params.kvco / (2.0 * std::f64::consts::PI);
             let p = Propagator::new(&filter, gain, dt);
@@ -323,6 +326,7 @@ impl PllSim {
             pfd,
             t: 0.0,
             phi: 0.0,
+            x,
             next_ref_index: 1,
             // First divided edge after N VCO cycles, aligned with the
             // first reference edge at t = T.
@@ -444,7 +448,7 @@ impl PllSim {
 
     /// Instantaneous VCO control voltage.
     pub fn v_ctrl(&self) -> f64 {
-        self.filter.output(self.filter_current())
+        self.filter.eval_output(&self.x, self.filter_current())
     }
 
     /// Detunes the VCO center frequency by a fractional offset (for lock
@@ -483,7 +487,7 @@ impl PllSim {
     /// draw), writing `[x(h)…, ΔΦ(h)]` to `y`. `whole` marks a segment
     /// spanning one whole sample interval.
     fn propagate(&self, h: f64, whole: bool, i: f64, c: f64, y: &mut [f64], work: &mut [f64]) {
-        let x0 = self.filter.state();
+        let x0 = &self.x;
         let n = x0.len();
         match &self.stepper {
             Stepper::Exact(p) if whole => p.whole_step(x0, i, c, y),
@@ -492,7 +496,7 @@ impl PllSim {
                 y[..n].copy_from_slice(x0);
                 y[n] = 0.0;
                 rk4_step(y, h, work, |z, out| {
-                    self.filter.eval_deriv(&z[..n], i, &mut out[..n]);
+                    self.filter.deriv(&z[..n], i, &mut out[..n]);
                     out[n] = self.isf_phase_rate(&z[..n], z[n], i, c);
                 });
             }
@@ -580,7 +584,7 @@ impl PllSim {
                     self.propagate(tau, false, i_now, c, y, work);
                     (y[nf], self.phase_rate(y, i_now, c))
                 });
-                self.filter.set_state(&y[..nf]);
+                self.x.copy_from_slice(&y[..nf]);
                 self.phi = self.next_div_cycles; // pin against drift
                 self.t += tau;
                 self.pfd_edge(false);
@@ -591,7 +595,7 @@ impl PllSim {
                 self.div_edge_index += 1;
                 self.next_div_cycles += self.params.divider + offset;
             } else {
-                self.filter.set_state(&y[..nf]);
+                self.x.copy_from_slice(&y[..nf]);
                 self.phi += y[nf];
                 self.t += h;
                 if (self.t - next_ref).abs() <= time_eps {

@@ -8,8 +8,9 @@
 //! model approximates — making it the ground truth for the Fig.-6
 //! comparison and the Fig.-4 pulse-vs-impulse study.
 //!
-//! * [`state_space`] — loop-filter realization (controllable canonical
-//!   form), the loop's generator and its exact propagator, and RK4.
+//! * `state_space` (crate-private) — loop-filter realization
+//!   (controllable canonical form), the loop's generator and its exact
+//!   propagator, and RK4.
 //! * [`pfd`] — tri-state PFD + charge pump.
 //! * [`engine`] — the event loop: exact propagation between events
 //!   (RK4 for VCOs with an impulse sensitivity function), Newton edge
@@ -37,7 +38,7 @@ pub mod lock;
 pub mod measure;
 pub mod pfd;
 pub mod sigma_delta;
-pub mod state_space;
+mod state_space;
 
 pub use engine::{PllSim, SimConfig, SimParams, Trace};
 pub use fast::{CorrectionKind, PeriodMap, PulseLaw};
@@ -47,4 +48,3 @@ pub use measure::{
 };
 pub use pfd::TriStatePfd;
 pub use sigma_delta::{Mash111, MashError};
-pub use state_space::StateSpace;

@@ -13,25 +13,18 @@
 //! (`fast`) uses the same propagator over a whole period.
 //!
 //! A VCO with an impulse sensitivity function makes `Φ̇` depend on
-//! `cos(2πkΦ)`, which no matrix exponential covers; that path, and
-//! [`StateSpace::step`], integrate with fixed-step RK4 (`rk4_step`).
+//! `cos(2πkΦ)`, which no matrix exponential covers; that path
+//! integrates the companion form with fixed-step RK4 (`rk4_step`).
 //!
-//! ```
-//! use htmpll_sim::state_space::StateSpace;
-//! use htmpll_lti::Tf;
-//!
-//! // 1/(s+1) driven by a unit step: v(t) = 1 − e^{−t}.
-//! let mut ss = StateSpace::from_tf(&Tf::from_coeffs(vec![1.0], vec![1.0, 1.0]).unwrap());
-//! ss.step(1.0, 1.0, 64);
-//! assert!((ss.output(1.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
-//! ```
+//! Everything here is crate-private: the engine holds the filter state
+//! and asks the realization only for its output and derivative.
 
 use htmpll_lti::Tf;
 
 /// A single-input single-output real state-space system in controllable
-/// canonical form.
+/// canonical form. It holds no state: callers keep the state vector.
 #[derive(Debug, Clone)]
-pub struct StateSpace {
+pub(crate) struct StateSpace {
     /// Denominator coefficients, monic, ascending (length n+1 with last
     /// element 1): the companion-form feedback row.
     den: Vec<f64>,
@@ -39,8 +32,6 @@ pub struct StateSpace {
     c_row: Vec<f64>,
     /// Direct feedthrough.
     d: f64,
-    /// State vector (length n).
-    x: Vec<f64>,
 }
 
 impl StateSpace {
@@ -51,7 +42,7 @@ impl StateSpace {
     ///
     /// Panics when the transfer function is improper (`deg num > deg
     /// den`) — physical loop filters never are.
-    pub fn from_tf(tf: &Tf) -> StateSpace {
+    pub(crate) fn from_tf(tf: &Tf) -> StateSpace {
         assert!(
             tf.is_proper(),
             "state-space realization requires a proper transfer function"
@@ -74,58 +65,22 @@ impl StateSpace {
             let num_k = num_raw.get(k).copied().unwrap_or(0.0) / lead;
             *c = num_k - d * den[k];
         }
-        StateSpace {
-            den,
-            c_row,
-            d,
-            x: vec![0.0; n],
-        }
+        StateSpace { den, c_row, d }
     }
 
     /// Number of states.
-    pub fn order(&self) -> usize {
-        self.x.len()
+    pub(crate) fn order(&self) -> usize {
+        self.c_row.len()
     }
 
-    /// Borrows the state vector.
-    pub fn state(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Overwrites the state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn set_state(&mut self, x: &[f64]) {
-        assert_eq!(x.len(), self.x.len(), "state length mismatch");
-        self.x.copy_from_slice(x);
-    }
-
-    /// Resets the state to zero.
-    pub fn reset(&mut self) {
-        self.x.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// The output `v = Cx + D·u` for the current state and input `u`.
-    pub fn output(&self, u: f64) -> f64 {
-        self.eval_output(&self.x, u)
-    }
-
-    /// The output for an **explicit** state vector (used by callers that
-    /// co-integrate this system inside a larger ODE).
-    pub fn eval_output(&self, x: &[f64], u: f64) -> f64 {
+    /// The output `v = Cx + D·u` for state `x` and input `u`.
+    pub(crate) fn eval_output(&self, x: &[f64], u: f64) -> f64 {
         self.c_row.iter().zip(x).map(|(c, x)| c * x).sum::<f64>() + self.d * u
     }
 
-    /// The state derivative for an explicit state vector; `out` must
-    /// have length [`order`](StateSpace::order).
-    pub fn eval_deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
-        self.deriv(x, u, out);
-    }
-
-    /// State derivative for constant input `u` (companion form).
-    fn deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
+    /// State derivative `ẋ` for state `x` and constant input `u`
+    /// (companion form); `out` has length [`order`](StateSpace::order).
+    pub(crate) fn deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
         let n = x.len();
         if n == 0 {
             return;
@@ -136,27 +91,6 @@ impl StateSpace {
             acc -= a * x[k];
         }
         out[n - 1] = acc;
-    }
-
-    /// Advances the state by `h` seconds with constant input `u`, using
-    /// `substeps` RK4 sub-intervals.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `substeps == 0` or `h < 0`.
-    pub fn step(&mut self, h: f64, u: f64, substeps: usize) {
-        assert!(substeps > 0, "need at least one substep");
-        assert!(h >= 0.0, "negative step");
-        if h == 0.0 || self.x.is_empty() {
-            return;
-        }
-        let hs = h / substeps as f64;
-        let mut x = std::mem::take(&mut self.x);
-        let mut scratch = vec![0.0; RK4_SCRATCH_PER_STATE * x.len()];
-        for _ in 0..substeps {
-            rk4_step(&mut x, hs, &mut scratch, |x, out| self.deriv(x, u, out));
-        }
-        self.x = x;
     }
 }
 
@@ -389,18 +323,34 @@ mod tests {
     use super::*;
     use htmpll_lti::response::step_response;
 
+    /// The filter output `v = Cx + D·u` at each of the ascending times
+    /// `ts`, marching `ss` from rest under the constant input `u` with
+    /// the exact propagator (no phase gain).
+    fn outputs_from_rest(ss: &StateSpace, u: f64, ts: &[f64]) -> Vec<f64> {
+        let n = ss.order();
+        let p = Propagator::new(ss, 0.0, 1.0);
+        let (mut x, mut y) = (vec![0.0; n], vec![0.0; n + 1]);
+        let mut scratch = vec![0.0; Propagator::SCRATCH_PER_ROW * (n + 1)];
+        let mut t = 0.0;
+        ts.iter()
+            .map(|&t_next| {
+                p.step(t_next - t, &x, u, 0.0, &mut y, &mut scratch);
+                x.copy_from_slice(&y[..n]);
+                t = t_next;
+                ss.eval_output(&x, u)
+            })
+            .collect()
+    }
+
     #[test]
     fn first_order_step_matches_analytic() {
         let tf = Tf::from_coeffs(vec![2.0], vec![3.0, 1.0]).unwrap();
-        let mut ss = StateSpace::from_tf(&tf);
+        let ss = StateSpace::from_tf(&tf);
         assert_eq!(ss.order(), 1);
-        let mut t = 0.0;
-        for _ in 0..50 {
-            ss.step(0.05, 1.0, 8);
-            t += 0.05;
-            let t_now: f64 = t;
-            let expect = (2.0 / 3.0) * (1.0 - (-3.0 * t_now).exp());
-            assert!((ss.output(1.0) - expect).abs() < 1e-9, "t={t}");
+        let ts: Vec<f64> = (1..=50).map(|k| 0.05 * k as f64).collect();
+        for (t, v) in ts.iter().zip(outputs_from_rest(&ss, 1.0, &ts)) {
+            let expect = (2.0 / 3.0) * (1.0 - (-3.0 * t).exp());
+            assert!((v - expect).abs() < 1e-9, "t={t}");
         }
     }
 
@@ -410,16 +360,9 @@ mod tests {
         let tf = Tf::from_coeffs(vec![5.0, 1.0], vec![4.0, 1.2, 1.0]).unwrap();
         let ts: Vec<f64> = (1..=20).map(|k| 0.2 * k as f64).collect();
         let exact = step_response(&tf, &ts).unwrap();
-        let mut ss = StateSpace::from_tf(&tf);
-        let mut t = 0.0;
-        for (t_target, e) in ts.iter().zip(&exact) {
-            ss.step(t_target - t, 1.0, 64);
-            t = *t_target;
-            assert!(
-                (ss.output(1.0) - e).abs() < 1e-8,
-                "t={t}: {} vs {e}",
-                ss.output(1.0)
-            );
+        let ss = StateSpace::from_tf(&tf);
+        for ((t, v), e) in ts.iter().zip(outputs_from_rest(&ss, 1.0, &ts)).zip(&exact) {
+            assert!((v - e).abs() < 1e-8, "t={t}: {v} vs {e}");
         }
     }
 
@@ -428,54 +371,29 @@ mod tests {
         // (s+2)/(s+1): D = 1, instantaneous response to input.
         let tf = Tf::from_coeffs(vec![2.0, 1.0], vec![1.0, 1.0]).unwrap();
         let ss = StateSpace::from_tf(&tf);
-        assert!((ss.output(1.0) - 1.0).abs() < 1e-12); // x = 0, v = D·u
-        let mut ss = ss;
-        ss.step(20.0, 1.0, 2000);
-        // Settles to DC gain 2.
-        assert!((ss.output(1.0) - 2.0).abs() < 1e-6);
+        assert!((ss.eval_output(&[0.0], 1.0) - 1.0).abs() < 1e-12); // v = D·u
+                                                                    // Settles to DC gain 2.
+        let v = outputs_from_rest(&ss, 1.0, &[20.0])[0];
+        assert!((v - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn integrator_ramps() {
-        let mut ss = StateSpace::from_tf(&Tf::integrator());
-        ss.step(2.5, 3.0, 16);
-        assert!((ss.output(3.0) - 7.5).abs() < 1e-10);
+        let ss = StateSpace::from_tf(&Tf::integrator());
+        let v = outputs_from_rest(&ss, 3.0, &[2.5])[0];
+        assert!((v - 7.5).abs() < 1e-10);
     }
 
     #[test]
     fn charge_pump_filter_realization() {
         // The actual loop-filter shape: integrator + zero + HF pole.
         let f = htmpll_lti::ChargePumpFilter2::from_pole_zero(0.25, 4.0, 1.0).unwrap();
-        let tf = f.impedance();
-        let mut ss = StateSpace::from_tf(&tf);
+        let ss = StateSpace::from_tf(&f.impedance());
         assert_eq!(ss.order(), 2);
         // Constant current in: output ramps at I/C_total plus transient.
-        ss.step(50.0, 1.0, 5000);
-        let v50 = ss.output(1.0);
-        ss.step(1.0, 1.0, 100);
-        let v51 = ss.output(1.0);
+        let v = outputs_from_rest(&ss, 1.0, &[50.0, 51.0]);
         // Long-term slope = 1/(C1+C2) = 1.
-        assert!((v51 - v50 - 1.0).abs() < 1e-6, "slope {}", v51 - v50);
-    }
-
-    #[test]
-    fn zero_step_is_identity() {
-        let tf = Tf::from_coeffs(vec![1.0], vec![1.0, 1.0]).unwrap();
-        let mut ss = StateSpace::from_tf(&tf);
-        ss.step(1.0, 1.0, 8);
-        let before = ss.state().to_vec();
-        ss.step(0.0, 5.0, 8);
-        assert_eq!(ss.state(), &before[..]);
-    }
-
-    #[test]
-    fn state_accessors() {
-        let tf = Tf::from_coeffs(vec![1.0], vec![1.0, 0.5, 1.0]).unwrap();
-        let mut ss = StateSpace::from_tf(&tf);
-        ss.set_state(&[1.0, 2.0]);
-        assert_eq!(ss.state(), &[1.0, 2.0]);
-        ss.reset();
-        assert_eq!(ss.state(), &[0.0, 0.0]);
+        assert!((v[1] - v[0] - 1.0).abs() < 1e-6, "slope {}", v[1] - v[0]);
     }
 
     /// The reference loop's filter, VCO phase gain `K_vco/2π` and
@@ -590,6 +508,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "proper")]
     fn improper_rejected() {
-        let _ = StateSpace::from_tf(&Tf::differentiator());
+        let _ = StateSpace::from_tf(&Tf::from_coeffs(vec![0.0, 1.0], vec![1.0]).unwrap());
     }
 }

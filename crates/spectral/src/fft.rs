@@ -167,20 +167,7 @@ fn transform(x: &mut [Complex], inverse: bool) -> Result<(), FftError> {
     Ok(())
 }
 
-/// Allocating forward FFT of a real signal; returns the full complex
-/// spectrum.
-///
-/// # Errors
-///
-/// [`FftError::NotPowerOfTwo`] unless `x.len()` is a power of two.
-pub fn fft_real(x: &[f64]) -> Result<Vec<Complex>, FftError> {
-    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::from_re(v)).collect();
-    fft(&mut buf)?;
-    Ok(buf)
-}
-
-/// Reference O(N²) DFT used to validate the fast paths in tests and as a
-/// fallback for tiny lengths.
+/// Reference O(N²) DFT, the oracle the fast paths are tested against.
 pub fn dft_naive(x: &[Complex]) -> Vec<Complex> {
     htmpll_obs::counter!("spectral", "fft.naive").inc();
     let n = x.len();
@@ -286,8 +273,10 @@ mod tests {
 
     #[test]
     fn real_input_hermitian_spectrum() {
-        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 0.5).collect();
-        let y = fft_real(&x).unwrap();
+        let mut y: Vec<Complex> = (0..64)
+            .map(|i| Complex::from_re((i as f64 * 0.3).sin() + 0.5))
+            .collect();
+        fft(&mut y).unwrap();
         for k in 1..32 {
             assert!((y[k] - y[64 - k].conj()).abs() < 1e-9, "bin {k}");
         }

@@ -37,7 +37,7 @@ pub mod window;
 
 pub use bluestein::{fft_any, ifft_any};
 pub use cross::{tf_estimate, CrossBin};
-pub use fft::{fft, fft_real, ifft, FftError};
+pub use fft::{fft, ifft, FftError};
 pub use goertzel::{goertzel, tone_amplitude, tone_transfer};
 pub use psd::{band_power, periodogram, welch, SpectralError};
 pub use window::Window;

@@ -11,7 +11,7 @@
 //!
 //! // One-pole smoother H(z) = 0.5·z/(z − 0.5).
 //! let h = Zf::new(Poly::new(vec![0.0, 0.5]), Poly::new(vec![-0.5, 1.0])).unwrap();
-//! assert!((h.dc_gain() - 1.0).abs() < 1e-12);
+//! assert!((h.eval(Complex::ONE).re - 1.0).abs() < 1e-12); // DC gain H(1)
 //! assert!(h.eval(Complex::from_re(2.0)).re - 2.0 / 3.0 < 1e-12);
 //! ```
 
@@ -94,11 +94,6 @@ impl Zf {
     /// Frequency response at `z = e^{jωT}`.
     pub fn eval_jw(&self, omega: f64, t_sample: f64) -> Complex {
         self.eval(Complex::cis(omega * t_sample))
-    }
-
-    /// DC gain `H(1)` (infinite for poles at `z = 1`).
-    pub fn dc_gain(&self) -> f64 {
-        self.eval(Complex::ONE).re
     }
 
     /// All poles (denominator roots).
@@ -217,7 +212,7 @@ mod tests {
     fn construction_and_eval() {
         let h = Zf::new(Poly::new(vec![1.0]), Poly::new(vec![-0.5, 1.0])).unwrap();
         // H(z) = 1/(z − 0.5) at z = 1: 2.
-        assert!((h.dc_gain() - 2.0).abs() < 1e-13);
+        assert!((h.eval(Complex::ONE).re - 2.0).abs() < 1e-13);
         assert!(Zf::new(Poly::constant(1.0), Poly::zero()).is_err());
     }
 

@@ -146,6 +146,60 @@ if [ "$docfail" -ne 0 ]; then
 fi
 echo "doc-example panic audit ok (fft.rs, psd.rs)"
 
+# Public functions that nothing calls pile up one variant at a time.
+# This leg lists every `pub fn` name under crates/*/src and src that
+# no code names outside its definition, `#[cfg(test)]` items, comment
+# lines (doc examples included) and `pub use` statements, over src,
+# crates, tests, examples and benchmark/src. The match is by name, so a
+# name shared with a called function passes unseen. Each listed name
+# must be in scripts/pub_allowlist.txt with its reason, and each line
+# there must still name a listed function.
+echo "==> public-item audit (pub fn with no caller)"
+strip_rs() {
+    awk '
+        skip { if ($0 ~ /^\}/) skip = 0; next }
+        reexport { if ($0 ~ /;/) reexport = 0; next }
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^[ \t]*(#\[|\/\/)/ { next }
+        pending {
+            pending = 0
+            if ($0 !~ /\{/ && $0 ~ /;[ \t]*$/) next
+            skip = 1; next
+        }
+        /^[ \t]*\/\// { next }
+        /^[ \t]*pub use / { if ($0 !~ /;/) reexport = 1; next }
+        { print }
+    ' "$@"
+}
+pub_defined=$(find crates/*/src src -name '*.rs' | sort | while IFS= read -r f; do strip_rs "$f"; done \
+    | grep -oE '\bpub (const )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*' | awk '{ print $NF }' | sort -u)
+pub_named=$(find src crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort \
+    | while IFS= read -r f; do strip_rs "$f"; done \
+    | sed -E 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+pub_unused=$(comm -23 <(echo "$pub_defined") <(echo "$pub_named"))
+pub_allowed=$(grep -vE '^(#|$)' scripts/pub_allowlist.txt || true)
+pub_fail=0
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qE "^${name}: .+" <<< "$pub_allowed"; then
+        echo "public-item audit: pub fn \`$name\` has no caller and no line in scripts/pub_allowlist.txt" >&2
+        pub_fail=1
+    fi
+done <<< "$pub_unused"
+while IFS= read -r line; do
+    [ -z "$line" ] && continue
+    if ! grep -qxF "${line%%:*}" <<< "$pub_unused"; then
+        echo "public-item audit: stale line in scripts/pub_allowlist.txt (has a caller, or is gone):" >&2
+        echo "  $line" >&2
+        pub_fail=1
+    fi
+done <<< "$pub_allowed"
+if [ "$pub_fail" -ne 0 ]; then
+    echo "public-item audit failed: delete the function or allow-list it as 'name: reason'; delete stale lines" >&2
+    exit 1
+fi
+echo "public-item audit ok ($(grep -c . <<< "$pub_unused") allow-listed pub fn with no caller)"
+
 echo "==> plltool doctor smoke"
 doctorjson=$(mktemp)
 ./target/release/plltool doctor --ratio 0.1 --metrics-json "$doctorjson" || {

@@ -143,6 +143,41 @@ impl Params {
     }
 }
 
+/// Largest work, in reference periods, a `step` or `hop` request may
+/// ask for: `points · (until/T + 25)` with `T` the reference period.
+/// The inversion integral behind each point costs about eight adaptive
+/// quadratures per reference period of its time, plus a fixed part
+/// worth about 25 periods, so this bounds one request to about half a
+/// second on one core.
+pub const MAX_TRANSIENT_PERIODS: f64 = 2e4;
+
+/// The fixed per-point cost of the inversion integral, in reference
+/// periods (see [`MAX_TRANSIENT_PERIODS`]).
+const TRANSIENT_POINT_PERIODS: f64 = 25.0;
+
+/// Rejects a transient horizon the inversion cannot finish: `until`
+/// must be finite and positive, `points` at least 1, and the work at
+/// most [`MAX_TRANSIENT_PERIODS`]. A design that does not build is left
+/// for the handler to report.
+fn check_transient_span(design: &DesignSpec, until: f64, points: usize) -> Result<(), String> {
+    if !(until.is_finite() && until > 0.0) {
+        return Err(format!("--until: `{until}` must be finite and positive"));
+    }
+    if points == 0 {
+        return Err("--points: must be at least 1".to_string());
+    }
+    if let Ok(d) = design.build() {
+        let periods = points as f64 * (until * d.f_ref() + TRANSIENT_POINT_PERIODS);
+        if periods > MAX_TRANSIENT_PERIODS {
+            return Err(format!(
+                "--until/--points: {points} points to {until:e} s cost {periods:.3e} reference \
+                 periods of work, above the limit of {MAX_TRANSIENT_PERIODS:e}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// How to construct the [`PllDesign`] a request operates on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesignSpec {
@@ -339,18 +374,20 @@ pub enum Request {
     Step {
         /// Design under analysis.
         design: DesignSpec,
-        /// End time (units of 1/ω_UG).
+        /// End time, s (finite, positive; the normalized family has
+        /// ω_UG = 1 rad/s).
         until: f64,
-        /// Sample count.
+        /// Sample count (at least 1).
         points: usize,
     },
     /// Frequency-hop tracking error (`plltool hop`).
     Hop {
         /// Design under analysis.
         design: DesignSpec,
-        /// End time (units of 1/ω_UG).
+        /// End time, s (finite, positive; the normalized family has
+        /// ω_UG = 1 rad/s).
         until: f64,
-        /// Sample count.
+        /// Sample count (at least 1).
         points: usize,
     },
     /// Leakage reference-spur table (`plltool spur`).
@@ -437,16 +474,25 @@ impl Request {
                 lambda: p.has("lambda"),
                 threads,
             },
-            "step" => Request::Step {
-                design: DesignSpec::required(p)?,
-                until: p.f64_or("until", 40.0)?,
-                points: p.usize_or("points", 20)?,
-            },
-            "hop" => Request::Hop {
-                design: DesignSpec::required(p)?,
-                until: p.f64_or("until", 40.0)?,
-                points: p.usize_or("points", 20)?,
-            },
+            "step" | "hop" => {
+                let design = DesignSpec::required(p)?;
+                let until = p.f64_or("until", 40.0)?;
+                let points = p.usize_or("points", 20)?;
+                check_transient_span(&design, until, points)?;
+                if command == "step" {
+                    Request::Step {
+                        design,
+                        until,
+                        points,
+                    }
+                } else {
+                    Request::Hop {
+                        design,
+                        until,
+                        points,
+                    }
+                }
+            }
             "spur" => Request::Spur {
                 design: DesignSpec::required(p)?,
                 leakage_frac: p.f64_or("leakage-frac", 1e-3)?,

@@ -280,7 +280,11 @@ fn transient_out(
     hop: bool,
 ) -> Result<TransientOut, String> {
     let (_, model) = build_model(spec)?;
-    let ts = lin_grid(until / points as f64, until, points.max(2));
+    let ts = if points == 1 {
+        vec![until]
+    } else {
+        lin_grid(until / points as f64, until, points)
+    };
     let ys = if hop {
         transient::frequency_step_error(&model, &ts)
     } else {

@@ -38,8 +38,23 @@ fn fig5_has_expected_shape() -> TestResult {
         })
         .unwrap();
     assert!(at_unity.mag_db.abs() < 0.5, "{}", at_unity.mag_db);
-    // −40 dB/dec at the low end (double integrator).
-    assert!(rows[0].mag_db > 60.0);
+    // −40 dB/dec at both ends: the double integrator below the zero at
+    // ω_UG/4; above the pole at 4·ω_UG the zero and pole cancel in slope.
+    for (lo, hi) in [(0.01, 0.02), (50.0, 100.0)] {
+        let band: Vec<_> = rows
+            .iter()
+            .filter(|r| r.w_over_wug >= lo * (1.0 - 1e-12) && r.w_over_wug <= hi)
+            .collect();
+        let (first, last) = (band[0], band[band.len() - 1]);
+        let decades = (last.w_over_wug / first.w_over_wug).log10();
+        let slope = (last.mag_db - first.mag_db) / decades;
+        assert!((slope + 40.0).abs() < 1.0, "[{lo}, {hi}]: {slope} dB/dec");
+    }
+    // The LTI phase margin is atan(4) − atan(1/4): the zero sits at
+    // ω_UG/4 and the pole at 4·ω_UG, and the double integrator takes 180°.
+    let (_, pm) = reference_lti_margins()?;
+    let expected = (4f64.atan() - 0.25f64.atan()).to_degrees();
+    assert!((pm - expected).abs() < 1e-6, "{pm} vs {expected}");
     Ok(())
 }
 

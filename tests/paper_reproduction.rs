@@ -5,6 +5,7 @@
 
 use htmpll::core::{analyze, AnalysisReport, PllDesign, PllModel};
 use htmpll::htm::Truncation;
+use htmpll::lti::{bandwidth_3db_precomputed, margin_scan_grid};
 use htmpll::num::Complex;
 use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::sim::{measure_h00, MeasureOptions, SimConfig, SimParams};
@@ -56,7 +57,9 @@ fn fig6_shape_bandwidth_and_peaking() {
     let lti_model = PllModel::builder(PllDesign::reference_design(0.01).unwrap())
         .build()
         .unwrap();
-    let bw_lti = htmpll::lti::bandwidth_3db(|w| lti_model.h00_lti(w), 1e-4, 1e-4, 100.0)
+    let grid = margin_scan_grid(1e-4, 100.0);
+    let values: Vec<Complex> = grid.iter().map(|&w| lti_model.h00_lti(w)).collect();
+    let bw_lti = bandwidth_3db_precomputed(|w| lti_model.h00_lti(w), 1e-4, &grid, &values)
         .expect("LTI bandwidth");
     for (r, rep) in ratios.iter().zip(&reports) {
         let bw = rep.bandwidth_3db.expect("bandwidth");

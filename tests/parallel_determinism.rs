@@ -10,7 +10,7 @@ use htmpll::core::{
 };
 use htmpll::htm::Truncation;
 use htmpll::lti::bode_sweep;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::{par_map, Deadline, ThreadBudget};
 
 fn model(ratio: f64) -> PllModel {
     PllModel::builder(PllDesign::reference_design(ratio).unwrap())
@@ -74,8 +74,9 @@ fn lambda_grid_identical_across_thread_counts() {
 fn h00_and_bode_identical_across_thread_counts() {
     let m = model(0.15);
     let base = SweepSpec::log(1e-2, 3.0, 101).unwrap();
-    let seq = m.h00_grid(&base.clone().with_threads(1));
-    let par = m.h00_grid(&base.clone().with_threads(4));
+    let h00_grid = |threads| par_map(threads, base.grid.points(), |_, &w| m.h00(w));
+    let seq = h00_grid(ThreadBudget::Fixed(1));
+    let par = h00_grid(ThreadBudget::Fixed(4));
     for (a, b) in seq.iter().zip(&par) {
         assert_bits(a.re, b.re, "h00 re");
         assert_bits(a.im, b.im, "h00 im");

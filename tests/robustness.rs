@@ -14,6 +14,10 @@ use htmpll::lti::Tf;
 use htmpll::num::rng::Rng;
 use htmpll::num::{CMat, Complex, Lu, LuError, RobustLu, SolveStage};
 use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::requests::{Params, Request, MAX_TRANSIENT_PERIODS};
+use htmpll::service::{handle, Response, ServiceCtx};
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 fn model(ratio: f64) -> PllModel {
     PllModel::builder(PllDesign::reference_design(ratio).unwrap())
@@ -491,4 +495,99 @@ fn analysis_quality_summary_is_consistent() {
             "ratio {ratio}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Transient horizons: `step`/`hop` refuse what they cannot finish.
+// ---------------------------------------------------------------------
+
+/// Horizons the inversion integral cannot finish, or that have no
+/// meaning: each is a parse error, before any work starts.
+const BAD_TRANSIENT_ARGS: [&[&str]; 6] = [
+    &["--ratio", "0.1", "--until", "nan"],
+    &["--ratio", "0.1", "--until", "inf"],
+    &["--ratio", "0.1", "--until", "-5"],
+    &["--ratio", "0.1", "--points", "0"],
+    &["--ratio", "0.1", "--until", "4e7", "--points", "3"],
+    // The default 40 s horizon is 4·10⁸ periods of a 10 MHz loop.
+    &[
+        "--fref", "10e6", "--n", "64", "--kvco", "6.28e8", "--bw", "500e3",
+    ],
+];
+
+fn transient_params(args: &[&str]) -> Params {
+    Params::from_argv(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+}
+
+#[test]
+fn transient_horizons_outside_the_limits_are_rejected() {
+    for command in ["step", "hop"] {
+        for args in BAD_TRANSIENT_ARGS {
+            let err = Request::parse(command, &transient_params(args)).unwrap_err();
+            assert!(err.starts_with("--"), "{command} {args:?}: {err}");
+        }
+    }
+    // At the limit's edge the request parses; one step past it does not.
+    let periods = |points: usize| MAX_TRANSIENT_PERIODS / points as f64 - 25.0;
+    let t_ref = 1.0 / PllDesign::reference_design(0.1).unwrap().f_ref();
+    let until = |points| format!("{}", 0.999 * periods(points) * t_ref);
+    let over = |points| format!("{}", 1.001 * periods(points) * t_ref);
+    for points in [1usize, 40] {
+        let p = points.to_string();
+        let ok = ["--ratio", "0.1", "--points", &p, "--until", &until(points)];
+        assert!(Request::parse("hop", &transient_params(&ok)).is_ok());
+        let bad = ["--ratio", "0.1", "--points", &p, "--until", &over(points)];
+        assert!(Request::parse("hop", &transient_params(&bad)).is_err());
+    }
+}
+
+#[test]
+fn single_point_transient_returns_one_row() {
+    for command in ["step", "hop"] {
+        let args = ["--ratio", "0.1", "--points", "1", "--until", "4"];
+        let req = Request::parse(command, &transient_params(&args)).unwrap();
+        let out = match handle(&req, &ServiceCtx::new()) {
+            Response::Step(out) | Response::Hop(out) => out,
+            other => panic!("{command}: {other:?}"),
+        };
+        assert_eq!(out.ts, vec![4.0], "{command}");
+        assert_eq!(out.ys.len(), 1, "{command}");
+    }
+}
+
+#[test]
+fn cli_and_serve_reject_unbounded_transients_with_structured_errors() {
+    let exe = env!("CARGO_BIN_EXE_plltool");
+    for args in BAD_TRANSIENT_ARGS {
+        let out = Command::new(exe)
+            .arg("hop")
+            .args(args)
+            .output()
+            .expect("run plltool hop");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("--"), "{args:?}: {stderr}");
+    }
+    let mut child = Command::new(exe)
+        .args(["serve", "--deadline-ms", "200", "--workers", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn plltool serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            b"{\"id\":1,\"command\":\"hop\",\"params\":{\"ratio\":0.1,\"until\":1e308,\"points\":3}}\n",
+        )
+        .expect("write request");
+    let out = child.wait_with_output().expect("serve run");
+    assert!(out.status.success(), "serve exited nonzero");
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    assert!(
+        text.contains("\"code\":\"bad_request\"") && text.contains("\"retryable\":false"),
+        "{text}"
+    );
 }
