@@ -307,10 +307,9 @@ impl PllModel {
     /// `G̃ = u·𝟙ᵀ` with `u` = [`v_column`](PllModel::v_column).
     pub fn open_loop_htm(&self, s: Complex, trunc: Truncation) -> Htm {
         let n = trunc.dim();
-        let open = HtmRepr::RankOnePlus {
+        let open = HtmRepr::RankOne {
             u: self.column(s, trunc),
             v: vec![Complex::ONE; n],
-            shift: Complex::ZERO,
         };
         Htm::from_repr(trunc, self.design.omega_ref(), open)
     }

@@ -109,16 +109,6 @@ pub struct PointOutcome<T> {
 }
 
 impl<T> PointOutcome<T> {
-    /// A full-precision point.
-    pub fn exact(value: T) -> PointOutcome<T> {
-        PointOutcome {
-            value: Some(value),
-            quality: PointQuality::Exact,
-            cond: 0.0,
-            residual: 0.0,
-        }
-    }
-
     /// A failed point with a reason.
     pub fn failed(reason: impl Into<String>) -> PointOutcome<T> {
         PointOutcome {
@@ -263,6 +253,16 @@ impl fmt::Display for QualitySummary {
 mod tests {
     use super::*;
 
+    /// A full-precision point.
+    fn exact(value: f64) -> PointOutcome<f64> {
+        PointOutcome {
+            value: Some(value),
+            quality: PointQuality::Exact,
+            cond: 0.0,
+            residual: 0.0,
+        }
+    }
+
     #[test]
     fn verdict_predicates() {
         assert!(PointQuality::Exact.is_usable());
@@ -284,7 +284,7 @@ mod tests {
     fn summary_counts_and_worst_cases() {
         let grid = GridOutcome {
             points: vec![
-                PointOutcome::exact(1.0),
+                exact(1.0),
                 PointOutcome {
                     value: Some(2.0),
                     quality: PointQuality::Refined,
@@ -312,11 +312,11 @@ mod tests {
     #[test]
     fn strict_collapse_errors_on_failed() {
         let ok: GridOutcome<f64> = GridOutcome {
-            points: vec![PointOutcome::exact(1.0), PointOutcome::exact(2.0)],
+            points: vec![exact(1.0), exact(2.0)],
         };
         assert_eq!(ok.into_strict().unwrap(), vec![1.0, 2.0]);
         let bad: GridOutcome<f64> = GridOutcome {
-            points: vec![PointOutcome::exact(1.0), PointOutcome::failed("pole")],
+            points: vec![exact(1.0), PointOutcome::failed("pole")],
         };
         let err = bad.into_strict().unwrap_err();
         assert!(err.to_string().contains("pole"), "{err}");

@@ -134,15 +134,6 @@ impl SweepSpec {
         Ok(SweepSpec::new(FrequencyGrid::log(start, stop, n)?))
     }
 
-    /// Linearly spaced sweep over `[start, stop]` with `n` points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GridError`] for bad endpoints or point counts.
-    pub fn linear(start: f64, stop: f64, n: usize) -> Result<SweepSpec, GridError> {
-        Ok(SweepSpec::new(FrequencyGrid::linear(start, stop, n)?))
-    }
-
     /// Sets the truncation policy (a fixed [`Truncation`] coerces).
     #[must_use]
     pub fn with_truncation(mut self, trunc: impl Into<TruncationSpec>) -> SweepSpec {

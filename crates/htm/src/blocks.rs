@@ -105,21 +105,6 @@ impl MultiplierHtm {
         assert!(omega0 > 0.0, "fundamental frequency must be positive");
         MultiplierHtm { coeffs, omega0 }
     }
-
-    /// Multiplication by a constant `c` (only `P₀` nonzero).
-    pub fn constant(c: f64, omega0: f64) -> Self {
-        MultiplierHtm::from_fourier(vec![Complex::from_re(c)], omega0)
-    }
-
-    /// Fourier coefficient `P_k` (zero outside the stored range).
-    pub fn coeff(&self, k: i64) -> Complex {
-        let half = (self.coeffs.len() / 2) as i64;
-        if k.abs() <= half {
-            self.coeffs[(k + half) as usize]
-        } else {
-            Complex::ZERO
-        }
-    }
 }
 
 impl HtmBlock for MultiplierHtm {
@@ -181,10 +166,9 @@ impl HtmBlock for SamplerHtm {
         Htm::from_repr(
             trunc,
             self.omega0,
-            HtmRepr::RankOnePlus {
+            HtmRepr::RankOne {
                 u: vec![w; n],
                 v: vec![Complex::ONE; n],
-                shift: Complex::ZERO,
             },
         )
     }
@@ -335,7 +319,7 @@ mod tests {
 
     #[test]
     fn multiplier_constant_is_scaled_identity() {
-        let blk = MultiplierHtm::constant(3.0, W0);
+        let blk = MultiplierHtm::from_fourier(vec![Complex::from_re(3.0)], W0);
         let t = Truncation::new(1);
         let h = blk.htm(Complex::ZERO, t);
         for n in t.harmonics() {
@@ -431,6 +415,9 @@ mod tests {
         assert_eq!(LtiHtm::new(Tf::one(), W0).omega0(), W0);
         assert_eq!(SamplerHtm::new(W0).omega0(), W0);
         assert_eq!(VcoHtm::time_invariant(1.0, W0).omega0(), W0);
-        assert_eq!(MultiplierHtm::constant(1.0, W0).omega0(), W0);
+        assert_eq!(
+            MultiplierHtm::from_fourier(vec![Complex::ONE], W0).omega0(),
+            W0
+        );
     }
 }

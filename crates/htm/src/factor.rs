@@ -3,8 +3,9 @@
 //! [`Htm::closed_loop_factored_robust`](crate::Htm::closed_loop_factored_robust)
 //! dispatches on the open loop's [`HtmRepr`]:
 //!
-//! * **rank one** (`G = u·vᵀ`, the sampling-PFD loop) — Sherman–Morrison
-//!   closed form, O(n): `(I+uvᵀ)⁻¹uvᵀ = u·vᵀ/(1+λ)` with `λ = vᵀu`;
+//! * **rank one** ([`HtmRepr::RankOne`], `G = u·vᵀ`, the sampling-PFD
+//!   loop) — Sherman–Morrison closed form, O(n):
+//!   `(I+uvᵀ)⁻¹uvᵀ = u·vᵀ/(1+λ)` with `λ = vᵀu`, returned rank one;
 //! * **diagonal** — per-band reciprocal `g/(1+g)`, O(n);
 //! * **everything else** (banded Toeplitz, dense) — the classic
 //!   escalating dense ladder, O(n³). With a sampling PFD the open loop
@@ -44,7 +45,7 @@ pub(crate) fn closed_loop_robust(g: &Htm) -> Result<ClosedLoop, LuError> {
         return Err(LuError::NonFinite);
     }
     let path = match g.repr() {
-        HtmRepr::RankOnePlus { shift, .. } if *shift == Complex::ZERO => "rank-one",
+        HtmRepr::RankOne { .. } => "rank-one",
         HtmRepr::Diagonal(_) => "diagonal",
         _ => "dense",
     };
@@ -52,7 +53,7 @@ pub(crate) fn closed_loop_robust(g: &Htm) -> Result<ClosedLoop, LuError> {
         format!("dispatch{{path={path},dim={n}}}")
     });
     match g.repr() {
-        HtmRepr::RankOnePlus { u, v, shift } if *shift == Complex::ZERO => rank_one_path(g, u, v),
+        HtmRepr::RankOne { u, v } => rank_one_path(g, u, v),
         HtmRepr::Diagonal(d) => diagonal_path(g, d),
         _ => dense_path(g),
     }
@@ -105,10 +106,9 @@ fn rank_one_path(g: &Htm, u: &[Complex], v: &[Complex]) -> Result<ClosedLoop, Lu
     let cl = Htm::from_repr(
         g.truncation(),
         g.omega0(),
-        HtmRepr::RankOnePlus {
+        HtmRepr::RankOne {
             u: cl_u,
             v: v.to_vec(),
-            shift: Complex::ZERO,
         },
     );
     Ok((cl, report))
@@ -199,10 +199,9 @@ mod tests {
         Htm::from_repr(
             t,
             2.0,
-            HtmRepr::RankOnePlus {
+            HtmRepr::RankOne {
                 u: (0..n).map(|i| c(0.2 * i as f64 + 0.1, 0.05)).collect(),
                 v: (0..n).map(|i| c(0.6 - 0.1 * i as f64, -0.02)).collect(),
-                shift: Complex::ZERO,
             },
         )
     }
@@ -222,7 +221,7 @@ mod tests {
         let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(report.stages_tried, vec![SolveStage::Structured]);
         assert!(report.residual < 1e-12, "residual {}", report.residual);
-        assert!(matches!(cl.repr(), HtmRepr::RankOnePlus { .. }));
+        assert!(matches!(cl.repr(), HtmRepr::RankOne { .. }));
         let reference = dense_reference(&g);
         assert!(cl.as_matrix().max_diff(reference.as_matrix()) < 1e-12);
     }
@@ -253,15 +252,7 @@ mod tests {
         let u = vec![Complex::ONE; n];
         let mut v = vec![Complex::ZERO; n];
         v[0] = Complex::from_re(-1.0);
-        let g = Htm::from_repr(
-            t,
-            1.0,
-            HtmRepr::RankOnePlus {
-                u,
-                v,
-                shift: Complex::ZERO,
-            },
-        );
+        let g = Htm::from_repr(t, 1.0, HtmRepr::RankOne { u, v });
         let (cl, report) = g.closed_loop_factored_robust().unwrap();
         assert_eq!(report.stages_tried.first(), Some(&SolveStage::Structured));
         assert!(report.stages_tried.len() > 1, "{:?}", report.stages_tried);

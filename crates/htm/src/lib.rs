@@ -13,9 +13,8 @@
 //!
 //! * [`Truncation`] — symmetric harmonic truncation bookkeeping.
 //! * [`Htm`] — one evaluation of a truncated HTM, with band-indexed
-//!   accessors, the composition operators (`*` is series, `+` is
-//!   parallel; paper eq. 10–11), the dense closed-loop reference and
-//!   the structure-aware closed-loop solve.
+//!   accessors, the series connection `*` (paper eq. 11), the dense
+//!   closed-loop reference and the structure-aware closed-loop solve.
 //! * [`blocks`] — the building blocks: LTI (diagonal), periodic
 //!   multiplier (Toeplitz), sampling PFD (rank one), and the
 //!   ISF-integrator VCO model.

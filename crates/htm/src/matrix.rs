@@ -8,9 +8,9 @@
 //! around `nω₀` (paper eq. 5/9 and Fig. 2).
 //!
 //! Storage is an [`HtmRepr`]: the structured variants (diagonal, banded
-//! Toeplitz, rank one) carry O(n) data and compose without densifying;
-//! a dense `(2K+1)²` matrix is materialized lazily only when a consumer
-//! actually asks for it ([`Htm::as_matrix`]).
+//! Toeplitz, rank one) carry O(n) data, and a block applied to a rank-one
+//! HTM stays rank one; a dense `(2K+1)²` matrix is materialized lazily
+//! only when a consumer actually asks for it ([`Htm::as_matrix`]).
 //!
 //! ```
 //! use htmpll_htm::{Htm, Truncation};
@@ -26,7 +26,7 @@ use crate::repr::HtmRepr;
 use crate::trunc::Truncation;
 use htmpll_num::{CMat, Complex, Lu, LuError, SolveReport};
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
+use std::ops::Mul;
 use std::sync::OnceLock;
 
 /// A truncated harmonic transfer matrix evaluated at one Laplace point.
@@ -101,15 +101,6 @@ impl Htm {
         )
     }
 
-    /// The zero HTM.
-    pub fn zero(trunc: Truncation, omega0: f64) -> Self {
-        Htm::from_repr(
-            trunc,
-            omega0,
-            HtmRepr::Diagonal(vec![Complex::ZERO; trunc.dim()]),
-        )
-    }
-
     /// The truncation this HTM was evaluated under.
     pub fn truncation(&self) -> Truncation {
         self.trunc
@@ -128,8 +119,8 @@ impl Htm {
     /// Borrows a dense view of the matrix. For structured
     /// representations the dense matrix is materialized on first call
     /// and cached (an `htm.repr.densify` counter records the
-    /// escalation); band accessors ([`Htm::band`], [`Htm::sum_entries`], …)
-    /// never trigger this.
+    /// escalation); [`Htm::band`] and [`Htm::is_finite`] never trigger
+    /// this.
     pub fn as_matrix(&self) -> &CMat {
         if let HtmRepr::Dense(m) = &self.repr {
             return m;
@@ -170,14 +161,6 @@ impl Htm {
             .index_of(m)
             .expect("input harmonic outside truncation");
         self.repr.entry(self.trunc.dim(), i, j)
-    }
-
-    /// Sum of all elements, `𝟙ᵀ H̃ 𝟙` — the scalar that becomes the
-    /// effective open-loop gain `λ(s)` when applied to
-    /// `H̃_VCO·H̃_LF` (paper eq. 33). Computed on the structured
-    /// storage (O(n·b) for banded, O(n) for diagonal/rank-one).
-    pub fn sum_entries(&self) -> Complex {
-        self.repr.sum_entries(self.trunc.dim())
     }
 
     /// Scales every element, preserving the structured representation.
@@ -285,42 +268,13 @@ impl fmt::Display for Htm {
     }
 }
 
-impl Add for &Htm {
-    type Output = Htm;
-    /// Parallel connection `y = H₁[u] + H₂[u]` (paper eq. 10) —
-    /// structure-propagating (see [`HtmRepr::add`]).
-    fn add(self, rhs: &Htm) -> Htm {
-        self.assert_compatible(rhs);
-        Htm::from_repr(
-            self.trunc,
-            self.omega0,
-            self.repr.add(&rhs.repr, self.trunc.dim()),
-        )
-    }
-}
-
-impl Sub for &Htm {
-    type Output = Htm;
-    fn sub(self, rhs: &Htm) -> Htm {
-        self.assert_compatible(rhs);
-        // a − b ≡ a + (−1·b) bitwise in IEEE arithmetic, and the latter
-        // rides the structure-propagating add lattice.
-        Htm::from_repr(
-            self.trunc,
-            self.omega0,
-            self.repr
-                .add(&rhs.repr.scale(-Complex::ONE), self.trunc.dim()),
-        )
-    }
-}
-
 impl Mul for &Htm {
     type Output = Htm;
     /// Series connection: `self * rhs` is the system "`rhs` first, then
     /// `self`" — matrix order matches operator order (paper eq. 11:
-    /// `H̃∘ = H̃₂ H̃₁` for `y = H₂[H₁[u]]`). Structure-propagating
-    /// (see [`HtmRepr::mul`]): diagonal·banded stays banded,
-    /// anything·rank-one stays rank one.
+    /// `H̃∘ = H̃₂ H̃₁` for `y = H₂[H₁[u]]`). A block applied to a
+    /// rank-one HTM stays rank one; any other product is dense (see
+    /// [`HtmRepr::mul`]).
     ///
     /// ```
     /// use htmpll_htm::{HtmBlock, LtiHtm, SamplerHtm, Truncation};
@@ -380,14 +334,11 @@ mod tests {
         let h = sample(t);
         assert_eq!(&id * &h, h);
         assert_eq!(&h * &id, h);
-        let z = Htm::zero(t, 2.0);
-        assert_eq!(&h + &z, h);
-        assert_eq!(&h - &h, z);
     }
 
     #[test]
     fn structured_identity_is_diagonal() {
-        // identity/zero carry O(n) storage now, and equality is
+        // identity carries O(n) storage, and equality is
         // representation-independent.
         let t = Truncation::new(3);
         let id = Htm::identity(t, 2.0);
@@ -395,13 +346,6 @@ mod tests {
         let dense_id = Htm::from_matrix(t, 2.0, CMat::identity(t.dim()));
         assert_eq!(id, dense_id);
         assert_eq!(dense_id, id);
-    }
-
-    #[test]
-    fn sum_entries_is_lambda_shape() {
-        let t = Truncation::new(1);
-        let h = Htm::from_fn(t, 1.0, |_, _| Complex::from_re(0.5));
-        assert!(h.sum_entries().approx_eq(Complex::from_re(4.5), 1e-14));
     }
 
     #[test]
@@ -476,7 +420,7 @@ mod tests {
     fn incompatible_truncations_rejected() {
         let a = Htm::identity(Truncation::new(1), 1.0);
         let b = Htm::identity(Truncation::new(2), 1.0);
-        let _ = &a + &b;
+        let _ = &a * &b;
     }
 
     #[test]

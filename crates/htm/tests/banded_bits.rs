@@ -1,11 +1,10 @@
-//! Bit pins for the banded-Toeplitz mat-vecs: `HtmRepr::mul_vec` and
-//! the transposed product reached through `(u·vᵀ)·B = u·(Bᵀv)ᵀ`, with
+//! Bit pins for the banded-Toeplitz mat-vec `HtmRepr::mul_vec`, with
 //! and without a per-row scale, for bands narrower than the matrix and
 //! for bands wider than it.
 //!
 //! Each digest hashes the exact IEEE-754 bit patterns of the products
-//! (FNV-1a), so a change in the accumulation order of any row or column
-//! changes a digest here. Inputs come from the seeded in-repo PRNG.
+//! (FNV-1a), so a change in the accumulation order of any row changes a
+//! digest here. Inputs come from the seeded in-repo PRNG.
 //! Every digest was computed while the diagonal passes still ran
 //! through dispatched SIMD kernels.
 
@@ -39,45 +38,23 @@ fn write_all(h: &mut Fnv1a, zs: &[Complex]) {
     }
 }
 
-fn digest(scaled: bool, transposed: bool) -> String {
-    let mut rng = Rng::seed_from_u64(0xBA2D_ED00 + 2 * scaled as u64 + transposed as u64);
+fn digest(scaled: bool) -> String {
+    let mut rng = Rng::seed_from_u64(0xBA2D_ED00 + 2 * scaled as u64);
     let mut h = Fnv1a::new();
     for (n, b) in SHAPES {
         let a = banded(&mut rng, n, b, scaled);
         let x = vector(&mut rng, n);
-        if transposed {
-            let left = HtmRepr::RankOnePlus {
-                u: vector(&mut rng, n),
-                v: x,
-                shift: Complex::ZERO,
-            };
-            match left.mul(&a, n) {
-                HtmRepr::RankOnePlus { v, .. } => write_all(&mut h, &v),
-                other => panic!("rank one · banded left the lattice: {}", other.kind_name()),
-            }
-        } else {
-            write_all(&mut h, &a.mul_vec(n, &x));
-        }
+        write_all(&mut h, &a.mul_vec(n, &x));
     }
     format!("{:016x}", h.finish())
 }
 
 #[test]
 fn mul_vec_bits_pinned() {
-    assert_eq!(digest(false, false), "25871a3cab6775ad");
+    assert_eq!(digest(false), "25871a3cab6775ad");
 }
 
 #[test]
 fn mul_vec_row_scaled_bits_pinned() {
-    assert_eq!(digest(true, false), "af262dc0afdafe9e");
-}
-
-#[test]
-fn transpose_mul_vec_bits_pinned() {
-    assert_eq!(digest(false, true), "8b9e5804ca1b5875");
-}
-
-#[test]
-fn transpose_mul_vec_row_scaled_bits_pinned() {
-    assert_eq!(digest(true, true), "ca2f88b2703432b6");
+    assert_eq!(digest(true), "af262dc0afdafe9e");
 }

@@ -14,7 +14,7 @@
 //! assert!((g.points()[2] - 1.0).abs() < 1e-12);
 //! ```
 
-use htmpll_num::optim::{lin_grid, log_grid};
+use htmpll_num::optim::log_grid;
 use std::fmt;
 
 /// Error building a [`FrequencyGrid`].
@@ -49,23 +49,6 @@ pub struct FrequencyGrid {
 }
 
 impl FrequencyGrid {
-    /// `n ≥ 2` linearly spaced points on `[start, stop]`.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError::TooFewPoints`] / [`GridError::EmptyRange`].
-    pub fn linear(start: f64, stop: f64, n: usize) -> Result<FrequencyGrid, GridError> {
-        if n < 2 {
-            return Err(GridError::TooFewPoints);
-        }
-        if start.partial_cmp(&stop) != Some(std::cmp::Ordering::Less) {
-            return Err(GridError::EmptyRange);
-        }
-        Ok(FrequencyGrid {
-            points: lin_grid(start, stop, n),
-        })
-    }
-
     /// `n ≥ 2` logarithmically spaced points on `[start, stop]`,
     /// `0 < start < stop`.
     ///
@@ -140,13 +123,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_endpoints() {
-        let g = FrequencyGrid::linear(1.0, 3.0, 5).unwrap();
-        assert_eq!(g.points(), &[1.0, 1.5, 2.0, 2.5, 3.0]);
-        assert!(!g.is_empty());
-    }
-
-    #[test]
     fn log_matches_log_grid() {
         let g = FrequencyGrid::log(0.01, 100.0, 9).unwrap();
         assert_eq!(g.points(), log_grid(0.01, 100.0, 9).as_slice());
@@ -155,12 +131,8 @@ mod tests {
     #[test]
     fn error_cases() {
         assert_eq!(
-            FrequencyGrid::linear(0.0, 1.0, 1).unwrap_err(),
+            FrequencyGrid::log(1.0, 2.0, 1).unwrap_err(),
             GridError::TooFewPoints
-        );
-        assert_eq!(
-            FrequencyGrid::linear(2.0, 1.0, 4).unwrap_err(),
-            GridError::EmptyRange
         );
         assert_eq!(
             FrequencyGrid::log(0.0, 1.0, 4).unwrap_err(),

@@ -114,16 +114,6 @@ impl CMat {
         &self.data
     }
 
-    /// Returns entry `(i, j)` or `None` when out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> Option<Complex> {
-        if i < self.rows && j < self.cols {
-            Some(self.data[i * self.cols + j])
-        } else {
-            None
-        }
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -176,11 +166,6 @@ impl CMat {
                     .fold(Complex::ZERO, |acc, (a, b)| acc + *a * *b)
             })
             .collect()
-    }
-
-    /// Sum of all entries — the HTM scalar `λ(s) = 𝟙ᵀ H 𝟙`.
-    pub fn sum_entries(&self) -> Complex {
-        self.data.iter().copied().sum()
     }
 
     /// Max-entry (Chebyshev) norm.
@@ -453,8 +438,6 @@ mod tests {
     fn indexing_and_accessors() {
         let m = CMat::from_fn(2, 3, |i, j| c(i as f64, j as f64));
         assert_eq!(m[(1, 2)], c(1.0, 2.0));
-        assert_eq!(m.get(1, 2), Some(c(1.0, 2.0)));
-        assert_eq!(m.get(2, 0), None);
         assert_eq!(m.row(1), &[c(1.0, 0.0), c(1.0, 1.0), c(1.0, 2.0)]);
         assert_eq!(m.col(2), vec![c(0.0, 2.0), c(1.0, 2.0)]);
         assert!(!m.is_square());
@@ -506,7 +489,6 @@ mod tests {
     fn outer_product_is_rank_one_shape() {
         let ones = vec![Complex::ONE; 3];
         let m = CMat::outer(&ones, &ones);
-        assert_eq!(m.sum_entries(), c(9.0, 0.0));
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(m[(i, j)], Complex::ONE);

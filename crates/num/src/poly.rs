@@ -131,16 +131,6 @@ impl Poly {
         Poly::new(self.coeffs.iter().map(|&c| c * k).collect())
     }
 
-    /// Multiplies by `x^k` (shifts coefficients up).
-    pub fn mul_xk(&self, k: usize) -> Poly {
-        if self.is_zero() {
-            return Poly::zero();
-        }
-        let mut coeffs = vec![0.0; k];
-        coeffs.extend_from_slice(&self.coeffs);
-        Poly::new(coeffs)
-    }
-
     /// Euclidean division: returns `(quotient, remainder)` with
     /// `self = quotient·divisor + remainder` and
     /// `deg(remainder) < deg(divisor)`.
@@ -325,13 +315,6 @@ mod tests {
         assert_eq!(p.derivative().coeffs(), &[0.0, 6.0, 3.0]);
         assert!(Poly::constant(4.0).derivative().is_zero());
         assert_eq!(p.scale(2.0).coeffs(), &[10.0, 0.0, 6.0, 2.0]);
-    }
-
-    #[test]
-    fn mul_xk_shifts() {
-        let p = Poly::new(vec![1.0, 2.0]);
-        assert_eq!(p.mul_xk(2).coeffs(), &[0.0, 0.0, 1.0, 2.0]);
-        assert!(Poly::zero().mul_xk(3).is_zero());
     }
 
     #[test]

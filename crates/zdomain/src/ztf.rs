@@ -60,22 +60,6 @@ impl Zf {
         Ok(Zf { num, den })
     }
 
-    /// The constant (memoryless) gain.
-    pub fn constant(k: f64) -> Zf {
-        Zf {
-            num: Poly::constant(k),
-            den: Poly::constant(1.0),
-        }
-    }
-
-    /// A pure delay `z^{-k}` expressed as `1/z^k`.
-    pub fn delay(k: usize) -> Zf {
-        Zf {
-            num: Poly::constant(1.0),
-            den: Poly::constant(1.0).mul_xk(k),
-        }
-    }
-
     /// Numerator polynomial (ascending powers of `z`).
     pub fn num(&self) -> &Poly {
         &self.num
@@ -274,7 +258,7 @@ mod tests {
     #[test]
     fn algebra() {
         let a = Zf::new(Poly::new(vec![1.0]), Poly::new(vec![-0.5, 1.0])).unwrap();
-        let b = Zf::constant(2.0);
+        let b = Zf::new(Poly::constant(2.0), Poly::constant(1.0)).unwrap();
         let z = Complex::new(0.3, 0.4);
         assert!(((&a * &b).eval(z) - a.eval(z) * 2.0).abs() < 1e-13);
         assert!(((&a + &b).eval(z) - (a.eval(z) + 2.0)).abs() < 1e-13);
@@ -286,12 +270,5 @@ mod tests {
         let t = 0.1;
         let v = h.eval_jw(std::f64::consts::PI / t, t); // Nyquist: z = −1
         assert!((v.re - (-1.0 / -1.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_element() {
-        let d = Zf::delay(2);
-        let z = Complex::from_re(2.0);
-        assert!((d.eval(z) - Complex::from_re(0.25)).abs() < 1e-14);
     }
 }

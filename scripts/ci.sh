@@ -177,7 +177,7 @@ pub_named=$(find src crates tests examples benchmark/src -name '*.rs' -not -path
     | while IFS= read -r f; do strip_rs "$f"; done \
     | sed -E 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
 pub_unused=$(comm -23 <(echo "$pub_defined") <(echo "$pub_named"))
-pub_allowed=$(grep -vE '^(#|$)' scripts/pub_allowlist.txt || true)
+pub_allowed=$(grep -vE '^(#|$|[A-Za-z_][A-Za-z0-9_]*::)' scripts/pub_allowlist.txt || true)
 pub_fail=0
 while IFS= read -r name; do
     [ -z "$name" ] && continue
@@ -199,6 +199,93 @@ if [ "$pub_fail" -ne 0 ]; then
     exit 1
 fi
 echo "public-item audit ok ($(grep -c . <<< "$pub_unused") allow-listed pub fn with no caller)"
+
+# The name match above cannot see an associated function whose name a
+# called function elsewhere shares (`Zf::constant` beside
+# `Poly::constant`). So every `pub fn` of an inherent `impl Type` block
+# (at the top level of a file under crates/*/src or src) whose
+# signature takes no `self` must also be named as `Type::name` over
+# src, crates, tests, examples and benchmark/src, or as `Self::name` in
+# its own file, after the same stripping as above. Each one that is not
+# must be in scripts/pub_allowlist.txt as "Type::name: reason", and
+# each such line there must still name one.
+echo "==> public-item audit (associated pub fn with no Type::name path)"
+assoc_defs() {
+    awk '
+        function impl_type(line,    rest, depth, i, c) {
+            rest = substr(line, 5)
+            gsub(/->/, "", rest)
+            if (substr(rest, 1, 1) == "<") {
+                depth = 0
+                for (i = 1; i <= length(rest); i++) {
+                    c = substr(rest, i, 1)
+                    if (c == "<") depth++
+                    else if (c == ">" && --depth == 0) break
+                }
+                rest = substr(rest, i + 1)
+            }
+            sub(/^[ \t]+/, "", rest)
+            if (rest ~ /[ \t]for[ \t]/) return ""
+            match(rest, /^[A-Za-z_][A-Za-z0-9_:]*/)
+            rest = substr(rest, RSTART, RLENGTH)
+            sub(/.*::/, "", rest)
+            return rest
+        }
+        function emit() {
+            if (sig !~ /(^|[^A-Za-z0-9_])self([^A-Za-z0-9_]|$)/) print ty "::" name
+            sig = ""
+        }
+        /^impl[ <]/ { ty = impl_type($0); next }
+        /^\}/ { ty = ""; next }
+        sig != "" {
+            sig = sig " " $0
+            if ($0 ~ /[{;]/) emit()
+            next
+        }
+        ty != "" && match($0, /^[ \t]*pub (const )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.*fn /, "", name)
+            sig = $0
+            if ($0 ~ /[{;]/) emit()
+            next
+        }
+    '
+}
+assoc_defined=$(find crates/*/src src -name '*.rs' | sort | while IFS= read -r f; do
+    stripped=$(strip_rs "$f")
+    assoc_defs <<< "$stripped" | while IFS= read -r path; do
+        grep -qE "\bSelf::${path#*::}\b" <<< "$stripped" || echo "$path"
+    done
+done | sort -u)
+# Every adjacent pair of a `a::b::c` path, so `$crate::Type::name`
+# names `Type::name`.
+assoc_named=$(find src crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort \
+    | while IFS= read -r f; do strip_rs "$f"; done \
+    | grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+    | awk -F'::' '{ for (i = 1; i < NF; i++) print $i "::" $(i + 1) }' | sort -u)
+assoc_unused=$(comm -23 <(echo "$assoc_defined") <(echo "$assoc_named"))
+assoc_allowed=$(grep -E '^[A-Za-z_][A-Za-z0-9_]*::' scripts/pub_allowlist.txt || true)
+assoc_fail=0
+while IFS= read -r path; do
+    [ -z "$path" ] && continue
+    if ! grep -qE "^${path}: .+" <<< "$assoc_allowed"; then
+        echo "public-item audit: associated pub fn \`$path\` is never named as $path and has no line in scripts/pub_allowlist.txt" >&2
+        assoc_fail=1
+    fi
+done <<< "$assoc_unused"
+while IFS= read -r line; do
+    [ -z "$line" ] && continue
+    if ! grep -qxF "${line%%: *}" <<< "$assoc_unused"; then
+        echo "public-item audit: stale line in scripts/pub_allowlist.txt (is named, or is gone):" >&2
+        echo "  $line" >&2
+        assoc_fail=1
+    fi
+done <<< "$assoc_allowed"
+if [ "$assoc_fail" -ne 0 ]; then
+    echo "public-item audit failed: delete the function or allow-list it as 'Type::name: reason'; delete stale lines" >&2
+    exit 1
+fi
+echo "public-item audit ok ($(grep -c . <<< "$assoc_unused") allow-listed associated pub fn never named by path)"
 
 echo "==> plltool doctor smoke"
 doctorjson=$(mktemp)

@@ -313,13 +313,13 @@ impl Response {
             Response::Step(s) => {
                 let _ = writeln!(t, "{:>12} {:>12}", "t", "theta/step");
                 for (tt, y) in s.ts.iter().zip(&s.ys) {
-                    let _ = writeln!(t, "{tt:12.4} {y:12.5}");
+                    let _ = writeln!(t, "{} {y:12.5}", time_cell(*tt));
                 }
             }
             Response::Hop(h) => {
                 let _ = writeln!(t, "{:>12} {:>14}", "t", "tracking error");
                 for (tt, e) in h.ts.iter().zip(&h.ys) {
-                    let _ = writeln!(t, "{tt:12.4} {e:14.5e}");
+                    let _ = writeln!(t, "{} {e:14.5e}", time_cell(*tt));
                 }
             }
             Response::Spur(s) => render_spur(&mut t, s),
@@ -604,6 +604,17 @@ fn render_sweep(t: &mut String, s: &SweepOut) {
             r.phase_margin_lti_deg,
             if r.beyond_sampling_limit { "YES" } else { "" }
         );
+    }
+}
+
+/// A `step`/`hop` time, 12 wide: fixed point with four decimals, or
+/// scientific below 0.1 s so a physical design's microsecond times do
+/// not all print as `0.0000`.
+fn time_cell(t: f64) -> String {
+    if t != 0.0 && t.abs() < 0.1 {
+        format!("{t:12.4e}")
+    } else {
+        format!("{t:12.4}")
     }
 }
 

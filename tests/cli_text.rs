@@ -74,6 +74,27 @@ fn cli_text_and_envelopes_keep_their_bytes() {
     assert!(wrong.is_empty(), "{wrong}");
 }
 
+/// A physical design's step times are microseconds: each printed time
+/// must read as its own nonzero value, not `0.0000`.
+#[test]
+fn physical_step_prints_distinct_nonzero_times() {
+    let line = "step --fref 10e6 --n 64 --kvco 6.28e8 --bw 500e3 --until 5e-6";
+    let resp = handle(&parse(line), &ServiceCtx::new());
+    assert_eq!(resp.failure(), None, "{line}");
+    let text = resp.render_text();
+    let times: Vec<f64> = text
+        .lines()
+        .skip(1)
+        .map(|l| {
+            let cell = l.split_whitespace().next().expect("a time column");
+            cell.parse().expect("a number")
+        })
+        .collect();
+    assert!(times.len() > 1, "{text}");
+    assert!(times.iter().all(|&t| t > 0.0), "{text}");
+    assert!(times.windows(2).all(|w| w[0] < w[1]), "{text}");
+}
+
 #[test]
 fn canonical_json_keeps_its_bytes() {
     let physical = "--fref 10e6 --n 64 --kvco 6.283e8 --bw 500e3 --spread 3 --ctotal 2e-9";

@@ -62,11 +62,13 @@ fn write_c(h: &mut Fnv1a, z: Complex) {
 fn write_repr(h: &mut Fnv1a, repr: &HtmRepr, n: usize) {
     h.write_str(repr.kind_name());
     match repr {
-        HtmRepr::RankOnePlus { u, v, shift } => {
+        HtmRepr::RankOne { u, v } => {
             for &z in u.iter().chain(v) {
                 write_c(h, z);
             }
-            write_c(h, *shift);
+            // The slot of the identity shift the rank-one form once
+            // carried, always zero; hashed so the digests keep their bits.
+            write_c(h, Complex::ZERO);
         }
         other => {
             let m = other.to_dense(n);
@@ -114,25 +116,14 @@ fn open_loop_assembly_matches_block_product_bitwise() {
         ] {
             let want = &vco.htm(s, trunc) * &(&lf.htm(s, trunc) * &pfd.htm(s, trunc));
             let got = model.open_loop_htm(s, trunc);
-            let (
-                HtmRepr::RankOnePlus {
-                    u: wu,
-                    v: wv,
-                    shift: ws,
-                },
-                HtmRepr::RankOnePlus {
-                    u: gu,
-                    v: gv,
-                    shift: gs,
-                },
-            ) = (want.repr(), got.repr())
+            let (HtmRepr::RankOne { u: wu, v: wv }, HtmRepr::RankOne { u: gu, v: gv }) =
+                (want.repr(), got.repr())
             else {
                 panic!("open loop must stay rank one: {}", got.repr().kind_name());
             };
             let tag = format!("ratio={ratio} isf={with_isf} delay={with_delay} s={s}");
             assert_eq!(bits(wu), bits(gu), "u differs: {tag}");
             assert_eq!(bits(wv), bits(gv), "v differs: {tag}");
-            assert_eq!(bits(&[*ws]), bits(&[*gs]), "shift differs: {tag}");
             write_repr(&mut h, got.repr(), n);
         }
     }
