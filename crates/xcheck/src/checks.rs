@@ -15,6 +15,7 @@
 //! | `jury-vs-nyquist` | Jury test vs HTM-Nyquist verdict | same stability boundary |
 //! | `strip-roots-vs-winding` | roots of `1 + λ` in `z` vs winding count of `1 + λ` | argument principle on the period strip |
 //! | `crossing-consistency` | analysis margins vs direct λ | `\|λ(jω_UG,eff)\| = 1` |
+//! | `margins-vs-scan` | analysis margins vs the 2,048-point margin scans | same brackets, same bits |
 //! | `sim-h00` | multitone simulation vs `H₀,₀` | paper Fig. 6 |
 //! | `sim-spur` | Goertzel on sim trace vs `LeakageSpurs` | reference-spur closed form |
 //! | `sim-psd-parseval` | PSD of sim record vs its mean square | Parseval |
@@ -31,7 +32,8 @@ use crate::corpus::{corpus, Scenario};
 use crate::report::{CheckResult, ScenarioReport, Verdict, XcheckReport};
 use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
-    analyze, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign, PllModel, SweepCache,
+    analyze, scan_margins, AnalysisReport, CoreError, KernelPolicy, LeakageSpurs, PllDesign,
+    PllModel, SweepCache,
 };
 use htmpll_htm::Truncation;
 use htmpll_lti::TfError;
@@ -473,6 +475,39 @@ fn check_crossing(model: &PllModel, report: &AnalysisReport) -> Vec<CheckResult>
     ]
 }
 
+/// The margins `analyze` reports against the 2,048-point scans of
+/// [`scan_margins`]. Both locate each crossing by Brent on the same
+/// grid cells, so they must agree to the bit: the deviation is the
+/// number of fields (four margins and the sampling-limit flag) whose
+/// bits differ, and any difference is a mismatch.
+fn check_margins_vs_scan(
+    model: &PllModel,
+    report: &AnalysisReport,
+) -> Result<CheckResult, XcheckError> {
+    let scan = scan_margins(model, ThreadBudget::Fixed(1), &Deadline::none())?;
+    let flag = |b: bool| b as u8 as f64;
+    let pairs = [
+        (report.omega_ug_lti, scan.lti.omega_ug),
+        (report.phase_margin_lti_deg, scan.lti.phase_margin_deg),
+        (report.omega_ug_eff, scan.eff.omega_ug),
+        (report.phase_margin_eff_deg, scan.eff.phase_margin_deg),
+        (
+            flag(report.beyond_sampling_limit),
+            flag(scan.beyond_sampling_limit),
+        ),
+    ];
+    let differ = |(a, b): &&(f64, f64)| a.to_bits() != b.to_bits();
+    let deviation = pairs.iter().filter(differ).count() as f64;
+    let values = pairs.iter().find(differ).copied().unwrap_or(pairs[2]);
+    let stacks = "core::analyze vs core::scan_margins";
+    Ok(CheckResult {
+        check: "margins-vs-scan",
+        stacks,
+        deviation,
+        verdict: ladder(deviation, 0.0, 0.0, "bitwise", stacks, values),
+    })
+}
+
 /// Time-domain leg: multitone-simulated `H₀,₀` against the closed form.
 /// Agreement is statistical — finite pulse width (the impulse-PFD
 /// idealization, paper Fig. 4) and finite-record tone extraction bound
@@ -656,6 +691,7 @@ pub fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     // Analysis crossover vs λ, and the two stability verdicts.
     let report = analyze_serial(&model)?;
     checks.extend(check_crossing(&model, &report));
+    checks.push(check_margins_vs_scan(&model, &report)?);
     checks.push(check_strip_roots_vs_winding(&model, &report)?);
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).

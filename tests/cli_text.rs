@@ -30,17 +30,17 @@ fn digest(s: &str) -> String {
 
 /// `command line  render_text digest  envelope digest`, one per line.
 const PINS: &str = "
-analyze --ratio 0.1                                    75b59393e72a03f2 292117e16bebeb55
-analyze --ratio 0.1 --pfd sh                           22b8e76d3a412960 0c7b302e41c7221f
-analyze --ratio 0.1 --symbolic x                       f88e5e6fe510f75b d7da7c8002e505de
-sweep --from 0.05 --to 0.15 --points 3                 9985c0ec97b9d059 d773cb5390362eba
+analyze --ratio 0.1                                    75b59393e72a03f2 4a7b66ff610294b0
+analyze --ratio 0.1 --pfd sh                           22b8e76d3a412960 35335e8b95392c0a
+analyze --ratio 0.1 --symbolic x                       f88e5e6fe510f75b 91a517c507d83ab7
+sweep --from 0.05 --to 0.15 --points 3                 9985c0ec97b9d059 d942524cc6df12ab
 bode --ratio 0.1 --points 9                            2ca04f21fa61af55 73b6ac43be76a254
 bode --ratio 0.1 --points 9 --lambda x                 cf2829effaf969c3 fb68f1b1fe4956c8
 step --ratio 0.15 --points 5 --until 20                797e939f4b34d30c aac132113c1077b9
 spur --ratio 0.1                                       9a819ad2af93f0ed f5080ff965fd1295
 optimize --min-pm 50 --from 0.05 --to 0.15 --points 4  dadfb17af07a9c4b ac3bd6ad1f8ef2ed
 hop --ratio 0.15 --points 5 --until 25                 de3ff130976a413e cc4fbdff0224b3c3
-explore --candidates 64 --seed 7 --refine 0            49432cdd8a5e1188 a86d507a63454c06
+explore --candidates 64 --seed 7 --refine 0            49432cdd8a5e1188 74e06fad600034cd
 doctor --threads 1                                     d4c01ac555db6556 0d655cdc4a27b3ae
 ";
 
