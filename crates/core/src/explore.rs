@@ -385,7 +385,11 @@ pub fn candidate_params(seed: u64, index: u64, quasi: bool) -> DesignParams {
 /// loop filter for the target crossover, then rebuild with the scaled
 /// charge-pump current (keeping the synthesized filter), which detunes
 /// the true crossover and margin away from the design target.
-fn build_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
+///
+/// # Errors
+///
+/// The synthesis or builder failure for an unrealizable point.
+pub fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
     let omega_ug = p.ratio * 2.0 * std::f64::consts::PI * EXPLORE_F_REF;
     let base = PllDesign::synthesize(EXPLORE_F_REF, p.divider, KVCO, omega_ug, p.spread, C_TOTAL)?;
     if p.icp_scale == 1.0 {
@@ -485,7 +489,7 @@ fn evaluate(
     ws: &mut ExploreWorkspace,
     quality: &mut QualitySummary,
 ) -> Outcome {
-    let design = match build_design(p) {
+    let design = match candidate_design(p) {
         Ok(d) => d,
         Err(_) => return Outcome::Failed,
     };

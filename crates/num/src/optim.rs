@@ -139,18 +139,21 @@ pub fn find_brackets<F: FnMut(f64) -> f64>(mut f: F, grid: &[f64]) -> Vec<(f64, 
     let mut prev: Option<(f64, f64)> = None;
     for &x in grid {
         let fx = f(x);
-        if !fx.is_finite() {
-            prev = None;
-            continue;
-        }
         if let Some((px, pfx)) = prev {
-            if pfx == 0.0 || pfx.signum() != fx.signum() {
+            if straddles(pfx, fx) {
                 out.push((px, x));
             }
         }
-        prev = Some((x, fx));
+        prev = fx.is_finite().then_some((x, fx));
     }
     out
+}
+
+/// [`find_brackets`]' rule for one grid cell with endpoint values `fa`
+/// (left) and `fb` (right): both finite, and a sign change or an exact
+/// zero at the left edge.
+pub fn straddles(fa: f64, fb: f64) -> bool {
+    fa.is_finite() && fb.is_finite() && (fa == 0.0 || fa.signum() != fb.signum())
 }
 
 /// Builds a logarithmically spaced grid of `n ≥ 2` points from `a` to `b`
@@ -163,9 +166,14 @@ pub fn log_grid(a: f64, b: f64, n: usize) -> Vec<f64> {
     assert!(a > 0.0 && b > 0.0, "log grid endpoints must be positive");
     assert!(n >= 2, "log grid needs at least two points");
     let (la, lb) = (a.ln(), b.ln());
-    (0..n)
-        .map(|k| (la + (lb - la) * k as f64 / (n - 1) as f64).exp())
-        .collect()
+    (0..n).map(|k| log_grid_point(la, lb, k, n)).collect()
+}
+
+/// Point `k` of [`log_grid`]`(a, b, n)` from `la = ln a` and
+/// `lb = ln b`: [`log_grid`] computes every point with this formula, so
+/// a point computed alone has the bits of the same point in the grid.
+pub fn log_grid_point(la: f64, lb: f64, k: usize, n: usize) -> f64 {
+    (la + (lb - la) * k as f64 / (n - 1) as f64).exp()
 }
 
 /// Builds a linearly spaced grid of `n ≥ 2` points from `a` to `b`.
@@ -256,6 +264,16 @@ mod tests {
         // the sign flip across the pole at π/2 must not create a bracket
         // because the neighboring samples are masked non-finite.
         assert!(brs.is_empty(), "{brs:?}");
+    }
+
+    #[test]
+    fn straddles_is_the_bracket_rule() {
+        assert!(straddles(-1.0, 1.0));
+        assert!(straddles(0.0, 1.0));
+        assert!(!straddles(1.0, 0.0));
+        assert!(!straddles(1.0, 2.0));
+        assert!(!straddles(f64::NAN, 1.0));
+        assert!(!straddles(-1.0, f64::INFINITY));
     }
 
     #[test]
