@@ -337,16 +337,19 @@ impl Mul for &CMat {
 }
 
 /// Matrix exponential `e^A` by scaling-and-squaring with a diagonal
-/// Padé(6,6) approximant.
+/// Padé(6,6) approximant, after balancing.
 ///
-/// Kept only as a test reference on well-scaled inputs; no library path
-/// calls it. The scaling count comes from the matrix norm, so a badly
-/// scaled matrix loses its small entries: on the loop generator of a
-/// 10 MHz loop in SI units
-/// (`PllDesign::synthesize(10e6, 240, 2π·100e6, 2π·1e5, 4, 1e-9)` over
-/// `T/32`, entries from 1 to 2.5e23·dt) it returned 1.0 for an entry
-/// that is `e^{−0.00785}` = 0.99218. The simulator propagates with a
-/// per-component Taylor series instead.
+/// A badly scaled matrix — the loop generator of a 10 MHz loop in SI
+/// units has entries from 1 to 2.5e23·dt — first gets a diagonal
+/// similarity `B = D⁻¹·A·D` (Parlett–Reinsch balancing) that brings its row and
+/// column norms together, so the norm that sets the number of
+/// squarings is no longer dominated by one huge entry that says nothing
+/// about the small ones. `D` holds powers of two, so the similarity and
+/// its inverse `e^A = D·e^B·D⁻¹` round nothing, and a matrix that needs
+/// no balancing is exponentiated with exactly the old operations. The
+/// scaling `2^{−s}` is an `f64` power of two, so no norm overflows it.
+/// The simulator propagates with a per-component Taylor series instead;
+/// this is a test reference.
 ///
 /// # Errors
 ///
@@ -364,14 +367,67 @@ pub fn expm(a: &CMat) -> Result<CMat, crate::lu::LuError> {
     if n == 0 {
         return Ok(CMat::zeros(0, 0));
     }
+    let d = balance(a);
+    if d.iter().all(|&di| di == 1.0) {
+        return expm_scaled(a);
+    }
+    let similar = |m: &CMat, inverse: bool| {
+        CMat::from_fn(n, n, |i, j| {
+            let f = if inverse { d[i] / d[j] } else { d[j] / d[i] };
+            m[(i, j)].scale(f)
+        })
+    };
+    Ok(similar(&expm_scaled(&similar(a, false))?, true))
+}
+
+/// Most sweeps [`balance`] makes over the matrix.
+const BALANCE_SWEEPS: usize = 32;
+
+/// The diagonal `d` (powers of two) of the balancing similarity
+/// `D⁻¹·A·D`, by the Parlett–Reinsch iteration: per index `i`, with
+/// `c` and `r` the off-diagonal 1-norms of column and row `i` of the
+/// current `D⁻¹·A·D`, scale by the power of two `f` nearest `√(r/c)`
+/// when that cuts `c + r` to `c·f + r/f < 0.95·(c + r)`. All ones when
+/// no index gains that much.
+fn balance(a: &CMat) -> Vec<f64> {
+    let n = a.rows();
+    let mut d = vec![1.0f64; n];
+    for _ in 0..BALANCE_SWEEPS {
+        let mut changed = false;
+        for i in 0..n {
+            let (mut c, mut r) = (0.0, 0.0);
+            for j in (0..n).filter(|&j| j != i) {
+                c += a[(j, i)].abs() * (d[i] / d[j]);
+                r += a[(i, j)].abs() * (d[j] / d[i]);
+            }
+            if c == 0.0 || r == 0.0 {
+                continue;
+            }
+            let k = ((r / c).log2() / 2.0).round().clamp(-256.0, 256.0);
+            let f = 2f64.powi(k as i32);
+            if c * f + r / f < 0.95 * (c + r) {
+                d[i] *= f;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    d
+}
+
+/// [`expm`] of a finite, square, nonempty `a` without balancing.
+fn expm_scaled(a: &CMat) -> Result<CMat, crate::lu::LuError> {
+    let n = a.rows();
     // Scale so ‖A/2^s‖ is comfortably inside the Padé(6,6) radius.
     let norm = a.norm_one();
     let s = if norm > 0.5 {
-        (norm / 0.5).log2().ceil().max(0.0) as u32
+        (norm / 0.5).log2().ceil().max(0.0) as i32
     } else {
         0
     };
-    let scaled = a.scale(crate::complex::Complex::from_re(1.0 / (1u64 << s) as f64));
+    let scaled = a.scale(crate::complex::Complex::from_re(0.5f64.powi(s)));
 
     // Padé(6,6): N(A) = Σ c_k A^k, D(A) = Σ c_k (−A)^k with
     // c_k = 6!·(12−k)! / (12!·k!·(6−k)!).
@@ -579,6 +635,41 @@ mod tests {
                 < 1e-6 * Complex::new(8.0, 3.0).exp().abs()
         );
         assert!((e[(1, 1)] - Complex::from_re((-10.0f64).exp())).abs() < 1e-10);
+    }
+
+    #[test]
+    fn expm_of_a_huge_nilpotent_entry_is_exact() {
+        // ‖A‖₁ = 1e20 > 2⁶³·0.5 needs 68 squarings: the scaling is an
+        // f64 power of two, not a shifted u64.
+        let a = CMat::from_rows(2, 2, &[c(0.0, 0.0), c(1e20, 0.0), c(0.0, 0.0), c(0.0, 0.0)]);
+        let e = expm(&a).unwrap();
+        let want = [c(1.0, 0.0), c(1e20, 0.0), c(0.0, 0.0), c(1.0, 0.0)];
+        for (k, w) in want.iter().enumerate() {
+            assert_eq!(e[(k / 2, k % 2)], *w, "entry {k}");
+        }
+    }
+
+    #[test]
+    fn balancing_leaves_no_rounding() {
+        // D⁻¹·A·D with D = diag(1, 2^40): the similarity is exact, so
+        // the badly scaled matrix gets the well-scaled one's bits.
+        let well = CMat::from_rows(
+            2,
+            2,
+            &[c(-1.0, 0.0), c(0.5, 0.0), c(0.5, 0.0), c(-2.0, 0.0)],
+        );
+        let f = 2f64.powi(40);
+        let bad = CMat::from_rows(
+            2,
+            2,
+            &[c(-1.0, 0.0), c(0.5 * f, 0.0), c(0.5 / f, 0.0), c(-2.0, 0.0)],
+        );
+        assert_eq!(balance(&well), vec![1.0, 1.0]);
+        let (e_well, e_bad) = (expm(&well).unwrap(), expm(&bad).unwrap());
+        assert_eq!(e_bad[(0, 0)], e_well[(0, 0)]);
+        assert_eq!(e_bad[(1, 1)], e_well[(1, 1)]);
+        assert_eq!(e_bad[(0, 1)], e_well[(0, 1)].scale(f));
+        assert_eq!(e_bad[(1, 0)], e_well[(1, 0)].scale(1.0 / f));
     }
 
     #[test]

@@ -489,6 +489,41 @@ mod tests {
     }
 
     #[test]
+    fn expm_matches_the_propagator_on_a_badly_scaled_si_loop() {
+        // The loop generator of a 10 MHz loop in SI units over T/32 has
+        // entries from 1 to 2.5e23·dt; unbalanced, the Padé exponential
+        // returned 1.0 for an entry that is e^{−0.00785} = 0.99218.
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let d = htmpll_core::PllDesign::synthesize(
+            10e6,
+            240.0,
+            two_pi * 100e6,
+            two_pi * 1e5,
+            4.0,
+            1e-9,
+        )
+        .unwrap();
+        let ss = StateSpace::from_tf(&d.filter().impedance());
+        let dt = 1.0 / d.f_ref() / 32.0;
+        let p = Propagator::new(&ss, d.kvco() / two_pi, dt);
+        let n = ss.order();
+        let mut out = vec![0.0; n + 1];
+        // Every column of e^{M·dt}: each filter state, then the charge.
+        for j in 0..=n {
+            let mut x = vec![0.0; n];
+            let i = if j < n {
+                x[j] = 1.0;
+                0.0
+            } else {
+                1.0
+            };
+            p.whole_step(&x, i, 0.0, &mut out);
+            let want = expm_reference(&p, dt, &x, i, 0.0);
+            assert_close(&out, &want, 1e-12, &format!("column {j}"));
+        }
+    }
+
+    #[test]
     fn propagator_halves_segments_its_series_cannot_span() {
         // a·h = 30 is past what the series reaches in MAX_TAYLOR_TERMS
         // terms, so it halves; the precomputed whole step does too.

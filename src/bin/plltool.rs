@@ -20,7 +20,9 @@
 
 use htmpll::requests::{Params, Request, RequestId};
 use htmpll::service::{envelope, handle, serve_lines, Response, ServeOptions, ServiceCtx};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str =
     "usage: plltool <analyze|sweep|bode|step|spur|optimize|explore|hop|doctor|xcheck|metrics|trace|profile|serve|chaos|figures> [--key value ...]
@@ -92,6 +94,26 @@ const USAGE: &str =
    \"quality\":...[,\"metrics\":...]} — the same document shape serve
   emits per line";
 
+/// Writes `text` to standard output. A reader that hangs up early
+/// (`plltool bode ... | head -1`) turns this and every later write into
+/// a no-op, as serve does for a vanished client: the command still
+/// finishes, writes its `--json` files and exits with its own status,
+/// where `print!` would panic. Any other write error is returned.
+fn emit(text: &str) -> Result<(), String> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        r => r.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
 /// Parses and executes one non-wrapper command through the service
 /// layer: print the human rendering, then write the optional envelope
 /// files, then surface the command's failure (if any) for exit 2.
@@ -121,15 +143,15 @@ fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
     let _fault_scope =
         htmpll::fault::scope_guard(Some(htmpll::fault::fnv64(req.canonical_json().as_bytes())));
     let resp = handle(&req, &ctx);
-    print!("{}", resp.render_text());
+    emit(&resp.render_text())?;
 
     if let Some(path) = params.str_opt("json") {
         let doc = envelope(&resp, &RequestId::None, None);
         std::fs::write(&path, &doc).map_err(|e| format!("--json {path}: {e}"))?;
         if matches!(resp, Response::Metrics(_)) {
-            println!("\nwrote {path}");
+            emit(&format!("\nwrote {path}\n"))?;
         } else {
-            println!("wrote {path}");
+            emit(&format!("wrote {path}\n"))?;
         }
     }
     if let Some(path) = &metrics_path {
@@ -166,17 +188,16 @@ fn cmd_trace(inner: &str, params: &Params) -> Result<(), String> {
     htmpll::obs::validate_json(&json).map_err(|e| format!("internal: trace JSON invalid: {e}"))?;
     std::fs::write(&out, &json).map_err(|e| format!("--out {out}: {e}"))?;
     let targets: std::collections::BTreeSet<&str> = trace.events.iter().map(|e| e.cat).collect();
-    println!(
-        "trace : {} events ({} shed) from targets [{}]",
+    emit(&format!(
+        "trace : {} events ({} shed) from targets [{}]\nwrote {out}\n",
         trace.events.len(),
         trace.dropped,
         targets.into_iter().collect::<Vec<_>>().join(", ")
-    );
-    println!("wrote {out}");
+    ))?;
     if let Some(path) = params.str_opt("folded") {
         std::fs::write(&path, htmpll::obs::flamegraph_folded(&trace))
             .map_err(|e| format!("--folded {path}: {e}"))?;
-        println!("wrote {path}");
+        emit(&format!("wrote {path}\n"))?;
     }
     result
 }
@@ -192,7 +213,7 @@ fn cmd_chaos(params: &Params) -> Result<(), String> {
         plan: params.str_opt("plan"),
     };
     let report = htmpll::service::run_chaos(&opts)?;
-    print!("{}", report.render_table());
+    emit(&report.render_table())?;
     if report.ok() {
         Ok(())
     } else {
@@ -210,8 +231,7 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
         [id] => id.as_str(),
         _ => return Err(format!("figures takes one id\n{USAGE}")),
     };
-    print!("{}", htmpll::figures::render(id)?);
-    Ok(())
+    emit(&htmpll::figures::render(id)?)
 }
 
 /// The `serve` front end: stdin→stdout JSONL by default, a Unix socket

@@ -16,7 +16,7 @@ use htmpll::num::{CMat, Complex, Lu, LuError, RobustLu, SolveStage};
 use htmpll::par::{Deadline, ThreadBudget};
 use htmpll::requests::{Params, Request, MAX_TRANSIENT_PERIODS};
 use htmpll::service::{handle, Response, ServiceCtx};
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::process::{Command, Stdio};
 
 fn model(ratio: f64) -> PllModel {
@@ -590,4 +590,33 @@ fn cli_and_serve_reject_unbounded_transients_with_structured_errors() {
         text.contains("\"code\":\"bad_request\"") && text.contains("\"retryable\":false"),
         "{text}"
     );
+}
+
+// ---------------------------------------------------------------------
+// A reader that hangs up early.
+// ---------------------------------------------------------------------
+
+/// `plltool bode ... | head -1`: the reader takes one line and closes
+/// the pipe while plltool still has most of its output to write. The
+/// rest is dropped quietly; no panic, no exit code 101.
+#[test]
+fn closed_stdout_pipe_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plltool"))
+        .args(["bode", "--ratio", "0.1", "--points", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn plltool bode");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader is dropped here: the pipe closes with ~100 kB unread,
+    // more than a pipe buffer holds.
+    assert!(!first.is_empty());
+    let out = child.wait_with_output().expect("plltool exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
