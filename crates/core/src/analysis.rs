@@ -28,8 +28,8 @@ use crate::lambda::{strip_stable, EffectiveGain};
 use crate::quality::{PointQuality, QualitySummary};
 use crate::sweep::{compute_dense, KernelPolicy};
 use htmpll_lti::{
-    bandwidth_3db_precomputed, lti_crossings, margin_scan_grid, margins_near,
-    peaking_db_precomputed, stability_margins_precomputed, Crossings, MarginError, Margins,
+    lti_crossings, margin_scan_grid, margin_scan_points, margins_near,
+    stability_margins_precomputed, ClosedLoopScan, Crossings, MarginError, Margins,
 };
 use htmpll_num::{Complex, Poly};
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
@@ -303,29 +303,35 @@ fn band_edge_fallback(
 /// decides `nyquist_stable`; the closed-loop `H₀,₀` scan spans
 /// `[ω_UG·10⁻⁴, 100·ω_UG]`.
 ///
-/// Every scan grid is evaluated on the `htmpll-par` pool under
-/// `threads` and the extractors run over the precomputed values, so the
-/// report is **bitwise-identical for any thread count**.
+/// The `H₀,₀` scan is one pass on the calling thread
+/// ([`ClosedLoopScan`]): each of its 2,048 grid points evaluates
+/// `A(jω)`, `λ(jω)` and `H₀,₀(jω)` once and feeds the bandwidth, the
+/// peaking, the LTI peaking and the quality count, bitwise what the
+/// two-pass extractors give over the full grid. `threads` reaches only
+/// a margin scan, which runs on the `htmpll-par` pool when root finding
+/// fails; either way the report is **bitwise-identical for any thread
+/// count**.
 ///
-/// The one dense closed-loop probe at the effective crossover is solved
-/// uncached: on the rank-one sampling-PFD loop it is a Sherman–Morrison
-/// closed form of a few microseconds, and distinct designs never share
-/// a probe point (repeated requests are answered whole by serve's
-/// response cache), so a cache here would only add a lookup.
+/// `quality` counts each `H₀,₀` scan point (a non-finite value as
+/// failed) plus one dense closed-loop probe at the effective crossover.
+/// The probe is solved uncached: on the rank-one sampling-PFD loop it
+/// is a Sherman–Morrison closed form of a few microseconds, and
+/// distinct designs never share a probe point (repeated requests are
+/// answered whole by serve's response cache), so a cache here would
+/// only add a lookup.
 ///
-/// The root path checks `deadline` once per margin set, and every scan
-/// (the `H₀,₀` scan, and a margin scan when root finding fails) is
-/// cancellable under it. The extractors need the *whole* scan to
-/// bracket crossings, so analysis has no partial-result mode: the
-/// deadline either leaves enough budget for a full report or the
+/// `deadline` is checked once per margin set on the root path (or per
+/// point of a fallback margin scan), then once per `H₀,₀` scan point
+/// under the phase `"closed-loop"`. The extractors need the *whole*
+/// scan to bracket crossings, so analysis has no partial-result mode:
+/// the deadline either leaves enough budget for a full report or the
 /// analysis fails retryably. [`Deadline::none`] never expires.
 ///
 /// # Errors
 ///
-/// [`CoreError::DeadlineExceeded`] (naming the scan phase) when the
-/// budget expires mid-scan; otherwise propagates margin-extraction
-/// failures (e.g. a loop so slow/fast that no unity crossing exists in
-/// the scan window).
+/// [`CoreError::DeadlineExceeded`] (naming the phase) when the budget
+/// expires; otherwise propagates margin-extraction failures (e.g. a
+/// loop so slow/fast that no unity crossing exists in the scan window).
 pub fn analyze(
     model: &PllModel,
     threads: ThreadBudget,
@@ -346,47 +352,33 @@ pub fn analyze(
     // H₀,₀(jω) = A(jω)/(1+λ(jω)) is a valid transfer function at any ω
     // (λ is entire along the axis except the aliased-integrator poles at
     // mω₀, where H₀,₀ has physical notches) — scan past the band edge so
-    // wideband fast loops still report a −3 dB point. One grid, one
-    // parallel evaluation, shared by the bandwidth and peaking
-    // extractors (the legacy path evaluated it once per extractor).
-    // The scan keeps each A(jω) — the same bits as `model.h00(ω)`'s
-    // numerator — for the LTI closed loop A/(1+A) on the same grid.
+    // wideband fast loops still report a −3 dB point. One pass on this
+    // thread evaluates each grid point once and feeds its A(jω) — the
+    // same bits as `model.h00(ω)`'s numerator — and H₀,₀(jω) to the
+    // bandwidth, both peakings and the quality count. The −3 dB target
+    // and the peaking reference each take their own `model.h00(w_ref)`,
+    // as the two-pass extractors did, so the λ evaluation count is theirs.
     let w_ref = lti.omega_ug * SCAN_DECADES_DOWN;
-    let h00_scan_hi = 100.0 * lti.omega_ug;
-    let h_grid = margin_scan_grid(w_ref, h00_scan_hi);
-    let (a_vals, h_vals): (Vec<Complex>, Vec<Complex>) = scan_or_deadline(
-        par_map_cancellable(threads, &h_grid, deadline, |_, &w| {
-            let aw = a.eval_jw(w);
-            (aw, aw / (Complex::ONE + axis.eval(w)))
-        }),
-        "closed-loop",
-    )?
-    .into_iter()
-    .unzip();
-    let bw = bandwidth_3db_precomputed(|w| model.h00(w), w_ref, &h_grid, &h_vals);
-    let pk = peaking_db_precomputed(|w| model.h00(w), w_ref, &h_vals);
-    let hlti_vals = scan_or_deadline(
-        par_map_cancellable(threads, &a_vals, deadline, |_, &aw| {
-            aw / (Complex::ONE + aw)
-        }),
-        "LTI closed-loop",
-    )?;
-    let pk_lti = peaking_db_precomputed(|w| model.h00_lti(w), w_ref, &hlti_vals);
+    let mut scan = ClosedLoopScan::new(model.h00(w_ref));
+    for w in margin_scan_points(w_ref, 100.0 * lti.omega_ug) {
+        if deadline.expired() {
+            return Err(CoreError::DeadlineExceeded {
+                phase: "closed-loop",
+            });
+        }
+        let aw = a.eval_jw(w);
+        scan.push(w, aw, aw / (Complex::ONE + axis.eval(w)));
+    }
+    let cl = scan.finish(|w| model.h00(w), |w| model.h00_lti(w), w_ref);
 
     // Quality roll-up: every H₀,₀ scan point (non-finite → failed),
     // plus one dense closed-loop probe at the effective crossover for a
     // representative condition estimate of the truncated I+G̃ solves.
-    let mut quality = QualitySummary::default();
-    for v in &h_vals {
-        let q = if v.re.is_finite() && v.im.is_finite() {
-            PointQuality::Exact
-        } else {
-            PointQuality::Failed {
-                reason: "non-finite scan value".into(),
-            }
-        };
-        quality.absorb(&q, 0.0, 0.0);
-    }
+    let mut quality = QualitySummary {
+        exact: cl.points - cl.non_finite,
+        failed: cl.non_finite,
+        ..QualitySummary::default()
+    };
     let probe_trunc = model.resolve_truncation(htmpll_htm::TruncationSpec::default());
     match compute_dense(
         model,
@@ -404,9 +396,9 @@ pub fn analyze(
         phase_margin_lti_deg: lti.phase_margin_deg,
         omega_ug_eff: eff.omega_ug,
         phase_margin_eff_deg: eff.phase_margin_deg,
-        bandwidth_3db: bw,
-        peaking_db: pk,
-        peaking_lti_db: pk_lti,
+        bandwidth_3db: cl.bandwidth_3db,
+        peaking_db: cl.peaking_db,
+        peaking_lti_db: cl.peaking_lti_db,
         nyquist_stable: strip_stable(&z.0, &z.1),
         beyond_sampling_limit,
         quality,
@@ -516,6 +508,26 @@ mod tests {
             err.to_string().starts_with(crate::quality::DEADLINE_REASON),
             "{err}"
         );
+    }
+
+    #[test]
+    fn deadline_in_the_closed_loop_pass() {
+        // One check per margin set (2), then one per H₀,₀ scan point
+        // (2,048): a budget of 2 to 2,049 checks runs out in the pass,
+        // and 2,050 is enough for the whole report.
+        let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
+            .build()
+            .unwrap();
+        let run = |n| analyze(&m, ThreadBudget::Fixed(1), &Deadline::after_checks(n));
+        for n in [2, 1_000, 2_049] {
+            match run(n) {
+                Err(CoreError::DeadlineExceeded { phase }) => assert_eq!(phase, "closed-loop"),
+                other => panic!("{n} checks: {other:?}"),
+            }
+        }
+        // `{:?}` prints every f64 so that it reads back to the same bits.
+        let full = analyze(&m, ThreadBudget::Fixed(1), &Deadline::none()).unwrap();
+        assert_eq!(format!("{:?}", run(2_050).unwrap()), format!("{full:?}"));
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub use delay::pade_delay;
 pub use filters::{ChargePumpFilter2, ChargePumpFilter3, FilterError};
 pub use grid::{FrequencyGrid, GridError};
 pub use margins::{
-    bandwidth_3db_precomputed, lti_crossings, margin_scan_grid, margins_near,
-    peaking_db_precomputed, stability_margins, stability_margins_precomputed, Crossings,
-    MarginError, Margins,
+    bandwidth_3db_precomputed, lti_crossings, margin_scan_grid, margin_scan_points, margins_near,
+    peaking_db_precomputed, stability_margins, stability_margins_precomputed, ClosedLoopScan,
+    ClosedLoopSummary, Crossings, MarginError, Margins,
 };
 pub use pfe::{Pfe, PfeTerm};
 pub use stability::{is_hurwitz, routh, RouthResult};

@@ -76,6 +76,13 @@ pub fn margin_scan_grid(wmin: f64, wmax: f64) -> Vec<f64> {
     log_grid(wmin, wmax, SCAN_POINTS)
 }
 
+/// The points of [`margin_scan_grid`]`(wmin, wmax)`, bit for bit and in
+/// order, computed one at a time instead of collected.
+pub fn margin_scan_points(wmin: f64, wmax: f64) -> impl Iterator<Item = f64> {
+    let (la, lb) = (wmin.ln(), wmax.ln());
+    (0..SCAN_POINTS).map(move |k| log_grid_point(la, lb, k, SCAN_POINTS))
+}
+
 /// Replays `values[i]` for the `i`-th evaluation request; the scans
 /// below visit grid points exactly once, in order.
 fn replay<'a>(
@@ -369,6 +376,197 @@ pub fn peaking_db_precomputed<F: FnMut(f64) -> Complex>(
     20.0 * (peak / base).log10()
 }
 
+/// Relative distance from the −3 dB target, or from the running peak,
+/// within which [`ClosedLoopScan`] computes a point's exact magnitude:
+/// far above the few-ulp error of a squared magnitude, far below any
+/// gap the scan resolves.
+const EXACT_BAND: f64 = 1e-9;
+
+/// Whether a squared magnitude `sq` lies where its square root is a
+/// normal number and squaring lost nothing: `1e-300 ≤ sq ≤ 1e300`
+/// (false for zero, NaN and ±∞ too).
+fn in_safe_range(sq: f64) -> bool {
+    (1e-300..=1e300).contains(&sq)
+}
+
+/// [`bandwidth_3db_precomputed`] and [`peaking_db_precomputed`] of a
+/// closed loop `h = a/(1 + λ)`, and the peaking of its LTI counterpart
+/// `a/(1 + a)`, in one pass over the scan points: call
+/// [`push`](ClosedLoopScan::push) once per grid point in grid order,
+/// then [`finish`](ClosedLoopScan::finish). No value is kept per
+/// point, and the results are bitwise the two-pass extractors' over the
+/// same grid and values.
+///
+/// A point is judged by squared magnitudes, which cost no square root
+/// or logarithm: the bandwidth brackets take the sign of
+/// `|h|² − target²`, and the peaks compare `|h|²` and `|a|²/|1 + a|²`
+/// with the largest seen so far. Those comparisons decide the same as
+/// the exact values unless two magnitudes nearly tie, so the exact
+/// `ln(|h|/target)`, `|h|` or `|a/(1 + a)|` is computed only for the
+/// peak itself, for a point within 10⁻⁹ (relative) of the target or
+/// of the running peak, and for a point whose squared magnitude is
+/// zero, non-finite or outside `[1e-300, 1e300]`.
+#[derive(Debug, Clone)]
+pub struct ClosedLoopScan {
+    /// `|h(w_ref)|/√2`, or `None` when that is zero or not finite (no
+    /// bandwidth, as in [`bandwidth_3db_precomputed`]).
+    target: Option<f64>,
+    /// `target²` when it is [`in_safe_range`]; otherwise every point
+    /// takes the exact logarithm.
+    target_sq: Option<f64>,
+    /// The previous point and its bracket value (NaN before the first):
+    /// a non-finite value brackets nothing ([`straddles`]), as in
+    /// [`find_brackets`].
+    prev: (f64, f64),
+    brackets: Vec<(f64, f64)>,
+    peak: Peak<Complex>,
+    /// `a/(1 + a)` as the pair `(a, 1 + a)`.
+    peak_lti: Peak<(Complex, Complex)>,
+    points: usize,
+    non_finite: usize,
+}
+
+/// A running maximum of exact magnitudes that computes the magnitude
+/// of a point only when its squared magnitude `sq` cannot rank it: the
+/// point with the largest in-range `sq` is held as `best` (its
+/// magnitude taken at the end, or when a larger point displaces it
+/// while within [`EXACT_BAND`] of it), and any other point enters
+/// `abs` only when it is within the band of the largest `sq` or out of
+/// range. A point it drops lies clearly below a point it keeps, and the
+/// magnitude is monotone in the true `|·|²`, so the maximum is that of
+/// every point.
+#[derive(Debug, Clone, Copy)]
+struct Peak<T> {
+    /// The largest exact magnitude folded in (NaN ignored, as by
+    /// `f64::max`), `best`'s excluded.
+    abs: f64,
+    /// The largest in-range squared magnitude, `best`'s.
+    sq: f64,
+    best: Option<T>,
+    /// The exact magnitude of a point.
+    exact: fn(T) -> f64,
+}
+
+impl<T: Copy> Peak<T> {
+    fn new(exact: fn(T) -> f64) -> Peak<T> {
+        Peak {
+            abs: 0.0,
+            sq: 0.0,
+            best: None,
+            exact,
+        }
+    }
+
+    /// Folds in the point `v` of squared magnitude `sq`.
+    fn fold(&mut self, sq: f64, v: T) {
+        if !in_safe_range(sq) {
+            self.abs = self.abs.max((self.exact)(v));
+        } else if sq > self.sq {
+            if let Some(old) = self.best.replace(v) {
+                if self.sq >= sq * (1.0 - EXACT_BAND) {
+                    self.abs = self.abs.max((self.exact)(old));
+                }
+            }
+            self.sq = sq;
+        } else if sq >= self.sq * (1.0 - EXACT_BAND) {
+            self.abs = self.abs.max((self.exact)(v));
+        }
+    }
+
+    /// The largest exact magnitude of every point folded in.
+    fn max(&self) -> f64 {
+        self.best
+            .map_or(self.abs, |b| self.abs.max((self.exact)(b)))
+    }
+}
+
+/// What a [`ClosedLoopScan`] found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClosedLoopSummary {
+    /// The −3 dB bandwidth of `h` ([`bandwidth_3db_precomputed`]).
+    pub bandwidth_3db: Option<f64>,
+    /// The peaking of `h`, dB ([`peaking_db_precomputed`]).
+    pub peaking_db: f64,
+    /// The peaking of `a/(1 + a)`, dB ([`peaking_db_precomputed`]).
+    pub peaking_lti_db: f64,
+    /// Points pushed.
+    pub points: usize,
+    /// Points where `h` had a non-finite component.
+    pub non_finite: usize,
+}
+
+impl ClosedLoopScan {
+    /// A scan whose −3 dB target is `|h_ref|/√2`, `h_ref` being `h` at
+    /// the reference frequency.
+    pub fn new(h_ref: Complex) -> ClosedLoopScan {
+        let target = h_ref.abs() / std::f64::consts::SQRT_2;
+        let target = (target != 0.0 && target.is_finite()).then_some(target);
+        ClosedLoopScan {
+            target,
+            target_sq: target.map(|t| t * t).filter(|&t2| in_safe_range(t2)),
+            prev: (f64::NAN, f64::NAN),
+            brackets: Vec::new(),
+            peak: Peak::new(Complex::abs),
+            peak_lti: Peak::new(|(a, d)| (a / d).abs()),
+            points: 0,
+            non_finite: 0,
+        }
+    }
+
+    /// Folds in the next grid point `w` with the open-loop value `a`
+    /// and the closed-loop value `h` there.
+    pub fn push(&mut self, w: f64, a: Complex, h: Complex) {
+        self.points += 1;
+        if !(h.re.is_finite() && h.im.is_finite()) {
+            self.non_finite += 1;
+        }
+        let sq = h.norm_sqr();
+        if let Some(target) = self.target {
+            let g = match self.target_sq {
+                Some(t2) if in_safe_range(sq) && (sq - t2).abs() > EXACT_BAND * t2 => {
+                    (sq - t2).signum()
+                }
+                _ => (h.abs() / target).ln(),
+            };
+            if straddles(self.prev.1, g) {
+                self.brackets.push((self.prev.0, w));
+            }
+            self.prev = (w, g);
+        }
+        self.peak.fold(sq, h);
+        // Should |a|² or |1 + a|² overflow or underflow, their quotient
+        // is 0, ∞, NaN or beyond 1e300 (|1 + a| is tiny only where
+        // |a| ≈ 1), so `fold` takes the exact magnitude.
+        let d = Complex::ONE + a;
+        self.peak_lti.fold(a.norm_sqr() / d.norm_sqr(), (a, d));
+    }
+
+    /// The bandwidth and both peakings. `h` refines the bandwidth
+    /// brackets with Brent, first bracket first, and the peakings are
+    /// relative to `|h(w_ref)|` and `|h_lti(w_ref)|`.
+    pub fn finish<F, G>(self, mut h: F, mut h_lti: G, w_ref: f64) -> ClosedLoopSummary
+    where
+        F: FnMut(f64) -> Complex,
+        G: FnMut(f64) -> Complex,
+    {
+        let peaking_db = 20.0 * (self.peak.max() / h(w_ref).abs()).log10();
+        let peaking_lti_db = 20.0 * (self.peak_lti.max() / h_lti(w_ref).abs()).log10();
+        let bandwidth_3db = self.target.and_then(|target| {
+            let mut g = |w: f64| (h(w).abs() / target).ln();
+            self.brackets
+                .iter()
+                .find_map(|&(a, b)| brent(&mut g, a, b, 1e-12 * b, 200).ok())
+        });
+        ClosedLoopSummary {
+            bandwidth_3db,
+            peaking_db,
+            peaking_lti_db,
+            points: self.points,
+            non_finite: self.non_finite,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +715,244 @@ mod tests {
         let zeta: f64 = 0.1;
         let expect = 20.0 * (1.0 / (2.0 * zeta * (1.0 - zeta * zeta).sqrt())).log10();
         assert!((p - expect).abs() < 0.01, "{p} vs {expect}");
+    }
+
+    /// Pushes `(grid, a, h)` through a [`ClosedLoopScan`] and asserts
+    /// that every result is bitwise the two-pass extractors' over the
+    /// same values; `f` refines the bandwidth and gives `h(w_ref)`, and
+    /// the LTI peaking is relative to `f(w_ref)/(1 + f(w_ref))`.
+    fn pass_vs_oracle(
+        grid: &[f64],
+        a: &[Complex],
+        h: &[Complex],
+        f: impl Fn(f64) -> Complex,
+        w_ref: f64,
+    ) -> ClosedLoopSummary {
+        let mut pass = ClosedLoopScan::new(f(w_ref));
+        for ((&w, &a), &h) in grid.iter().zip(a).zip(h) {
+            pass.push(w, a, h);
+        }
+        let f_lti = |w: f64| {
+            let x = f(w);
+            x / (Complex::ONE + x)
+        };
+        let got = pass.finish(&f, f_lti, w_ref);
+        let lti: Vec<Complex> = a.iter().map(|&x| x / (Complex::ONE + x)).collect();
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        assert_eq!(
+            bits(got.bandwidth_3db),
+            bits(bandwidth_3db_precomputed(&f, w_ref, grid, h)),
+            "bandwidth {:?}",
+            got.bandwidth_3db
+        );
+        assert_eq!(
+            got.peaking_db.to_bits(),
+            peaking_db_precomputed(&f, w_ref, h).to_bits(),
+            "peaking {}",
+            got.peaking_db
+        );
+        assert_eq!(
+            got.peaking_lti_db.to_bits(),
+            peaking_db_precomputed(f_lti, w_ref, &lti).to_bits(),
+            "LTI peaking {}",
+            got.peaking_lti_db
+        );
+        assert_eq!(got.points, grid.len());
+        let non_finite = h.iter().filter(|v| !(v.re.is_finite() && v.im.is_finite()));
+        assert_eq!(got.non_finite, non_finite.count());
+        got
+    }
+
+    /// `1, 2, …, n` as a grid.
+    fn counting_grid(n: usize) -> Vec<f64> {
+        (1..=n).map(|k| k as f64).collect()
+    }
+
+    #[test]
+    fn closed_loop_pass_matches_the_extractors_on_a_resonant_loop() {
+        // A(s) = (1 + s/0.3)/(s²(1 + s/30)): a type-II loop with
+        // peaking; h = A/(1 + A) twice over, so both peaks are the same.
+        let a = Tf::from_coeffs(vec![1.0, 1.0 / 0.3], vec![0.0, 0.0, 1.0, 1.0 / 30.0]).unwrap();
+        let h = |w: f64| {
+            let v = a.eval_jw(w);
+            v / (Complex::ONE + v)
+        };
+        let (grid, hv) = scan(h, 1e-3, 1e3);
+        let av: Vec<Complex> = grid.iter().map(|&w| a.eval_jw(w)).collect();
+        let got = pass_vs_oracle(&grid, &av, &hv, h, 1e-3);
+        assert!(got.bandwidth_3db.is_some());
+        assert!(got.peaking_db > 0.5, "{}", got.peaking_db);
+    }
+
+    #[test]
+    fn closed_loop_pass_value_on_the_target_to_the_bit() {
+        // |h(w_ref)|/√2 is the target; grid point 3 sits on it exactly,
+        // so ln(|h|/target) is 0 there: a bracket with the zero on its
+        // left edge in one run, on its right edge in the other. On the
+        // target too are points whose |h|² rounds below or above
+        // target², where the sign of |h|² − target² alone would differ.
+        let h_ref = Complex::from_re(1.0);
+        let t = h_ref.abs() / std::f64::consts::SQRT_2;
+        let on = |theta: f64| Complex::new(t * theta.cos(), t * theta.sin());
+        for on_target in [Complex::from_im(t), on(0.01), on(0.03)] {
+            assert_eq!(on_target.abs(), t);
+            let grid = counting_grid(6);
+            for (before, after) in [(2.0, 0.5), (0.5, 2.0), (0.5, 0.5)] {
+                let mut hv = vec![Complex::from_re(before * t); 3];
+                hv.push(on_target);
+                hv.extend([Complex::from_re(after * t); 2]);
+                let f = |w: f64| {
+                    let k = grid.iter().position(|&g| g == w);
+                    k.map_or(h_ref, |k| hv[k])
+                };
+                let got = pass_vs_oracle(&grid, &hv, &hv, f, 0.0);
+                if before < 1.0 || after < 1.0 {
+                    assert_eq!(got.bandwidth_3db, Some(4.0), "{before} {after}");
+                }
+            }
+        }
+        assert!(on(0.01).norm_sqr() < t * t && on(0.03).norm_sqr() > t * t);
+    }
+
+    #[test]
+    fn closed_loop_pass_signed_zeros() {
+        let grid = counting_grid(6);
+        let z = [
+            Complex::from_re(2.0),
+            Complex::ZERO,
+            Complex::new(-0.0, -0.0),
+            Complex::new(0.0, -0.0),
+            Complex::from_re(0.1),
+            Complex::from_re(3.0),
+        ];
+        // Linear between the last two points, where the only bracket is:
+        // ln 0 = −∞ breaks the chain until then.
+        let f = |w: f64| {
+            if w == 0.0 {
+                Complex::ONE
+            } else {
+                Complex::from_re(0.1 + (w - 5.0) * 2.9)
+            }
+        };
+        let got = pass_vs_oracle(&grid, &z, &z, f, 0.0);
+        assert_eq!(got.non_finite, 0);
+        assert!(got.bandwidth_3db.is_some());
+    }
+
+    #[test]
+    fn closed_loop_pass_non_finite_points() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let grid = counting_grid(9);
+        let h = [
+            Complex::from_re(1.0),
+            Complex::new(nan, 0.0),
+            Complex::from_re(0.2),
+            Complex::new(inf, nan),
+            Complex::new(-inf, 1.0),
+            Complex::new(0.3, nan),
+            Complex::from_re(0.1),
+            Complex::new(1.0, -inf),
+            Complex::from_re(0.9),
+        ];
+        // An aliased-integrator pole: 1 + λ is infinite or 0/0 there.
+        let a: Vec<Complex> = [0.5, inf, nan, -inf, 1e3, 0.5, -1.0, 2.0, 0.1]
+            .iter()
+            .map(|&x| Complex::from_re(x))
+            .collect();
+        let on_pole = [
+            Complex::ONE / (Complex::ONE + Complex::from_im(inf)),
+            Complex::ONE / (Complex::ONE + Complex::ONE / Complex::ZERO),
+        ];
+        assert_eq!(on_pole[0], Complex::ZERO);
+        assert!(on_pole[1].re.is_nan());
+        let f = |w: f64| Complex::from_re(1.0 / w);
+        let got = pass_vs_oracle(&grid, &a, &h, f, 1.0);
+        assert_eq!(got.non_finite, 5);
+        let mut h = h.to_vec();
+        h[2] = on_pole[0];
+        h[6] = on_pole[1];
+        pass_vs_oracle(&grid, &a, &h, f, 1.0);
+    }
+
+    #[test]
+    fn closed_loop_pass_extreme_magnitudes() {
+        let grid = counting_grid(8);
+        let big = |x: f64| Complex::new(x, x);
+        for scale in [1.0, 1e200, 1e-200] {
+            // Peaks and bracket points above 1e154 and below 1e-154,
+            // with the target both in range and out of it.
+            let h: Vec<Complex> = [1.0, 2e160, 3e160, 1e-170, 5e-160, 1.0, 0.2, 1e-300]
+                .iter()
+                .map(|&x| big(x * scale))
+                .collect();
+            let a: Vec<Complex> = [1e200, -1.0, 1e-200, 1e155, 1e-155, -1e160, 0.5, 2.0]
+                .iter()
+                .map(|&x| big(x * scale))
+                .collect();
+            pass_vs_oracle(&grid, &a, &h, |_| big(scale), 0.0);
+        }
+    }
+
+    #[test]
+    fn closed_loop_pass_tied_peaks() {
+        let grid = counting_grid(7);
+        let p = Complex::new(3.0, 4.0);
+        let next = Complex::new(f64::from_bits(3f64.to_bits() + 1), 4.0);
+        // Two points on |h| = 5 whose |h|² order the other way round
+        // from their |h|.
+        let circle: Vec<Complex> = (1..400)
+            .map(|k| {
+                Complex::new(
+                    5.0 * (k as f64 * 0.003).cos(),
+                    5.0 * (k as f64 * 0.003).sin(),
+                )
+            })
+            .collect();
+        let (hi, lo) = circle
+            .iter()
+            .flat_map(|&x| circle.iter().map(move |&y| (x, y)))
+            .find(|(x, y)| x.abs() > y.abs() && x.norm_sqr() < y.norm_sqr())
+            .expect("a reversed pair");
+        let one = Complex::ONE;
+        let cases = [
+            // An exact tie, a tie in |h| from different components, near
+            // ties whose squares differ by an ulp either way, and the
+            // reversed pair in both orders.
+            [1.0, 2.0, 5.0, 1.0, 5.0, 0.5, 0.1].map(Complex::from_re),
+            [p, Complex::from_re(1.0), Complex::new(4.0, 3.0), p, p, p, p],
+            [p, next, p, one, next, p, one],
+            [next, p, next, p, one, p, next],
+            [one, hi, lo, one, one, one, one],
+            [one, lo, hi, one, one, one, one],
+        ];
+        // Scaled exactly by 2^±530, the squares underflow or overflow.
+        for scale in [1.0, 2f64.powi(-530), 2f64.powi(530)] {
+            for h in cases {
+                let h = h.map(|v| v * scale);
+                // Relative to 5 the peakings are near 0 dB, where log10
+                // tells neighbouring magnitudes apart.
+                let f = |_| Complex::from_re(5.0 * scale);
+                let got = pass_vs_oracle(&grid, &h, &h, f, 0.0);
+                assert!(got.peaking_db.abs() < 1e-12, "{}", got.peaking_db);
+            }
+        }
+    }
+
+    #[test]
+    fn closed_loop_pass_takes_the_bracket_brent_refines() {
+        // |h| = target·(0.5 + e^{−(ln w)²}) crosses the target twice
+        // around w = 1; the pushed first point is far above it, so the
+        // first bracket (points 0–1) exists on the grid but not for the
+        // refining function, and Brent fails there.
+        let t = 1.0 / std::f64::consts::SQRT_2;
+        let f = |w: f64| Complex::from_re(t * (0.5 + (-(w.ln().powi(2))).exp()));
+        let (grid, mut hv) = scan(f, 0.01, 100.0);
+        let f = |w: f64| if w == 0.0 { Complex::ONE } else { f(w) };
+        hv[0] = Complex::from_re(2.0);
+        let got = pass_vs_oracle(&grid, &hv, &hv, f, 0.0);
+        let bw = got.bandwidth_3db.expect("second bracket");
+        let rising = (-(0.5f64.ln())).sqrt();
+        assert!((bw - (-rising).exp()).abs() < 1e-9, "{bw}");
     }
 
     #[test]

@@ -22,6 +22,11 @@ echo "==> margin roots vs scan (10,000 seed-1 explore candidates, release)"
 # every candidate, and no fallback to the scan.
 cargo test --release -q --test margin_roots -- --ignored
 
+echo "==> one-pass H00 scan vs the two-pass extractors (10,000 seed-1 explore candidates, release)"
+# analyze's bandwidth, both peakings and quality roll-up bitwise equal
+# to bandwidth_3db_precomputed/peaking_db_precomputed over the full grid.
+cargo test --release -q --test h00_scan -- --ignored
+
 echo "==> shared-pool stress (htmpll-par tests 20x, HTMPLL_THREADS=4)"
 # Every map runs on one process-wide pool, so the concurrent test
 # threads of this binary share its threads; any failure fails CI.

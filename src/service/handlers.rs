@@ -10,10 +10,9 @@ use super::response::{
 };
 use super::ServiceCtx;
 use crate::core::{
-    bode_grid, dominant_poles, optimize_loop, transient, Candidate, EffectiveGain, KernelPolicy,
-    LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel,
-    PointQuality, QualitySummary, SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON,
-    MAX_AUTO_TRUNCATION,
+    bode_grid, dominant_poles, optimize_loop, transient, Candidate, KernelPolicy, LeakageSpurs,
+    NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel, PointQuality,
+    QualitySummary, SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
 use crate::lti::{BodePoint, FrequencyGrid};
@@ -134,13 +133,7 @@ fn analyze(
     } else {
         None
     };
-    let symbolic = if symbolic {
-        let lam = EffectiveGain::new(&design.open_loop_gain(), design.omega_ref())
-            .map_err(|e| e.to_string())?;
-        Some(lam.symbolic())
-    } else {
-        None
-    };
+    let symbolic = symbolic.then(|| model.lambda().symbolic());
     Ok(AnalyzeOut {
         design,
         report,
@@ -259,15 +252,13 @@ fn bode(
     let grid =
         FrequencyGrid::log(1e-2 * wug, 1e2 * wug, points.max(2)).map_err(|e| e.to_string())?;
     Ok(if lambda {
-        let lam = EffectiveGain::new(&design.open_loop_gain(), design.omega_ref())
-            .map_err(|e| e.to_string())?;
         // λ is only meaningful inside the first band.
         let spec =
             SweepSpec::new(grid.retain(|w| w < 0.4999 * design.omega_ref())).with_threads(threads);
-        let axis = lam.line(0.0);
+        let axis = model.lambda().line(0.0);
         bode_grid(|w| axis.eval(w), &spec)
     } else {
-        let a = design.open_loop_gain();
+        let a = model.open_loop();
         let spec = SweepSpec::new(grid).with_threads(threads);
         bode_grid(|w| a.eval_jw(w), &spec)
     })
