@@ -405,7 +405,9 @@ fn in_safe_range(sq: f64) -> bool {
 /// `ln(|h|/target)`, `|h|` or `|a/(1 + a)|` is computed only for the
 /// peak itself, for a point within 10⁻⁹ (relative) of the target or
 /// of the running peak, and for a point whose squared magnitude is
-/// zero, non-finite or outside `[1e-300, 1e300]`.
+/// zero, non-finite or outside `[1e-300, 1e300]`. (Taking the exact
+/// values at every point makes `analyze` about a third slower; see the
+/// README's performance notes.)
 #[derive(Debug, Clone)]
 pub struct ClosedLoopScan {
     /// `|h(w_ref)|/√2`, or `None` when that is zero or not finite (no
@@ -890,6 +892,39 @@ mod tests {
                 .map(|&x| big(x * scale))
                 .collect();
             pass_vs_oracle(&grid, &a, &h, |_| big(scale), 0.0);
+        }
+        // Around |h| = 1e-159 a square is subnormal, good to about 1e-6,
+        // so |h|² can put a point just above the target below target²,
+        // or misorder two near-equal magnitudes, by far more than
+        // EXACT_BAND: such points must take their exact magnitudes.
+        let ring = |m: f64| {
+            (1..400).map(move |k| {
+                let th = k as f64 * 0.003;
+                Complex::new(m * th.cos(), m * th.sin())
+            })
+        };
+        let h_ref = Complex::from_re(3.3033e-159);
+        let t = h_ref.abs() / std::f64::consts::SQRT_2;
+        let above = ring(t * (1.0 + 1e-11))
+            .find(|h| h.abs() > t && h.norm_sqr() < t * t * (1.0 - 1e-7))
+            .expect("a point above the target whose square reads below it");
+        // The crossing lies between `above` and the last point, not
+        // before `above`.
+        let (up, down) = (Complex::from_re(2.0 * t), Complex::from_re(0.5 * t));
+        let h = [up, up, above, down];
+        let grid = counting_grid(4);
+        let f = |w: f64| grid.iter().position(|&g| g == w).map_or(h_ref, |k| h[k]);
+        let got = pass_vs_oracle(&grid, &h, &h, f, 0.0);
+        assert!(got.bandwidth_3db.is_some());
+        let m = 1.2e-159;
+        let (hi, lo) = ring(m)
+            .flat_map(|x| ring(m).map(move |y| (x, y)))
+            .find(|(x, y)| x.abs() > y.abs() && x.norm_sqr() < y.norm_sqr() * (1.0 - 1e-7))
+            .expect("a pair whose squares order the other way round");
+        let one = Complex::from_re(m / 2.0);
+        for h in [[one, hi, lo, one], [one, lo, hi, one]] {
+            let got = pass_vs_oracle(&grid, &h, &h, |_| Complex::from_re(m), 0.0);
+            assert_eq!(got.peaking_db, 20.0 * (hi.abs() / m).log10());
         }
     }
 

@@ -483,6 +483,9 @@ rm -f "$txtwant" "$txtgot" "$jsonwant" "$jsongot"
 echo "CLI text leg ok (two commands' stdout and one --json file byte-identical)"
 
 echo "==> serve deadline leg (tight budget answers, never hangs)"
+# Under a 1 ms budget a 60-point sweep answers a degraded partial (or,
+# should not even one ratio fit, a retryable deadline error) and an
+# analyze answers whole or as a retryable deadline error.
 dlout=$(mktemp)
 printf '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}\n{"id":1,"command":"analyze","params":{"ratio":0.1}}\n' \
     | timeout 60 ./target/release/plltool serve --deadline-ms 1 --workers 2 > "$dlout" 2>/dev/null || {
@@ -494,13 +497,30 @@ dllines=$(wc -l < "$dlout")
     echo "serve deadline leg failed: expected 2 response lines, got $dllines" >&2
     exit 1
 }
-grep -q '"code":"deadline"' "$dlout" || {
-    echo "serve deadline leg failed: no structured deadline error under a 1 ms budget" >&2
-    head -2 "$dlout" >&2
+retryable_deadline() { grep '"code":"deadline"' | grep -c '"retryable":true' || true; }
+{ head -1 "$dlout" | grep -q '"degradation":\[' || [ "$(head -1 "$dlout" | retryable_deadline)" -eq 1 ]; } || {
+    echo "serve deadline leg failed: the sweep under a 1 ms budget is neither degraded nor a retryable deadline error" >&2
+    head -1 "$dlout" >&2
     exit 1
 }
-grep -q '"retryable":true' "$dlout" || {
-    echo "serve deadline leg failed: deadline error not marked retryable" >&2
+{ tail -1 "$dlout" | grep -q '"ok":true' || [ "$(tail -1 "$dlout" | retryable_deadline)" -eq 1 ]; } || {
+    echo "serve deadline leg failed: the analyze under a 1 ms budget is neither whole nor a retryable deadline error" >&2
+    tail -1 "$dlout" >&2
+    exit 1
+}
+# Each request is fast enough to finish some work in 1 ms, so the
+# handler.slow fault holds every one 5 ms past its armed budget: then
+# the sweep, the analyze and the explore must each answer a structured
+# retryable deadline error.
+printf '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}\n{"id":1,"command":"analyze","params":{"ratio":0.1}}\n{"id":2,"command":"explore","params":{"candidates":5000,"seed":1}}\n' \
+    | HTMPLL_FAULT='seed=1;handler.slow=always@5' timeout 60 ./target/release/plltool serve --deadline-ms 1 --workers 2 > "$dlout" 2>/dev/null || {
+    echo "serve deadline leg failed: serve exited nonzero or hung under handler.slow" >&2
+    exit 1
+}
+dllines=$(retryable_deadline < "$dlout")
+[ "$dllines" -eq 3 ] && [ "$(wc -l < "$dlout")" -eq 3 ] || {
+    echo "serve deadline leg failed: expected 3 structured retryable deadline errors, got $dllines" >&2
+    cat "$dlout" >&2
     exit 1
 }
 rm -f "$dlout"

@@ -34,6 +34,9 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
     htmpll_fault::panic_if("handler.panic", 0);
     let budget = req.budget();
     let deadline = ctx.begin_request();
+    // Fault site: latency after the budget is armed, so a request can
+    // be made to outlast any `--deadline-ms` whatever its own speed.
+    htmpll_fault::slow_if("handler.slow", 0);
     let result = match req {
         Request::Analyze {
             design,

@@ -119,3 +119,49 @@ fn serve_deadline_ms_answers_instead_of_hanging() {
         );
     }
 }
+
+/// The `handler.slow` fault holds each request 5 ms past its armed
+/// 1 ms budget, so the sweep, the analyze and the explore, each fast
+/// enough to finish some work in 1 ms on its own, all answer a
+/// structured retryable `code:deadline` error, in order.
+#[test]
+fn serve_requests_held_past_their_budget_answer_deadline_errors() {
+    let exe = env!("CARGO_BIN_EXE_plltool");
+    let mut child = Command::new(exe)
+        .args(["serve", "--deadline-ms", "1", "--workers", "2"])
+        .env("HTMPLL_FAULT", "seed=1;handler.slow=always@5")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn plltool serve");
+    {
+        let stdin = child.stdin.as_mut().expect("stdin");
+        for line in [
+            r#""command":"sweep","params":{"from":0.05,"to":0.3,"points":60}"#,
+            r#""command":"analyze","params":{"ratio":0.1}"#,
+            r#""command":"explore","params":{"candidates":5000,"seed":1}"#,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, p)| format!("{{\"id\":{i},{p}}}"))
+        {
+            writeln!(stdin, "{line}").expect("write request");
+        }
+    }
+    let out = child.wait_with_output().expect("serve run");
+    assert!(out.status.success(), "serve exited nonzero");
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "every request answered: {text}");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(
+            line.starts_with(&format!("{{\"schema\":\"plltool/v1\",\"id\":{i},")),
+            "in-order ids: {line}"
+        );
+        assert!(
+            line.contains("\"code\":\"deadline\"") && line.contains("\"retryable\":true"),
+            "expected a retryable deadline error: {line}"
+        );
+    }
+}
