@@ -13,10 +13,10 @@
 //!
 //! ```
 //! use htmpll_core::{analyze, PllDesign, PllModel};
-//! use htmpll_par::{Deadline, ThreadBudget};
+//! use htmpll_par::Deadline;
 //!
 //! let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap()).build().unwrap();
-//! let r = analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap();
+//! let r = analyze(&m, &Deadline::none()).unwrap();
 //! // Sampling always erodes the phase margin relative to LTI.
 //! assert!(r.phase_margin_eff_deg < r.phase_margin_lti_deg);
 //! assert!(r.omega_ug_eff >= r.omega_ug_lti);
@@ -32,7 +32,7 @@ use htmpll_lti::{
     stability_margins_precomputed, ClosedLoopScan, Crossings, MarginError, Margins,
 };
 use htmpll_num::{Complex, Poly};
-use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
+use htmpll_par::Deadline;
 
 /// Analysis products for one PLL model.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,18 +90,6 @@ impl AnalysisReport {
 /// unity-gain frequency.
 const SCAN_DECADES_DOWN: f64 = 1e-4;
 
-/// Collapses one cancellable scan into its values, or the deadline
-/// error naming the phase that ran out of budget.
-fn scan_or_deadline<T>(slots: Vec<Option<T>>, phase: &'static str) -> Result<Vec<T>, CoreError> {
-    let n = slots.len();
-    let vals: Vec<T> = slots.into_iter().flatten().collect();
-    if vals.len() < n {
-        Err(CoreError::DeadlineExceeded { phase })
-    } else {
-        Ok(vals)
-    }
-}
-
 /// The margins [`analyze`] reports: the classical margins of `A(jω)`
 /// and the effective margins of `λ(jω)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,12 +118,8 @@ pub struct LoopMargins {
 ///
 /// [`CoreError::DeadlineExceeded`] (phase `"LTI margin"`) when the
 /// budget has expired; otherwise the margin-extraction failure.
-pub fn lti_margins(
-    model: &PllModel,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<Margins, CoreError> {
-    lti_by(model, true, threads, deadline)
+pub fn lti_margins(model: &PllModel, deadline: &Deadline) -> Result<Margins, CoreError> {
+    lti_by(model, true, deadline)
 }
 
 /// The margins [`analyze`] reports, located by root finding:
@@ -150,40 +134,26 @@ pub fn lti_margins(
 ///
 /// [`CoreError::DeadlineExceeded`] (naming the phase) when the budget
 /// has expired; otherwise the margin-extraction failure.
-pub fn loop_margins(
-    model: &PllModel,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<LoopMargins, CoreError> {
+pub fn loop_margins(model: &PllModel, deadline: &Deadline) -> Result<LoopMargins, CoreError> {
     let z = model.lambda().z_form();
-    margins_by(model, Some(&z), threads, deadline)
+    margins_by(model, Some(&z), deadline)
 }
 
 /// [`loop_margins`] from two full 2,048-point scans of
-/// [`margin_scan_grid`] over the same windows: the oracle the root path
-/// is checked against (xcheck's `margins-vs-scan` row). Every scan
-/// point is evaluated on the `htmpll-par` pool under `threads`, so the
-/// margins are bitwise-identical for any thread count.
+/// [`margin_scan_grid`] over the same windows, on the calling thread:
+/// the oracle the root path is checked against (xcheck's
+/// `margins-vs-scan` row).
 ///
 /// # Errors
 ///
 /// [`CoreError::DeadlineExceeded`] (naming the scan phase) when the
 /// budget expires mid-scan; otherwise the margin-extraction failure.
-pub fn scan_margins(
-    model: &PllModel,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<LoopMargins, CoreError> {
-    margins_by(model, None, threads, deadline)
+pub fn scan_margins(model: &PllModel, deadline: &Deadline) -> Result<LoopMargins, CoreError> {
+    margins_by(model, None, deadline)
 }
 
 /// The margins of `A(jω)` by root finding (`roots`) or by scan.
-fn lti_by(
-    model: &PllModel,
-    roots: bool,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<Margins, CoreError> {
+fn lti_by(model: &PllModel, roots: bool, deadline: &Deadline) -> Result<Margins, CoreError> {
     let a = model.open_loop();
     let w0 = model.design().omega_ref();
     let crossings = roots.then(|| lti_crossings(a, w0));
@@ -191,7 +161,6 @@ fn lti_by(
         |w| a.eval_jw(w),
         (1e-7 * w0, 100.0 * w0),
         crossings,
-        threads,
         deadline,
         "LTI margin",
     )?
@@ -203,10 +172,9 @@ fn lti_by(
 fn margins_by(
     model: &PllModel,
     z: Option<&(Poly, Poly)>,
-    threads: ThreadBudget,
     deadline: &Deadline,
 ) -> Result<LoopMargins, CoreError> {
-    let lti = lti_by(model, z.is_some(), threads, deadline)?;
+    let lti = lti_by(model, z.is_some(), deadline)?;
     let lam = model.lambda();
     let w0 = lam.omega0();
     let axis = lam.line(0.0);
@@ -214,7 +182,6 @@ fn margins_by(
         |w| axis.eval(w),
         (lti.omega_ug * SCAN_DECADES_DOWN, BAND_EDGE * w0),
         z.map(|(n, d)| lam.axis_crossings(n, d)),
-        threads,
         deadline,
         "effective-gain margin",
     )?;
@@ -232,17 +199,16 @@ fn margins_by(
 /// cannot bracket counts `core.margins.hidden_crossings`. Otherwise —
 /// no root solve asked for, or a failed one, which counts
 /// `core.margins.scan_fallback` — every point of the scan grid is
-/// evaluated, cancellably, on the pool.
+/// evaluated in order, the deadline checked before each.
 fn window_margins<F, E>(
     f: F,
     (lo, hi): (f64, f64),
     crossings: Option<Result<Crossings, E>>,
-    threads: ThreadBudget,
     deadline: &Deadline,
     phase: &'static str,
 ) -> Result<Result<Margins, MarginError>, CoreError>
 where
-    F: Fn(f64) -> Complex + Sync,
+    F: Fn(f64) -> Complex,
 {
     match crossings {
         Some(Ok(c)) => {
@@ -257,10 +223,13 @@ where
         None => {}
     }
     let grid = margin_scan_grid(lo, hi);
-    let vals = scan_or_deadline(
-        par_map_cancellable(threads, &grid, deadline, |_, &w| f(w)),
-        phase,
-    )?;
+    let mut vals = Vec::with_capacity(grid.len());
+    for &w in &grid {
+        if deadline.expired() {
+            return Err(CoreError::DeadlineExceeded { phase });
+        }
+        vals.push(f(w));
+    }
     Ok(stability_margins_precomputed(&f, &grid, &vals))
 }
 
@@ -307,10 +276,10 @@ fn band_edge_fallback(
 /// ([`ClosedLoopScan`]): each of its 2,048 grid points evaluates
 /// `A(jω)`, `λ(jω)` and `H₀,₀(jω)` once and feeds the bandwidth, the
 /// peaking, the LTI peaking and the quality count, bitwise what the
-/// two-pass extractors give over the full grid. `threads` reaches only
-/// a margin scan, which runs on the `htmpll-par` pool when root finding
-/// fails; either way the report is **bitwise-identical for any thread
-/// count**.
+/// two-pass extractors give over the full grid. Nothing here runs on
+/// the `htmpll-par` pool (a margin scan after a failed root solve runs
+/// on this thread too), so the report is the same bits whatever pool
+/// the caller maps designs on.
 ///
 /// `quality` counts each `H₀,₀` scan point (a non-finite value as
 /// failed) plus one dense closed-loop probe at the effective crossover.
@@ -332,11 +301,7 @@ fn band_edge_fallback(
 /// [`CoreError::DeadlineExceeded`] (naming the phase) when the budget
 /// expires; otherwise propagates margin-extraction failures (e.g. a
 /// loop so slow/fast that no unity crossing exists in the scan window).
-pub fn analyze(
-    model: &PllModel,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<AnalysisReport, CoreError> {
+pub fn analyze(model: &PllModel, deadline: &Deadline) -> Result<AnalysisReport, CoreError> {
     let _span = htmpll_obs::span("core", "analyze");
     let a = model.open_loop();
     let w0 = model.design().omega_ref();
@@ -346,7 +311,7 @@ pub fn analyze(
         lti,
         eff,
         beyond_sampling_limit,
-    } = margins_by(model, Some(&z), threads, deadline)?;
+    } = margins_by(model, Some(&z), deadline)?;
     let axis = lam.line(0.0);
 
     // H₀,₀(jω) = A(jω)/(1+λ(jω)) is a valid transfer function at any ω
@@ -355,9 +320,9 @@ pub fn analyze(
     // wideband fast loops still report a −3 dB point. One pass on this
     // thread evaluates each grid point once and feeds its A(jω) — the
     // same bits as `model.h00(ω)`'s numerator — and H₀,₀(jω) to the
-    // bandwidth, both peakings and the quality count. The −3 dB target
-    // and the peaking reference each take their own `model.h00(w_ref)`,
-    // as the two-pass extractors did, so the λ evaluation count is theirs.
+    // bandwidth, both peakings and the quality count. One
+    // `model.h00(w_ref)` sets both the −3 dB target and the peaking
+    // reference.
     let w_ref = lti.omega_ug * SCAN_DECADES_DOWN;
     let mut scan = ClosedLoopScan::new(model.h00(w_ref));
     for w in margin_scan_points(w_ref, 100.0 * lti.omega_ug) {
@@ -414,7 +379,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
             .build()
             .unwrap();
-        analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
+        analyze(&m, &Deadline::none()).unwrap()
     }
 
     #[test]
@@ -503,7 +468,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
             .build()
             .unwrap();
-        let err = analyze(&m, ThreadBudget::Fixed(1), &Deadline::after_checks(10)).unwrap_err();
+        let err = analyze(&m, &Deadline::after_checks(10)).unwrap_err();
         assert!(
             err.to_string().starts_with(crate::quality::DEADLINE_REASON),
             "{err}"
@@ -518,7 +483,7 @@ mod tests {
         let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
             .build()
             .unwrap();
-        let run = |n| analyze(&m, ThreadBudget::Fixed(1), &Deadline::after_checks(n));
+        let run = |n| analyze(&m, &Deadline::after_checks(n));
         for n in [2, 1_000, 2_049] {
             match run(n) {
                 Err(CoreError::DeadlineExceeded { phase }) => assert_eq!(phase, "closed-loop"),
@@ -526,8 +491,48 @@ mod tests {
             }
         }
         // `{:?}` prints every f64 so that it reads back to the same bits.
-        let full = analyze(&m, ThreadBudget::Fixed(1), &Deadline::none()).unwrap();
+        let full = analyze(&m, &Deadline::none()).unwrap();
         assert_eq!(format!("{:?}", run(2_050).unwrap()), format!("{full:?}"));
+    }
+
+    #[test]
+    fn failed_root_solve_scans_the_whole_grid() {
+        // The fallback evaluates every point of the 2,048-point grid on
+        // this thread, checking the deadline before each, and gives the
+        // full scan's margins.
+        let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
+            .build()
+            .unwrap();
+        let a = m.open_loop();
+        let w0 = m.design().omega_ref();
+        let (lo, hi) = (1e-7 * w0, 100.0 * w0);
+        let fallback = |deadline: &Deadline| {
+            let failed: Option<Result<Crossings, ()>> = Some(Err(()));
+            window_margins(|w| a.eval_jw(w), (lo, hi), failed, deadline, "LTI margin")
+        };
+        htmpll_obs::override_filter("core=info");
+        let fallbacks = || -> u64 {
+            htmpll_obs::snapshot()
+                .iter()
+                .filter(|s| s.key == "core.margins.scan_fallback")
+                .map(|s| s.count)
+                .sum()
+        };
+        let before = fallbacks();
+        let got = fallback(&Deadline::none()).unwrap().unwrap();
+        assert!(fallbacks() > before, "scan_fallback not counted");
+        let grid = margin_scan_grid(lo, hi);
+        let vals: Vec<Complex> = grid.iter().map(|&w| a.eval_jw(w)).collect();
+        let scan = stability_margins_precomputed(|w| a.eval_jw(w), &grid, &vals).unwrap();
+        // `{:?}` prints every f64 so that it reads back to the same bits.
+        assert_eq!(format!("{got:?}"), format!("{scan:?}"));
+        for n in [0, 1_000, 2_047] {
+            match fallback(&Deadline::after_checks(n)) {
+                Err(CoreError::DeadlineExceeded { phase }) => assert_eq!(phase, "LTI margin"),
+                other => panic!("{n} checks: {other:?}"),
+            }
+        }
+        assert_eq!(fallback(&Deadline::after_checks(2_048)).unwrap(), Ok(got));
     }
 
     #[test]

@@ -452,12 +452,12 @@ mod tests {
     #[test]
     fn loop_delay_erodes_effective_margin() {
         use crate::analysis::analyze;
-        use htmpll_par::{Deadline, ThreadBudget};
+        use htmpll_par::Deadline;
         let design = PllDesign::reference_design(0.1).unwrap();
         let t_ref = 1.0 / design.f_ref();
         let report = |b: PllModelBuilder| {
             let m = b.build().unwrap();
-            analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
+            analyze(&m, &Deadline::none()).unwrap()
         };
         let plain = report(PllModel::builder(design.clone()));
         let quarter = report(PllModel::builder(design.clone()).loop_delay(0.25 * t_ref, 6));

@@ -513,10 +513,7 @@ fn evaluate(
             return Outcome::ScreenedOut;
         }
     }
-    // Inner analysis always runs single-threaded: parallelism lives at
-    // the block level, and a fixed inner budget keeps the per-candidate
-    // arithmetic identical no matter how blocks land on workers.
-    let report = match analyze(&model, ThreadBudget::Fixed(1), deadline) {
+    let report = match analyze(&model, deadline) {
         Ok(r) => r,
         Err(CoreError::DeadlineExceeded { .. }) => return Outcome::Deadline,
         Err(_) => return Outcome::Failed,

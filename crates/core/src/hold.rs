@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::closed_loop::PllModel;
-    use htmpll_par::{Deadline, ThreadBudget};
+    use htmpll_par::Deadline;
 
     fn sh(ratio: f64) -> SampleHoldModel {
         SampleHoldModel::new(PllDesign::reference_design(ratio).unwrap()).unwrap()
@@ -178,7 +178,6 @@ mod tests {
                 &PllModel::builder(PllDesign::reference_design(ratio).unwrap())
                     .build()
                     .unwrap(),
-                ThreadBudget::Auto,
                 &Deadline::none(),
             )
             .unwrap();

@@ -27,12 +27,12 @@
 //!
 //! ```
 //! use htmpll_core::{analyze, PllDesign, PllModel};
-//! use htmpll_par::{Deadline, ThreadBudget};
+//! use htmpll_par::Deadline;
 //!
 //! // A fast loop: crossover at 30 % of the reference frequency.
 //! let design = PllDesign::reference_design(0.3).unwrap();
 //! let model = PllModel::builder(design).build().unwrap();
-//! let report = analyze(&model, ThreadBudget::Auto, &Deadline::none()).unwrap();
+//! let report = analyze(&model, &Deadline::none()).unwrap();
 //! // LTI analysis is oblivious to the ratio; the true margin is not.
 //! assert!(report.phase_margin_degradation_deg() > 5.0);
 //! ```
@@ -68,8 +68,7 @@ pub use noise::{NoiseModel, NoiseShape};
 pub use optimize::{optimize_loop, Candidate, NoiseSpec, OptimizeSpec};
 pub use poles::dominant_poles;
 pub use quality::{GridOutcome, PointOutcome, PointQuality, QualitySummary, DEADLINE_REASON};
-pub use spurs::LeakageSpurs;
+pub use spurs::{LeakageSpurs, SpurLine};
 pub use sweep::{
-    bode_grid, DenseSolve, KernelPolicy, SpurLine, SweepCache, SweepSpec, DEFAULT_CACHE_CAP,
-    MAX_AUTO_TRUNCATION,
+    DenseSolve, KernelPolicy, SweepCache, SweepSpec, DEFAULT_CACHE_CAP, MAX_AUTO_TRUNCATION,
 };

@@ -32,6 +32,18 @@
 use crate::closed_loop::PllModel;
 use htmpll_num::Complex;
 
+/// One predicted reference-spur line, as produced by
+/// [`LeakageSpurs::scan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpurLine {
+    /// Reference-harmonic index of the line (at `k·ω₀`).
+    pub k: i64,
+    /// Complex sideband amplitude `θ̃_k` (time units).
+    pub sideband: Complex,
+    /// Spur level at the synthesizer output, dBc.
+    pub level_dbc: f64,
+}
+
 /// Analytic leakage-induced reference spurs of a locked loop.
 #[derive(Debug, Clone, Copy)]
 pub struct LeakageSpurs<'a> {
@@ -84,6 +96,19 @@ impl<'a> LeakageSpurs<'a> {
         let f_out = d.divider() * d.f_ref();
         let beta = 2.0 * self.sideband(k).abs() * 2.0 * std::f64::consts::PI * f_out;
         20.0 * (beta / 2.0).log10()
+    }
+
+    /// Predicts the spur lines at `k·ω₀` for `k = 1..=k_max`.
+    pub fn scan(&self, k_max: i64) -> Vec<SpurLine> {
+        let _span =
+            htmpll_obs::span_labeled("core", "sweep.spurs", || format!("n={}", k_max.max(0)));
+        (1..=k_max)
+            .map(|k| SpurLine {
+                k,
+                sideband: self.sideband(k),
+                level_dbc: self.level_dbc(k),
+            })
+            .collect()
     }
 }
 
@@ -147,5 +172,18 @@ mod tests {
         let s = LeakageSpurs::new(&m, i_leak);
         assert_eq!(s.sideband(0).re, s.static_offset());
         assert_eq!(s.sideband(0).im, 0.0);
+    }
+
+    #[test]
+    fn scan_matches_pointwise() {
+        let (m, i_leak) = spur_fixture(0.1, 1e-3);
+        let s = LeakageSpurs::new(&m, i_leak);
+        let lines = s.scan(5);
+        assert_eq!(lines.len(), 5);
+        for line in &lines {
+            assert_eq!(line.sideband, s.sideband(line.k));
+            assert_eq!(line.level_dbc.to_bits(), s.level_dbc(line.k).to_bits());
+        }
+        assert!(s.scan(0).is_empty());
     }
 }

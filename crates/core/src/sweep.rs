@@ -1,10 +1,11 @@
 //! Parallel frequency-sweep engine: one spec, one cache, every grid.
 //!
-//! Every frequency-grid computation in the workspace — Bode responses,
-//! margin scans, noise folding, spur tables, dense closed-loop solves —
-//! is a map of an expensive pure function over an ordered set of
-//! frequencies. This module provides the shared vocabulary for those
-//! maps:
+//! The `htmpll-par` pool maps only coarse or numerous items: serve's
+//! admission batch, xcheck's scenarios, explore's candidate blocks, and
+//! the three grid entry points below. Everything done for a single
+//! design — [`analyze`](crate::analyze) and its margins, a Bode table,
+//! a spur table — runs on the calling thread. This module provides the
+//! shared vocabulary for the grid maps:
 //!
 //! * [`SweepSpec`] — *what* to evaluate: the [`FrequencyGrid`], the
 //!   harmonic-truncation policy ([`TruncationSpec`], fixed or
@@ -21,33 +22,31 @@
 //!   [`EffectiveGain::eval_grid`],
 //!   [`PllModel::closed_loop_htm_grid_robust`] (per-point
 //!   [`PointQuality`] verdicts; strict callers collapse them with
-//!   [`GridOutcome::into_strict`]),
-//!   [`NoiseModel::output_psd_grid`], [`LeakageSpurs::scan`] and the
-//!   generic [`bode_grid`].
+//!   [`GridOutcome::into_strict`]) and
+//!   [`NoiseModel::output_psd_grid`].
 //!
 //! All of them run on the `htmpll-par` deterministic pool: results are
 //! **bitwise-identical for any thread count**, because each grid point
 //! is evaluated by a pure function and placed by index.
 //!
 //! ```
-//! use htmpll_core::{bode_grid, PllDesign, PllModel, SweepSpec};
+//! use htmpll_core::{PllDesign, PllModel, SweepSpec};
 //!
 //! let m = PllModel::builder(PllDesign::reference_design(0.1).unwrap())
 //!     .build()
 //!     .unwrap();
 //! let spec = SweepSpec::log(1e-2, 2.0, 64).unwrap();
-//! let h = bode_grid(|w| m.h00(w), &spec);
-//! assert_eq!(h.len(), 64);
-//! assert!(h[0].mag_db > -1.0); // in-band: the loop tracks the reference
+//! let lam = m.lambda().eval_grid(&spec);
+//! assert_eq!(lam.len(), 64);
+//! assert!(lam[0].abs() > 1.0); // in-band: high loop gain
 //! ```
 
 use crate::closed_loop::PllModel;
 use crate::lambda::EffectiveGain;
 use crate::noise::NoiseModel;
 use crate::quality::{GridOutcome, PointOutcome, PointQuality};
-use crate::spurs::LeakageSpurs;
 use htmpll_htm::{Htm, Truncation, TruncationSpec};
-use htmpll_lti::{bode_from_values, BodePoint, FrequencyGrid, GridError};
+use htmpll_lti::{FrequencyGrid, GridError};
 use htmpll_num::{BoundedCache, CacheStats, Complex, SolveReport};
 use htmpll_par::{par_map, par_map_cancellable, Deadline, ThreadBudget};
 use std::sync::Arc;
@@ -349,15 +348,6 @@ pub(crate) fn compute_dense(
     }
 }
 
-/// Sweeps an arbitrary frequency response over `spec.grid` on the
-/// parallel pool and assembles Bode points (magnitude + sequentially
-/// unwrapped phase). Bitwise-identical to the sequential
-/// [`bode_sweep`](htmpll_lti::bode_sweep) for any thread count.
-pub fn bode_grid<F: Fn(f64) -> Complex + Sync>(f: F, spec: &SweepSpec) -> Vec<BodePoint> {
-    let values = par_map(spec.threads, spec.grid.points(), |_, &w| f(w));
-    bode_from_values(spec.grid.points(), &values)
-}
-
 /// Grid-point block size for the λ sweep: large enough to amortize one
 /// pool task over many points, small enough to keep the parallel pool
 /// load-balanced. Chunk boundaries are fixed by index, so the
@@ -538,37 +528,10 @@ impl NoiseModel<'_> {
     }
 }
 
-/// One predicted reference-spur line, as produced by
-/// [`LeakageSpurs::scan`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpurLine {
-    /// Reference-harmonic index of the line (at `k·ω₀`).
-    pub k: i64,
-    /// Complex sideband amplitude `θ̃_k` (time units).
-    pub sideband: Complex,
-    /// Spur level at the synthesizer output, dBc.
-    pub level_dbc: f64,
-}
-
-impl LeakageSpurs<'_> {
-    /// Predicts the spur lines at `k·ω₀` for `k = 1..=k_max`, evaluated
-    /// on the parallel pool.
-    pub fn scan(&self, k_max: i64, threads: ThreadBudget) -> Vec<SpurLine> {
-        let ks: Vec<i64> = (1..=k_max.max(0)).collect();
-        let _span = htmpll_obs::span_labeled("core", "sweep.spurs", || format!("n={}", ks.len()));
-        par_map(threads, &ks, |_, &k| SpurLine {
-            k,
-            sideband: self.sideband(k),
-            level_dbc: self.level_dbc(k),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::PllDesign;
-    use htmpll_lti::bode_sweep;
 
     fn model(ratio: f64) -> PllModel {
         PllModel::builder(PllDesign::reference_design(ratio).unwrap())
@@ -595,19 +558,6 @@ mod tests {
             let direct = m.lambda().eval_jw(w);
             assert_eq!(direct.re.to_bits(), v.re.to_bits());
             assert_eq!(direct.im.to_bits(), v.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn bode_grid_matches_sequential_sweep() {
-        let m = model(0.15);
-        let spec = SweepSpec::log(1e-2, 3.0, 40).unwrap().with_threads(4);
-        let par = bode_grid(|w| m.h00(w), &spec);
-        let seq = bode_sweep(|w| m.h00(w), spec.grid.points());
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.mag_db.to_bits(), s.mag_db.to_bits());
-            assert_eq!(p.phase_deg.to_bits(), s.phase_deg.to_bits());
         }
     }
 
@@ -832,18 +782,5 @@ mod tests {
         for (&w, v) in spec.grid.points().iter().zip(&grid_vals) {
             assert_eq!(n.output_psd(w, &flat, &vco).to_bits(), v.to_bits());
         }
-    }
-
-    #[test]
-    fn spur_scan_matches_pointwise() {
-        let m = model(0.1);
-        let s = LeakageSpurs::new(&m, 1e-3 * m.design().icp());
-        let lines = s.scan(5, ThreadBudget::Fixed(2));
-        assert_eq!(lines.len(), 5);
-        for line in &lines {
-            assert_eq!(line.sideband, s.sideband(line.k));
-            assert_eq!(line.level_dbc.to_bits(), s.level_dbc(line.k).to_bits());
-        }
-        assert!(s.scan(0, ThreadBudget::Auto).is_empty());
     }
 }

@@ -40,23 +40,10 @@ pub fn to_db(mag: f64) -> f64 {
 /// Sweeps a frequency response over `grid`, unwrapping the phase so it is
 /// continuous from point to point (jumps larger than 180° are folded).
 pub fn bode_sweep<F: FnMut(f64) -> Complex>(mut f: F, grid: &[f64]) -> Vec<BodePoint> {
-    let values: Vec<Complex> = grid.iter().map(|&w| f(w)).collect();
-    bode_from_values(grid, &values)
-}
-
-/// Builds Bode points from already-evaluated responses (e.g. computed in
-/// parallel by `htmpll-par`): magnitude conversion plus the sequential
-/// phase unwrap, which depends only on the value *sequence* and is
-/// therefore bitwise-identical however `values` was produced.
-///
-/// # Panics
-///
-/// Panics when `grid` and `values` lengths differ.
-pub fn bode_from_values(grid: &[f64], values: &[Complex]) -> Vec<BodePoint> {
-    assert_eq!(grid.len(), values.len(), "grid/values length mismatch");
     let mut out = Vec::with_capacity(grid.len());
     let mut prev_phase: Option<f64> = None;
-    for (&w, &h) in grid.iter().zip(values) {
+    for &w in grid {
+        let h = f(w);
         let mut phase = h.arg().to_degrees();
         if let Some(p) = prev_phase {
             while phase - p > 180.0 {

@@ -42,7 +42,7 @@ pub mod response;
 pub mod stability;
 pub mod tf;
 
-pub use bode::{bode_from_values, bode_sweep, bode_tf, BodePoint};
+pub use bode::{bode_sweep, bode_tf, BodePoint};
 pub use delay::pade_delay;
 pub use filters::{ChargePumpFilter2, ChargePumpFilter3, FilterError};
 pub use grid::{FrequencyGrid, GridError};

@@ -410,7 +410,9 @@ fn in_safe_range(sq: f64) -> bool {
 /// README's performance notes.)
 #[derive(Debug, Clone)]
 pub struct ClosedLoopScan {
-    /// `|h(w_ref)|/√2`, or `None` when that is zero or not finite (no
+    /// `|h(w_ref)|`, the peaking reference.
+    ref_abs: f64,
+    /// `ref_abs/√2`, or `None` when that is zero or not finite (no
     /// bandwidth, as in [`bandwidth_3db_precomputed`]).
     target: Option<f64>,
     /// `target²` when it is [`in_safe_range`]; otherwise every point
@@ -498,12 +500,15 @@ pub struct ClosedLoopSummary {
 }
 
 impl ClosedLoopScan {
-    /// A scan whose −3 dB target is `|h_ref|/√2`, `h_ref` being `h` at
-    /// the reference frequency.
+    /// A scan whose −3 dB target is `|h_ref|/√2` and whose peaking
+    /// reference is `|h_ref|`, `h_ref` being `h` at the reference
+    /// frequency.
     pub fn new(h_ref: Complex) -> ClosedLoopScan {
-        let target = h_ref.abs() / std::f64::consts::SQRT_2;
+        let ref_abs = h_ref.abs();
+        let target = ref_abs / std::f64::consts::SQRT_2;
         let target = (target != 0.0 && target.is_finite()).then_some(target);
         ClosedLoopScan {
+            ref_abs,
             target,
             target_sq: target.map(|t| t * t).filter(|&t2| in_safe_range(t2)),
             prev: (f64::NAN, f64::NAN),
@@ -545,13 +550,14 @@ impl ClosedLoopScan {
 
     /// The bandwidth and both peakings. `h` refines the bandwidth
     /// brackets with Brent, first bracket first, and the peakings are
-    /// relative to `|h(w_ref)|` and `|h_lti(w_ref)|`.
+    /// relative to `|h_ref|` (from [`new`](ClosedLoopScan::new)) and
+    /// `|h_lti(w_ref)|`.
     pub fn finish<F, G>(self, mut h: F, mut h_lti: G, w_ref: f64) -> ClosedLoopSummary
     where
         F: FnMut(f64) -> Complex,
         G: FnMut(f64) -> Complex,
     {
-        let peaking_db = 20.0 * (self.peak.max() / h(w_ref).abs()).log10();
+        let peaking_db = 20.0 * (self.peak.max() / self.ref_abs).log10();
         let peaking_lti_db = 20.0 * (self.peak_lti.max() / h_lti(w_ref).abs()).log10();
         let bandwidth_3db = self.target.and_then(|target| {
             let mut g = |w: f64| (h(w).abs() / target).ln();

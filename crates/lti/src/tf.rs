@@ -181,11 +181,6 @@ impl Tf {
         self * other
     }
 
-    /// Parallel connection `self + other`.
-    pub fn parallel(&self, other: &Tf) -> Tf {
-        self + other
-    }
-
     /// Negative feedback closed loop `self / (1 + self·h)`.
     ///
     /// # Errors
@@ -321,7 +316,7 @@ mod tests {
         let s = a.series(&b);
         let z = Complex::new(0.5, 0.7);
         assert!(s.eval(z).approx_eq(a.eval(z) * b.eval(z), 1e-13));
-        let p = a.parallel(&b);
+        let p = &a + &b;
         assert!(p.eval(z).approx_eq(a.eval(z) + b.eval(z), 1e-13));
         let d = &a - &b;
         assert!(d.eval(z).approx_eq(a.eval(z) - b.eval(z), 1e-13));

@@ -176,12 +176,6 @@ fn check_lambda_truncation(model: &PllModel, probes: &[f64]) -> CheckResult {
     )
 }
 
-/// The full analysis on one thread with a fresh cache: xcheck reports
-/// hold no timings and must not depend on the pool.
-fn analyze_serial(model: &PllModel) -> Result<AnalysisReport, CoreError> {
-    analyze(model, ThreadBudget::Fixed(1), &Deadline::none())
-}
-
 /// Two solvers, one matrix: the rank-one Sherman–Morrison closed loop
 /// against the dense-LU reference at identical truncation. Differences
 /// are pure linear-algebra roundoff, amplified by the conditioning of
@@ -484,7 +478,7 @@ fn check_margins_vs_scan(
     model: &PllModel,
     report: &AnalysisReport,
 ) -> Result<CheckResult, XcheckError> {
-    let scan = scan_margins(model, ThreadBudget::Fixed(1), &Deadline::none())?;
+    let scan = scan_margins(model, &Deadline::none())?;
     let flag = |b: bool| b as u8 as f64;
     let pairs = [
         (report.omega_ug_lti, scan.lti.omega_ug),
@@ -689,7 +683,7 @@ pub fn run_scenario(s: &Scenario) -> Result<ScenarioReport, XcheckError> {
     }
 
     // Analysis crossover vs λ, and the two stability verdicts.
-    let report = analyze_serial(&model)?;
+    let report = analyze(&model, &Deadline::none())?;
     checks.extend(check_crossing(&model, &report));
     checks.push(check_margins_vs_scan(&model, &report)?);
     checks.push(check_strip_roots_vs_winding(&model, &report)?);
@@ -739,7 +733,7 @@ fn boundary_scenario() -> Result<ScenarioReport, XcheckError> {
     ] {
         let design = PllDesign::reference_design(factor * limit)?;
         let model = PllModel::builder(design).build()?;
-        let report = analyze_serial(&model)?;
+        let report = analyze(&model, &Deadline::none())?;
         let check: &'static str = tag;
         checks.push(grade_bool(
             check,

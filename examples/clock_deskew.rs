@@ -11,7 +11,7 @@
 use htmpll::core::{analyze, PllDesign, PllModel};
 use htmpll::htm::Truncation;
 use htmpll::num::Complex;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("De-skew loop bandwidth trade-off (reference wander at 0.05·ω_UG):");
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &ratio in &[0.02, 0.05, 0.1, 0.2, 0.3] {
         let design = PllDesign::reference_design(ratio)?;
         let model = PllModel::builder(design).build()?;
-        let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
+        let report = analyze(&model, &Deadline::none())?;
         // Tracking error for slow reference wander: |1 − H00| at low ω.
         let err = model.error_transfer(0.05).abs();
         let verdict = if !report.nyquist_stable {

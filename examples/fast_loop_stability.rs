@@ -13,7 +13,7 @@
 
 use htmpll::core::{analyze, PllDesign, PllModel};
 use htmpll::lti::{is_hurwitz, Tf};
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::zdomain::{reference_design_stability_limit, CpPllZModel};
 
 fn lti_closed_loop_stable(a: &Tf) -> bool {
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let design = PllDesign::reference_design(ratio)?;
         let a = design.open_loop_gain();
         let model = PllModel::builder(design.clone()).build()?;
-        let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
+        let report = analyze(&model, &Deadline::none())?;
         let zmodel = CpPllZModel::from_design(&design)?;
         println!(
             "{ratio:5.2}   {:6.2}°  {:6.2}°   {:^10}  {:^10}  {:^8}",

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example frequency_synthesizer`.
 
 use htmpll::core::{analyze, LoopFilter, PllDesign, PllModel};
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::sim::{acquire_lock, LockOptions, SimConfig, SimParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("charge pump: Icp = {:.1} µA", design.icp() * 1e6);
     let model = PllModel::builder(design.clone()).build()?;
-    let report = analyze(&model, ThreadBudget::Auto, &Deadline::none())?;
+    let report = analyze(&model, &Deadline::none())?;
 
     println!(
         "\nsynthesizer: {:.0} MHz out from {:.0} MHz reference (÷{n})",

@@ -67,12 +67,12 @@ echo "metrics smoke ok ($sites instrumented sites)"
 for t in 1 4; do
     evals=$(HTMPLL_THREADS=$t ./target/release/plltool metrics --ratio 0.1 |
         awk '$1 == "core.lambda.eval" { print $3 }')
-    if [ "$evals" != "3102" ]; then
-        echo "metrics smoke failed: core.lambda.eval = '$evals' at HTMPLL_THREADS=$t, want 3102" >&2
+    if [ "$evals" != "3101" ]; then
+        echo "metrics smoke failed: core.lambda.eval = '$evals' at HTMPLL_THREADS=$t, want 3101" >&2
         exit 1
     fi
 done
-echo "lambda eval count ok (3102 at HTMPLL_THREADS=1 and 4)"
+echo "lambda eval count ok (3101 at HTMPLL_THREADS=1 and 4)"
 # One sim.engine.segments per propagation segment (a whole sample
 # interval, or a piece of one cut by a PFD event), so a change in
 # simulator work shows here as a count rather than as a timing.
@@ -425,22 +425,32 @@ fi
 rm -f "$servein" "$serveout"
 echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
 
-echo "==> serve error leg (malformed, unknown command, unservable: pinned bytes)"
+echo "==> serve error leg (malformed, unknown command, unservable, over-limit counts: pinned bytes)"
 errwant=$(mktemp); errgot=$(mktemp)
 cat > "$errwant" <<'EOF'
 {"schema":"plltool/v1","command":null,"ok":false,"error":{"code":"bad_request","message":"invalid JSON: expected 'null' at byte 0","retryable":false}}
 {"schema":"plltool/v1","id":1,"command":null,"ok":false,"error":{"code":"bad_request","message":"unknown command `nonsense`","retryable":false}}
 {"schema":"plltool/v1","id":"m","command":"metrics","ok":false,"error":{"code":"unsupported","message":"`metrics` mutates process-global state; run it via the plltool CLI","retryable":false}}
+{"schema":"plltool/v1","id":"k","command":null,"ok":false,"error":{"code":"bad_request","message":"--kmax: `1000000000000000` exceeds the limit of 1000000","retryable":false}}
+{"schema":"plltool/v1","id":"p","command":null,"ok":false,"error":{"code":"bad_request","message":"--points: `1000001` exceeds the limit of 1000000","retryable":false}}
 EOF
+# The last two exceed htmpll::requests::MAX_GRID_POINTS (a kmax of 1e15
+# alone would ask for 10^15 spur lines): serve must refuse them at parse
+# time, answer every line and exit 0.
 printf '%s\n' 'not json' '{"id":1,"command":"nonsense"}' '{"id":"m","command":"metrics"}' \
-    | ./target/release/plltool serve --workers 2 > "$errgot" 2>/dev/null
+    '{"id":"k","command":"spur","params":{"ratio":0.1,"kmax":1e15}}' \
+    '{"id":"p","command":"bode","params":{"ratio":0.1,"points":1000001}}' \
+    | ./target/release/plltool serve --workers 2 > "$errgot" 2>/dev/null || {
+    echo "serve error leg failed: serve exited with status $?" >&2
+    exit 1
+}
 cmp "$errwant" "$errgot" || {
     echo "serve error leg failed: error lines differ from the pinned bytes" >&2
     diff "$errwant" "$errgot" >&2 || true
     exit 1
 }
 rm -f "$errwant" "$errgot"
-echo "serve error leg ok (3 error lines byte-identical)"
+echo "serve error leg ok (5 error lines byte-identical)"
 
 echo "==> CLI text leg (analyze --pfd sh and spur: pinned stdout and --json bytes)"
 txtwant=$(mktemp); txtgot=$(mktemp); jsonwant=$(mktemp); jsongot=$(mktemp)

@@ -85,10 +85,14 @@ const USAGE: &str =
           prints the data behind the paper's figures (fig2 fig4 fig5
           fig6 fig7) and the extension studies; `all` (the default)
           omits the wall-clock `timing` id; takes no flags
-  every command accepts --threads N for the sweep worker pool
-  (0 = auto; equivalent to setting HTMPLL_THREADS) and --metrics-json
-  PATH to dump instrumentation (enables info-level collection if
-  HTMPLL_OBS is unset)
+  every command accepts --threads N (0 = auto; equivalent to setting
+  HTMPLL_THREADS), the worker pool for coarse or numerous items: serve
+  batches, xcheck scenarios, explore blocks and SweepSpec grids; work
+  on a single design (analyze, each sweep ratio, bode, spur) runs on
+  the calling thread. bode/sweep --points and spur --kmax are at most
+  1000000. Every command also accepts --metrics-json PATH to dump
+  instrumentation (enables info-level collection if HTMPLL_OBS is
+  unset)
   --json PATH and --metrics-json PATH write one versioned envelope
   {\"schema\":\"plltool/v1\",\"command\":...,\"ok\":...,\"result\":...,
    \"quality\":...[,\"metrics\":...]} — the same document shape serve

@@ -26,7 +26,7 @@ use crate::core::{analyze, PllDesign, PllModel};
 use crate::lti::{bode_tf, stability_margins};
 use crate::num::optim::{lin_grid, log_grid};
 use crate::num::Complex;
-use crate::par::{Deadline, ThreadBudget};
+use crate::par::Deadline;
 use crate::sim::{measure_h00, measure_h00_multitone, MeasureOptions, SimConfig, SimParams};
 use std::error::Error;
 use std::fmt::Write as _;
@@ -240,11 +240,7 @@ pub fn fig7_margin_sweep(lo: f64, hi: f64, points: usize) -> FigResult<Vec<Fig7R
     lin_grid(lo, hi, points)
         .into_iter()
         .map(|ratio| -> FigResult<Fig7Row> {
-            let r = analyze(
-                &reference_model(ratio)?,
-                ThreadBudget::Auto,
-                &Deadline::none(),
-            )?;
+            let r = analyze(&reference_model(ratio)?, &Deadline::none())?;
             Ok(Fig7Row {
                 ratio,
                 wug_eff_over_wug: r.omega_ug_eff / r.omega_ug_lti,
@@ -455,7 +451,6 @@ pub fn pfd_comparison(ratios: &[f64]) -> FigResult<Vec<PfdRow>> {
             let design = PllDesign::reference_design(ratio)?;
             let imp = analyze(
                 &PllModel::builder(design.clone()).build()?,
-                ThreadBudget::Auto,
                 &Deadline::none(),
             )?;
             let sh = SampleHoldModel::new(design)?;

@@ -128,20 +128,35 @@ impl Params {
         !matches!(self.map.get(key), None | Some(ParamValue::Bool(false)))
     }
 
+    /// Unsigned integer with a default, at most `max`.
+    fn usize_at_most(&self, key: &str, default: usize, max: usize) -> Result<usize, String> {
+        let n = self.usize_or(key, default)?;
+        if n > max {
+            return Err(format!("--{key}: `{n}` exceeds the limit of {max}"));
+        }
+        Ok(n)
+    }
+
     /// Worker-thread request from `threads` (`0` = auto-detect). A
     /// count above [`MAX_THREADS`] is an error: the worker pool never
     /// shrinks, so one request must not be able to grow it without
     /// bound.
     pub fn threads(&self) -> Result<usize, String> {
-        let n = self.usize_or("threads", 0)?;
-        if n > MAX_THREADS {
-            return Err(format!(
-                "--threads: `{n}` exceeds the limit of {MAX_THREADS}"
-            ));
-        }
-        Ok(n)
+        self.usize_at_most("threads", 0, MAX_THREADS)
     }
 }
+
+/// Largest grid a `bode` or `sweep` request (`points`) or a `spur`
+/// request (`kmax`) may ask for. Each point is evaluated, kept and
+/// rendered: a Bode point or a spur line costs under a microsecond and
+/// under 100 bytes all told, so this bounds such a request to about a
+/// second of one core and tens of MB of memory (a 10⁶-point `bode`
+/// of `A(jω)` or `spur` took under 0.7 s and 90 MB peak RSS on one
+/// core of a 2-core x86-64 host). A larger count would only be refused later, if at
+/// all, by a failed allocation that aborts the process. A sweep point
+/// is a whole analysis (about 0.3 ms), so the limit bounds a sweep's
+/// memory, and serve's `--deadline-ms` ladder its time.
+pub const MAX_GRID_POINTS: usize = 1_000_000;
 
 /// Largest work, in reference periods, a `step` or `hop` request may
 /// ask for: `points · (until/T + 25)` with `T` the reference period.
@@ -341,8 +356,6 @@ pub enum Request {
     Analyze {
         /// Design under analysis.
         design: DesignSpec,
-        /// Worker threads (0 = auto).
-        threads: usize,
         /// Also report the sample-and-hold PFD margins (`--pfd sh`).
         pfd_sh: bool,
         /// Also print the symbolic λ(s) expansion.
@@ -354,21 +367,17 @@ pub enum Request {
         from: f64,
         /// Last ratio.
         to: f64,
-        /// Grid points.
+        /// Grid points (at most [`MAX_GRID_POINTS`]).
         points: usize,
-        /// Worker threads (0 = auto).
-        threads: usize,
     },
     /// Bode table of `A(jω)` or `λ(jω)` (`plltool bode`).
     Bode {
         /// Design under analysis.
         design: DesignSpec,
-        /// Grid points.
+        /// Grid points (at most [`MAX_GRID_POINTS`]).
         points: usize,
         /// Sweep λ instead of the LTI open loop.
         lambda: bool,
-        /// Worker threads (0 = auto).
-        threads: usize,
     },
     /// Phase-step transient (`plltool step`).
     Step {
@@ -396,10 +405,8 @@ pub enum Request {
         design: DesignSpec,
         /// Leakage as a fraction of the charge-pump current.
         leakage_frac: f64,
-        /// Highest harmonic index.
+        /// Highest harmonic index (at most [`MAX_GRID_POINTS`]).
         kmax: usize,
-        /// Worker threads (0 = auto).
-        threads: usize,
     },
     /// Streaming design-space exploration (`plltool explore`).
     Explore(ExploreSpec),
@@ -458,21 +465,18 @@ impl Request {
         Ok(match command {
             "analyze" => Request::Analyze {
                 design: DesignSpec::required(p)?,
-                threads,
                 pfd_sh: p.str_opt("pfd").as_deref() == Some("sh"),
                 symbolic: p.has("symbolic"),
             },
             "sweep" => Request::Sweep {
                 from: p.f64_or("from", 0.02)?,
                 to: p.f64_or("to", 0.3)?,
-                points: p.usize_or("points", 15)?,
-                threads,
+                points: p.usize_at_most("points", 15, MAX_GRID_POINTS)?,
             },
             "bode" => Request::Bode {
                 design: DesignSpec::required(p)?,
-                points: p.usize_or("points", 31)?,
+                points: p.usize_at_most("points", 31, MAX_GRID_POINTS)?,
                 lambda: p.has("lambda"),
-                threads,
             },
             "step" | "hop" => {
                 let design = DesignSpec::required(p)?;
@@ -496,8 +500,7 @@ impl Request {
             "spur" => Request::Spur {
                 design: DesignSpec::required(p)?,
                 leakage_frac: p.f64_or("leakage-frac", 1e-3)?,
-                kmax: p.usize_or("kmax", 4)?,
-                threads,
+                kmax: p.usize_at_most("kmax", 4, MAX_GRID_POINTS)?,
             },
             "explore" => {
                 let d = ExploreSpec::default();
@@ -602,14 +605,11 @@ impl Request {
     }
 
     /// The worker-thread budget encoded in the request (`Auto` for
-    /// commands without one).
+    /// commands without one: a command on a single design runs on the
+    /// calling thread).
     pub fn budget(&self) -> ThreadBudget {
         match self {
-            Request::Analyze { threads, .. }
-            | Request::Sweep { threads, .. }
-            | Request::Bode { threads, .. }
-            | Request::Spur { threads, .. }
-            | Request::Doctor { threads, .. }
+            Request::Doctor { threads, .. }
             | Request::Xcheck { threads, .. }
             | Request::Metrics { threads, .. } => ThreadBudget::from(*threads),
             Request::Explore(spec) => spec.threads,
@@ -629,7 +629,6 @@ impl Request {
         match self {
             Request::Analyze {
                 design,
-                threads,
                 pfd_sh,
                 symbolic,
             } => {
@@ -638,31 +637,22 @@ impl Request {
                 field("design", d);
                 field("pfd_sh", pfd_sh.to_string());
                 field("symbolic", symbolic.to_string());
-                field("threads", threads.to_string());
             }
-            Request::Sweep {
-                from,
-                to,
-                points,
-                threads,
-            } => {
+            Request::Sweep { from, to, points } => {
                 field("from", canon_f64(*from));
                 field("to", canon_f64(*to));
                 field("points", points.to_string());
-                field("threads", threads.to_string());
             }
             Request::Bode {
                 design,
                 points,
                 lambda,
-                threads,
             } => {
                 let mut d = String::new();
                 design.canonical(&mut d);
                 field("design", d);
                 field("lambda", lambda.to_string());
                 field("points", points.to_string());
-                field("threads", threads.to_string());
             }
             Request::Step {
                 design,
@@ -684,14 +674,12 @@ impl Request {
                 design,
                 leakage_frac,
                 kmax,
-                threads,
             } => {
                 let mut d = String::new();
                 design.canonical(&mut d);
                 field("design", d);
                 field("leakage_frac", canon_f64(*leakage_frac));
                 field("kmax", kmax.to_string());
-                field("threads", threads.to_string());
             }
             Request::Explore(s) => {
                 field("candidates", s.candidates.to_string());
@@ -796,10 +784,17 @@ mod tests {
     #[test]
     fn canonical_json_ignores_flag_spelling() {
         let a = Params::from_argv(&strs(&["--ratio", "0.1"])).unwrap();
-        let b = Params::from_argv(&strs(&["--ratio", "1e-1", "--spread", "4"])).unwrap();
         let ra = Request::parse("analyze", &a).unwrap();
-        let rb = Request::parse("analyze", &b).unwrap();
-        assert_eq!(ra.canonical_json(), rb.canonical_json());
+        // A different spelling of the same design, and a thread count,
+        // which no single-design command takes: one tail-cache key.
+        for spelling in [
+            &["--ratio", "1e-1", "--spread", "4"][..],
+            &["--ratio", "0.1", "--threads", "4"],
+        ] {
+            let b = Params::from_argv(&strs(spelling)).unwrap();
+            let rb = Request::parse("analyze", &b).unwrap();
+            assert_eq!(ra.canonical_json(), rb.canonical_json(), "{spelling:?}");
+        }
     }
 
     #[test]
@@ -840,6 +835,24 @@ mod tests {
             over.threads().unwrap_err(),
             "--threads: `257` exceeds the limit of 256"
         );
+    }
+
+    #[test]
+    fn grid_limits_are_inclusive() {
+        // Parsing alone: no handler runs on an over-limit count.
+        for (command, key) in [("bode", "points"), ("sweep", "points"), ("spur", "kmax")] {
+            let at = Params::from_argv(&strs(&["--ratio", "0.1", &format!("--{key}"), "1000000"]))
+                .unwrap();
+            Request::parse(command, &at).unwrap();
+            let over = Params::from_json(
+                &crate::obs::parse_json(&format!(r#"{{"ratio": 0.1, "{key}": 1e15}}"#)).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(
+                Request::parse(command, &over).unwrap_err(),
+                format!("--{key}: `1000000000000000` exceeds the limit of 1000000")
+            );
+        }
     }
 
     #[test]

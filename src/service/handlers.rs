@@ -10,12 +10,12 @@ use super::response::{
 };
 use super::ServiceCtx;
 use crate::core::{
-    bode_grid, dominant_poles, optimize_loop, transient, Candidate, KernelPolicy, LeakageSpurs,
-    NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel, PointQuality,
-    QualitySummary, SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
+    dominant_poles, optimize_loop, transient, Candidate, KernelPolicy, LeakageSpurs, NoiseModel,
+    NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel, PointQuality, QualitySummary,
+    SampleHoldModel, SweepCache, SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
-use crate::lti::{BodePoint, FrequencyGrid};
+use crate::lti::{bode_sweep, BodePoint, FrequencyGrid};
 use crate::num::optim::lin_grid;
 use crate::num::Complex;
 use crate::par::{Deadline, ThreadBudget};
@@ -43,16 +43,13 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             pfd_sh,
             symbolic,
             ..
-        } => analyze(design, budget, *pfd_sh, *symbolic, &deadline).map(Response::Analyze),
-        Request::Sweep {
-            from, to, points, ..
-        } => sweep(*from, *to, *points, budget, &deadline),
+        } => analyze(design, *pfd_sh, *symbolic, &deadline).map(Response::Analyze),
+        Request::Sweep { from, to, points } => sweep(*from, *to, *points, &deadline),
         Request::Bode {
             design,
             points,
             lambda,
-            ..
-        } => bode(design, *points, *lambda, budget, &deadline).map(Response::Bode),
+        } => bode(design, *points, *lambda, &deadline).map(Response::Bode),
         Request::Step {
             design,
             until,
@@ -67,8 +64,7 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             design,
             leakage_frac,
             kmax,
-            ..
-        } => spur(design, *leakage_frac, *kmax, budget).map(Response::Spur),
+        } => spur(design, *leakage_frac, *kmax).map(Response::Spur),
         Request::Optimize {
             min_pm,
             from,
@@ -122,13 +118,12 @@ fn build_model(spec: &DesignSpec) -> Result<(PllDesign, PllModel), String> {
 
 fn analyze(
     spec: &DesignSpec,
-    threads: ThreadBudget,
     pfd_sh: bool,
     symbolic: bool,
     deadline: &Deadline,
 ) -> Result<AnalyzeOut, String> {
     let (design, model) = build_model(spec)?;
-    let report = crate::core::analyze(&model, threads, deadline).map_err(|e| e.to_string())?;
+    let report = crate::core::analyze(&model, deadline).map_err(|e| e.to_string())?;
     let strip_poles = dominant_poles(&model).ok();
     let sample_hold = if pfd_sh {
         let sh = SampleHoldModel::new(model.design().clone()).map_err(|e| e.to_string())?;
@@ -164,13 +159,7 @@ fn analyze(
 /// retryable `code:deadline` error carrying the (empty) quality
 /// roll-up. The ladder consults only the deterministic deadline state,
 /// so a given budget and fault plan always degrade the same way.
-fn sweep(
-    from: f64,
-    to: f64,
-    points: usize,
-    threads: ThreadBudget,
-    deadline: &Deadline,
-) -> Result<Response, String> {
+fn sweep(from: f64, to: f64, points: usize, deadline: &Deadline) -> Result<Response, String> {
     let ratios = lin_grid(from, to, points.max(2));
     let total = ratios.len();
     let mut rows = Vec::new();
@@ -207,7 +196,7 @@ fn sweep(
             PllModel::builder(PllDesign::reference_design(ratio).map_err(|e| e.to_string())?)
                 .build()
                 .map_err(|e| e.to_string())?;
-        let r = match crate::core::analyze(&model, threads, deadline) {
+        let r = match crate::core::analyze(&model, deadline) {
             Ok(r) => r,
             Err(e) => {
                 let message = e.to_string();
@@ -245,25 +234,22 @@ fn bode(
     spec: &DesignSpec,
     points: usize,
     lambda: bool,
-    threads: ThreadBudget,
     deadline: &Deadline,
 ) -> Result<Vec<BodePoint>, String> {
     let (design, model) = build_model(spec)?;
-    let wug = crate::core::lti_margins(&model, threads, deadline)
+    let wug = crate::core::lti_margins(&model, deadline)
         .map_err(|e| e.to_string())?
         .omega_ug;
     let grid =
         FrequencyGrid::log(1e-2 * wug, 1e2 * wug, points.max(2)).map_err(|e| e.to_string())?;
     Ok(if lambda {
         // λ is only meaningful inside the first band.
-        let spec =
-            SweepSpec::new(grid.retain(|w| w < 0.4999 * design.omega_ref())).with_threads(threads);
+        let grid = grid.retain(|w| w < 0.4999 * design.omega_ref());
         let axis = model.lambda().line(0.0);
-        bode_grid(|w| axis.eval(w), &spec)
+        bode_sweep(|w| axis.eval(w), grid.points())
     } else {
         let a = model.open_loop();
-        let spec = SweepSpec::new(grid).with_threads(threads);
-        bode_grid(|w| a.eval_jw(w), &spec)
+        bode_sweep(|w| a.eval_jw(w), grid.points())
     })
 }
 
@@ -287,18 +273,13 @@ fn transient_out(
     Ok(TransientOut { ts, ys })
 }
 
-fn spur(
-    spec: &DesignSpec,
-    leakage_frac: f64,
-    kmax: usize,
-    threads: ThreadBudget,
-) -> Result<SpurOut, String> {
+fn spur(spec: &DesignSpec, leakage_frac: f64, kmax: usize) -> Result<SpurOut, String> {
     let (design, model) = build_model(spec)?;
     let spurs = LeakageSpurs::new(&model, leakage_frac * design.icp());
     Ok(SpurOut {
         leakage_frac,
         static_offset: spurs.static_offset(),
-        lines: spurs.scan(kmax as i64, threads),
+        lines: spurs.scan(kmax as i64),
         design,
     })
 }
@@ -486,9 +467,8 @@ fn doctor(spec: Option<&DesignSpec>, threads: ThreadBudget) -> Result<DoctorOut,
     let fast_row = match PllDesign::reference_design(0.45)
         .map_err(|e| e.to_string())
         .and_then(|d| PllModel::builder(d).build().map_err(|e| e.to_string()))
-        .and_then(|m| {
-            crate::core::analyze(&m, threads, &Deadline::none()).map_err(|e| e.to_string())
-        }) {
+        .and_then(|m| crate::core::analyze(&m, &Deadline::none()).map_err(|e| e.to_string()))
+    {
         Ok(r) => DoctorCheck {
             check: "fast loop w_UG ~ w0".to_string(),
             verdict: "completed".into(),
@@ -597,9 +577,8 @@ fn metrics(
         .build()
         .map_err(|e| e.to_string())?;
 
-    // Frequency-domain leg: margins, strip poles, λ truncation — all
-    // scan grids run on the parallel pool.
-    crate::core::analyze(&model, threads, &Deadline::none()).map_err(|e| e.to_string())?;
+    // Frequency-domain leg: margins, strip poles, λ truncation.
+    crate::core::analyze(&model, &Deadline::none()).map_err(|e| e.to_string())?;
     let _ = dominant_poles(&model);
     let lam = model.lambda();
     let k = lam.suggest_truncation(1e-6);
@@ -616,8 +595,9 @@ fn metrics(
         .map_err(|e| format!("eigensolver: {e:?}"))?;
 
     // Parallel-sweep leg: λ grid, dense HTM grid (twice through one
-    // cache, so the second pass is all hits), folded noise PSDs and a
-    // spur table — exercises the pool and the sweep cache end to end.
+    // cache, so the second pass is all hits) and folded noise PSDs —
+    // exercises the pool and the sweep cache end to end — then a spur
+    // table.
     let w0 = design.omega_ref();
     let sweep_spec = SweepSpec::log(1e-3 * w0, 0.49 * w0, 512)
         .map_err(|e| e.to_string())?
@@ -646,7 +626,7 @@ fn metrics(
     let _ = robust.summary();
     let noise = NoiseModel::new(&model, 8);
     let _ = noise.output_psd_grid(&sweep_spec, &|_| 1e-12, &|f| 1e-12 / (1.0 + f * f));
-    let _ = LeakageSpurs::new(&model, 1e-3 * design.icp()).scan(16, threads);
+    let _ = LeakageSpurs::new(&model, 1e-3 * design.icp()).scan(16);
 
     // Time-domain leg: settle run, lock acquisition, PSD of the trace.
     let params = SimParams::from_design(&design);

@@ -5,7 +5,7 @@
 //! gain factors, normalizations) fails loudly rather than drifting.
 
 use htmpll::core::{analyze, PllDesign, PllModel};
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::zdomain::reference_design_stability_limit;
 
 fn report(ratio: f64) -> htmpll::core::AnalysisReport {
@@ -13,7 +13,6 @@ fn report(ratio: f64) -> htmpll::core::AnalysisReport {
         &PllModel::builder(PllDesign::reference_design(ratio).unwrap())
             .build()
             .unwrap(),
-        ThreadBudget::Auto,
         &Deadline::none(),
     )
     .unwrap()

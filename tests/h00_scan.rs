@@ -23,7 +23,7 @@ use htmpll::lti::{
     bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed, ClosedLoopScan,
 };
 use htmpll::num::Complex;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 
 /// The closed-loop fields of a report, every bit.
 fn bits(bw: Option<f64>, pk: f64, pk_lti: f64, q: &QualitySummary) -> Vec<u64> {
@@ -47,7 +47,7 @@ fn report_bits(r: &AnalysisReport) -> Vec<u64> {
 /// The closed-loop fields by the two-pass extractors, or the margin
 /// error that stops `analyze` first.
 fn oracle(model: &PllModel) -> Result<Vec<u64>, CoreError> {
-    let m = loop_margins(model, ThreadBudget::Fixed(1), &Deadline::none())?;
+    let m = loop_margins(model, &Deadline::none())?;
     let w_ref = m.lti.omega_ug * 1e-4;
     let grid = margin_scan_grid(w_ref, 100.0 * m.lti.omega_ug);
     let h: Vec<Complex> = grid.iter().map(|&w| model.h00(w)).collect();
@@ -81,10 +81,7 @@ fn oracle(model: &PllModel) -> Result<Vec<u64>, CoreError> {
 /// Asserts `analyze` and the oracle agree to the bit on `model`;
 /// returns whether the model had an analysis at all.
 fn same_bits(model: &PllModel, what: &str) -> bool {
-    match (
-        analyze(model, ThreadBudget::Fixed(1), &Deadline::none()),
-        oracle(model),
-    ) {
+    match (analyze(model, &Deadline::none()), oracle(model)) {
         (Ok(r), Ok(expect)) => {
             assert_eq!(report_bits(&r), expect, "{what}: {r:?}");
             true
@@ -177,9 +174,7 @@ fn grid_points_on_the_aliased_integrator_poles() {
     // in floating point) and H₀,₀ at the bottom of its notch.
     let m = model(PllDesign::reference_design(0.1)).expect("model");
     let w0 = m.design().omega_ref();
-    let lti = loop_margins(&m, ThreadBudget::Fixed(1), &Deadline::none())
-        .expect("margins")
-        .lti;
+    let lti = loop_margins(&m, &Deadline::none()).expect("margins").lti;
     let w_ref = lti.omega_ug * 1e-4;
     let mut grid = margin_scan_grid(w_ref, 100.0 * lti.omega_ug);
     for k in 1..=9 {

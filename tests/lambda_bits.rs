@@ -30,7 +30,7 @@ use htmpll::lti::Tf;
 use htmpll::num::hash::Fnv1a;
 use htmpll::num::special::lattice_sum;
 use htmpll::num::Complex;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use std::f64::consts::PI;
 
 fn write_c(h: &mut Fnv1a, z: Complex) {
@@ -155,7 +155,7 @@ fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 
 fn analysis_of(design: Result<PllDesign, CoreError>) -> Result<AnalysisReport, CoreError> {
     let model = PllModel::builder(design?).build()?;
-    analyze(&model, ThreadBudget::Fixed(1), &Deadline::none())
+    analyze(&model, &Deadline::none())
 }
 
 #[test]

@@ -18,7 +18,7 @@ use htmpll::core::{
 use htmpll::lti::Margins;
 use htmpll::num::Complex;
 use htmpll::obs;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 
 /// Every bit of `m`, the sampling-limit flag included.
 fn bits(m: &LoopMargins) -> Vec<u64> {
@@ -39,11 +39,8 @@ fn bits(m: &LoopMargins) -> Vec<u64> {
 /// Asserts the root path and the scan agree to the bit on `model`;
 /// returns whether the model had margins at all.
 fn same_bits(model: &PllModel, what: &str) -> bool {
-    let (threads, none) = (ThreadBudget::Fixed(1), Deadline::none());
-    match (
-        loop_margins(model, threads, &none),
-        scan_margins(model, threads, &none),
-    ) {
+    let none = Deadline::none();
+    match (loop_margins(model, &none), scan_margins(model, &none)) {
         (Ok(roots), Ok(scan)) => {
             assert_eq!(bits(&roots), bits(&scan), "{what}: {roots:?} vs {scan:?}");
             true
@@ -90,7 +87,7 @@ fn fig7_reference_designs() {
         let ratio = 0.02 * k as f64;
         let m = model(PllDesign::reference_design(ratio)).expect("reference design");
         assert!(same_bits(&m, &format!("ratio {ratio}")));
-        beyond += loop_margins(&m, ThreadBudget::Fixed(1), &Deadline::none())
+        beyond += loop_margins(&m, &Deadline::none())
             .expect("margins")
             .beyond_sampling_limit as usize;
     }

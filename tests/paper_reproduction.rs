@@ -7,7 +7,7 @@ use htmpll::core::{analyze, AnalysisReport, PllDesign, PllModel};
 use htmpll::htm::Truncation;
 use htmpll::lti::{bandwidth_3db_precomputed, margin_scan_grid};
 use htmpll::num::Complex;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::sim::{measure_h00, MeasureOptions, SimConfig, SimParams};
 use htmpll::zdomain::{reference_design_stability_limit, CpPllZModel};
 
@@ -15,7 +15,7 @@ fn reference_report(ratio: f64) -> AnalysisReport {
     let m = PllModel::builder(PllDesign::reference_design(ratio).unwrap())
         .build()
         .unwrap();
-    analyze(&m, ThreadBudget::Auto, &Deadline::none()).unwrap()
+    analyze(&m, &Deadline::none()).unwrap()
 }
 
 /// Paper §5 / Fig. 6: HTM closed-loop prediction vs time-marching

@@ -13,7 +13,7 @@ use htmpll::htm::{Htm, HtmRepr, Truncation};
 use htmpll::lti::Tf;
 use htmpll::num::rng::Rng;
 use htmpll::num::{CMat, Complex, Lu, LuError, RobustLu, SolveStage};
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::requests::{Params, Request, MAX_TRANSIENT_PERIODS};
 use htmpll::service::{handle, Response, ServiceCtx};
 use std::io::{BufRead, Write};
@@ -482,7 +482,7 @@ fn banded_lu_matches_dense_lu_across_24_decades() {
 fn analysis_quality_summary_is_consistent() {
     for ratio in [0.05, 0.25, 0.45] {
         let m = model(ratio);
-        let report = analyze(&m, ThreadBudget::Fixed(1), &Deadline::none()).unwrap();
+        let report = analyze(&m, &Deadline::none()).unwrap();
         let q = &report.quality;
         assert_eq!(
             q.exact + q.refined + q.perturbed + q.failed,

@@ -10,7 +10,7 @@ use htmpll::core::{
 };
 use htmpll::lti::Tf;
 use htmpll::num::Complex;
-use htmpll::par::{Deadline, ThreadBudget};
+use htmpll::par::Deadline;
 use htmpll::xcheck::strip_zero_count;
 use std::f64::consts::PI;
 
@@ -104,7 +104,7 @@ fn candidate_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 }
 
 fn report(model: &PllModel) -> AnalysisReport {
-    analyze(model, ThreadBudget::Fixed(1), &Deadline::none()).unwrap()
+    analyze(model, &Deadline::none()).unwrap()
 }
 
 /// `analyze`'s exact verdict against the argument principle: the

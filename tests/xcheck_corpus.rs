@@ -64,7 +64,7 @@ fn strip_zero_left_of_the_winding_contour_grades_agree() {
         sim: false,
     };
     let model = s.model().expect("model builds");
-    let report = analyze(&model, ThreadBudget::Fixed(1), &Deadline::none()).expect("analyze");
+    let report = analyze(&model, &Deadline::none()).expect("analyze");
     assert!(!report.nyquist_stable);
     let first = dominant_poles(&model).expect("poles")[0];
     assert!(
