@@ -1,8 +1,8 @@
 //! Parallel frequency-sweep engine: one spec, one cache, every grid.
 //!
-//! The `htmpll-par` pool maps only coarse or numerous items: serve's
-//! admission batch, xcheck's scenarios, explore's candidate blocks, and
-//! the three grid entry points below. Everything done for a single
+//! The `htmpll-par` pool maps only coarse or numerous items: xcheck's
+//! scenarios, explore's candidate blocks, and the three grid entry
+//! points below. Everything done for a single
 //! design — [`analyze`](crate::analyze) and its margins, a Bode table,
 //! a spur table — runs on the calling thread. This module provides the
 //! shared vocabulary for the grid maps:

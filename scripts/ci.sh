@@ -382,7 +382,7 @@ for key in par.tasks par.chunks par.worker_busy_ns core.sweep.dense_cache.hit; d
 done
 echo "pool smoke ok (par.* counters + sweep cache hits present)"
 
-echo "==> plltool serve leg (50-request JSONL batch)"
+echo "==> plltool serve leg (50-request JSONL stream)"
 servein=$(mktemp); serveout=$(mktemp)
 {
     for i in $(seq 0 48); do
@@ -402,7 +402,7 @@ if grep -q '"code":"shed"' "$serveout"; then
     exit 1
 fi
 if grep -q '"ok":false' "$serveout"; then
-    echo "serve leg failed: a request errored in the healthy batch" >&2
+    echo "serve leg failed: a request errored in the healthy stream" >&2
     grep '"ok":false' "$serveout" | head -3 >&2
     exit 1
 fi
@@ -422,8 +422,15 @@ if grep '"command":"stats"' "$serveout" | grep -q '"sweep_cache"'; then
     echo "serve leg failed: stats still reports a sweep_cache member" >&2
     exit 1
 fi
+# `stats` is answered after all 49 analyze lines, and each of their 5
+# distinct specs runs its handler once: 5 tail-cache misses.
+grep '"command":"stats"' "$serveout" | grep -q '"misses":5,' || {
+    echo "serve leg failed: expected 5 tail-cache misses (one per distinct spec)" >&2
+    grep '"command":"stats"' "$serveout" >&2
+    exit 1
+}
 rm -f "$servein" "$serveout"
-echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
+echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits, 5 misses)"
 
 echo "==> serve error leg (malformed, unknown command, unservable, over-limit counts: pinned bytes)"
 errwant=$(mktemp); errgot=$(mktemp)
@@ -537,9 +544,9 @@ rm -f "$dlout"
 echo "serve deadline leg ok (structured retryable deadline errors, no hang)"
 
 echo "==> serve long-batch deadline leg (40 sweeps, each well inside its own budget)"
-# A request is stopped only by its own budget: 40 sweeps of about a
-# fifth of their 400 ms budget each, run one after another in one
-# batch, must all answer whole however long the batch takes.
+# A request is stopped only by its own budget: 40 sweeps well inside
+# their 400 ms budget each, run one after another on one worker, must
+# all answer whole however long the run takes.
 lbin=$(mktemp)
 lbout=$(mktemp)
 lberr=$(mktemp)

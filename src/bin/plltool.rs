@@ -62,18 +62,19 @@ const USAGE: &str =
           sweep, dense kernel, adversarial robust grid, noise folding)
           and prints per-phase attribution: wall time, per-point p50/p99,
           cache hit rate, verdicts, ladder stages, worker utilization
-  serve   [--workers N] [--queue-max N] [--batch-max N] [--shed x]
-          [--socket PATH] [--deadline-ms MS]
-          long-running batched analysis service: reads JSON-lines
+  serve   [--workers N] [--queue-max N] [--shed x] [--socket PATH]
+          [--deadline-ms MS]
+          long-running streaming analysis service: reads JSON-lines
           requests {\"id\":...,\"command\":...,\"params\":{...}} from stdin
           (or a Unix socket), answers one plltool/v1 envelope line per
-          request in input order; a repeated spec is answered from a
+          request in input order, each as soon as the lines before it
+          are answered; a repeated spec is answered from a
           response cache of 1,024 envelopes; send {\"command\":\"stats\"} for live
           latency/throughput/queue/cache figures; with --deadline-ms a
           request over budget degrades (smaller truncation, coarser
           grid, partial rows) or answers a retryable \"code\":\"deadline\"
-          error instead of holding its batch; each request is stopped
-          only by its own budget
+          error instead of holding up the lines behind it; each request
+          is stopped only by its own budget
   chaos   [--requests N] [--seed S] [--workers N] [--plan SPEC]
           replays a seeded request corpus through serve under an
           injected fault plan (HTMPLL_FAULT grammar) and verifies the
@@ -86,9 +87,9 @@ const USAGE: &str =
           fig6 fig7) and the extension studies; `all` (the default)
           omits the wall-clock `timing` id; takes no flags
   every command accepts --threads N (0 = auto; equivalent to setting
-  HTMPLL_THREADS), the worker pool for coarse or numerous items: serve
-  batches, xcheck scenarios, explore blocks and SweepSpec grids; work
-  on a single design (analyze, each sweep ratio, bode, spur) runs on
+  HTMPLL_THREADS), the worker pool for coarse or numerous items:
+  xcheck scenarios, explore blocks and SweepSpec grids (and serve's
+  worker count when --workers is 0); work on a single design (analyze, each sweep ratio, bode, spur) runs on
   the calling thread. bode/sweep --points and spur --kmax are at most
   1000000. Every command also accepts --metrics-json PATH to dump
   instrumentation (enables info-level collection if HTMPLL_OBS is
@@ -247,7 +248,6 @@ fn cmd_serve(params: &Params) -> Result<(), String> {
     let opts = ServeOptions {
         workers: params.usize_or("workers", defaults.workers)?,
         queue_max: params.usize_or("queue-max", defaults.queue_max)?,
-        batch_max: params.usize_or("batch-max", defaults.batch_max)?,
         shed: params.has("shed"),
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
     };

@@ -620,7 +620,8 @@ impl Request {
 
     /// Canonical JSON for this request: a deterministic function of the
     /// typed fields (not of the incoming flag spelling), used as the
-    /// serve response-cache key and the admission-batching group key.
+    /// serve response-cache key and its in-flight key (one handler run
+    /// per spec).
     pub fn canonical_json(&self) -> String {
         let mut out = format!("{{\"command\":\"{}\"", self.command());
         let mut field = |k: &str, v: String| {

@@ -4,7 +4,7 @@
 //! executed by [`handle`] against a [`ServiceCtx`], producing a typed
 //! [`Response`]. The CLI binary is a thin argv→`Request` parser over
 //! this layer; [`serve_lines`] drives the same layer as a long-running
-//! batched JSONL service; tests can call [`handle`] directly.
+//! streaming JSONL service; tests can call [`handle`] directly.
 //!
 //! Splitting request parsing, execution, and rendering means:
 //!

@@ -1,96 +1,96 @@
-//! # `plltool serve` — a batched, cache-warm JSONL analysis service
+//! # `plltool serve` — a streaming, cache-warm JSONL analysis service
 //!
 //! Long-running front-end over [`super::handle`]: requests arrive as
 //! JSON lines (`{"id":...,"command":...,"params":{...}}`), responses
 //! leave as `plltool/v1` envelope lines, **strictly in input order**
-//! regardless of worker count or per-request runtime.
+//! regardless of worker count or per-request runtime. Each line is
+//! written as soon as every line before it is answered.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!            reader thread                dispatcher (caller thread)
-//!  stdin ──► parse line ──► bounded ──► admission batch (≤ batch_max)
-//!            + request id    queue        │  group waiters by canonical spec
-//!                            │            ▼
-//!                     full? ─┤        tail cache ──► hit: no handler
-//!              block (default)            │ miss
-//!              or shed (--shed)           ▼
-//!                            │      par_map: one handler run per spec
-//!                            │            │
-//!                            └─ shed ─────┴──► answer (every line: latency,
-//!                                               error, hit, reorder map)
-//!                                                  │
-//!                                                  ▼
-//!                                       in-order flush (by sequence number)
+//!   reader thread               worker threads (`workers`)       calling thread
+//!  stdin ─► parse line ─► bounded ─► take one line
+//!           + request id   queue        │ spec in flight? ─► join that run
+//!                 │                     │ tail cache hit? ─► answer
+//!          full? ─┤                     ▼ miss
+//!   block (default)               handler (fault scope, catch_unwind)
+//!   or shed (--shed)                    │ cache the tail, answer the
+//!                 │                     │ lines that joined the run
+//!                 └──── shed ───────────┴─► answer ─► reorder by seq; write
+//!                                           channel   line k once lines 0..k
+//!                                                     are answered
 //! ```
 //!
 //! * **Backpressure**: the queue holds at most `queue_max` parsed
 //!   requests. By default the reader *blocks* on a full queue (lossless
 //!   backpressure through the pipe). With [`ServeOptions::shed`] it
 //!   instead sheds the overflow request immediately with a structured
-//!   `"code":"shed"` error so latency stays bounded.
-//! * **Admission batching**: the dispatcher drains whatever is queued
-//!   (up to `batch_max`) into one batch and groups its requests by
-//!   canonical spec, so each distinct spec is looked up once in the
-//!   response-tail cache (a bounded LRU of 1,024 id-less envelope
-//!   tails) and computed at most once; every other request of its
-//!   group shares that tail. The cache lives as long as the server:
-//!   one stream for [`serve_lines`], every connection for
-//!   [`serve_unix`].
+//!   `"code":"shed"` error so latency stays bounded. A worker starts a
+//!   line only while it is fewer than `queue_max` lines ahead of the
+//!   last one written, so the reorder map stays bounded too.
+//! * **One handler run per spec**: a worker looks a line's canonical
+//!   spec up in the in-flight map, then in the response-tail cache (a
+//!   bounded LRU of 1,024 id-less envelope tails); a duplicate of a
+//!   spec being computed joins that run, and only a line that finds
+//!   neither runs the handler. The tail is cached *before* the spec
+//!   leaves the in-flight map, so no duplicate can slip between the two.
+//!   The cache lives as long as the server: one stream for
+//!   [`serve_lines`], every connection for [`serve_unix`].
 //! * **One answer path**: every response line — computed, cached,
-//!   duplicate, error, shed or `stats` — passes through one function
-//!   that records its latency, error and cache hit and files it in the
-//!   sequence-keyed reorder map. Every line is a [`envelope`], or a
-//!   cached tail behind the same prefix.
+//!   joined, error, shed or `stats` — is written by the calling thread,
+//!   which records its latency (parse to write), error and cache hit as
+//!   it writes it. Every line is an [`envelope`], or a cached tail
+//!   behind the same prefix.
 //! * **Graceful degradation**: a request can fail three ways — a
 //!   malformed line (`bad_request`), a handler error (`failed`, e.g. an
 //!   invalid design), or a handler panic (`panic`, contained by
-//!   `catch_unwind` inside the worker job). All three produce a
-//!   response line; none of them takes the process or its neighbors in
-//!   the batch down. Numerically adversarial specs degrade through the
-//!   usual `PointQuality` ladder and still answer.
+//!   `catch_unwind` in the worker). All three produce a response line;
+//!   none of them takes the process or its neighbors down. Numerically
+//!   adversarial specs degrade through the usual `PointQuality` ladder
+//!   and still answer.
 //! * **Determinism**: handlers are pure functions of the request (a
 //!   cached tail is the bytes the handler would produce again),
-//!   responses are reassembled by sequence number, and floats
-//!   serialize via shortest-roundtrip `Display` — so the response
-//!   stream is byte-identical for 1 or N workers.
+//!   responses are written by sequence number, and floats serialize via
+//!   shortest-roundtrip `Display` — so the response stream is
+//!   byte-identical for 1 or N workers.
 //!
 //! [`envelope`]: super::envelope
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use super::response::{envelope, envelope_from_tail, envelope_tail, Response, ServiceError};
-use super::{handlers, json, ServiceCtx};
+use super::{handlers, ServiceCtx};
 use crate::num::{BoundedCache, CacheStats};
 use crate::obs::JsonValue;
-use crate::par::{par_map, ThreadBudget};
+use crate::par::ThreadBudget;
 use crate::requests::{Request, RequestId};
 use htmpll_obs::counter;
 
 /// Tuning knobs for one serve run. `Default` matches the CLI defaults.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads per admission batch, the dispatcher included
-    /// (`0` = auto-detect).
+    /// Worker threads, each taking one line at a time from the queue
+    /// (`0` = auto-detect, as [`ThreadBudget::Auto`]).
     pub workers: usize,
-    /// Parsed requests admitted into the queue before backpressure.
+    /// Parsed requests admitted into the queue before backpressure, and
+    /// the most lines a worker may run ahead of the last one written.
     pub queue_max: usize,
-    /// Largest admission batch handed to the workers at once.
-    pub batch_max: usize,
     /// `true`: shed on a full queue (bounded latency); `false`
     /// (default): block the reader (lossless backpressure).
     pub shed: bool,
     /// Per-request wall-clock budget in milliseconds (`None` =
     /// unbounded). When set, a request that exceeds it answers with a
     /// retryable `"code":"deadline"` error (or a degraded partial
-    /// result) instead of holding its batch. Each request's own budget
-    /// starts when its handler runs; nothing else cancels it.
+    /// result) instead of holding up the lines behind it. Each
+    /// request's own budget starts when its handler runs; nothing else
+    /// cancels it.
     pub deadline_ms: Option<u64>,
 }
 
@@ -99,7 +99,6 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 0,
             queue_max: 256,
-            batch_max: 32,
             shed: false,
             deadline_ms: None,
         }
@@ -107,7 +106,9 @@ impl Default for ServeOptions {
 }
 
 /// What one serve run did, returned to the front-end for its summary
-/// line. Latency is measured per request from parse to envelope.
+/// line. A request's latency runs from the parse of its line to the
+/// write of its response line, so a line that waits behind a slower
+/// one counts that wait.
 #[derive(Clone, Debug, Default)]
 pub struct ServeSummary {
     /// Non-empty input lines seen.
@@ -118,12 +119,14 @@ pub struct ServeSummary {
     pub errors: u64,
     /// Requests shed on a full queue (always 0 without `shed`).
     pub shed: u64,
-    /// Admission batches dispatched.
+    /// Drains of the answer channel: each time the calling thread
+    /// wakes, it takes every answer that has arrived and writes the
+    /// lines that are next in order.
     pub batches: u64,
-    /// Largest single batch.
+    /// Most answers taken in one drain.
     pub max_batch: u64,
     /// Requests answered without running a handler: response-tail
-    /// cache hits plus in-batch duplicates of a computed spec.
+    /// cache hits plus duplicates that joined a run in flight.
     pub response_cache_hits: u64,
     /// Median request latency in nanoseconds.
     pub p50_latency_ns: u64,
@@ -152,10 +155,11 @@ impl ServeSummary {
     }
 }
 
-/// Recovers a poisoned mutex: serve state (the shed list) stays valid
-/// across a panic unwound mid-update. Every
-/// recovery is counted (`serve/lock_poisoned`) so a fault-injection or
-/// chaos run can verify the containment path actually executed.
+/// Recovers a poisoned mutex: serve state (the queue, the in-flight
+/// map, the written count) stays valid across a panic unwound
+/// mid-update. Every recovery is counted (`serve/lock_poisoned`) so a
+/// fault-injection or chaos run can verify the containment path
+/// actually executed.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| {
         counter!("serve", "lock_poisoned").inc();
@@ -163,9 +167,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// The counters the reader thread writes; the dispatcher reads them
-/// for `stats`, progress lines and the final summary. Everything else
-/// is counted by the dispatcher alone, in its [`ServeSummary`].
+/// The counters the reader thread writes; the calling thread reads
+/// them for `stats` and the final summary. Everything else is counted
+/// by the calling thread alone, in its [`ServeSummary`].
 #[derive(Default)]
 struct ReaderCounts {
     received: AtomicU64,
@@ -198,28 +202,59 @@ struct Waiter {
     t0: Instant,
 }
 
-/// One parsed input line traveling reader → queue → dispatcher.
+/// One parsed input line traveling reader → queue → worker.
 struct LineJob {
     waiter: Waiter,
     parsed: Result<Request, String>,
 }
 
-/// How a waiter is answered; [`Dispatcher::answer`] turns each into
-/// its one response line.
-enum Answer<'a> {
+/// One answered line traveling worker (or reader) → calling thread.
+struct Reply {
+    waiter: Waiter,
+    line: Line,
+}
+
+enum Line {
+    /// The response line; `error` and `hit` are counted when it is
+    /// written.
+    Ready {
+        text: String,
+        error: bool,
+        hit: bool,
+    },
+    /// A `stats` request, rendered when its turn comes so it reflects
+    /// every line before it.
+    Stats,
+}
+
+impl Reply {
     /// A failure that never reached a handler: a malformed line, an
     /// unservable command, a shed request.
-    Error(ServiceError),
-    /// The live `stats` snapshot.
-    Stats,
-    /// A spec's id-less envelope tail. `computed` is when this
-    /// waiter's handler finished; `None` marks an answer that ran no
-    /// handler (a tail-cache hit or an in-batch duplicate).
-    Tail {
-        tail: &'a str,
-        ok: bool,
-        computed: Option<Instant>,
-    },
+    fn error(waiter: Waiter, err: ServiceError) -> Reply {
+        let text = envelope(&Response::Error(err), &waiter.id, None);
+        Reply {
+            waiter,
+            line: Line::Ready {
+                text,
+                error: true,
+                hit: false,
+            },
+        }
+    }
+
+    /// A spec's id-less envelope tail; `hit` marks a line that ran no
+    /// handler (a tail-cache hit or a duplicate that joined a run).
+    fn tail(waiter: Waiter, tail: &str, ok: bool, hit: bool) -> Reply {
+        let text = envelope_from_tail(&waiter.id, tail);
+        Reply {
+            waiter,
+            line: Line::Ready {
+                text,
+                error: !ok,
+                hit,
+            },
+        }
+    }
 }
 
 /// Best-effort id recovery for lines that fail request parsing but are
@@ -253,7 +288,9 @@ where
 }
 
 /// The serve core: one connection/stream against a context and a
-/// response-tail cache that both outlive the call.
+/// response-tail cache that both outlive the call. The reader and the
+/// workers are scoped threads; the calling thread writes (`W` need not
+/// be `Send`).
 fn serve_on<R, W>(
     ctx: &ServiceCtx,
     input: R,
@@ -267,196 +304,266 @@ where
 {
     let start = Instant::now();
     let counts = ReaderCounts::default();
-    let shed_list: Mutex<Vec<Waiter>> = Mutex::new(Vec::new());
-    let mut d = Dispatcher {
+    let workers = Workers {
         ctx,
+        tails,
+        in_flight: Mutex::new(HashMap::new()),
+        written: Written::default(),
+        window: opts.queue_max.max(1) as u64,
+    };
+    let mut w = Writer {
         opts,
         start,
         counts: &counts,
         tails,
         tails_at_open: tails.stats(),
         summary: ServeSummary::default(),
-        dispatched: 0,
         latencies_ns: Vec::new(),
         pending: BTreeMap::new(),
+        next: 0,
+        gone: false,
+        error: None,
     };
-    let batch_max = opts.batch_max.max(1);
+    let (tx, rx) = sync_channel::<LineJob>(opts.queue_max.max(1));
+    let jobs = Mutex::new(rx);
+    let (replies, answers) = channel::<Reply>();
 
     let run: Result<(), String> = std::thread::scope(|scope| {
-        let (tx, rx) = sync_channel::<LineJob>(opts.queue_max.max(1));
-        let (counts, shed_list) = (&counts, &shed_list);
-
-        let shed_mode = opts.shed;
-        let reader = scope.spawn(move || -> Result<(), String> {
-            let mut seq: u64 = 0;
-            for line in input.lines() {
-                let line = match line {
-                    Ok(line) => line,
-                    // A client that vanishes mid-stream is EOF, not a
-                    // serve failure: finish the work already admitted.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
-                        ) =>
-                    {
-                        counter!("serve", "broken_pipe").inc();
-                        break;
-                    }
-                    Err(e) => return Err(format!("serve: read error: {e}")),
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                counts.received.fetch_add(1, Ordering::SeqCst);
-                counter!("serve", "requests").inc();
-                let (id, parsed) = match Request::from_json_line(&line) {
-                    Ok((id, req)) => (id, Ok(req)),
-                    Err(e) => (id_of_line(&line), Err(e)),
-                };
-                let job = LineJob {
-                    waiter: Waiter {
-                        seq,
-                        id,
-                        t0: Instant::now(),
-                    },
-                    parsed,
-                };
-                seq += 1;
-                // Count the job before the dispatcher can receive it,
-                // so its `fetch_sub` never runs ahead and wraps the
-                // depth; a job that does not enter the queue is
-                // uncounted again.
-                counts.queue_depth.fetch_add(1, Ordering::SeqCst);
-                if shed_mode {
-                    match tx.try_send(job) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(job)) => {
-                            counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            counts.shed.fetch_add(1, Ordering::SeqCst);
-                            counter!("serve", "shed").inc();
-                            lock(shed_list).push(job.waiter);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            return Err("serve: dispatcher hung up".to_string());
-                        }
-                    }
-                } else if tx.send(job).is_err() {
-                    counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                    return Err("serve: dispatcher hung up".to_string());
-                }
-            }
-            Ok(())
-        });
-
-        let dispatch: Result<(), String> = (|| {
-            let mut next_out: u64 = 0;
-            let mut open = true;
-            let mut client_gone = false;
-            loop {
-                // Admit a batch: block for the first item, then drain
-                // whatever else is already queued. In shed mode, wake
-                // periodically so shed responses flush even while the
-                // pipeline is otherwise idle.
-                let mut batch: Vec<LineJob> = Vec::new();
-                if open {
-                    if opts.shed {
-                        match rx.recv_timeout(Duration::from_millis(25)) {
-                            Ok(job) => batch.push(job),
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => open = false,
-                        }
-                    } else {
-                        match rx.recv() {
-                            Ok(job) => batch.push(job),
-                            Err(_) => open = false,
-                        }
-                    }
-                    while batch.len() < batch_max {
-                        match rx.try_recv() {
-                            Ok(job) => batch.push(job),
-                            Err(_) => break,
-                        }
-                    }
-                }
-                counts
-                    .queue_depth
-                    .fetch_sub(batch.len() as u64, Ordering::SeqCst);
-
-                if !batch.is_empty() {
-                    d.run_batch(batch);
-                }
-
-                // Shed requests join the reorder map out of band.
-                let shed = std::mem::take(&mut *lock(shed_list));
-                for waiter in &shed {
-                    d.answer(waiter, Answer::Error(shed_error(opts.queue_max)));
-                }
-
-                // In-order flush. A client that hangs up mid-stream
-                // (BrokenPipe) turns writes into no-ops: the run
-                // keeps draining its queue and counters instead of
-                // aborting with half the batch unaccounted for.
-                while let Some(line) = d.pending.remove(&next_out) {
-                    if !client_gone {
-                        client_gone = write_line(output, &line)?;
-                    }
-                    next_out += 1;
-                    d.summary.responded += 1;
-                    counter!("serve", "responses").inc();
-                }
-                if !client_gone {
-                    match output.flush() {
-                        Ok(()) => {}
-                        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
-                            counter!("serve", "broken_pipe").inc();
-                            client_gone = true;
-                        }
-                        Err(e) => return Err(format!("serve: flush error: {e}")),
-                    }
-                }
-
-                if !open {
-                    // The reader is done and its shed list drained, so
-                    // nothing can join the reorder map anymore. Whatever
-                    // is left sits behind a sequence gap that cannot
-                    // fill (defensive): flush it rather than spin.
-                    for (_, line) in std::mem::take(&mut d.pending) {
-                        if !client_gone {
-                            client_gone = write_line(output, &line)?;
-                        }
-                        d.summary.responded += 1;
-                    }
-                    return Ok(());
-                }
-            }
-        })();
-
+        for _ in 0..ThreadBudget::from(opts.workers).resolve() {
+            let (workers, jobs, counts, replies) = (&workers, &jobs, &counts, replies.clone());
+            scope.spawn(move || workers.run(jobs, &counts.queue_depth, &replies));
+        }
+        // The reader holds the last sender: once it and every worker
+        // are done, the answer channel closes and the writer returns.
+        let counts = &counts;
+        let reader = scope.spawn(move || read_lines(input, tx, replies, counts, opts));
+        let wrote = w.run(answers, output, &workers.written);
         let read = reader
             .join()
             .map_err(|_| "serve: reader thread panicked".to_string())?;
-        dispatch?;
+        wrote?;
         read
     });
     run?;
 
-    let (p50, p99) = d.latency_quantiles();
+    let (p50, p99) = w.latency_quantiles();
     Ok(ServeSummary {
         received: counts.received.load(Ordering::SeqCst),
         shed: counts.shed.load(Ordering::SeqCst),
         p50_latency_ns: p50,
         p99_latency_ns: p99,
         elapsed_ns: start.elapsed().as_nanos() as u64,
-        ..d.summary
+        ..w.summary
     })
 }
 
-/// The dispatcher's state for one serve run: its counters, latency
-/// samples and the reorder map, written only through
-/// [`Dispatcher::answer`] (and the flush, which counts `responded`).
-struct Dispatcher<'a> {
+/// The reader thread: parses each non-empty line into the bounded
+/// queue, blocking on a full queue or, with `shed`, answering the
+/// overflow line straight into the answer channel.
+fn read_lines<R: BufRead>(
+    input: R,
+    tx: SyncSender<LineJob>,
+    replies: Sender<Reply>,
+    counts: &ReaderCounts,
+    opts: &ServeOptions,
+) -> Result<(), String> {
+    let mut seq: u64 = 0;
+    for line in input.lines() {
+        let line = match line {
+            Ok(line) => line,
+            // A client that vanishes mid-stream is EOF, not a serve
+            // failure: finish the work already admitted.
+            Err(e) if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) => {
+                counter!("serve", "broken_pipe").inc();
+                break;
+            }
+            Err(e) => return Err(format!("serve: read error: {e}")),
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        counts.received.fetch_add(1, Ordering::SeqCst);
+        counter!("serve", "requests").inc();
+        let (id, parsed) = match Request::from_json_line(&line) {
+            Ok((id, req)) => (id, Ok(req)),
+            Err(e) => (id_of_line(&line), Err(e)),
+        };
+        let job = LineJob {
+            waiter: Waiter {
+                seq,
+                id,
+                t0: Instant::now(),
+            },
+            parsed,
+        };
+        seq += 1;
+        // Count the job before a worker can receive it, so its
+        // `fetch_sub` never runs ahead and wraps the depth; a job that
+        // does not enter the queue is uncounted again.
+        counts.queue_depth.fetch_add(1, Ordering::SeqCst);
+        if opts.shed {
+            match tx.try_send(job) {
+                Ok(()) => {}
+                Err(TrySendError::Full(job)) => {
+                    counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                    counts.shed.fetch_add(1, Ordering::SeqCst);
+                    counter!("serve", "shed").inc();
+                    let _ = replies.send(Reply::error(job.waiter, shed_error(opts.queue_max)));
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                    return Err("serve: workers hung up".to_string());
+                }
+            }
+        } else if tx.send(job).is_err() {
+            counts.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            return Err("serve: workers hung up".to_string());
+        }
+    }
+    Ok(())
+}
+
+/// How many lines the calling thread has written; a worker waits on it
+/// before it starts a line too far ahead.
+#[derive(Default)]
+struct Written {
+    lines: Mutex<u64>,
+    advanced: Condvar,
+}
+
+/// What the workers share for one serve run.
+struct Workers<'a> {
     ctx: &'a ServiceCtx,
+    tails: &'a TailCache,
+    /// Specs whose handler is running, each with the lines that joined
+    /// the run.
+    in_flight: Mutex<HashMap<String, Vec<Waiter>>>,
+    written: Written,
+    /// A worker starts line `seq` only once `seq < written + window`.
+    window: u64,
+}
+
+impl Workers<'_> {
+    /// One worker: takes one line at a time until the queue closes.
+    fn run(
+        &self,
+        jobs: &Mutex<Receiver<LineJob>>,
+        queue_depth: &AtomicU64,
+        replies: &Sender<Reply>,
+    ) {
+        loop {
+            let Ok(job) = lock(jobs).recv() else {
+                return;
+            };
+            queue_depth.fetch_sub(1, Ordering::SeqCst);
+            let mut written = lock(&self.written.lines);
+            while job.waiter.seq >= *written + self.window {
+                written = self
+                    .written
+                    .advanced
+                    .wait(written)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+            drop(written);
+            self.answer(job, replies);
+        }
+    }
+
+    /// Answers one line: an error for a malformed or unservable line, a
+    /// `stats` placeholder, or the spec's tail — joined to a run in
+    /// flight, from the tail cache, or from its own handler run.
+    fn answer(&self, LineJob { waiter, parsed }: LineJob, replies: &Sender<Reply>) {
+        // Fault site: pretend this line failed envelope parsing. Keyed
+        // by sequence number, so the set of corrupted lines is a pure
+        // function of the fault plan — independent of workers or
+        // timing.
+        let parsed = if htmpll_fault::fires_global("serve.malformed", waiter.seq) {
+            counter!("serve", "fault.malformed").inc();
+            Err(format!(
+                "fault injection: malformed envelope for line {}",
+                waiter.seq
+            ))
+        } else {
+            parsed
+        };
+        let send = |reply: Reply| {
+            // The calling thread holds the receiver until every sender
+            // is gone, so a send fails only if it panicked.
+            let _ = replies.send(reply);
+        };
+        let req = match parsed {
+            Err(message) => return send(Reply::error(waiter, ServiceError::bad_request(message))),
+            Ok(Request::Stats) => {
+                return send(Reply {
+                    waiter,
+                    line: Line::Stats,
+                })
+            }
+            Ok(req) if !req.is_servable() => {
+                let err = ServiceError::unsupported(
+                    req.command(),
+                    format!(
+                        "`{}` mutates process-global state; run it via the plltool CLI",
+                        req.command()
+                    ),
+                );
+                return send(Reply::error(waiter, err));
+            }
+            Ok(req) => req,
+        };
+
+        let key = req.canonical_json();
+        {
+            // Both lookups under one lock, so two lines of one spec
+            // cannot both miss and both run the handler.
+            let mut in_flight = lock(&self.in_flight);
+            if let Some(joined) = in_flight.get_mut(&key) {
+                joined.push(waiter);
+                return;
+            }
+            if let Some(tail) = self.tails.get(&key) {
+                drop(in_flight);
+                return send(Reply::tail(waiter, &tail, true, true));
+            }
+            in_flight.insert(key.clone(), Vec::new());
+        }
+
+        // Pin the ambient fault scope to the request's canonical spec:
+        // scope-gated fault rules then select the same victim
+        // *requests* regardless of worker count or arrival order, and a
+        // `cache.evict` storm reaches the tail cache too.
+        let _fault_scope = htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
+        let resp = catch_unwind(AssertUnwindSafe(|| handlers::handle(&req, self.ctx)))
+            .unwrap_or_else(|_| {
+                Response::Error(ServiceError {
+                    command: req.command().to_string(),
+                    code: "panic",
+                    message: "request handler panicked; the panic was contained and only \
+                              this request failed"
+                        .to_string(),
+                    retryable: false,
+                    quality: None,
+                })
+            });
+        let tail = envelope_tail(&resp, None);
+        let ok = resp.failure().is_none();
+        if ok {
+            self.tails.insert(key.clone(), tail.clone());
+        }
+        // Only now leave the in-flight map: a duplicate that no longer
+        // finds the spec there finds its tail in the cache.
+        let joined = lock(&self.in_flight).remove(&key).unwrap_or_default();
+        send(Reply::tail(waiter, &tail, ok, false));
+        for waiter in joined {
+            send(Reply::tail(waiter, &tail, ok, true));
+        }
+    }
+}
+
+/// The calling thread's state for one serve run: its counters, latency
+/// samples and the reorder map. Every line is counted in
+/// [`Writer::write`], as it is written.
+struct Writer<'a> {
     opts: &'a ServeOptions,
     start: Instant,
     counts: &'a ReaderCounts,
@@ -465,173 +572,99 @@ struct Dispatcher<'a> {
     /// reports this stream's misses and evictions.
     tails_at_open: CacheStats,
     summary: ServeSummary,
-    /// Requests admitted in batches, for `stats`' batch occupancy.
-    dispatched: u64,
     latencies_ns: Vec<u64>,
-    /// Response lines waiting for their turn, keyed by sequence number.
-    pending: BTreeMap<u64, String>,
+    /// Answered lines waiting for their turn, keyed by sequence number.
+    pending: BTreeMap<u64, Reply>,
+    /// The next sequence number to write.
+    next: u64,
+    /// The client hung up or a write failed: lines are still counted,
+    /// no longer written.
+    gone: bool,
+    /// The first write error other than a vanished client.
+    error: Option<String>,
 }
 
-impl Dispatcher<'_> {
-    /// Answers one admission batch. Requests are grouped by canonical
-    /// spec (every key starts with its command, so groups run in
-    /// `(command, spec)` order); each group gets one tail-cache lookup
-    /// and at most one handler run, and its first waiter stands for it.
-    fn run_batch(&mut self, batch: Vec<LineJob>) {
-        self.summary.batches += 1;
-        self.summary.max_batch = self.summary.max_batch.max(batch.len() as u64);
-        self.dispatched += batch.len() as u64;
-        counter!("serve", "batches").inc();
+impl Writer<'_> {
+    /// Drains the answer channel until every sender is gone, writing
+    /// each line as soon as the lines before it are written.
+    fn run<W: Write>(
+        &mut self,
+        answers: Receiver<Reply>,
+        output: &mut W,
+        written: &Written,
+    ) -> Result<(), String> {
+        while let Ok(first) = answers.recv() {
+            let mut drained = 1;
+            self.pending.insert(first.waiter.seq, first);
+            for reply in answers.try_iter() {
+                self.pending.insert(reply.waiter.seq, reply);
+                drained += 1;
+            }
+            self.summary.batches += 1;
+            self.summary.max_batch = self.summary.max_batch.max(drained);
+            counter!("serve", "batches").inc();
 
-        let mut groups: BTreeMap<String, (Request, Vec<Waiter>)> = BTreeMap::new();
-        // Answered after the batch's pool work so they reflect the
-        // requests queued ahead of them (output order is seq-keyed and
-        // unaffected).
-        let mut stats_waiters: Vec<Waiter> = Vec::new();
-        for LineJob { waiter, parsed } in batch {
-            // Fault site: pretend this line failed envelope parsing.
-            // Keyed by sequence number, so the set of corrupted lines is
-            // a pure function of the fault plan — independent of workers
-            // or timing.
-            let parsed = if htmpll_fault::fires_global("serve.malformed", waiter.seq) {
-                counter!("serve", "fault.malformed").inc();
-                Err(format!(
-                    "fault injection: malformed envelope for line {}",
-                    waiter.seq
-                ))
-            } else {
-                parsed
-            };
-            match parsed {
-                Err(message) => {
-                    self.answer(&waiter, Answer::Error(ServiceError::bad_request(message)));
-                }
-                Ok(Request::Stats) => stats_waiters.push(waiter),
-                Ok(req) if !req.is_servable() => {
-                    let err = ServiceError::unsupported(
-                        req.command(),
-                        format!(
-                            "`{}` mutates process-global state; run it via the plltool CLI",
-                            req.command()
-                        ),
-                    );
-                    self.answer(&waiter, Answer::Error(err));
-                }
-                Ok(req) => {
-                    groups
-                        .entry(req.canonical_json())
-                        .or_insert_with(|| (req, Vec::new()))
-                        .1
-                        .push(waiter);
-                }
+            let before = self.next;
+            while let Some(reply) = self.pending.remove(&self.next) {
+                self.write(reply, output);
+                self.next += 1;
+            }
+            if self.next > before {
+                self.flush(output);
+                *lock(&written.lines) = self.next;
+                written.advanced.notify_all();
             }
         }
-
-        // A spec answered in an earlier batch (or by an earlier
-        // connection) is served from the tail cache without running its
-        // handler.
-        let mut work: Vec<(String, Request, Vec<Waiter>)> = Vec::new();
-        for (key, (req, waiters)) in groups {
-            match self.tails.get(&key) {
-                Some(tail) => {
-                    for waiter in &waiters {
-                        let hit = Answer::Tail {
-                            tail: &tail,
-                            ok: true,
-                            computed: None,
-                        };
-                        self.answer(waiter, hit);
-                    }
-                }
-                None => work.push((key, req, waiters)),
-            }
-        }
-
-        let ctx = self.ctx;
-        let results = par_map(ThreadBudget::from(self.opts.workers), &work, |_, item| {
-            let (key, req, _) = item;
-            // Pin the ambient fault scope to the request's canonical
-            // spec: scope-gated fault rules then select the same victim
-            // *requests* regardless of worker count, batch shape, or
-            // arrival order.
-            let _fault_scope = htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
-            let resp = catch_unwind(AssertUnwindSafe(|| handlers::handle(req, ctx)))
-                .unwrap_or_else(|_| {
-                    Response::Error(ServiceError {
-                        command: req.command().to_string(),
-                        code: "panic",
-                        message: "request handler panicked; the panic was contained and only \
-                                  this request failed"
-                            .to_string(),
-                        retryable: false,
-                        quality: None,
-                    })
-                });
-            (
-                envelope_tail(&resp, None),
-                resp.failure().is_none(),
-                Instant::now(),
-            )
-        });
-        for ((key, _, waiters), (tail, ok, finished)) in work.into_iter().zip(results) {
-            if ok {
-                // Under the request's fault scope, like its handler: a
-                // `cache.evict` storm reaches this cache too.
-                let _fault_scope =
-                    htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
-                self.tails.insert(key, tail.clone());
-            }
-            // The first waiter ran the handler; the rest are in-batch
-            // duplicates answered from its tail.
-            for (i, waiter) in waiters.iter().enumerate() {
-                let computed = (i == 0).then_some(finished);
-                self.answer(
-                    waiter,
-                    Answer::Tail {
-                        tail: &tail,
-                        ok,
-                        computed,
-                    },
-                );
-            }
-        }
-        for waiter in &stats_waiters {
-            self.answer(waiter, Answer::Stats);
-        }
+        self.error.take().map_or(Ok(()), Err)
     }
 
-    /// The one answer path: records the waiter's latency, error and
-    /// cache hit, and files its line in the reorder map.
-    fn answer(&mut self, waiter: &Waiter, answer: Answer<'_>) {
-        let done = match answer {
-            Answer::Tail {
-                computed: Some(finished),
-                ..
-            } => finished,
-            _ => Instant::now(),
-        };
-        let ns = done.saturating_duration_since(waiter.t0).as_nanos() as u64;
+    /// Writes one line and counts it: latency, error, cache hit,
+    /// `responded`.
+    fn write<W: Write>(&mut self, Reply { waiter, line }: Reply, output: &mut W) {
+        let ns = waiter.t0.elapsed().as_nanos() as u64;
         htmpll_obs::record!("serve", "latency_ns").record(ns as f64);
         self.latencies_ns.push(ns);
-        let line = match answer {
-            Answer::Error(err) => {
-                self.summary.errors += 1;
-                envelope(&Response::Error(err), &waiter.id, None)
-            }
-            // After the latency sample, so `stats` counts itself.
-            Answer::Stats => envelope(&Response::Stats(self.stats_json()), &waiter.id, None),
-            Answer::Tail { tail, ok, computed } => {
-                if !ok {
-                    self.summary.errors += 1;
-                }
-                if computed.is_none() {
+        let text = match line {
+            Line::Ready { text, error, hit } => {
+                self.summary.errors += u64::from(error);
+                if hit {
                     self.summary.response_cache_hits += 1;
                     counter!("serve", "cache_hits").inc();
                 }
-                envelope_from_tail(&waiter.id, tail)
+                text
             }
+            // After the latency sample, so `stats` counts itself.
+            Line::Stats => envelope(&Response::Stats(self.stats_json()), &waiter.id, None),
         };
-        self.pending.insert(waiter.seq, line);
+        if !self.gone {
+            if let Err(e) = writeln!(output, "{text}") {
+                self.fail(e, "write");
+            }
+        }
+        self.summary.responded += 1;
+        counter!("serve", "responses").inc();
+    }
+
+    fn flush<W: Write>(&mut self, output: &mut W) {
+        if !self.gone {
+            if let Err(e) = output.flush() {
+                self.fail(e, "flush");
+            }
+        }
+    }
+
+    /// A client that hangs up mid-stream (BrokenPipe) turns writes into
+    /// no-ops: the run keeps draining its queue and counters instead of
+    /// aborting with lines unaccounted for. Any other I/O error does
+    /// the same and is returned once the run is drained.
+    fn fail(&mut self, e: std::io::Error, what: &str) {
+        self.gone = true;
+        if e.kind() == ErrorKind::BrokenPipe {
+            counter!("serve", "broken_pipe").inc();
+            eprintln!("serve: client disconnected mid-stream; draining remaining work");
+        } else {
+            self.error = Some(format!("serve: {what} error: {e}"));
+        }
     }
 
     /// (p50, p99) over the latencies recorded so far, nearest-rank.
@@ -641,25 +674,22 @@ impl Dispatcher<'_> {
         (percentile(&xs, 0.50), percentile(&xs, 0.99))
     }
 
-    /// The `stats` result, built by the dispatcher (it needs the live
-    /// queue, not a worker). In `response_cache`, `hits` counts this
-    /// stream's requests answered without running a handler (tail-cache
-    /// hits plus in-batch duplicates); `misses` (the specs computed)
-    /// and `evictions` are the tail cache's own [`CacheStats`] since
-    /// this stream opened, and `entries` is its current size.
+    /// The `stats` result, built by the calling thread when the line's
+    /// turn comes: `responded`, `errors`, the latency samples and
+    /// `hits` cover exactly the lines before it (the samples also its
+    /// own). In `response_cache`, `hits` counts this stream's lines
+    /// answered without running a handler (tail-cache hits plus joined
+    /// duplicates); `misses` (the specs computed) and `evictions` are
+    /// the tail cache's own [`CacheStats`] since this stream opened,
+    /// and `entries` is its current size.
     fn stats_json(&self) -> String {
         let (p50, p99) = self.latency_quantiles();
         let tail = self.tails.stats();
         let s = &self.summary;
-        let occupancy = if s.batches == 0 {
-            0.0
-        } else {
-            self.dispatched as f64 / s.batches as f64
-        };
         format!(
             "{{\"uptime_ns\":{},\"received\":{},\"responded\":{},\"queue_depth\":{},\
              \"queue_max\":{},\"shed\":{},\"errors\":{},\"batches\":{},\"max_batch\":{},\
-             \"batch_occupancy\":{},\"latency\":{{\"p50_ns\":{},\"p99_ns\":{},\"count\":{}}},\
+             \"latency\":{{\"p50_ns\":{},\"p99_ns\":{},\"count\":{}}},\
              \"response_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}}}",
             self.start.elapsed().as_nanos(),
             self.counts.received.load(Ordering::SeqCst),
@@ -670,7 +700,6 @@ impl Dispatcher<'_> {
             s.errors,
             s.batches,
             s.max_batch,
-            json::num(occupancy),
             p50,
             p99,
             self.latencies_ns.len(),
@@ -695,21 +724,6 @@ fn shed_error(queue_max: usize) -> ServiceError {
         // resubmitting can succeed.
         retryable: true,
         quality: None,
-    }
-}
-
-/// Writes one response line, tolerating a vanished client. Returns
-/// `Ok(true)` when the client is gone (BrokenPipe — stop writing, keep
-/// draining), `Ok(false)` on success, `Err` on any other I/O failure.
-fn write_line<W: Write>(output: &mut W, line: &str) -> Result<bool, String> {
-    match writeln!(output, "{line}") {
-        Ok(()) => Ok(false),
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
-            counter!("serve", "broken_pipe").inc();
-            eprintln!("serve: client disconnected mid-stream; draining remaining work");
-            Ok(true)
-        }
-        Err(e) => Err(format!("serve: write error: {e}")),
     }
 }
 
@@ -931,7 +945,6 @@ mod tests {
         let opts = ServeOptions {
             workers: 1,
             queue_max: 2,
-            batch_max: 2,
             shed: true,
             ..ServeOptions::default()
         };
@@ -946,5 +959,79 @@ mod tests {
         if summary.shed > 0 {
             assert!(out.contains("\"code\":\"shed\""));
         }
+    }
+
+    #[test]
+    fn stats_answers_at_its_place_in_line_order() {
+        // Seven lines ahead of `stats` (two errors, one repeat), two
+        // after it: the snapshot covers exactly the seven, and its own
+        // latency sample.
+        let before = concat!(
+            "{\"id\":0,\"command\":\"analyze\",\"params\":{\"ratio\":0.1}}\n",
+            "not json\n",
+            "{\"id\":2,\"command\":\"analyze\",\"params\":{\"ratio\":0.12}}\n",
+            "{\"id\":3,\"command\":\"analyze\",\"params\":{\"ratio\":0.1}}\n",
+            "{\"id\":4,\"command\":\"analyze\",\"params\":{\"ratio\":-1}}\n",
+            "{\"id\":5,\"command\":\"step\",\"params\":{\"ratio\":0.1,\"points\":4}}\n",
+            "{\"id\":6,\"command\":\"sweep\",\"params\":{\"from\":0.05,\"to\":0.2,\"points\":4}}\n",
+        );
+        let k = before.lines().count();
+        let input = format!(
+            "{before}{{\"id\":\"s\",\"command\":\"stats\"}}\n\
+             {{\"id\":8,\"command\":\"analyze\",\"params\":{{\"ratio\":0.3}}}}\n\
+             also not json\n"
+        );
+        for workers in [1, 2, 4] {
+            let opts = ServeOptions {
+                workers,
+                ..ServeOptions::default()
+            };
+            let (out, summary) = run_serve(&input, &opts);
+            assert_eq!((summary.responded, summary.errors), (k as u64 + 3, 3));
+            let stats = crate::obs::parse_json(out.lines().nth(k).unwrap()).unwrap();
+            let field = |path: &[&str]| {
+                let mut v = stats.get("result").unwrap();
+                for key in path {
+                    v = v.get(key).unwrap();
+                }
+                v.as_f64().unwrap() as usize
+            };
+            assert_eq!(field(&["responded"]), k, "{workers} workers");
+            assert_eq!(field(&["latency", "count"]), k + 1, "{workers} workers");
+            assert_eq!(field(&["errors"]), 2, "{workers} workers");
+            assert_eq!(field(&["response_cache", "hits"]), 1, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn latency_ends_when_the_line_is_written() {
+        // A fast `analyze` on a second worker finishes long before the
+        // slow `sweep` ahead of it, but its line waits for the sweep's:
+        // both latencies cover the sweep's handler time.
+        let sweep =
+            "{\"id\":0,\"command\":\"sweep\",\"params\":{\"from\":0.05,\"to\":0.3,\"points\":24}}";
+        let (_, req) = Request::from_json_line(sweep).unwrap();
+        // The faster of two runs alone: a lower bound on its handler
+        // time that load from other tests can only raise.
+        let handler_ns = (0..2)
+            .map(|_| {
+                let t = Instant::now();
+                handlers::handle(&req, &ServiceCtx::new());
+                t.elapsed().as_nanos() as u64
+            })
+            .min()
+            .unwrap();
+        let input =
+            format!("{sweep}\n{{\"id\":1,\"command\":\"analyze\",\"params\":{{\"ratio\":0.1}}}}\n");
+        let opts = ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        };
+        let (_, summary) = run_serve(&input, &opts);
+        assert!(
+            summary.p50_latency_ns >= handler_ns / 2,
+            "p50 {} ns, sweep handler {handler_ns} ns",
+            summary.p50_latency_ns
+        );
     }
 }

@@ -48,7 +48,7 @@ fn run() -> (Vec<u64>, String, u64, u64) {
         }
     }
     // Twenty distinct specs over the tail cache's sixteen shards, each
-    // asked twice in batches of two, then a `stats` line.
+    // asked twice, then a `stats` line.
     let mut input = String::new();
     for i in 0..40 {
         let ratio = 0.05 + 0.01 * (i % 20) as f64;
@@ -60,7 +60,6 @@ fn run() -> (Vec<u64>, String, u64, u64) {
     let mut out = Vec::new();
     let opts = ServeOptions {
         workers: 2,
-        batch_max: 2,
         ..ServeOptions::default()
     };
     serve_lines(Cursor::new(input), &mut out, &opts).unwrap();
